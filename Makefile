@@ -27,16 +27,21 @@ test-race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/fleet/...
 
 # The sharded determinism matrix under the race detector: every
-# algorithm × model × fault schedule at shard counts 1/2/4/8, plus the
-# three-way engine differential and the harness shard×worker
-# byte-identity matrix. This is the strongest signal on the tick-barrier
-# protocol — a shard writing outside its node range is a data race here
-# long before it is a wrong answer anywhere else. GOMAXPROCS is pinned
-# above 1 because the engine skips the shard pool on a single-core
-# host; the race detector must see the concurrent dispatch path even
-# when the hardware would not take it.
+# algorithm × model × fault schedule at shard counts 1/2/4/8, the
+# three-way engine differential, the dispatch-invariance matrix (every
+# tick pooled / every tick inline / the adaptive per-tick choice), the
+# EffectiveShards table and the harness shard×worker byte-identity
+# matrix. This is the strongest signal on the tick-barrier protocol — a
+# shard writing outside its node range is a data race here long before
+# it is a wrong answer anywhere else. -cpu 1,2,4 on the engine layers
+# because the engine only starts a shard pool when a multi-shard run has
+# more than one core, and only hands it the ticks with enough due work:
+# at 1 every tick runs inline, at 2 and 4 the race detector sees the
+# concurrent dispatch even when the hardware would not take it. The
+# harness matrix (16 sweeps a pass) runs once, at 4.
 race-matrix:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestSharded|TestShardMatrix|TestThreeWay|TestSweepByteIdentical|TestSweepCSVIdentical' ./internal/sim ./internal/core ./internal/harness
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestEffectiveShards' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards' ./internal/harness
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -71,11 +76,15 @@ bench-faults:
 	$(GO) test -run 'TestAllocBudgetLeastelFaultyRing' -v .
 	$(GO) test -bench 'EngineFaults' -benchtime 5x -benchmem -run='^$$' .
 
-# The sharded-engine measurement set (docs/PERFORMANCE.md): the sharded
-# allocation budget, the million-node ring wave at 1/2/4/8 shards, and
-# the 10M-node run. Used to regenerate BENCH_SHARDED_ENGINE.json.
+# The sharded-engine measurement set (docs/PERFORMANCE.md § "Sharded
+# engine scaling"): the sharded allocation budgets, the inline-vs-pooled
+# tick sweep the dispatch threshold was read from, the million-node ring
+# wave at 1/2/4/8 shards, and the 10M-node run. The before/after rows of
+# that section come from cmd/ule-bench (elect-dense, elect-sparse), not
+# from here.
 bench-shard:
-	$(GO) test -run 'TestAllocBudgetLeastelSharded' -v .
+	$(GO) test -run 'TestAllocBudgetLeastelSharded|TestAllocBudgetLeastelAutoSharded' -v .
+	$(GO) test -bench 'TickDispatch' -benchtime 5x -run='^$$' ./internal/sim
 	$(GO) test -bench 'EngineSharded$$' -benchtime 3x -benchmem -run='^$$' -timeout 30m .
 	$(GO) test -bench 'EngineSharded10M' -benchtime 1x -benchmem -run='^$$' -timeout 30m .
 

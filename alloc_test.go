@@ -8,6 +8,7 @@ package ule
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ule/internal/core"
@@ -156,6 +157,55 @@ func TestAllocBudgetLeastelSharded(t *testing.T) {
 	}
 	if got := allocsPerRound(t, 2, run); got >= 20 {
 		t.Errorf("sharded leastel on ring:512: %.2f allocs/round, budget 20 (same as single-shard)", got)
+	}
+}
+
+// TestAllocBudgetLeastelAutoSharded pins the path a large graph takes by
+// default: leastel on torus:128x128 at Shards 0 on two cores runs on two
+// shards, its busy ticks on the pool. Against the same warm election
+// forced onto one shard it may allocate the per-run pool start (a
+// goroutine, a channel, two closures) and nothing per round: the
+// difference must stay below one allocation per round, a twentieth of
+// the sharded budget above. (The election's own ~28 allocations per node
+// are the protocol's and the same on both sides. testing.AllocsPerRun
+// pins GOMAXPROCS to 1, where nothing is sharded, so this counts Mallocs
+// itself and takes the lesser of two runs to shed GC-timing noise.)
+func TestAllocBudgetLeastelAutoSharded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := graph.Torus(128, 128)
+	if got := sim.EffectiveShards(0, g.N(), 2, false); got != 2 {
+		t.Fatalf("torus:128x128 on two cores resolves to %d shards, want 2", got)
+	}
+	prep, err := core.Prepare(g, "leastel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res sim.Result
+	mallocs := func(shards int) (least uint64, rounds int) {
+		var before, after runtime.MemStats
+		for i := 0; i < 3; i++ { // one warm-up (it builds the shard layout), two measured
+			runtime.ReadMemStats(&before)
+			if err := prep.RunInto(core.RunOpts{Seed: 7, Shards: shards}, &res); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if !res.UniqueLeader() {
+				t.Fatal("election failed")
+			}
+			if n := after.Mallocs - before.Mallocs; i >= 1 && (least == 0 || n < least) {
+				least = n
+			}
+		}
+		return least, res.Rounds
+	}
+	single, rounds := mallocs(1)
+	auto, autoRounds := mallocs(0)
+	if autoRounds != rounds {
+		t.Fatalf("auto-sharded run took %d rounds, single-shard %d", autoRounds, rounds)
+	}
+	if extra := int64(auto) - int64(single); extra >= int64(rounds) {
+		t.Errorf("auto-sharded leastel on torus:128x128: %d allocations over the single-shard %d in %d rounds, budget < 1 per round",
+			extra, single, rounds)
 	}
 }
 

@@ -475,19 +475,21 @@ func BenchmarkEngineFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel compares the sequential and goroutine engines on
-// a large instance (identical results, different wall-clock).
+// BenchmarkEngineParallel compares the single-shard engine with one shard
+// per core on a dense instance (identical results, different wall-clock).
+// The graph is below the size the engine shards by itself, so this is the
+// forced count: what the per-tick dispatch makes of 1024 nodes.
 func BenchmarkEngineParallel(b *testing.B) {
 	g := mustRandom(b, 1024, 8192, 11)
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
+	for _, shards := range []int{1, -1} {
+		name := "shards=1"
+		if shards < 0 {
+			name = "shards=cores"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(g, "leastel", core.RunOpts{
-					Seed: int64(i), Parallel: par, MaxRounds: 1 << 18,
+					Seed: int64(i), Shards: shards, MaxRounds: 1 << 18,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -529,13 +531,12 @@ func BenchmarkGraphMillionNodeWave(b *testing.B) {
 // BenchmarkEngineSharded is the sharded-engine scale probe: the
 // million-node ring wave of BenchmarkGraphMillionNodeWave, split across
 // 1/2/4/8 contiguous node shards. The transcript is byte-identical at
-// every count (the determinism matrix pins that); what this measures is
-// the wall-clock of the tick-barrier protocol — on a multi-core host the
-// wave time drops roughly linearly with shards until the per-tick
-// barrier dominates, and on a single-core host the single-shard inline
-// path and the sharded path must cost the same (the engine skips the
-// shard pool when GOMAXPROCS == 1). Recorded in BENCH_SHARDED_ENGINE.json
-// via `make bench-shard`.
+// every count (the determinism matrix pins that). A wave is the sparsest
+// run there is — one delivery and one step per tick — so every tick runs
+// inline and all but one shard sit it out: what this measures is what a
+// shard layout costs a run that cannot use it, which should be close to
+// nothing. (`make bench-shard`; the dense counterpart, where shards pay,
+// is the elect-dense workload of cmd/ule-bench.)
 func BenchmarkEngineSharded(b *testing.B) {
 	const n = 1 << 20
 	g := graph.Ring(n)

@@ -95,7 +95,7 @@ func run(args []string) error {
 		delays    = fs.String("delays", "", "sweep mode: override the spec's async delay axis (comma-separated: unit,random:B,fifo:B)")
 		faults    = fs.String("faults", "", "sweep mode: override the spec's fault axis (comma-separated: none,crash:P,crashrec:P:D,drop:P,churn:P:K)")
 		diamEst   = fs.Bool("diam-estimate", false, "sweep mode: grant D-dependent algorithms graph.DiameterEstimate instead of the exact all-pairs diameter (for graphs too large for O(n·m))")
-		shards    = fs.Int("shards", 0, "sweep mode: override the spec's engine shard count (0 = keep spec value, -1 auto-size; results identical at any count)")
+		shards    = fs.Int("shards", 0, "sweep mode: override the spec's engine shard count (0 = keep the spec value, whose own 0 = engine decides; 1 = single, k = exactly k, -1 = one per core; results identical at any count)")
 		progress  = fs.Bool("progress", true, "sweep mode: report progress on stderr")
 	)
 	if err := fs.Parse(args); err != nil {

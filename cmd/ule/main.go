@@ -56,7 +56,7 @@ func run(args []string) error {
 		anonymous = fs.Bool("anonymous", false, "run without node identifiers")
 		smallIDs  = fs.Bool("small-ids", false, "permutation IDs 1..n (needed for dfs)")
 		maxRounds = fs.Int("max-rounds", 1<<18, "round cap")
-		shards    = fs.Int("shards", 0, "engine shards (0/1 single, -1 auto-size to cores; results identical)")
+		shards    = fs.Int("shards", 0, "engine shards (0 = engine decides: large graphs are split across the cores, 1 = single, k = exactly k, -1 = one per core; results identical)")
 		list      = fs.Bool("list", false, "list algorithms and exit")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the trials to this file")
 		memProf   = fs.String("memprofile", "", "write an allocation profile to this file after the trials")

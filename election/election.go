@@ -180,12 +180,17 @@ type Params struct {
 	// Deprecated: use Model ("async+random:4", ...). Ignored when Model
 	// is non-empty.
 	Delay string
-	// Parallel uses the multi-core engine.
+	// Parallel asks for one engine shard per core whatever the graph size.
+	//
+	// Deprecated: leave Shards at 0 and the engine shards large graphs by
+	// itself; set Shards to -1 for what this did. Ignored when Shards is
+	// non-zero.
 	Parallel bool
 	// Shards partitions the simulation into concurrently stepped node
-	// shards. Any value produces byte-identical results; 0/1 runs
-	// single-sharded and negative auto-sizes to the core count. See
-	// sim.Config.Shards.
+	// shards. Any value produces byte-identical results: 0 = engine
+	// decides (large graphs are split across the cores, small ones are
+	// not), 1 = single shard, k > 1 = exactly k, negative = one per
+	// core. See sim.Config.Shards.
 	Shards int
 	// Wake is the wake-up schedule (nil = simultaneous round 1).
 	Wake []int
@@ -195,21 +200,34 @@ type Params struct {
 
 // Elect runs the named algorithm (see Algorithms) on g.
 func Elect(g *Graph, algorithm string, p Params) (*Result, error) {
+	ro, err := p.runOpts()
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(g, algorithm, ro)
+}
+
+// runOpts resolves the Params, deprecated shims included, into the
+// algorithm layer's options.
+func (p Params) runOpts() (core.RunOpts, error) {
 	ro := core.RunOpts{
 		Seed:      p.Seed,
 		IDs:       p.IDs,
 		Anonymous: p.Anonymous,
 		D:         p.D,
 		MaxRounds: p.MaxRounds,
-		Parallel:  p.Parallel,
 		Shards:    p.Shards,
 		Wake:      p.Wake,
 		Opt:       p.Opt,
 	}
+	if p.Parallel && p.Shards == 0 {
+		// Deprecated-shim mapping, pinned by TestParallelShim.
+		ro.Shards = -1
+	}
 	if p.Model != "" {
 		m, err := sim.ParseModel(p.Model)
 		if err != nil {
-			return nil, err
+			return core.RunOpts{}, err
 		}
 		ro.Model = m
 	} else {
@@ -224,7 +242,7 @@ func Elect(g *Graph, algorithm string, p Params) (*Result, error) {
 		}
 		ro.Delay = p.Delay
 	}
-	return core.Run(g, algorithm, ro)
+	return ro, nil
 }
 
 // Run executes an arbitrary protocol under the low-level simulator

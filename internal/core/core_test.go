@@ -249,16 +249,16 @@ func TestRunRejectsAnonymousForIDAlgorithms(t *testing.T) {
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	g := graph.Torus(5, 5)
 	for _, algo := range []string{"leastel", "leastel-const", "flood"} {
-		a, err := Run(g, algo, RunOpts{Seed: 3})
+		a, err := Run(g, algo, RunOpts{Seed: 3, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(g, algo, RunOpts{Seed: 3, Parallel: true})
+		b, err := Run(g, algo, RunOpts{Seed: 3, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Messages != b.Messages || a.Rounds != b.Rounds || len(a.Leaders) != len(b.Leaders) {
-			t.Errorf("%s: parallel diverges: %d/%d msgs, %d/%d rounds", algo,
+			t.Errorf("%s: 4 shards diverge: %d/%d msgs, %d/%d rounds", algo,
 				a.Messages, b.Messages, a.Rounds, b.Rounds)
 		}
 	}

@@ -56,8 +56,9 @@ func resultBytes(t *testing.T, res *sim.Result) []byte {
 }
 
 // TestParallelMatchesSequential asserts, for every registered algorithm,
-// that the goroutine runner (RunOpts.Parallel) produces byte-identical
-// results to the sequential runner on a fixed graph/seed matrix.
+// that the multi-core engine (RunOpts.Shards = 3, a count that divides
+// none of the graphs) produces byte-identical results to the single-shard
+// engine on a fixed graph/seed matrix.
 func TestParallelMatchesSequential(t *testing.T) {
 	graphs := fixedGraphs(t)
 	for _, algo := range Names() {
@@ -68,23 +69,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 					Seed: seed, IDs: ids, MaxRounds: 1 << 17,
 					// Exercise the lower-bound instruments too: they share
 					// state with message delivery, so they must also be
-					// identical under the goroutine runner.
+					// identical across shards.
 					WatchEdges:   [][2]int{{0, 1}},
 					CountPerEdge: true,
 				}
+				base.Shards = 1
 				seq, err := Run(g, algo, base)
 				if err != nil {
-					t.Fatalf("%s on %s seed %d (sequential): %v", algo, gname, seed, err)
+					t.Fatalf("%s on %s seed %d (1 shard): %v", algo, gname, seed, err)
 				}
 				par := base
-				par.Parallel = true
+				par.Shards = 3
 				pres, err := Run(g, algo, par)
 				if err != nil {
-					t.Fatalf("%s on %s seed %d (parallel): %v", algo, gname, seed, err)
+					t.Fatalf("%s on %s seed %d (3 shards): %v", algo, gname, seed, err)
 				}
 				sb, pb := resultBytes(t, seq), resultBytes(t, pres)
 				if string(sb) != string(pb) {
-					t.Errorf("%s on %s seed %d: parallel result differs\nseq: %s\npar: %s",
+					t.Errorf("%s on %s seed %d: 3-shard result differs\nseq: %s\npar: %s",
 						algo, gname, seed, sb, pb)
 				}
 			}

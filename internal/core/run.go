@@ -39,13 +39,11 @@ type RunOpts struct {
 	// DenseLoop selects the legacy dense per-round engine (synchronous
 	// modes only; used by differential tests and engine benchmarks).
 	DenseLoop bool
-	// Parallel selects the goroutine runner.
-	Parallel bool
 	// Shards partitions the event engine into contiguous node shards that
 	// step concurrently and exchange cross-shard messages at tick
 	// barriers. Results are byte-identical at every shard count; see
-	// sim.Config.Shards for the exact semantics (0/1 = single shard,
-	// negative = auto-size to GOMAXPROCS).
+	// sim.Config.Shards for the exact semantics (0 = engine decides,
+	// 1 = single shard, negative = GOMAXPROCS).
 	Shards int
 	// Wake is the wake-up schedule (nil = simultaneous).
 	Wake []int
@@ -104,7 +102,6 @@ func (ro RunOpts) config(g *graph.Graph, spec Spec) (sim.Config, sim.Protocol, e
 		StopWhenQuiet: spec.Quiet,
 		WatchEdges:    ro.WatchEdges,
 		CountPerEdge:  ro.CountPerEdge,
-		Parallel:      ro.Parallel,
 		Shards:        ro.Shards,
 		DenseLoop:     ro.DenseLoop,
 	}

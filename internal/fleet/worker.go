@@ -106,8 +106,10 @@ func runWorker(specPath, shardPath string, start, count, ckEvery, workers, killA
 	_, err = harness.Run(spec, harness.RunConfig{
 		Workers:  workers,
 		Emitters: []harness.Emitter{em, chaos},
-		Range:    &r,
-		Resume:   ck,
+		// A ranged run also keeps unset spec shards at 1: the fleet's
+		// processes, not one trial's shards, fill the cores.
+		Range:  &r,
+		Resume: ck,
 		Progress: func(done, total int) {
 			// The heartbeat: any stdout line proves liveness; done/total let
 			// the coordinator log progress.

@@ -251,6 +251,7 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 		workers = defaultWorkers()
 	}
 	total := len(p.trials)
+	p.shards = trialShards(p.spec.Shards, workers, rc.Range != nil)
 
 	// The executed range: the whole sweep, or rc.Range's slice of it.
 	rangeStart, rangeCount := 0, total
@@ -362,6 +363,18 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 	return rep, nil
 }
 
+// trialShards resolves the spec's shard count for one sweep execution.
+// Several workers, or a range (one process's slice of a fleet's sweep),
+// already fill the cores with whole trials: an unset count then means
+// one shard, not the engine's own multi-core default. Anything the spec
+// did set is passed through.
+func trialShards(specShards, workers int, ranged bool) int {
+	if specShards == 0 && (workers > 1 || ranged) {
+		return 1
+	}
+	return specShards
+}
+
 // preparedCache holds one worker's (graph, algorithm) → Prepared
 // bindings. It is per-worker state, so no locking; the Prepared inside
 // reuses engine buffers across every trial the worker runs in that cell.
@@ -412,7 +425,7 @@ func finishTrial(p *plan, t Trial, g *graph.Graph, prep *core.Prepared, ws *work
 		MaxRounds: p.spec.MaxRounds,
 		Model:     t.Model(),
 		Wake:      wakeSchedule(t.Wake, g.N(), t.Seed),
-		Shards:    p.spec.Shards,
+		Shards:    p.shards,
 		Opt:       p.spec.Opt,
 	}
 	if prep.Spec().NeedsD {

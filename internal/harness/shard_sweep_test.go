@@ -89,3 +89,50 @@ func TestSweepCSVIdenticalAcrossShards(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepUnsetShardsFollowWorkers: a sweep that fills the cores with
+// whole trials keeps each trial on one shard, a single-worker sweep
+// leaves the choice to the engine, and an explicit spec value is passed
+// through untouched. On a graph large enough for the engine to shard by
+// itself (8192 nodes), the two executions emit the same bytes.
+func TestSweepUnsetShardsFollowWorkers(t *testing.T) {
+	for _, c := range []struct {
+		spec, workers int
+		ranged        bool
+		want          int
+	}{
+		{0, 1, false, 0}, // engine decides
+		{0, 2, false, 1},
+		{0, 8, false, 1},
+		{0, 1, true, 1}, // a fleet worker's range
+		{1, 1, false, 1},
+		{4, 2, false, 4},
+		{-1, 2, true, -1},
+	} {
+		if got := trialShards(c.spec, c.workers, c.ranged); got != c.want {
+			t.Errorf("trialShards(spec=%d, workers=%d, ranged=%v) = %d, want %d",
+				c.spec, c.workers, c.ranged, got, c.want)
+		}
+	}
+
+	spec := Spec{
+		Name:      "auto-shards",
+		Algos:     []string{"leastel", "flood"},
+		Graphs:    []string{"torus:64x128"},
+		Modes:     []string{"congest", "async"},
+		Trials:    2,
+		Seed:      3,
+		MaxRounds: 48,
+	}
+	one, rep := runToJSON(t, spec, 1)
+	if rep.Errors != 0 {
+		t.Fatalf("workers=1: %d trial errors", rep.Errors)
+	}
+	two, _ := runToJSON(t, spec, 2)
+	if !bytes.Equal(one, two) {
+		t.Errorf("workers=2 output differs from workers=1 (%d vs %d bytes)", len(two), len(one))
+	}
+	if bytes.Contains(one, []byte(`"shards"`)) {
+		t.Error("the spec echo must not show a resolved shard count the spec did not set")
+	}
+}

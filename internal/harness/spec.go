@@ -77,11 +77,15 @@ type Spec struct {
 	// this flag are labeled by it in the emitted spec.
 	DiameterEstimate bool `json:"diameter_estimate,omitempty"`
 	// Shards partitions each trial's event engine into concurrently
-	// stepped node shards (sim.Config.Shards: 0/1 single shard, negative
-	// auto-sizes to GOMAXPROCS). Emitted output is byte-identical at
-	// every shard count, so this is a pure execution knob like
-	// RunConfig.Workers — but it is part of the spec echo, so two sweeps
-	// differing only in Shards differ in the emitted spec header.
+	// stepped node shards (sim.Config.Shards: 0 = engine decides, 1 =
+	// single shard, k > 1 = exactly k, negative = GOMAXPROCS). A sweep
+	// that fills the cores with whole trials — more than one worker, or a
+	// fleet worker's trial range — runs unset (0) as 1. Emitted output is
+	// byte-identical at every shard count, so this is a pure execution
+	// knob like RunConfig.Workers — but it is part of the spec echo, so
+	// two sweeps differing only in Shards differ in the emitted spec
+	// header (the echo is always what the spec said, never the resolved
+	// count).
 	Shards int `json:"shards,omitempty"`
 	// Opt tunes the algorithms (shared by every trial).
 	Opt core.Options `json:"opt,omitempty"`
@@ -132,6 +136,9 @@ type plan struct {
 	spec   Spec
 	graphs []*graph.Graph // parallel to spec.Graphs
 	trials []Trial
+	// shards is every trial's engine shard count: spec.Shards, except
+	// that Run pins an unset one to 1 where the cores are already taken.
+	shards int
 }
 
 func parseMode(s string) (sim.Mode, error) {

@@ -576,8 +576,9 @@ type ElectionRequest struct {
 	Anonymous bool `json:"anonymous,omitempty"`
 	// MaxRounds bounds the run (default 1 << 18, capped by Config.MaxRounds).
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Shards partitions the engine (0/1 single, -1 auto; results
-	// identical at any count).
+	// Shards partitions the engine (0 = engine decides, 1 = single,
+	// k = exactly k, -1 = one per core; clamped by sim.EffectiveShards;
+	// results identical at any count).
 	Shards int `json:"shards,omitempty"`
 	// DiameterEstimate grants D-dependent algorithms the double-sweep
 	// bound instead of the exact diameter.

@@ -545,3 +545,39 @@ func TestRetryAfterOn503(t *testing.T) {
 		t.Fatalf("draining healthz: status %d Retry-After %q, want 503 with header", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
+
+// TestHostileShardCount: the shard count is request input, and shard
+// mailboxes grow with its square — unbounded, the request below would ask
+// for a terabyte of slice headers. The engine clamps the count
+// (sim.EffectiveShards), so the request is answered in bounded time and
+// memory, with the bytes a single-shard run answers with.
+func TestHostileShardCount(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Slots: 1})
+	// flood with the estimated diameter: no per-node coins to seed and no
+	// exact all-pairs diameter, either of which costs seconds at this size.
+	const req = `{"graph":"ring:200000","algo":"flood","seed":9,"diameter_estimate":true,"max_rounds":64,"shards":%d}`
+	code, want := postJSON(t, ts.URL+"/v1/elections", fmt.Sprintf(req, 1))
+	if code != http.StatusOK {
+		t.Fatalf("shards=1: status %d: %s", code, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	code, got := postJSON(t, ts.URL+"/v1/elections", fmt.Sprintf(req, 200000))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+
+	if code != http.StatusOK {
+		t.Fatalf("shards=200000: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("shards=200000 answers differently from shards=1:\n  %s\n  %s", got, want)
+	}
+	if elapsed > 30*time.Second {
+		t.Errorf("shards=200000 took %v", elapsed)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<30 {
+		t.Errorf("shards=200000 allocated %d MiB", grown>>20)
+	}
+}

@@ -1,0 +1,169 @@
+package sim_test
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ule/internal/core"
+	"ule/internal/graph"
+	"ule/internal/sim"
+)
+
+// dispatchRoutes are the ways a multi-shard run can dispatch its ticks:
+// every one to the shard pool, every one inline on the coordinator, and
+// the per-tick choice — at the shipped threshold, which on the graph
+// below mixes both routes within one synchronous run, and at a low one
+// that mixes them under the asynchronous model's thinner ticks too.
+var dispatchRoutes = []struct {
+	name string
+	work int // the threshold to run under; negative keeps the shipped one
+}{
+	{"pooled", 0},
+	{"inline", math.MaxInt},
+	{"adaptive", -1},
+	{"adaptive-low", 64},
+}
+
+// setRoute installs a route's threshold and returns the undo.
+func setRoute(work int) (restore func()) {
+	if work < 0 {
+		return func() {}
+	}
+	return sim.SetMinPooledWork(work)
+}
+
+// TestDispatchInvariance pins the claim the adaptive tick rests on: how a
+// tick is dispatched is unobservable. Every registered algorithm under
+// every timing model and fault class must return the same Result —
+// statuses, rounds, messages, bits, instrument maps, fault counters —
+// whichever route its ticks take. Run it with -race -cpu 1,2,4: on one
+// core the run has no pool and the three routes coincide, above that the
+// race detector watches the pooled one.
+func TestDispatchInvariance(t *testing.T) {
+	g := graph.Torus(12, 12) // 144 nodes: 720 units of due work on a busy synchronous tick, a few on a quiet one
+	ids := sim.PermutationIDs(g.N(), rand.New(rand.NewSource(5)))
+	for _, algo := range core.Names() {
+		for _, model := range []string{"congest", "local", "async+random:4"} {
+			for _, fault := range []string{"", "+crash:0.1", "+crashrec:0.1:5"} {
+				t.Run(algo+"/"+model+fault, func(t *testing.T) {
+					m, err := sim.ParseModel(model + fault)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want *sim.Result
+					for _, route := range dispatchRoutes {
+						restore := setRoute(route.work)
+						got, err := core.Run(g, algo, core.RunOpts{
+							Seed: 5, IDs: ids, Model: m, MaxRounds: 1 << 11,
+							WatchEdges: [][2]int{{0, 1}, {70, 71}}, CountPerEdge: true,
+							Shards: 3,
+						})
+						restore()
+						if err != nil {
+							t.Fatalf("%s: %v", route.name, err)
+						}
+						if want == nil {
+							want = got
+						} else if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s diverges from %s:\ngot:  %+v\nwant: %+v",
+								route.name, dispatchRoutes[0].name, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// twiceProto breaks the one-message-per-port rule at every node in round
+// 2, after a first round busy enough to go to the pool.
+type twiceProto struct{}
+
+func (twiceProto) Name() string                 { return "twice" }
+func (twiceProto) New(sim.NodeInfo) sim.Process { return twiceProc{} }
+
+type twiceProc struct{}
+
+type unit struct{}
+
+func (unit) Bits() int { return 1 }
+
+func (twiceProc) Start(*sim.Context) {}
+
+func (twiceProc) Round(c *sim.Context, _ []sim.Message) {
+	c.Broadcast(unit{})
+	if c.Round() == 2 {
+		c.Send(0, unit{})
+	}
+}
+
+// TestDispatchInvarianceModelViolation: when many nodes in several shards
+// violate the model in one tick, every route reports the same one.
+func TestDispatchInvarianceModelViolation(t *testing.T) {
+	g := graph.Torus(12, 12)
+	want := ""
+	for _, route := range dispatchRoutes {
+		restore := setRoute(route.work)
+		_, err := sim.Run(sim.Config{Graph: g, Seed: 3, Shards: 3, PortSendCap: 1}, twiceProto{})
+		restore()
+		if !errors.Is(err, sim.ErrDoubleSend) {
+			t.Fatalf("%s: want ErrDoubleSend, got %v", route.name, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("%s picks a different violator:\ngot  %s\nwant %s", route.name, err, want)
+		}
+	}
+}
+
+// TestEffectiveShards tables the one rule every layer's shard count goes
+// through.
+func TestEffectiveShards(t *testing.T) {
+	for _, c := range []struct {
+		shards, n, procs int
+		dense            bool
+		want             int
+	}{
+		// 0: the engine decides — one shard per 4096 nodes, at most procs.
+		{0, 24, 2, false, 1},
+		{0, 4096, 2, false, 1},
+		{0, 4096, 64, false, 1},
+		{0, 8191, 8, false, 1},
+		{0, 8192, 1, false, 1},
+		{0, 8192, 2, false, 2},
+		{0, 8192, 8, false, 2},
+		{0, 65536, 2, false, 2},
+		{0, 65536, 8, false, 8},
+		{0, 65536, 32, false, 16},
+		{0, 1 << 20, 128, false, 64},
+		// 1 forces one shard, k > 1 exactly k (up to n and the cap).
+		{1, 65536, 8, false, 1},
+		{2, 24, 1, false, 2},
+		{8, 24, 2, false, 8},
+		{100, 24, 2, false, 24},
+		{64, 65536, 2, false, 64},
+		{65, 65536, 2, false, 64},
+		{4000, 4000, 2, false, 64},
+		{1 << 30, 200000, 2, false, 64},
+		{1 << 30, 3, 2, false, 3},
+		// Negative: one per core.
+		{-1, 24, 2, false, 2},
+		{-1, 24, 1, false, 1},
+		{-7, 65536, 8, false, 8},
+		{-1, 4, 8, false, 4},
+		{-1, 1 << 20, 128, false, 64},
+		// The dense loop is never sharded.
+		{0, 65536, 8, true, 1},
+		{-1, 65536, 8, true, 1},
+		{4, 65536, 8, true, 1},
+	} {
+		if got := sim.EffectiveShards(c.shards, c.n, c.procs, c.dense); got != c.want {
+			t.Errorf("EffectiveShards(%d, n=%d, procs=%d, dense=%v) = %d, want %d",
+				c.shards, c.n, c.procs, c.dense, got, c.want)
+		}
+	}
+}

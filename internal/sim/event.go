@@ -9,10 +9,10 @@
 // phases) cheap; quiescence detection is O(1) per tick via counters
 // instead of O(n) scans.
 //
-// The queue is partitioned into Config.Shards contiguous node shards
-// (shard.go), each owning a private wheel, scratch lists and fault heap;
-// within a tick the shards step concurrently and exchange cross-shard
-// deliveries at the barrier. Every function in this file that takes an
+// The queue is partitioned into contiguous node shards (shard.go), each
+// owning a private wheel, scratch lists and fault heap; within a tick the
+// shards step independently and exchange cross-shard deliveries at the
+// barrier. Every function in this file that takes an
 // *engineShard runs shard-local — it touches only the shard's own nodes'
 // rows — while loopEvent and the fold/selection helpers run on the
 // coordinator between barriers.
@@ -76,7 +76,7 @@ func (e *engine) live(u int) bool {
 
 // loopEvent is the event-driven main loop (the coordinator). It selects
 // the next virtual-time tick from the shards' queues, runs the tick
-// (concurrently across shards), and tests quiescence on summed counters.
+// across the shards (runTick), and tests quiescence on summed counters.
 func (e *engine) loopEvent(maxRounds int) {
 	n := e.g.N()
 	e.crossed = len(e.watch) == 0
@@ -100,53 +100,40 @@ func (e *engine) loopEvent(maxRounds int) {
 
 	t := 0
 	for {
-		running := 0
-		for i := range e.shards {
-			running += e.shards[i].numRunning
-		}
-		if e.async || running == 0 {
-			// The queues decide the next tick, so discard buckets whose
-			// events have all gone stale first — a leftover scheduled
-			// wake-up for a node that a message woke earlier must not
-			// keep the run alive or inflate Rounds.
-			e.pendingUpAll = e.pendingUp()
-			e.pruneDeadEvents()
-		}
+		// Whenever the queues decide the next tick, buckets whose events
+		// have all gone stale are discarded first — a leftover scheduled
+		// wake-up for a node that a message woke earlier must not keep
+		// the run alive or inflate Rounds.
 		var next int
-		switch {
-		case !e.async && running > 0:
+		if !e.async && e.running > 0 {
 			// Synchronous semantics: awake nodes are stepped every round,
 			// so virtual time cannot skip ahead (pending fault events due
 			// by t+1 are applied at the start of tick t+1).
 			next = t + 1
-		default:
-			wm, ok := e.minPendingTick()
-			switch {
-			case ok:
-				next = wm
-				// Fault events are applied at the tick they are due, so a
-				// membership change cannot be skipped over.
-				if fm, have := e.minFaultTick(); have && fm < next {
-					next = fm
-				}
-			case e.pendingUp() > 0:
-				// Quiet network, but a crashed node is scheduled to come
-				// back: a rejoining node can revive the run, so jump to the
-				// earliest recovery (crash events due before it apply the
-				// same tick).
-				next = e.nextRevive()
-			default:
-				// Nothing in flight, nothing scheduled, nobody running: the
-				// network is dead. Fault events without a pending recovery
-				// cannot revive it — crashes scheduled past this point never
-				// fire. A network dead on arrival still "runs" its first
-				// round, matching the dense loop's accounting.
-				if t == 0 {
-					t = 1
-				}
-				e.res.Rounds = t
-				return
+		} else if wm, ok := e.pruneDeadEvents(); ok {
+			next = wm
+			// Fault events are applied at the tick they are due, so a
+			// membership change cannot be skipped over.
+			if fm, have := e.minFaultTick(); have && fm < next {
+				next = fm
 			}
+		} else if e.pendingUp() > 0 {
+			// Quiet network, but a crashed node is scheduled to come
+			// back: a rejoining node can revive the run, so jump to the
+			// earliest recovery (crash events due before it apply the
+			// same tick).
+			next = e.nextRevive()
+		} else {
+			// Nothing in flight, nothing scheduled, nobody running: the
+			// network is dead. Fault events without a pending recovery
+			// cannot revive it — crashes scheduled past this point never
+			// fire. A network dead on arrival still "runs" its first
+			// round, matching the dense loop's accounting.
+			if t == 0 {
+				t = 1
+			}
+			e.res.Rounds = t
+			return
 		}
 		if next > maxRounds {
 			e.res.Rounds = maxRounds
@@ -158,19 +145,14 @@ func (e *engine) loopEvent(maxRounds int) {
 		if e.err != nil {
 			return
 		}
-		pendingMsgs := 0
-		for i := range e.shards {
-			pendingMsgs += e.shards[i].pendingMsgs
-		}
-		if pendingMsgs == 0 && e.pendingUp() == 0 {
+		if e.pendingMsgs == 0 && e.pendingUp() == 0 {
 			// With a recovery pending the run is never over: the rejoining
 			// node re-enters (with reset state it even re-Starts), so every
 			// quiescence test below would be premature.
-			halted, runningNow, wheelsEmpty := 0, 0, true
+			halted, wheelsEmpty := 0, true
 			for i := range e.shards {
 				sh := &e.shards[i]
 				halted += sh.numHalted
-				runningNow += sh.numRunning
 				if !sh.wheel.empty() {
 					wheelsEmpty = false
 				}
@@ -179,7 +161,7 @@ func (e *engine) loopEvent(maxRounds int) {
 				e.res.Rounds = t
 				return
 			}
-			if runningNow == 0 && wheelsEmpty {
+			if e.running == 0 && wheelsEmpty {
 				// Only never-woken sleepers remain and no event is queued.
 				e.res.Rounds = t
 				return
@@ -205,8 +187,11 @@ func (e *engine) loopEvent(maxRounds int) {
 // The scan runs over the globally earliest pending bucket each
 // iteration — exactly the order a single queue would present — and stops
 // at the first live one, so the shard layout cannot change which buckets
-// are dropped before a given tick is selected.
-func (e *engine) pruneDeadEvents() {
+// are dropped before a given tick is selected. It returns that bucket's
+// tick: the earliest pending tick across all wheels (ok=false when every
+// wheel has run empty).
+func (e *engine) pruneDeadEvents() (tick int, ok bool) {
+	pendingUp := e.pendingUp()
 	for {
 		var sh *engineShard
 		best := 0
@@ -220,21 +205,21 @@ func (e *engine) pruneDeadEvents() {
 			}
 		}
 		if sh == nil {
-			return
+			return 0, false
 		}
 		b := sh.wheel.peek(best)
 		if len(b.deliveries) > 0 || b.wakeAll {
-			return
+			return best, true
 		}
 		for _, u := range b.wakes {
-			if !e.awake[u] && (e.live(u) || e.pendingUpAll > 0) {
-				return
+			if !e.awake[u] && (e.live(u) || pendingUp > 0) {
+				return best, true
 			}
 		}
 		if e.async {
 			for _, u := range b.timers {
-				if !e.halted[u] && (e.live(u) || e.pendingUpAll > 0) {
-					return
+				if !e.halted[u] && (e.live(u) || pendingUp > 0) {
+					return best, true
 				}
 			}
 		}
@@ -259,15 +244,15 @@ func (e *engine) allDecided() bool {
 // per-round timers) touch. Shard-local: every row it writes belongs to
 // one of the shard's own nodes, so shards run this concurrently.
 func (e *engine) tickShard(sh *engineShard, t int) {
+	if e.watch != nil {
+		sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
+	}
+	sh.errStarted, sh.errStep = nil, nil
 	sh.recv = sh.recv[:0]
 	sh.wake = sh.wake[:0]
 	if e.async {
 		sh.stepSet = sh.stepSet[:0]
 	}
-	if e.watch != nil {
-		sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
-	}
-	sh.errStarted, sh.errStep = nil, nil
 
 	// Membership changes first: a node crashed at t misses t's deliveries
 	// and wake-ups, a node recovered at t takes part in them.
@@ -390,12 +375,8 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	}
 
 	// Step phase.
-	if e.pool != nil {
-		e.stepListParallel(step)
-	} else {
-		for _, u := range step {
-			e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-		}
+	for _, u := range step {
+		e.procs[u].Round(&e.ctxs[u], e.inbox[u])
 	}
 
 	// Merge phase: fold each touched node's private scratch (errors,
@@ -588,15 +569,4 @@ func mergeSorted(a, b []int, buf *[]int) []int {
 	// Swap backing arrays so both the result and the scratch stay reusable.
 	*buf = a[:0]
 	return out
-}
-
-// stepListParallel runs one tick's node steps on the run's worker pool
-// (single-shard Config.Parallel runs only; multi-shard runs parallelize
-// across shards instead). Each node's step touches only its own state, so
-// this is race-free and produces exactly the sequential results.
-func (e *engine) stepListParallel(list []int) {
-	e.pool.run(len(list), func(i int) {
-		u := list[i]
-		e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-	})
 }

@@ -85,8 +85,7 @@ func TestEventEngineMatchesDense(t *testing.T) {
 }
 
 // TestAsyncDeterministic: same seed ⇒ same transcript under every delay
-// schedule, sequentially and on the parallel stepper, across fresh and
-// reused Runners.
+// schedule, on one shard and on four, across fresh and reused Runners.
 func TestAsyncDeterministic(t *testing.T) {
 	g := graph.Torus(4, 4)
 	for _, delay := range []string{"unit", "random:6", "fifo:6"} {
@@ -95,22 +94,22 @@ func TestAsyncDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(parallel bool) *Result {
+			run := func(shards int) *Result {
 				res, err := Run(Config{
 					Graph: g, Seed: 42, Mode: ASYNC, Delay: ds,
-					MaxRounds: 500, Parallel: parallel,
+					MaxRounds: 500, Shards: shards,
 				}, coinProto{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			a, b, c := run(false), run(false), run(true)
+			a, b, c := run(1), run(1), run(4)
 			if resultKey(a) != resultKey(b) {
-				t.Errorf("sequential async runs diverge:\n%s\n%s", resultKey(a), resultKey(b))
+				t.Errorf("single-shard async runs diverge:\n%s\n%s", resultKey(a), resultKey(b))
 			}
 			if resultKey(a) != resultKey(c) {
-				t.Errorf("parallel async run diverges:\n%s\n%s", resultKey(a), resultKey(c))
+				t.Errorf("4-shard async run diverges:\n%s\n%s", resultKey(a), resultKey(c))
 			}
 		})
 	}

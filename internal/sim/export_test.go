@@ -1,0 +1,11 @@
+package sim
+
+// SetMinPooledWork replaces, for the external tests of this package, the
+// due work from which a tick goes to the shard pool: 0 puts every tick of
+// a multi-shard run on the pool, math.MaxInt runs every tick inline. The
+// returned function restores the shipped threshold.
+func SetMinPooledWork(work int) (restore func()) {
+	old := minPooledWork
+	minPooledWork = work
+	return func() { minPooledWork = old }
+}

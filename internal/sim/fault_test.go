@@ -259,11 +259,11 @@ func TestChurnDeterministic(t *testing.T) {
 }
 
 // TestFaultDeterminismParallel demands byte-identical results from the
-// sequential and the goroutine-parallel runner under every fault model —
-// fault events are applied on the single-threaded engine loop, so the
-// worker pool must not be observable.
+// single-shard and the 4-shard engine under every fault model — each
+// shard applies its own nodes' fault events before the tick's deliveries,
+// so the layout must not be observable.
 func TestFaultDeterminismParallel(t *testing.T) {
-	n := 64 // >= 2*minShard, so the pool actually engages
+	n := 64
 	for _, spec := range []string{
 		"crash:0.3", "crash@3:5,20,40", "crashrec:0.3:8", "crashrec:0.3:8:keep",
 		"drop:0.2", "churn:0.4:6", "crashrec:0.2:16+drop:0.1",
@@ -277,17 +277,18 @@ func TestFaultDeterminismParallel(t *testing.T) {
 				Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Seed: 11,
 				Mode: mode, Faults: fs, MaxRounds: 256,
 			}
+			cfg.Shards = 1
 			seq, err := Run(cfg, floodOnceProto{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", spec, mode, err)
 			}
-			cfg.Parallel = true
+			cfg.Shards = 4
 			par, err := Run(cfg, floodOnceProto{})
 			if err != nil {
-				t.Fatalf("%s/%s parallel: %v", spec, mode, err)
+				t.Fatalf("%s/%s 4 shards: %v", spec, mode, err)
 			}
 			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("%s/%s: parallel result differs\nseq: %+v\npar: %+v", spec, mode, seq, par)
+				t.Errorf("%s/%s: 4-shard result differs\nseq: %+v\npar: %+v", spec, mode, seq, par)
 			}
 		}
 	}

@@ -171,11 +171,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		if len(cfg.IDs) != n {
 			return fmt.Errorf("%w: len(IDs)=%d want %d", ErrConfig, len(cfg.IDs), n)
 		}
-		if r.idSeen == nil {
-			r.idSeen = make(map[int64]struct{}, n)
-		} else {
-			clear(r.idSeen)
-		}
+		r.idSeen = recycled(r.idSeen, n)
 		for _, id := range cfg.IDs {
 			if _, dup := r.idSeen[id]; dup {
 				return fmt.Errorf("%w: duplicate ID %d", ErrConfig, id)
@@ -204,19 +200,8 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if cfg.Mode == ASYNC && cfg.Delay == nil {
 		cfg.Delay = UnitDelay()
 	}
-	// Resolve the effective shard count: 0/1 and the dense loop mean one
-	// shard, negative auto-sizes to the core count, and a shard needs at
-	// least one node. The count never changes results, only the layout.
-	shardCount := cfg.Shards
-	if shardCount < 0 {
-		shardCount = runtime.GOMAXPROCS(0)
-	}
-	if shardCount < 1 || cfg.DenseLoop {
-		shardCount = 1
-	}
-	if shardCount > n {
-		shardCount = n
-	}
+	procs := runtime.GOMAXPROCS(0)
+	shardCount := EffectiveShards(cfg.Shards, n, procs, cfg.DenseLoop)
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
@@ -332,17 +317,9 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		e.ctxs[u] = Context{eng: e, node: u, info: info, rng: r.rngs[u]}
 	}
 	if len(cfg.WatchEdges) > 0 {
-		if r.watch == nil {
-			r.watch = make(map[[2]int]bool, len(cfg.WatchEdges))
-		} else {
-			clear(r.watch)
-		}
+		r.watch = recycled(r.watch, len(cfg.WatchEdges))
 		e.watch = r.watch
-		if out.FirstCrossing == nil {
-			out.FirstCrossing = make(map[[2]int]int, len(cfg.WatchEdges))
-		} else {
-			clear(out.FirstCrossing)
-		}
+		out.FirstCrossing = recycled(out.FirstCrossing, len(cfg.WatchEdges))
 		for _, w := range cfg.WatchEdges {
 			e.watch[normPair(w[0], w[1])] = true
 		}
@@ -350,11 +327,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		out.FirstCrossing = nil
 	}
 	if cfg.CountPerEdge {
-		if out.PerEdge == nil {
-			out.PerEdge = make(map[[2]int]int64)
-		} else {
-			clear(out.PerEdge)
-		}
+		out.PerEdge = recycled(out.PerEdge, 0)
 		if cfg.DenseLoop {
 			e.perEdge = out.PerEdge
 		}
@@ -373,11 +346,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 				if single {
 					sh.fc = out.FirstCrossing
 				} else {
-					if sh.fcScratch == nil {
-						sh.fcScratch = make(map[[2]int]int)
-					} else {
-						clear(sh.fcScratch)
-					}
+					sh.fcScratch = recycled(sh.fcScratch, 0)
 					sh.fc = sh.fcScratch
 				}
 			}
@@ -385,38 +354,23 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 				if single {
 					sh.pe = out.PerEdge
 				} else {
-					if sh.peScratch == nil {
-						sh.peScratch = make(map[[2]int]int64)
-					} else {
-						clear(sh.peScratch)
-					}
+					sh.peScratch = recycled(sh.peScratch, 0)
 					sh.pe = sh.peScratch
 				}
 			}
 		}
 	}
 
-	// Parallel dispatch. With multiple shards one persistent pool drives
-	// whole-shard ticks through fixed per-run closures (no per-tick
-	// allocation); on a single-CPU host the shards run inline instead —
-	// the results are identical either way. A single-shard Parallel run
-	// keeps the node-step pool, which only ever pays off for step sets of
-	// >= 2*minShard nodes, so tiny graphs skip pool creation entirely.
-	if len(e.shards) > 1 {
-		if runtime.GOMAXPROCS(0) > 1 {
-			e.shardPool = newStepPool()
-			e.tickFn = func(i int) { e.tickShard(&e.shards[i], e.curTick) }
-			e.drainFn = func(i int) { e.drainMail(&e.shards[i]) }
-			defer func() {
-				e.shardPool.close()
-				e.shardPool, e.tickFn, e.drainFn = nil, nil, nil
-			}()
-		}
-	} else if cfg.Parallel && n >= 2*minShard {
-		e.pool = newStepPool()
+	// With several shards and several cores, one persistent pool drives
+	// the ticks that carry enough work (runTick) through fixed per-run
+	// closures, so a dispatch allocates nothing.
+	if workers := min(len(e.shards), procs); workers > 1 {
+		e.shardPool = newShardPool(workers)
+		e.tickFn = func(i int) { e.tickShard(&e.shards[i], e.round) }
+		e.drainFn = func(i int) { e.drainMail(&e.shards[i]) }
 		defer func() {
-			e.pool.close()
-			e.pool = nil
+			e.shardPool.close()
+			e.shardPool, e.tickFn, e.drainFn = nil, nil, nil
 		}()
 	}
 
@@ -478,6 +432,16 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		}
 	}
 	return nil
+}
+
+// recycled returns m emptied for reuse, or a fresh map sized for hint
+// entries when there is none yet.
+func recycled[K comparable, V any](m map[K]V, hint int) map[K]V {
+	if m == nil {
+		return make(map[K]V, hint)
+	}
+	clear(m)
+	return m
 }
 
 func normPair(u, v int) [2]int {
@@ -579,13 +543,9 @@ func (e *engine) loopDense(maxRounds int) {
 		}
 
 		// Phase 3: run the round on all awake, non-halted nodes.
-		if e.pool != nil {
-			e.stepParallel()
-		} else {
-			for u := 0; u < n; u++ {
-				if e.awake[u] && !e.halted[u] {
-					e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-				}
+		for u := 0; u < n; u++ {
+			if e.awake[u] && !e.halted[u] {
+				e.procs[u].Round(&e.ctxs[u], e.inbox[u])
 			}
 		}
 		// Merge per-node scratch state produced during Start/Round calls.
@@ -647,15 +607,4 @@ func (e *engine) loopDense(maxRounds int) {
 	}
 	e.res.Rounds = maxRounds
 	e.res.HitRoundCap = true
-}
-
-// stepParallel runs one dense round's node steps on the run's worker
-// pool. Each node's step touches only its own state and its own outbox
-// row, so this is race-free and produces exactly the sequential results.
-func (e *engine) stepParallel() {
-	e.pool.run(e.g.N(), func(u int) {
-		if e.awake[u] && !e.halted[u] {
-			e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-		}
-	})
 }

@@ -1,6 +1,6 @@
 // Sharded execution: the multi-core layout of the event-driven engine.
 //
-// The node index space is partitioned into Config.Shards contiguous
+// The node index space is partitioned into EffectiveShards contiguous
 // ranges. Each shard owns the full event machinery for its nodes — a
 // timing wheel, the tick loop's scratch lists, a fault-event heap — and
 // every per-node row of the flat engine state (outbox arenas, inboxes,
@@ -27,6 +27,50 @@
 // order exactly. Same seed, same transcript, any shard count.
 package sim
 
+const (
+	// minNodesPerShard is the smallest node range the engine shards on its
+	// own initiative: Config.Shards == 0 resolves to one shard per this
+	// many nodes, up to the core count. Below it a tick rarely carries
+	// enough work to repay two barriers.
+	minNodesPerShard = 4096
+
+	// maxShards bounds the shard count whatever the caller asks for.
+	// Mailboxes are one row per (source, destination) pair and every tick
+	// visits all of them, so cost grows with the square of the count,
+	// while beyond the core count nothing is gained.
+	maxShards = 64
+)
+
+// minPooledWork is the due work — nodes to step plus deliveries, wake-ups
+// and timers to apply, summed over the shards — from which a tick is
+// dispatched to the shard pool rather than run inline: where two barriers
+// (a few microseconds) cost less than sharing the work saves
+// (docs/PERFORMANCE.md, "Sharded engine scaling", has the measurement).
+// A constant to everything but this package's tests, which force every
+// tick onto the pool (0) or inline (math.MaxInt) to pin the two routes
+// against each other.
+var minPooledWork = 512
+
+// EffectiveShards resolves Config.Shards to the number of shards a run on
+// an n-node graph uses, given procs = GOMAXPROCS. 0 lets the engine
+// decide: one shard per minNodesPerShard nodes, at most procs. 1 forces
+// the single-shard engine, k > 1 asks for exactly k, a negative value
+// for procs. Every answer is clamped to [1, min(n, maxShards)], and the
+// dense loop always runs unsharded. The count never changes a result,
+// only the layout.
+func EffectiveShards(shards, n, procs int, denseLoop bool) int {
+	if denseLoop {
+		return 1
+	}
+	switch {
+	case shards == 0:
+		shards = min(procs, n/minNodesPerShard)
+	case shards < 0:
+		shards = procs
+	}
+	return max(1, min(shards, n, maxShards))
+}
+
 // shardMsg is one cross-shard delivery in flight: the delivery record
 // plus its target tick, parked in a mailbox row until the barrier.
 type shardMsg struct {
@@ -35,8 +79,8 @@ type shardMsg struct {
 }
 
 // engineShard owns the event-engine state of the contiguous node range
-// [lo, hi). A single-shard run (Shards <= 1) uses exactly one of these
-// covering every node — that is the sequential engine.
+// [lo, hi). A single-shard run uses exactly one of these covering every
+// node — that is the sequential engine.
 type engineShard struct {
 	id     int
 	lo, hi int
@@ -61,7 +105,14 @@ type engineShard struct {
 	// mail[d] is the outbound mailbox toward shard d: deliveries for
 	// shard d's nodes scheduled by this shard's senders during the
 	// current tick, in send order. Shard d drains it at the barrier.
-	mail [][]shardMsg
+	// mailed counts what the tick parked across all rows, so that a tick
+	// without cross-shard traffic skips the drain phase.
+	mail   [][]shardMsg
+	mailed int
+
+	// due is the work the coming tick is known to hold for this shard
+	// (runTick); zero means nothing to do.
+	due int
 
 	// Quiescence counters over own nodes; the coordinator sums them.
 	pendingMsgs int // undelivered messages queued in this shard's wheel
@@ -108,6 +159,7 @@ func (sh *engineShard) resetRun() {
 	for d := range sh.mail {
 		sh.mail[d] = sh.mail[d][:0]
 	}
+	sh.mailed = 0
 	sh.faults = nil
 	sh.pendingMsgs, sh.numRunning, sh.numHalted = 0, 0, 0
 	sh.msgs, sh.bits, sh.dropped = 0, 0, 0
@@ -118,18 +170,15 @@ func (sh *engineShard) resetRun() {
 	sh.fc, sh.pe = nil, nil
 }
 
-// shardOf returns the owner shard index of node v.
-func (e *engine) shardOf(v int32) int {
-	return int(v) / e.shardSize
-}
-
 // route schedules delivery d for tick at: into the sending shard's own
 // wheel when the receiver is local, into the mailbox row toward the
 // receiver's shard otherwise. The receiving shard's pendingMsgs is
 // charged at drain time.
 func (e *engine) route(sh *engineShard, at int, d delivery) {
-	if ds := e.shardOf(d.to); ds != sh.id {
+	if to := int(d.to); to < sh.lo || to >= sh.hi {
+		ds := to / e.shardSize
 		sh.mail[ds] = append(sh.mail[ds], shardMsg{at: at, d: d})
+		sh.mailed++
 		return
 	}
 	b := sh.wheel.at(at)
@@ -138,28 +187,56 @@ func (e *engine) route(sh *engineShard, at int, d delivery) {
 }
 
 // runTick executes one virtual-time tick: every shard steps its own
-// events concurrently, a barrier, every shard drains the mailboxes
-// addressed to it (ascending source-shard order), a barrier, then the
-// coordinator folds the per-shard tick scratch. With one shard, or
-// without a shard pool, the phases run inline in shard order — the
-// results are identical either way.
+// events, a barrier, every shard drains the mailboxes addressed to it
+// (ascending source-shard order), a barrier, then the coordinator folds
+// the per-shard tick scratch. What the tick holds is known before it
+// runs — per shard, the nodes its round timers will step plus the
+// deliveries, wake-ups and timers in the bucket that falls due. With at
+// least minPooledWork of it, and a pool, both phases run concurrently;
+// otherwise — a sparse tick, one shard, one core — they run inline in
+// shard order, and a shard with nothing due sits the tick out, so that a
+// sparse run costs what a single shard's would. A tick that parked no
+// cross-shard mail skips the drain phase. The results are identical
+// whichever way a tick goes.
 func (e *engine) runTick(t int) {
 	e.round = t
-	e.curTick = t
-	if e.shardPool != nil {
-		e.shardPool.runEach(len(e.shards), e.tickFn)
-	} else {
-		for i := range e.shards {
-			e.tickShard(&e.shards[i], t)
-		}
-	}
-	if len(e.shards) > 1 {
-		if e.shardPool != nil {
-			e.shardPool.runEach(len(e.shards), e.drainFn)
-		} else {
-			for i := range e.shards {
-				e.drainMail(&e.shards[i])
+	work := 0
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.due = len(sh.active)
+		if b := sh.wheel.peek(t); b != nil {
+			sh.due += 1 + len(b.deliveries) + len(b.wakes) + len(b.timers)
+			if b.wakeAll {
+				sh.due += sh.hi - sh.lo
 			}
+		}
+		work += sh.due
+	}
+	pooled := e.shardPool != nil && work >= minPooledWork
+	if pooled {
+		e.shardPool.runEach(len(e.shards), e.tickFn)
+	}
+	mailed := 0
+	for i := range e.shards {
+		sh := &e.shards[i]
+		switch {
+		case pooled:
+		case sh.due == 0 && sh.faults == nil:
+			sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
+			sh.wheel.advance(t)
+		default:
+			e.tickShard(sh, t)
+		}
+		mailed += sh.mailed
+		sh.mailed = 0
+	}
+	switch {
+	case mailed == 0:
+	case pooled:
+		e.shardPool.runEach(len(e.shards), e.drainFn)
+	default:
+		for i := range e.shards {
+			e.drainMail(&e.shards[i])
 		}
 	}
 	e.foldTick(t)
@@ -188,25 +265,28 @@ func (e *engine) drainMail(dst *engineShard) {
 }
 
 // foldTick resolves the per-shard tick scratch on the coordinator: the
-// first model-violation error (Start-phase errors across all shards
+// quiescence counters loopEvent selects the next tick by, the first
+// model-violation error (Start-phase errors across all shards
 // precede Round-phase ones, matching the single-shard merge order), and
 // the watched-edge crossing cut, which must be computed against the
 // whole tick's deliveries, not any one shard's.
 func (e *engine) foldTick(t int) {
-	if e.err == nil {
-		for i := range e.shards {
-			if err := e.shards[i].errStarted; err != nil {
-				e.err = err
-				break
-			}
+	e.running, e.pendingMsgs = 0, 0
+	var errStarted, errStep error
+	for i := range e.shards {
+		sh := &e.shards[i]
+		e.running += sh.numRunning
+		e.pendingMsgs += sh.pendingMsgs
+		if errStarted == nil {
+			errStarted = sh.errStarted
+		}
+		if errStep == nil {
+			errStep = sh.errStep
 		}
 	}
 	if e.err == nil {
-		for i := range e.shards {
-			if err := e.shards[i].errStep; err != nil {
-				e.err = err
-				break
-			}
+		if e.err = errStarted; e.err == nil {
+			e.err = errStep
 		}
 	}
 	if e.watch == nil {
@@ -232,6 +312,9 @@ func (e *engine) foldTick(t int) {
 
 // pendingUp sums the shards' pending-recovery counters.
 func (e *engine) pendingUp() int {
+	if e.fsched == nil {
+		return 0
+	}
 	up := 0
 	for i := range e.shards {
 		if f := e.shards[i].faults; f != nil {
@@ -241,25 +324,12 @@ func (e *engine) pendingUp() int {
 	return up
 }
 
-// minPendingTick returns the earliest tick with a pending bucket in any
-// shard's wheel (ok=false when every wheel is empty).
-func (e *engine) minPendingTick() (int, bool) {
-	best, ok := 0, false
-	for i := range e.shards {
-		w := e.shards[i].wheel
-		if w.empty() {
-			continue
-		}
-		if mt := w.minTick(); !ok || mt < best {
-			best, ok = mt, true
-		}
-	}
-	return best, ok
-}
-
 // minFaultTick returns the earliest queued fault event across the
 // shards' heaps (ok=false when none is queued).
 func (e *engine) minFaultTick() (int, bool) {
+	if e.fsched == nil {
+		return 0, false
+	}
 	best, ok := 0, false
 	for i := range e.shards {
 		f := e.shards[i].faults

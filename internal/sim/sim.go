@@ -23,8 +23,9 @@
 // Every mode is deterministic given (graph, protocol, seed): node coins
 // are derived from the run seed with splitmix64, inboxes are delivered in
 // port order, and asynchronous delays are pure functions of the seed and
-// the message coordinates. A goroutine-parallel runner with identical
-// observable behaviour is provided for multi-core experiment sweeps.
+// the message coordinates. On large graphs the engine splits the nodes
+// into shards stepped on several cores (shard.go), with identical
+// observable behaviour at every shard count.
 package sim
 
 import (
@@ -278,19 +279,13 @@ type Config struct {
 	WatchEdges [][2]int
 	// CountPerEdge enables per-edge message counting.
 	CountPerEdge bool
-	// Parallel runs node steps on a worker pool; observable behaviour is
-	// identical to the sequential runner. Ignored when Shards > 1 (the
-	// engine parallelizes across shards instead).
-	Parallel bool
-	// Shards partitions the nodes into that many contiguous index ranges,
-	// each owning a private timing wheel, outbox flush, fault heap and
-	// scratch state; shards step concurrently within a tick and exchange
-	// cross-shard deliveries at tick barriers through per-(src,dst)
-	// mailboxes merged in fixed shard order (see shard.go). Results are
-	// byte-identical at every shard count. 0 and 1 select the single-shard
-	// engine, negative values auto-size to GOMAXPROCS, and counts above
-	// the node count are clamped. Requires the event-driven engine
-	// (incompatible with DenseLoop when > 1).
+	// Shards is the number of contiguous node ranges the event engine is
+	// partitioned into, each with a private timing wheel, fault heap and
+	// scratch state (see shard.go). Results are byte-identical at every
+	// count. 0 = the engine decides (one shard per 4096 nodes, at most
+	// GOMAXPROCS), 1 = single shard, k > 1 = exactly k, negative =
+	// GOMAXPROCS; EffectiveShards has the rule and its clamps. Requires
+	// the event-driven engine (incompatible with DenseLoop when > 1).
 	Shards int
 	// Delay is the asynchronous adversary's message-delay schedule. Only
 	// valid in ASYNC mode, where nil selects UnitDelay.
@@ -432,7 +427,8 @@ type engine struct {
 
 	// Sharded event-engine state (event.go, shard.go); shards is empty
 	// under the legacy dense loop. shardSize is ⌈n/len(shards)⌉, the
-	// stride of the contiguous node partition (shardOf is one division).
+	// stride of the contiguous node partition (a node's shard is one
+	// division).
 	shards    []engineShard
 	shardSize int
 	delay     DelaySchedule
@@ -448,10 +444,9 @@ type engine struct {
 	// shards. All nil for a fault-free run, and every fault branch in the
 	// engine is gated on those nil checks, so the fault-free path
 	// executes exactly as it would without the subsystem.
-	fsched       *FaultSchedule
-	fAlive       []bool // fAlive[u]: node u is currently up
-	fRejoined    []bool // fRejoined[u]: u Start()s this tick because it rejoined
-	pendingUpAll int    // coordinator snapshot of summed pendingUp (pruning)
+	fsched    *FaultSchedule
+	fAlive    []bool // fAlive[u]: node u is currently up
+	fRejoined []bool // fRejoined[u]: u Start()s this tick because it rejoined
 	// proto rebuilds a node's process on reset-state recovery.
 	proto Protocol
 	// Watched-edge crossing cut, folded at tick barriers (coordinator
@@ -459,16 +454,18 @@ type engine struct {
 	crossed   bool
 	msgsTotal int64
 	maxTick   int // round cap; timers past it are never scheduled
+	// Quiescence counters summed over the shards at the end of every tick
+	// (foldTick): awake live non-halted nodes, undelivered messages.
+	running     int
+	pendingMsgs int
 
-	// pool is the per-run worker pool of the Parallel runner (nil when
-	// sequential); shardPool drives whole-shard ticks when Shards > 1,
-	// with tickFn/drainFn the fixed per-run closures handed to it so the
-	// per-tick dispatch allocates nothing. curTick feeds the closures.
-	pool      *stepPool
-	shardPool *stepPool
+	// shardPool drives the pooled ticks of a multi-shard run on a
+	// multi-core host (nil otherwise), with tickFn/drainFn the fixed
+	// per-run closures handed to it so the per-tick dispatch allocates
+	// nothing.
+	shardPool *shardPool
 	tickFn    func(int)
 	drainFn   func(int)
-	curTick   int
 
 	res *Result
 	err error
@@ -484,8 +481,8 @@ var (
 
 // send and decide write only per-node slots (outbox row, send counters,
 // status, scratch error/changed flags); the engine merges scratch state
-// after each round. This keeps node steps race-free under the parallel
-// runner. Bits() is evaluated here, once, and cached alongside the
+// after each round. This keeps node steps race-free when shards step
+// concurrently. Bits() is evaluated here, once, and cached alongside the
 // payload so the cap check and the delivery accounting never re-dispatch
 // through the interface.
 func (e *engine) send(u, port int, p Payload) {
@@ -526,8 +523,8 @@ func (e *engine) decide(u int, s Status) {
 }
 
 // requestWake records a node's timer request in its private slot; the
-// event loop's merge phase turns it into a queue event (race-free under
-// the parallel runner, like send and decide).
+// event loop's merge phase turns it into a queue event (race-free across
+// concurrently stepping shards, like send and decide).
 func (e *engine) requestWake(u, at int) {
 	if e.wakeAt == nil {
 		return // dense loop: every awake node is stepped each round anyway

@@ -205,19 +205,19 @@ func (babbler) Round(c *Context, inbox []Message) { c.Broadcast(tokenMsg{int64(c
 
 func TestDeterminism(t *testing.T) {
 	g := graph.Torus(4, 4)
-	run := func(parallel bool) *Result {
-		res, err := Run(Config{Graph: g, Seed: 42, MaxRounds: 50, Parallel: parallel}, coinProto{})
+	run := func(shards int) *Result {
+		res, err := Run(Config{Graph: g, Seed: 42, MaxRounds: 50, Shards: shards}, coinProto{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b, c := run(false), run(false), run(true)
+	a, b, c := run(1), run(1), run(4)
 	if a.Messages != b.Messages || a.Rounds != b.Rounds || a.Bits != b.Bits {
-		t.Errorf("sequential runs diverge: %+v vs %+v", a, b)
+		t.Errorf("single-shard runs diverge: %+v vs %+v", a, b)
 	}
 	if a.Messages != c.Messages || a.Rounds != c.Rounds || a.Bits != c.Bits {
-		t.Errorf("parallel run diverges: %+v vs %+v", a, c)
+		t.Errorf("4-shard run diverges: %+v vs %+v", a, c)
 	}
 	for i := range a.Statuses {
 		if a.Statuses[i] != c.Statuses[i] {
