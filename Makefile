@@ -30,6 +30,9 @@ test-race:
 # algorithm × model × fault schedule at shard counts 1/2/4/8, the
 # three-way engine differential, the dispatch-invariance matrix (every
 # tick pooled / every tick inline / the adaptive per-tick choice), the
+# idle-hint soundness battery (every algorithm × wake regime, hinted
+# event engine vs the dense loop, and vs the hint-blind event engine
+# under faults, at shards 1/2/4 pooled and inline), the
 # EffectiveShards table and the harness shard×worker byte-identity
 # matrix. This is the strongest signal on the tick-barrier protocol — a
 # shard writing outside its node range is a data race here long before
@@ -40,7 +43,7 @@ test-race:
 # concurrent dispatch even when the hardware would not take it. The
 # harness matrix (16 sweeps a pass) runs once, at 4.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestEffectiveShards' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestEffectiveShards' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards' ./internal/harness
 
 bench:
@@ -63,11 +66,12 @@ bench-graph:
 	$(GO) test -bench 'GraphMillionNodeWave|EngineWarm|EngineThroughput' -benchtime 5x -benchmem -run='^$$' .
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): engine
-# benchmarks plus the AllocsPerRun budget tests. Used to regenerate
-# BENCH_ALLOC_FASTPATH.json.
+# benchmarks plus the AllocsPerRun budget tests. The recorded numbers are
+# cmd/ule-bench's (elect-sparse: sim.floor_ns_per_tick, core.run_ms.*,
+# sim.allocs_per_run, sim.bytes_per_run).
 bench-alloc:
 	$(GO) test -run 'TestAllocBudget' -v .
-	$(GO) test -bench 'EngineSparse|EngineWarm|EngineAsync|EngineParallel|EngineThroughput' -benchtime 5x -benchmem -run='^$$' .
+	$(GO) test -bench 'EngineSparse|EngineWarm|EngineAsync|EngineParallel|EngineThroughput|SparseDFSTorus64|NodeRNGSeed' -benchtime 5x -benchmem -run='^$$' .
 
 # The fault-adversary measurement set (docs/FAULTS.md): the fault-injected
 # allocation budget plus the warm-path fault benchmarks. Used to

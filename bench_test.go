@@ -338,8 +338,9 @@ func adversarialWake(n int) []int {
 
 // BenchmarkEngineSparse_WaveRing4096 is the headline sparse-activity
 // comparison: adversarial wake-up on ring:4096, event engine vs the seed's
-// dense per-round loop (identical results, different wall-clock). Recorded
-// in BENCH_EVENT_ENGINE.json.
+// dense per-round loop (identical results, different wall-clock). The
+// recorded counterpart is cmd/ule-bench's sim.floor_ns_per_tick (the same
+// one-shot wave on a ring 8× larger, warm Runner).
 func BenchmarkEngineSparse_WaveRing4096(b *testing.B) {
 	g := graph.Ring(4096)
 	wake := adversarialWake(g.N())
@@ -395,7 +396,8 @@ func BenchmarkEngineSparse_LeastelAdversarial(b *testing.B) {
 // the sparse comparison: one Prepared — a warm sim.Runner plus a recycled
 // Result — serves every iteration, so the per-op numbers are pure fast
 // path (message arenas, pooled payloads, timing wheel) with no Runner or
-// Result construction. Recorded in BENCH_ALLOC_FASTPATH.json.
+// Result construction. The recorded counterparts are cmd/ule-bench's
+// core.run_ms.leastel-ring32k-async and sim.allocs_per_run.
 func BenchmarkEngineWarm_LeastelAdversarial(b *testing.B) {
 	g := graph.Ring(4096)
 	wake := adversarialWake(g.N())
@@ -414,6 +416,111 @@ func BenchmarkEngineWarm_LeastelAdversarial(b *testing.B) {
 		if !res.UniqueLeader() {
 			b.Fatal("election failed")
 		}
+	}
+}
+
+// BenchmarkSparseDFSTorus64 is the dfs cell of cmd/ule-bench's
+// elect-sparse workload (`core.run_ms.dfs-torus64`): Theorem 4.1 on
+// torus:64x64, one node awake, IDs 1..n. An agent with ID i moves once in
+// 2^i rounds, so nearly all of the ~49 k rounds are waiting, which the
+// nodes declare with Context.IdleUntil: the event engine's cost follows
+// the ~57 k messages, the dense loop's the rounds × awake nodes.
+func BenchmarkSparseDFSTorus64(b *testing.B) {
+	g := graph.Torus(64, 64)
+	wake := adversarialWake(g.N())
+	for _, engine := range []string{"dense", "event"} {
+		b.Run(engine, func(b *testing.B) {
+			prep, err := core.Prepare(g, "dfs")
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res sim.Result
+			var rounds, msgs float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				seed := int64(i) + 1
+				err := prep.RunInto(core.RunOpts{
+					Seed: seed, IDs: sim.PermutationIDs(g.N(), rand.New(rand.NewSource(seed))),
+					Wake: wake, MaxRounds: 1 << 19, DenseLoop: engine == "dense",
+				}, &res)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.UniqueLeader() {
+					b.Fatal("election failed")
+				}
+				rounds += float64(res.Rounds)
+				msgs += float64(res.Messages)
+			}
+			b.ReportMetric(rounds/float64(b.N), "rounds/op")
+			b.ReportMetric(msgs/float64(b.N), "msgs/op")
+		})
+	}
+}
+
+// threeCoinsProto has every node draw three coins in round 1 and halt: a
+// run costs little besides seeding the nodes' generators. With std set a
+// node reseeds a math/rand generator of its own instead of the engine's
+// Context.Rand (both are kept across runs, as the Runner keeps its own).
+type threeCoinsProto struct {
+	std  []*rand.Rand // indexed by node ID; nil: use Context.Rand
+	seed int64        // run seed, for std
+}
+
+func (threeCoinsProto) Name() string                   { return "three-coins" }
+func (p threeCoinsProto) New(sim.NodeInfo) sim.Process { return p }
+func (threeCoinsProto) Start(*sim.Context)             {}
+
+// coinSink keeps the draws observable.
+var coinSink int64
+
+func (p threeCoinsProto) Round(c *sim.Context, _ []sim.Message) {
+	var rng *rand.Rand
+	if p.std == nil {
+		rng = c.Rand()
+	} else {
+		rng = p.std[c.ID()]
+		rng.Seed(sim.NodeSeed(p.seed, int(c.ID())))
+	}
+	coinSink += rng.Int63() + rng.Int63() + rng.Int63()
+	c.Halt()
+}
+
+// BenchmarkNodeRNGSeed prices a node's first coins on a warm Runner: seed
+// plus three draws, through the engine's lazily seeded generator and
+// through math/rand's, which fills all 607 state words first. ns/node is
+// the whole per-node cost of the run, engine included.
+func BenchmarkNodeRNGSeed(b *testing.B) {
+	g := graph.Ring(4096)
+	ids := sim.SequentialIDs(g.N(), 0)
+	for _, source := range []string{"lazy", "mathrand"} {
+		b.Run(source, func(b *testing.B) {
+			var p threeCoinsProto
+			if source == "mathrand" {
+				p.std = make([]*rand.Rand, g.N())
+				for u := range p.std {
+					p.std[u] = rand.New(rand.NewSource(1))
+				}
+			}
+			r, err := sim.NewRunner(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res sim.Result
+			run := func(seed int64) {
+				p.seed = seed
+				if err := r.RunInto(sim.Config{Seed: seed, IDs: ids, Shards: 1}, p, &res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run(0) // build the generators
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(int64(i) + 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/node")
+		})
 	}
 }
 

@@ -162,6 +162,13 @@ func (p *dfsProc) Round(c *sim.Context, inbox []sim.Message) {
 		p.pend = nil
 		p.step(c, d)
 	}
+	// The 2^ID wait is the algorithm: nothing above runs on an empty inbox
+	// until the waiting token (if any) falls due.
+	if p.pend != nil {
+		c.IdleUntil(p.pend.dueRound)
+	} else {
+		c.IdleUntil(sim.Forever)
+	}
 }
 
 func (p *dfsProc) handleAgent(c *sim.Context, port int, m agentMsg) {

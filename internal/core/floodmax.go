@@ -61,6 +61,11 @@ func (p *floodProc) Round(c *sim.Context, inbox []sim.Message) {
 			c.Decide(sim.NonLeader)
 		}
 		c.Halt()
+	} else if len(inbox) == 0 {
+		// Silent until the deadline unless a larger ID arrives. Said only
+		// after a quiet round: a node in the thick of the flood would be
+		// parked and roused again every round.
+		c.IdleUntil(p.deadline)
 	}
 }
 

@@ -147,6 +147,7 @@ func (p *leastelProc) Round(c *sim.Context, inbox []sim.Message) {
 	// Quiet round: nothing arrived and nothing is queued, so no flooder
 	// state can change and every decision check would repeat last round's.
 	if len(inbox) == 0 && p.fl.idle() {
+		c.IdleUntil(sim.Forever)
 		return
 	}
 	msgs := p.buf[:0]

@@ -17,14 +17,21 @@
 // rows — while loopEvent and the fold/selection helpers run on the
 // coordinator between barriers.
 //
-// In the synchronous modes (CONGEST/LOCAL) every awake node carries an
-// implicit per-round timer — protocols may count rounds while silent — so
-// the observable behaviour is identical to the dense loop; the savings
-// come from never touching sleeping or halted nodes and from skipping
-// empty rounds outright. In ASYNC mode there are no implicit timers:
-// computation is driven purely by deliveries, schedule wake-ups and
-// explicit Context.RequestWake timers, and each delivery's latency is
-// drawn from the run's deterministic DelaySchedule.
+// There is one stepping rule: at a tick, exactly the nodes an event of
+// that tick touches are stepped — a delivery, a scheduled wake-up, a
+// timer. The modes differ only in which timers exist. In ASYNC a timer is
+// what Context.RequestWake asked for, and each delivery's latency is drawn
+// from the run's deterministic DelaySchedule. In the synchronous modes
+// (CONGEST/LOCAL) protocols may count rounds while silent, so every awake
+// node holds an implicit timer at every round (the shard's active list)
+// unless it has promised, with Context.IdleUntil, that those rounds would
+// be no-ops; such a node is parked — off the active list — until a
+// delivery or the promised round, whose explicit timer shares the wheel's
+// timer bucket with RequestWake's. RequestWake itself queues nothing in
+// the synchronous modes. A hint only ever removes no-op steps, so the
+// observable behaviour is identical to the dense loop, which ignores
+// hints; sleeping, halted and parked nodes cost nothing per tick, and
+// virtual time jumps over rounds in which no node has a timer.
 package sim
 
 import "sort"
@@ -39,10 +46,11 @@ type delivery struct {
 }
 
 // tickBucket holds every event scheduled for one tick: message arrivals,
-// spontaneous wake-ups from the wake schedule, and RequestWake timers
-// (kept apart because a scheduled wake-up for a node that was meanwhile
-// woken by a message is dead, while a timer steps its — awake — node in
-// ASYNC mode). wakeAll is the common "everyone wakes in round 1"
+// spontaneous wake-ups from the wake schedule, and timers — RequestWake's
+// in ASYNC, the ends of IdleUntil promises in the synchronous modes (kept
+// apart because a scheduled wake-up for a node that was meanwhile woken
+// by a message is dead, while a timer steps its — awake — node).
+// wakeAll is the common "everyone wakes in round 1"
 // schedule, kept implicit to avoid materializing an n-element slice per
 // run (each shard's wheel interprets it over its own node range).
 type tickBucket struct {
@@ -106,10 +114,22 @@ func (e *engine) loopEvent(maxRounds int) {
 		// the run alive or inflate Rounds.
 		var next int
 		if !e.async && e.running > 0 {
-			// Synchronous semantics: awake nodes are stepped every round,
-			// so virtual time cannot skip ahead (pending fault events due
-			// by t+1 are applied at the start of tick t+1).
+			// Synchronous semantics: a node on an active list is stepped
+			// every round, so virtual time cannot skip ahead (pending fault
+			// events due by t+1 are applied at the start of tick t+1). With
+			// every running node parked, time jumps to the next queued
+			// event or membership change; with neither left nothing can
+			// rouse them, and stepping them would only reach the round cap.
 			next = t + 1
+			if e.active == 0 {
+				next = maxRounds + 1
+				if wm, ok := e.pruneDeadEvents(); ok {
+					next = wm
+				}
+				if fm, have := e.minFaultTick(); have && fm < next {
+					next = fm
+				}
+			}
 		} else if wm, ok := e.pruneDeadEvents(); ok {
 			next = wm
 			// Fault events are applied at the tick they are due, so a
@@ -178,11 +198,12 @@ func (e *engine) loopEvent(maxRounds int) {
 // event. A delivery is always live (even one bound for a crashed node —
 // it must still be drained and accounted as dropped); a scheduled wake-up
 // is live while its node still sleeps; a timer is live for a non-halted
-// node in ASYNC mode (in the synchronous modes timers are no-ops — awake
-// nodes step every round anyway). Wakes and timers of a crashed node are
-// dead, unless a recovery is pending anywhere: the node might be back up
-// by the bucket's tick, so pruning stays conservative then. Liveness only
-// ever decays, so a discarded bucket could never have done anything.
+// node — in the synchronous modes only while the node is parked until
+// exactly that tick (a node roused earlier queues a fresh timer if it
+// parks again). Wakes and timers of a crashed node are dead, unless a
+// recovery is pending anywhere: the node might be back up by the bucket's
+// tick, so pruning stays conservative then. A discarded bucket could
+// never have done anything.
 //
 // The scan runs over the globally earliest pending bucket each
 // iteration — exactly the order a single queue would present — and stops
@@ -216,11 +237,9 @@ func (e *engine) pruneDeadEvents() (tick int, ok bool) {
 				return best, true
 			}
 		}
-		if e.async {
-			for _, u := range b.timers {
-				if !e.halted[u] && (e.live(u) || pendingUp > 0) {
-					return best, true
-				}
+		for _, u := range b.timers {
+			if !e.halted[u] && (e.live(u) || pendingUp > 0) && (e.async || e.idle[u] == best) {
+				return best, true
 			}
 		}
 		sh.wheel.drop(best)
@@ -240,9 +259,9 @@ func (e *engine) allDecided() bool {
 }
 
 // tickShard processes every event scheduled for tick t in one shard and
-// steps the nodes those events (plus, in synchronous modes, the implicit
-// per-round timers) touch. Shard-local: every row it writes belongs to
-// one of the shard's own nodes, so shards run this concurrently.
+// steps the nodes those events (and, in the synchronous modes, the active
+// list's implicit round timers) touch. Shard-local: every row it writes
+// belongs to one of the shard's own nodes, so shards run this concurrently.
 func (e *engine) tickShard(sh *engineShard, t int) {
 	if e.watch != nil {
 		sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
@@ -250,9 +269,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	sh.errStarted, sh.errStep = nil, nil
 	sh.recv = sh.recv[:0]
 	sh.wake = sh.wake[:0]
-	if e.async {
-		sh.stepSet = sh.stepSet[:0]
-	}
+	sh.stepSet = sh.stepSet[:0]
 
 	// Membership changes first: a node crashed at t misses t's deliveries
 	// and wake-ups, a node recovered at t takes part in them.
@@ -280,21 +297,22 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 				}
 			}
 		}
-		// RequestWake timers step their (awake, live) node in ASYNC mode;
-		// in the synchronous modes awake nodes are stepped regardless.
-		if e.async {
-			for _, u := range b.timers {
-				if e.awake[u] && !e.halted[u] && e.live(u) {
-					sh.stepSet = append(sh.stepSet, u)
-				}
+		// Timers step their (awake, live) node; in the synchronous modes
+		// only one still parked until this very round.
+		for _, u := range b.timers {
+			if e.awake[u] && !e.halted[u] && e.live(u) && (e.async || e.idle[u] == t) {
+				sh.stepSet = append(sh.stepSet, u)
 			}
 		}
 		b.clear()
 	}
-	// Deliveries wake sleeping receivers.
+	// Deliveries wake sleeping receivers and step awake ones — in the
+	// synchronous modes the parked ones; the others hold a round timer.
 	for _, v := range sh.recv {
 		if !e.awake[v] {
 			sh.wake = append(sh.wake, v)
+		} else if e.async || e.idle[v] != 0 {
+			sh.stepSet = append(sh.stepSet, v)
 		}
 	}
 
@@ -322,56 +340,49 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		started = append(started, u)
 	}
 
-	// Build the step set.
-	var step []int
-	if !e.async {
-		// Synchronous: every awake non-halted live node, i.e. the active
-		// list with this tick's wake-ups (and keep-state revivals) merged
-		// in and halted or crashed nodes compacted out (nodes may have
-		// halted during Start just above).
-		if len(started) > 0 {
-			sh.active = mergeSorted(sh.active, started, &sh.mergeBuf)
+	// Build the step set: exactly the nodes an event touched — fired
+	// timers and receivers (above), fresh wake-ups, and in the synchronous
+	// modes keep-state revivals, whose round timers resume.
+	cand := append(sh.stepSet, started...)
+	if !e.async && sh.faults != nil {
+		cand = append(cand, sh.faults.revived...)
+	}
+	if len(cand) > 1 {
+		sort.Ints(cand)
+	}
+	w, prev := 0, -1
+	for _, u := range cand {
+		if u == prev || e.halted[u] {
+			continue // duplicate, or halted inside Start just above
 		}
-		if sh.faults != nil && len(sh.faults.revived) > 0 {
-			rv := sh.faults.revived[:0]
-			for _, u := range sh.faults.revived {
-				// Guard against a node that was never compacted out (its
-				// crash and revival applied at one processed tick).
-				if i := sort.SearchInts(sh.active, u); i == len(sh.active) || sh.active[i] != u {
-					rv = append(rv, u)
+		prev = u
+		cand[w] = u
+		w++
+	}
+	sh.stepSet = cand[:w]
+	step := sh.stepSet
+	if !e.async {
+		// Synchronous: plus every node holding a round timer. The touched
+		// nodes join the active list — their hints lapse — and crashed ones
+		// leave it (a node whose crash and revival applied at one processed
+		// tick never left, hence the merge drops duplicates).
+		if len(step) > 0 {
+			for _, u := range step {
+				e.idle[u] = 0
+			}
+			sh.active = mergeSorted(sh.active, step, &sh.mergeBuf)
+		}
+		if sh.faults != nil {
+			w = 0
+			for _, u := range sh.active {
+				if e.live(u) {
+					sh.active[w] = u
+					w++
 				}
 			}
-			if len(rv) > 0 {
-				sort.Ints(rv)
-				sh.active = mergeSorted(sh.active, rv, &sh.mergeBuf)
-			}
+			sh.active = sh.active[:w]
 		}
-		w := 0
-		for _, u := range sh.active {
-			if !e.halted[u] && e.live(u) {
-				sh.active[w] = u
-				w++
-			}
-		}
-		sh.active = sh.active[:w]
 		step = sh.active
-	} else {
-		// ASYNC: exactly the nodes an event touched — receivers, fired
-		// timers, and fresh wake-ups.
-		cand := append(sh.stepSet, started...)
-		cand = append(cand, sh.recv...)
-		sort.Ints(cand)
-		w, prev := 0, -1
-		for _, u := range cand {
-			if u == prev || e.halted[u] {
-				continue
-			}
-			prev = u
-			cand[w] = u
-			w++
-		}
-		sh.stepSet = cand[:w]
-		step = sh.stepSet
 	}
 
 	// Step phase.
@@ -380,7 +391,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	}
 
 	// Merge phase: fold each touched node's private scratch (errors,
-	// status changes, halts, timer requests) into the shard, and flush
+	// status changes, halts, RequestWake timers) into the shard, and flush
 	// its outbox into future delivery events. started ⊆ step except for
 	// nodes that halted inside Start, so visiting both lists covers every
 	// touched node; all merges are idempotent across the overlap.
@@ -390,6 +401,32 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	// Consumed inboxes are reset for the next delivery.
 	for _, v := range sh.recv {
 		e.inbox[v] = e.inbox[v][:0]
+	}
+
+	if !e.async {
+		// A stepped node keeps its round timers unless it halted or promised
+		// to idle beyond the next round: then it is parked, with an explicit
+		// timer where the promise ends (none past the round cap).
+		w := 0
+		for _, u := range step {
+			if e.halted[u] {
+				continue
+			}
+			until := e.idle[u]
+			if until > t+1 {
+				if until <= e.maxTick {
+					bw := sh.wheel.at(until)
+					bw.timers = append(bw.timers, u)
+				}
+				continue
+			}
+			if until != 0 {
+				e.idle[u] = 0
+			}
+			step[w] = u
+			w++
+		}
+		sh.active = step[:w]
 	}
 }
 
@@ -550,17 +587,22 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int, startPhase bo
 	}
 }
 
-// mergeSorted merges two ascending int slices into dst (reusing *buf as
-// scratch), returning the merged slice.
+// mergeSorted merges two ascending duplicate-free int slices (reusing
+// *buf as scratch), returning their ascending duplicate-free union.
 func mergeSorted(a, b []int, buf *[]int) []int {
 	out := (*buf)[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
+		switch {
+		case a[i] < b[j]:
 			out = append(out, a[i])
 			i++
-		} else {
+		case a[i] > b[j]:
 			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
 			j++
 		}
 	}

@@ -9,3 +9,11 @@ func SetMinPooledWork(work int) (restore func()) {
 	minPooledWork = work
 	return func() { minPooledWork = old }
 }
+
+// IgnoreIdleHints makes the event engine ignore every Context.IdleUntil —
+// each awake node keeps all its round timers — until the returned function
+// is called.
+func IgnoreIdleHints() (restore func()) {
+	honorIdleHints = false
+	return func() { honorIdleHints = true }
+}

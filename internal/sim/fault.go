@@ -467,6 +467,7 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 			}
 			e.inbox[u] = e.inbox[u][:0]
 			e.wakeAt[u] = 0
+			e.idle[u] = 0 // a revived node holds its round timers again
 			if fst.fs.class == faultChurn {
 				fst.pushRecover(t+fst.fs.down, ev.node)
 			}

@@ -67,6 +67,7 @@ type Runner struct {
 	// Reusable flat per-node / per-(node,port) rows of the event engine.
 	linkSeq     []int32
 	wakeAt      []int
+	idle        []int
 	haltCounted []bool
 
 	// Reusable shard state (timing wheels, scratch lists, fault heaps,
@@ -116,6 +117,7 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 	r.sendCnt = make([]int32, len(nbr))
 	r.linkSeq = make([]int32, len(nbr))
 	r.wakeAt = make([]int, n)
+	r.idle = make([]int, n)
 	r.haltCounted = make([]bool, n)
 	return r, nil
 }
@@ -255,12 +257,15 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		e.delay = cfg.Delay
 		e.linkSeq = r.linkSeq
 		e.wakeAt = r.wakeAt
+		e.idle = r.idle
+		e.hints = !e.async && honorIdleHints
 		e.haltCounted = r.haltCounted
 		for i := range r.linkSeq {
 			r.linkSeq[i] = 0
 		}
 		for i := range r.wakeAt {
 			r.wakeAt[i] = 0
+			r.idle[i] = 0
 		}
 		for i := range r.haltCounted {
 			r.haltCounted[i] = false

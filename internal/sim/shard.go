@@ -41,6 +41,11 @@ const (
 	maxShards = 64
 )
 
+// honorIdleHints is true outside this package's tests, which clear it to
+// run the event engine with every Context.IdleUntil ignored: the reference
+// for hinted runs under faults, where the dense loop cannot serve.
+var honorIdleHints = true
+
 // minPooledWork is the due work — nodes to step plus deliveries, wake-ups
 // and timers to apply, summed over the shards — from which a tick is
 // dispatched to the shard pool rather than run inline: where two barriers
@@ -90,7 +95,7 @@ type engineShard struct {
 	wheel *timingWheel
 
 	// Tick-loop scratch (see event.go), all over own nodes only.
-	active   []int // sorted awake node ids (synchronous modes)
+	active   []int // sorted ids of the nodes holding a round timer (synchronous modes)
 	stepSet  []int
 	recv     []int // own nodes that received a delivery this tick
 	wake     []int // own wake candidates this tick
@@ -271,11 +276,12 @@ func (e *engine) drainMail(dst *engineShard) {
 // the watched-edge crossing cut, which must be computed against the
 // whole tick's deliveries, not any one shard's.
 func (e *engine) foldTick(t int) {
-	e.running, e.pendingMsgs = 0, 0
+	e.running, e.active, e.pendingMsgs = 0, 0, 0
 	var errStarted, errStep error
 	for i := range e.shards {
 		sh := &e.shards[i]
 		e.running += sh.numRunning
+		e.active += len(sh.active)
 		e.pendingMsgs += sh.pendingMsgs
 		if errStarted == nil {
 			errStarted = sh.errStarted

@@ -20,6 +20,10 @@
 //     schedule adversary), and a node computes only when a delivery or a
 //     timer (Context.RequestWake) arrives. CONGEST accounting applies.
 //
+// One rule steps nodes in every mode — a node is stepped at a tick exactly
+// when an event of that tick touches it — and the synchronous modes add an
+// implicit timer per round for each awake node not declared idle (event.go).
+//
 // Every mode is deterministic given (graph, protocol, seed): node coins
 // are derived from the run seed with splitmix64, inboxes are delivered in
 // port order, and asynchronous delays are pure functions of the seed and
@@ -31,6 +35,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ule/internal/graph"
@@ -121,7 +126,9 @@ type NodeInfo struct {
 
 // Process is a per-node state machine. The engine calls Start exactly once,
 // in the node's wake-up round (before the Round call of that round), and
-// Round every round while the node is awake and not halted.
+// Round whenever an event touches the awake, non-halted node: a delivery,
+// a RequestWake timer, or — in the synchronous modes — the implicit timer
+// of every round the node has not declared idle (Context.IdleUntil).
 type Process interface {
 	Start(c *Context)
 	Round(c *Context, inbox []Message)
@@ -168,8 +175,9 @@ func (c *Context) Round() int { return c.eng.round }
 // future (delta < 1 is clamped to 1): the node's Round is then called at
 // that tick even if no message arrives. Timers are how asynchronous
 // protocols arrange to act after a silent period; in the synchronous
-// modes every awake node is stepped each round anyway, so the call is a
-// no-op there. Repeated calls keep the earliest requested tick.
+// modes a node already holds a timer at every round it has not declared
+// idle, so the call is a no-op there. Repeated calls keep the earliest
+// requested tick.
 func (c *Context) RequestWake(delta int) {
 	if delta < 1 {
 		delta = 1
@@ -177,22 +185,41 @@ func (c *Context) RequestWake(delta int) {
 	c.eng.requestWake(c.node, c.eng.round+delta)
 }
 
+// Forever is the IdleUntil round of a node that only a message can rouse.
+const Forever = math.MaxInt
+
+// IdleUntil is a promise, not a request: until the given round (Forever:
+// until a message arrives) this node's Round called on an empty inbox
+// does nothing — no send, decision, halt or coin, no state change a later
+// round could observe. The synchronous modes then drop the node's implicit
+// round timers before that round, so waiting costs no host time; a
+// delivery steps the node as always, and the hint lapses with every step
+// (the last call of a step counts) — a node that is still idle says so
+// again. A hint only removes steps that would have done nothing, so no
+// transcript depends on it: ASYNC, which has no implicit timers, ignores
+// it, and so does the dense loop, which thereby stays the reference a
+// hinted run is tested against.
+func (c *Context) IdleUntil(round int) {
+	if c.eng.hints {
+		c.eng.idle[c.node] = round
+	}
+}
+
 // Rand returns the node's private source of unbiased coins. It is
-// deterministic given the run seed and the node index. The underlying
-// generator is built and seeded on first use: initializing one costs more
-// than an entire node-round, so nodes of coin-free protocols never pay
-// for it, and a reused Runner reseeds (never reallocates) it — reseeding
-// restores the exact state of a freshly constructed
-// rand.New(rand.NewSource(seed)), so reuse is invisible to runs.
+// deterministic given the run seed and the node index, and draws exactly
+// what rand.New(rand.NewSource(NodeSeed(seed, node))) would. The generator
+// behind it (lazyrng.go) is built on the node's first call and kept by the
+// Runner; a later run only reseeds it, and seeding costs nothing until a
+// coin is drawn, so reuse is invisible to runs and coin-free nodes pay
+// nothing.
 func (c *Context) Rand() *rand.Rand {
 	if !c.rngReady {
 		c.rngReady = true
 		if c.rng == nil {
-			c.rng = rand.New(rand.NewSource(NodeSeed(c.eng.cfg.Seed, c.node)))
+			c.rng = rand.New(new(lazySource))
 			c.eng.rngs[c.node] = c.rng // keep for reuse across runs
-		} else {
-			c.rng.Seed(NodeSeed(c.eng.cfg.Seed, c.node))
 		}
+		c.rng.Seed(NodeSeed(c.eng.cfg.Seed, c.node))
 	}
 	return c.rng
 }
@@ -437,8 +464,12 @@ type engine struct {
 	// shard writes only its own nodes' slots, so no synchronization is
 	// needed. nil under the dense loop (which has no timers or links).
 	linkSeq     []int32 // per-link message sequence numbers (ASYNC/drop)
-	wakeAt      []int   // pending RequestWake target tick (0 = none)
+	wakeAt      []int   // pending RequestWake target tick (0 = none; ASYNC)
+	idle        []int   // round a parked node idles until (0 = not parked)
 	haltCounted []bool  // halt already merged into the counters
+	// hints reports whether IdleUntil is honoured: the synchronous modes of
+	// the event engine.
+	hints bool
 	// Fault adversary state (fault.go): the parsed schedule plus the
 	// global membership vectors; the per-shard event heaps live in the
 	// shards. All nil for a fault-free run, and every fault branch in the
@@ -455,8 +486,10 @@ type engine struct {
 	msgsTotal int64
 	maxTick   int // round cap; timers past it are never scheduled
 	// Quiescence counters summed over the shards at the end of every tick
-	// (foldTick): awake live non-halted nodes, undelivered messages.
+	// (foldTick): awake live non-halted nodes, those of them that hold a
+	// round timer (synchronous modes), undelivered messages.
 	running     int
+	active      int
 	pendingMsgs int
 
 	// shardPool drives the pooled ticks of a multi-shard run on a
@@ -526,8 +559,8 @@ func (e *engine) decide(u int, s Status) {
 // event loop's merge phase turns it into a queue event (race-free across
 // concurrently stepping shards, like send and decide).
 func (e *engine) requestWake(u, at int) {
-	if e.wakeAt == nil {
-		return // dense loop: every awake node is stepped each round anyway
+	if !e.async {
+		return // synchronous: round timers are implicit
 	}
 	if w := e.wakeAt[u]; w == 0 || at < w {
 		e.wakeAt[u] = at
