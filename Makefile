@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-race test-sweep race race-matrix bench bench-smoke bench-graph bench-faults bench-shard bench-sweep sweep-smoke serve-smoke bench-serve fleet-chaos bench-fleet fmt fmt-check vet docs-check ci
+.PHONY: build test test-shuffle test-race test-sweep race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ race-matrix:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
+# The repo's one benchmark (BENCHMARK.json, cmd/ule-bench/README.md): five
+# workloads, end-to-end and per-layer metrics. Every recorded performance
+# number comes from here; the bench-* targets below are focused
+# microbenchmark sets for working on one layer.
+bench-all:
+	$(GO) run ./cmd/ule-bench
+
 # One iteration per benchmark: proves the bench harness still runs without
 # paying for a full measurement sweep (-benchmem so the allocation columns
 # the fast-path work watches are exercised too). Covers the root package
@@ -58,8 +65,7 @@ bench-smoke:
 
 # The topology fast-path measurement set (docs/PERFORMANCE.md): CSR
 # construction + BFS/diameter benchmarks, the graph-construction
-# allocation budgets, and the million-node wave delivery run. Used to
-# regenerate BENCH_GRAPH_CSR.json.
+# allocation budgets, and the million-node wave delivery run.
 bench-graph:
 	$(GO) test -run 'TestAllocBudgetGraphConstruction' -v .
 	$(GO) test -bench 'Graph' -benchtime 5x -benchmem -run='^$$' ./internal/graph
@@ -74,8 +80,7 @@ bench-alloc:
 	$(GO) test -bench 'EngineSparse|EngineWarm|EngineAsync|EngineParallel|EngineThroughput|SparseDFSTorus64|NodeRNGSeed' -benchtime 5x -benchmem -run='^$$' .
 
 # The fault-adversary measurement set (docs/FAULTS.md): the fault-injected
-# allocation budget plus the warm-path fault benchmarks. Used to
-# regenerate BENCH_FAULTS.json.
+# allocation budget plus the warm-path fault benchmarks.
 bench-faults:
 	$(GO) test -run 'TestAllocBudgetLeastelFaultyRing' -v .
 	$(GO) test -bench 'EngineFaults' -benchtime 5x -benchmem -run='^$$' .
@@ -103,11 +108,9 @@ test-sweep:
 	$(GO) test -run 'TestSweepModeBinaryAndExport|TestSweepModeResumeExcludesTextEmitters' -v ./cmd/ule-experiments
 
 # The sweep-pipeline measurement set (docs/PERFORMANCE.md): per-trial
-# encoder benchmarks (append path vs the stdlib path the emitters used
-# before), steady-state consumer throughput for the JSON/CSV/binary
-# emitter sets vs the legacy consumer replica, the consumer allocation
-# budget, and the kill-and-resume byte-identity test. Used to regenerate
-# BENCH_SWEEP_PIPELINE.json.
+# encoder benchmarks, steady-state consumer throughput for the
+# JSON/CSV/binary emitter sets, the consumer allocation budget, and the
+# kill-and-resume byte-identity test.
 bench-sweep:
 	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestBinaryKillAndResume' -v ./internal/harness
 	$(GO) test -bench 'EmitTrial|SweepConsumer' -benchtime 3s -benchmem -run='^$$' ./internal/harness
@@ -127,27 +130,12 @@ serve-smoke:
 	$(GO) build -o bin/uled ./cmd/uled
 	$(GO) run ./cmd/uled-load -spawn bin/uled -smoke
 
-# The serving-layer measurement set (docs/PERFORMANCE.md § "Serving
-# layer"): closed-loop load at three concurrency levels against a
-# spawned server. Used to regenerate BENCH_SERVE.json.
-bench-serve:
-	$(GO) build -o bin/uled ./cmd/uled
-	$(GO) run ./cmd/uled-load -spawn bin/uled -levels 4,16,64 -duration 3s -out BENCH_SERVE.json
-	@cat BENCH_SERVE.json
-
 # Distributed-sweep chaos gate (docs/DISTRIBUTED.md): run the gate sweep
 # through exec'd worker processes at 1, 2 and 4 workers with two
 # scheduled worker kills each, and fail unless every merged binary is
 # byte-identical to a single-process run. Wired into CI.
 fleet-chaos:
 	$(GO) run ./cmd/ule-fleet -gate
-
-# The distributed-sweep measurement set (docs/DISTRIBUTED.md): the
-# none/kill/stall/corrupt/mixed fault matrix at 1/2/4 workers, byte
-# identity asserted per cell. Used to regenerate BENCH_FLEET.json.
-bench-fleet:
-	$(GO) run ./cmd/ule-fleet -bench-out BENCH_FLEET.json
-	@cat BENCH_FLEET.json
 
 fmt:
 	gofmt -w .

@@ -529,10 +529,14 @@ func BenchmarkNodeRNGSeed(b *testing.B) {
 func BenchmarkEngineAsync(b *testing.B) {
 	g := mustRandom(b, 512, 2048, 12)
 	for _, delay := range []string{"unit", "random:8", "fifo:8"} {
+		m, err := sim.ParseModel("async+" + delay)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(delay, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(g, "leastel-const", core.RunOpts{
-					Seed: int64(i), Mode: sim.ASYNC, Delay: delay, MaxRounds: 1 << 18,
+					Seed: int64(i), Model: m, MaxRounds: 1 << 18,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -549,8 +553,7 @@ func BenchmarkEngineAsync(b *testing.B) {
 // warm fast path: one Prepared (recycled Runner, Result and faultState)
 // across iterations, leastel on ring:4096 under each fault class. The
 // "none" row is the fault-free baseline — its inner loop never touches
-// the fault subsystem, so the delta is the real price of each adversary
-// (see BENCH_FAULTS.json for the checked-in measurement).
+// the fault subsystem, so the delta is the real price of each adversary.
 func BenchmarkEngineFaults(b *testing.B) {
 	g := graph.Ring(4096)
 	wake := adversarialWake(g.N())
@@ -612,8 +615,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 // BenchmarkGraphMillionNodeWave is the scale probe the CSR topology core
 // unlocks: build ring:1048576, stand up a Runner (O(n) now — the borrowed
 // reverse-port table replaced the O(Σ deg²) PortTo scans), and push one
-// wave across the million-node ring through the event engine. Recorded in
-// BENCH_GRAPH_CSR.json.
+// wave across the million-node ring through the event engine.
 func BenchmarkGraphMillionNodeWave(b *testing.B) {
 	const n = 1 << 20
 	g := graph.Ring(n)

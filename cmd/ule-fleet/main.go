@@ -9,7 +9,6 @@
 //	ule-fleet -spec sweep.json -out sweep.ulsb -workers 4
 //	ule-fleet -spec sweep.json -out sweep.ulsb -chaos kill:0.3,stall:0.2 -chaos-seed 7
 //	ule-fleet -gate                  # CI chaos smoke (make fleet-chaos)
-//	ule-fleet -bench-out BENCH_FLEET.json
 //	ule-fleet -worker …              # internal: one shard attempt (exec'd)
 //
 // On quarantined units the merged file is withheld and the exit status is
@@ -18,9 +17,7 @@
 //
 // -gate runs a small sweep at 1, 2 and 4 workers with two scheduled
 // worker kills each and fails unless every merged document is
-// byte-identical to the in-process reference. -bench-out additionally
-// sweeps the fault matrix (none/kill/stall/corrupt/mixed) and writes the
-// measurement document behind BENCH_FLEET.json.
+// byte-identical to the in-process reference.
 package main
 
 import (
@@ -67,19 +64,18 @@ func run(args []string) error {
 		chaosSeed = fs.Uint64("chaos-seed", 1, "chaos schedule seed")
 		chaosMax  = fs.Int("chaos-max", 0, "cap on injected faults (0 = none)")
 		gate      = fs.Bool("gate", false, "run the CI chaos gate and exit")
-		benchOut  = fs.String("bench-out", "", "run the fault×workers bench matrix, write JSON here")
 		verbose   = fs.Bool("v", false, "log coordinator progress to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *gate || *benchOut != "" {
-		return gateAndBench(*specPath, *benchOut, *verbose)
+	if *gate {
+		return runGate(*specPath, *verbose)
 	}
 
 	if *specPath == "" || *out == "" {
-		return fmt.Errorf("need -spec and -out (or -gate / -bench-out)")
+		return fmt.Errorf("need -spec and -out (or -gate)")
 	}
 	spec, err := loadSpec(*specPath)
 	if err != nil {
@@ -184,40 +180,10 @@ func gateSpec() harness.Spec {
 	}
 }
 
-// benchScenario is one row of the chaos matrix.
-type benchScenario struct {
-	Name string
-	Plan *fleet.ChaosPlan
-}
-
-func benchScenarios() []benchScenario {
-	return []benchScenario{
-		{"none", nil},
-		{"kill", &fleet.ChaosPlan{Seed: 42, Kill: 1, MaxActions: 2}},
-		{"stall", &fleet.ChaosPlan{Seed: 7, Stall: 1, MaxActions: 1}},
-		{"corrupt", &fleet.ChaosPlan{Seed: 3, Corrupt: 1, MaxActions: 1}},
-		{"mixed", &fleet.ChaosPlan{Seed: 11, Kill: 0.4, Stall: 0.3, Corrupt: 0.3, MaxActions: 4}},
-	}
-}
-
-// benchCell is one measured (scenario, workers) run.
-type benchCell struct {
-	Scenario      string `json:"scenario"`
-	Workers       int    `json:"workers"`
-	Units         int    `json:"units"`
-	WallMS        int64  `json:"wall_ms"`
-	Retries       int    `json:"retries"`
-	Reassignments int    `json:"reassignments"`
-	Kills         int    `json:"kills"`
-	Stalls        int    `json:"stalls"`
-	Corruptions   int    `json:"corruptions"`
-	ByteIdentical bool   `json:"byte_identical"`
-}
-
-// gateAndBench runs the chaos gate (kill chaos at 1, 2 and 4 workers,
-// byte-identity required) and, when benchPath is set, the full
-// fault×workers matrix, writing the measurement document.
-func gateAndBench(specPath, benchPath string, verbose bool) error {
+// runGate is the chaos gate: the gate sweep through exec'd workers at 1, 2
+// and 4 workers with two scheduled worker kills each, every merged binary
+// required byte-identical to one in-process run.
+func runGate(specPath string, verbose bool) error {
 	spec := gateSpec()
 	if specPath != "" {
 		s, err := loadSpec(specPath)
@@ -228,7 +194,6 @@ func gateAndBench(specPath, benchPath string, verbose bool) error {
 	}
 	const cadence = 4
 
-	// The single-process reference both modes compare against.
 	var refBuf bytes.Buffer
 	opt := harness.BinaryOptions{CheckpointEvery: cadence}
 	if _, err := harness.Run(spec, harness.RunConfig{
@@ -236,100 +201,48 @@ func gateAndBench(specPath, benchPath string, verbose bool) error {
 	}); err != nil {
 		return err
 	}
-	ref := refBuf.Bytes()
 
-	scenarios := benchScenarios()
-	if benchPath == "" {
-		scenarios = scenarios[1:2] // gate mode: the kill scenario only
+	tmp, err := os.MkdirTemp("", "ule-fleet-gate-*")
+	if err != nil {
+		return err
 	}
-
-	var cells []benchCell
-	for _, sc := range scenarios {
-		for _, workers := range []int{1, 2, 4} {
-			cell, err := runCell(spec, sc, workers, cadence, ref, verbose)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet %-8s workers=%d: %4d ms, retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d byte_identical=%v\n",
-				sc.Name, workers, cell.WallMS, cell.Retries, cell.Reassignments,
-				cell.Kills, cell.Stalls, cell.Corruptions, cell.ByteIdentical)
-			if !cell.ByteIdentical {
-				return fmt.Errorf("scenario %s at %d workers: merged output NOT byte-identical to single-process run", sc.Name, workers)
-			}
-			cells = append(cells, cell)
-		}
-	}
-
-	if benchPath != "" {
-		doc := struct {
-			Bench  string      `json:"bench"`
-			Spec   string      `json:"spec"`
-			Trials int         `json:"trials"`
-			Method string      `json:"method"`
-			Cells  []benchCell `json:"cells"`
-		}{
-			Bench:  "ule-fleet",
-			Spec:   spec.Name,
-			Trials: mustTotal(spec),
-			Method: "each cell runs the gate sweep through exec'd workers under the named fault plan and compares the merged binary byte-for-byte against one in-process run; wall_ms includes worker exec, retry backoff and the merge",
-			Cells:  cells,
-		}
-		if err := writeJSONFile(benchPath, doc); err != nil {
+	defer os.RemoveAll(tmp)
+	for _, workers := range []int{1, 2, 4} {
+		dir := filepath.Join(tmp, strconv.Itoa(workers))
+		if err := os.Mkdir(dir, 0o755); err != nil {
 			return err
 		}
-		fmt.Printf("fleet: wrote %d cells to %s\n", len(cells), benchPath)
+		cfg := fleet.Config{
+			Spec:             spec,
+			Workers:          workers,
+			UnitTrials:       8,
+			CheckpointEvery:  cadence,
+			HeartbeatTimeout: 5 * time.Second,
+			Dir:              dir,
+			Out:              filepath.Join(dir, "merged.ulsb"),
+			Chaos:            &fleet.ChaosPlan{Seed: 42, Kill: 1, MaxActions: 2},
+		}
+		if verbose {
+			cfg.Log = os.Stderr
+		}
+		res, err := fleet.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("gate workers=%d: %w", workers, err)
+		}
+		got, err := os.ReadFile(cfg.Out)
+		if err != nil {
+			return err
+		}
+		identical := bytes.Equal(got, refBuf.Bytes())
+		fmt.Printf("fleet kill     workers=%d: %4d ms, retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d byte_identical=%v\n",
+			workers, res.ElapsedMS, res.Retries, res.Reassignments,
+			res.Kills, res.Stalls, res.Corruptions, identical)
+		if !identical {
+			return fmt.Errorf("gate at %d workers: merged output NOT byte-identical to single-process run", workers)
+		}
 	}
-	fmt.Println("fleet: chaos gate OK (byte-identical at every worker count and fault plan)")
+	fmt.Println("fleet: chaos gate OK (byte-identical at every worker count)")
 	return nil
-}
-
-func runCell(spec harness.Spec, sc benchScenario, workers, cadence int, ref []byte, verbose bool) (benchCell, error) {
-	dir, err := os.MkdirTemp("", "ule-fleet-gate-*")
-	if err != nil {
-		return benchCell{}, err
-	}
-	defer os.RemoveAll(dir)
-	cfg := fleet.Config{
-		Spec:             spec,
-		Workers:          workers,
-		UnitTrials:       8,
-		CheckpointEvery:  cadence,
-		HeartbeatTimeout: 5 * time.Second,
-		Dir:              dir,
-		Out:              filepath.Join(dir, "merged.ulsb"),
-		Chaos:            sc.Plan,
-	}
-	if verbose {
-		cfg.Log = os.Stderr
-	}
-	res, err := fleet.Run(cfg)
-	if err != nil {
-		return benchCell{}, fmt.Errorf("scenario %s workers=%d: %w", sc.Name, workers, err)
-	}
-	got, err := os.ReadFile(cfg.Out)
-	if err != nil {
-		return benchCell{}, err
-	}
-	return benchCell{
-		Scenario:      sc.Name,
-		Workers:       workers,
-		Units:         res.Units,
-		WallMS:        res.ElapsedMS,
-		Retries:       res.Retries,
-		Reassignments: res.Reassignments,
-		Kills:         res.Kills,
-		Stalls:        res.Stalls,
-		Corruptions:   res.Corruptions,
-		ByteIdentical: bytes.Equal(got, ref),
-	}, nil
-}
-
-func mustTotal(spec harness.Spec) int {
-	n, err := spec.Validate()
-	if err != nil {
-		return -1
-	}
-	return n
 }
 
 func writeJSONFile(path string, v any) error {

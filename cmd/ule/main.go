@@ -24,24 +24,28 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 
 	"ule/election"
 	"ule/internal/cmdutil"
+	"ule/internal/core"
+	"ule/internal/graph"
+	"ule/internal/harness"
 	"ule/internal/sim"
 	"ule/internal/stats"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ule:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ule", flag.ContinueOnError)
 	var (
 		graphSpec = fs.String("graph", "ring:32", "graph family spec (see -help)")
@@ -52,7 +56,6 @@ func run(args []string) error {
 		delay     = fs.String("delay", "", "async delay schedule: unit, random:B, fifo:B")
 		model     = fs.String("model", "", "full execution-model spec (overrides -mode/-delay), e.g. async+random:4+crash:0.2")
 		faults    = fs.String("faults", "", "fault schedule: crash:P[:W], crashrec:P:DOWN[:keep], drop:P, churn:P:K")
-		local     = fs.Bool("local", false, "LOCAL model instead of CONGEST (alias for -mode local)")
 		anonymous = fs.Bool("anonymous", false, "run without node identifiers")
 		smallIDs  = fs.Bool("small-ids", false, "permutation IDs 1..n (needed for dfs)")
 		maxRounds = fs.Int("max-rounds", 1<<18, "round cap")
@@ -94,19 +97,22 @@ func run(args []string) error {
 	if *list {
 		for _, name := range election.Algorithms() {
 			desc, _ := election.Describe(name)
-			fmt.Println(desc)
+			fmt.Fprintln(out, desc)
 		}
 		return nil
 	}
-	// Resolve the execution model: -model wins; otherwise the legacy
-	// -mode/-delay flags are composed into the same spec grammar, and
-	// -faults appends the fault adversary either way (shared helper, also
-	// used by ule-experiments and the uled serving layer).
-	em, err := cmdutil.ResolveModel(*model, *mode, *delay, *faults, *local)
+	// Resolve the execution model: -model wins; otherwise the -mode/-delay
+	// flags are composed into the same spec grammar, and -faults appends
+	// the fault adversary either way.
+	em, err := cmdutil.ResolveModel(*model, *mode, *delay, *faults)
 	if err != nil {
 		return err
 	}
-	g, err := buildGraph(*graphSpec, *seed)
+	g, err := graph.FromSpec(*graphSpec, *seed)
+	if err != nil {
+		return err
+	}
+	prep, err := core.Prepare(g, *algo)
 	if err != nil {
 		return err
 	}
@@ -115,13 +121,13 @@ func run(args []string) error {
 		if em.Delay != nil {
 			ds = em.Delay.Name()
 		}
-		fmt.Printf("graph %s: n=%d m=%d  (async, delay %s)\n", *graphSpec, g.N(), g.M(), ds)
+		fmt.Fprintf(out, "graph %s: n=%d m=%d  (async, delay %s)\n", *graphSpec, g.N(), g.M(), ds)
 	} else {
-		fmt.Printf("graph %s: n=%d m=%d\n", *graphSpec, g.N(), g.M())
+		fmt.Fprintf(out, "graph %s: n=%d m=%d\n", *graphSpec, g.N(), g.M())
 	}
 	withFaults := em.Faults != nil
 	if withFaults {
-		fmt.Printf("faults: %s\n", em.Faults.Name())
+		fmt.Fprintf(out, "faults: %s\n", em.Faults.Name())
 	}
 	var table *stats.Table
 	if withFaults {
@@ -129,40 +135,39 @@ func run(args []string) error {
 	} else {
 		table = stats.NewTable("", "trial", "rounds", "messages", "bits", "leaders", "unique")
 	}
+	// Each trial is one election through the recipe a sweep trial and a
+	// uled request use, so a (graph, algo, seed, flags) row is the same
+	// election everywhere.
 	var msgs, rounds []float64
 	for i := 0; i < *trials; i++ {
-		s := *seed + int64(i)
-		var ids []int64
-		if *smallIDs {
-			ids = election.PermutationIDs(g.N(), election.NewRand(s))
-		}
-		res, err := election.Elect(g, *algo, election.Params{
-			Seed: s, IDs: ids, Anonymous: *anonymous,
-			Model:     em.String(),
+		ro, err := harness.Election{
+			Seed:      *seed + int64(i),
+			Model:     em,
+			SmallIDs:  *smallIDs,
+			Anonymous: *anonymous,
 			MaxRounds: *maxRounds,
 			Shards:    *shards,
-		})
+		}.RunOpts(prep)
 		if err != nil {
 			return err
 		}
-		if withFaults {
-			table.AddRow(i, res.Rounds, res.Messages, res.Bits, res.LeaderCount(), res.UniqueLeader(),
-				res.Crashes, res.Recoveries, res.Dropped, res.UniqueLiveLeader())
-		} else {
-			table.AddRow(i, res.Rounds, res.Messages, res.Bits, res.LeaderCount(), res.UniqueLeader())
+		res, err := prep.Run(ro)
+		if err != nil {
+			return err
 		}
-		msgs = append(msgs, float64(res.Messages))
-		rounds = append(rounds, float64(res.Rounds))
+		o := harness.Reduce(ro, res)
+		if withFaults {
+			table.AddRow(i, o.Rounds, o.Messages, o.Bits, o.Leaders, o.Unique,
+				o.Crashes, o.Recoveries, o.Dropped, o.LiveUnique)
+		} else {
+			table.AddRow(i, o.Rounds, o.Messages, o.Bits, o.Leaders, o.Unique)
+		}
+		msgs = append(msgs, float64(o.Messages))
+		rounds = append(rounds, float64(o.Rounds))
 	}
-	fmt.Print(table.String())
+	fmt.Fprint(out, table.String())
 	ms, rs := stats.Summarize(msgs), stats.Summarize(rounds)
-	fmt.Printf("messages: mean=%.1f (±%.1f)  msgs/m=%.2f\n", ms.Mean, ms.Std, ms.Mean/float64(g.M()))
-	fmt.Printf("rounds:   mean=%.1f (±%.1f)\n", rs.Mean, rs.Std)
+	fmt.Fprintf(out, "messages: mean=%.1f (±%.1f)  msgs/m=%.2f\n", ms.Mean, ms.Std, ms.Mean/float64(g.M()))
+	fmt.Fprintf(out, "rounds:   mean=%.1f (±%.1f)\n", rs.Mean, rs.Std)
 	return nil
-}
-
-// buildGraph parses the -graph family spec through the shared helper in
-// internal/cmdutil (the same grammar the sweep harness and uled accept).
-func buildGraph(spec string, seed int64) (*election.Graph, error) {
-	return cmdutil.BuildGraph(spec, seed)
 }

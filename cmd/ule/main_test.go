@@ -1,71 +1,67 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
 
-func TestBuildGraphSpecs(t *testing.T) {
-	tests := []struct {
-		spec string
-		n, m int
-	}{
-		{"path:5", 5, 4},
-		{"ring:8", 8, 8},
-		{"star:6", 6, 5},
-		{"complete:5", 5, 10},
-		{"hypercube:3", 8, 12},
-		{"grid:3x4", 12, 17},
-		{"torus:4x4", 16, 32},
-		{"random:20:40", 20, 40},
-		{"cliquecycle:24:8", 24, 0}, // m depends on γ; checked below
-	}
-	for _, tt := range tests {
-		g, err := buildGraph(tt.spec, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", tt.spec, err)
-		}
-		if g.N() != tt.n {
-			t.Errorf("%s: N=%d want %d", tt.spec, g.N(), tt.n)
-		}
-		if tt.m > 0 && g.M() != tt.m {
-			t.Errorf("%s: M=%d want %d", tt.spec, g.M(), tt.m)
-		}
-		if !g.Connected() {
-			t.Errorf("%s: disconnected", tt.spec)
-		}
-	}
-	// Lollipop/dumbbell shapes.
-	if g, err := buildGraph("lollipop:16:60", 1); err != nil || g.N() != 16 {
-		t.Errorf("lollipop: %v", err)
-	}
-	if g, err := buildGraph("dumbbell:16:60", 1); err != nil || g.N() != 32 {
-		t.Errorf("dumbbell: %v", err)
-	}
-}
-
-func TestBuildGraphRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{"nope:5", "grid:5", "grid:ax4", "random:5", "ring", "ring:x"} {
-		if _, err := buildGraph(spec, 1); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-}
+	"ule/internal/serve"
+)
 
 func TestRunListAndElection(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+	if err := run([]string{"-list"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-graph", "ring:16", "-algo", "leastel", "-trials", "2"}); err != nil {
+	if err := run([]string{"-graph", "ring:16", "-algo", "leastel", "-trials", "2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-graph", "ring:16", "-algo", "leastel", "-mode", "async", "-delay", "random:4"}); err != nil {
+	if err := run([]string{"-graph", "ring:16", "-algo", "leastel", "-mode", "async", "-delay", "random:4"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-algo", "no-such"}); err == nil {
+	if err := run([]string{"-algo", "no-such"}, io.Discard); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run([]string{"-mode", "quantum"}); err == nil {
+	if err := run([]string{"-graph", "nope:5"}, io.Discard); err == nil {
+		t.Error("unknown graph family accepted")
+	}
+	if err := run([]string{"-mode", "quantum"}, io.Discard); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if err := run([]string{"-mode", "async", "-delay", "gauss:2"}); err == nil {
+	if err := run([]string{"-mode", "async", "-delay", "gauss:2"}, io.Discard); err == nil {
 		t.Error("unknown delay schedule accepted")
+	}
+}
+
+// TestSmallIDsRowMatchesService: a `ule` row is the election a uled request
+// with the same graph, algorithm, seed and small_ids runs — one ID stream,
+// one recipe. dfs makes the ID assignment visible in every column.
+func TestSmallIDsRowMatchesService(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-graph", "ring:16", "-algo", "dfs", "-small-ids", "-seed", "7"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	m := serve.NewManager(serve.Config{Slots: 1})
+	defer m.Shutdown(context.Background())
+	want, err := m.RunElection(context.Background(), serve.ElectionRequest{
+		Graph: "ring:16", GraphSeed: 7, Algo: "dfs", Seed: 7, SmallIDs: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 6 && f[0] == "0" {
+			row = f
+		}
+	}
+	if row == nil {
+		t.Fatalf("no trial-0 row in:\n%s", out.String())
+	}
+	got := strings.Join(row[1:4], " ")
+	if w := fmt.Sprintf("%d %d %d", want.Rounds, want.Messages, want.Bits); got != w {
+		t.Errorf("ule row rounds/messages/bits = %s, uled says %s", got, w)
 	}
 }

@@ -1,31 +1,24 @@
-// Command uled-load is the closed-loop load harness for the uled server:
-// it drives POST /v1/elections and POST /v1/sweeps at configurable
-// concurrency and request mix, records p50/p95/p99 latency and
-// elections/sec per level, checks goroutine flatness and byte-identity
-// against the batch path, and writes the measurement document consumed
-// by BENCH_SERVE.json.
+// Command uled-load is the boot-and-correctness check of the uled server
+// (make serve-smoke): healthz, a deterministic election (served twice,
+// byte-identical, and equal to the locally computed batch result), a
+// guaranteed-400 model error, a streamed sweep verified byte-for-byte
+// against a local harness run, an async job lifecycle (submit, poll,
+// fetch, delete) and a goroutine-flatness check via /debug/vars. Load
+// measurement is cmd/ule-bench's serve-mix workload.
 //
 // Usage:
 //
-//	uled-load -addr http://127.0.0.1:8080 -levels 4,16,64 -duration 3s
-//	uled-load -spawn bin/uled -levels 4,16,64 -out BENCH_SERVE.json
-//	uled-load -spawn bin/uled -smoke        # CI boot check (make serve-smoke)
+//	uled-load -addr http://127.0.0.1:8080 -smoke
+//	uled-load -spawn bin/uled -smoke
 //
 // -spawn boots its own uled on an ephemeral port (via -addr-file), sends
 // SIGTERM when done, and fails unless the server drains and exits 0 — so
-// one invocation exercises boot, load and graceful shutdown end to end.
-//
-// -smoke runs the correctness sequence instead of a load sweep: healthz,
-// a deterministic election (served twice, byte-identical, and equal to
-// the locally computed batch result), a streamed sweep verified
-// byte-for-byte against a local harness run, an async job lifecycle
-// (submit, poll, fetch, delete), a guaranteed-400 model error, and a
-// goroutine-flatness check via /debug/vars.
+// one invocation exercises boot, requests and graceful shutdown end to end.
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,12 +27,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -56,55 +44,35 @@ func main() {
 }
 
 type options struct {
-	addr       string
-	levels     []int
-	duration   time.Duration
-	warmup     time.Duration
-	sweepEvery int
-	graph      string
-	algo       string
-	model      string
-	seed       int64
-	out        string
-	verify     bool
-	sweepSpec  harness.Spec
+	addr      string
+	graph     string
+	algo      string
+	model     string
+	seed      int64
+	sweepSpec harness.Spec
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("uled-load", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", "", "server base URL (e.g. http://127.0.0.1:8080); empty with -spawn")
-		spawn      = fs.String("spawn", "", "path to a uled binary to boot on an ephemeral port and shut down after the run")
-		spawnArgs  = fs.String("spawn-args", "", "extra uled flags for -spawn (space-separated)")
-		smoke      = fs.Bool("smoke", false, "run the boot/correctness sequence instead of a load sweep")
-		levels     = fs.String("levels", "4,16,64", "comma-separated closed-loop concurrency levels")
-		duration   = fs.Duration("duration", 3*time.Second, "measured time per level")
-		warmup     = fs.Duration("warmup", 500*time.Millisecond, "per-level warmup (not measured)")
-		sweepEvery = fs.Int("sweep-every", 16, "every Nth request per worker is a sweep (0 = elections only)")
-		graphSpec  = fs.String("graph", "ring:64", "election request graph spec")
-		algo       = fs.String("algo", "leastel", "election request algorithm")
-		model      = fs.String("model", "", "election request execution model")
-		seed       = fs.Int64("seed", 1, "base seed; each request increments it")
-		sweepFile  = fs.String("sweep-spec", "", "sweep-mix spec: JSON file or builtin:smoke (default: a small built-in mix)")
-		out        = fs.String("out", "", "write the measurement JSON here (default stdout)")
-		verify     = fs.Bool("verify", true, "verify server sweep stream byte-identical to a local harness run")
+		addr      = fs.String("addr", "", "server base URL (e.g. http://127.0.0.1:8080); empty with -spawn")
+		spawn     = fs.String("spawn", "", "path to a uled binary to boot on an ephemeral port and shut down after the run")
+		spawnArgs = fs.String("spawn-args", "", "extra uled flags for -spawn (space-separated)")
+		smoke     = fs.Bool("smoke", false, "run the boot/correctness sequence (the only mode; load measurement is cmd/ule-bench)")
+		graphSpec = fs.String("graph", "ring:64", "election request graph spec")
+		algo      = fs.String("algo", "leastel", "election request algorithm")
+		model     = fs.String("model", "", "election request execution model")
+		seed      = fs.Int64("seed", 1, "election request seed")
+		sweepFile = fs.String("sweep-spec", "", "sweep spec: JSON file or builtin:smoke (default: a small built-in mix)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !*smoke {
+		return fmt.Errorf("need -smoke (load measurement moved to cmd/ule-bench, workload serve-mix)")
+	}
 
-	o := options{
-		addr: *addr, duration: *duration, warmup: *warmup,
-		sweepEvery: *sweepEvery, graph: *graphSpec, algo: *algo,
-		model: *model, seed: *seed, out: *out, verify: *verify,
-	}
-	for _, s := range strings.Split(*levels, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || v < 1 {
-			return fmt.Errorf("bad -levels entry %q", s)
-		}
-		o.levels = append(o.levels, v)
-	}
+	o := options{addr: *addr, graph: *graphSpec, algo: *algo, model: *model, seed: *seed}
 	if *sweepFile != "" {
 		spec, err := cmdutil.LoadSpec(*sweepFile)
 		if err != nil {
@@ -128,7 +96,7 @@ func run(args []string) error {
 			return err
 		}
 		o.addr = "http://" + sp.addr
-		runErr := dispatch(o, *smoke)
+		runErr := runSmoke(o)
 		stopErr := sp.stop()
 		if runErr != nil {
 			return runErr
@@ -141,14 +109,7 @@ func run(args []string) error {
 	if !strings.HasPrefix(o.addr, "http") {
 		o.addr = "http://" + o.addr
 	}
-	return dispatch(o, *smoke)
-}
-
-func dispatch(o options, smoke bool) error {
-	if smoke {
-		return runSmoke(o)
-	}
-	return runBench(o)
+	return runSmoke(o)
 }
 
 // ---- server spawning ----
@@ -258,21 +219,6 @@ func (o options) electionBody(seed int64) []byte {
 	}
 	b, _ := json.Marshal(req)
 	return b
-}
-
-// countTrialLines counts the trial records of an NDJSON sweep stream
-// (every line except the header and the groups trailer).
-func countTrialLines(body []byte) int {
-	n := 0
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		n++
-	}
-	if n < 2 {
-		return 0
-	}
-	return n - 2
 }
 
 // localSweepNDJSON renders the batch-path NDJSON document for spec.
@@ -433,21 +379,12 @@ func runSmoke(o options) error {
 
 // localElectionJSON computes the batch-path election result document.
 func localElectionJSON(m *serve.Manager, req serve.ElectionRequest) ([]byte, error) {
-	res, err := m.RunElection(noCancel{}, req)
+	res, err := m.RunElection(context.Background(), req)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(res)
 }
-
-// noCancel is a never-done context (the local verification runs have no
-// request lifetime to inherit).
-type noCancel struct{}
-
-func (noCancel) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (noCancel) Done() <-chan struct{}       { return nil }
-func (noCancel) Err() error                  { return nil }
-func (noCancel) Value(any) any               { return nil }
 
 func waitFlat(check func() (bool, error), budget time.Duration) error {
 	deadline := time.Now().Add(budget)
@@ -465,256 +402,4 @@ func waitFlat(check func() (bool, error), budget time.Duration) error {
 		return lastErr
 	}
 	return fmt.Errorf("still above the flatness bound after %v", budget)
-}
-
-// ---- bench mode ----
-
-// levelResult is one concurrency level's measurement.
-type levelResult struct {
-	Concurrency int     `json:"concurrency"`
-	DurationSec float64 `json:"duration_sec"`
-	Requests    int64   `json:"requests"`
-	Errors      int64   `json:"errors"`
-	Elections   int64   `json:"elections"`
-	Sweeps      int64   `json:"sweeps"`
-	// Trials counts sweep trial records; each is one served election, so
-	// ElectionsPerSec = (Elections + Trials) / DurationSec.
-	Trials          int64      `json:"trials"`
-	ElectionsPerSec float64    `json:"elections_per_sec"`
-	LatencyMS       latencySet `json:"latency_ms"`
-	GoroutinesAfter int        `json:"goroutines_after"`
-}
-
-type latencySet struct {
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Mean float64 `json:"mean"`
-	Max  float64 `json:"max"`
-}
-
-// benchDoc is the BENCH_SERVE.json document.
-type benchDoc struct {
-	Bench      string `json:"bench"`
-	Server     string `json:"server"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Method describes how the numbers were measured (docs/PERFORMANCE.md
-	// § "Serving layer" records the full protocol).
-	Method    string        `json:"method"`
-	Election  string        `json:"election_request"`
-	SweepMix  string        `json:"sweep_mix"`
-	Levels    []levelResult `json:"levels"`
-	Sustained struct {
-		GoroutinesStart int  `json:"goroutines_start"`
-		GoroutinesEnd   int  `json:"goroutines_end"`
-		Flat            bool `json:"flat"`
-	} `json:"sustained"`
-	VerifiedByteIdentical bool `json:"verified_byte_identical"`
-}
-
-func runBench(o options) error {
-	base := o.addr
-	probe := newClient(4)
-	var health struct {
-		Status string `json:"status"`
-	}
-	if err := getJSON(probe, base+"/healthz", &health); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-	g0, err := goroutines(probe, base)
-	if err != nil {
-		return fmt.Errorf("debug/vars: %w", err)
-	}
-
-	doc := benchDoc{
-		Bench:      "uled-load",
-		Server:     "cmd/uled",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Method: fmt.Sprintf("closed loop, %v per level after %v warmup; every %dth request per worker is a sweep; latency percentiles over election requests",
-			o.duration, o.warmup, o.sweepEvery),
-		Election: fmt.Sprintf("{graph:%s, algo:%s, model:%q, seed:base+i}", o.graph, o.algo, o.model),
-		SweepMix: fmt.Sprintf("%s (%d trials)", o.sweepSpec.Name, o.sweepSpec.NumTrials()),
-	}
-
-	if o.verify {
-		specJSON, _ := json.Marshal(o.sweepSpec)
-		code, stream, err := postJSON(probe, base+"/v1/sweeps", specJSON)
-		if err != nil || code != http.StatusOK {
-			return fmt.Errorf("verify sweep: status %d err %v", code, err)
-		}
-		want, err := localSweepNDJSON(o.sweepSpec)
-		if err != nil {
-			return fmt.Errorf("verify local run: %w", err)
-		}
-		if !bytes.Equal(stream, want) {
-			return fmt.Errorf("served NDJSON differs from the batch path (%d vs %d bytes)", len(stream), len(want))
-		}
-		doc.VerifiedByteIdentical = true
-		fmt.Fprintln(os.Stderr, "uled-load: sweep stream verified byte-identical to the batch path")
-	}
-
-	seedCtr := o.seed
-	for _, conc := range o.levels {
-		lv, err := o.runLevel(base, conc, &seedCtr)
-		if err != nil {
-			return fmt.Errorf("level %d: %w", conc, err)
-		}
-		doc.Levels = append(doc.Levels, *lv)
-		fmt.Fprintf(os.Stderr, "uled-load: c=%-4d %8.0f elections/s  p50=%.2fms p95=%.2fms p99=%.2fms  errors=%d\n",
-			conc, lv.ElectionsPerSec, lv.LatencyMS.P50, lv.LatencyMS.P95, lv.LatencyMS.P99, lv.Errors)
-	}
-
-	g1, err := goroutines(probe, base)
-	if err != nil {
-		return err
-	}
-	// Give the server a beat to reap per-connection goroutines, then
-	// judge flatness against the pre-load baseline.
-	flat := g1 <= g0+8
-	if !flat {
-		if waitFlat(func() (bool, error) {
-			var err error
-			g1, err = goroutines(probe, base)
-			return err == nil && g1 <= g0+8, err
-		}, 5*time.Second) == nil {
-			flat = true
-		}
-	}
-	doc.Sustained.GoroutinesStart = g0
-	doc.Sustained.GoroutinesEnd = g1
-	doc.Sustained.Flat = flat
-	if !flat {
-		fmt.Fprintf(os.Stderr, "uled-load: WARNING goroutines grew %d -> %d\n", g0, g1)
-	}
-
-	enc, _ := json.MarshalIndent(doc, "", "  ")
-	enc = append(enc, '\n')
-	if o.out == "" || o.out == "-" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(o.out, enc, 0o644)
-}
-
-// runLevel drives one closed-loop concurrency level.
-func (o options) runLevel(base string, conc int, seedCtr *int64) (*levelResult, error) {
-	client := newClient(conc)
-	electionURL := base + "/v1/elections"
-	sweepURL := base + "/v1/sweeps"
-	sweepJSON, _ := json.Marshal(o.sweepSpec)
-
-	var (
-		stop      atomic.Bool
-		measuring atomic.Bool
-		requests  atomic.Int64
-		errs      atomic.Int64
-		elections atomic.Int64
-		sweeps    atomic.Int64
-		trials    atomic.Int64
-	)
-	lats := make([][]float64, conc) // per-worker election latencies (ms)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				isSweep := o.sweepEvery > 0 && i%o.sweepEvery == o.sweepEvery-1
-				start := time.Now()
-				var (
-					code int
-					body []byte
-					err  error
-				)
-				if isSweep {
-					code, body, err = postJSON(client, sweepURL, sweepJSON)
-				} else {
-					seed := atomic.AddInt64(seedCtr, 1)
-					code, body, err = postJSON(client, electionURL, o.electionBody(seed))
-				}
-				if !measuring.Load() {
-					continue // warmup or drain
-				}
-				requests.Add(1)
-				if err != nil || code != http.StatusOK {
-					errs.Add(1)
-					continue
-				}
-				if isSweep {
-					sweeps.Add(1)
-					trials.Add(int64(countTrialLines(body)))
-				} else {
-					elections.Add(1)
-					lats[w] = append(lats[w], float64(time.Since(start).Microseconds())/1000)
-				}
-			}
-		}(w)
-	}
-
-	time.Sleep(o.warmup)
-	measuring.Store(true)
-	t0 := time.Now()
-	time.Sleep(o.duration)
-	measuring.Store(false)
-	elapsed := time.Since(t0)
-	stop.Store(true)
-	wg.Wait()
-
-	var all []float64
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return nil, fmt.Errorf("no successful election requests (errors=%d)", errs.Load())
-	}
-	sort.Float64s(all)
-	lv := &levelResult{
-		Concurrency: conc,
-		DurationSec: elapsed.Seconds(),
-		Requests:    requests.Load(),
-		Errors:      errs.Load(),
-		Elections:   elections.Load(),
-		Sweeps:      sweeps.Load(),
-		Trials:      trials.Load(),
-		LatencyMS: latencySet{
-			P50:  percentile(all, 0.50),
-			P95:  percentile(all, 0.95),
-			P99:  percentile(all, 0.99),
-			Mean: mean(all),
-			Max:  all[len(all)-1],
-		},
-	}
-	lv.ElectionsPerSec = float64(lv.Elections+lv.Trials) / elapsed.Seconds()
-	// Return this level's keep-alive connections before sampling, so the
-	// goroutine figure reflects the server, not the client's idle pool.
-	client.CloseIdleConnections()
-	time.Sleep(50 * time.Millisecond)
-	if g, err := goroutines(client, base); err == nil {
-		lv.GoroutinesAfter = g
-	}
-	client.CloseIdleConnections()
-	return lv, nil
-}
-
-// percentile returns the q-quantile of sorted xs (nearest-rank with
-// linear interpolation between the surrounding order statistics).
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -163,29 +163,8 @@ type Params struct {
 	// "async+fifo:8+crashrec:0.1:32+drop:0.05", ... See sim.ParseModel
 	// (re-exported as ParseModel) for the grammar and the axis
 	// constraints; that doc is the single source of truth. Empty means
-	// CONGEST, unless one of the deprecated fields below is set.
+	// CONGEST, fault-free.
 	Model string
-	// Local switches to the LOCAL model (unbounded messages).
-	//
-	// Deprecated: use Model ("local"). Ignored when Model is non-empty;
-	// otherwise equivalent by the pinned shim mapping (Async wins over
-	// Local).
-	Local bool
-	// Async switches to the event-driven asynchronous model.
-	//
-	// Deprecated: use Model ("async"). Ignored when Model is non-empty.
-	Async bool
-	// Delay is the ASYNC message-delay schedule spec.
-	//
-	// Deprecated: use Model ("async+random:4", ...). Ignored when Model
-	// is non-empty.
-	Delay string
-	// Parallel asks for one engine shard per core whatever the graph size.
-	//
-	// Deprecated: leave Shards at 0 and the engine shards large graphs by
-	// itself; set Shards to -1 for what this did. Ignored when Shards is
-	// non-zero.
-	Parallel bool
 	// Shards partitions the simulation into concurrently stepped node
 	// shards. Any value produces byte-identical results: 0 = engine
 	// decides (large graphs are split across the cores, small ones are
@@ -200,49 +179,21 @@ type Params struct {
 
 // Elect runs the named algorithm (see Algorithms) on g.
 func Elect(g *Graph, algorithm string, p Params) (*Result, error) {
-	ro, err := p.runOpts()
+	m, err := sim.ParseModel(p.Model)
 	if err != nil {
 		return nil, err
 	}
-	return core.Run(g, algorithm, ro)
-}
-
-// runOpts resolves the Params, deprecated shims included, into the
-// algorithm layer's options.
-func (p Params) runOpts() (core.RunOpts, error) {
-	ro := core.RunOpts{
+	return core.Run(g, algorithm, core.RunOpts{
 		Seed:      p.Seed,
 		IDs:       p.IDs,
 		Anonymous: p.Anonymous,
 		D:         p.D,
 		MaxRounds: p.MaxRounds,
+		Model:     m,
 		Shards:    p.Shards,
 		Wake:      p.Wake,
 		Opt:       p.Opt,
-	}
-	if p.Parallel && p.Shards == 0 {
-		// Deprecated-shim mapping, pinned by TestParallelShim.
-		ro.Shards = -1
-	}
-	if p.Model != "" {
-		m, err := sim.ParseModel(p.Model)
-		if err != nil {
-			return core.RunOpts{}, err
-		}
-		ro.Model = m
-	} else {
-		// Deprecated-shim mapping, pinned by TestParamShimEquivalence.
-		switch {
-		case p.Async:
-			ro.Mode = sim.ASYNC
-		case p.Local:
-			ro.Mode = sim.LOCAL
-		default:
-			ro.Mode = sim.CONGEST
-		}
-		ro.Delay = p.Delay
-	}
-	return ro, nil
+	})
 }
 
 // Run executes an arbitrary protocol under the low-level simulator

@@ -1,7 +1,6 @@
 package election_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -55,11 +54,11 @@ func TestElectEveryRegisteredAlgorithm(t *testing.T) {
 
 func TestLocalModeAndParallel(t *testing.T) {
 	g := election.Torus(5, 5)
-	a, err := election.Elect(g, "leastel", election.Params{Seed: 2, Local: true})
+	a, err := election.Elect(g, "leastel", election.Params{Seed: 2, Model: "local"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := election.Elect(g, "leastel", election.Params{Seed: 2, Parallel: true})
+	b, err := election.Elect(g, "leastel", election.Params{Seed: 2, Shards: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,56 +101,6 @@ func TestCustomProtocol(t *testing.T) {
 	}
 	if res.Messages != 16 {
 		t.Errorf("messages = %d, want 16", res.Messages)
-	}
-}
-
-// TestParamShimEquivalence pins the deprecated Local/Async/Delay shims to
-// the Model spec strings they map onto: every legacy field combination
-// must produce exactly the result of its Model equivalent.
-func TestParamShimEquivalence(t *testing.T) {
-	g := election.Ring(24)
-	cases := []struct {
-		legacy election.Params
-		model  string
-	}{
-		{election.Params{}, "congest"},
-		{election.Params{Local: true}, "local"},
-		{election.Params{Async: true}, "async"},
-		{election.Params{Async: true, Local: true}, "async"}, // Async wins
-		{election.Params{Async: true, Delay: "random:4"}, "async+random:4"},
-		{election.Params{Async: true, Delay: "fifo:3"}, "async+fifo:3"},
-		{election.Params{Async: true, Delay: "unit"}, "async+unit"},
-	}
-	for _, c := range cases {
-		for _, algo := range []string{"leastel", "flood"} {
-			lp := c.legacy
-			lp.Seed, lp.MaxRounds = 7, 1<<14
-			old, err := election.Elect(g, algo, lp)
-			if err != nil {
-				t.Fatalf("%s legacy %+v: %v", algo, c.legacy, err)
-			}
-			np := election.Params{Seed: 7, MaxRounds: 1 << 14, Model: c.model}
-			new_, err := election.Elect(g, algo, np)
-			if err != nil {
-				t.Fatalf("%s model %q: %v", algo, c.model, err)
-			}
-			if !reflect.DeepEqual(old, new_) {
-				t.Errorf("%s: legacy %+v != model %q\nlegacy: %+v\nmodel:  %+v",
-					algo, c.legacy, c.model, old, new_)
-			}
-		}
-	}
-	// A Model string beats the legacy fields when both are set.
-	a, err := election.Elect(g, "flood", election.Params{Seed: 7, Model: "local", Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := election.Elect(g, "flood", election.Params{Seed: 7, Local: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("Model must take precedence over the deprecated bools")
 	}
 }
 

@@ -25,7 +25,7 @@ func ExampleElect() {
 // adversary schedule; the same seed always reproduces the same transcript.
 func ExampleElect_async() {
 	g := election.Ring(32)
-	p := election.Params{Seed: 7, Async: true, Delay: "fifo:4"}
+	p := election.Params{Seed: 7, Model: "async+fifo:4"}
 	a, err := election.Elect(g, "leastel", p)
 	if err != nil {
 		panic(err)

@@ -2,6 +2,8 @@ package cmdutil
 
 import (
 	"time"
+
+	"ule/internal/sim"
 )
 
 // Backoff computes capped exponential retry delays with deterministic
@@ -59,7 +61,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	}
 	if jitter > 0 {
 		// splitmix64 of (seed, attempt) → uniform fraction in [0, 1).
-		u := splitmix64(b.Seed + uint64(attempt)*0x9E3779B97F4A7C15)
+		u := sim.SplitMix64(b.Seed + uint64(attempt)*0x9E3779B97F4A7C15)
 		frac := float64(u>>11) / float64(1<<53)
 		d *= 1 - jitter*frac
 	}
@@ -77,13 +79,4 @@ func (b Backoff) Sleep(attempt int, done <-chan struct{}) bool {
 	case <-done:
 		return false
 	}
-}
-
-// splitmix64 is the SplitMix64 mixing function — a high-quality
-// stateless hash from 64 bits to 64 bits.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

@@ -1,9 +1,9 @@
-// Package cmdutil holds the small request/flag-resolution helpers shared
-// by the command-line front ends (cmd/ule, cmd/ule-experiments) and the
-// serving layer (cmd/uled via internal/serve): graph-spec construction,
-// execution-model composition from the legacy flag split, sweep-spec
-// loading and the CLI axis overrides. Each helper used to be copied
-// between the commands; this package is the single home.
+// Package cmdutil holds the small helpers shared by the command-line
+// front ends (cmd/ule, cmd/ule-experiments, cmd/uled-load) and the fleet
+// coordinator: execution-model composition from the -mode/-delay/-faults
+// flag split, sweep-spec loading, the CLI axis overrides and the retry
+// Backoff. Each helper used to be copied between the commands; this
+// package is the single home.
 package cmdutil
 
 import (
@@ -12,41 +12,23 @@ import (
 	"os"
 	"strings"
 
-	"ule/internal/graph"
 	"ule/internal/harness"
 	"ule/internal/sim"
 )
 
-// BuildGraph parses a graph family spec through the shared parser in
-// internal/graph — the same grammar the sweep harness and the serving
-// layer accept.
-func BuildGraph(spec string, seed int64) (*graph.Graph, error) {
-	return graph.FromSpec(spec, seed)
-}
-
 // ResolveModel composes the execution-model flag set into one validated
 // sim.ModelSpec. model ("async+random:4+crash:0.2", ...) wins when
-// non-empty; otherwise the legacy mode/delay/local flags are folded into
-// the same spec grammar (local overrides mode, a delay term is appended
-// when set). faults appends the fault adversary either way.
-func ResolveModel(model, mode, delay, faults string, local bool) (sim.ModelSpec, error) {
+// non-empty; otherwise the mode/delay flags are folded into the same spec
+// grammar (a delay term is appended when set). faults appends the fault
+// adversary either way.
+func ResolveModel(model, mode, delay, faults string) (sim.ModelSpec, error) {
 	spec := model
 	if spec == "" {
 		m, err := sim.ParseMode(mode)
 		if err != nil {
 			return sim.ModelSpec{}, err
 		}
-		if local {
-			m = sim.LOCAL
-		}
-		switch m {
-		case sim.LOCAL:
-			spec = "local"
-		case sim.ASYNC:
-			spec = "async"
-		default:
-			spec = "congest"
-		}
+		spec = m.String()
 		if delay != "" {
 			spec += "+" + delay
 		}

@@ -9,19 +9,6 @@ import (
 	"ule/internal/sim"
 )
 
-func TestBuildGraph(t *testing.T) {
-	g, err := BuildGraph("ring:16", 1)
-	if err != nil {
-		t.Fatalf("ring:16: %v", err)
-	}
-	if g.N() != 16 {
-		t.Fatalf("ring:16 has n=%d", g.N())
-	}
-	if _, err := BuildGraph("blob:9", 1); err == nil {
-		t.Fatal("bad family accepted")
-	}
-}
-
 func TestResolveModel(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -29,7 +16,6 @@ func TestResolveModel(t *testing.T) {
 		mode   string
 		delay  string
 		faults string
-		local  bool
 		want   sim.Mode
 		faulty bool
 		err    bool
@@ -37,14 +23,14 @@ func TestResolveModel(t *testing.T) {
 		{name: "model wins", model: "async+random:4", mode: "congest", want: sim.ASYNC},
 		{name: "legacy congest", mode: "congest", want: sim.CONGEST},
 		{name: "legacy async with delay", mode: "async", delay: "random:4", want: sim.ASYNC},
-		{name: "local overrides mode", mode: "congest", local: true, want: sim.LOCAL},
+		{name: "legacy local", mode: "local", want: sim.LOCAL},
 		{name: "faults appended", mode: "congest", faults: "crash:0.1", want: sim.CONGEST, faulty: true},
 		{name: "bad mode", mode: "warp", err: true},
 		{name: "bad model", model: "warp", err: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ResolveModel(tc.model, tc.mode, tc.delay, tc.faults, tc.local)
+			got, err := ResolveModel(tc.model, tc.mode, tc.delay, tc.faults)
 			if tc.err {
 				if err == nil {
 					t.Fatal("want error")

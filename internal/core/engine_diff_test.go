@@ -62,11 +62,15 @@ func TestAsyncAllAlgorithmsDeterministic(t *testing.T) {
 	for _, algo := range Names() {
 		for _, delay := range []string{"unit", "random:5", "fifo:5"} {
 			t.Run(algo+"/"+delay, func(t *testing.T) {
+				m, err := sim.ParseModel("async+" + delay)
+				if err != nil {
+					t.Fatal(err)
+				}
 				run := func() []byte {
 					res, err := Run(g, algo, RunOpts{
-						Seed: 8,
-						IDs:  sim.PermutationIDs(g.N(), rand.New(rand.NewSource(8))),
-						Mode: sim.ASYNC, Delay: delay, MaxRounds: 1 << 12,
+						Seed:  8,
+						IDs:   sim.PermutationIDs(g.N(), rand.New(rand.NewSource(8))),
+						Model: m, MaxRounds: 1 << 12,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -180,7 +180,7 @@ func TestLocalModeMatchesCongest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(g, algo, RunOpts{Seed: 2, IDs: ids, Mode: sim.LOCAL})
+		b, err := Run(g, algo, RunOpts{Seed: 2, IDs: ids, Model: sim.ModelSpec{Mode: sim.LOCAL}})
 		if err != nil {
 			t.Fatal(err)
 		}

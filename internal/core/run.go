@@ -25,17 +25,10 @@ type RunOpts struct {
 	MaxRounds int
 	// Model is the execution model — mode, delay schedule and fault
 	// schedule in one parsed value. See sim.ModelSpec for the axes and
-	// their constraints (that doc is the single source of truth). The
-	// zero ModelSpec defers to the deprecated Mode/Delay fields below.
+	// their constraints (that doc is the single source of truth); it is
+	// handed to the engine unchanged. The zero ModelSpec is CONGEST,
+	// fault-free.
 	Model sim.ModelSpec
-	// Mode selects the communication model.
-	//
-	// Deprecated: set Model (ignored unless Model is zero).
-	Mode sim.Mode
-	// Delay is the ASYNC message-delay schedule spec.
-	//
-	// Deprecated: set Model (ignored unless Model is zero).
-	Delay string
 	// DenseLoop selects the legacy dense per-round engine (synchronous
 	// modes only; used by differential tests and engine benchmarks).
 	DenseLoop bool
@@ -70,21 +63,6 @@ func (ro RunOpts) config(g *graph.Graph, spec Spec) (sim.Config, sim.Protocol, e
 		rng := rand.New(rand.NewSource(sim.NodeSeed(ro.Seed, -1)))
 		ids = sim.RandomIDs(g.N(), rng)
 	}
-	// The deprecated Mode/Delay shims fold into a ModelSpec, so from here
-	// on there is exactly one model representation.
-	m := ro.Model
-	if m.IsZero() {
-		m.Mode = ro.Mode
-		if ro.Delay != "" || ro.Mode == sim.ASYNC {
-			ds, err := sim.ParseDelay(ro.Delay)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			// A non-empty Delay outside ASYNC mode is passed through so
-			// the engine rejects the misconfiguration.
-			m.Delay = ds
-		}
-	}
 	cfg := sim.Config{
 		Graph: g,
 		IDs:   ids,
@@ -94,9 +72,7 @@ func (ro RunOpts) config(g *graph.Graph, spec Spec) (sim.Config, sim.Protocol, e
 			D: d, HasD: spec.NeedsD,
 		},
 		Seed:          ro.Seed,
-		Mode:          m.Mode,
-		Delay:         m.Delay,
-		Faults:        m.Faults,
+		Model:         ro.Model,
 		MaxRounds:     ro.MaxRounds,
 		Wake:          ro.Wake,
 		StopWhenQuiet: spec.Quiet,
@@ -163,6 +139,9 @@ func Prepare(g *graph.Graph, algo string) (*Prepared, error) {
 
 // Spec returns the algorithm spec this Prepared runs.
 func (p *Prepared) Spec() Spec { return p.spec }
+
+// Graph returns the graph this Prepared is bound to.
+func (p *Prepared) Graph() *graph.Graph { return p.g }
 
 // Run executes one trial.
 func (p *Prepared) Run(ro RunOpts) (*sim.Result, error) {

@@ -13,10 +13,11 @@ package fleet
 
 import (
 	"ule/internal/harness"
+	"ule/internal/sim"
 )
 
 // ChaosPlan injects seed-deterministic faults into a fleet run: for each
-// work unit an independent deterministic draw (splitmix64 over Seed and
+// work unit an independent deterministic draw (sim.SplitMix64 over Seed and
 // the unit index) selects at most one fault, applied only to the unit's
 // first attempt so retries always converge. The same seed and unit
 // layout reproduce the exact fault schedule — the chaos gate in CI
@@ -91,9 +92,9 @@ func (p *ChaosPlan) actions(units []harness.TrialRange) map[int]chaosAction {
 
 // decide draws the fault (if any) for one unit.
 func (p *ChaosPlan) decide(unit, count int) chaosAction {
-	u1 := splitmix64(p.Seed ^ (uint64(unit+1) * 0x9E3779B97F4A7C15))
+	u1 := sim.SplitMix64(p.Seed ^ (uint64(unit+1) * 0x9E3779B97F4A7C15))
 	frac := float64(u1>>11) / float64(1<<53)
-	u2 := splitmix64(u1)
+	u2 := sim.SplitMix64(u1)
 	switch {
 	case frac < p.Kill:
 		// K in [0, count]: 0 kills at the unit boundary before any trial,
@@ -105,12 +106,4 @@ func (p *ChaosPlan) decide(unit, count int) chaosAction {
 		return chaosAction{kind: chaosCorrupt}
 	}
 	return chaosAction{kind: chaosNone}
-}
-
-// splitmix64 is the SplitMix64 mixing function (stateless 64→64 hash).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

@@ -2,7 +2,7 @@ package graph
 
 // Topology benchmarks behind `make bench-graph` (docs/PERFORMANCE.md
 // "Topology fast path"): CSR construction across densities, scratch BFS,
-// and the exact/estimated diameter. Regenerates BENCH_GRAPH_CSR.json.
+// and the exact/estimated diameter.
 
 import (
 	"math/rand"

@@ -8,23 +8,23 @@ import (
 func TestFromSpecFamilies(t *testing.T) {
 	cases := []struct {
 		spec      string
-		n         int
+		n, m      int // m == 0: the edge count depends on the family's parameters
 		connected bool
 	}{
-		{"path:8", 8, true},
-		{"ring:8", 8, true},
-		{"star:8", 8, true},
-		{"complete:6", 6, true},
-		{"hypercube:3", 8, true},
-		{"grid:3x4", 12, true},
-		{"torus:3x4", 12, true},
-		{"bipartite:3x4", 7, true},
-		{"random:16:30", 16, true},
-		{"regular:16:4", 16, true},
-		{"caterpillar:5:2", 15, true},
-		{"lollipop:12:24", 12, true},
-		{"dumbbell:12:24", 24, true},
-		{"cliquecycle:32:8", 32, true},
+		{"path:8", 8, 7, true},
+		{"ring:8", 8, 8, true},
+		{"star:8", 8, 7, true},
+		{"complete:6", 6, 15, true},
+		{"hypercube:3", 8, 12, true},
+		{"grid:3x4", 12, 17, true},
+		{"torus:3x4", 12, 24, true},
+		{"bipartite:3x4", 7, 12, true},
+		{"random:16:30", 16, 30, true},
+		{"regular:16:4", 16, 32, true},
+		{"caterpillar:5:2", 15, 14, true},
+		{"lollipop:12:24", 12, 0, true},
+		{"dumbbell:12:24", 24, 0, true},
+		{"cliquecycle:32:8", 32, 0, true},
 	}
 	for _, c := range cases {
 		g, err := FromSpec(c.spec, 1)
@@ -34,6 +34,9 @@ func TestFromSpecFamilies(t *testing.T) {
 		}
 		if g.N() != c.n {
 			t.Errorf("FromSpec(%q): n=%d want %d", c.spec, g.N(), c.n)
+		}
+		if c.m > 0 && g.M() != c.m {
+			t.Errorf("FromSpec(%q): m=%d want %d", c.spec, g.M(), c.m)
 		}
 		if c.connected && !g.Connected() {
 			t.Errorf("FromSpec(%q): not connected", c.spec)

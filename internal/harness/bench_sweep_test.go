@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-
-	"ule/internal/stats"
 )
 
 // syntheticTrials fabricates a deterministic emit-bound trial stream —
@@ -28,10 +26,13 @@ func syntheticTrials(n int) []TrialResult {
 				Rep:  i % 50,
 				Seed: TrialSeed(42, i%50),
 			},
-			N: 256, M: 1024, D: 16,
-			Rounds: 40 + i%17, LastActive: 39 + i%17,
-			Messages: int64(9000 + i%4096), Bits: int64(288000 + 32*(i%4096)),
-			Leaders: 1, Unique: true, Halted: true,
+			N: 256, M: 1024,
+			Outcome: Outcome{
+				D:      16,
+				Rounds: 40 + i%17, LastActive: 39 + i%17,
+				Messages: int64(9000 + i%4096), Bits: int64(288000 + 32*(i%4096)),
+				Leaders: 1, Unique: true, Halted: true,
+			},
 		}
 		if i%16 == 5 {
 			tr.Fault = "crash:0.2"
@@ -54,8 +55,7 @@ func scrambled(n int) []int {
 	return order
 }
 
-// ---- per-trial encoder benchmarks: new append path vs the stdlib path
-// the emitters used before the rewrite ----
+// ---- per-trial encoder benchmarks ----
 
 func BenchmarkEmitTrialJSON(b *testing.B) {
 	trials := syntheticTrials(64)
@@ -66,16 +66,6 @@ func BenchmarkEmitTrialJSON(b *testing.B) {
 	}
 	if len(buf) == 0 {
 		b.Fatal("no output")
-	}
-}
-
-func BenchmarkEmitTrialJSONLegacy(b *testing.B) {
-	trials := syntheticTrials(64)
-	b.ReportAllocs()
-	for i := 0; b.N > i; i++ {
-		if _, err := json.Marshal(trials[i%len(trials)]); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -91,22 +81,12 @@ func BenchmarkEmitTrialCSV(b *testing.B) {
 	}
 }
 
-func BenchmarkEmitTrialCSVLegacy(b *testing.B) {
-	trials := syntheticTrials(64)
-	b.ReportAllocs()
-	for i := 0; b.N > i; i++ {
-		if legacyCSVRow(trials[i%len(trials)]) == "" {
-			b.Fatal("no output")
-		}
-	}
-}
-
 // ---- whole-consumer benchmarks: reorder window + emit + aggregation,
 // exactly the work between a worker's result and the output stream ----
 
-// consumeNew drives the post-PR consumer: ring reorder, append-encoders
-// into one emitter set, IntSample aggregation.
-func consumeNew(trials []TrialResult, order []int, emitters []Emitter) error {
+// consume drives the consumer: ring reorder, append-encoders into one
+// emitter set, IntSample aggregation.
+func consume(trials []TrialResult, order []int, emitters []Emitter) error {
 	ring := newReorderRing(256, 0)
 	var acc groupAcc
 	for _, idx := range order {
@@ -127,51 +107,6 @@ func consumeNew(trials []TrialResult, order []int, emitters []Emitter) error {
 	if acc.trials != len(trials) {
 		return fmt.Errorf("aggregated %d trials, want %d", acc.trials, len(trials))
 	}
-	return nil
-}
-
-// consumeLegacy replicates the pre-PR consumer faithfully: map reorder
-// window, json.Marshal + strconv row building, O(trials) float slices.
-func consumeLegacy(trials []TrialResult, order []int, w io.Writer) error {
-	window := make(map[int]TrialResult)
-	next := 0
-	var msgs, rounds, bs []float64
-	emit := func(tr TrialResult) error {
-		line, err := json.Marshal(tr)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, legacyCSVRow(tr)); err != nil {
-			return err
-		}
-		msgs = append(msgs, float64(tr.Messages))
-		rounds = append(rounds, float64(tr.LastActive))
-		bs = append(bs, float64(tr.Bits))
-		return nil
-	}
-	for _, idx := range order {
-		window[trials[idx].Index] = trials[idx]
-		for {
-			tr, ok := window[next]
-			if !ok {
-				break
-			}
-			delete(window, next)
-			next++
-			if err := emit(tr); err != nil {
-				return err
-			}
-		}
-	}
-	if len(msgs) != len(trials) {
-		return fmt.Errorf("aggregated %d trials, want %d", len(msgs), len(trials))
-	}
-	stats.Summarize(msgs)
-	stats.Summarize(rounds)
-	stats.Summarize(bs)
 	return nil
 }
 
@@ -254,19 +189,6 @@ func BenchmarkSweepConsumerBinary(b *testing.B) {
 	benchSteadyConsumer(b, []Emitter{NewBinaryEmitter(io.Discard, BinaryOptions{})})
 }
 
-func BenchmarkSweepConsumerLegacy(b *testing.B) {
-	trials := syntheticTrials(consumerBenchTrials)
-	order := scrambled(len(trials))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; b.N > i; i++ {
-		if err := consumeLegacy(trials, order, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(consumerBenchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
 // TestAllocBudgetSweepConsumer pins the steady-state allocation budget of
 // the consumer: after warm-up, pushing a trial through the ring, both
 // text encoders, the binary encoder, and the streaming aggregator must
@@ -287,7 +209,7 @@ func TestAllocBudgetSweepConsumer(t *testing.T) {
 		}
 	}
 	run := func() {
-		if err := consumeNew(trials, order, emitters); err != nil {
+		if err := consume(trials, order, emitters); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,15 +223,17 @@ func TestAllocBudgetSweepConsumer(t *testing.T) {
 
 // TestConsumerMemoryFlatInTrialCount is the O(1)-aggregation regression
 // guard at the Run level: the aggregator state after a sweep must scale
-// with distinct observed values, not with trial count. (The full-RSS
-// claim is exercised by the 10^6-trial benchmark in BENCH_SWEEP_PIPELINE;
-// here the property that makes it true is pinned directly.)
+// with distinct observed values, not with trial count — the property that
+// keeps a 10^6-trial sweep's resident memory flat, pinned directly.
 func TestConsumerMemoryFlatInTrialCount(t *testing.T) {
 	var acc groupAcc
 	for i := 0; i < 1_000_000; i++ {
 		tr := TrialResult{
-			N: 8, M: 8, Messages: int64(i % 200), Bits: int64(i % 300),
-			Leaders: 1, Unique: true, Halted: true,
+			N: 8, M: 8,
+			Outcome: Outcome{
+				Messages: int64(i % 200), Bits: int64(i % 300),
+				Leaders: 1, Unique: true, Halted: true,
+			},
 		}
 		tr.LastActive = i % 100
 		acc.add(&tr)

@@ -665,14 +665,17 @@ func readBinRecord(br *binReader, h *binHeader, cells *[]binCell, trialsSeen int
 				Rep:  int(rep),
 				Seed: TrialSeed(h.specSeed, int(rep)),
 			},
-			N: c.n, M: c.m, D: int(vals[0]),
-			Rounds: int(vals[1]), LastActive: int(vals[2]),
-			Messages: int64(vals[3]), Bits: int64(vals[4]),
-			Leaders:     int(leaders),
-			Unique:      flags&binFlagUnique != 0,
-			Halted:      flags&binFlagHalted != 0,
-			HitRoundCap: flags&binFlagHitRoundCap != 0,
-			LiveUnique:  flags&binFlagLiveUnique != 0,
+			N: c.n, M: c.m,
+			Outcome: Outcome{
+				D:      int(vals[0]),
+				Rounds: int(vals[1]), LastActive: int(vals[2]),
+				Messages: int64(vals[3]), Bits: int64(vals[4]),
+				Leaders:     int(leaders),
+				Unique:      flags&binFlagUnique != 0,
+				Halted:      flags&binFlagHalted != 0,
+				HitRoundCap: flags&binFlagHitRoundCap != 0,
+				LiveUnique:  flags&binFlagLiveUnique != 0,
+			},
 		}
 		if flags&binFlagSeed != 0 {
 			u, err := br.uvarint()

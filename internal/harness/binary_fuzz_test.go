@@ -41,9 +41,12 @@ func fuzzSweepDoc(tb testing.TB) []byte {
 				Index: i, Algo: algo, Graph: "ring:8", Mode: "congest",
 				Wake: "sync", Fault: fault, Rep: rep, Seed: TrialSeed(seed, rep),
 			},
-			N: 8, M: 8, D: 4, Rounds: 10 + i, LastActive: 9 + i,
-			Messages: int64(100 * (i + 1)), Bits: int64(4000 * (i + 1)),
-			Leaders: 1, Unique: true, Halted: true,
+			N: 8, M: 8,
+			Outcome: Outcome{
+				D: 4, Rounds: 10 + i, LastActive: 9 + i,
+				Messages: int64(100 * (i + 1)), Bits: int64(4000 * (i + 1)),
+				Leaders: 1, Unique: true, Halted: true,
+			},
 		}
 		switch i {
 		case 1:

@@ -19,8 +19,11 @@ func encodeTrialCases() []TrialResult {
 			Index: 3, Algo: "leastel", Graph: "ring:24", Mode: "congest",
 			Wake: "sync", Rep: 2, Seed: 12345,
 		},
-		N: 24, M: 24, Rounds: 17, LastActive: 15,
-		Messages: 812, Bits: 51968, Leaders: 1, Unique: true, Halted: true,
+		N: 24, M: 24,
+		Outcome: Outcome{
+			Rounds: 17, LastActive: 15,
+			Messages: 812, Bits: 51968, Leaders: 1, Unique: true, Halted: true,
+		},
 	}
 	cases := []TrialResult{
 		{},

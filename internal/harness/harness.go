@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"ule/internal/core"
@@ -17,41 +16,15 @@ import (
 // never accumulate across a sweep).
 type TrialResult struct {
 	Trial
-	// N, M describe the instantiated graph; D is the diameter granted as
-	// knowledge (0 when the algorithm runs without knowing D).
+	// N, M describe the instantiated graph.
 	N int `json:"n"`
 	M int `json:"m"`
-	D int `json:"d,omitempty"`
-	// Rounds is the executed round count; LastActive the last round with
-	// activity (the natural time measure for quiet protocols).
-	Rounds     int `json:"rounds"`
-	LastActive int `json:"last_active"`
-	// Messages and Bits are the run's communication totals.
-	Messages int64 `json:"messages"`
-	Bits     int64 `json:"bits"`
-	// Leaders counts elected nodes; Unique is the paper's success
-	// condition (exactly one leader, nobody undecided).
-	Leaders int  `json:"leaders"`
-	Unique  bool `json:"unique"`
-	// Halted / HitRoundCap describe how the run ended.
-	Halted      bool `json:"halted"`
-	HitRoundCap bool `json:"hit_round_cap,omitempty"`
-	// Fault-cell measurements, set only when the trial ran under a fault
-	// schedule (fault-free trial records are unchanged from earlier
-	// schema versions): applied crash/recovery event counts, messages
-	// lost to the fault adversary, and the fault-tolerant success
-	// condition (core.Correct — a unique leader among the live nodes).
-	Crashes    int   `json:"crashes,omitempty"`
-	Recoveries int   `json:"recoveries,omitempty"`
-	Dropped    int64 `json:"dropped,omitempty"`
-	LiveUnique bool  `json:"live_unique,omitempty"`
+	// Outcome holds the measurements (its fields are inlined in the JSON
+	// record).
+	Outcome
 	// Err records a per-trial model violation ("" = clean run). The sweep
 	// continues past trial errors; Report.Errors counts them.
 	Err string `json:"err,omitempty"`
-
-	// elapsed is kept out of the JSON so emitter output is byte-identical
-	// across worker counts and machines.
-	elapsed time.Duration
 }
 
 // GroupStats aggregates every repetition of one (algo, graph, mode, wake,
@@ -411,56 +384,33 @@ func runTrial(p *plan, t Trial, ws *workerState) TrialResult {
 		}
 		ws.cache[key] = prep
 	}
-	return finishTrial(p, t, g, prep, ws, tr)
+	return finishTrial(p, t, prep, ws, tr)
 }
 
-func finishTrial(p *plan, t Trial, g *graph.Graph, prep *core.Prepared, ws *workerState, tr TrialResult) TrialResult {
-	var ids []int64
-	if p.spec.SmallIDs {
-		ids = sim.PermutationIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(t.Seed, -2))))
-	}
-	ro := core.RunOpts{
-		Seed:      t.Seed,
-		IDs:       ids,
-		MaxRounds: p.spec.MaxRounds,
-		Model:     t.Model(),
-		Wake:      wakeSchedule(t.Wake, g.N(), t.Seed),
-		Shards:    p.shards,
-		Opt:       p.spec.Opt,
-	}
-	if prep.Spec().NeedsD {
-		// Resolve the granted diameter here (memoized on the shared graph)
-		// so the record shows exactly what the algorithm was told; with
-		// Spec.DiameterEstimate that is the cheap double-sweep bound.
-		if p.spec.DiameterEstimate {
-			ro.D = g.DiameterEstimate()
-		} else {
-			ro.D = g.DiameterExact()
-		}
+// finishTrial runs the trial's election (the shared recipe: Election.RunOpts
+// and Reduce) on the worker's recycled Result. The record carries the
+// granted diameter even when the run fails, so it shows exactly what the
+// algorithm was told.
+func finishTrial(p *plan, t Trial, prep *core.Prepared, ws *workerState, tr TrialResult) TrialResult {
+	ro, err := Election{
+		Seed:             t.Seed,
+		Model:            t.model,
+		Wake:             t.Wake,
+		SmallIDs:         p.spec.SmallIDs,
+		DiameterEstimate: p.spec.DiameterEstimate,
+		MaxRounds:        p.spec.MaxRounds,
+		Shards:           p.shards,
+		Opt:              p.spec.Opt,
+	}.RunOpts(prep)
+	if err == nil {
 		tr.D = ro.D
+		err = prep.RunInto(ro, &ws.res)
 	}
-	start := time.Now()
-	err := prep.RunInto(ro, &ws.res)
-	tr.elapsed = time.Since(start)
 	if err != nil {
 		tr.Err = err.Error()
 		return tr
 	}
-	res := &ws.res
-	tr.Rounds = res.Rounds
-	tr.LastActive = res.LastActive
-	tr.Messages = res.Messages
-	tr.Bits = res.Bits
-	tr.Leaders = res.LeaderCount()
-	tr.Unique = res.UniqueLeader()
-	tr.Halted = res.Halted
-	tr.HitRoundCap = res.HitRoundCap
-	if t.faults != nil {
-		tr.Crashes = res.Crashes
-		tr.Recoveries = res.Recoveries
-		tr.Dropped = res.Dropped
-		tr.LiveUnique = core.Correct(t.Model(), res)
-	}
+	tr.Outcome = Reduce(ro, &ws.res)
 	return tr
 }
 

@@ -108,16 +108,10 @@ type Trial struct {
 	Seed  int64  `json:"seed"`
 
 	graphIdx int
-	// The parsed model axes, resolved once per axis entry at compile time
-	// and shared by every repetition (both values are immutable).
-	mode   sim.Mode
-	delay  sim.DelaySchedule
-	faults *sim.FaultSchedule
-}
-
-// Model returns the trial's parsed execution model.
-func (t Trial) Model() sim.ModelSpec {
-	return sim.ModelSpec{Mode: t.mode, Delay: t.delay, Faults: t.faults}
+	// model is the cell's parsed execution model; its delay and fault
+	// schedules are resolved once per axis entry at compile time and shared
+	// by every repetition (both are immutable).
+	model sim.ModelSpec
 }
 
 // TrialSeed derives the deterministic root seed of repetition rep.
@@ -212,9 +206,9 @@ func wakeSchedule(spec string, n int, trialSeed int64) []int {
 }
 
 // WakeSchedule validates and materializes a wake-schedule spec for an
-// n-node run, exactly as the sweep expansion does for its trials (the
-// schedule derives from trialSeed, so a server-side run reproduces the
-// batch path byte-for-byte). Exported for the uled serving layer.
+// n-node run (the schedule derives from trialSeed, so every front end
+// reproduces the batch path byte-for-byte). Election.RunOpts is its
+// caller on the election path.
 func WakeSchedule(spec string, n int, trialSeed int64) ([]int, error) {
 	if err := parseWake(spec); err != nil {
 		return nil, err
@@ -368,9 +362,7 @@ func (s Spec) compile() (*plan, error) {
 									Rep:      rep,
 									Seed:     TrialSeed(s.Seed, rep),
 									graphIdx: gi,
-									mode:     modes[mi],
-									delay:    delays[delay],
-									faults:   faults[fi],
+									model:    sim.ModelSpec{Mode: modes[mi], Delay: delays[delay], Faults: faults[fi]},
 								})
 							}
 						}

@@ -27,13 +27,11 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"ule/internal/cmdutil"
 	"ule/internal/core"
 	"ule/internal/graph"
 	"ule/internal/harness"
@@ -171,7 +169,7 @@ func (s *slot) graph(spec string, seed int64) (*graph.Graph, error) {
 		statGraphHits.Add(1)
 		return g, nil
 	}
-	g, err := cmdutil.BuildGraph(spec, seed)
+	g, err := graph.FromSpec(spec, seed)
 	if err != nil {
 		return nil, badRequest("graph: %v", err)
 	}
@@ -570,7 +568,7 @@ type ElectionRequest struct {
 	// "adversarial" — the harness grammar, derived from Seed).
 	Wake string `json:"wake,omitempty"`
 	// SmallIDs assigns permutation IDs 1..n exactly as the harness does
-	// (sim.NodeSeed(Seed, -2) stream); required for "dfs".
+	// (harness.Election); required for "dfs".
 	SmallIDs bool `json:"small_ids,omitempty"`
 	// Anonymous removes identifiers (randomized algorithms only).
 	Anonymous bool `json:"anonymous,omitempty"`
@@ -587,9 +585,9 @@ type ElectionRequest struct {
 	Async bool `json:"async,omitempty"`
 }
 
-// ElectionResult is the wire form of an election outcome. Field reduction
-// matches the batch harness TrialResult reduction, so a served election
-// and a batch trial with the same seed agree on every field.
+// ElectionResult is the wire form of an election outcome. The measurements
+// are the batch harness's own reduction (harness.Reduce), so a served
+// election and a batch trial with the same seed agree on every field.
 type ElectionResult struct {
 	Graph string `json:"graph"`
 	Algo  string `json:"algo"`
@@ -640,12 +638,7 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	if err != nil {
 		return nil, err
 	}
-	wake, err := harness.WakeSchedule(req.Wake, g.N(), req.Seed)
-	if err != nil {
-		return nil, badRequest("wake: %v", err)
-	}
-	key := graphKey{req.Graph, gseed}
-	prep, err := s.prepared(key, g, req.Algo)
+	prep, err := s.prepared(graphKey{req.Graph, gseed}, g, req.Algo)
 	if err != nil {
 		return nil, err
 	}
@@ -653,54 +646,38 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	if maxRounds <= 0 {
 		maxRounds = 1 << 18
 	}
-	var ids []int64
-	if req.SmallIDs {
-		ids = sim.PermutationIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(req.Seed, -2))))
-	}
-	ro := core.RunOpts{
-		Seed:      req.Seed,
-		IDs:       ids,
-		Anonymous: req.Anonymous,
-		MaxRounds: maxRounds,
-		Model:     model,
-		Wake:      wake,
-		Shards:    req.Shards,
-	}
-	out := &ElectionResult{
-		Graph: req.Graph, Algo: req.Algo, Seed: req.Seed,
-		Model: req.Model, Wake: req.Wake,
-		N: g.N(), M: g.M(),
-	}
-	if prep.Spec().NeedsD {
-		if req.DiameterEstimate {
-			ro.D = g.DiameterEstimate()
-		} else {
-			ro.D = g.DiameterExact()
-		}
-		out.D = ro.D
+	ro, err := harness.Election{
+		Seed:             req.Seed,
+		Model:            model,
+		Wake:             req.Wake,
+		SmallIDs:         req.SmallIDs,
+		Anonymous:        req.Anonymous,
+		DiameterEstimate: req.DiameterEstimate,
+		MaxRounds:        maxRounds,
+		Shards:           req.Shards,
+	}.RunOpts(prep)
+	if err != nil {
+		return nil, badRequest("wake: %v", err)
 	}
 	if err := prep.RunInto(ro, &s.res); err != nil {
 		// Anonymous-vs-IDs and engine misconfigurations are request
 		// errors; model violations during the run are server-side.
 		return nil, badRequest("%v", err)
 	}
-	res := &s.res
-	out.Rounds = res.Rounds
-	out.LastActive = res.LastActive
-	out.Messages = res.Messages
-	out.Bits = res.Bits
-	out.Leaders = res.LeaderCount()
-	out.Unique = res.UniqueLeader()
-	if out.Unique {
-		out.Leader = res.Leaders[0]
+	o := harness.Reduce(ro, &s.res)
+	out := &ElectionResult{
+		Graph: req.Graph, Algo: req.Algo, Seed: req.Seed,
+		Model: req.Model, Wake: req.Wake,
+		N: g.N(), M: g.M(), D: o.D,
+		Rounds: o.Rounds, LastActive: o.LastActive,
+		Messages: o.Messages, Bits: o.Bits,
+		Leaders: o.Leaders, Unique: o.Unique,
+		Halted: o.Halted, HitRoundCap: o.HitRoundCap,
+		Crashes: o.Crashes, Recoveries: o.Recoveries,
+		Dropped: o.Dropped, LiveUnique: o.LiveUnique,
 	}
-	out.Halted = res.Halted
-	out.HitRoundCap = res.HitRoundCap
-	if model.Faults != nil {
-		out.Crashes = res.Crashes
-		out.Recoveries = res.Recoveries
-		out.Dropped = res.Dropped
-		out.LiveUnique = core.Correct(model, res)
+	if o.Unique {
+		out.Leader = s.res.Leaders[0]
 	}
 	statElections.Add(1)
 	return out, nil
@@ -819,7 +796,7 @@ func (m *Manager) RunSweep(ctx context.Context, req SweepRequest, emitters ...ha
 		Workers:  m.sweepWorkers(req.Workers),
 		Emitters: append([]harness.Emitter{cancelEmitter{ctx}, countEmitter{}}, emitters...),
 	}
-	rep, err := m.runSweepInner(req.Spec, rc)
+	rep, err := harness.Run(req.Spec, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -827,16 +804,14 @@ func (m *Manager) RunSweep(ctx context.Context, req SweepRequest, emitters ...ha
 	return rep, nil
 }
 
-func (m *Manager) runSweepInner(spec harness.Spec, rc harness.RunConfig) (*harness.Report, error) {
-	return harness.Run(spec, rc)
-}
-
 // ---- Async jobs ----
 
-// SubmitElection registers and starts an async election job.
-func (m *Manager) SubmitElection(req ElectionRequest) (*Job, error) {
+// submit registers an async job of the given kind and starts its
+// goroutine: wait for a slot (a job cancelled while queueing never runs),
+// run on it under the job's cancel context, record the outcome.
+func (m *Manager) submit(kind string, run func(ctx context.Context, s *slot) ([]byte, error)) (*Job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	j, err := m.newJob("election", cancel)
+	j, err := m.newJob(kind, cancel)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -856,18 +831,25 @@ func (m *Manager) SubmitElection(req ElectionRequest) (*Job, error) {
 		if !j.setRunning() {
 			return
 		}
-		res, err := m.runElection(req, s)
-		if err != nil {
-			j.finish(nil, err)
-			return
-		}
-		if ctx.Err() != nil {
+		result, err := run(ctx, s)
+		if err == nil && ctx.Err() != nil {
 			j.markCancelled()
 			return
 		}
-		j.finish(marshalJSON(res), nil)
+		j.finish(result, err)
 	}()
 	return j, nil
+}
+
+// SubmitElection registers and starts an async election job.
+func (m *Manager) SubmitElection(req ElectionRequest) (*Job, error) {
+	return m.submit("election", func(_ context.Context, s *slot) ([]byte, error) {
+		res, err := m.runElection(req, s)
+		if err != nil {
+			return nil, err
+		}
+		return marshalJSON(res), nil
+	})
 }
 
 // SubmitSweep validates, registers and starts an async sweep job. The
@@ -876,40 +858,17 @@ func (m *Manager) SubmitSweep(req SweepRequest) (*Job, error) {
 	if _, err := m.validateSweep(&req); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j, err := m.newJob("sweep", cancel)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		defer cancel()
-		statJobsInFlight.Add(1)
-		defer statJobsInFlight.Add(-1)
-		s, err := m.acquire(ctx)
-		if err != nil {
-			j.markCancelled()
-			return
-		}
-		defer m.release(s)
-		if !j.setRunning() {
-			return
-		}
-		rc := harness.RunConfig{
+	return m.submit("sweep", func(ctx context.Context, _ *slot) ([]byte, error) {
+		rep, err := harness.Run(req.Spec, harness.RunConfig{
 			Workers:  m.sweepWorkers(req.Workers),
 			Emitters: []harness.Emitter{cancelEmitter{ctx}, countEmitter{}},
-		}
-		rep, err := m.runSweepInner(req.Spec, rc)
+		})
 		if err != nil {
-			j.finish(nil, err)
-			return
+			return nil, err
 		}
 		statSweeps.Add(1)
-		j.finish(marshalJSON(SweepSummary{
+		return marshalJSON(SweepSummary{
 			Spec: rep.Spec, TotalTrials: rep.Total, Errors: rep.Errors, Groups: rep.Groups,
-		}), nil)
-	}()
-	return j, nil
+		}), nil
+	})
 }

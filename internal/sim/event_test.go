@@ -96,7 +96,7 @@ func TestAsyncDeterministic(t *testing.T) {
 			}
 			run := func(shards int) *Result {
 				res, err := Run(Config{
-					Graph: g, Seed: 42, Mode: ASYNC, Delay: ds,
+					Graph: g, Seed: 42, Model: ModelSpec{Mode: ASYNC, Delay: ds},
 					MaxRounds: 500, Shards: shards,
 				}, coinProto{})
 				if err != nil {
@@ -129,7 +129,7 @@ func TestAsyncUnitMatchesSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := Run(Config{Graph: g, IDs: SequentialIDs(12, 1), Wake: wake, Seed: 3, Mode: ASYNC}, floodOnceProto{})
+	async, err := Run(Config{Graph: g, IDs: SequentialIDs(12, 1), Wake: wake, Seed: 3, Model: ModelSpec{Mode: ASYNC}}, floodOnceProto{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func (p *sleeperProc) Round(c *Context, inbox []Message) {
 
 func TestRequestWakeTimer(t *testing.T) {
 	g := graph.Path(2)
-	res, err := Run(Config{Graph: g, Seed: 1, Mode: ASYNC, MaxRounds: 100}, sleeperProto{delta: 7})
+	res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: ASYNC}, MaxRounds: 100}, sleeperProto{delta: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,16 @@ func TestScheduledWakeRevivesQuietNetwork(t *testing.T) {
 
 func TestAsyncConfigValidation(t *testing.T) {
 	g := graph.Path(2)
-	if _, err := Run(Config{Graph: g, Delay: RandomDelay(4)}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
+	if _, err := Run(Config{Graph: g, Model: ModelSpec{Delay: RandomDelay(4)}}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
 		t.Errorf("delay schedule accepted outside ASYNC mode: %v", err)
 	}
-	if _, err := Run(Config{Graph: g, Mode: ASYNC, DenseLoop: true}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
+	if _, err := Run(Config{Graph: g, Model: ModelSpec{Mode: ASYNC}, DenseLoop: true}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
 		t.Errorf("dense loop accepted in ASYNC mode: %v", err)
+	}
+	for _, mode := range []Mode{-1, ASYNC + 1, 7} {
+		if _, err := Run(Config{Graph: g, Model: ModelSpec{Mode: mode}}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
+			t.Errorf("mode %d ran (as CONGEST) instead of being rejected: %v", int(mode), err)
+		}
 	}
 }
 
@@ -273,11 +278,11 @@ func TestAsyncRunnerReuse(t *testing.T) {
 	ds := RandomDelay(5)
 	for i := 0; i < 5; i++ {
 		seed := int64(20 + i)
-		reused, err := r.Run(Config{Graph: g, Seed: seed, Mode: ASYNC, Delay: ds, MaxRounds: 400}, coinProto{})
+		reused, err := r.Run(Config{Graph: g, Seed: seed, Model: ModelSpec{Mode: ASYNC, Delay: ds}, MaxRounds: 400}, coinProto{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(Config{Graph: g, Seed: seed, Mode: ASYNC, Delay: ds, MaxRounds: 400}, coinProto{})
+		fresh, err := Run(Config{Graph: g, Seed: seed, Model: ModelSpec{Mode: ASYNC, Delay: ds}, MaxRounds: 400}, coinProto{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +376,7 @@ func (requestAndHalt) Round(c *Context, _ []Message) {
 func TestDeadTimerDoesNotStretchRun(t *testing.T) {
 	g := graph.Path(2)
 	for _, mode := range []Mode{CONGEST, ASYNC} {
-		res, err := Run(Config{Graph: g, Seed: 1, Mode: mode, MaxRounds: 1000}, requestAndHaltProto{})
+		res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: mode}, MaxRounds: 1000}, requestAndHaltProto{})
 		if err != nil {
 			t.Fatal(err)
 		}

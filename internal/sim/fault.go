@@ -257,8 +257,8 @@ const (
 // faultHash derives one 64-bit fault coordinate from the run seed, a
 // node (or port) index and a stream salt.
 func faultHash(seed int64, u int, salt uint64) uint64 {
-	h := splitmix64(uint64(seed) ^ salt)
-	return splitmix64(h ^ uint64(u)*0x9e3779b97f4a7c15)
+	h := SplitMix64(uint64(seed) ^ salt)
+	return SplitMix64(h ^ uint64(u)*0x9e3779b97f4a7c15)
 }
 
 // hitsProb reports whether the 53-bit fraction of h falls below p.
@@ -273,7 +273,7 @@ func (fs *FaultSchedule) dropMsg(seed int64, u, p, seq int) bool {
 	if fs.dropP == 0 {
 		return false
 	}
-	h := splitmix64(faultHash(seed, u, faultSaltDrop) ^ splitmix64(uint64(p)<<32|uint64(uint32(seq))))
+	h := SplitMix64(faultHash(seed, u, faultSaltDrop) ^ SplitMix64(uint64(p)<<32|uint64(uint32(seq))))
 	return hitsProb(h, fs.dropP)
 }
 

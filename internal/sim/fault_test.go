@@ -74,7 +74,7 @@ func TestFaultsRequireEventEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Ring(4)
-	_, err = Run(Config{Graph: g, Seed: 1, DenseLoop: true, Faults: fs}, floodOnceProto{})
+	_, err = Run(Config{Graph: g, Seed: 1, DenseLoop: true, Model: ModelSpec{Faults: fs}}, floodOnceProto{})
 	if !errors.Is(err, ErrConfig) {
 		t.Fatalf("dense loop with faults: err = %v, want ErrConfig", err)
 	}
@@ -97,7 +97,7 @@ func TestCrashAtTargets(t *testing.T) {
 	}
 	wake[0] = 1
 	res, err := Run(Config{
-		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Wake: wake, Seed: 1, Faults: fs,
+		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Wake: wake, Seed: 1, Model: ModelSpec{Faults: fs},
 	}, floodOnceProto{})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestCrashRecoveryReset(t *testing.T) {
 	}
 	n := 6
 	res, err := Run(Config{
-		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Seed: 3, Faults: fs, MaxRounds: 64,
+		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Seed: 3, Model: ModelSpec{Faults: fs}, MaxRounds: 64,
 	}, floodOnceProto{})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestCrashRecoveryKeep(t *testing.T) {
 	}
 	n := 6
 	res, err := Run(Config{
-		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Seed: 3, Faults: fs, MaxRounds: 64,
+		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Seed: 3, Model: ModelSpec{Faults: fs}, MaxRounds: 64,
 	}, floodOnceProto{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestDropAllIsolates(t *testing.T) {
 	}
 	wake[0] = 1
 	res, err := Run(Config{
-		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Wake: wake, Seed: 1, Faults: fs,
+		Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Wake: wake, Seed: 1, Model: ModelSpec{Faults: fs},
 	}, floodOnceProto{})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestChurnDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Graph: graph.Ring(8), IDs: SequentialIDs(8, 1), Seed: 7, Faults: fs, MaxRounds: 48,
+		Graph: graph.Ring(8), IDs: SequentialIDs(8, 1), Seed: 7, Model: ModelSpec{Faults: fs}, MaxRounds: 48,
 	}
 	a, err := Run(cfg, floodOnceProto{})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestFaultDeterminismParallel(t *testing.T) {
 		for _, mode := range []Mode{CONGEST, ASYNC} {
 			cfg := Config{
 				Graph: graph.Ring(n), IDs: SequentialIDs(n, 1), Seed: 11,
-				Mode: mode, Faults: fs, MaxRounds: 256,
+				Model: ModelSpec{Mode: mode, Faults: fs}, MaxRounds: 256,
 			}
 			cfg.Shards = 1
 			seq, err := Run(cfg, floodOnceProto{})
@@ -305,7 +305,7 @@ func TestRunnerFaultReuse(t *testing.T) {
 	g := graph.Ring(12)
 	clean := Config{Graph: g, IDs: SequentialIDs(12, 1), Seed: 5, MaxRounds: 64}
 	faulty := clean
-	faulty.Faults = fs
+	faulty.Model.Faults = fs
 
 	want, err := Run(clean, floodOnceProto{})
 	if err != nil {

@@ -213,7 +213,7 @@ func TestIdleForeverHitsRoundCap(t *testing.T) {
 // TestIdleUntilIgnoredByAsync: ASYNC has no round timers to drop, and a
 // hint must not become one — nothing steps the waiting nodes again.
 func TestIdleUntilIgnoredByAsync(t *testing.T) {
-	res, steps := runWait(t, waitProto{until: 100}, sim.Config{Mode: sim.ASYNC})
+	res, steps := runWait(t, waitProto{until: 100}, sim.Config{Model: sim.ModelSpec{Mode: sim.ASYNC}})
 	if steps != 8 || res.Rounds != 1 || res.Halted {
 		t.Errorf("steps=%d rounds=%d halted=%v, want 8 steps, quiescent at tick 1, nobody halted", steps, res.Rounds, res.Halted)
 	}

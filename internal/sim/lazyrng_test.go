@@ -51,7 +51,7 @@ func compareSources(t *testing.T, seed int64, ops []byte, minDraws int) {
 			if i >= len(ops) {
 				continue // reseed only in the first pass, so long runs wrap the register
 			}
-			next := seed ^ int64(splitmix64(uint64(i)))
+			next := seed ^ int64(SplitMix64(uint64(i)))
 			want.Seed(next)
 			got.Seed(next)
 		}

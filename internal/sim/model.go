@@ -1,8 +1,8 @@
-// The unified execution-model spec: one parsed value carrying the
-// communication mode, the asynchronous delay adversary and the fault
-// adversary, with one grammar and one precedence rule. Every layer above
-// the simulator (core.RunOpts, election.Params, harness.Spec, the CLIs)
-// resolves its model through ParseModel, so the constraints between the
+// The execution-model spec: one parsed value carrying the communication
+// mode, the asynchronous delay adversary and the fault adversary, with one
+// grammar. Config.Model holds it, every layer above the simulator
+// (core.RunOpts, election.Params, harness.Spec, the CLIs) builds it through
+// ParseModel and hands it down unchanged, so the constraints between the
 // three axes are defined — and documented — exactly here.
 package sim
 
@@ -13,12 +13,11 @@ import (
 
 // ModelSpec is a parsed execution model: which timing/communication mode
 // a run uses, which delay schedule the asynchronous adversary plays, and
-// which fault schedule the fault adversary plays. It is the single
-// source of truth for the mode/delay/fault axes; the deprecated
-// Local/Async bools and Delay strings of the higher layers are shims
-// that fold into one of these.
+// which fault schedule the fault adversary plays. It is the only
+// representation of the mode/delay/fault axes at every layer.
 //
-// Axis constraints (enforced by ParseModel and the engine):
+// Axis constraints (enforced by ParseModel for spec strings and by
+// Runner.RunInto for every run):
 //
 //   - Delay requires Mode == ASYNC — the synchronous modes deliver every
 //     message in exactly one round, so a delay schedule is meaningless
@@ -26,7 +25,8 @@ import (
 //   - Faults compose with every mode. nil means fault-free, and the
 //     fault-free path is byte-identical to a run without the fault
 //     subsystem.
-//   - The zero Mode resolves to CONGEST.
+//   - The zero Mode resolves to CONGEST; a Mode outside the three
+//     defined ones is rejected with ErrConfig.
 type ModelSpec struct {
 	// Mode is the communication/timing model (CONGEST, LOCAL, ASYNC).
 	Mode Mode
@@ -35,12 +35,6 @@ type ModelSpec struct {
 	Delay DelaySchedule
 	// Faults is the fault adversary's schedule (nil = fault-free).
 	Faults *FaultSchedule
-}
-
-// IsZero reports whether no axis of the model has been set — the cue for
-// the deprecated per-field shims to apply.
-func (m ModelSpec) IsZero() bool {
-	return m.Mode == 0 && m.Delay == nil && m.Faults == nil
 }
 
 // String returns the canonical spec string: the mode, then a non-unit

@@ -184,23 +184,29 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if cfg.Wake != nil && len(cfg.Wake) != n {
 		return fmt.Errorf("%w: len(Wake)=%d want %d", ErrConfig, len(cfg.Wake), n)
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = CONGEST
+	// The model's axis constraints (ModelSpec) are enforced here, once, for
+	// every layer above.
+	m := &cfg.Model
+	if m.Mode == 0 {
+		m.Mode = CONGEST
 	}
-	if cfg.Delay != nil && cfg.Mode != ASYNC {
+	if m.Mode < CONGEST || m.Mode > ASYNC {
+		return fmt.Errorf("%w: unknown mode %d", ErrConfig, int(m.Mode))
+	}
+	if m.Delay != nil && m.Mode != ASYNC {
 		return fmt.Errorf("%w: delay schedules require ASYNC mode", ErrConfig)
 	}
-	if cfg.DenseLoop && cfg.Mode == ASYNC {
+	if cfg.DenseLoop && m.Mode == ASYNC {
 		return fmt.Errorf("%w: the dense loop cannot run the ASYNC model", ErrConfig)
 	}
-	if cfg.DenseLoop && cfg.Faults != nil {
+	if cfg.DenseLoop && m.Faults != nil {
 		return fmt.Errorf("%w: fault injection requires the event-driven engine", ErrConfig)
 	}
 	if cfg.DenseLoop && cfg.Shards > 1 {
 		return fmt.Errorf("%w: sharded execution requires the event-driven engine", ErrConfig)
 	}
-	if cfg.Mode == ASYNC && cfg.Delay == nil {
-		cfg.Delay = UnitDelay()
+	if m.Mode == ASYNC && m.Delay == nil {
+		m.Delay = UnitDelay()
 	}
 	procs := runtime.GOMAXPROCS(0)
 	shardCount := EffectiveShards(cfg.Shards, n, procs, cfg.DenseLoop)
@@ -214,7 +220,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	}
 	sendCap := cfg.PortSendCap
 	if sendCap <= 0 {
-		if cfg.Mode == LOCAL {
+		if m.Mode == LOCAL {
 			sendCap = 0 // unlimited
 		} else {
 			sendCap = 8
@@ -253,8 +259,8 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		res:      out,
 	}
 	if !cfg.DenseLoop {
-		e.async = cfg.Mode == ASYNC
-		e.delay = cfg.Delay
+		e.async = m.Mode == ASYNC
+		e.delay = m.Delay
 		e.linkSeq = r.linkSeq
 		e.wakeAt = r.wakeAt
 		e.idle = r.idle
@@ -276,8 +282,8 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		for i := range r.shards {
 			r.shards[i].resetRun()
 		}
-		if cfg.Faults != nil {
-			e.fsched = cfg.Faults
+		if m.Faults != nil {
+			e.fsched = m.Faults
 			e.proto = p
 			if r.fAlive == nil {
 				r.fAlive = make([]bool, n)
@@ -293,7 +299,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 				if sh.faultScratch == nil {
 					sh.faultScratch = new(faultState)
 				}
-				sh.faultScratch.reset(cfg.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
+				sh.faultScratch.reset(m.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
 				sh.faults = sh.faultScratch
 			}
 		}

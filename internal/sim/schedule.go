@@ -78,10 +78,10 @@ func (d fifoDelay) Delay(seed int64, u, p, _ int) int {
 // splitmix64 chain; the chained finalizers keep adjacent (u, p, seq)
 // triples statistically independent.
 func delayHash(seed int64, u, p, seq int) uint64 {
-	h := splitmix64(uint64(seed) ^ 0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(u) + 0x632be59bd9b4e019)
-	h = splitmix64(h ^ uint64(p) + 0x9e6c63d0876a9a47)
-	return splitmix64(h ^ uint64(seq))
+	h := SplitMix64(uint64(seed) ^ 0x9e3779b97f4a7c15)
+	h = SplitMix64(h ^ uint64(u) + 0x632be59bd9b4e019)
+	h = SplitMix64(h ^ uint64(p) + 0x9e6c63d0876a9a47)
+	return SplitMix64(h ^ uint64(seq))
 }
 
 // ParseDelay resolves a delay-schedule spec string: "" or "unit",

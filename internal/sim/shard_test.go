@@ -94,7 +94,7 @@ func TestShardedEngineMatchesSingleShard(t *testing.T) {
 						run := func(shards int) string {
 							res, err := Run(Config{
 								Graph: g, IDs: SequentialIDs(n, 1), Seed: 11, Wake: wake,
-								Mode: m.mode, Delay: delay, Faults: fs, MaxRounds: 200,
+								Model: ModelSpec{Mode: m.mode, Delay: delay, Faults: fs}, MaxRounds: 200,
 								WatchEdges: [][2]int{{0, 1}, {5, 6}}, CountPerEdge: true,
 								Shards: shards,
 							}, proto)
@@ -133,7 +133,7 @@ func TestShardedRunnerReuse(t *testing.T) {
 		for _, faulty := range []bool{false, true} {
 			cfg := Config{Seed: 7, MaxRounds: 200, Shards: shards, CountPerEdge: true}
 			if faulty {
-				cfg.Faults = fs
+				cfg.Model.Faults = fs
 			}
 			res, err := r.Run(cfg, coinProto{})
 			if err != nil {

@@ -280,8 +280,14 @@ type Config struct {
 	Know Knowledge
 	// Seed drives all node coins; identical seeds reproduce runs exactly.
 	Seed int64
-	// Mode selects CONGEST (default) or LOCAL.
-	Mode Mode
+	// Model is the execution model: communication/timing mode, asynchronous
+	// delay adversary and fault adversary in one value (see ModelSpec for
+	// the axes and their constraints, which Runner.RunInto enforces). The
+	// zero value is CONGEST, fault-free. Every injected fault is a pure
+	// function of Seed, so faulty runs replay byte-identically at any
+	// worker count; faults and ASYNC need the event-driven engine
+	// (incompatible with DenseLoop).
+	Model ModelSpec
 	// BitCap overrides the per-message bit budget in CONGEST mode
 	// (default: 32·⌈log2(n+2)⌉ + 64, a generous Θ(log n)).
 	BitCap int
@@ -314,16 +320,6 @@ type Config struct {
 	// GOMAXPROCS; EffectiveShards has the rule and its clamps. Requires
 	// the event-driven engine (incompatible with DenseLoop when > 1).
 	Shards int
-	// Delay is the asynchronous adversary's message-delay schedule. Only
-	// valid in ASYNC mode, where nil selects UnitDelay.
-	Delay DelaySchedule
-	// Faults is the fault adversary's schedule (crash-stop,
-	// crash-recovery, link drops, churn — see ParseFaults); nil means
-	// fault-free. Every injected fault is a pure function of Seed, so
-	// faulty runs replay byte-identically at any worker count. Fault
-	// injection needs the event-driven engine (incompatible with
-	// DenseLoop) and works in every mode.
-	Faults *FaultSchedule
 	// DenseLoop selects the legacy dense per-round scanner instead of the
 	// event-driven scheduler (synchronous modes only). The two engines
 	// produce identical results; the dense loop is kept as the reference
@@ -540,7 +536,7 @@ func (e *engine) send(u, port int, p Payload) {
 		return
 	}
 	bits := p.Bits()
-	if e.cfg.Mode != LOCAL && bits > e.bitCap {
+	if e.cfg.Model.Mode != LOCAL && bits > e.bitCap {
 		e.nodeErr[u] = fmt.Errorf("%w: %d bits > cap %d (node %d round %d payload %T)",
 			ErrBitCap, bits, e.bitCap, u, e.round, p)
 		return
@@ -567,8 +563,10 @@ func (e *engine) requestWake(u, at int) {
 	}
 }
 
-// splitmix64 provides high-quality seed derivation for per-node RNGs.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 mixing function, a stateless 64→64-bit
+// hash: the one derivation behind node seeds, delay and fault schedules,
+// and the seed-deterministic jitter and chaos draws of the layers above.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -577,5 +575,5 @@ func splitmix64(x uint64) uint64 {
 
 // NodeSeed derives the deterministic RNG seed of node u for run seed s.
 func NodeSeed(s int64, u int) int64 {
-	return int64(splitmix64(uint64(s) ^ splitmix64(uint64(u)+0x5bd1e995)))
+	return int64(SplitMix64(uint64(s) ^ SplitMix64(uint64(u)+0x5bd1e995)))
 }

@@ -151,7 +151,7 @@ func TestCongestBitCapEnforced(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBitCap", err)
 	}
 	// LOCAL mode allows arbitrarily large messages.
-	res, err := Run(Config{Graph: g, Seed: 1, Mode: LOCAL, MaxRounds: 3}, fatSenderProto{})
+	res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: LOCAL}, MaxRounds: 3}, fatSenderProto{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,7 +258,7 @@ func TestAsyncBigDelaysDeterministic(t *testing.T) {
 	g := graph.Ring(16)
 	run := func() *Result {
 		res, err := Run(Config{
-			Graph: g, Seed: 4, Mode: ASYNC, Delay: bigDelay{}, MaxRounds: 1 << 15,
+			Graph: g, Seed: 4, Model: ModelSpec{Mode: ASYNC, Delay: bigDelay{}}, MaxRounds: 1 << 15,
 		}, farWakeProto{})
 		if err != nil {
 			t.Fatal(err)
