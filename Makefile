@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-race test-sweep race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
+.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
 
 build:
 	$(GO) build ./...
@@ -71,13 +71,21 @@ bench-graph:
 	$(GO) test -bench 'Graph' -benchtime 5x -benchmem -run='^$$' ./internal/graph
 	$(GO) test -bench 'GraphMillionNodeWave|EngineWarm|EngineThroughput' -benchtime 5x -benchmem -run='^$$' .
 
-# The allocation fast-path measurement set (docs/PERFORMANCE.md): engine
-# benchmarks plus the AllocsPerRun budget tests. The recorded numbers are
-# cmd/ule-bench's (elect-sparse: sim.floor_ns_per_tick, core.run_ms.*,
-# sim.allocs_per_run, sim.bytes_per_run).
-bench-alloc:
-	$(GO) test -run 'TestAllocBudget' -v .
-	$(GO) test -bench 'EngineSparse|EngineWarm|EngineAsync|EngineParallel|EngineThroughput|SparseDFSTorus64|NodeRNGSeed' -benchtime 5x -benchmem -run='^$$' .
+# The host-cost budgets (docs/PERFORMANCE.md): the AllocsPerRun budgets of
+# the engine fast path and, per registered algorithm, heap allocations and
+# Round calls per delivered message (TestProtocolBudgets). These also run
+# inside the full suite; the target gives CI a label for them, the way
+# test-sweep labels the pipeline gate.
+test-budgets:
+	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v .
+
+# The allocation fast-path measurement set (docs/PERFORMANCE.md): the
+# budget tests plus the engine benchmarks and the kingdom benchmark's
+# allocs/msg and steps/msg. The recorded numbers are cmd/ule-bench's
+# (elect-sparse: sim.floor_ns_per_tick, core.run_ms.*, sim.allocs_per_run,
+# sim.bytes_per_run).
+bench-alloc: test-budgets
+	$(GO) test -bench 'EngineSparse|EngineWarm|EngineAsync|EngineParallel|EngineThroughput|SparseDFSTorus64|NodeRNGSeed|Thm410_Kingdom' -benchtime 5x -benchmem -run='^$$' .
 
 # The fault-adversary measurement set (docs/FAULTS.md): the fault-injected
 # allocation budget plus the warm-path fault benchmarks.
@@ -158,4 +166,4 @@ docs-check: fmt-check vet
 	$(GO) test -run Example ./...
 
 # Everything the CI pipeline runs, in the same order.
-ci: fmt-check vet build test-shuffle race race-matrix test-sweep bench-smoke sweep-smoke serve-smoke fleet-chaos docs-check
+ci: fmt-check vet build test-shuffle race race-matrix test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos docs-check

@@ -9,6 +9,8 @@ package ule
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"ule/internal/core"
@@ -280,5 +282,144 @@ func TestAllocBudgetDFSSparse(t *testing.T) {
 	if extra := event - dense; extra >= 32 {
 		t.Errorf("dfs on torus:32x32, %d rounds: %.0f allocations a run, %.0f over the dense loop's %.0f; budget < 32 over",
 			rounds, event, extra, dense)
+	}
+}
+
+// stepCounter wraps a protocol so that every Round call of every node is
+// counted: the host steps a run costs, next to the messages the paper
+// prices it in. Single-shard runs only (one shared counter).
+type stepCounter struct {
+	sim.Protocol
+	steps *int64
+}
+
+func (p stepCounter) New(info sim.NodeInfo) sim.Process {
+	return &countedProc{Process: p.Protocol.New(info), steps: p.steps}
+}
+
+type countedProc struct {
+	sim.Process
+	steps *int64
+}
+
+func (p *countedProc) Round(c *sim.Context, inbox []sim.Message) {
+	*p.steps++
+	p.Process.Round(c, inbox)
+}
+
+// protocolCensus runs algo warm on g through Prepared.RunInto (one shard,
+// simultaneous wake, permutation IDs) and returns heap allocations and
+// Round calls per delivered message; ok is false when the run delivers
+// none. The step count comes from a second run of the same election with
+// the protocol wrapped, so the wrapper's allocation per node is not billed
+// to algo; the two runs must agree on messages and rounds.
+func protocolCensus(t testing.TB, g *graph.Graph, algo string) (allocsPerMsg, stepsPerMsg float64, ok bool) {
+	t.Helper()
+	ids := sim.PermutationIDs(g.N(), rand.New(rand.NewSource(3)))
+	prep, err := core.Prepare(g, algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := core.RunOpts{Seed: 5, IDs: ids, Shards: 1, MaxRounds: 1 << 17}
+	var res sim.Result
+	run := func() {
+		if err := prep.RunInto(ro, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the Runner's buffers
+	// No collection while counting: one would empty the sync.Pool free
+	// lists of the flood family's wire boxes mid-run, and the refill would
+	// read as allocations of a protocol that made none.
+	gc := debug.SetGCPercent(-1)
+	allocs := testing.AllocsPerRun(3, run)
+	debug.SetGCPercent(gc)
+	if res.Messages == 0 {
+		return 0, 0, false
+	}
+
+	spec := prep.Spec()
+	know := sim.Knowledge{N: g.N(), HasN: spec.NeedsN, M: g.M(), HasD: spec.NeedsD}
+	if spec.NeedsD {
+		know.D = g.DiameterExact()
+	}
+	var steps int64
+	counted, err := sim.Run(sim.Config{
+		Graph: g, IDs: ids, Know: know, Seed: ro.Seed, Shards: 1,
+		MaxRounds: ro.MaxRounds, StopWhenQuiet: spec.Quiet,
+	}, stepCounter{spec.New(ro.Opt), &steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted.Messages != res.Messages || counted.Rounds != res.Rounds {
+		t.Fatalf("%s: counted run sent %d messages in %d rounds, Prepared run %d in %d",
+			algo, counted.Messages, counted.Rounds, res.Messages, res.Rounds)
+	}
+	m := float64(res.Messages)
+	return allocs / m, float64(steps) / m, true
+}
+
+// poolDrops reports whether sync.Pool loses what it was just given, as it
+// does under the race detector (Put discards a quarter of the items at
+// random): the wire boxes of the flood family then come from the heap
+// again and allocation counts mean nothing.
+func poolDrops() bool {
+	const k = 64
+	var p sync.Pool
+	for i := 0; i < k; i++ {
+		p.Put(new(int))
+	}
+	kept := 0
+	for i := 0; i < k; i++ {
+		if p.Get() != nil {
+			kept++
+		}
+	}
+	return kept < k-1 // one item can strand on another P's private slot
+}
+
+// TestProtocolBudgets prices every registered algorithm in the paper's own
+// unit: on torus:32x32, heap allocations and Round calls per delivered
+// message must stay within the row below. kingdom and kingdom-d are held
+// to the message-proportional target (docs/PERFORMANCE.md has the census
+// before and after); the other rows are the measured census rounded up,
+// so that a reintroduced per-send boxing, per-round slice or lost idle
+// hint has a row to fail.
+func TestProtocolBudgets(t *testing.T) {
+	budgets := map[string]struct{ allocs, steps float64 }{
+		"cluster":          {2.2, 1.0},
+		"dfs":              {1.6, 1.2},
+		"flood":            {0.3, 0.8},
+		"kingdom":          {0.5, 1.0},
+		"kingdom-d":        {0.5, 1.0},
+		"lasvegas":         {1.7, 1.0},
+		"leastel":          {0.7, 0.6},
+		"leastel-const":    {1.3, 0.9},
+		"leastel-estimate": {0.8, 0.6},
+		"leastel-loglog":   {1.3, 0.9},
+		"spanner-le":       {1.1, 0.8},
+	}
+	checkAllocs := !poolDrops()
+	if !checkAllocs {
+		t.Log("sync.Pool is dropping items (race detector?): allocation budgets not checked")
+	}
+	g := graph.Torus(32, 32)
+	for _, algo := range core.Names() {
+		allocs, steps, ok := protocolCensus(t, g, algo)
+		if !ok {
+			continue // sends nothing (trivial): no message to price a step in
+		}
+		b, pinned := budgets[algo]
+		if !pinned {
+			t.Errorf("%s: no budget row (measured %.2f allocs/msg, %.2f steps/msg)", algo, allocs, steps)
+			continue
+		}
+		t.Logf("%-17s %.2f allocs/msg (budget %.1f)  %.2f steps/msg (budget %.1f)", algo, allocs, b.allocs, steps, b.steps)
+		if checkAllocs && allocs > b.allocs {
+			t.Errorf("%s: %.3f allocations per delivered message, budget %.1f", algo, allocs, b.allocs)
+		}
+		if steps > b.steps {
+			t.Errorf("%s: %.3f Round calls per delivered message, budget %.1f", algo, steps, b.steps)
+		}
 	}
 }

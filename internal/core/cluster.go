@@ -144,6 +144,13 @@ func (p *clusterProc) Start(c *sim.Context) {
 }
 
 func (p *clusterProc) Round(c *sim.Context, inbox []sim.Message) {
+	// Quiet round: no phase counts rounds — joins, record streams and the
+	// phase-3 flood all advance on deliveries or on queued sends — so with
+	// nothing arrived and nothing queued there is nothing to do.
+	if len(inbox) == 0 && p.queue.empty() && (!p.inPh3 || p.fl.idle()) {
+		c.IdleUntil(sim.Forever)
+		return
+	}
 	// Collect per-kind, processing joins first so that same-round
 	// joins/answers are handled consistently.
 	joins, answers, recs := p.joinBuf[:0], p.answerBuf[:0], p.recBuf[:0]

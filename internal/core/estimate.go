@@ -182,6 +182,12 @@ func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
 			p.decided = true
 		}
 	}
+	// Quiet round with nothing queued: every check above ran on flooder
+	// state that only a delivery can change, and nothing here counts
+	// rounds, so the next quiet round would repeat this one to no effect.
+	if len(inbox) == 0 && p.flA.idle() && p.flB.idle() {
+		c.IdleUntil(sim.Forever)
+	}
 }
 
 func (p *estimateProc) finishB(c *sim.Context) {

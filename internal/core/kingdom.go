@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"ule/internal/sim"
-)
+import "ule/internal/sim"
 
 // Kingdom is the Theorem 4.10 "double-win growing kingdoms" deterministic
 // election (a corrected variant of Abu-Amara–Kanevsky [1]): O(D·log n)
@@ -67,45 +63,60 @@ func (a kkey) max(b kkey) kkey {
 	return a
 }
 
-// Kingdom messages. Every ELECT gets exactly one kReply; every kProbe gets
-// exactly one kProbeRe; kConfirm triggers exactly one kVictor per child —
-// so both sweeps are deadlock-free echo floods.
-type (
-	kElect struct {
-		key kkey
-		ttl int32
-	}
-	kReply struct {
-		key  kkey
-		join bool // the sender joined the wave as a child
-		max  kkey // largest claim known to the replying subtree
-	}
-	kConfirm struct{ key kkey }
-	kProbe   struct{ key kkey }
-	kProbeRe struct {
-		key kkey
-		max kkey
-	}
-	kVictor struct {
-		key     kkey
-		max     kkey
-		covered bool
-	}
-	kDone struct{}
+// kKind tags the kingdom wire record. Every ELECT gets exactly one kReply;
+// every kProbe gets exactly one kProbeRe; kConfirm triggers exactly one
+// kVictor per child — so both sweeps are deadlock-free echo floods.
+type kKind uint8
+
+const (
+	kElect kKind = iota
+	kReply
+	kConfirm
+	kProbe
+	kProbeRe
+	kVictor
+	kDone
 )
+
+// kMsg is the one wire record of the protocol, sent as *kMsg so a Send
+// boxes nothing. Fields a kind does not carry are zero and cost no bits.
+//
+// Ownership: the sender draws the record from its own slab (box) and never
+// writes it again; one record may ride every port of a broadcast. Receivers
+// only read it, and only during the Round that delivers it. The record is
+// pointer-free, so the slab chunks are never scanned.
+type kMsg struct {
+	kind    kKind
+	join    bool  // kReply: the sender joined the wave as a child
+	covered bool  // kVictor: every neighbor of the subtree is a member
+	ttl     int32 // kElect: hops the wave may still travel
+	key     kkey  // the wave the message belongs to
+	max     kkey  // kReply, kProbeRe, kVictor: largest claim known to the sender's side
+}
 
 func kkeyBits(k kkey) int { return sim.BitsFor(int64(k.phase)) + sim.BitsFor(k.id) }
 
-func (m kElect) Bits() int   { return 3 + kkeyBits(m.key) + sim.BitsFor(int64(m.ttl)) }
-func (m kReply) Bits() int   { return 4 + kkeyBits(m.key) + kkeyBits(m.max) }
-func (m kConfirm) Bits() int { return 3 + kkeyBits(m.key) }
-func (m kProbe) Bits() int   { return 3 + kkeyBits(m.key) }
-func (m kProbeRe) Bits() int { return 3 + kkeyBits(m.key) + kkeyBits(m.max) }
-func (m kVictor) Bits() int  { return 4 + kkeyBits(m.key) + kkeyBits(m.max) }
-func (kDone) Bits() int      { return 1 }
+// Bits implements sim.Payload.
+func (m *kMsg) Bits() int {
+	switch m.kind {
+	case kElect:
+		return 3 + kkeyBits(m.key) + sim.BitsFor(int64(m.ttl))
+	case kReply, kVictor:
+		return 4 + kkeyBits(m.key) + kkeyBits(m.max)
+	case kConfirm, kProbe:
+		return 3 + kkeyBits(m.key)
+	case kProbeRe:
+		return 3 + kkeyBits(m.key) + kkeyBits(m.max)
+	default: // kDone
+		return 1
+	}
+}
 
-// msgKDone is the field-less termination payload, sent as a singleton.
-var msgKDone sim.Payload = kDone{}
+// msgKDone is the field-less termination payload, shared by every sender.
+var msgKDone = &kMsg{kind: kDone}
+
+// kSlabChunk is the number of wire records a process allocates at a time.
+const kSlabChunk = 16
 
 // kState is the per-wave membership state at a node.
 type kState struct {
@@ -132,6 +143,29 @@ type kingdomProc struct {
 	decided   bool
 	doneSent  bool
 	halting   bool
+
+	// slab chunk-allocates the wire records this node sends (see kMsg); a
+	// full chunk is abandoned in place — records in flight keep pointing
+	// into it — and a fresh one started.
+	slab []kMsg
+	// elects is Round's reusable scratch: this round's ELECTs, strongest
+	// claim first.
+	elects []kElectIn
+}
+
+// kElectIn is one received ELECT with its arrival port.
+type kElectIn struct {
+	port int
+	m    *kMsg
+}
+
+// box copies m into the slab and returns the record to send.
+func (p *kingdomProc) box(m kMsg) *kMsg {
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]kMsg, 0, kSlabChunk)
+	}
+	p.slab = append(p.slab, m)
+	return &p.slab[len(p.slab)-1]
 }
 
 func (p *kingdomProc) radius(phase int32, c *sim.Context) int32 {
@@ -170,50 +204,64 @@ func (p *kingdomProc) launchWave(c *sim.Context) {
 		p.crown(c)
 		return
 	}
-	c.Broadcast(kElect{key: key, ttl: p.radius(p.phase, c)})
+	c.Broadcast(p.box(kMsg{kind: kElect, key: key, ttl: p.radius(p.phase, c)}))
 }
 
+// Round is message-driven: every state change of the protocol sits in a
+// message handler, so on an empty inbox the node tells the engine that only
+// a delivery can rouse it.
 func (p *kingdomProc) Round(c *sim.Context, inbox []sim.Message) {
 	if p.halting {
 		return
 	}
-	// Process ELECTs in descending claim order so that the strongest wave
-	// of the round claims the node first.
-	var elects []sim.Message
-	var others []sim.Message
-	for _, in := range inbox {
-		if _, ok := in.Payload.(kElect); ok {
-			elects = append(elects, in)
-		} else {
-			others = append(others, in)
-		}
+	if len(inbox) == 0 {
+		c.IdleUntil(sim.Forever)
+		return
 	}
-	sort.SliceStable(elects, func(i, j int) bool {
-		a := elects[i].Payload.(kElect).key
-		b := elects[j].Payload.(kElect).key
-		return b.less(a)
-	})
-	for _, in := range elects {
-		p.handleElect(c, in.Port, in.Payload.(kElect))
+	// Process ELECTs first, in descending claim order (arrival order among
+	// equal claims), so that the strongest wave of the round claims the
+	// node first. Payloads that are not kingdom messages are ignored.
+	if p.elects == nil {
+		p.elects = make([]kElectIn, 0, c.Degree())
+	}
+	elects := p.elects[:0]
+	for _, in := range inbox {
+		m, ok := in.Payload.(*kMsg)
+		if !ok || m.kind != kElect {
+			continue
+		}
+		i := len(elects)
+		elects = append(elects, kElectIn{})
+		for ; i > 0 && elects[i-1].m.key.less(m.key); i-- {
+			elects[i] = elects[i-1]
+		}
+		elects[i] = kElectIn{port: in.Port, m: m}
+	}
+	p.elects = elects
+	for _, e := range elects {
+		p.handleElect(c, e.port, e.m)
 		if p.halting {
 			return
 		}
 	}
-	for _, in := range others {
-		switch m := in.Payload.(type) {
+	for _, in := range inbox {
+		m, ok := in.Payload.(*kMsg)
+		if !ok {
+			continue
+		}
+		switch m.kind {
 		case kReply:
 			p.handleReply(c, in.Port, m)
 		case kConfirm:
-			p.handleConfirm(c, in.Port, m)
+			p.handleConfirm(c, m.key)
 		case kProbe:
-			c.Send(in.Port, kProbeRe{key: m.key, max: p.zMax})
+			c.Send(in.Port, p.box(kMsg{kind: kProbeRe, key: m.key, max: p.zMax}))
 		case kProbeRe:
 			p.handleVictorPart(c, m.key, m.max, m.max == m.key)
 		case kVictor:
 			p.handleVictorPart(c, m.key, m.max, m.covered)
 		case kDone:
 			p.finish(c)
-			return
 		}
 		if p.halting {
 			return
@@ -221,10 +269,10 @@ func (p *kingdomProc) Round(c *sim.Context, inbox []sim.Message) {
 	}
 }
 
-func (p *kingdomProc) handleElect(c *sim.Context, port int, m kElect) {
+func (p *kingdomProc) handleElect(c *sim.Context, port int, m *kMsg) {
 	if !p.zMax.less(m.key) {
 		// Known or weaker claim: immediate echo carrying the stronger one.
-		c.Send(port, kReply{key: m.key, max: p.zMax})
+		c.Send(port, p.box(kMsg{kind: kReply, key: m.key, max: p.zMax}))
 		return
 	}
 	p.zMax = m.key
@@ -233,15 +281,15 @@ func (p *kingdomProc) handleElect(c *sim.Context, port int, m kElect) {
 	p.states[m.key] = st
 	if m.ttl > 1 && c.Degree() > 1 {
 		st.pending = c.Degree() - 1
-		c.BroadcastExcept(port, kElect{key: m.key, ttl: m.ttl - 1})
+		c.BroadcastExcept(port, p.box(kMsg{kind: kElect, key: m.key, ttl: m.ttl - 1}))
 		return
 	}
 	// Leaf of the wave: join immediately.
 	st.replied = true
-	c.Send(port, kReply{key: m.key, join: true, max: p.zMax})
+	c.Send(port, p.box(kMsg{kind: kReply, key: m.key, join: true, max: p.zMax}))
 }
 
-func (p *kingdomProc) handleReply(c *sim.Context, port int, m kReply) {
+func (p *kingdomProc) handleReply(c *sim.Context, port int, m *kMsg) {
 	st := p.states[m.key]
 	if st == nil || st.pending == 0 {
 		return // echo for an abandoned wave
@@ -256,7 +304,7 @@ func (p *kingdomProc) handleReply(c *sim.Context, port int, m kReply) {
 	}
 	if st.parent >= 0 {
 		st.replied = true
-		c.Send(st.parent, kReply{key: m.key, join: true, max: st.agg.max(p.zMax)})
+		c.Send(st.parent, p.box(kMsg{kind: kReply, key: m.key, join: true, max: st.agg.max(p.zMax)}))
 		return
 	}
 	// Root: first win decided.
@@ -282,23 +330,24 @@ func (p *kingdomProc) startStage2(c *sim.Context, key kkey, st *kState) {
 	st.agg2 = key
 	st.covered2 = true
 	st.pending2 = len(st.children) + c.Degree()
-	for _, ch := range st.children {
-		c.Send(ch, kConfirm{key: key})
+	if len(st.children) > 0 {
+		confirm := p.box(kMsg{kind: kConfirm, key: key})
+		for _, ch := range st.children {
+			c.Send(ch, confirm)
+		}
 	}
-	for q := 0; q < c.Degree(); q++ {
-		c.Send(q, kProbe{key: key})
-	}
+	c.Broadcast(p.box(kMsg{kind: kProbe, key: key}))
 	if st.pending2 == 0 {
 		p.stage2Done(c, key, st)
 	}
 }
 
-func (p *kingdomProc) handleConfirm(c *sim.Context, port int, m kConfirm) {
-	st := p.states[m.key]
+func (p *kingdomProc) handleConfirm(c *sim.Context, key kkey) {
+	st := p.states[key]
 	if st == nil || st.stage2 || !st.replied {
 		return // not a member (or duplicate confirm)
 	}
-	p.startStage2(c, m.key, st)
+	p.startStage2(c, key, st)
 }
 
 // handleVictorPart folds one probe reply or child victor into the stage-2
@@ -321,7 +370,7 @@ func (p *kingdomProc) handleVictorPart(c *sim.Context, key, max kkey, covered bo
 
 func (p *kingdomProc) stage2Done(c *sim.Context, key kkey, st *kState) {
 	if st.parent >= 0 {
-		c.Send(st.parent, kVictor{key: key, max: st.agg2.max(p.zMax), covered: st.covered2})
+		c.Send(st.parent, p.box(kMsg{kind: kVictor, key: key, max: st.agg2.max(p.zMax), covered: st.covered2}))
 		return
 	}
 	if !p.candidate || key.id != p.me || key.phase != p.phase {

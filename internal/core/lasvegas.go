@@ -75,6 +75,12 @@ func (p *lvProc) startEpoch(c *sim.Context) {
 }
 
 func (p *lvProc) Round(c *sim.Context, inbox []sim.Message) {
+	// Quiet round inside the epoch: nothing arrived and nothing is queued,
+	// so the flooder cannot change; only the epoch boundary counts rounds.
+	if len(inbox) == 0 && p.fl.idle() && c.Round() < p.epochEnd {
+		c.IdleUntil(p.epochEnd)
+		return
+	}
 	msgs := p.buf[:0]
 	for _, in := range inbox {
 		if b, ok := in.Payload.(*taggedMsg); ok {

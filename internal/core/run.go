@@ -49,8 +49,9 @@ type RunOpts struct {
 
 // config resolves the RunOpts against the algorithm spec into the engine
 // configuration and protocol instance. Knowledge is granted exactly as the
-// algorithm's Table 1 row assumes.
-func (ro RunOpts) config(g *graph.Graph, spec Spec) (sim.Config, sim.Protocol, error) {
+// algorithm's Table 1 row assumes. rng is lent for the ID draw, which
+// reseeds it.
+func (ro RunOpts) config(g *graph.Graph, spec Spec, rng *rand.Rand) (sim.Config, sim.Protocol, error) {
 	if spec.NeedsIDs && ro.Anonymous {
 		return sim.Config{}, nil, fmt.Errorf("core: %s requires unique IDs", spec.Name)
 	}
@@ -60,7 +61,7 @@ func (ro RunOpts) config(g *graph.Graph, spec Spec) (sim.Config, sim.Protocol, e
 	}
 	ids := ro.IDs
 	if ids == nil && !ro.Anonymous {
-		rng := rand.New(rand.NewSource(sim.NodeSeed(ro.Seed, -1)))
+		rng.Seed(sim.NodeSeed(ro.Seed, -1))
 		ids = sim.RandomIDs(g.N(), rng)
 	}
 	cfg := sim.Config{
@@ -105,7 +106,7 @@ func Run(g *graph.Graph, algo string, ro RunOpts) (*sim.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", algo)
 	}
-	cfg, proto, err := ro.config(g, spec)
+	cfg, proto, err := ro.config(g, spec, sim.NewRand(0))
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +122,9 @@ type Prepared struct {
 	g      *graph.Graph
 	spec   Spec
 	runner *sim.Runner
+	// rng is the per-trial seed stream (ID draws), reseeded for every use
+	// so a trial pays neither a fill nor an allocation for it.
+	rng *rand.Rand
 }
 
 // Prepare validates the algorithm name and graph and builds the reusable
@@ -134,7 +138,7 @@ func Prepare(g *graph.Graph, algo string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{g: g, spec: spec, runner: runner}, nil
+	return &Prepared{g: g, spec: spec, runner: runner, rng: sim.NewRand(0)}, nil
 }
 
 // Spec returns the algorithm spec this Prepared runs.
@@ -143,9 +147,17 @@ func (p *Prepared) Spec() Spec { return p.spec }
 // Graph returns the graph this Prepared is bound to.
 func (p *Prepared) Graph() *graph.Graph { return p.g }
 
+// Rand returns the Prepared's one scratch generator reseeded: it draws what
+// rand.New(rand.NewSource(seed)) would. The next Rand or Run call on p
+// reseeds it, so draw everything needed first.
+func (p *Prepared) Rand(seed int64) *rand.Rand {
+	p.rng.Seed(seed)
+	return p.rng
+}
+
 // Run executes one trial.
 func (p *Prepared) Run(ro RunOpts) (*sim.Result, error) {
-	cfg, proto, err := ro.config(p.g, p.spec)
+	cfg, proto, err := ro.config(p.g, p.spec, p.rng)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +170,7 @@ func (p *Prepared) Run(ro RunOpts) (*sim.Result, error) {
 // allocation flat; the filled Result is overwritten by the next RunInto
 // with the same out.
 func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
-	cfg, proto, err := ro.config(p.g, p.spec)
+	cfg, proto, err := ro.config(p.g, p.spec, p.rng)
 	if err != nil {
 		return err
 	}

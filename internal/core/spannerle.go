@@ -57,10 +57,18 @@ func (p *spannerLEProc) Start(c *sim.Context) {
 func (p *spannerLEProc) Round(c *sim.Context, inbox []sim.Message) {
 	rel := c.Round() - p.startRd
 	if !p.electing {
+		// No idle hint here: the Baswana–Sen schedule counts rounds, so a
+		// Step on an empty inbox still advances the construction.
 		done := p.machine.Step(c, rel, inbox)
 		if done {
 			p.beginElection(c)
 		}
+		return
+	}
+	// Quiet round of the election: nothing arrived and nothing is queued,
+	// so the flooder and every decision check stand where they stood.
+	if len(inbox) == 0 && p.fl.idle() {
+		c.IdleUntil(sim.Forever)
 		return
 	}
 	msgs := p.buf[:0]

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"math/rand"
-
 	"ule/internal/core"
 	"ule/internal/sim"
 )
@@ -51,7 +49,7 @@ func (e Election) RunOpts(prep *core.Prepared) (core.RunOpts, error) {
 		Opt:       e.Opt,
 	}
 	if e.SmallIDs {
-		ro.IDs = sim.PermutationIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(e.Seed, -2))))
+		ro.IDs = sim.PermutationIDs(g.N(), prep.Rand(sim.NodeSeed(e.Seed, -2)))
 	}
 	if prep.Spec().NeedsD {
 		if e.DiameterEstimate {

@@ -20,7 +20,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -179,7 +178,7 @@ func wakeSchedule(spec string, n int, trialSeed int64) []int {
 		return nil
 	case "random":
 		span, _ := strconv.Atoi(arg)
-		rng := rand.New(rand.NewSource(sim.NodeSeed(trialSeed, -3)))
+		rng := sim.NewRand(sim.NodeSeed(trialSeed, -3))
 		w := make([]int, n)
 		for i := range w {
 			w[i] = 1 + rng.Intn(span)
@@ -193,7 +192,7 @@ func wakeSchedule(spec string, n int, trialSeed int64) []int {
 		}
 		return w
 	case "adversarial":
-		rng := rand.New(rand.NewSource(sim.NodeSeed(trialSeed, -3)))
+		rng := sim.NewRand(sim.NodeSeed(trialSeed, -3))
 		w := make([]int, n)
 		for i := range w {
 			w[i] = sim.WakeOnMessage

@@ -13,6 +13,19 @@
 // keep *rand.Rand and every coin of every run stays what it was.
 package sim
 
+import "math/rand"
+
+// NewRand returns a generator that draws, value for value, what
+// rand.New(rand.NewSource(seed)) would, without the 607-word fill: the
+// seed stream for callers that draw a handful of values per seed (one ID
+// permutation or wake schedule per trial). Reseed it with its Seed method
+// to reuse the state words already allocated.
+func NewRand(seed int64) *rand.Rand {
+	src := new(lazySource)
+	src.Seed(seed)
+	return rand.New(src)
+}
+
 const (
 	rngLen   = 607
 	rngTap   = 273

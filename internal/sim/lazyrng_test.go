@@ -20,8 +20,7 @@ func compareSources(t *testing.T, seed int64, ops []byte, minDraws int) {
 		ops = []byte{0}
 	}
 	want := rand.New(rand.NewSource(seed))
-	got := rand.New(new(lazySource))
-	got.Seed(seed)
+	got := NewRand(seed)
 	for i := 0; i < minDraws || i < len(ops); i++ {
 		op := ops[i%len(ops)]
 		arg := int(op>>3) + 1
