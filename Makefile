@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
+.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
 
 build:
 	$(GO) build ./...
@@ -41,9 +41,14 @@ test-race:
 # more than one core, and only hands it the ticks with enough due work:
 # at 1 every tick runs inline, at 2 and 4 the race detector sees the
 # concurrent dispatch even when the hardware would not take it. The
-# harness matrix (16 sweeps a pass) runs once, at 4.
+# flood family's batteries ride along (TestFlood*: the poisoned-box
+# goldens, the model test against the reference flooder and the ownership
+# tests; TestLemma43ListLength): its receivers read pooled wire boxes in
+# place, some of which crossed shards, and a box released too early is a
+# data race here before it is a moved hash. The harness matrix (16 sweeps
+# a pass) runs once, at 4.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestEffectiveShards' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestEffectiveShards|TestFlood|TestLemma43' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards' ./internal/harness
 
 bench:
@@ -86,6 +91,15 @@ test-budgets:
 # sim.bytes_per_run).
 bench-alloc: test-budgets
 	$(GO) test -bench 'EngineSparse|EngineWarm|EngineAsync|EngineParallel|EngineThroughput|SparseDFSTorus64|NodeRNGSeed|Thm410_Kingdom' -benchtime 5x -benchmem -run='^$$' .
+
+# The flood data-path measurement set (docs/PERFORMANCE.md § "One copy per
+# flood message"): the per-node Start budget and the per-message census,
+# then leastel's ns/msg and allocs/msg on the dense and the sparse cell.
+# The recorded numbers are cmd/ule-bench's (elect-sparse, elect-dense:
+# core.run_ms.leastel-*).
+bench-flood:
+	$(GO) test -run 'TestFloodStartBudget|TestProtocolBudgets' -v .
+	$(GO) test -bench 'FloodRound' -benchtime 20x -run='^$$' ./internal/core
 
 # The fault-adversary measurement set (docs/FAULTS.md): the fault-injected
 # allocation budget plus the warm-path fault benchmarks.

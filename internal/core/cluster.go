@@ -108,10 +108,13 @@ type clusterProc struct {
 
 	// Phase 3 state.
 	inPh3   bool
-	fl      *flooder
+	fl      flooder
 	meKey   flKey
 	decided bool
-	buf3    []portMsg
+	// early holds, in arrival order, the flood records that arrive before
+	// this node is in phase 3 (its neighbours may get there first); the
+	// round that enters phase 3 handles them as one inbox.
+	early []sim.Message
 
 	// Reusable per-round classification scratch.
 	joinBuf, answerBuf, recBuf []sim.Message
@@ -167,9 +170,9 @@ func (p *clusterProc) Round(c *sim.Context, inbox []sim.Message) {
 			if p.inPh3 {
 				p.fl.addPort(in.Port)
 			}
-		case *taggedMsg:
-			if t := unboxTagged(in.Payload.(*taggedMsg)); t.tag == tagPhaseB {
-				p.buf3 = append(p.buf3, portMsg{port: in.Port, m: t.m})
+		case *flMsg:
+			if !p.inPh3 {
+				p.early = append(p.early, in)
 			}
 		}
 	}
@@ -185,10 +188,10 @@ func (p *clusterProc) Round(c *sim.Context, inbox []sim.Message) {
 	}
 	p.queue.flush(func(port int, pl sim.Payload) { c.Send(port, pl) }, 2)
 	if p.inPh3 {
-		msgs := p.buf3
-		p.buf3 = p.buf3[:0] // handleRound copies; keep the capacity
-		p.fl.handleRound(msgs)
-		p.fl.flush()
+		if p.early != nil { // entered phase 3 this round: early has the inbox's records too
+			inbox, p.early = p.early, nil
+		}
+		p.fl.round(inbox)
 		p.decide(c)
 	}
 }
@@ -342,9 +345,7 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 		sorted = append(sorted, q)
 	}
 	sort.Ints(sorted)
-	p.fl = newFlooder(sorted, true, func(port int, m flMsg) {
-		c.Send(port, boxTagged(tagPhaseB, m))
-	})
+	initFlooder(&p.fl, c.Degree(), sorted, true, tagPhaseB, c.Send)
 	p.meKey = drawKey(c, rankSpace(c.Know().N))
 	// Anonymous networks reuse the phase-1 identity as the tiebreak token.
 	if !c.HasID() {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"ule/internal/sim"
-)
+import "ule/internal/sim"
 
 // Estimate is the Corollary 4.5 algorithm: leader election with probability
 // 1 in O(D) time and O(m·min(log n, D)) messages whp, with NO knowledge of
@@ -32,64 +28,24 @@ func (Estimate) Name() string { return "leastel-estimate" }
 // New implements sim.Protocol.
 func (Estimate) New(info sim.NodeInfo) sim.Process { return &estimateProc{} }
 
-// Phase tags multiplexing the two flooders plus the start signal.
-const (
-	tagPhaseA uint8 = iota + 1
-	tagPhaseB
-	tagStartB
-)
-
-// taggedMsg wraps a flood message with its phase tag. Like flMsg it
-// crosses the network behind a pooled pointer box (see the ownership
-// contract at flMsgPool).
-type taggedMsg struct {
-	tag uint8
-	m   flMsg
-}
-
-func (t taggedMsg) Bits() int { return 3 + t.m.Bits() }
-
-var taggedPool = sync.Pool{New: func() any { return new(taggedMsg) }}
-
-// boxTagged draws a pooled wire box for a tagged flood message.
-func boxTagged(tag uint8, m flMsg) *taggedMsg {
-	b := taggedPool.Get().(*taggedMsg)
-	b.tag, b.m = tag, m
-	return b
-}
-
-// unboxTagged copies the received value out and releases the box.
-func unboxTagged(b *taggedMsg) taggedMsg {
-	t := *b
-	taggedPool.Put(b)
-	return t
-}
-
 // startBMsg floods the phase-B start signal carrying X̄.
 type startBMsg struct{ xbar int64 }
 
 func (m startBMsg) Bits() int { return 3 + sim.BitsFor(m.xbar) }
 
 type estimateProc struct {
-	flA, flB *flooder
-	x        int64 // own geometric draw
+	flA, flB flooder // phase A (max) and phase B (min), sharing every inbox
+	x        int64   // own geometric draw
 	meB      flKey
 	inB      bool
 	startFwd bool
 	decided  bool
 	sawAWin  bool
-
-	aBuf, bBuf []portMsg // reusable per-round decode scratch
 }
 
 func (p *estimateProc) Start(c *sim.Context) {
-	ports := allPorts(c.Degree())
-	p.flA = newFlooder(ports, false, func(port int, m flMsg) {
-		c.Send(port, boxTagged(tagPhaseA, m))
-	})
-	p.flB = newFlooder(ports, true, func(port int, m flMsg) {
-		c.Send(port, boxTagged(tagPhaseB, m))
-	})
+	initFlooder(&p.flA, c.Degree(), nil, false, tagPhaseA, c.Send)
+	initFlooder(&p.flB, c.Degree(), nil, true, tagPhaseB, c.Send)
 	// Geometric draw: flips until the first heads.
 	p.x = 1
 	for c.Rand().Intn(2) == 0 {
@@ -129,26 +85,20 @@ func (p *estimateProc) enterPhaseB(c *sim.Context, xbar int64) {
 }
 
 func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
-	aMsgs, bMsgs := p.aBuf[:0], p.bBuf[:0]
-	startB := int64(0)
+	// startB is the largest start signal of the round; joinB the largest X̄
+	// on a phase-B record (at least 1 when there is one).
+	startB, joinB := int64(0), int64(0)
 	for _, in := range inbox {
 		switch m := in.Payload.(type) {
-		case *taggedMsg:
-			t := unboxTagged(m)
-			switch t.tag {
-			case tagPhaseA:
-				aMsgs = append(aMsgs, portMsg{port: in.Port, m: t.m})
-			case tagPhaseB:
-				bMsgs = append(bMsgs, portMsg{port: in.Port, m: t.m})
+		case *flMsg:
+			if m.Tag == tagPhaseB {
+				joinB = max(joinB, m.Aux, 1)
 			}
 		case startBMsg:
-			if startB == 0 || m.xbar > startB {
-				startB = m.xbar
-			}
+			startB = max(startB, m.xbar)
 		}
 	}
-	p.aBuf, p.bBuf = aMsgs, bMsgs
-	p.flA.handleRound(aMsgs)
+	p.flA.handleInbox(inbox)
 	// Phase-A completion at the maximum holder triggers the start flood.
 	if p.flA.completed && p.flA.won && !p.sawAWin {
 		p.sawAWin = true
@@ -162,16 +112,12 @@ func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
 	}
 	// Join rule: a phase-B rank arriving before the start signal makes the
 	// node a candidate first (using the rank's X̄), then processes it.
-	if len(bMsgs) > 0 && !p.inB {
-		xbar := int64(1)
-		for _, pm := range bMsgs {
-			if pm.m.Aux > xbar {
-				xbar = pm.m.Aux
-			}
-		}
-		p.enterPhaseB(c, xbar)
+	if joinB > 0 {
+		p.enterPhaseB(c, joinB)
 	}
-	p.flB.handleRound(bMsgs)
+	p.flB.handleInbox(inbox)
+	// Both flooders have read the inbox: only now may its boxes go back.
+	releaseInbox(inbox)
 	p.flA.flush()
 	p.flB.flush()
 	if p.inB && !p.decided {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"ule/internal/sim"
@@ -28,11 +29,17 @@ func (k flKey) less(o flKey) bool {
 	return k.origin < o.origin
 }
 
-// flMsg is the wire format of the flood machine: a rank announcement or its
+// flMsg is the wire record of the flood machine: a rank announcement or its
 // echo (ack). Acks piggyback the sender's best-heard value, which closes
 // the completion-vs-in-flight race discussed in the Theorem 4.4 analysis.
+// It is pointer-free, and it is the only payload type the flood family
+// sends.
 type flMsg struct {
-	Ack    bool
+	Ack bool
+	// Tag names the flooder the record belongs to when a protocol runs
+	// more than one, or other traffic beside it (tagPhaseA, tagPhaseB);
+	// zero on the untagged wire of the plain Theorem 4.4 election.
+	Tag    uint8
 	Origin int64
 	Rank   int64
 	// Aux rides along rank announcements (Corollary 4.5 uses it to carry
@@ -43,48 +50,78 @@ type flMsg struct {
 	HeardOrigin int64
 }
 
+// Phase tags multiplexing the flooders (and the start signal) of the
+// protocols that run the flood beside other traffic.
+const (
+	tagPhaseA uint8 = iota + 1
+	tagPhaseB
+	tagStartB
+)
+
 // Bits implements sim.Payload; every identifier-sized field costs its bit
-// length, matching the CONGEST accounting of the paper.
-func (m flMsg) Bits() int {
+// length, matching the CONGEST accounting of the paper, and a tagged
+// record pays 3 bits for its tag.
+func (m *flMsg) Bits() int {
 	b := 2 + sim.BitsFor(m.Origin) + sim.BitsFor(m.Rank) + sim.BitsFor(m.Aux)
 	if m.Ack {
 		b += sim.BitsFor(m.HeardRank) + sim.BitsFor(m.HeardOrigin)
 	}
+	if m.Tag != 0 {
+		b += 3
+	}
 	return b
 }
 
-// Pooled wire boxes. Flood messages dominate the traffic of every
-// randomized algorithm here, and boxing each flMsg value into the Payload
-// interface was one heap allocation per send; instead the wire payloads
-// are *flMsg / *taggedMsg pointers drawn from free lists, so steady-state
-// sends allocate nothing.
+// flMsgPool is the free list of wire records. Flood messages dominate the
+// traffic of every randomized algorithm here, so a record is written once
+// and never copied: flooder.out draws a box and fills it, the drip queue
+// and the engine carry the pointer, and the receiver reads it in place.
 //
-// Ownership contract: the sender draws one box per Send (never reusing a
-// box across ports), and the receiver copies the value out and releases
-// the box as it decodes its inbox. Boxes that are never decoded (arrivals
-// at halted nodes, aborted runs) are simply dropped — the GC reclaims
-// them, which sync.Pool tolerates.
+// Ownership: the sender draws one box per send (a box never travels two
+// links) and gives it up when flush hands it to the engine. The process
+// whose inbox a box arrives in owns it from then on and returns it exactly
+// once, with releaseInbox, after every one of its flooders has handled
+// that inbox (cluster keeps what arrives before its phase 3 until the
+// round that handles it) — never earlier: a box put back mid-round can be
+// drawn again by the handler that is still reading the inbox, or by
+// another shard, and a flooder that scans an inbox looks at the tag of
+// every box in it, its own or not. Payloads that are not *flMsg are not
+// the flood's and are left alone. Boxes that are never handled (arrivals
+// at halted or crashed nodes, dropped messages, aborted runs) are left to
+// the GC, which sync.Pool tolerates. docs/ARCHITECTURE.md § "The flood
+// wire record" has the argument in full.
 var flMsgPool = sync.Pool{New: func() any { return new(flMsg) }}
 
-// boxFl draws a pooled wire box holding m.
-func boxFl(m flMsg) *flMsg {
-	b := flMsgPool.Get().(*flMsg)
-	*b = m
-	return b
+// onRelease, when set, sees every box on its way back to the pool. Tests
+// only: they poison the box there, so that a read after release moves a
+// transcript, and count the releases.
+var onRelease func(*flMsg)
+
+// releaseInbox returns the flood boxes of a handled inbox to the pool.
+func releaseInbox(inbox []sim.Message) {
+	for i := range inbox {
+		if b, ok := inbox[i].Payload.(*flMsg); ok {
+			if onRelease != nil {
+				onRelease(b)
+			}
+			flMsgPool.Put(b)
+		}
+	}
 }
 
-// unboxFl copies the received value out and releases the box.
-func unboxFl(b *flMsg) flMsg {
-	m := *b
-	flMsgPool.Put(b)
-	return m
-}
-
-// flState tracks one origin's propagation-with-feedback (the "echo"
-// mechanism of [11] as described in Section 4.2).
+// flState is one entry of the least-element list: an adopted origin and its
+// propagation-with-feedback record (the "echo" mechanism of [11] as
+// described in Section 4.2).
 type flState struct {
+	origin     int64
 	parentPort int // real port toward the origin; -1 at the origin itself
 	pending    int // echoes still outstanding
+}
+
+// flRef is a wire record with the real port it leaves or arrived through.
+type flRef struct {
+	port int
+	m    *flMsg
 }
 
 // flooder is the least-element-list flood with echo-based termination used
@@ -93,98 +130,146 @@ type flState struct {
 // implements least-element lists; max mode implements the max-flood of the
 // Corollary 4.5 size-estimation phase.
 //
-// The embedding process forwards inbound flMsg traffic via handleRound and
-// provides an out function that performs the actual (possibly tagged, or
-// port-restricted) sends.
+// A process with one flooder hands every inbox to round. One that runs two
+// on the same inbox calls handleInbox on each, then releaseInbox once, then
+// flush on each.
 type flooder struct {
-	min   bool
-	ports []int // real ports the flood uses
-	raw   func(realPort int, m flMsg)
-	q     flQueue
+	min bool
+	tag uint8
+	// deg is the node's degree; ports lists the real ports the flood uses,
+	// nil meaning all deg of them.
+	deg   int
+	ports []int
+	send  func(realPort int, p sim.Payload)
 
-	// rankBuf/ackBuf are the reusable per-round partition scratch of
-	// handleRound.
-	rankBuf, ackBuf []portMsg
+	// q is the drip queue, one FIFO for all ports; sent is flush's
+	// per-port count, allocated by the first flush that needs one.
+	q    []flRef
+	sent []uint8
+	// ranks is handleInbox's reusable sort scratch.
+	ranks []flRef
 
-	participating bool
-	self          flKey
-	aux           int64
-
-	// best is the least (resp. greatest) value adopted and re-flooded; it
-	// gates adoption. heard additionally folds in ack gossip and gates
-	// only the local win decision — see the safety note in leastel.go.
-	best   flKey
-	heard  flKey
-	states map[int64]*flState
-	// slab chunk-allocates flState records: one allocation per chunk
-	// instead of one per adoption. A full chunk is abandoned in place (map
-	// values keep pointing into it) and a fresh one started, so addresses
-	// stay stable.
-	slab []flState
-
-	// listLen counts adopted entries: the size of this node's
-	// least-element list (Lemma 4.3 measures its expectation).
-	listLen int
+	// self is this node's own value, once start injected it. best is the
+	// least (resp. greatest) value adopted and re-flooded; it gates
+	// adoption. heard additionally folds in ack gossip and gates only the
+	// local win decision — see the safety note in leastel.go.
+	self, best, heard flKey
+	// list is this node's least-element list in adoption order, one entry
+	// per origin; Lemma 4.3 bounds its expected length by
+	// O(min(log f(n), D)), so lookups scan it.
+	list []flState
 
 	completed bool
 	won       bool
-
-	// onAdopt, if set, fires when a new value is adopted (used by the
-	// estimate variant's join rule and by tests).
-	onAdopt func(k flKey, aux int64)
 }
 
 // flushRate bounds flood sends per port per round, keeping bursts of
 // echoes within the CONGEST per-edge budget.
 const flushRate = 4
 
-func newFlooder(ports []int, min bool, out func(int, flMsg)) *flooder {
-	f := new(flooder)
-	initFlooder(f, ports, min, out)
-	return f
-}
-
-// initFlooder initializes a flooder in place, so embedding processes can
-// keep it as a struct field instead of a separate heap object.
-func initFlooder(f *flooder, ports []int, min bool, out func(int, flMsg)) {
-	*f = flooder{min: min, ports: ports, raw: out, states: make(map[int64]*flState)}
-	maxPort := -1
-	for _, p := range ports {
-		if p > maxPort {
-			maxPort = p
-		}
-	}
-	f.q.init(maxPort + 1)
+// initFlooder initializes a flooder in place on a node of degree deg. A nil
+// ports means every port; send receives the *flMsg boxes (Context.Send in
+// production).
+func initFlooder(f *flooder, deg int, ports []int, min bool, tag uint8, send func(int, sim.Payload)) {
+	*f = flooder{min: min, tag: tag, deg: deg, ports: ports, send: send, best: negKey, heard: negKey}
 	if min {
 		f.best, f.heard = infKey, infKey
-	} else {
-		f.best, f.heard = negKey, negKey
 	}
 }
 
-// newState slab-allocates one adoption record.
-func (f *flooder) newState(parentPort, pending int) *flState {
-	if len(f.slab) == cap(f.slab) {
-		f.slab = make([]flState, 0, 16)
+// numPorts is the number of ports the flood uses.
+func (f *flooder) numPorts() int {
+	if f.ports == nil {
+		return f.deg
 	}
-	f.slab = append(f.slab, flState{parentPort: parentPort, pending: pending})
-	return &f.slab[len(f.slab)-1]
+	return len(f.ports)
 }
 
-// out enqueues a flood message; flush drips it onto the wire.
-func (f *flooder) out(port int, m flMsg) {
-	f.q.push(port, m)
+// listLen is the size of this node's least-element list (Lemma 4.3
+// measures its expectation).
+func (f *flooder) listLen() int { return len(f.list) }
+
+// out draws a wire record, queues it for port and returns it for the
+// caller to fill in; flush drips it onto the wire.
+func (f *flooder) out(port int) *flMsg {
+	b := flMsgPool.Get().(*flMsg)
+	*b = flMsg{Tag: f.tag}
+	f.q = append(f.q, flRef{port, b})
+	return b
 }
 
-// flush sends up to flushRate queued messages per port through the raw
-// sender (which applies any protocol tagging). The embedding process must
-// call it once per Round (after handleRound).
+// announce queues k's rank announcement on every flood port but skip (-1
+// for none).
+func (f *flooder) announce(k flKey, aux int64, skip int) {
+	n := f.numPorts()
+	f.q = slices.Grow(f.q, n)
+	for i := 0; i < n; i++ {
+		p := i
+		if f.ports != nil {
+			p = f.ports[i]
+		}
+		if p != skip {
+			b := f.out(p)
+			b.Origin, b.Rank, b.Aux = k.origin, k.rank, aux
+		}
+	}
+}
+
+// ack queues the echo of k on port, carrying the best-heard value.
+func (f *flooder) ack(port int, k flKey) {
+	b := f.out(port)
+	b.Ack, b.Origin, b.Rank = true, k.origin, k.rank
+	b.HeardRank, b.HeardOrigin = f.heard.rank, f.heard.origin
+}
+
+// flush sends the first flushRate queued records of every port, in queue
+// order, and keeps the rest in order; it runs once per Round, after the
+// inbox was handled. Only the order within a port is observable: link
+// sequence numbers are per link and an inbox is sorted by receiving port.
+// A sent slot is cleared, so a drained queue pins no box.
 func (f *flooder) flush() {
-	f.q.flush(f.raw, flushRate)
+	q := f.q
+	if len(q) <= flushRate { // no port can be over its rate
+		for i := range q {
+			f.send(q[i].port, q[i].m)
+			q[i].m = nil
+		}
+		f.q = q[:0]
+		return
+	}
+	if f.sent == nil {
+		f.sent = make([]uint8, f.deg)
+	}
+	for i := range q {
+		if p := q[i].port; f.sent[p] < flushRate {
+			f.sent[p]++
+			f.send(p, q[i].m)
+			q[i].m = nil
+		}
+	}
+	kept := 0
+	for i := range q {
+		f.sent[q[i].port] = 0
+		if q[i].m != nil {
+			q[kept] = q[i]
+			kept++
+		}
+	}
+	clear(q[kept:])
+	f.q = q[:kept]
+}
+
+// round is one Round of a process's only flooder: handle the inbox, give
+// its boxes back, drip the queue. It returns the number of records handled.
+func (f *flooder) round(inbox []sim.Message) int {
+	n := f.handleInbox(inbox)
+	releaseInbox(inbox)
+	f.flush()
+	return n
 }
 
 // idle reports whether no flood traffic is queued.
-func (f *flooder) idle() bool { return f.q.empty() }
+func (f *flooder) idle() bool { return len(f.q) == 0 }
 
 // better reports whether a beats b in the flood's direction.
 func (f *flooder) better(a, b flKey) bool {
@@ -194,20 +279,35 @@ func (f *flooder) better(a, b flKey) bool {
 	return b.less(a)
 }
 
+// find returns the list entry of origin, newest first: echoes mostly
+// answer the latest adoptions.
+func (f *flooder) find(origin int64) *flState {
+	for i := len(f.list) - 1; i >= 0; i-- {
+		if f.list[i].origin == origin {
+			return &f.list[i]
+		}
+	}
+	return nil
+}
+
+// adopt appends k's list entry. The first entries come four at a time: the
+// expected list is a handful long.
+func (f *flooder) adopt(origin int64, parentPort, pending int) *flState {
+	if f.list == nil {
+		f.list = make([]flState, 0, 4)
+	}
+	f.list = append(f.list, flState{origin: origin, parentPort: parentPort, pending: pending})
+	return &f.list[len(f.list)-1]
+}
+
 // start injects this node's own value. Must be called at most once, before
-// any handleRound delivery in the same round is processed.
+// any handleInbox delivery in the same round is processed.
 func (f *flooder) start(self flKey, aux int64) {
-	f.participating = true
 	f.self = self
-	f.aux = aux
 	f.best = self
 	f.heard = self
-	f.listLen++
-	st := f.newState(-1, len(f.ports))
-	f.states[self.origin] = st
-	for _, p := range f.ports {
-		f.out(p, flMsg{Origin: self.origin, Rank: self.rank, Aux: aux})
-	}
+	st := f.adopt(self.origin, -1, f.numPorts())
+	f.announce(self, aux, -1)
 	if st.pending == 0 {
 		f.complete()
 	}
@@ -225,103 +325,95 @@ func (f *flooder) fold(k flKey) {
 	}
 }
 
-// handleRound processes all of this round's flood traffic. Announcements
-// are processed before echoes, best value first (ascending port on ties —
-// the same total order the previous sort.Slice call produced), so that a
-// completion decision in this round already accounts for every value that
-// reached the node. Partitioning and ordering run on reusable scratch
-// with an insertion sort: rounds with traffic allocate nothing once the
-// scratch is warm.
-func (f *flooder) handleRound(msgs []portMsg) {
-	if len(msgs) == 0 {
-		return
+// handleInbox processes this round's flood traffic, reading the boxes
+// where the engine left them: payloads that are not *flMsg, or carry
+// another flooder's tag, are skipped. Announcements are processed before
+// echoes, best value first (ascending port on ties), so that a completion
+// decision in this round already accounts for every value that reached the
+// node; echoes follow in arrival order. The announcements are ordered by
+// an insertion sort of 16-byte references on reusable scratch, so rounds
+// with traffic allocate nothing once the scratch is warm. It returns the
+// number of records handled; the boxes stay the caller's to release (see
+// flMsgPool).
+func (f *flooder) handleInbox(inbox []sim.Message) int {
+	if f.ranks == nil {
+		f.ranks = make([]flRef, 0, 4)
 	}
-	ranks, acks := f.rankBuf[:0], f.ackBuf[:0]
-	for _, pm := range msgs {
-		if pm.m.Ack {
-			acks = append(acks, pm)
+	ranks, acks := f.ranks[:0], 0
+	for _, in := range inbox {
+		m, ok := in.Payload.(*flMsg)
+		if !ok || m.Tag != f.tag {
 			continue
 		}
-		a := flKey{pm.m.Rank, pm.m.Origin}
+		if m.Ack {
+			acks++
+			continue
+		}
+		a := flKey{m.Rank, m.Origin}
 		i := len(ranks)
-		ranks = append(ranks, pm)
+		ranks = append(ranks, flRef{in.Port, m})
 		for i > 0 {
 			b := flKey{ranks[i-1].m.Rank, ranks[i-1].m.Origin}
-			if f.better(b, a) || (a == b && ranks[i-1].port <= pm.port) {
+			if f.better(b, a) || (a == b && ranks[i-1].port <= in.Port) {
 				break
 			}
 			ranks[i] = ranks[i-1]
 			i--
 		}
-		ranks[i] = pm
+		ranks[i] = flRef{in.Port, m}
 	}
-	f.rankBuf, f.ackBuf = ranks, acks
-	for _, pm := range ranks {
-		f.handleRank(pm.port, pm.m)
+	for _, r := range ranks {
+		f.handleRank(r.port, r.m)
 	}
-	for _, pm := range acks {
-		f.handleAck(pm.port, pm.m)
+	handled := len(ranks) + acks
+	clear(ranks) // the scratch must not pin released boxes
+	f.ranks = ranks[:0]
+	for i := 0; acks > 0; i++ {
+		if m, ok := inbox[i].Payload.(*flMsg); ok && m.Tag == f.tag && m.Ack {
+			f.handleAck(m)
+			acks--
+		}
 	}
+	return handled
 }
 
-// portMsg pairs a real port with a decoded flood message.
-type portMsg struct {
-	port int
-	m    flMsg
-}
-
-func (f *flooder) handleRank(port int, m flMsg) {
+func (f *flooder) handleRank(port int, m *flMsg) {
 	k := flKey{m.Rank, m.Origin}
 	f.fold(k)
-	if _, dup := f.states[m.Origin]; !dup && f.better(k, f.best) {
+	if f.better(k, f.best) && f.find(m.Origin) == nil {
 		// Adopt: this is a new least-element (resp. greatest) entry.
 		f.best = k
-		f.listLen++
-		st := f.newState(port, len(f.ports)-1)
-		f.states[m.Origin] = st
-		if f.onAdopt != nil {
-			f.onAdopt(k, m.Aux)
-		}
-		for _, p := range f.ports {
-			if p != port {
-				f.out(p, flMsg{Origin: m.Origin, Rank: m.Rank, Aux: m.Aux})
-			}
-		}
+		st := f.adopt(m.Origin, port, f.numPorts()-1)
+		f.announce(k, m.Aux, port)
 		if st.pending == 0 {
-			f.echo(st, m)
+			f.echo(st, k)
 		}
 		return
 	}
 	// Reject (or duplicate arrival of an adopted origin): echo immediately.
-	f.out(port, flMsg{
-		Ack: true, Origin: m.Origin, Rank: m.Rank,
-		HeardRank: f.heard.rank, HeardOrigin: f.heard.origin,
-	})
+	f.ack(port, k)
 }
 
-func (f *flooder) handleAck(port int, m flMsg) {
+func (f *flooder) handleAck(m *flMsg) {
 	f.fold(flKey{m.HeardRank, m.HeardOrigin})
-	st := f.states[m.Origin]
+	st := f.find(m.Origin)
 	if st == nil || st.pending == 0 {
 		return // stale echo (e.g. duplicate origins in anonymous collisions)
 	}
 	st.pending--
 	if st.pending == 0 {
-		f.echo(st, m)
+		f.echo(st, flKey{m.Rank, m.Origin})
 	}
 }
 
 // echo fires when all outstanding echoes for an origin returned: forward
 // the echo toward the origin, or complete if this node is the origin.
-func (f *flooder) echo(st *flState, m flMsg) {
+func (f *flooder) echo(st *flState, k flKey) {
 	if st.parentPort < 0 {
 		f.complete()
 		return
 	}
-	f.out(st.parentPort, flMsg{
-		Ack: true, Origin: m.Origin, Rank: m.Rank,
-		HeardRank: f.heard.rank, HeardOrigin: f.heard.origin,
-	})
+	f.ack(st.parentPort, k)
 }
 
 // addPort grows the port set after the flood started (used by the
@@ -330,73 +422,8 @@ func (f *flooder) echo(st *flState, m flMsg) {
 // counts are unaffected: already-flooded values were never forwarded on the
 // new port, so no echo is owed there; future adoptions include it.
 func (f *flooder) addPort(p int) {
-	for _, q := range f.ports {
-		if q == p {
-			return
-		}
-	}
-	f.ports = append(f.ports, p)
-}
-
-// quiescedLocally reports whether this node owes no further flood traffic.
-func (f *flooder) quiescedLocally() bool {
-	for _, st := range f.states {
-		if st.pending > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// flQueue is the flooder's drip queue: flat per-port rows of flMsg values
-// consumed flushRate per port per round in ascending port order — the
-// order the map-based portQueue produced after its per-flush sort,
-// without the sort, the interface boxing, or the per-flush allocations.
-type flQueue struct {
-	rows    [][]flMsg // indexed by real port
-	heads   []int     // per-port consumed prefix
-	pending int
-}
-
-// init pre-sizes the per-port rows for ports [0, n); push still grows the
-// queue on demand (addPort can extend the port set mid-flood).
-func (q *flQueue) init(n int) {
-	if n > 0 {
-		q.rows = make([][]flMsg, n)
-		q.heads = make([]int, n)
-	}
-}
-
-func (q *flQueue) push(port int, m flMsg) {
-	for port >= len(q.rows) {
-		q.rows = append(q.rows, nil)
-		q.heads = append(q.heads, 0)
-	}
-	q.rows[port] = append(q.rows[port], m)
-	q.pending++
-}
-
-func (q *flQueue) empty() bool { return q.pending == 0 }
-
-func (q *flQueue) flush(send func(port int, m flMsg), perRound int) {
-	if q.pending == 0 {
+	if f.ports == nil || slices.Contains(f.ports, p) {
 		return
 	}
-	for p := range q.rows {
-		row, h := q.rows[p], q.heads[p]
-		stop := h + perRound
-		if stop > len(row) {
-			stop = len(row)
-		}
-		for ; h < stop; h++ {
-			send(p, row[h])
-			q.pending--
-		}
-		if h == len(row) {
-			q.rows[p] = row[:0]
-			q.heads[p] = 0
-		} else {
-			q.heads[p] = h
-		}
-	}
+	f.ports = append(f.ports, p)
 }

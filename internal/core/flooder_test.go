@@ -1,7 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -33,43 +37,70 @@ func TestFlMsgBitsAreLogarithmic(t *testing.T) {
 	if small.Bits() > 16 {
 		t.Errorf("small msg %d bits", small.Bits())
 	}
+	// A tag costs the 3 bits the tagged wrapper used to charge.
+	tagged := small
+	tagged.Tag = tagPhaseB
+	if tagged.Bits() != small.Bits()+3 {
+		t.Errorf("tagged msg %d bits, untagged %d", tagged.Bits(), small.Bits())
+	}
 }
 
-// loopback wires two flooders directly together to unit-test the echo
-// protocol without the engine.
+// poisonReleases installs the release hook for the length of a test: every
+// box is poisoned on its way back to the pool (the impossible key
+// MinInt64/MinInt64, which out overwrites on the next draw), so a read
+// after release moves a transcript, and a box that arrives already
+// poisoned has been released twice.
+type releaseCensus struct{ puts, doubles atomic.Int64 }
+
+func poisonReleases(t *testing.T) *releaseCensus {
+	t.Helper()
+	rc := new(releaseCensus)
+	onRelease = func(b *flMsg) {
+		rc.puts.Add(1)
+		if b.Origin == math.MinInt64 && b.Rank == math.MinInt64 {
+			rc.doubles.Add(1)
+		}
+		b.Origin, b.Rank = math.MinInt64, math.MinInt64
+	}
+	t.Cleanup(func() { onRelease = nil })
+	return rc
+}
+
+// wire collects what a flooder under test sends, in order, as the inbox
+// entries the far end of each port would read.
+type wire []sim.Message
+
+func (w *wire) send(port int, p sim.Payload) { *w = append(*w, sim.Message{Port: port, Payload: p}) }
+
+// take empties the wire.
+func (w *wire) take() []sim.Message {
+	out := *w
+	*w = nil
+	return out
+}
+
+// loopback wires two one-port flooders directly together to unit-test the
+// echo protocol without the engine.
 type loopback struct {
-	a, b   *flooder
-	toA    []flMsg
-	toB    []flMsg
-	rounds int
+	a, b     flooder
+	toA, toB wire
 }
 
 func newLoopback() *loopback {
-	lb := &loopback{}
-	lb.a = newFlooder([]int{0}, true, func(port int, m flMsg) { lb.toB = append(lb.toB, m) })
-	lb.b = newFlooder([]int{0}, true, func(port int, m flMsg) { lb.toA = append(lb.toA, m) })
+	lb := new(loopback)
+	initFlooder(&lb.a, 1, nil, true, 0, lb.toB.send)
+	initFlooder(&lb.b, 1, nil, true, 0, lb.toA.send)
 	return lb
 }
 
 func (lb *loopback) step() {
-	inA, inB := lb.toA, lb.toB
-	lb.toA, lb.toB = nil, nil
-	msgsA := make([]portMsg, len(inA))
-	for i, m := range inA {
-		msgsA[i] = portMsg{port: 0, m: m}
-	}
-	msgsB := make([]portMsg, len(inB))
-	for i, m := range inB {
-		msgsB[i] = portMsg{port: 0, m: m}
-	}
-	lb.a.handleRound(msgsA)
-	lb.b.handleRound(msgsB)
-	lb.a.flush()
-	lb.b.flush()
-	lb.rounds++
+	inA, inB := lb.toA.take(), lb.toB.take()
+	lb.a.round(inA)
+	lb.b.round(inB)
 }
 
 func TestFlooderTwoNodeDuel(t *testing.T) {
+	rc := poisonReleases(t)
 	lb := newLoopback()
 	lb.a.start(flKey{rank: 5, origin: 1}, 0)
 	lb.b.start(flKey{rank: 9, origin: 2}, 0)
@@ -85,11 +116,16 @@ func TestFlooderTwoNodeDuel(t *testing.T) {
 		t.Errorf("a.won=%v b.won=%v, want true/false", lb.a.won, lb.b.won)
 	}
 	// b must have adopted a's smaller rank: list length 2.
-	if lb.b.listLen != 2 {
-		t.Errorf("b list length %d, want 2", lb.b.listLen)
+	if lb.b.listLen() != 2 {
+		t.Errorf("b list length %d, want 2", lb.b.listLen())
 	}
-	if lb.a.listLen != 1 {
-		t.Errorf("a list length %d, want 1", lb.a.listLen)
+	if lb.a.listLen() != 1 {
+		t.Errorf("a list length %d, want 1", lb.a.listLen())
+	}
+	// Two announcements, b's rejected and a's adopted with nothing to wait
+	// for: one echo each. All four boxes went back, none of them twice.
+	if puts, doubles := rc.puts.Load(), rc.doubles.Load(); puts != 4 || doubles != 0 {
+		t.Errorf("%d boxes released, %d of them twice; want 4 and 0", puts, doubles)
 	}
 }
 
@@ -103,8 +139,8 @@ func TestFlooderNonParticipantRelay(t *testing.T) {
 	if !lb.a.completed || !lb.a.won {
 		t.Fatal("lone participant must win")
 	}
-	if lb.b.participating {
-		t.Error("b should not participate")
+	if lb.b.completed || lb.b.listLen() != 1 {
+		t.Errorf("b relays one value and completes nothing: completed=%v list %d", lb.b.completed, lb.b.listLen())
 	}
 	if lb.b.heard != (flKey{5, 1}) {
 		t.Errorf("b heard %v", lb.b.heard)
@@ -236,23 +272,146 @@ func TestPortQueueDrip(t *testing.T) {
 	}
 }
 
-func TestFlooderAddPortIdempotent(t *testing.T) {
-	f := newFlooder([]int{0, 1}, true, func(int, flMsg) {})
-	f.addPort(1)
-	f.addPort(2)
-	f.addPort(2)
-	if len(f.ports) != 3 {
-		t.Errorf("ports = %v", f.ports)
+// TestFlooderQueueDrip: the one FIFO sends the first flushRate records of
+// every port in queue order, keeps the rest in order, and a sent slot lets
+// go of its box.
+func TestFlooderQueueDrip(t *testing.T) {
+	var (
+		w wire
+		f flooder
+	)
+	initFlooder(&f, 3, nil, true, 0, w.send)
+	for i, port := range []int{2, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1} {
+		f.out(port).Rank = int64(i)
+	}
+	type sent struct {
+		port int
+		rank int64
+	}
+	flush := func() (out []sent) {
+		f.flush()
+		for _, m := range w.take() {
+			out = append(out, sent{m.Port, m.Payload.(*flMsg).Rank})
+		}
+		return out
+	}
+	if got, want := flush(), []sent{{2, 0}, {0, 1}, {2, 2}, {1, 3}, {2, 4}, {1, 5}, {2, 6}, {1, 7}, {1, 9}}; !slices.Equal(got, want) {
+		t.Errorf("first flush sent %v, want %v", got, want)
+	}
+	if f.idle() {
+		t.Error("three records are over their port's rate and must wait")
+	}
+	if got, want := flush(), []sent{{2, 8}, {2, 10}, {1, 11}}; !slices.Equal(got, want) {
+		t.Errorf("second flush sent %v, want %v", got, want)
+	}
+	if !f.idle() {
+		t.Error("queue not drained")
+	}
+	for _, slot := range f.q[:cap(f.q)] {
+		if slot.m != nil {
+			t.Fatal("a drained queue still pins a box")
+		}
 	}
 }
 
-func TestFlooderQuiescedLocally(t *testing.T) {
-	f := newFlooder([]int{0}, true, func(int, flMsg) {})
-	if !f.quiescedLocally() {
-		t.Error("fresh flooder should be quiescent")
+// TestFlooderSharedInbox is the ownership rule where it is easiest to
+// break: two flooders read one inbox (Corollary 4.5's phases), each takes
+// the records under its own tag, the boxes stay intact until both are done,
+// and one releaseInbox returns every flood box once and nothing else.
+func TestFlooderSharedInbox(t *testing.T) {
+	rc := poisonReleases(t)
+	var (
+		wa, wb wire
+		a, b   flooder
+	)
+	initFlooder(&a, 2, nil, false, tagPhaseA, wa.send)
+	initFlooder(&b, 2, nil, true, tagPhaseB, wb.send)
+	inbox := []sim.Message{
+		{Port: 0, Payload: &flMsg{Tag: tagPhaseA, Origin: 1, Rank: 7}},
+		{Port: 0, Payload: &flMsg{Tag: tagPhaseB, Origin: 2, Rank: 3}},
+		{Port: 1, Payload: strayPayload{}},
+		{Port: 1},
+		{Port: 1, Payload: &flMsg{Tag: tagPhaseB, Origin: 3, Rank: 2}},
 	}
-	f.start(flKey{1, 1}, 0)
-	if f.quiescedLocally() {
-		t.Error("pending echo should block quiescence")
+	if na, nb := a.handleInbox(inbox), b.handleInbox(inbox); na != 1 || nb != 2 {
+		t.Fatalf("handled %d phase-A and %d phase-B records, want 1 and 2", na, nb)
+	}
+	if a.best != (flKey{7, 1}) || b.best != (flKey{2, 3}) {
+		t.Errorf("adopted %v and %v: a flooder read a record that was not intact, or not its own", a.best, b.best)
+	}
+	if rc.puts.Load() != 0 {
+		t.Fatal("handleInbox released a box")
+	}
+	releaseInbox(inbox)
+	if puts, doubles := rc.puts.Load(), rc.doubles.Load(); puts != 3 || doubles != 0 {
+		t.Errorf("%d boxes released, %d of them twice; want 3 and 0", puts, doubles)
+	}
+	a.flush()
+	b.flush()
+	for tag, w := range map[uint8]*wire{tagPhaseA: &wa, tagPhaseB: &wb} {
+		sent := w.take()
+		if len(sent) == 0 {
+			t.Errorf("flooder %d forwarded nothing", tag)
+		}
+		for _, m := range sent {
+			if got := m.Payload.(*flMsg).Tag; got != tag {
+				t.Errorf("flooder %d sent a record tagged %d", tag, got)
+			}
+		}
+	}
+}
+
+// TestFlooderIgnoresForeignPayloads: a payload that is not a flood record
+// is skipped — never a panic, never a changed transcript, never a release —
+// in every protocol of the family, as the type switches over the old boxes
+// skipped it.
+func TestFlooderIgnoresForeignPayloads(t *testing.T) {
+	rc := poisonReleases(t)
+	g := graph.Torus(6, 6)
+	isRank := func(p sim.Payload) bool { m, ok := p.(*flMsg); return ok && !m.Ack }
+	for _, algo := range floodFamily {
+		cfg, proto, err := RunOpts{Seed: 9, Shards: 1}.config(g, MustGet(algo), sim.NewRand(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(cfg, proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := rc.puts.Swap(0)
+		between := 0
+		got, err := sim.Run(cfg, strayProto{proto, isRank, &between})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if between == 0 {
+			t.Fatalf("%s: no inbox had a stray payload between two announcements", algo)
+		}
+		if !want.UniqueLeader() || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s with stray payloads:\n got %+v\nwant %+v", algo, got, want)
+		}
+		if n := rc.puts.Swap(0); n != released || n == 0 {
+			t.Errorf("%s: %d boxes released with stray payloads in the inboxes, %d without", algo, n, released)
+		}
+	}
+	if rc.doubles.Load() != 0 {
+		t.Errorf("%d boxes released twice", rc.doubles.Load())
+	}
+}
+
+func TestFlooderAddPortIdempotent(t *testing.T) {
+	var f flooder
+	initFlooder(&f, 3, []int{0, 1}, true, 0, new(wire).send)
+	f.addPort(1)
+	f.addPort(2)
+	f.addPort(2)
+	if !slices.Equal(f.ports, []int{0, 1, 2}) {
+		t.Errorf("ports = %v", f.ports)
+	}
+	// A flood on every port has nothing to add.
+	initFlooder(&f, 3, nil, true, 0, new(wire).send)
+	f.addPort(2)
+	if f.ports != nil || f.numPorts() != 3 {
+		t.Errorf("all-ports flood grew: ports = %v", f.ports)
 	}
 }

@@ -110,27 +110,27 @@ func (strayPayload) Bits() int { return 1 }
 
 // strayProto runs the wrapped protocol with a foreign payload and a nil
 // one slipped behind the first message of every inbox that holds two or
-// more; between counts the inboxes where that put them between two ELECTs.
+// more; between counts the inboxes where that put them between two
+// messages the protocol sorts (sorted says which those are).
 type strayProto struct {
 	sim.Protocol
+	sorted  func(sim.Payload) bool
 	between *int
 }
 
 func (p strayProto) New(info sim.NodeInfo) sim.Process {
-	return &strayProc{Process: p.Protocol.New(info), between: p.between}
+	return &strayProc{Process: p.Protocol.New(info), strayProto: p}
 }
 
 type strayProc struct {
 	sim.Process
-	between *int
-	buf     []sim.Message
+	strayProto
+	buf []sim.Message
 }
 
 func (p *strayProc) Round(c *sim.Context, inbox []sim.Message) {
 	if len(inbox) >= 2 {
-		a, aok := inbox[0].Payload.(*kMsg)
-		b, bok := inbox[1].Payload.(*kMsg)
-		if aok && bok && a.kind == kElect && b.kind == kElect {
+		if p.sorted(inbox[0].Payload) && p.sorted(inbox[1].Payload) {
 			*p.between++
 		}
 		p.buf = append(p.buf[:0], inbox[0],
@@ -156,7 +156,8 @@ func TestKingdomIgnoresForeignPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		between := 0
-		got, err := sim.Run(cfg, strayProto{proto, &between})
+		isElect := func(p sim.Payload) bool { m, ok := p.(*kMsg); return ok && m.kind == kElect }
+		got, err := sim.Run(cfg, strayProto{proto, isElect, &between})
 		if err != nil {
 			t.Fatal(err)
 		}

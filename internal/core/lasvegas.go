@@ -35,14 +35,12 @@ func (l LasVegas) New(info sim.NodeInfo) sim.Process {
 type lvProc struct {
 	f         float64
 	epochEnd  int
-	fl        *flooder
+	fl        flooder
 	candidate bool
 	me        flKey
 	active    bool // any message seen or candidacy held this epoch
 	won       bool
 	wonKnown  bool
-
-	buf []portMsg // reusable per-round decode scratch
 }
 
 func (p *lvProc) Start(c *sim.Context) {
@@ -52,9 +50,7 @@ func (p *lvProc) Start(c *sim.Context) {
 func (p *lvProc) startEpoch(c *sim.Context) {
 	d := c.Know().D
 	p.epochEnd = c.Round() + 2*d + 3
-	p.fl = newFlooder(allPorts(c.Degree()), true, func(port int, m flMsg) {
-		c.Send(port, boxTagged(tagPhaseB, m))
-	})
+	initFlooder(&p.fl, c.Degree(), nil, true, tagPhaseB, c.Send)
 	p.active = false
 	p.wonKnown = false
 	n := c.Know().N
@@ -81,20 +77,9 @@ func (p *lvProc) Round(c *sim.Context, inbox []sim.Message) {
 		c.IdleUntil(p.epochEnd)
 		return
 	}
-	msgs := p.buf[:0]
-	for _, in := range inbox {
-		if b, ok := in.Payload.(*taggedMsg); ok {
-			if t := unboxTagged(b); t.tag == tagPhaseB {
-				msgs = append(msgs, portMsg{port: in.Port, m: t.m})
-			}
-		}
-	}
-	p.buf = msgs
-	if len(msgs) > 0 {
+	if p.fl.round(inbox) > 0 {
 		p.active = true
 	}
-	p.fl.handleRound(msgs)
-	p.fl.flush()
 	if p.candidate && p.fl.completed && !p.wonKnown {
 		p.won, p.wonKnown = p.fl.won, true
 	}

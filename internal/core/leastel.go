@@ -109,23 +109,11 @@ type leastelProc struct {
 	candidate bool
 	me        flKey
 	decided   bool
-
-	buf []portMsg // reusable per-round decode scratch
-}
-
-func allPorts(deg int) []int {
-	ports := make([]int, deg)
-	for i := range ports {
-		ports[i] = i
-	}
-	return ports
 }
 
 func (p *leastelProc) Start(c *sim.Context) {
 	n := c.Know().N // Theorem 4.4 assumes n is known
-	initFlooder(&p.fl, allPorts(c.Degree()), true, func(port int, m flMsg) {
-		c.Send(port, boxFl(m))
-	})
+	initFlooder(&p.fl, c.Degree(), nil, true, 0, c.Send)
 	f := fValue(p.kind, n, p.opt)
 	p.candidate = c.Rand().Float64() < f/float64(n)
 	if p.candidate {
@@ -150,17 +138,7 @@ func (p *leastelProc) Round(c *sim.Context, inbox []sim.Message) {
 		c.IdleUntil(sim.Forever)
 		return
 	}
-	msgs := p.buf[:0]
-	for _, in := range inbox {
-		b, ok := in.Payload.(*flMsg)
-		if !ok {
-			continue
-		}
-		msgs = append(msgs, portMsg{port: in.Port, m: unboxFl(b)})
-	}
-	p.buf = msgs
-	p.fl.handleRound(msgs)
-	p.fl.flush()
+	p.fl.round(inbox)
 	if p.candidate && !p.decided {
 		if p.fl.completed {
 			p.finish(c)

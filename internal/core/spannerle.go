@@ -36,12 +36,10 @@ type spannerLEProc struct {
 	total     int
 	startRd   int
 	electing  bool
-	fl        *flooder
+	fl        flooder
 	me        flKey
 	decided   bool
 	spanPorts []int
-
-	buf []portMsg // reusable per-round decode scratch
 }
 
 func (p *spannerLEProc) Start(c *sim.Context) {
@@ -71,17 +69,7 @@ func (p *spannerLEProc) Round(c *sim.Context, inbox []sim.Message) {
 		c.IdleUntil(sim.Forever)
 		return
 	}
-	msgs := p.buf[:0]
-	for _, in := range inbox {
-		if b, ok := in.Payload.(*taggedMsg); ok {
-			if t := unboxTagged(b); t.tag == tagPhaseB {
-				msgs = append(msgs, portMsg{port: in.Port, m: t.m})
-			}
-		}
-	}
-	p.buf = msgs
-	p.fl.handleRound(msgs)
-	p.fl.flush()
+	p.fl.round(inbox)
 	if p.decided {
 		return
 	}
@@ -108,12 +96,11 @@ func (p *spannerLEProc) beginElection(c *sim.Context) {
 	if len(ports) == 0 && c.Degree() > 0 {
 		// Defensive fallback; the construction guarantees every node an
 		// incident spanner edge in connected graphs (tested), but a
-		// disconnected overlay must never elect extra leaders.
-		ports = allPorts(c.Degree())
+		// disconnected overlay must never elect extra leaders: flood on
+		// every port instead.
+		ports = nil
 	}
-	p.fl = newFlooder(ports, true, func(port int, m flMsg) {
-		c.Send(port, boxTagged(tagPhaseB, m))
-	})
+	initFlooder(&p.fl, c.Degree(), ports, true, tagPhaseB, c.Send)
 	p.me = drawKey(c, rankSpace(c.Know().N))
 	p.fl.start(p.me, 0)
 	p.fl.flush()
