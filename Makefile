@@ -28,15 +28,18 @@ test-race:
 
 # The sharded determinism matrix under the race detector: every
 # algorithm × model × fault schedule at shard counts 1/2/4/8, the
-# three-way engine differential, the dispatch-invariance matrix (every
-# tick pooled / every tick inline / the adaptive per-tick choice), the
-# idle-hint soundness battery (every algorithm × wake regime, hinted
-# event engine vs the dense loop, and vs the hint-blind event engine
-# under faults, at shards 1/2/4 pooled and inline), the
-# EffectiveShards table and the harness shard×worker byte-identity
-# matrix. This is the strongest signal on the tick-barrier protocol — a
-# shard writing outside its node range is a data race here long before
-# it is a wrong answer anywhere else. -cpu 1,2,4 on the engine layers
+# sharded-vs-single-shard engine differential (TestThreeWay), the
+# dispatch-invariance matrix (every tick pooled / every tick inline /
+# the adaptive per-tick choice), the idle-hint soundness battery (every
+# algorithm × wake regime, hinted event engine vs the round-by-round
+# reference interpreter, and vs the hint-blind event engine under
+# faults, at shards 1/2/4 pooled and inline), the randomized
+# differential against the reference (TestReference*: it crosses shard
+# counts on one reused Runner), the EffectiveShards table and the
+# harness shard×worker byte-identity matrix. This is the strongest signal
+# on the tick-barrier protocol — a shard writing outside its node range
+# is a data race here long before it is a wrong answer anywhere else.
+# -cpu 1,2,4 on the engine layers
 # because the engine only starts a shard pool when a multi-shard run has
 # more than one core, and only hands it the ticks with enough due work:
 # at 1 every tick runs inline, at 2 and 4 the race detector sees the
@@ -48,7 +51,7 @@ test-race:
 # data race here before it is a moved hash. The harness matrix (16 sweeps
 # a pass) runs once, at 4.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestEffectiveShards|TestFlood|TestLemma43' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards' ./internal/harness
 
 bench:
@@ -78,11 +81,12 @@ bench-graph:
 
 # The host-cost budgets (docs/PERFORMANCE.md): the AllocsPerRun budgets of
 # the engine fast path and, per registered algorithm, heap allocations and
-# Round calls per delivered message (TestProtocolBudgets). These also run
-# inside the full suite; the target gives CI a label for them, the way
+# Round calls per delivered message (TestProtocolBudgets), plus the parked
+# path's budget against the hint-blind engine (internal/sim). These also
+# run inside the full suite; the target gives CI a label for them, the way
 # test-sweep labels the pipeline gate.
 test-budgets:
-	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v .
+	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the
 # budget tests plus the engine benchmarks and the kingdom benchmark's

@@ -175,7 +175,7 @@ func TestAllocBudgetLeastelSharded(t *testing.T) {
 func TestAllocBudgetLeastelAutoSharded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := graph.Torus(128, 128)
-	if got := sim.EffectiveShards(0, g.N(), 2, false); got != 2 {
+	if got := sim.EffectiveShards(0, g.N(), 2); got != 2 {
 		t.Fatalf("torus:128x128 on two cores resolves to %d shards, want 2", got)
 	}
 	prep, err := core.Prepare(g, "leastel")
@@ -239,50 +239,6 @@ func TestAllocBudgetGraphConstruction(t *testing.T) {
 				t.Errorf("%s: %.0f allocs per build, want O(1) (<= 8)", c.name, allocs)
 			}
 		})
-	}
-}
-
-// TestAllocBudgetDFSSparse pins the parked path: dfs on torus:32x32 with
-// one node awake spends nearly all of its ~12 k rounds waiting out 2^ID
-// step periods, declared with Context.IdleUntil. Parking a node, queueing
-// the timer that ends its promise (far ones through the wheel's overflow
-// heap and its recycled buckets) and jumping over the rounds in between
-// must not allocate. The dense loop runs the same protocol without any of
-// that, so its count is the protocol's own (agent tables and tokens, ~18
-// objects a node): a warm event-engine run may exceed it by a constant,
-// never by something that grows with the rounds or the ticks.
-func TestAllocBudgetDFSSparse(t *testing.T) {
-	g := graph.Torus(32, 32)
-	wake := adversarialWake(g.N())
-	ids := sim.PermutationIDs(g.N(), rand.New(rand.NewSource(3)))
-	prep, err := core.Prepare(g, "dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res sim.Result
-	allocs := func(dense bool) (perRun float64, rounds int) {
-		run := func() {
-			err := prep.RunInto(core.RunOpts{
-				Seed: 7, IDs: ids, Wake: wake, MaxRounds: 1 << 17, DenseLoop: dense,
-			}, &res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.UniqueLeader() {
-				t.Fatal("election failed")
-			}
-		}
-		run() // warm the Runner's buffers
-		return testing.AllocsPerRun(3, run), res.Rounds
-	}
-	dense, rounds := allocs(true)
-	event, eventRounds := allocs(false)
-	if eventRounds != rounds {
-		t.Fatalf("event engine took %d rounds, dense loop %d", eventRounds, rounds)
-	}
-	if extra := event - dense; extra >= 32 {
-		t.Errorf("dfs on torus:32x32, %d rounds: %.0f allocations a run, %.0f over the dense loop's %.0f; budget < 32 over",
-			rounds, event, extra, dense)
 	}
 }
 

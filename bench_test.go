@@ -343,58 +343,45 @@ func adversarialWake(n int) []int {
 }
 
 // BenchmarkEngineSparse_WaveRing4096 is the headline sparse-activity
-// comparison: adversarial wake-up on ring:4096, event engine vs the seed's
-// dense per-round loop (identical results, different wall-clock). The
+// case: adversarial wake-up on ring:4096, one node awake per tick. The
 // recorded counterpart is cmd/ule-bench's sim.floor_ns_per_tick (the same
 // one-shot wave on a ring 8× larger, warm Runner).
 func BenchmarkEngineSparse_WaveRing4096(b *testing.B) {
 	g := graph.Ring(4096)
 	wake := adversarialWake(g.N())
-	for _, engine := range []string{"dense", "event"} {
-		b.Run(engine, func(b *testing.B) {
-			r, err := sim.NewRunner(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := r.Run(sim.Config{
-					Seed: int64(i), Wake: wake, DenseLoop: engine == "dense",
-				}, waveProto{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Node 0 sends 2, every other node forwards once: n+1 total.
-				if !res.Halted || res.Messages != int64(g.N()+1) {
-					b.Fatalf("wave broken: halted=%v messages=%d", res.Halted, res.Messages)
-				}
-			}
-		})
+	r, err := sim.NewRunner(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Run(sim.Config{Seed: int64(i), Wake: wake}, waveProto{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Node 0 sends 2, every other node forwards once: n+1 total.
+		if !res.Halted || res.Messages != int64(g.N()+1) {
+			b.Fatalf("wave broken: halted=%v messages=%d", res.Halted, res.Messages)
+		}
 	}
 }
 
 // BenchmarkEngineSparse_LeastelAdversarial runs a registered algorithm
 // under adversarial wake-up on ring:4096: the awake set grows gradually,
-// so the event engine skips the still-sleeping half of the ring that the
-// dense loop keeps scanning.
+// and the still-sleeping half of the ring costs the engine nothing.
 func BenchmarkEngineSparse_LeastelAdversarial(b *testing.B) {
 	g := graph.Ring(4096)
 	wake := adversarialWake(g.N())
-	for _, engine := range []string{"dense", "event"} {
-		b.Run(engine, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(g, "leastel", core.RunOpts{
-					Seed: int64(i), Wake: wake, MaxRounds: 1 << 15,
-					DenseLoop: engine == "dense",
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.UniqueLeader() {
-					b.Fatal("election failed")
-				}
-			}
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(g, "leastel", core.RunOpts{
+			Seed: int64(i), Wake: wake, MaxRounds: 1 << 15,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.UniqueLeader() {
+			b.Fatal("election failed")
+		}
 	}
 }
 
@@ -429,39 +416,35 @@ func BenchmarkEngineWarm_LeastelAdversarial(b *testing.B) {
 // elect-sparse workload (`core.run_ms.dfs-torus64`): Theorem 4.1 on
 // torus:64x64, one node awake, IDs 1..n. An agent with ID i moves once in
 // 2^i rounds, so nearly all of the ~49 k rounds are waiting, which the
-// nodes declare with Context.IdleUntil: the event engine's cost follows
-// the ~57 k messages, the dense loop's the rounds × awake nodes.
+// nodes declare with Context.IdleUntil: the engine's cost follows the
+// ~57 k messages, not the rounds × awake nodes.
 func BenchmarkSparseDFSTorus64(b *testing.B) {
 	g := graph.Torus(64, 64)
 	wake := adversarialWake(g.N())
-	for _, engine := range []string{"dense", "event"} {
-		b.Run(engine, func(b *testing.B) {
-			prep, err := core.Prepare(g, "dfs")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res sim.Result
-			var rounds, msgs float64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				seed := int64(i) + 1
-				err := prep.RunInto(core.RunOpts{
-					Seed: seed, IDs: sim.PermutationIDs(g.N(), rand.New(rand.NewSource(seed))),
-					Wake: wake, MaxRounds: 1 << 19, DenseLoop: engine == "dense",
-				}, &res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.UniqueLeader() {
-					b.Fatal("election failed")
-				}
-				rounds += float64(res.Rounds)
-				msgs += float64(res.Messages)
-			}
-			b.ReportMetric(rounds/float64(b.N), "rounds/op")
-			b.ReportMetric(msgs/float64(b.N), "msgs/op")
-		})
+	prep, err := core.Prepare(g, "dfs")
+	if err != nil {
+		b.Fatal(err)
 	}
+	var res sim.Result
+	var rounds, msgs float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seed := int64(i) + 1
+		err := prep.RunInto(core.RunOpts{
+			Seed: seed, IDs: sim.PermutationIDs(g.N(), rand.New(rand.NewSource(seed))),
+			Wake: wake, MaxRounds: 1 << 19,
+		}, &res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.UniqueLeader() {
+			b.Fatal("election failed")
+		}
+		rounds += float64(res.Rounds)
+		msgs += float64(res.Messages)
+	}
+	b.ReportMetric(rounds/float64(b.N), "rounds/op")
+	b.ReportMetric(msgs/float64(b.N), "msgs/op")
 }
 
 // threeCoinsProto has every node draw three coins in round 1 and halt: a

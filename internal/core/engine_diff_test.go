@@ -7,51 +7,6 @@ import (
 	"ule/internal/sim"
 )
 
-// TestEventEngineMatchesDenseAllAlgorithms runs every registered algorithm
-// through both execution engines — the event-driven scheduler and the
-// seed's dense per-round loop — and requires byte-identical results, under
-// both simultaneous and adversarial wake-up. This is the contract that let
-// the engine swap land without touching a single algorithm.
-func TestEventEngineMatchesDenseAllAlgorithms(t *testing.T) {
-	for gname, g := range fixedGraphs(t) {
-		wakes := map[string][]int{"sync": nil}
-		adv := make([]int, g.N())
-		for i := range adv {
-			adv[i] = sim.WakeOnMessage
-		}
-		adv[0] = 1
-		wakes["adversarial"] = adv
-		for _, algo := range Names() {
-			for wname, wake := range wakes {
-				t.Run(gname+"/"+algo+"/"+wname, func(t *testing.T) {
-					ro := RunOpts{
-						Seed: 5,
-						IDs:  sim.PermutationIDs(g.N(), rand.New(rand.NewSource(5))),
-						Wake: wake,
-						// dfs under adversarial wake can stall silently;
-						// a modest cap keeps the matrix fast either way.
-						MaxRounds: 1 << 12,
-					}
-					ro.DenseLoop = true
-					dense, err := Run(g, algo, ro)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ro.DenseLoop = false
-					event, err := Run(g, algo, ro)
-					if err != nil {
-						t.Fatal(err)
-					}
-					db, eb := resultBytes(t, dense), resultBytes(t, event)
-					if string(db) != string(eb) {
-						t.Errorf("engines diverge:\ndense: %s\nevent: %s", db, eb)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestAsyncAllAlgorithmsDeterministic: in ASYNC mode every registered
 // algorithm must produce the same transcript for the same seed under each
 // delay schedule. Success is not required — round-counting protocols

@@ -94,34 +94,35 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunManyMatchesRun asserts that the batching entry point (shared
-// sim.Runner, reused engine state) is observationally identical to
-// independent Run calls.
-func TestRunManyMatchesRun(t *testing.T) {
+// TestPreparedMatchesRun asserts that the batching entry point (one
+// Prepared: shared sim.Runner, reused engine state) is observationally
+// identical to independent Run calls.
+func TestPreparedMatchesRun(t *testing.T) {
 	graphs := fixedGraphs(t)
 	for _, algo := range Names() {
 		for gname, g := range graphs {
-			var runs []RunOpts
+			prep, err := Prepare(g, algo)
+			if err != nil {
+				t.Fatalf("%s on %s: Prepare: %v", algo, gname, err)
+			}
 			for _, seed := range []int64{1, 7, 42} {
-				runs = append(runs, RunOpts{
+				ro := RunOpts{
 					Seed:      seed,
 					IDs:       sim.PermutationIDs(g.N(), rand.New(rand.NewSource(seed))),
 					MaxRounds: 1 << 17,
-				})
-			}
-			batch, err := RunMany(g, algo, runs)
-			if err != nil {
-				t.Fatalf("%s on %s: RunMany: %v", algo, gname, err)
-			}
-			for i, ro := range runs {
+				}
+				batch, err := prep.Run(ro)
+				if err != nil {
+					t.Fatalf("%s on %s seed %d: Prepared.Run: %v", algo, gname, seed, err)
+				}
 				solo, err := Run(g, algo, ro)
 				if err != nil {
-					t.Fatalf("%s on %s trial %d: %v", algo, gname, i, err)
+					t.Fatalf("%s on %s seed %d: %v", algo, gname, seed, err)
 				}
-				sb, bb := resultBytes(t, solo), resultBytes(t, batch[i])
+				sb, bb := resultBytes(t, solo), resultBytes(t, batch)
 				if string(sb) != string(bb) {
-					t.Errorf("%s on %s trial %d: RunMany result differs\nrun:  %s\nmany: %s",
-						algo, gname, i, sb, bb)
+					t.Errorf("%s on %s seed %d: Prepared result differs\nrun:      %s\nprepared: %s",
+						algo, gname, seed, sb, bb)
 				}
 			}
 		}

@@ -29,9 +29,6 @@ type RunOpts struct {
 	// handed to the engine unchanged. The zero ModelSpec is CONGEST,
 	// fault-free.
 	Model sim.ModelSpec
-	// DenseLoop selects the legacy dense per-round engine (synchronous
-	// modes only; used by differential tests and engine benchmarks).
-	DenseLoop bool
 	// Shards partitions the event engine into contiguous node shards that
 	// step concurrently and exchange cross-shard messages at tick
 	// barriers. Results are byte-identical at every shard count; see
@@ -80,7 +77,6 @@ func (ro RunOpts) config(g *graph.Graph, spec Spec, rng *rand.Rand) (sim.Config,
 		WatchEdges:    ro.WatchEdges,
 		CountPerEdge:  ro.CountPerEdge,
 		Shards:        ro.Shards,
-		DenseLoop:     ro.DenseLoop,
 	}
 	return cfg, spec.New(ro.Opt), nil
 }
@@ -100,13 +96,20 @@ func Correct(m sim.ModelSpec, res *sim.Result) bool {
 	return res.UniqueLiveLeader()
 }
 
-// Run executes the registered algorithm on g and returns the run summary.
-func Run(g *graph.Graph, algo string, ro RunOpts) (*sim.Result, error) {
+// Config resolves ro against the registered algorithm into exactly what
+// the engine is handed for the run: the sim.Config (IDs drawn, the Table 1
+// knowledge granted) and the protocol instance.
+func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, error) {
 	spec, ok := Get(algo)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q", algo)
+		return sim.Config{}, nil, fmt.Errorf("core: unknown algorithm %q", algo)
 	}
-	cfg, proto, err := ro.config(g, spec, sim.NewRand(0))
+	return ro.config(g, spec, sim.NewRand(0))
+}
+
+// Run executes the registered algorithm on g and returns the run summary.
+func Run(g *graph.Graph, algo string, ro RunOpts) (*sim.Result, error) {
+	cfg, proto, err := Config(g, algo, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -175,23 +178,4 @@ func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
 		return err
 	}
 	return p.runner.RunInto(cfg, proto, out)
-}
-
-// RunMany executes the registered algorithm once per RunOpts entry on a
-// shared graph through a single Prepared instance. This is the batching
-// hook the sweep harness drives. It fails fast on the first trial error.
-func RunMany(g *graph.Graph, algo string, runs []RunOpts) ([]*sim.Result, error) {
-	p, err := Prepare(g, algo)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*sim.Result, len(runs))
-	for i, ro := range runs {
-		res, err := p.Run(ro)
-		if err != nil {
-			return nil, fmt.Errorf("trial %d: %w", i, err)
-		}
-		results[i] = res
-	}
-	return results, nil
 }

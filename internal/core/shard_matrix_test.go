@@ -68,11 +68,10 @@ func TestShardMatrixAllAlgorithms(t *testing.T) {
 }
 
 // TestThreeWayEngineDifferential runs representative algorithms through
-// all three execution paths — the sharded engine at several counts, the
-// single-shard event engine, and the legacy dense per-round loop — on
-// small ring, complete and dumbbell instances and requires identical
-// transcripts. In ASYNC mode the dense loop does not apply, so the
-// differential is sharded-vs-event only.
+// the sharded engine at several counts and the single-shard event engine
+// on small ring, complete and dumbbell instances, in the three timing
+// models, and requires identical transcripts. (Its third leg, against the
+// round-by-round reference, is internal/sim's TestIdleHintSoundness.)
 func TestThreeWayEngineDifferential(t *testing.T) {
 	graphs := map[string]*graph.Graph{"ring:32": graph.Ring(32), "complete:16": graph.Complete(16)}
 	db, err := graph.FromSpec("dumbbell:16:40", 3)
@@ -112,13 +111,6 @@ func TestThreeWayEngineDifferential(t *testing.T) {
 						ro.Shards = shards
 						if got := run(ro); got != event {
 							t.Errorf("sharded(%d) vs event:\nevent:   %s\nsharded: %s", shards, event, got)
-						}
-					}
-					if m.Mode != sim.ASYNC {
-						ro := base
-						ro.DenseLoop = true
-						if dense := run(ro); dense != event {
-							t.Errorf("dense vs event:\ndense: %s\nevent: %s", dense, event)
 						}
 					}
 				})

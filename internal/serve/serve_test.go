@@ -581,3 +581,24 @@ func TestHostileShardCount(t *testing.T) {
 		t.Errorf("shards=200000 allocated %d MiB", grown>>20)
 	}
 }
+
+// TestShardCountBeyondTheNodes: a shard count whose ranges of ⌈n/shards⌉
+// nodes cover the graph before the last one begins — 5 nodes asked into 4
+// shards — used to leave an inverted trailing range and kill the process
+// on a nil event bucket, from one small request body. It is answered with
+// the bytes a single-shard run answers with.
+func TestShardCountBeyondTheNodes(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Slots: 1})
+	const req = `{"graph":"path:5","algo":"flood","model":"async","shards":%d}`
+	code, want := postJSON(t, ts.URL+"/v1/elections", fmt.Sprintf(req, 1))
+	if code != http.StatusOK {
+		t.Fatalf("shards=1: status %d: %s", code, want)
+	}
+	code, got := postJSON(t, ts.URL+"/v1/elections", fmt.Sprintf(req, 4))
+	if code != http.StatusOK {
+		t.Fatalf("shards=4: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("shards=4 answers differently from shards=1:\n  %s\n  %s", got, want)
+	}
+}

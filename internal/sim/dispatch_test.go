@@ -125,45 +125,52 @@ func TestDispatchInvarianceModelViolation(t *testing.T) {
 func TestEffectiveShards(t *testing.T) {
 	for _, c := range []struct {
 		shards, n, procs int
-		dense            bool
 		want             int
 	}{
 		// 0: the engine decides — one shard per 4096 nodes, at most procs.
-		{0, 24, 2, false, 1},
-		{0, 4096, 2, false, 1},
-		{0, 4096, 64, false, 1},
-		{0, 8191, 8, false, 1},
-		{0, 8192, 1, false, 1},
-		{0, 8192, 2, false, 2},
-		{0, 8192, 8, false, 2},
-		{0, 65536, 2, false, 2},
-		{0, 65536, 8, false, 8},
-		{0, 65536, 32, false, 16},
-		{0, 1 << 20, 128, false, 64},
+		{0, 24, 2, 1},
+		{0, 4096, 2, 1},
+		{0, 4096, 64, 1},
+		{0, 8191, 8, 1},
+		{0, 8192, 1, 1},
+		{0, 8192, 2, 2},
+		{0, 8192, 8, 2},
+		{0, 65536, 2, 2},
+		{0, 65536, 8, 8},
+		{0, 65536, 32, 16},
+		{0, 1 << 20, 128, 64},
 		// 1 forces one shard, k > 1 exactly k (up to n and the cap).
-		{1, 65536, 8, false, 1},
-		{2, 24, 1, false, 2},
-		{8, 24, 2, false, 8},
-		{100, 24, 2, false, 24},
-		{64, 65536, 2, false, 64},
-		{65, 65536, 2, false, 64},
-		{4000, 4000, 2, false, 64},
-		{1 << 30, 200000, 2, false, 64},
-		{1 << 30, 3, 2, false, 3},
+		{1, 65536, 8, 1},
+		{2, 24, 1, 2},
+		{8, 24, 2, 8},
+		{100, 24, 2, 24},
+		{64, 65536, 2, 64},
+		{65, 65536, 2, 64},
+		{4000, 4000, 2, 64},
+		{1 << 30, 200000, 2, 64},
+		{1 << 30, 3, 2, 3},
 		// Negative: one per core.
-		{-1, 24, 2, false, 2},
-		{-1, 24, 1, false, 1},
-		{-7, 65536, 8, false, 8},
-		{-1, 4, 8, false, 4},
-		{-1, 1 << 20, 128, false, 64},
-		// The dense loop is never sharded.
-		{0, 65536, 8, true, 1},
-		{-1, 65536, 8, true, 1},
-		{4, 65536, 8, true, 1},
+		{-1, 24, 2, 2},
+		{-1, 24, 1, 1},
+		{-7, 65536, 8, 8},
+		{-1, 4, 8, 4},
+		{-1, 1 << 20, 128, 64},
+		// Only non-empty ranges count: k ranges of ⌈n/k⌉ nodes can cover n
+		// before the k-th starts (path:5 at -shards 4 once crashed on that).
+		{4, 5, 2, 3},
+		{5, 7, 2, 4},
+		{6, 7, 2, 4},
+		{6, 9, 2, 5},
+		{7, 9, 2, 5},
+		{8, 9, 2, 5},
+		{9, 9, 2, 9},
+		{7, 24, 2, 6},
+		{-1, 5, 4, 3},
+		{48, 65, 2, 33},
 	} {
-		if got := sim.EffectiveShards(c.shards, c.n, c.procs, c.dense); got != c.want {
-			t.Errorf("EffectiveShards(%d, n=%d, procs=%d, dense=%v) = %d, want %d",
-				c.shards, c.n, c.procs, c.dense, got, c.want)
+		if got := sim.EffectiveShards(c.shards, c.n, c.procs); got != c.want {
+			t.Errorf("EffectiveShards(%d, n=%d, procs=%d) = %d, want %d",
+				c.shards, c.n, c.procs, got, c.want)
 		}
 	}
 }

@@ -1,13 +1,14 @@
-// Event-driven scheduler: the default execution engine for all modes.
+// Event-driven scheduler: the execution engine, for all modes.
 //
-// Instead of scanning every node in every round (the legacy dense loop,
-// kept in run.go behind Config.DenseLoop), the engine keeps a pending-event
-// queue of message deliveries and timer wake-ups, bucketed by virtual-time
-// tick on a timing wheel (wheel.go), and steps only the nodes an event
-// touches. Sleeping and halted nodes cost zero work per tick, which is
-// what makes sparse-activity workloads (adversarial wake-up, late quiet
-// phases) cheap; quiescence detection is O(1) per tick via counters
-// instead of O(n) scans.
+// Instead of scanning every node in every round (which is how the tests'
+// reference interpreter, reference_test.go, writes the synchronous model
+// down), the engine keeps a pending-event queue of message deliveries and
+// timer wake-ups, bucketed by virtual-time tick on a timing wheel
+// (wheel.go), and steps only the nodes an event touches. Sleeping and
+// halted nodes cost zero work per tick, which is what makes
+// sparse-activity workloads (adversarial wake-up, late quiet phases)
+// cheap; quiescence detection is O(1) per tick via counters instead of
+// O(n) scans.
 //
 // The queue is partitioned into contiguous node shards (shard.go), each
 // owning a private wheel, scratch lists and fault heap; within a tick the
@@ -29,9 +30,9 @@
 // delivery or the promised round, whose explicit timer shares the wheel's
 // timer bucket with RequestWake's. RequestWake itself queues nothing in
 // the synchronous modes. A hint only ever removes no-op steps, so the
-// observable behaviour is identical to the dense loop, which ignores
-// hints; sleeping, halted and parked nodes cost nothing per tick, and
-// virtual time jumps over rounds in which no node has a timer.
+// observable behaviour is identical to the reference interpreter's, which
+// ignores hints; sleeping, halted and parked nodes cost nothing per tick,
+// and virtual time jumps over rounds in which no node has a timer.
 package sim
 
 import "sort"
@@ -85,13 +86,12 @@ func (e *engine) live(u int) bool {
 // loopEvent is the event-driven main loop (the coordinator). It selects
 // the next virtual-time tick from the shards' queues, runs the tick
 // across the shards (runTick), and tests quiescence on summed counters.
-func (e *engine) loopEvent(maxRounds int) {
-	n := e.g.N()
+func (e *engine) loopEvent() {
+	n, maxRounds := e.g.N(), e.maxTick
 	e.crossed = len(e.watch) == 0
 
 	// Spontaneous wake-ups become timer events in their owner's wheel.
-	// Wakes past the round cap can never fire (the dense loop never
-	// reaches them either).
+	// Wakes past the round cap can never fire.
 	for i := range e.shards {
 		sh := &e.shards[i]
 		if e.cfg.Wake == nil {
@@ -148,7 +148,8 @@ func (e *engine) loopEvent(maxRounds int) {
 			// network is dead. Fault events without a pending recovery
 			// cannot revive it — crashes scheduled past this point never
 			// fire. A network dead on arrival still "runs" its first
-			// round, matching the dense loop's accounting.
+			// round: round 1 is where a round-by-round execution finds
+			// that out.
 			if t == 0 {
 				t = 1
 			}
@@ -266,7 +267,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	if e.watch != nil {
 		sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
 	}
-	sh.errStarted, sh.errStep = nil, nil
+	sh.err = nil
 	sh.recv = sh.recv[:0]
 	sh.wake = sh.wake[:0]
 	sh.stepSet = sh.stepSet[:0]
@@ -316,9 +317,9 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		}
 	}
 
-	// Start phase: newly-woken nodes, in ascending node order (matching
-	// the dense loop's phase 2). sh.wake may hold duplicates; the awake
-	// check deduplicates. started keeps the nodes actually woken.
+	// Start phase: newly-woken nodes, in ascending node order. sh.wake may
+	// hold duplicates; the awake check deduplicates. started keeps the
+	// nodes actually woken.
 	sort.Ints(sh.wake)
 	started := sh.wake[:0]
 	for _, u := range sh.wake {
@@ -395,8 +396,8 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	// its outbox into future delivery events. started ⊆ step except for
 	// nodes that halted inside Start, so visiting both lists covers every
 	// touched node; all merges are idempotent across the overlap.
-	e.mergeAndFlush(sh, started, t, true)
-	e.mergeAndFlush(sh, step, t, false)
+	e.mergeAndFlush(sh, started, t)
+	e.mergeAndFlush(sh, step, t)
 
 	// Consumed inboxes are reset for the next delivery.
 	for _, v := range sh.recv {
@@ -432,9 +433,8 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 
 // deliver applies one tick's message arrivals to one shard's nodes:
 // inbox building, sorting, and the full accounting (totals, per-edge
-// counts, watched crossings) at delivery time, exactly like the dense
-// loop's phase 1. Payload sizes come from the send-time cache in the
-// delivery records.
+// counts, watched crossings) at delivery time. Payload sizes come from
+// the send-time cache in the delivery records.
 func (e *engine) deliver(sh *engineShard, ds []delivery, t int) {
 	for _, d := range ds {
 		v := int(d.to)
@@ -484,19 +484,11 @@ func (e *engine) deliver(sh *engineShard, ds []delivery, t int) {
 // mergeAndFlush folds the private scratch of each node in list into its
 // shard and schedules the node's outgoing messages (through the wheel or
 // the cross-shard mailboxes). Safe to call on overlapping lists: every
-// merge is guarded or self-clearing. startPhase tags which merge phase a
-// model-violation error surfaced in, so the coordinator's fold can pick
-// the same error the single-shard merge order would.
-func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int, startPhase bool) {
+// merge is guarded or self-clearing.
+func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 	for _, u := range list {
-		if e.nodeErr[u] != nil {
-			if startPhase {
-				if sh.errStarted == nil {
-					sh.errStarted = e.nodeErr[u]
-				}
-			} else if sh.errStep == nil {
-				sh.errStep = e.nodeErr[u]
-			}
+		if err := e.nodeErr[u]; err != nil && (sh.err == nil || u < sh.errNode) {
+			sh.errNode, sh.err = u, err
 		}
 		if e.changed[u] {
 			e.changed[u] = false

@@ -15,9 +15,9 @@ func resultKey(r *Result) string {
 		r.Rounds, r.LastActive, r.Messages, r.Bits, r.MaxMsgBits, r.Leaders, r.Halted, r.HitRoundCap, r.Statuses)
 }
 
-// TestEventEngineMatchesDense is the differential test behind the engine
-// swap: on the synchronous modes, the event-driven scheduler must be
-// observably identical to the seed's dense per-round loop for every
+// TestEventEngineMatchesDense is the differential test behind the engine:
+// on the synchronous modes, the event-driven scheduler must be observably
+// identical to the dense round-by-round reference interpreter for every
 // combination of protocol, wake schedule and instrumentation.
 func TestEventEngineMatchesDense(t *testing.T) {
 	g := graph.Torus(4, 4)
@@ -52,33 +52,7 @@ func TestEventEngineMatchesDense(t *testing.T) {
 					Graph: g, IDs: SequentialIDs(n, 1), Seed: 9, Wake: wake,
 					MaxRounds: 60, WatchEdges: [][2]int{{0, 1}}, CountPerEdge: true,
 				}
-				cfg.DenseLoop = true
-				dense, err := Run(cfg, proto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.DenseLoop = false
-				event, err := Run(cfg, proto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dk, ek := resultKey(dense), resultKey(event); dk != ek {
-					t.Errorf("engines diverge:\ndense: %s\nevent: %s", dk, ek)
-				}
-				if dense.MessagesBeforeCrossing != event.MessagesBeforeCrossing {
-					t.Errorf("msgs before crossing: dense %d event %d",
-						dense.MessagesBeforeCrossing, event.MessagesBeforeCrossing)
-				}
-				for k, v := range dense.PerEdge {
-					if event.PerEdge[k] != v {
-						t.Errorf("per-edge %v: dense %d event %d", k, v, event.PerEdge[k])
-					}
-				}
-				for k, v := range dense.FirstCrossing {
-					if event.FirstCrossing[k] != v {
-						t.Errorf("crossing %v: dense %d event %d", k, v, event.FirstCrossing[k])
-					}
-				}
+				mustMatchReference(t, cfg, proto)
 			})
 		}
 	}
@@ -203,9 +177,6 @@ func TestAsyncConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Graph: g, Model: ModelSpec{Delay: RandomDelay(4)}}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
 		t.Errorf("delay schedule accepted outside ASYNC mode: %v", err)
 	}
-	if _, err := Run(Config{Graph: g, Model: ModelSpec{Mode: ASYNC}, DenseLoop: true}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
-		t.Errorf("dense loop accepted in ASYNC mode: %v", err)
-	}
 	for _, mode := range []Mode{-1, ASYNC + 1, 7} {
 		if _, err := Run(Config{Graph: g, Model: ModelSpec{Mode: mode}}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
 			t.Errorf("mode %d ran (as CONGEST) instead of being rejected: %v", int(mode), err)
@@ -308,50 +279,32 @@ func (haltInStart) Start(c *Context) {
 func (haltInStart) Round(*Context, []Message) {}
 
 // TestFutureWakeAgreesAcrossEngines: when every awake node halts before a
-// sleeper's scheduled wake round, both engines must wait for that wake to
-// fire (the dense loop once mistook such sleepers for dead ones).
+// sleeper's scheduled wake round, the engine and the reference must both
+// wait for that wake to fire (a dense loop once mistook such sleepers for
+// dead ones).
 func TestFutureWakeAgreesAcrossEngines(t *testing.T) {
 	g := graph.Path(2)
-	for _, dense := range []bool{true, false} {
-		res, err := Run(Config{Graph: g, Wake: []int{1, 5}, Seed: 1, MaxRounds: 100, DenseLoop: dense}, haltInStartProto{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Halted || res.Rounds != 5 {
-			t.Errorf("dense=%v: halted=%v rounds=%d, want both nodes run and rounds=5", dense, res.Halted, res.Rounds)
-		}
+	res := mustMatchReference(t, Config{Graph: g, Wake: []int{1, 5}, Seed: 1, MaxRounds: 100}, haltInStartProto{})
+	if !res.Halted || res.Rounds != 5 {
+		t.Errorf("halted=%v rounds=%d, want both nodes run and rounds=5", res.Halted, res.Rounds)
 	}
 	// A wake scheduled past the round cap can never fire: dead network.
-	for _, dense := range []bool{true, false} {
-		res, err := Run(Config{Graph: g, Wake: []int{1, 500}, Seed: 1, MaxRounds: 100, DenseLoop: dense}, haltInStartProto{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.HitRoundCap || res.Rounds != 1 {
-			t.Errorf("dense=%v: cap=%v rounds=%d, want early stop at round 1", dense, res.HitRoundCap, res.Rounds)
-		}
+	res = mustMatchReference(t, Config{Graph: g, Wake: []int{1, 500}, Seed: 1, MaxRounds: 100}, haltInStartProto{})
+	if res.HitRoundCap || res.Rounds != 1 {
+		t.Errorf("cap=%v rounds=%d, want early stop at round 1", res.HitRoundCap, res.Rounds)
 	}
 }
 
 // TestStaleWakeDoesNotInflateRounds: a node woken by a message before its
 // scheduled wake round leaves a dead queue entry behind; the entry must
-// not keep the run alive or stretch Rounds (and both engines must agree).
+// not keep the run alive or stretch Rounds (and the engine must agree with
+// the reference).
 func TestStaleWakeDoesNotInflateRounds(t *testing.T) {
 	g := graph.Path(3)
 	wake := []int{1, 50, WakeOnMessage}
-	var got [2]*Result
-	for i, dense := range []bool{true, false} {
-		res, err := Run(Config{Graph: g, Wake: wake, Seed: 1, MaxRounds: 1000, DenseLoop: dense}, floodOnceProto{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i] = res
-	}
-	if resultKey(got[0]) != resultKey(got[1]) {
-		t.Errorf("engines diverge:\ndense: %s\nevent: %s", resultKey(got[0]), resultKey(got[1]))
-	}
-	if got[1].Rounds >= 50 {
-		t.Errorf("rounds = %d: the stale round-50 wake entry stretched the run", got[1].Rounds)
+	res := mustMatchReference(t, Config{Graph: g, Wake: wake, Seed: 1, MaxRounds: 1000}, floodOnceProto{})
+	if res.Rounds >= 50 {
+		t.Errorf("rounds = %d: the stale round-50 wake entry stretched the run", res.Rounds)
 	}
 }
 

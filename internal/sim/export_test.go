@@ -17,3 +17,7 @@ func IgnoreIdleHints() (restore func()) {
 	honorIdleHints = false
 	return func() { honorIdleHints = true }
 }
+
+// RunReference is the round-by-round reference interpreter of the
+// synchronous model (reference_test.go), for the external tests.
+var RunReference = runReference

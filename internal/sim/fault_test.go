@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -65,18 +64,6 @@ func TestParseFaults(t *testing.T) {
 		} else if !reflect.DeepEqual(fs, fs2) {
 			t.Errorf("round-trip of %q changed the schedule", c.spec)
 		}
-	}
-}
-
-func TestFaultsRequireEventEngine(t *testing.T) {
-	fs, err := ParseFaults("crash:0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Ring(4)
-	_, err = Run(Config{Graph: g, Seed: 1, DenseLoop: true, Model: ModelSpec{Faults: fs}}, floodOnceProto{})
-	if !errors.Is(err, ErrConfig) {
-		t.Fatalf("dense loop with faults: err = %v, want ErrConfig", err)
 	}
 }
 

@@ -196,20 +196,11 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if m.Delay != nil && m.Mode != ASYNC {
 		return fmt.Errorf("%w: delay schedules require ASYNC mode", ErrConfig)
 	}
-	if cfg.DenseLoop && m.Mode == ASYNC {
-		return fmt.Errorf("%w: the dense loop cannot run the ASYNC model", ErrConfig)
-	}
-	if cfg.DenseLoop && m.Faults != nil {
-		return fmt.Errorf("%w: fault injection requires the event-driven engine", ErrConfig)
-	}
-	if cfg.DenseLoop && cfg.Shards > 1 {
-		return fmt.Errorf("%w: sharded execution requires the event-driven engine", ErrConfig)
-	}
 	if m.Mode == ASYNC && m.Delay == nil {
 		m.Delay = UnitDelay()
 	}
 	procs := runtime.GOMAXPROCS(0)
-	shardCount := EffectiveShards(cfg.Shards, n, procs, cfg.DenseLoop)
+	shardCount := EffectiveShards(cfg.Shards, n, procs)
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
@@ -257,51 +248,51 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		ctxs:     r.ctxs,
 		rngs:     r.rngs,
 		res:      out,
+
+		async:       m.Mode == ASYNC,
+		delay:       m.Delay,
+		linkSeq:     r.linkSeq,
+		wakeAt:      r.wakeAt,
+		idle:        r.idle,
+		hints:       m.Mode != ASYNC && honorIdleHints,
+		haltCounted: r.haltCounted,
+		maxTick:     maxRounds,
 	}
-	if !cfg.DenseLoop {
-		e.async = m.Mode == ASYNC
-		e.delay = m.Delay
-		e.linkSeq = r.linkSeq
-		e.wakeAt = r.wakeAt
-		e.idle = r.idle
-		e.hints = !e.async && honorIdleHints
-		e.haltCounted = r.haltCounted
-		for i := range r.linkSeq {
-			r.linkSeq[i] = 0
+	for i := range r.linkSeq {
+		r.linkSeq[i] = 0
+	}
+	for i := range r.wakeAt {
+		r.wakeAt[i] = 0
+		r.idle[i] = 0
+	}
+	for i := range r.haltCounted {
+		r.haltCounted[i] = false
+	}
+	r.ensureShards(shardCount)
+	e.shards = r.shards
+	e.shardSize = (n + shardCount - 1) / shardCount
+	for i := range r.shards {
+		r.shards[i].resetRun()
+	}
+	if m.Faults != nil {
+		e.fsched = m.Faults
+		e.proto = p
+		if r.fAlive == nil {
+			r.fAlive = make([]bool, n)
+			r.fRejoined = make([]bool, n)
 		}
-		for i := range r.wakeAt {
-			r.wakeAt[i] = 0
-			r.idle[i] = 0
+		e.fAlive, e.fRejoined = r.fAlive, r.fRejoined
+		for u := 0; u < n; u++ {
+			r.fAlive[u] = true
+			r.fRejoined[u] = false
 		}
-		for i := range r.haltCounted {
-			r.haltCounted[i] = false
-		}
-		r.ensureShards(shardCount)
-		e.shards = r.shards
-		e.shardSize = (n + shardCount - 1) / shardCount
 		for i := range r.shards {
-			r.shards[i].resetRun()
-		}
-		if m.Faults != nil {
-			e.fsched = m.Faults
-			e.proto = p
-			if r.fAlive == nil {
-				r.fAlive = make([]bool, n)
-				r.fRejoined = make([]bool, n)
+			sh := &r.shards[i]
+			if sh.faultScratch == nil {
+				sh.faultScratch = new(faultState)
 			}
-			e.fAlive, e.fRejoined = r.fAlive, r.fRejoined
-			for u := 0; u < n; u++ {
-				r.fAlive[u] = true
-				r.fRejoined[u] = false
-			}
-			for i := range r.shards {
-				sh := &r.shards[i]
-				if sh.faultScratch == nil {
-					sh.faultScratch = new(faultState)
-				}
-				sh.faultScratch.reset(m.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
-				sh.faults = sh.faultScratch
-			}
+			sh.faultScratch.reset(m.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
+			sh.faults = sh.faultScratch
 		}
 	}
 	for i := range r.sendCnt {
@@ -339,9 +330,6 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	}
 	if cfg.CountPerEdge {
 		out.PerEdge = recycled(out.PerEdge, 0)
-		if cfg.DenseLoop {
-			e.perEdge = out.PerEdge
-		}
 	} else {
 		out.PerEdge = nil
 	}
@@ -349,7 +337,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	// Result's maps directly; multiple shards fill per-shard scratch maps
 	// (merged after the run — crossing ticks by minimum, per-edge counts
 	// by sum, both independent of the shard layout).
-	if !cfg.DenseLoop && (e.watch != nil || cfg.CountPerEdge) {
+	if e.watch != nil || cfg.CountPerEdge {
 		single := len(e.shards) == 1
 		for i := range e.shards {
 			sh := &e.shards[i]
@@ -385,19 +373,13 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		}()
 	}
 
-	if cfg.DenseLoop {
-		e.loopDense(maxRounds)
-	} else {
-		e.maxTick = maxRounds
-		e.loopEvent(maxRounds)
-	}
+	e.loopEvent()
 	if e.err != nil {
 		return e.err
 	}
 	// Fold the per-shard accounting into the Result. Sums, maxes and map
 	// merges are all independent of shard order; single-shard runs alias
-	// the instrument maps directly, so only the scalars fold. (The dense
-	// loop has no shards and wrote the Result as it went.)
+	// the instrument maps directly, so only the scalars fold.
 	singleShard := len(e.shards) == 1
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -460,162 +442,4 @@ func normPair(u, v int) [2]int {
 		u, v = v, u
 	}
 	return [2]int{u, v}
-}
-
-// loopDense is the legacy synchronous engine: one pass over every node in
-// every round. It is observably equivalent to loopEvent in CONGEST/LOCAL
-// mode and is kept as the reference implementation for differential tests
-// and the engine benchmarks.
-func (e *engine) loopDense(maxRounds int) {
-	n := e.g.N()
-	crossed := len(e.watch) == 0 // true once any watched edge was crossed
-	for e.round = 1; e.round <= maxRounds; e.round++ {
-		// Phase 1: deliver last round's outboxes into inboxes and account.
-		sentThisDelivery := int64(0)
-		for u := 0; u < n; u++ {
-			e.inbox[u] = e.inbox[u][:0]
-		}
-		for u := 0; u < n; u++ {
-			ob := e.out[u]
-			if len(ob) == 0 {
-				continue
-			}
-			base := int(e.off[u])
-			for _, m := range ob {
-				p := int(m.port)
-				v := int(e.nbr[base+p])
-				e.inbox[v] = append(e.inbox[v], Message{Port: int(e.portBack[base+p]), Payload: m.pl})
-				sentThisDelivery++
-				b := int(m.bits)
-				e.res.Bits += int64(b)
-				if b > e.res.MaxMsgBits {
-					e.res.MaxMsgBits = b
-				}
-				if e.perEdge != nil || e.watch != nil {
-					key := normPair(u, v)
-					if e.perEdge != nil {
-						e.perEdge[key]++
-					}
-					if e.watch != nil && e.watch[key] {
-						if e.res.FirstCrossing[key] == 0 {
-							e.res.FirstCrossing[key] = e.round
-						}
-						crossed = true
-					}
-				}
-			}
-			if e.sendCap > 0 {
-				for _, m := range ob {
-					e.sendCnt[base+int(m.port)] = 0
-				}
-			}
-			e.out[u] = ob[:0]
-		}
-		if sentThisDelivery > 0 {
-			e.res.LastActive = e.round
-		}
-		e.res.Messages += sentThisDelivery
-		if !crossed {
-			// Snapshot after this round's deliveries: messages delivered in
-			// rounds up to (and excluding) the first crossing round.
-			e.res.MessagesBeforeCrossing = e.res.Messages
-		}
-		// Deterministic inbox order: ascending receiving port, preserving
-		// the sender's send order within a port.
-		for u := 0; u < n; u++ {
-			sortInboxByPort(e.inbox[u])
-		}
-
-		// Phase 2: wake-ups. A sleeper whose scheduled wake round is still
-		// in the future is not dead — it must keep the run alive until it
-		// fires (the event engine treats it as a queued timer event).
-		anySleeping := false
-		futureWake := false
-		for u := 0; u < n; u++ {
-			if e.awake[u] {
-				continue
-			}
-			wakeRound := 1
-			if e.cfg.Wake != nil {
-				wakeRound = e.cfg.Wake[u]
-			}
-			spontaneous := wakeRound > 0 && e.round >= wakeRound
-			byMessage := len(e.inbox[u]) > 0
-			if spontaneous || byMessage {
-				e.awake[u] = true
-				e.ctxs[u].spontaneous = spontaneous && !byMessage
-				e.procs[u].Start(&e.ctxs[u])
-			} else {
-				anySleeping = true
-				if wakeRound > e.round && wakeRound <= maxRounds {
-					futureWake = true
-				}
-			}
-		}
-
-		// Phase 3: run the round on all awake, non-halted nodes.
-		for u := 0; u < n; u++ {
-			if e.awake[u] && !e.halted[u] {
-				e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-			}
-		}
-		// Merge per-node scratch state produced during Start/Round calls.
-		for u := 0; u < n; u++ {
-			if e.changed[u] {
-				e.changed[u] = false
-				e.res.LastActive = e.round
-			}
-			if e.nodeErr[u] != nil && e.err == nil {
-				e.err = e.nodeErr[u]
-			}
-		}
-		if e.err != nil {
-			return
-		}
-
-		// Phase 4: stopping conditions.
-		pending := false
-		for u := 0; u < n; u++ {
-			if len(e.out[u]) > 0 {
-				pending = true
-				break
-			}
-		}
-		allHalted := true
-		anyRunning := false
-		for u := 0; u < n; u++ {
-			if !e.halted[u] {
-				allHalted = false
-				if e.awake[u] {
-					anyRunning = true
-				}
-			}
-		}
-		if allHalted && !pending {
-			e.res.Rounds = e.round
-			return
-		}
-		if !pending && !anyRunning && anySleeping && !futureWake {
-			// Deadlock: only never-woken sleepers remain, none of them has
-			// a scheduled wake still ahead, and nothing is in flight;
-			// nothing can ever happen again.
-			e.res.Rounds = e.round
-			return
-		}
-		if e.cfg.StopWhenQuiet && !pending {
-			allDecided := true
-			for _, s := range e.status {
-				if s == Undecided {
-					allDecided = false
-					break
-				}
-			}
-			if allDecided {
-				e.res.Rounds = e.round
-				return
-			}
-		}
-	}
-	e.res.Rounds = maxRounds
-	e.res.HitRoundCap = true
 }

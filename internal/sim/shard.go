@@ -21,10 +21,12 @@
 // drain preserve its send order — so every interleaving the sharding
 // changes is invisible. Everything else the engine accumulates (message,
 // bit and drop totals, per-edge counts, crossing instruments, halt/run
-// counters, model-violation errors) is either order-independent (sums,
-// maxes, per-tick minima) or folded at the barrier in ascending shard
-// order, which reproduces the single-shard engine's ascending-node merge
-// order exactly. Same seed, same transcript, any shard count.
+// counters) is order-independent: sums, maxes, per-tick minima. The one
+// ordered choice is which model violation a failing run reports when
+// several nodes err in one round: the lowest-numbered one. Each shard
+// keeps its own lowest, and the ranges ascend with the shard index, so
+// the first shard holding an error holds that node. Same seed, same
+// transcript, same error, any shard count.
 package sim
 
 const (
@@ -43,7 +45,8 @@ const (
 
 // honorIdleHints is true outside this package's tests, which clear it to
 // run the event engine with every Context.IdleUntil ignored: the reference
-// for hinted runs under faults, where the dense loop cannot serve.
+// for hinted runs under faults, which the tests' round-by-round reference
+// interpreter (reference_test.go) does not model.
 var honorIdleHints = true
 
 // minPooledWork is the due work — nodes to step plus deliveries, wake-ups
@@ -60,20 +63,21 @@ var minPooledWork = 512
 // an n-node graph uses, given procs = GOMAXPROCS. 0 lets the engine
 // decide: one shard per minNodesPerShard nodes, at most procs. 1 forces
 // the single-shard engine, k > 1 asks for exactly k, a negative value
-// for procs. Every answer is clamped to [1, min(n, maxShards)], and the
-// dense loop always runs unsharded. The count never changes a result,
-// only the layout.
-func EffectiveShards(shards, n, procs int, denseLoop bool) int {
-	if denseLoop {
-		return 1
-	}
+// for procs. Every answer is clamped to [1, min(n, maxShards)] and then
+// reduced to the number of non-empty ranges that cutting n nodes into
+// ranges of ⌈n/shards⌉ leaves — 5 nodes asked into 4 shards are ranges of
+// 2, and three of those hold them all — so no shard is ever empty. The
+// count never changes a result, only the layout.
+func EffectiveShards(shards, n, procs int) int {
 	switch {
 	case shards == 0:
 		shards = min(procs, n/minNodesPerShard)
 	case shards < 0:
 		shards = procs
 	}
-	return max(1, min(shards, n, maxShards))
+	shards = max(1, min(shards, n, maxShards))
+	size := (n + shards - 1) / shards
+	return (n + size - 1) / size
 }
 
 // shardMsg is one cross-shard delivery in flight: the delivery record
@@ -139,11 +143,10 @@ type engineShard struct {
 	sendDropTick  int64
 	crossedTick   bool
 
-	// First model-violation error of the tick, per merge phase; the fold
-	// takes the globally first one in (phase, shard) order — the same
-	// error the single-shard engine's ascending-node merge would pick.
-	errStarted error
-	errStep    error
+	// The tick's model violation by the shard's lowest-numbered erring
+	// node (err == nil: none); the fold takes the first shard's.
+	errNode int
+	err     error
 
 	// Instrument maps. A single-shard run aliases the Result's maps
 	// directly; multi-shard runs fill per-shard scratch maps (fcScratch,
@@ -171,7 +174,7 @@ func (sh *engineShard) resetRun() {
 	sh.maxMsgBits, sh.lastActive = 0, 0
 	sh.crashes, sh.recoveries = 0, 0
 	sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
-	sh.errStarted, sh.errStep = nil, nil
+	sh.err = nil
 	sh.fc, sh.pe = nil, nil
 }
 
@@ -270,29 +273,19 @@ func (e *engine) drainMail(dst *engineShard) {
 }
 
 // foldTick resolves the per-shard tick scratch on the coordinator: the
-// quiescence counters loopEvent selects the next tick by, the first
-// model-violation error (Start-phase errors across all shards
-// precede Round-phase ones, matching the single-shard merge order), and
-// the watched-edge crossing cut, which must be computed against the
-// whole tick's deliveries, not any one shard's.
+// quiescence counters loopEvent selects the next tick by, the model
+// violation of the round's lowest-numbered erring node (the first shard's
+// that has one), and the watched-edge crossing cut, which must be
+// computed against the whole tick's deliveries, not any one shard's.
 func (e *engine) foldTick(t int) {
 	e.running, e.active, e.pendingMsgs = 0, 0, 0
-	var errStarted, errStep error
 	for i := range e.shards {
 		sh := &e.shards[i]
 		e.running += sh.numRunning
 		e.active += len(sh.active)
 		e.pendingMsgs += sh.pendingMsgs
-		if errStarted == nil {
-			errStarted = sh.errStarted
-		}
-		if errStep == nil {
-			errStep = sh.errStep
-		}
-	}
-	if e.err == nil {
-		if e.err = errStarted; e.err == nil {
-			e.err = errStep
+		if e.err == nil {
+			e.err = sh.err
 		}
 	}
 	if e.watch == nil {

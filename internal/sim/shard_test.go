@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -151,14 +152,11 @@ func TestShardedRunnerReuse(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation pins the Shards knob's edge cases: the
-// dense loop rejects explicit multi-sharding, and auto-sizing (negative)
-// plus clamping (shards > n) both run and match the single-shard result.
+// TestShardedConfigValidation pins the Shards knob's edge cases:
+// auto-sizing (negative) and clamping (shards > n) both run and match the
+// single-shard result.
 func TestShardedConfigValidation(t *testing.T) {
 	g := graph.Ring(8)
-	if _, err := Run(Config{Graph: g, DenseLoop: true, Shards: 4}, floodOnceProto{}); !errors.Is(err, ErrConfig) {
-		t.Errorf("DenseLoop+Shards>1 accepted: %v", err)
-	}
 	ref, err := Run(Config{Graph: g, Seed: 5}, floodOnceProto{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +170,31 @@ func TestShardedConfigValidation(t *testing.T) {
 			t.Errorf("shards=%d diverges from default", shards)
 		}
 	}
-	// DenseLoop with auto-sizing silently resolves to one shard.
-	if _, err := Run(Config{Graph: g, Seed: 5, DenseLoop: true, Shards: -1}, floodOnceProto{}); err != nil {
-		t.Errorf("DenseLoop+auto shards rejected: %v", err)
+}
+
+// TestShardedEveryCountOnSmallPaths asks for every shard count up to 12 on
+// every path of up to 40 nodes, in a synchronous and in the asynchronous
+// model: each must return the single-shard Result. Counts whose ranges of
+// ⌈n/S⌉ nodes cover the path before the S-th begins used to leave inverted
+// trailing ranges, and the run died on a nil event bucket.
+func TestShardedEveryCountOnSmallPaths(t *testing.T) {
+	for _, mode := range []Mode{CONGEST, ASYNC} {
+		for n := 2; n <= 40; n++ {
+			cfg := Config{Graph: graph.Path(n), Seed: int64(n), Model: ModelSpec{Mode: mode}, MaxRounds: 200, CountPerEdge: true}
+			want, err := Run(cfg, coinProto{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cfg.Shards = 2; cfg.Shards <= 12; cfg.Shards++ {
+				got, err := Run(cfg, coinProto{})
+				if err != nil {
+					t.Fatalf("%v path:%d shards=%d: %v", mode, n, cfg.Shards, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v path:%d shards=%d diverges from one shard:\ngot  %+v\nwant %+v", mode, n, cfg.Shards, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package sim implements the message-passing network models of the paper
 // on one event-driven execution engine: a deterministic pending-event
 // queue of message deliveries and timer wake-ups in which only the nodes
-// an event touches are stepped (see event.go).
+// an event touches are stepped (see event.go). It is the only code that
+// executes a protocol; the package's tests hold it to a round-by-round
+// reference interpreter of the synchronous model (reference_test.go).
 //
 // Three execution modes mirror the paper's models (the PODC version is
 // synchronous; the JACM version frames leader election for asynchronous
@@ -197,8 +199,8 @@ const Forever = math.MaxInt
 // (the last call of a step counts) — a node that is still idle says so
 // again. A hint only removes steps that would have done nothing, so no
 // transcript depends on it: ASYNC, which has no implicit timers, ignores
-// it, and so does the dense loop, which thereby stays the reference a
-// hinted run is tested against.
+// it, and so does the tests' reference interpreter, which steps every
+// awake node every round and is what a hinted run is tested against.
 func (c *Context) IdleUntil(round int) {
 	if c.eng.hints {
 		c.eng.idle[c.node] = round
@@ -285,8 +287,7 @@ type Config struct {
 	// the axes and their constraints, which Runner.RunInto enforces). The
 	// zero value is CONGEST, fault-free. Every injected fault is a pure
 	// function of Seed, so faulty runs replay byte-identically at any
-	// worker count; faults and ASYNC need the event-driven engine
-	// (incompatible with DenseLoop).
+	// worker count.
 	Model ModelSpec
 	// BitCap overrides the per-message bit budget in CONGEST mode
 	// (default: 32·⌈log2(n+2)⌉ + 64, a generous Θ(log n)).
@@ -316,15 +317,10 @@ type Config struct {
 	// partitioned into, each with a private timing wheel, fault heap and
 	// scratch state (see shard.go). Results are byte-identical at every
 	// count. 0 = the engine decides (one shard per 4096 nodes, at most
-	// GOMAXPROCS), 1 = single shard, k > 1 = exactly k, negative =
-	// GOMAXPROCS; EffectiveShards has the rule and its clamps. Requires
-	// the event-driven engine (incompatible with DenseLoop when > 1).
+	// GOMAXPROCS), 1 = single shard, k > 1 = k ranges of ⌈n/k⌉ nodes (fewer
+	// when the last ones would be empty), negative = GOMAXPROCS;
+	// EffectiveShards has the rule and its clamps, so any value is safe.
 	Shards int
-	// DenseLoop selects the legacy dense per-round scanner instead of the
-	// event-driven scheduler (synchronous modes only). The two engines
-	// produce identical results; the dense loop is kept as the reference
-	// for differential tests and engine benchmarks.
-	DenseLoop bool
 }
 
 // Result summarizes a finished run.
@@ -446,19 +442,17 @@ type engine struct {
 	bitCap  int
 	sendCap int
 	watch   map[[2]int]bool
-	perEdge map[[2]int]int64 // dense loop only; the event engine uses per-shard maps
 
-	// Sharded event-engine state (event.go, shard.go); shards is empty
-	// under the legacy dense loop. shardSize is ⌈n/len(shards)⌉, the
-	// stride of the contiguous node partition (a node's shard is one
-	// division).
+	// Sharded event-engine state (event.go, shard.go). shardSize is
+	// ⌈n/len(shards)⌉, the stride of the contiguous node partition (a
+	// node's shard is one division).
 	shards    []engineShard
 	shardSize int
 	delay     DelaySchedule
 	async     bool
 	// Flat per-node / per-(node,port) rows shared by the shards — each
 	// shard writes only its own nodes' slots, so no synchronization is
-	// needed. nil under the dense loop (which has no timers or links).
+	// needed.
 	linkSeq     []int32 // per-link message sequence numbers (ASYNC/drop)
 	wakeAt      []int   // pending RequestWake target tick (0 = none; ASYNC)
 	idle        []int   // round a parked node idles until (0 = not parked)

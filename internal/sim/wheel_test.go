@@ -151,21 +151,7 @@ func TestBusyNetworkFarWakeMatchesDense(t *testing.T) {
 		wake[0] = 1
 		wake[4] = wakeRound
 		t.Run(fmt.Sprint(wakeRound), func(t *testing.T) {
-			run := func(dense bool) *Result {
-				res, err := Run(Config{
-					Graph: g, Seed: 2, Wake: wake, MaxRounds: 1 << 12, DenseLoop: dense,
-				}, busyProto{stop: wakeRound + 60})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			d, e := run(true), run(false)
-			if d.Rounds != e.Rounds || d.Messages != e.Messages || d.LastActive != e.LastActive ||
-				fmt.Sprint(d.Statuses) != fmt.Sprint(e.Statuses) {
-				t.Errorf("engines diverge (wake %d):\ndense: rounds=%d msgs=%d statuses=%v\nevent: rounds=%d msgs=%d statuses=%v",
-					wakeRound, d.Rounds, d.Messages, d.Statuses, e.Rounds, e.Messages, e.Statuses)
-			}
+			mustMatchReference(t, Config{Graph: g, Seed: 2, Wake: wake, MaxRounds: 1 << 12}, busyProto{stop: wakeRound + 60})
 		})
 	}
 }
@@ -203,7 +189,7 @@ func (p *farWakeProc) Round(c *Context, inbox []Message) {
 
 // TestFarFutureWakeMatchesDense schedules spontaneous wake-ups far beyond
 // the wheel window (forcing the overflow heap and its migration path) and
-// requires the event engine to match the dense loop exactly.
+// requires the event engine to match the reference interpreter exactly.
 func TestFarFutureWakeMatchesDense(t *testing.T) {
 	g := graph.Ring(24)
 	for _, wakes := range [][]int{
@@ -225,20 +211,7 @@ func TestFarFutureWakeMatchesDense(t *testing.T) {
 			}
 		}
 		t.Run(fmt.Sprint(wakes), func(t *testing.T) {
-			run := func(dense bool) *Result {
-				res, err := Run(Config{
-					Graph: g, Seed: 9, Wake: wake, MaxRounds: 1 << 14, DenseLoop: dense,
-				}, farWakeProto{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			d, e := run(true), run(false)
-			if d.Rounds != e.Rounds || d.Messages != e.Messages || d.LastActive != e.LastActive ||
-				d.Halted != e.Halted || d.HitRoundCap != e.HitRoundCap {
-				t.Errorf("engines diverge under far-future wakes:\ndense: %+v\nevent: %+v", d, e)
-			}
+			mustMatchReference(t, Config{Graph: g, Seed: 9, Wake: wake, MaxRounds: 1 << 14}, farWakeProto{})
 		})
 	}
 }
