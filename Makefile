@@ -19,8 +19,9 @@ race:
 	$(GO) test -race ./...
 
 # Focused -race pass over the engine and algorithm layers the fault
-# subsystem touches, plus the fleet coordinator (heartbeat watchdog,
-# retry scheduler and result counters all run concurrently); much
+# subsystem touches, plus the fleet coordinator (per-slot lease streams
+# over long-lived worker pipes, the heartbeat deadline, retry scheduler
+# and result counters all run concurrently); much
 # faster than the full `race` target and wired into CI as its own job
 # so engine-level data races surface on their own.
 test-race:
@@ -82,11 +83,13 @@ bench-graph:
 # The host-cost budgets (docs/PERFORMANCE.md): the AllocsPerRun budgets of
 # the engine fast path and, per registered algorithm, heap allocations and
 # Round calls per delivered message (TestProtocolBudgets), plus the parked
-# path's budget against the hint-blind engine (internal/sim). These also
-# run inside the full suite; the target gives CI a label for them, the way
-# test-sweep labels the pipeline gate.
+# path's budget against the hint-blind engine (internal/sim) and the
+# sweep compiler's (internal/harness: compiling costs the cells, never the
+# trials). These also run inside the full suite; the target gives CI a
+# label for them, the way test-sweep labels the pipeline gate.
 test-budgets:
 	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
+	$(GO) test -run 'TestCompileCostIndependentOfTrials' -v ./internal/harness
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the
 # budget tests plus the engine benchmarks and the kingdom benchmark's
@@ -135,11 +138,12 @@ test-sweep:
 
 # The sweep-pipeline measurement set (docs/PERFORMANCE.md): per-trial
 # encoder benchmarks, steady-state consumer throughput for the
-# JSON/CSV/binary emitter sets, the consumer allocation budget, and the
-# kill-and-resume byte-identity test.
+# JSON/CSV/binary emitter sets, the spec compiler at 16 200 and 10^6
+# trials, the consumer allocation budget, and the kill-and-resume
+# byte-identity test.
 bench-sweep:
 	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestBinaryKillAndResume' -v ./internal/harness
-	$(GO) test -bench 'EmitTrial|SweepConsumer' -benchtime 3s -benchmem -run='^$$' ./internal/harness
+	$(GO) test -bench 'EmitTrial|SweepConsumer|SpecCompile' -benchtime 3s -benchmem -run='^$$' ./internal/harness
 
 # A tiny end-to-end sweep through the parallel harness: every registered
 # algorithm on two graph families, JSON document discarded after parsing.
@@ -157,9 +161,10 @@ serve-smoke:
 	$(GO) run ./cmd/uled-load -spawn bin/uled -smoke
 
 # Distributed-sweep chaos gate (docs/DISTRIBUTED.md): run the gate sweep
-# through exec'd worker processes at 1, 2 and 4 workers with two
-# scheduled worker kills each, and fail unless every merged binary is
-# byte-identical to a single-process run. Wired into CI.
+# through lease-serving worker processes at 1, 2 and 4 workers, and in 24
+# leases on 2 workers, with two scheduled worker kills each, and fail
+# unless every merged binary is byte-identical to a single-process run.
+# Wired into CI.
 fleet-chaos:
 	$(GO) run ./cmd/ule-fleet -gate
 

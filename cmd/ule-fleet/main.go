@@ -9,15 +9,18 @@
 //	ule-fleet -spec sweep.json -out sweep.ulsb -workers 4
 //	ule-fleet -spec sweep.json -out sweep.ulsb -chaos kill:0.3,stall:0.2 -chaos-seed 7
 //	ule-fleet -gate                  # CI chaos smoke (make fleet-chaos)
-//	ule-fleet -worker …              # internal: one shard attempt (exec'd)
+//	ule-fleet -worker …              # internal: a worker process (leases on stdin)
 //
 // On quarantined units the merged file is withheld and the exit status is
 // nonzero; -report writes the machine-readable outcome (retries, fault
-// counters, and the exact missing trial ranges) either way.
+// counters, lease times, the idle tail and the exact missing trial
+// ranges) either way, and -v prints the run's lifecycle to stderr as
+// NDJSON, one event per line.
 //
-// -gate runs a small sweep at 1, 2 and 4 workers with two scheduled
-// worker kills each and fails unless every merged document is
-// byte-identical to the in-process reference.
+// -gate runs a small sweep at 1, 2 and 4 workers, and once more in 24
+// leases on 2 workers, with two scheduled worker kills each, and fails
+// unless every merged document is byte-identical to the in-process
+// reference.
 package main
 
 import (
@@ -57,14 +60,14 @@ func run(args []string) error {
 		workers   = fs.Int("workers", 2, "concurrent worker processes")
 		unit      = fs.Int("unit-trials", 0, "trials per work unit (0 = auto)")
 		ckEvery   = fs.Int("checkpoint-every", 0, "shard checkpoint cadence (0 = default)")
-		heartbeat = fs.Duration("heartbeat", 10*time.Second, "heartbeat deadline before a lease is revoked")
+		heartbeat = fs.Duration("heartbeat", 10*time.Second, "heartbeat deadline before a lease is revoked (1s or more)")
 		maxAtt    = fs.Int("max-attempts", 4, "attempts before a unit is quarantined")
-		dir       = fs.String("dir", "", "shard directory (default: temp dir)")
+		dir       = fs.String("dir", "", "shard directory, created if missing (default: temp dir)")
 		chaos     = fs.String("chaos", "", "fault injection, e.g. kill:0.3,stall:0.2,corrupt:0.1")
 		chaosSeed = fs.Uint64("chaos-seed", 1, "chaos schedule seed")
 		chaosMax  = fs.Int("chaos-max", 0, "cap on injected faults (0 = none)")
 		gate      = fs.Bool("gate", false, "run the CI chaos gate and exit")
-		verbose   = fs.Bool("v", false, "log coordinator progress to stderr")
+		verbose   = fs.Bool("v", false, "print the lifecycle log (NDJSON) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,9 +110,10 @@ func run(args []string) error {
 				return err
 			}
 		}
-		fmt.Printf("fleet: %d trials in %d units, %d workers: retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d (%d ms)\n",
+		fmt.Printf("fleet: %d trials in %d units, %d workers: retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d (%d ms; lease median %.0f ms, max %.0f ms, idle tail %.0f ms)\n",
 			res.Total, res.Units, res.Workers, res.Retries, res.Reassignments,
-			res.Kills, res.Stalls, res.Corruptions, res.ElapsedMS)
+			res.Kills, res.Stalls, res.Corruptions, res.ElapsedMS,
+			res.LeaseMSMedian, res.LeaseMSMax, res.IdleTailMS)
 		if len(res.Incomplete) > 0 {
 			mr, _ := json.Marshal(res.Incomplete)
 			fmt.Printf("fleet: INCOMPLETE, missing ranges: %s\n", mr)
@@ -180,9 +184,11 @@ func gateSpec() harness.Spec {
 	}
 }
 
-// runGate is the chaos gate: the gate sweep through exec'd workers at 1, 2
-// and 4 workers with two scheduled worker kills each, every merged binary
-// required byte-identical to one in-process run.
+// runGate is the chaos gate: the gate sweep through worker processes at 1,
+// 2 and 4 workers in units of 8 trials, then in 24 leases of 4 trials on 2
+// workers (each process serves many leases, and the ones started after a
+// kill serve the rest), with two scheduled worker kills each, every merged
+// binary required byte-identical to one in-process run.
 func runGate(specPath string, verbose bool) error {
 	spec := gateSpec()
 	if specPath != "" {
@@ -207,15 +213,13 @@ func runGate(specPath string, verbose bool) error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	for _, workers := range []int{1, 2, 4} {
-		dir := filepath.Join(tmp, strconv.Itoa(workers))
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			return err
-		}
+	for _, leg := range []struct{ workers, unit int }{{1, 8}, {2, 8}, {4, 8}, {2, 4}} {
+		workers := leg.workers
+		dir := filepath.Join(tmp, fmt.Sprintf("%d-%d", workers, leg.unit))
 		cfg := fleet.Config{
 			Spec:             spec,
 			Workers:          workers,
-			UnitTrials:       8,
+			UnitTrials:       leg.unit,
 			CheckpointEvery:  cadence,
 			HeartbeatTimeout: 5 * time.Second,
 			Dir:              dir,
@@ -234,14 +238,14 @@ func runGate(specPath string, verbose bool) error {
 			return err
 		}
 		identical := bytes.Equal(got, refBuf.Bytes())
-		fmt.Printf("fleet kill     workers=%d: %4d ms, retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d byte_identical=%v\n",
-			workers, res.ElapsedMS, res.Retries, res.Reassignments,
+		fmt.Printf("fleet kill     workers=%d leases=%2d: %4d ms, retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d byte_identical=%v\n",
+			workers, res.Units, res.ElapsedMS, res.Retries, res.Reassignments,
 			res.Kills, res.Stalls, res.Corruptions, identical)
 		if !identical {
-			return fmt.Errorf("gate at %d workers: merged output NOT byte-identical to single-process run", workers)
+			return fmt.Errorf("gate at %d workers, %d leases: merged output NOT byte-identical to single-process run", workers, res.Units)
 		}
 	}
-	fmt.Println("fleet: chaos gate OK (byte-identical at every worker count)")
+	fmt.Println("fleet: chaos gate OK (byte-identical at every worker count and unit size)")
 	return nil
 }
 

@@ -1,14 +1,15 @@
 // Package fleet is the multi-process leg of the distributed sweep
 // (ROADMAP item 5): a coordinator that partitions a sweep spec into
-// contiguous trial-range work units, leases each unit to an exec'd worker
-// process writing a ule-sweepbin shard, and survives worker crashes,
-// hangs, and shard corruption — revoking the lease, resuming from the
-// worker's last fsynced checkpoint, and reassigning with capped
-// exponential backoff. Duplicate trial records from re-run prefixes are
-// deduplicated by absolute trial index at merge time, so the merged
-// binary and its JSON export are byte-for-byte identical to a
-// single-process run at any worker count and any crash schedule. See
-// docs/DISTRIBUTED.md for the protocol and the determinism argument.
+// contiguous trial-range work units, leases each unit — a line of stdin —
+// to one of its long-lived worker processes, which writes it into a
+// ule-sweepbin shard, and survives worker crashes, hangs, and shard
+// corruption — revoking the lease, resuming from the last fsynced
+// checkpoint, and reassigning with capped exponential backoff. Duplicate
+// trial records from re-run prefixes are deduplicated by absolute trial
+// index at merge time, so the merged binary and its JSON export are
+// byte-for-byte identical to a single-process run at any worker count
+// and any crash schedule. See docs/DISTRIBUTED.md for the protocol and
+// the determinism argument.
 package fleet
 
 import (

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,12 +10,14 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ule/internal/cmdutil"
 	"ule/internal/harness"
+	"ule/internal/stats"
 )
 
 // Config drives one fleet run. Zero values pick conservative defaults;
@@ -28,8 +31,8 @@ type Config struct {
 	// Workers is the number of concurrent worker processes (default 2).
 	Workers int
 
-	// UnitTrials is the work-unit size in trials. Default: enough units
-	// for ~4 leases per worker, at least 1 trial each.
+	// UnitTrials is the work-unit size in trials. Default: the sweep in
+	// leasesPerWorker (4) equal leases per worker, at least 1 trial each.
 	UnitTrials int
 
 	// CheckpointEvery is the shard checkpoint cadence handed to workers
@@ -39,8 +42,10 @@ type Config struct {
 	CheckpointEvery int
 
 	// HeartbeatTimeout revokes a worker's lease when its stdout has been
-	// silent this long (default 10s). Workers emit one "hb" line per
-	// completed trial.
+	// silent this long (default 10s; a value under 1s is an error).
+	// Workers emit an "hb" line when a lease starts and then, while trials
+	// complete, one per 200 ms — so no single trial may take longer than
+	// this.
 	HeartbeatTimeout time.Duration
 
 	// MaxAttempts quarantines a unit after this many failed attempts
@@ -52,8 +57,8 @@ type Config struct {
 	// 300ms cap, no jitter — see cmdutil.Backoff).
 	Backoff cmdutil.Backoff
 
-	// Dir holds the spec file and shard files (default: a fresh temp
-	// directory, left on disk for post-mortems).
+	// Dir holds the spec file and shard files; it is created if missing
+	// (default: a fresh temp directory, left on disk for post-mortems).
 	Dir string
 
 	// Out is the merged ule-sweepbin output path (required).
@@ -64,9 +69,9 @@ type Config struct {
 	JSONOut string
 
 	// WorkerArgv is the worker command prefix; the coordinator appends
-	// -spec/-start/-count/-shard/-checkpoint-every and chaos flags.
-	// Default: this executable with a -worker flag (the cmd/ule-fleet
-	// layout). Tests point it at the test binary re-exec hook.
+	// -spec and -checkpoint-every and feeds the leases on stdin. Default:
+	// this executable with a -worker flag (the cmd/ule-fleet layout).
+	// Tests point it at the test binary re-exec hook.
 	WorkerArgv []string
 
 	// WorkerEnv is appended to the inherited environment of every worker.
@@ -76,8 +81,10 @@ type Config struct {
 	// attempts only) — the chaos gate proving crash-safety.
 	Chaos *ChaosPlan
 
-	// Log receives human-readable progress lines and worker stderr
-	// (default: discarded).
+	// Log receives the run's lifecycle as NDJSON, one event per line
+	// (spawn, lease, hb gaps, done, kill, exit, revoke, resume, retry,
+	// quarantine, merge, and worker stderr as "stderr" events; see
+	// docs/DISTRIBUTED.md). Default: nothing is logged.
 	Log io.Writer
 }
 
@@ -98,6 +105,13 @@ type Result struct {
 	Quarantined   []int                `json:"quarantined,omitempty"`
 	Incomplete    []harness.TrialRange `json:"incomplete,omitempty"`
 	ElapsedMS     int64                `json:"elapsed_ms"`
+	// LeaseMSMedian and LeaseMSMax are the wall time of a lease (sent →
+	// done, or → the worker's death). IdleTailMS is how long the first
+	// worker to run out of leases sat idle while the last one finished:
+	// the price of the unit size.
+	LeaseMSMedian float64 `json:"lease_ms_median"`
+	LeaseMSMax    float64 `json:"lease_ms_max"`
+	IdleTailMS    float64 `json:"idle_tail_ms"`
 }
 
 // ErrIncomplete is wrapped by Run when quarantined units left holes in
@@ -118,26 +132,32 @@ type unit struct {
 
 type coordinator struct {
 	cfg      Config
-	spec     harness.Spec
+	plan     *harness.Plan
 	specPath string
 	actions  map[int]chaosAction
 	units    []*unit
+	start    time.Time
 
 	ready     chan *unit
 	remaining atomic.Int64
 
-	mu  sync.Mutex
-	res Result
+	lastLease []time.Time // per slot: when its last lease ended (zero: it ran none)
+
+	mu      sync.Mutex // res, leaseMS; serializes Log writes
+	res     Result
+	leaseMS []float64
 }
 
-// Run executes the sweep across cfg.Workers exec'd worker processes and
-// merges their shards into a single ule-sweepbin document at cfg.Out
-// that is byte-identical to a single-process run. Worker crashes, hangs
-// and shard corruption are retried with capped backoff; units that keep
+// Run executes the sweep across cfg.Workers worker processes — each one
+// alive for the whole run, serving one lease after another over its
+// stdin/stdout — and merges their shards into a single ule-sweepbin
+// document at cfg.Out that is byte-identical to a single-process run.
+// Worker crashes, hangs and shard corruption are retried with capped
+// backoff (a dead worker's slot gets a new process); units that keep
 // failing are quarantined and reported via Result.Incomplete together
-// with an ErrIncomplete-wrapped error.
+// with an ErrIncomplete-wrapped error. Every worker process has been
+// waited for when Run returns.
 func Run(cfg Config) (*Result, error) {
-	start := time.Now()
 	c, err := newCoordinator(cfg)
 	if err != nil {
 		return nil, err
@@ -148,39 +168,64 @@ func Run(cfg Config) (*Result, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < c.cfg.Workers; i++ {
 		wg.Add(1)
-		go func() {
+		go func(slot int) {
 			defer wg.Done()
-			for u := range c.ready {
-				c.runUnit(u)
-			}
-		}()
+			c.serveSlot(slot)
+		}(i)
 	}
 	wg.Wait()
 
+	leases := stats.Summarize(c.leaseMS)
+	c.res.LeaseMSMedian, c.res.LeaseMSMax = leases.Median, leases.Max
+	var first, last time.Time
+	for _, t := range c.lastLease {
+		if !t.IsZero() && (first.IsZero() || t.Before(first)) {
+			first = t
+		}
+		if t.After(last) {
+			last = t
+		}
+	}
+	c.res.IdleTailMS = float64(last.Sub(first)) / 1e6
 	err = c.merge()
-	c.res.ElapsedMS = time.Since(start).Milliseconds()
+	c.res.ElapsedMS = time.Since(c.start).Milliseconds()
 	return &c.res, err
 }
 
+// leasesPerWorker sizes the default work unit. A lease costs about 2 ms
+// of CPU (shard create, two fsyncs, validation, its share of the merge)
+// and shorter leases leave a shorter idle tail; on the one host measured,
+// 8, 16 and 32 leases per job finish in the same wall time (the
+// leases-per-job table in docs/PERFORMANCE.md § "Fleet overhead"), so
+// nothing there argues for more than four a worker.
+const leasesPerWorker = 4
+
 func newCoordinator(cfg Config) (*coordinator, error) {
+	start := time.Now()
 	if cfg.Out == "" {
 		return nil, fmt.Errorf("fleet: Config.Out is required")
 	}
-	total, err := cfg.Spec.Validate()
+	plan, err := cfg.Spec.Compile()
+	if err == nil {
+		_, err = plan.Graphs()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: spec: %w", err)
 	}
+	total := plan.Total()
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
 	if cfg.UnitTrials <= 0 {
-		cfg.UnitTrials = total / (4 * cfg.Workers)
-		if cfg.UnitTrials < 1 {
-			cfg.UnitTrials = 1
-		}
+		leases := leasesPerWorker * cfg.Workers
+		cfg.UnitTrials = (total + leases - 1) / leases
 	}
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 10 * time.Second
+	}
+	if cfg.HeartbeatTimeout < minHeartbeatTimeout {
+		return nil, fmt.Errorf("fleet: HeartbeatTimeout %v is below the minimum %v (workers beat every %v)",
+			cfg.HeartbeatTimeout, minHeartbeatTimeout, heartbeatPace)
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
@@ -191,6 +236,8 @@ func newCoordinator(cfg Config) (*coordinator, error) {
 			return nil, err
 		}
 		cfg.Dir = dir
+	} else if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
 	}
 	if len(cfg.WorkerArgv) == 0 {
 		exe, err := os.Executable()
@@ -198,9 +245,6 @@ func newCoordinator(cfg Config) (*coordinator, error) {
 			return nil, fmt.Errorf("fleet: no WorkerArgv and no executable path: %w", err)
 		}
 		cfg.WorkerArgv = []string{exe, "-worker"}
-	}
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
 	}
 
 	specJSON, err := json.Marshal(cfg.Spec)
@@ -215,10 +259,13 @@ func newCoordinator(cfg Config) (*coordinator, error) {
 	ranges := partition(total, cfg.UnitTrials)
 	c := &coordinator{
 		cfg:      cfg,
-		spec:     cfg.Spec,
+		plan:     plan,
 		specPath: specPath,
 		actions:  cfg.Chaos.actions(ranges),
+		start:    start,
 		ready:    make(chan *unit, len(ranges)),
+
+		lastLease: make([]time.Time, cfg.Workers),
 	}
 	for i, r := range ranges {
 		c.units = append(c.units, &unit{
@@ -248,14 +295,46 @@ func partition(total, size int) []harness.TrialRange {
 	return out
 }
 
-// runUnit runs one attempt of a unit and routes the outcome: success →
-// terminal, failure → backoff-and-retry, too many failures → quarantine.
-func (c *coordinator) runUnit(u *unit) {
-	act, stalled := c.attempt(u)
+// serveSlot is one worker slot: it takes units off the queue and leases
+// each to the slot's worker process, starting one when the slot has none
+// — at the first unit, and after the previous process died or was
+// killed. The process is retired (stdin closed, waited for) when the
+// queue closes.
+func (c *coordinator) serveSlot(slot int) {
+	var w *workerProc
+	for u := range c.ready {
+		act := chaosAction{}
+		if a, ok := c.actions[u.id]; ok && u.attempt == 0 {
+			act = a
+		}
+		if w == nil {
+			w = c.spawn(slot)
+		}
+		stalled := false
+		if w != nil {
+			t0 := time.Now()
+			var alive bool
+			if alive, stalled = c.lease(w, u, act); !alive {
+				c.reap(w)
+				w = nil
+			}
+			c.lastLease[slot] = time.Now()
+			c.mu.Lock()
+			c.leaseMS = append(c.leaseMS, float64(c.lastLease[slot].Sub(t0))/1e6)
+			c.mu.Unlock()
+		}
+		c.resolve(u, act, stalled)
+	}
+	if w != nil {
+		c.retire(w)
+	}
+}
 
+// resolve routes the outcome of one attempt: a complete valid shard →
+// terminal, failure → backoff-and-retry, too many failures → quarantine.
+func (c *coordinator) resolve(u *unit, act chaosAction, stalled bool) {
 	if c.validShard(u.file, u.r, true) == nil {
 		u.files = append(u.files, u.file)
-		c.logf("unit %d: done (attempt %d)", u.id, u.attempt)
 		c.finish(u)
 		return
 	}
@@ -268,7 +347,7 @@ func (c *coordinator) runUnit(u *unit) {
 	}
 
 	if u.attempt >= c.cfg.MaxAttempts {
-		c.logf("unit %d: quarantined after %d attempts", u.id, u.attempt)
+		c.event("quarantine", nil, u)
 		c.mu.Lock()
 		c.res.Quarantined = append(c.res.Quarantined, u.id)
 		c.mu.Unlock()
@@ -285,13 +364,14 @@ func (c *coordinator) runUnit(u *unit) {
 			u.files = append(u.files, u.file)
 		}
 		u.file = filepath.Join(c.cfg.Dir, fmt.Sprintf("unit-%03d.r%d.ulss", u.id, u.attempt))
+		c.event("revoke", nil, u, "shard", filepath.Base(u.file))
 	}
 
 	c.mu.Lock()
 	c.res.Retries++
 	c.mu.Unlock()
-	c.logf("unit %d: attempt %d failed (chaos=%s), retrying in %v",
-		u.id, u.attempt-1, act.kind, c.cfg.Backoff.Delay(u.attempt-1))
+	delay := c.cfg.Backoff.Delay(u.attempt - 1)
+	c.event("retry", nil, u, "chaos", act.kind.String(), "ms", float64(delay)/1e6)
 	go func() {
 		c.cfg.Backoff.Sleep(u.attempt-1, nil)
 		c.ready <- u
@@ -308,98 +388,171 @@ func (c *coordinator) finish(u *unit) {
 	}
 }
 
-// attempt execs one worker for the unit, feeding it the unit's chaos
-// action on the first attempt, and enforces the heartbeat deadline.
-// It returns the injected action (for logging) and whether the watchdog
-// revoked the lease.
-func (c *coordinator) attempt(u *unit) (chaosAction, bool) {
-	act := chaosAction{}
-	if a, ok := c.actions[u.id]; ok && u.attempt == 0 {
-		act = a
-	}
+// workerProc is one live worker process and the parsed lines of its
+// stdout; lines is closed at stdout EOF, which is how its death shows.
+type workerProc struct {
+	slot  int
+	cmd   *exec.Cmd
+	stdin io.WriteCloser
+	lines chan workerLine
+}
 
-	argv := append([]string(nil), c.cfg.WorkerArgv...)
-	argv = append(argv,
+// workerLine is one stdout line of a worker: a heartbeat "hb <a> <b>"
+// (done, count), or the end of a lease "done <a> <b>" (start, count) with
+// the worker's error text if it failed. Anything else only proves life.
+type workerLine struct {
+	kind string
+	a, b int
+	err  string
+}
+
+// spawn starts the slot's worker process in its streaming form; nil means
+// the exec failed (logged), which the caller treats as a failed attempt.
+func (c *coordinator) spawn(slot int) *workerProc {
+	argv := append(append([]string(nil), c.cfg.WorkerArgv...),
 		"-spec", c.specPath,
-		"-start", strconv.Itoa(u.r.Start),
-		"-count", strconv.Itoa(u.r.Count),
-		"-shard", u.file,
 		"-checkpoint-every", strconv.Itoa(c.cfg.CheckpointEvery),
 	)
+	w := &workerProc{slot: slot, cmd: exec.Command(argv[0], argv[1:]...), lines: make(chan workerLine)}
+	w.cmd.Env = append(os.Environ(), c.cfg.WorkerEnv...)
+	if c.cfg.Log != nil {
+		w.cmd.Stderr = stderrLog{c, w}
+	}
+	stdin, err := w.cmd.StdinPipe()
+	var stdout io.ReadCloser
+	if err == nil {
+		stdout, err = w.cmd.StdoutPipe()
+	}
+	if err == nil {
+		err = w.cmd.Start()
+	}
+	if err != nil {
+		c.event("spawn", nil, nil, "slot", slot, "err", err.Error())
+		return nil
+	}
+	w.stdin = stdin
+	go func() {
+		defer close(w.lines)
+		for sc := bufio.NewScanner(stdout); sc.Scan(); {
+			var ln workerLine
+			if n, _ := fmt.Sscanf(sc.Text(), "%s %d %d err %q", &ln.kind, &ln.a, &ln.b, &ln.err); n < 3 {
+				ln = workerLine{}
+			}
+			w.lines <- ln
+		}
+	}()
+	c.event("spawn", w, nil)
+	return w
+}
+
+// stderrLog turns what a worker writes to stderr into log events.
+type stderrLog struct {
+	c *coordinator
+	w *workerProc
+}
+
+func (l stderrLog) Write(p []byte) (int, error) {
+	l.c.event("stderr", l.w, nil, "text", strings.TrimSpace(string(p)))
+	return len(p), nil
+}
+
+// lease hands the unit to the worker and follows its stdout until the
+// lease ends. Every line refreshes the deadline; a worker silent past
+// HeartbeatTimeout is declared hung and SIGKILLed (stalled). alive is
+// false when the process is gone — killed here, or dead on its own — and
+// must be reaped. Whether the lease succeeded is for validShard to say.
+func (c *coordinator) lease(w *workerProc, u *unit, act chaosAction) (alive, stalled bool) {
 	c.mu.Lock()
 	switch act.kind {
 	case chaosKill:
-		argv = append(argv, "-kill-after", strconv.Itoa(act.after))
 		c.res.Kills++
 	case chaosStall:
-		argv = append(argv, "-stall-after", strconv.Itoa(act.after))
 		c.res.Stalls++
 	}
 	c.mu.Unlock()
 
-	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Env = append(os.Environ(), c.cfg.WorkerEnv...)
-	cmd.Stderr = c.cfg.Log
-	stdout, err := cmd.StdoutPipe()
-	if err == nil {
-		err = cmd.Start()
+	t0 := time.Now()
+	c.event("lease", w, u, "shard", filepath.Base(u.file), "chaos", act.kind.String())
+	if _, err := io.WriteString(w.stdin, lease{r: u.r, shard: u.file, fault: act}.line()); err != nil {
+		// The process died between leases.
+		w.kill()
+		return false, false
 	}
-	if err != nil {
-		c.logf("unit %d: exec: %v", u.id, err)
-		return act, false
-	}
-
-	// The lease: every stdout line refreshes the deadline; a worker
-	// silent past HeartbeatTimeout is declared hung and SIGKILLed.
-	var lastBeat atomic.Int64
-	lastBeat.Store(time.Now().UnixNano())
-	var stalled atomic.Bool
-	watchdogDone := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
-		defer tick.Stop()
-		for {
-			select {
-			case <-watchdogDone:
-				return
-			case <-tick.C:
-				silent := time.Since(time.Unix(0, lastBeat.Load()))
-				if silent > c.cfg.HeartbeatTimeout {
-					stalled.Store(true)
-					cmd.Process.Kill()
-					return
+	timeout := c.cfg.HeartbeatTimeout
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	last, first := t0, true
+	for {
+		select {
+		case ln, ok := <-w.lines:
+			if !ok {
+				return false, false
+			}
+			now := time.Now()
+			if gap := now.Sub(last); gap > timeout/2 {
+				c.event("hb", w, u, "gap_ms", float64(gap)/1e6)
+			}
+			last = now
+			deadline.Reset(timeout)
+			if first && ln.kind == "hb" && ln.a > 0 {
+				c.event("resume", w, u, "offset", ln.a)
+			}
+			first = false
+			if ln.kind != "done" || ln.a != u.r.Start || ln.b != u.r.Count {
+				continue
+			}
+			ms := float64(now.Sub(t0)) / 1e6
+			if ln.err != "" {
+				c.event("done", w, u, "ms", ms, "err", ln.err)
+				return true, false
+			}
+			c.event("done", w, u, "ms", ms)
+			// The corruption fault is injected by the coordinator after a
+			// clean lease: flip the shard's last 8 bytes, tearing the end
+			// record the way a dying disk would. Validation rejects it and
+			// the retry resumes from the last intact checkpoint.
+			if act.kind == chaosCorrupt {
+				if err := corruptTail(u.file); err == nil {
+					c.mu.Lock()
+					c.res.Corruptions++
+					c.mu.Unlock()
 				}
 			}
-		}
-	}()
-
-	// Drain stdout to EOF (required before Wait) while refreshing the
-	// heartbeat on every line.
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := stdout.Read(buf)
-		if n > 0 {
-			lastBeat.Store(time.Now().UnixNano())
-		}
-		if rerr != nil {
-			break
+			return true, false
+		case <-deadline.C:
+			c.event("kill", w, u, "silent_ms", float64(time.Since(last))/1e6)
+			w.kill()
+			return false, true
 		}
 	}
-	waitErr := cmd.Wait()
-	close(watchdogDone)
+}
 
-	// The corruption fault is injected by the coordinator after a clean
-	// exit: flip the shard's last 8 bytes, tearing the end record the way
-	// a dying disk would. Validation below rejects it and the retry
-	// resumes from the last intact checkpoint.
-	if act.kind == chaosCorrupt && waitErr == nil {
-		if err := corruptTail(u.file); err == nil {
-			c.mu.Lock()
-			c.res.Corruptions++
-			c.mu.Unlock()
-		}
+// kill SIGKILLs the process and reads its stdout to EOF.
+func (w *workerProc) kill() {
+	w.cmd.Process.Kill()
+	for range w.lines {
 	}
-	return act, stalled.Load()
+}
+
+// reap waits for a worker process whose stdout is at EOF.
+func (c *coordinator) reap(w *workerProc) {
+	w.stdin.Close() // a second Close, after retire's, only returns an error
+	status := "ok"
+	if err := w.cmd.Wait(); err != nil {
+		status = err.Error()
+	}
+	c.event("exit", w, nil, "status", status)
+}
+
+// retire ends an idle worker: stdin EOF is its signal to exit. One that
+// does not is killed at the heartbeat deadline.
+func (c *coordinator) retire(w *workerProc) {
+	w.stdin.Close()
+	kill := time.AfterFunc(c.cfg.HeartbeatTimeout, func() { w.cmd.Process.Kill() })
+	for range w.lines {
+	}
+	kill.Stop()
+	c.reap(w)
 }
 
 // validShard checks that a shard file is intact, covers exactly the
@@ -413,7 +566,7 @@ func (c *coordinator) validShard(path string, r harness.TrialRange, needDone boo
 	if ck.Start != r.Start || ck.Count != r.Count {
 		return fmt.Errorf("shard %s covers [%d,+%d), want [%d,+%d)", path, ck.Start, ck.Count, r.Start, r.Count)
 	}
-	if err := ck.CheckSpec(c.spec); err != nil {
+	if err := ck.CheckPlan(c.plan); err != nil {
 		return err
 	}
 	if needDone && !ck.Done {
@@ -447,7 +600,8 @@ func (c *coordinator) merge() error {
 		return err
 	}
 	opt := harness.BinaryOptions{CheckpointEvery: c.cfg.CheckpointEvery}
-	rep, err := harness.MergeShards(c.spec, paths, harness.MergeConfig{
+	t0 := time.Now()
+	rep, err := c.plan.MergeShards(paths, harness.MergeConfig{
 		Emitters: []harness.Emitter{harness.NewBinaryEmitter(out, opt)},
 	})
 	if cerr := out.Close(); err == nil {
@@ -462,6 +616,7 @@ func (c *coordinator) merge() error {
 		}
 		return err
 	}
+	c.event("merge", nil, nil, "shards", len(paths), "ms", float64(time.Since(t0))/1e6)
 	c.res.Report = rep
 	c.res.MergedPath = c.cfg.Out
 
@@ -518,6 +673,27 @@ func corruptTail(path string) error {
 	return err
 }
 
-func (c *coordinator) logf(format string, args ...any) {
-	fmt.Fprintf(c.cfg.Log, "fleet: "+format+"\n", args...)
+// event writes one lifecycle event to Config.Log as a JSON object on its
+// own line: t_ms since the run started, the event name, the worker (slot
+// and pid) and the unit (id, attempt, range) it concerns, then the extra
+// key/value pairs.
+func (c *coordinator) event(ev string, w *workerProc, u *unit, extra ...any) {
+	if c.cfg.Log == nil {
+		return
+	}
+	b := fmt.Appendf(nil, `{"t_ms":%d,"ev":%q`, time.Since(c.start).Milliseconds(), ev)
+	if w != nil {
+		b = fmt.Appendf(b, `,"worker":{"slot":%d,"pid":%d}`, w.slot, w.cmd.Process.Pid)
+	}
+	if u != nil {
+		b = fmt.Appendf(b, `,"unit":%d,"attempt":%d,"start":%d,"count":%d`, u.id, u.attempt, u.r.Start, u.r.Count)
+	}
+	for i := 0; i+1 < len(extra); i += 2 {
+		v, _ := json.Marshal(extra[i+1]) // ints, floats and strings only
+		b = fmt.Appendf(b, `,%q:%s`, extra[i], v)
+	}
+	b = append(b, '}', '\n')
+	c.mu.Lock()
+	c.cfg.Log.Write(b)
+	c.mu.Unlock()
 }

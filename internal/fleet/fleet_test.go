@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +26,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// fleetSpec is small enough for process-per-unit tests but crosses
+// fleetSpec is small enough for real-process tests but crosses
 // graphs, execution models and fault schedules: 24 trials.
 func fleetSpec() harness.Spec {
 	return harness.Spec{
@@ -261,6 +264,284 @@ func TestPartition(t *testing.T) {
 		}
 		if at != tc.total {
 			t.Fatalf("partition(%d,%d) covers %d trials", tc.total, tc.size, at)
+		}
+	}
+}
+
+// logEvent is one line of the lifecycle log (Config.Log).
+type logEvent struct {
+	TMS    int64  `json:"t_ms"`
+	Ev     string `json:"ev"`
+	Worker *struct {
+		Slot int `json:"slot"`
+		Pid  int `json:"pid"`
+	} `json:"worker"`
+	Unit     *int    `json:"unit"`
+	Attempt  int     `json:"attempt"`
+	Start    int     `json:"start"`
+	Count    int     `json:"count"`
+	Shard    string  `json:"shard"`
+	Offset   int     `json:"offset"`
+	SilentMS float64 `json:"silent_ms"`
+}
+
+// parseLog decodes the lifecycle log; every line must be a JSON object.
+func parseLog(t *testing.T, log *bytes.Buffer) []logEvent {
+	t.Helper()
+	var evs []logEvent
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var ev logEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Ev == "" {
+			t.Fatalf("lifecycle log line is not an event: %q (%v)", line, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+func eventsOf(evs []logEvent, kind string) (out []logEvent) {
+	for _, ev := range evs {
+		if ev.Ev == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// chaosSeedFor searches the seed space for a plan whose only action is
+// the wanted fault on unit 0, triggering after a trial count in [lo, hi].
+func chaosSeedFor(t *testing.T, kind chaosKind, count, lo, hi int) *ChaosPlan {
+	t.Helper()
+	for seed := uint64(1); seed < 10000; seed++ {
+		p := &ChaosPlan{Seed: seed, MaxActions: 1}
+		switch kind {
+		case chaosKill:
+			p.Kill = 1
+		case chaosStall:
+			p.Stall = 1
+		}
+		if a := p.decide(0, count); a.kind == kind && a.after >= lo && a.after <= hi {
+			return p
+		}
+	}
+	t.Fatalf("no chaos seed schedules %v after [%d,%d] trials", kind, lo, hi)
+	return nil
+}
+
+// TestFleetOneProcessManyLeases: a worker slot is one process for the
+// whole run — every lease of a fault-free run goes to the pid that was
+// spawned first — and the merged bytes are the single-process run's.
+func TestFleetOneProcessManyLeases(t *testing.T) {
+	spec := fleetSpec()
+	cfg := fleetConfig(t, spec)
+	cfg.Workers = 1
+	var log bytes.Buffer
+	cfg.Log = &log
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkMerged(t, cfg, refRun(t, spec))
+
+	evs := parseLog(t, &log)
+	spawns, leases, dones := eventsOf(evs, "spawn"), eventsOf(evs, "lease"), eventsOf(evs, "done")
+	if len(spawns) != 1 || len(leases) != res.Units || len(dones) != res.Units || res.Units < 5 {
+		t.Fatalf("%d spawns, %d leases, %d dones for %d units; want one process serving all", len(spawns), len(leases), len(dones), res.Units)
+	}
+	for _, ev := range leases {
+		if ev.Worker == nil || ev.Worker.Pid != spawns[0].Worker.Pid {
+			t.Fatalf("lease %+v not served by the slot's process %d", ev, spawns[0].Worker.Pid)
+		}
+	}
+	if len(eventsOf(evs, "merge")) != 1 || len(eventsOf(evs, "exit")) != 1 {
+		t.Fatalf("want one merge and one exit event in %d events", len(evs))
+	}
+	if res.LeaseMSMedian <= 0 || res.LeaseMSMax < res.LeaseMSMedian {
+		t.Fatalf("lease times median %v max %v", res.LeaseMSMedian, res.LeaseMSMax)
+	}
+}
+
+// TestFleetKillRespawnResumes: a worker killed in the middle of a lease is
+// replaced by a new process; the retried lease resumes the same shard
+// file from its last checkpoint, and every later lease goes to the new
+// process.
+func TestFleetKillRespawnResumes(t *testing.T) {
+	spec := fleetSpec()
+	cfg := fleetConfig(t, spec)
+	cfg.Workers = 1
+	cfg.UnitTrials = 12 // two units
+	cfg.Chaos = chaosSeedFor(t, chaosKill, 12, testCadence+1, 11)
+	var log bytes.Buffer
+	cfg.Log = &log
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Kills != 1 || res.Retries != 1 || res.Reassignments != 0 {
+		t.Fatalf("kills=%d retries=%d reassignments=%d, want 1/1/0", res.Kills, res.Retries, res.Reassignments)
+	}
+	checkMerged(t, cfg, refRun(t, spec))
+
+	evs := parseLog(t, &log)
+	spawns, leases, resumes := eventsOf(evs, "spawn"), eventsOf(evs, "lease"), eventsOf(evs, "resume")
+	if len(spawns) != 2 || len(leases) != 3 {
+		t.Fatalf("%d spawns, %d leases; want a respawn and unit 0 leased twice", len(spawns), len(leases))
+	}
+	if leases[0].Worker.Pid != spawns[0].Worker.Pid {
+		t.Fatalf("first lease went to pid %d, spawned %d", leases[0].Worker.Pid, spawns[0].Worker.Pid)
+	}
+	for _, ev := range leases[1:] {
+		if ev.Worker.Pid != spawns[1].Worker.Pid || ev.Worker.Pid == spawns[0].Worker.Pid {
+			t.Fatalf("lease after the kill went to pid %d, respawned %d", ev.Worker.Pid, spawns[1].Worker.Pid)
+		}
+	}
+	retried := false
+	for _, ev := range leases[1:] {
+		if *ev.Unit == 0 {
+			retried = true
+			if ev.Attempt != 1 || ev.Shard != "unit-000.ulss" {
+				t.Fatalf("retried lease %+v: want attempt 1 on the same shard file", ev)
+			}
+		}
+	}
+	if !retried {
+		t.Fatal("unit 0 was not leased again")
+	}
+	if len(resumes) != 1 || *resumes[0].Unit != 0 || resumes[0].Offset < testCadence || resumes[0].Offset%testCadence != 0 {
+		t.Fatalf("resume events %+v: want unit 0 resumed at a checkpoint", resumes)
+	}
+	if m, _ := filepath.Glob(filepath.Join(cfg.Dir, "unit-000.r*.ulss")); len(m) != 0 {
+		t.Fatalf("a kill must not reassign the shard file: %v", m)
+	}
+}
+
+// TestFleetStallAfterHeartbeat: heartbeats are paced by time, so the
+// watchdog cannot count on one per trial — a worker that printed a
+// heartbeat (its lease-start line) moments before hanging must still be
+// SIGKILLed one HeartbeatTimeout after that line, not later.
+func TestFleetStallAfterHeartbeat(t *testing.T) {
+	spec := fleetSpec()
+	cfg := fleetConfig(t, spec)
+	cfg.Workers = 1
+	cfg.Chaos = chaosSeedFor(t, chaosStall, 5, 1, 4)
+	cfg.HeartbeatTimeout = time.Second
+	var log bytes.Buffer
+	cfg.Log = &log
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Stalls != 1 || res.Reassignments != 1 {
+		t.Fatalf("stalls=%d reassignments=%d, want 1/1", res.Stalls, res.Reassignments)
+	}
+	checkMerged(t, cfg, refRun(t, spec))
+
+	evs := parseLog(t, &log)
+	kills := eventsOf(evs, "kill")
+	if len(kills) != 1 {
+		t.Fatalf("kill events %+v, want one", kills)
+	}
+	timeout := float64(cfg.HeartbeatTimeout.Milliseconds())
+	if s := kills[0].SilentMS; s < timeout || s > 1.5*timeout {
+		t.Fatalf("killed after %.0f ms of silence, want about %.0f", s, timeout)
+	}
+	// The stall came within moments of the lease-start heartbeat, so the
+	// lease as a whole lasted barely longer than the silence.
+	lease := eventsOf(evs, "lease")[0]
+	if d := float64(kills[0].TMS - lease.TMS); d > 1.5*timeout {
+		t.Fatalf("lease ran %.0f ms before the kill, want about %.0f", d, timeout)
+	}
+	if revokes := eventsOf(evs, "revoke"); len(revokes) != 1 || revokes[0].Shard != "unit-000.r1.ulss" {
+		t.Fatalf("revoke events %+v, want unit 0 reassigned to a fresh shard", revokes)
+	}
+}
+
+// TestWorkerOneShotAndHeartbeatPace runs the argv form of the worker —
+// one lease from flags, the form cmd/ule-bench's spawn probe uses — over
+// 2400 trials: it must exit 0 leaving a complete shard, and its stdout is
+// a lease-start heartbeat, a heartbeat per pace, and the done line, not a
+// line per trial.
+func TestWorkerOneShotAndHeartbeatPace(t *testing.T) {
+	spec := fleetSpec()
+	spec.Trials = 300 // 2400 trials
+	dir := t.TempDir()
+	specJSON, _ := json.Marshal(spec)
+	specPath, shard := filepath.Join(dir, "spec.json"), filepath.Join(dir, "one shot.ulss")
+	if err := os.WriteFile(specPath, specJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-spec", specPath, "-start", "0", "-count", "2400", "-shard", shard, "-checkpoint-every", "0")
+	cmd.Env = append(os.Environ(), "ULE_FLEET_WORKER=1")
+	t0 := time.Now()
+	out, err := cmd.Output()
+	elapsed := time.Since(t0)
+	if err != nil {
+		t.Fatalf("one-shot worker: %v\n%s", err, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if lines[0] != "hb 0 2400" || lines[len(lines)-1] != "done 0 2400" {
+		t.Fatalf("stdout starts %q and ends %q", lines[0], lines[len(lines)-1])
+	}
+	if max := 2 + int(elapsed/heartbeatPace) + 1; len(lines) > max || len(lines) > 40 {
+		t.Fatalf("%d stdout lines for 2400 trials in %v, want at most %d", len(lines), elapsed, max)
+	}
+	ck, err := harness.InspectShard(shard)
+	if err != nil || !ck.Done || ck.Start != 0 || ck.Count != 2400 || ck.Completed != 2400 {
+		t.Fatalf("shard after the one-shot worker: %+v, %v", ck, err)
+	}
+}
+
+// TestFleetCreatesDir: a Dir that does not exist yet is created, nested
+// levels included.
+func TestFleetCreatesDir(t *testing.T) {
+	spec := fleetSpec()
+	cfg := fleetConfig(t, spec)
+	cfg.Dir = filepath.Join(cfg.Dir, "not", "yet", "there")
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run with a fresh nested Dir: %v", err)
+	}
+	checkMerged(t, cfg, refRun(t, spec))
+}
+
+// TestFleetRejectsShortHeartbeat: a deadline that cannot hold a few
+// heartbeat paces is refused up front, not silently stretched.
+func TestFleetRejectsShortHeartbeat(t *testing.T) {
+	cfg := fleetConfig(t, fleetSpec())
+	cfg.HeartbeatTimeout = minHeartbeatTimeout - time.Millisecond
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "HeartbeatTimeout") {
+		t.Fatalf("Run with HeartbeatTimeout %v = %v, want an error naming it", cfg.HeartbeatTimeout, err)
+	}
+	if _, err := os.Stat(cfg.Out); err == nil {
+		t.Fatal("a refused run left an output file")
+	}
+}
+
+func TestLeaseLineRoundTrip(t *testing.T) {
+	for _, l := range []lease{
+		{r: harness.TrialRange{Start: 0, Count: 1}, shard: "/tmp/a.ulss"},
+		{r: harness.TrialRange{Start: 507, Count: 506}, shard: `/tmp/with space/and "quote"/ü.ulss`, fault: chaosAction{kind: chaosKill, after: 0}},
+		{r: harness.TrialRange{Start: 9, Count: 3}, shard: "rel.ulss", fault: chaosAction{kind: chaosStall, after: 2}},
+	} {
+		got, err := parseLease(strings.TrimSuffix(l.line(), "\n"), chaosAction{})
+		if err != nil || got != l {
+			t.Fatalf("parseLease(%q) = %+v, %v; want %+v", l.line(), got, err, l)
+		}
+	}
+	// A lease that names no fault inherits the worker's default.
+	def := chaosAction{kind: chaosKill, after: 0}
+	if got, err := parseLease(`4 2 "x"`, def); err != nil || got.fault != def {
+		t.Fatalf("default fault: %+v, %v", got, err)
+	}
+	for _, bad := range []string{"", "1 2", "1 2 unquoted", `1 2 "x" kill`, `1 2 "x" maim 3`} {
+		if _, err := parseLease(bad, chaosAction{}); err == nil {
+			t.Fatalf("parseLease(%q) accepted", bad)
 		}
 	}
 }

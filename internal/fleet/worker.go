@@ -1,119 +1,244 @@
 package fleet
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"syscall"
 	"time"
 
 	"ule/internal/harness"
 )
 
-// RunWorker is the exec-worker entry point: it runs one contiguous trial
-// range of a sweep spec into a shard file and exits. cmd/ule-fleet
-// dispatches here under -worker, and the fleet tests re-exec the test
-// binary into it. The returned value is the process exit code.
+// heartbeatPace is the least time between two heartbeat lines of a worker
+// inside one lease (the lines at lease start and end are unconditional).
+// A failure detector needs one beat per timeout period, not one per unit
+// of work; the coordinator keeps HeartbeatTimeout at or above
+// minHeartbeatTimeout so that several paces fit into any deadline.
+const (
+	heartbeatPace       = 200 * time.Millisecond
+	minHeartbeatTimeout = 5 * heartbeatPace
+)
+
+// lease is one work unit as handed to a worker: a trial range, the shard
+// file to write it into, and — first attempts under chaos only — the
+// fault to inject while doing so.
+type lease struct {
+	r     harness.TrialRange
+	shard string
+	fault chaosAction
+}
+
+// line renders the lease in the stdin grammar of a streaming worker:
+//
+//	<start> <count> <"shard"> [kill|stall <after>]
+//
+// The shard path is a Go-quoted string, so any path survives the trip.
+func (l lease) line() string {
+	s := fmt.Sprintf("%d %d %q", l.r.Start, l.r.Count, l.shard)
+	if l.fault.kind == chaosKill || l.fault.kind == chaosStall {
+		s += fmt.Sprintf(" %s %d", l.fault.kind, l.fault.after)
+	}
+	return s + "\n"
+}
+
+// parseLease reads one lease line; a line without a fault inherits def
+// (the worker's -kill-after/-stall-after flags).
+func parseLease(line string, def chaosAction) (lease, error) {
+	l := lease{fault: def}
+	var kind string
+	var after int
+	n, _ := fmt.Sscanf(line, "%d %d %q %s %d", &l.r.Start, &l.r.Count, &l.shard, &kind, &after)
+	switch {
+	case n == 3:
+		return l, nil
+	case n == 5 && kind == chaosKill.String():
+		l.fault = chaosAction{kind: chaosKill, after: after}
+		return l, nil
+	case n == 5 && kind == chaosStall.String():
+		l.fault = chaosAction{kind: chaosStall, after: after}
+		return l, nil
+	}
+	return l, fmt.Errorf("malformed lease %q", line)
+}
+
+// RunWorker is the worker entry point: one process that compiles the
+// sweep spec once and then serves leases — trial ranges run into shard
+// files — until its lease source is exhausted. cmd/ule-fleet dispatches
+// here under -worker, and the fleet tests re-exec the test binary into
+// it. The returned value is the process exit code: 0, or 1 when a lease
+// failed, 2 on a malformed flag or lease line.
 //
 // Protocol (see docs/DISTRIBUTED.md):
-//   - flags: -spec FILE -start N -count N -shard FILE -checkpoint-every N
-//     [-workers N] [-kill-after K] [-stall-after K] [-stall-for DUR]
-//   - stdout: one "hb <done> <count>" line per completed trial — the
-//     coordinator's heartbeat; silence past the deadline is a hang.
-//   - an existing shard file is resumed from its last fsynced checkpoint
-//     (harness.ResumeShard); an unresumable file is recreated from
-//     scratch. Either way the finished shard is byte-identical.
-//   - -kill-after K raises SIGKILL on this process after K unit-local
-//     trials (0 = before any trial); -stall-after K sleeps -stall-for at
-//     that point instead. Both model the chaos modes; the coordinator
-//     schedules them on first attempts only.
+//   - flags: -spec FILE -checkpoint-every N [-workers N] [-stall-for DUR],
+//     and the fields of one lease: -start N -count N -shard FILE
+//     [-kill-after K] [-stall-after K]. -workers is the in-process pool
+//     size (default 1).
+//   - With -shard the worker serves exactly that lease and exits (the
+//     one-shot form). Without it, leases arrive on stdin, one per line
+//     (lease.line); the fault flags are then the default for every lease
+//     that names none. Stdin EOF ends the process.
+//   - stdout, per lease: "hb <done> <count>" at lease start (done is the
+//     resumed prefix), then at most one per heartbeatPace while trials
+//     complete, then "done <start> <count>" — followed by `err "<msg>"`
+//     when the lease failed. Any line is a heartbeat to the coordinator;
+//     silence past its deadline is a hang.
+//   - An existing shard file of the same range is resumed from its last
+//     fsynced checkpoint (harness.ResumeShard); anything else is
+//     recreated from scratch. Either way the finished shard is
+//     byte-identical.
+//   - A kill fault raises SIGKILL on this process after K lease-local
+//     trials (0 = before the shard is touched); a stall fault sleeps
+//     -stall-for at that point instead. Both model the chaos modes; the
+//     coordinator schedules them on first attempts only.
 func RunWorker(args []string) int {
 	fs := flag.NewFlagSet("ule-fleet-worker", flag.ContinueOnError)
 	var (
 		specPath   = fs.String("spec", "", "sweep spec JSON file")
-		start      = fs.Int("start", 0, "first trial index of the unit")
-		count      = fs.Int("count", 0, "trial count of the unit")
-		shardPath  = fs.String("shard", "", "shard output file")
 		ckEvery    = fs.Int("checkpoint-every", 0, "checkpoint cadence (trials)")
 		workers    = fs.Int("workers", 1, "in-process pool size")
-		killAfter  = fs.Int("kill-after", -1, "SIGKILL self after this many unit-local trials (-1 = never)")
-		stallAfter = fs.Int("stall-after", -1, "hang after this many unit-local trials (-1 = never)")
-		stallFor   = fs.Duration("stall-for", 10*time.Minute, "hang duration for -stall-after")
+		stallFor   = fs.Duration("stall-for", 10*time.Minute, "hang duration of a stall fault")
+		start      = fs.Int("start", 0, "one-shot lease: first trial index")
+		count      = fs.Int("count", 0, "one-shot lease: trial count")
+		shardPath  = fs.String("shard", "", "one-shot lease: shard output file (absent = leases on stdin)")
+		killAfter  = fs.Int("kill-after", -1, "SIGKILL self after this many lease-local trials (-1 = never)")
+		stallAfter = fs.Int("stall-after", -1, "hang after this many lease-local trials (-1 = never)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := runWorker(*specPath, *shardPath, *start, *count, *ckEvery, *workers, *killAfter, *stallAfter, *stallFor); err != nil {
+	var fault chaosAction
+	switch {
+	case *killAfter >= 0:
+		fault = chaosAction{kind: chaosKill, after: *killAfter}
+	case *stallAfter >= 0:
+		fault = chaosAction{kind: chaosStall, after: *stallAfter}
+	}
+
+	plan, err := loadPlan(*specPath)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ule-fleet worker:", err)
 		return 1
 	}
-	return 0
+	w := &worker{plan: plan, opt: harness.BinaryOptions{CheckpointEvery: *ckEvery}, workers: *workers, stallFor: *stallFor}
+
+	// The lease source: stdin, or the one lease the flags spell out — as
+	// the line the coordinator would have sent (the fault flags are every
+	// line's default either way).
+	var src io.Reader = os.Stdin
+	if *shardPath != "" {
+		src = strings.NewReader(lease{r: harness.TrialRange{Start: *start, Count: *count}, shard: *shardPath}.line())
+	}
+	code := 0
+	for sc := bufio.NewScanner(src); sc.Scan(); {
+		l, err := parseLease(sc.Text(), fault)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ule-fleet worker:", err)
+			return 2
+		}
+		if err := w.serve(l); err != nil {
+			fmt.Fprintln(os.Stderr, "ule-fleet worker:", err)
+			fmt.Printf("done %d %d err %q\n", l.r.Start, l.r.Count, err.Error())
+			code = 1
+			continue
+		}
+		fmt.Printf("done %d %d\n", l.r.Start, l.r.Count)
+	}
+	return code
 }
 
-func runWorker(specPath, shardPath string, start, count, ckEvery, workers, killAfter, stallAfter int, stallFor time.Duration) error {
-	if killAfter == 0 {
-		// A unit-boundary kill: die before touching the shard at all.
-		killSelf()
-	}
-	if specPath == "" || shardPath == "" || count <= 0 {
-		return fmt.Errorf("need -spec, -shard and a positive -count")
+// loadPlan reads and compiles the sweep spec file.
+func loadPlan(specPath string) (*harness.Plan, error) {
+	if specPath == "" {
+		return nil, fmt.Errorf("need -spec")
 	}
 	data, err := os.ReadFile(specPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var spec harness.Spec
 	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("spec %s: %w", specPath, err)
+		return nil, fmt.Errorf("spec %s: %w", specPath, err)
+	}
+	return spec.Compile()
+}
+
+// worker is the state a worker process keeps between leases: the compiled
+// sweep (with its graphs and warm Prepared caches) and the heartbeat
+// clock.
+type worker struct {
+	plan     *harness.Plan
+	opt      harness.BinaryOptions
+	workers  int
+	stallFor time.Duration
+	lastBeat time.Time
+}
+
+// beat prints one heartbeat line.
+func (w *worker) beat(done, count int) {
+	w.lastBeat = time.Now()
+	fmt.Printf("hb %d %d\n", done, count)
+}
+
+// serve runs one lease into its shard file.
+func (w *worker) serve(l lease) error {
+	if l.fault.kind == chaosKill && l.fault.after == 0 {
+		// A unit-boundary kill: die before touching the shard at all.
+		killSelf()
+	}
+	if l.shard == "" || l.r.Count <= 0 {
+		return fmt.Errorf("lease needs a shard file and a positive count")
 	}
 
-	r := harness.TrialRange{Start: start, Count: count}
-	opt := harness.BinaryOptions{CheckpointEvery: ckEvery}
-
-	// Resume an interrupted shard in place when possible; a missing,
-	// empty, or unresumable file starts fresh (the re-run reproduces the
+	// Resume an interrupted shard of this range in place; a missing,
+	// foreign or unresumable file starts fresh (the re-run reproduces the
 	// same bytes, so nothing is lost but time).
 	var (
 		ck *harness.SweepCheckpoint
 		em harness.Emitter
 	)
-	if st, err := os.Stat(shardPath); err == nil && st.Size() > 0 {
-		c, e, err := harness.ResumeShard(shardPath)
-		switch {
-		case err == harness.ErrSweepComplete:
-			// A previous attempt finished after its lease was revoked.
-			fmt.Printf("hb %d %d\n", count, count)
-			return nil
-		case err == nil && c.Start == start && c.Count == count:
-			ck, em = c, e
-		}
+	switch c, e, err := harness.ResumeShard(l.shard); {
+	case err == harness.ErrSweepComplete && c.Start == l.r.Start && c.Count == l.r.Count:
+		// A previous attempt finished after its lease was revoked.
+		w.beat(l.r.Count, l.r.Count)
+		return nil
+	case err == nil && c.Start == l.r.Start && c.Count == l.r.Count:
+		ck, em = c, e
 	}
+	done := 0
 	if em == nil {
-		f, err := os.Create(shardPath)
+		f, err := os.Create(l.shard)
 		if err != nil {
 			return err
 		}
-		em = harness.NewShardEmitter(f, start, count, opt)
+		defer f.Close() // the emitter's End has flushed and fsynced it
+		em = harness.NewShardEmitter(f, l.r.Start, l.r.Count, w.opt)
+	} else {
+		done = ck.Completed
 	}
 
-	// First heartbeat before the sweep starts: spec compilation and graph
-	// instantiation take real time, and the coordinator must not mistake
-	// a slow start for a hang.
-	fmt.Printf("hb 0 %d\n", count)
+	// First heartbeat before the run starts: graph instantiation takes
+	// real time, and the coordinator must not mistake a slow start for a
+	// hang.
+	w.beat(done, l.r.Count)
 
-	chaos := &chaosEmitter{killAfter: killAfter, stallAfter: stallAfter, stallFor: stallFor}
-	_, err = harness.Run(spec, harness.RunConfig{
-		Workers:  workers,
-		Emitters: []harness.Emitter{em, chaos},
+	_, err := w.plan.Run(harness.RunConfig{
+		Workers:  w.workers,
+		Emitters: []harness.Emitter{em, &chaosEmitter{fault: l.fault, stallFor: w.stallFor}},
 		// A ranged run also keeps unset spec shards at 1: the fleet's
 		// processes, not one trial's shards, fill the cores.
-		Range:  &r,
+		Range:  &l.r,
 		Resume: ck,
 		Progress: func(done, total int) {
-			// The heartbeat: any stdout line proves liveness; done/total let
-			// the coordinator log progress.
-			fmt.Printf("hb %d %d\n", done, total)
+			// Paced by time, and driven by completed trials: a worker that
+			// stops making progress stops beating.
+			if time.Since(w.lastBeat) >= heartbeatPace {
+				w.beat(done, total)
+			}
 		},
 	})
 	return err
@@ -125,20 +250,19 @@ func runWorker(specPath, shardPath string, start, count, ckEvery, workers, killA
 // leaves K durable-or-torn trials in the file — exactly what a real
 // mid-write crash leaves.
 type chaosEmitter struct {
-	killAfter  int
-	stallAfter int
-	stallFor   time.Duration
-	seen       int
+	fault    chaosAction
+	stallFor time.Duration
+	seen     int
 }
 
 func (c *chaosEmitter) Begin(harness.Spec, int) error { return nil }
 
 func (c *chaosEmitter) Trial(harness.TrialResult) error {
 	c.seen++
-	if c.seen == c.killAfter {
+	switch {
+	case c.fault.kind == chaosKill && c.seen == c.fault.after:
 		killSelf()
-	}
-	if c.seen-1 == c.stallAfter {
+	case c.fault.kind == chaosStall && c.seen-1 == c.fault.after:
 		time.Sleep(c.stallFor)
 	}
 	return nil

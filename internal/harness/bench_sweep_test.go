@@ -81,6 +81,23 @@ func BenchmarkEmitTrialCSV(b *testing.B) {
 	}
 }
 
+// BenchmarkSpecCompile compiles and validates cmd/ule-bench's sweep spec
+// (54 cells, three small graphs) at the benchmark's 16 200 trials and at
+// 10^6: the cost is the cells' and the graphs', so the two agree.
+func BenchmarkSpecCompile(b *testing.B) {
+	for _, trials := range []int{300, 18519} {
+		spec := benchLikeSpec(trials)
+		b.Run(fmt.Sprintf("trials=%d", 54*trials), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- whole-consumer benchmarks: reorder window + emit + aggregation,
 // exactly the work between a worker's result and the output stream ----
 

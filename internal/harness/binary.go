@@ -525,7 +525,7 @@ func readBinHeader(br *binReader) (*binHeader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: binary header: %w", err)
 	}
-	total, err := br.uvarintMax(1<<40, "total")
+	total, err := br.uvarintMax(maxSweepTrials, "total")
 	if err != nil {
 		return nil, fmt.Errorf("harness: binary header: %w", err)
 	}
@@ -957,13 +957,10 @@ type SweepCheckpoint struct {
 	every    int
 }
 
-// check verifies that a compiled resuming spec matches the checkpoint.
-func (ck *SweepCheckpoint) check(spec Spec, total int) error {
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	if hash := sweepSpecHash(specJSON, total); hash != ck.specHash {
+// check verifies that the resuming sweep (by its spec hash) matches the
+// checkpoint.
+func (ck *SweepCheckpoint) check(hash uint64) error {
+	if hash != ck.specHash {
 		return fmt.Errorf("harness: resume spec mismatch: sweep expands to hash %016x, checkpoint has %016x", hash, ck.specHash)
 	}
 	if ck.Done {
@@ -975,21 +972,12 @@ func (ck *SweepCheckpoint) check(spec Spec, total int) error {
 	return nil
 }
 
-// CheckSpec verifies that the checkpoint file belongs to spec: the
-// compiled spec's hash must match the file header's. The fleet
-// coordinator uses it to detect corrupt or foreign shards (the ISSUE's
-// spec-hash-mismatch lease revocation) without touching the file.
-func (ck *SweepCheckpoint) CheckSpec(spec Spec) error {
-	p, err := spec.compile()
-	if err != nil {
-		return err
-	}
-	specJSON, err := json.Marshal(p.spec)
-	if err != nil {
-		return err
-	}
-	if hash := sweepSpecHash(specJSON, len(p.trials)); hash != ck.specHash {
-		return fmt.Errorf("harness: %s: spec hash %016x does not match sweep (%016x)", ck.path, ck.specHash, hash)
+// CheckPlan verifies that the checkpoint file belongs to p's sweep: the
+// file header's spec hash must be the plan's. The fleet coordinator uses
+// it to detect corrupt or foreign shards without touching the file.
+func (ck *SweepCheckpoint) CheckPlan(p *Plan) error {
+	if p.hash != ck.specHash {
+		return fmt.Errorf("harness: %s: spec hash %016x does not match sweep (%016x)", ck.path, ck.specHash, p.hash)
 	}
 	return nil
 }

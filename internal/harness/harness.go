@@ -67,14 +67,24 @@ type Report struct {
 	Elapsed time.Duration `json:"-"`
 	Workers int           `json:"-"`
 
-	// graphs holds the instantiated graph axis, parallel to Spec.Graphs.
-	graphs []*graph.Graph
+	// plan is the compiled sweep the report came from; it owns the graphs.
+	plan *Plan
 }
 
 // Graphs returns the instantiated graph axis, parallel to Spec.Graphs.
 // Callers needing per-graph normalizations (e.g. rounds/D from the
 // memoized exact diameter) use these instances instead of rebuilding.
-func (r *Report) Graphs() []*graph.Graph { return r.graphs }
+// The run's own graphs are the Plan's and come back as they are; an entry
+// no trial of it needed (a ranged or resumed Run, a merge) is instantiated
+// here, on first call. The result is nil for a Report no Plan produced,
+// and if such a late graph does not build.
+func (r *Report) Graphs() []*graph.Graph {
+	if r.plan == nil {
+		return nil
+	}
+	graphs, _ := r.plan.Graphs()
+	return graphs
+}
 
 // Group returns the aggregate for one cell, or nil if absent. The
 // optional trailing arguments select a delay model (rest[0]) and a fault
@@ -210,21 +220,30 @@ func (a *sweepAgg) finish(rep *Report) {
 	}
 }
 
-// Run expands the spec and executes every trial on the work-stealing pool,
-// streaming records to the emitters and the online aggregator. Per-trial
-// model violations are recorded in the affected TrialResult and counted in
-// the report; Run itself fails only on invalid specs or emitter errors.
+// Run compiles the spec and executes it (Plan.Run). Per-trial model
+// violations are recorded in the affected TrialResult and counted in the
+// report; Run itself fails only on invalid specs or emitter errors.
 func Run(spec Spec, rc RunConfig) (*Report, error) {
-	p, err := spec.compile()
+	p, err := spec.Compile()
 	if err != nil {
 		return nil, err
 	}
+	return p.Run(rc)
+}
+
+// Run executes the sweep — or rc.Range's slice of it — on the
+// work-stealing pool, streaming records to the emitters and the online
+// aggregator. It instantiates the graphs its trials touch before any
+// emitter output, so a graph spec that does not build is a spec error
+// like any other; the graphs and the workers' Prepared caches stay with
+// the Plan for the next Run.
+func (p *Plan) Run(rc RunConfig) (*Report, error) {
 	workers := rc.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	total := len(p.trials)
-	p.shards = trialShards(p.spec.Shards, workers, rc.Range != nil)
+	total := p.total
+	shards := trialShards(p.spec.Shards, workers, rc.Range != nil)
 
 	// The executed range: the whole sweep, or rc.Range's slice of it.
 	rangeStart, rangeCount := 0, total
@@ -241,7 +260,7 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 	// checkpoint file; those trials are neither re-run nor re-emitted.
 	completed := 0
 	if rc.Resume != nil {
-		if err := rc.Resume.check(p.spec, total); err != nil {
+		if err := rc.Resume.check(p.hash); err != nil {
 			return nil, err
 		}
 		if rc.Resume.Start != rangeStart || rc.Resume.Count != rangeCount {
@@ -249,6 +268,16 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 				rc.Resume.Start, rc.Resume.Start+rc.Resume.Count, rangeStart, rangeStart+rangeCount)
 		}
 		completed = rc.Resume.Completed
+	}
+	// Cells are graph-major, so the n trials left to run, from first on,
+	// touch one contiguous stretch of the graph axis.
+	first, n := rangeStart+completed, rangeCount-completed
+	if n > 0 {
+		for gi := p.cells[first/p.reps].graphIdx; gi <= p.cells[(first+n-1)/p.reps].graphIdx; gi++ {
+			if _, err := p.graph(gi); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for _, em := range rc.Emitters {
 		if err := em.Begin(p.spec, total); err != nil {
@@ -265,21 +294,20 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 	}
 
 	start := time.Now()
+	for len(p.states) < workers {
+		p.states = append(p.states, workerState{cache: preparedCache{}})
+	}
 	results := make(chan TrialResult, 2*workers)
 	poolDone := make(chan struct{})
-	states := make([]workerState, workers)
 	go func() {
 		defer close(results)
-		runPool(rangeCount-completed, workers, func(i, w int) {
+		runPool(n, workers, func(i, w int) {
 			select {
 			case <-poolDone:
 				return // consumer bailed on an emitter error
 			default:
 			}
-			if states[w].cache == nil {
-				states[w].cache = preparedCache{}
-			}
-			results <- runTrial(p, p.trials[rangeStart+completed+i], &states[w])
+			results <- p.runTrial(p.trial(first+i), shards, &p.states[w])
 		})
 	}()
 
@@ -287,7 +315,7 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 	// The reorder window is a power-of-two ring of small TrialResult
 	// records (see reorderRing).
 	var (
-		ring    = newReorderRing(2*workers, rangeStart+completed)
+		ring    = newReorderRing(2*workers, first)
 		done    = completed
 		emitErr error
 	)
@@ -323,7 +351,7 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 		Total:   total,
 		Elapsed: time.Since(start),
 		Workers: workers,
-		graphs:  p.graphs,
+		plan:    p,
 	}
 	// The consumer aggregates in trial-index order, so groups are already
 	// in deterministic expansion (graph-major) order.
@@ -350,7 +378,8 @@ func trialShards(specShards, workers int, ranged bool) int {
 
 // preparedCache holds one worker's (graph, algorithm) → Prepared
 // bindings. It is per-worker state, so no locking; the Prepared inside
-// reuses engine buffers across every trial the worker runs in that cell.
+// reuses engine buffers across every trial the worker runs in that cell,
+// in this Run and in later ones on the same Plan.
 type preparedCache map[preparedKey]*core.Prepared
 
 type preparedKey struct {
@@ -368,10 +397,13 @@ type workerState struct {
 	res   sim.Result
 }
 
-// runTrial executes one trial through the worker's Prepared cache and
-// reduces the full sim.Result to the streamed record.
-func runTrial(p *plan, t Trial, ws *workerState) TrialResult {
-	g := p.graphs[t.graphIdx]
+// runTrial executes one trial through the worker's Prepared cache — the
+// shared election recipe, Election.RunOpts and Reduce, on the worker's
+// recycled Result — and reduces it to the streamed record. The record
+// carries the granted diameter even when the run fails, so it shows
+// exactly what the algorithm was told.
+func (p *Plan) runTrial(t Trial, shards int, ws *workerState) TrialResult {
+	g := p.graphs[t.graphIdx] // instantiated by Run before the pool started
 	tr := TrialResult{Trial: t, N: g.N(), M: g.M()}
 	key := preparedKey{t.graphIdx, t.Algo}
 	prep, ok := ws.cache[key]
@@ -384,14 +416,6 @@ func runTrial(p *plan, t Trial, ws *workerState) TrialResult {
 		}
 		ws.cache[key] = prep
 	}
-	return finishTrial(p, t, prep, ws, tr)
-}
-
-// finishTrial runs the trial's election (the shared recipe: Election.RunOpts
-// and Reduce) on the worker's recycled Result. The record carries the
-// granted diameter even when the run fails, so it shows exactly what the
-// algorithm was told.
-func finishTrial(p *plan, t Trial, prep *core.Prepared, ws *workerState, tr TrialResult) TrialResult {
 	ro, err := Election{
 		Seed:             t.Seed,
 		Model:            t.model,
@@ -399,7 +423,7 @@ func finishTrial(p *plan, t Trial, prep *core.Prepared, ws *workerState, tr Tria
 		SmallIDs:         p.spec.SmallIDs,
 		DiameterEstimate: p.spec.DiameterEstimate,
 		MaxRounds:        p.spec.MaxRounds,
-		Shards:           p.shards,
+		Shards:           shards,
 		Opt:              p.spec.Opt,
 	}.RunOpts(prep)
 	if err == nil {

@@ -3,7 +3,6 @@ package harness
 import (
 	"bufio"
 	"container/heap"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -58,16 +57,18 @@ type MergeConfig struct {
 // If the shards do not cover [0, total), MergeShards returns an
 // *IncompleteError naming the missing ranges before any emitter output.
 func MergeShards(spec Spec, paths []string, mc MergeConfig) (*Report, error) {
-	p, err := spec.compile()
+	p, err := spec.Compile()
 	if err != nil {
 		return nil, err
 	}
-	total := len(p.trials)
-	specJSON, err := json.Marshal(p.spec)
-	if err != nil {
-		return nil, err
-	}
-	wantHash := sweepSpecHash(specJSON, total)
+	return p.MergeShards(paths, mc)
+}
+
+// MergeShards is the package-level MergeShards on an already compiled
+// sweep. Merging instantiates no graph; the report's Graphs does, for
+// whatever part of the axis the Plan has not built yet.
+func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
+	total, wantHash := p.total, p.hash
 
 	// Inspect every shard first: durable prefix lengths bound how far each
 	// stream may be read, and coverage is checked before any output.
@@ -162,7 +163,7 @@ func MergeShards(spec Spec, paths []string, mc MergeConfig) (*Report, error) {
 		Spec:    p.spec,
 		Total:   total,
 		Elapsed: time.Since(start),
-		graphs:  p.graphs,
+		plan:    p,
 	}
 	agg.finish(rep)
 	for _, em := range mc.Emitters {

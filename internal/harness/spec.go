@@ -19,6 +19,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -124,14 +125,65 @@ func graphSeed(base int64, i int) int64 {
 	return sim.NodeSeed(base, -1000-i)
 }
 
-// plan is the validated, expanded form of a Spec.
-type plan struct {
-	spec   Spec
-	graphs []*graph.Graph // parallel to spec.Graphs
-	trials []Trial
-	// shards is every trial's engine shard count: spec.Shards, except
-	// that Run pins an unset one to 1 where the cores are already taken.
-	shards int
+// maxSweepTrials bounds a sweep's expanded trial count; it is also the
+// largest total a binary document header may declare.
+const maxSweepTrials = 1 << 40
+
+// Plan is a compiled Spec: the validated axes folded into one template
+// per (graph, algorithm, mode, wake, delay, fault) cell, in expansion
+// order, times Spec.Trials repetitions. Nothing in it is proportional to
+// the trial count — trial i is computed on demand from cells[i/reps] —
+// so compiling costs the cells and a Plan for 10^6 trials is as small as
+// one for 10. Graphs are instantiated on first use and kept; so are the
+// pool workers' Prepared caches, which makes every Run after the first
+// on the same Plan start warm (a fleet worker holds one Plan for all its
+// leases). Runs on one Plan must not overlap.
+type Plan struct {
+	spec  Spec    // defaults resolved
+	cells []Trial // templates: Index, Rep and Seed are per trial
+	reps  int
+	total int
+	// hash is the spec hash every binary document of this sweep carries.
+	hash uint64
+
+	graphs []*graph.Graph // parallel to spec.Graphs; nil until first use
+	states []workerState  // per pool worker, kept across Runs
+}
+
+// Total is the number of trials the sweep expands to.
+func (p *Plan) Total() int { return p.total }
+
+// trial computes the i-th trial of the expansion.
+func (p *Plan) trial(i int) Trial {
+	t := p.cells[i/p.reps]
+	t.Index = i
+	t.Rep = i % p.reps
+	t.Seed = TrialSeed(p.spec.Seed, t.Rep)
+	return t
+}
+
+// graph returns the gi-th graph of the axis, instantiating it on first
+// use.
+func (p *Plan) graph(gi int) (*graph.Graph, error) {
+	if p.graphs[gi] == nil {
+		g, err := p.spec.buildGraph(gi)
+		if err != nil {
+			return nil, err
+		}
+		p.graphs[gi] = g
+	}
+	return p.graphs[gi], nil
+}
+
+// Graphs instantiates whatever part of the graph axis is not built yet and
+// returns it, parallel to Spec.Graphs.
+func (p *Plan) Graphs() ([]*graph.Graph, error) {
+	for gi := range p.graphs {
+		if _, err := p.graph(gi); err != nil {
+			return nil, err
+		}
+	}
+	return p.graphs, nil
 }
 
 func parseMode(s string) (sim.Mode, error) {
@@ -221,11 +273,14 @@ func WakeSchedule(spec string, n int, trialSeed int64) ([]int, error) {
 // fail Run with a spec error (trial-level model violations are still
 // recorded per trial).
 func (s Spec) Validate() (int, error) {
-	p, err := s.compile()
+	p, err := s.Compile()
 	if err != nil {
 		return 0, err
 	}
-	return len(p.trials), nil
+	if _, err := p.Graphs(); err != nil {
+		return 0, err
+	}
+	return p.total, nil
 }
 
 // withDefaults resolves the zero values of optional fields.
@@ -279,8 +334,8 @@ func (s Spec) faultAxis() []string {
 func (s Spec) BuildGraphs() ([]*graph.Graph, error) {
 	s = s.withDefaults()
 	graphs := make([]*graph.Graph, len(s.Graphs))
-	for i, gs := range s.Graphs {
-		g, err := graph.FromSpec(gs, graphSeed(s.Seed, i))
+	for i := range s.Graphs {
+		g, err := s.buildGraph(i)
 		if err != nil {
 			return nil, err
 		}
@@ -289,9 +344,16 @@ func (s Spec) BuildGraphs() ([]*graph.Graph, error) {
 	return graphs, nil
 }
 
-// compile validates the spec, instantiates every graph, and expands the
-// cross product into the deterministic trial list.
-func (s Spec) compile() (*plan, error) {
+// buildGraph instantiates the i-th graph axis entry of a spec whose
+// defaults are resolved (deterministic given Spec.Seed).
+func (s Spec) buildGraph(i int) (*graph.Graph, error) {
+	return graph.FromSpec(s.Graphs[i], graphSeed(s.Seed, i))
+}
+
+// Compile validates the spec — axis grammars parsed, algorithms
+// resolved — and folds the cross product into a Plan. It instantiates no
+// graph and its cost does not depend on Spec.Trials.
+func (s Spec) Compile() (*Plan, error) {
 	if len(s.Algos) == 0 {
 		return nil, fmt.Errorf("harness: spec needs at least one algorithm")
 	}
@@ -335,11 +397,7 @@ func (s Spec) compile() (*plan, error) {
 		}
 		faults[i] = fs
 	}
-	graphs, err := s.BuildGraphs()
-	if err != nil {
-		return nil, err
-	}
-	p := &plan{spec: s, graphs: graphs}
+	p := &Plan{spec: s, reps: s.Trials, graphs: make([]*graph.Graph, len(s.Graphs))}
 	for gi, gs := range s.Graphs {
 		for _, algo := range s.Algos {
 			for mi, mode := range s.Modes {
@@ -349,32 +407,37 @@ func (s Spec) compile() (*plan, error) {
 							if faults[fi] == nil {
 								fault = "" // canonicalize "none"
 							}
-							for rep := 0; rep < s.Trials; rep++ {
-								p.trials = append(p.trials, Trial{
-									Index:    len(p.trials),
-									Algo:     algo,
-									Graph:    gs,
-									Mode:     strings.ToLower(mode),
-									Wake:     wake,
-									Delay:    delay,
-									Fault:    fault,
-									Rep:      rep,
-									Seed:     TrialSeed(s.Seed, rep),
-									graphIdx: gi,
-									model:    sim.ModelSpec{Mode: modes[mi], Delay: delays[delay], Faults: faults[fi]},
-								})
-							}
+							p.cells = append(p.cells, Trial{
+								Algo:     algo,
+								Graph:    gs,
+								Mode:     strings.ToLower(mode),
+								Wake:     wake,
+								Delay:    delay,
+								Fault:    fault,
+								graphIdx: gi,
+								model:    sim.ModelSpec{Mode: modes[mi], Delay: delays[delay], Faults: faults[fi]},
+							})
 						}
 					}
 				}
 			}
 		}
 	}
+	if p.reps > maxSweepTrials/len(p.cells) {
+		return nil, fmt.Errorf("harness: spec expands to more than %d trials", maxSweepTrials)
+	}
+	p.total = len(p.cells) * p.reps
+	specJSON, err := json.Marshal(p.spec)
+	if err != nil {
+		return nil, err
+	}
+	p.hash = sweepSpecHash(specJSON, p.total)
 	return p, nil
 }
 
 // NumTrials returns the number of trials the spec expands to, without
-// instantiating graphs.
+// compiling it; a product beyond maxSweepTrials is reported as
+// maxSweepTrials+1, so a cap check on the result cannot be overflowed.
 func (s Spec) NumTrials() int {
 	s = s.withDefaults()
 	cells := 0
@@ -382,8 +445,18 @@ func (s Spec) NumTrials() int {
 		if mode, err := sim.ParseMode(m); err == nil {
 			cells += len(s.cellDelays(mode))
 		} else {
-			cells++ // invalid mode: count one cell; compile will reject it
+			cells++ // invalid mode: count one cell; Compile will reject it
 		}
 	}
-	return len(s.Algos) * len(s.Graphs) * len(s.Wakes) * cells * len(s.faultAxis()) * s.Trials
+	n := 1
+	for _, f := range []int{len(s.Algos), len(s.Graphs), len(s.Wakes), cells, len(s.faultAxis()), s.Trials} {
+		if f == 0 {
+			return 0
+		}
+		if n > maxSweepTrials/f {
+			return maxSweepTrials + 1
+		}
+		n *= f
+	}
+	return n
 }

@@ -178,14 +178,15 @@ func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if _, err := m.validateSweep(&req); err != nil {
+	p, err := m.validateSweep(&req)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
 	f, _ := w.(http.Flusher)
 	fw := &flushWriter{w: w, f: f}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if _, err := m.RunSweep(r.Context(), req, harness.NewNDJSONEmitter(fw)); err != nil {
+	if _, err := m.runSweep(r.Context(), p, req.Workers, harness.NewNDJSONEmitter(fw)); err != nil {
 		if !fw.wrote {
 			writeError(w, err)
 			return

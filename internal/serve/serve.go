@@ -724,20 +724,25 @@ type SweepSummary struct {
 	Groups      []harness.GroupStats `json:"groups"`
 }
 
-// validateSweep pre-flights a sweep request: spec compiles, trial count
-// within bounds. Returns the expanded trial count.
-func (m *Manager) validateSweep(req *SweepRequest) (int, error) {
+// validateSweep pre-flights a sweep request and compiles it, once: the
+// trial count is checked against the cap by arithmetic before anything
+// is built from the spec, then the axes are parsed and the graphs
+// instantiated. The returned Plan is what the request runs on.
+func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
 	if req.MaxRounds > m.cfg.MaxRounds {
-		return 0, badRequest("max_rounds %d above the server cap %d", req.MaxRounds, m.cfg.MaxRounds)
+		return nil, badRequest("max_rounds %d above the server cap %d", req.MaxRounds, m.cfg.MaxRounds)
 	}
-	total, err := req.Spec.Validate()
+	if total := req.Spec.NumTrials(); total > m.cfg.MaxTrials {
+		return nil, badRequest("spec expands to %d trials, above the server cap %d", total, m.cfg.MaxTrials)
+	}
+	p, err := req.Spec.Compile()
+	if err == nil {
+		_, err = p.Graphs()
+	}
 	if err != nil {
-		return 0, badRequest("spec: %v", err)
+		return nil, badRequest("spec: %v", err)
 	}
-	if total > m.cfg.MaxTrials {
-		return 0, badRequest("spec expands to %d trials, above the server cap %d", total, m.cfg.MaxTrials)
-	}
-	return total, nil
+	return p, nil
 }
 
 // sweepWorkers resolves a request's worker ask against the config cap.
@@ -774,17 +779,10 @@ func (countEmitter) Trial(harness.TrialResult) error {
 }
 func (countEmitter) End(*harness.Report) error { return nil }
 
-// RunSweep executes a sweep request synchronously, streaming through the
-// given emitters (typically the NDJSON emitter over the HTTP response).
-// The request must have been validated with validateSweep; cancellation
-// arrives through ctx at trial granularity.
-func (m *Manager) RunSweep(ctx context.Context, req SweepRequest, emitters ...harness.Emitter) (*harness.Report, error) {
-	if err := m.checkOpen(); err != nil {
-		return nil, err
-	}
-	if _, err := m.validateSweep(&req); err != nil {
-		return nil, err
-	}
+// runSweep executes a validated sweep synchronously on a slot, streaming
+// through the given emitters (the NDJSON emitter over the HTTP response);
+// cancellation arrives through ctx at trial granularity.
+func (m *Manager) runSweep(ctx context.Context, p *harness.Plan, workers int, emitters ...harness.Emitter) (*harness.Report, error) {
 	s, err := m.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -792,11 +790,10 @@ func (m *Manager) RunSweep(ctx context.Context, req SweepRequest, emitters ...ha
 	defer m.release(s)
 	statJobsInFlight.Add(1)
 	defer statJobsInFlight.Add(-1)
-	rc := harness.RunConfig{
-		Workers:  m.sweepWorkers(req.Workers),
+	rep, err := p.Run(harness.RunConfig{
+		Workers:  m.sweepWorkers(workers),
 		Emitters: append([]harness.Emitter{cancelEmitter{ctx}, countEmitter{}}, emitters...),
-	}
-	rep, err := harness.Run(req.Spec, rc)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -855,11 +852,12 @@ func (m *Manager) SubmitElection(req ElectionRequest) (*Job, error) {
 // SubmitSweep validates, registers and starts an async sweep job. The
 // job result is the SweepSummary; trial records are not retained.
 func (m *Manager) SubmitSweep(req SweepRequest) (*Job, error) {
-	if _, err := m.validateSweep(&req); err != nil {
+	p, err := m.validateSweep(&req)
+	if err != nil {
 		return nil, err
 	}
 	return m.submit("sweep", func(ctx context.Context, _ *slot) ([]byte, error) {
-		rep, err := harness.Run(req.Spec, harness.RunConfig{
+		rep, err := p.Run(harness.RunConfig{
 			Workers:  m.sweepWorkers(req.Workers),
 			Emitters: []harness.Emitter{cancelEmitter{ctx}, countEmitter{}},
 		})

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -600,5 +601,50 @@ func TestShardCountBeyondTheNodes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("shards=4 answers differently from shards=1:\n  %s\n  %s", got, want)
+	}
+}
+
+// TestSweepOverCapRejectedBeforeExpansion: a sweep whose trial count is
+// above the cap is a 400 decided by arithmetic — nothing is built from
+// the spec first, so a sixty-byte body cannot make the server allocate a
+// trial table (the allocation bound is what that used to break) — and a
+// sweep under the cap streams the bytes it always did.
+func TestSweepOverCapRejectedBeforeExpansion(t *testing.T) {
+	m := NewManager(Config{Slots: 1, MaxTrials: 1000})
+	defer m.Shutdown(context.Background())
+	h := NewHandler(m, HandlerConfig{})
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(body)))
+		return rec
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rec := post(`{"algos":["flood"],"graphs":["ring:4"],"trials":1000000}`)
+	runtime.ReadMemStats(&m1)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "1000000 trials") {
+		t.Fatalf("over-cap sweep: status %d, body %s", rec.Code, rec.Body)
+	}
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 1<<20 {
+		t.Fatalf("rejecting a 10^6-trial sweep allocated %d bytes, want < 1 MiB", b)
+	}
+	// Counts no int can hold are over the cap too, sync and async alike.
+	for _, body := range []string{
+		`{"algos":["flood"],"graphs":["ring:4"],"faults":["","crash:0.1","drop:0.1"],"trials":9000000000000000000}`,
+		`{"algos":["flood"],"graphs":["ring:4"],"trials":2000000000,"async":true}`,
+	} {
+		if rec := post(body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %s", body, rec.Code, rec.Body)
+		}
+	}
+
+	rec = post(`{"name":"serve-golden","algos":["leastel"],"graphs":["ring:12","random:16:40"],"modes":["congest","async"],"faults":["","crash:0.2"],"trials":3,"seed":9,"small_ids":true}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("24-trial sweep: status %d, body %s", rec.Code, rec.Body)
+	}
+	const want = "866f36006ab826a1e3f8c785a05fb32a121d1d3753bb8efe118a7b2b2999a240"
+	if got := fmt.Sprintf("%x", sha256.Sum256(rec.Body.Bytes())); got != want {
+		t.Fatalf("24-trial sweep NDJSON: sha256 %s, want %s (%d bytes)", got, want, rec.Body.Len())
 	}
 }
