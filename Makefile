@@ -132,9 +132,13 @@ bench-shard:
 # resume / export round trip. All of these also run inside the full
 # suite; this target exists so CI surfaces a pipeline regression under
 # its own label, the same way race-matrix labels the determinism matrix.
+# The last line is the one thing the full suite does not do: it fuzzes
+# the binary decoder for 20 s (the suite only replays the seed corpus),
+# every reader of a document or shard being that one scanner.
 test-sweep:
 	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestBinaryKillAndResume' -v ./internal/harness
-	$(GO) test -run 'TestSweepModeBinaryAndExport|TestSweepModeResumeExcludesTextEmitters' -v ./cmd/ule-experiments
+	$(GO) test -run 'TestSweepModeBinaryAndExport|TestSweepModeResumeExcludesTextEmitters|TestFromBinCSVOut' -v ./cmd/ule-experiments
+	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzParseBinary -fuzztime 20s
 
 # The sweep-pipeline measurement set (docs/PERFORMANCE.md): per-trial
 # encoder benchmarks, steady-state consumer throughput for the

@@ -37,7 +37,7 @@
 //
 //	ule-experiments -sweep spec.json -bin out.ulsb
 //	ule-experiments -sweep spec.json -resume out.ulsb   # after a crash/kill
-//	ule-experiments -from-bin out.ulsb -json out.json   # export, no sweep
+//	ule-experiments -from-bin out.ulsb -json out.json -csv-out out.csv   # export, no sweep
 //
 // A killed -bin sweep loses at most -checkpoint-every trials; -resume
 // verifies the spec, replays the surviving prefix, and continues — the
@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -90,7 +91,7 @@ func run(args []string) error {
 		binOut    = fs.String("bin", "", "sweep mode: write the compact checkpointed ule-sweepbin/v1 document to this file")
 		resume    = fs.String("resume", "", "sweep mode: resume an interrupted ule-sweepbin/v1 sweep file in place (spec must expand to the same sweep; excludes -json/-csv-out/-bin)")
 		ckptEvery = fs.Int("checkpoint-every", 0, "sweep mode: trials between durable checkpoints in the -bin document (0 = default)")
-		fromBin   = fs.String("from-bin", "", "export an ule-sweepbin/v1 file as its byte-identical ule-sweep/v3 JSON document to -json (no sweep is run)")
+		fromBin   = fs.String("from-bin", "", "export an ule-sweepbin/v1 file as its byte-identical ule-sweep/v3 JSON document to -json and/or its per-trial CSV to -csv-out (no sweep is run)")
 		mode      = fs.String("mode", "", "sweep mode: override the spec's modes axis (comma-separated: congest,local,async)")
 		delays    = fs.String("delays", "", "sweep mode: override the spec's async delay axis (comma-separated: unit,random:B,fifo:B)")
 		faults    = fs.String("faults", "", "sweep mode: override the spec's fault axis (comma-separated: none,crash:P,crashrec:P:D,drop:P,churn:P:K)")
@@ -102,7 +103,12 @@ func run(args []string) error {
 		return err
 	}
 	if *fromBin != "" {
-		return exportBinary(*fromBin, *jsonOut)
+		if *csvOut != "" {
+			if err := exportBinary(*fromBin, *csvOut, exportCSV); err != nil || *jsonOut == "" {
+				return err
+			}
+		}
+		return exportBinary(*fromBin, *jsonOut, harness.ExportJSON)
 	}
 	if *sweep != "" {
 		return runSweep(*sweep, sweepOpts{
@@ -170,30 +176,44 @@ type sweepOpts struct {
 	progress        bool
 }
 
-// exportBinary streams a ule-sweepbin/v1 file out as the byte-identical
-// ule-sweep/v3 JSON document.
-func exportBinary(binPath, jsonOut string) error {
+// exportBinary streams a ule-sweepbin/v1 file through export to outPath
+// (stdout when empty or "-"): harness.ExportJSON for the byte-identical
+// ule-sweep/v3 JSON document, exportCSV for the per-trial CSV.
+func exportBinary(binPath, outPath string, export func(io.Reader, io.Writer) error) error {
 	in, err := os.Open(binPath)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
 	out := os.Stdout
-	if jsonOut != "" && jsonOut != "-" {
-		f, err := os.Create(jsonOut)
+	if outPath != "" && outPath != "-" {
+		f, err := os.Create(outPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		out = f
 	}
-	if err := harness.ExportJSON(in, out); err != nil {
+	if err := export(in, out); err != nil {
 		return err
 	}
 	if out != os.Stdout {
 		return out.Close()
 	}
 	return nil
+}
+
+// exportCSV writes a binary document's trials as the CSV a live -csv-out
+// writes (the CSV emitter looks at neither the spec nor the report).
+func exportCSV(in io.Reader, out io.Writer) error {
+	em := harness.NewCSVEmitter(out)
+	if err := em.Begin(harness.Spec{}, 0); err != nil {
+		return err
+	}
+	if err := harness.DecodeBinaryTrials(in, em.Trial); err != nil {
+		return err
+	}
+	return em.End(nil)
 }
 
 // runSweep executes one declarative sweep spec through the harness. Spec
@@ -227,6 +247,7 @@ func runSweep(specArg string, o sweepOpts) error {
 		fmt.Fprintf(os.Stderr, "sweep %s: resuming %s from trial %d/%d\n", spec.Name, o.resume, ck.Completed, ck.Total)
 		rc.Resume = ck
 		rc.Emitters = append(rc.Emitters, em)
+		defer em.(io.Closer).Close() // End closes the file; this covers a run that fails before it
 	}
 	// Close errors must fail the sweep: the final buffered write can
 	// surface only at Close on some filesystems. The deferred pass covers

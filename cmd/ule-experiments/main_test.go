@@ -152,6 +152,42 @@ func TestSweepModeBinaryAndExport(t *testing.T) {
 	}
 }
 
+// TestFromBinCSVOut: -from-bin honours -csv-out, alone and together with
+// -json, and the CSV is the one a live -csv-out run of the same sweep
+// writes — the only way a resumed sweep, which cannot carry text
+// emitters, ever yields its CSV.
+func TestFromBinCSVOut(t *testing.T) {
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	spec := `{"name":"cli-csv","algos":["leastel","kingdom"],"graphs":["ring:12"],"faults":["none","crash:0.2"],"trials":3,"seed":5,"small_ids":true}`
+	if err := os.WriteFile(at("spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-sweep", at("spec.json"), "-workers", "2", "-progress=false",
+		"-json", at("live.json"), "-csv-out", at("live.csv"), "-bin", at("out.ulsb")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-from-bin", at("out.ulsb"), "-csv-out", at("alone.csv")}); err != nil {
+		t.Fatalf("-from-bin -csv-out: %v", err)
+	}
+	if err := run([]string{"-from-bin", at("out.ulsb"), "-csv-out", at("both.csv"), "-json", at("both.json")}); err != nil {
+		t.Fatalf("-from-bin -csv-out -json: %v", err)
+	}
+	for _, pair := range [][2]string{{"alone.csv", "live.csv"}, {"both.csv", "live.csv"}, {"both.json", "live.json"}} {
+		got, err := os.ReadFile(at(pair[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(at(pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s differs from %s (%d vs %d bytes)", pair[0], pair[1], len(got), len(want))
+		}
+	}
+}
+
 func TestSweepModeResumeExcludesTextEmitters(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "spec.json")

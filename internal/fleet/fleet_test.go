@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -543,5 +544,52 @@ func TestLeaseLineRoundTrip(t *testing.T) {
 		if _, err := parseLease(bad, chaosAction{}); err == nil {
 			t.Fatalf("parseLease(%q) accepted", bad)
 		}
+	}
+}
+
+// TestWorkerClosesForeignResumedShard: a lease whose shard path holds a
+// resumable shard of some other range starts that file afresh, and the
+// long-lived worker must not keep the handle ResumeShard opened on it —
+// one leaked descriptor per such lease would outlive every lease after
+// it. The collector is off for the count, since a finalizer closing the
+// dropped file is what hid the leak.
+func TestWorkerClosesForeignResumedShard(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	plan, err := fleetSpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &worker{plan: plan, opt: harness.BinaryOptions{CheckpointEvery: testCadence}, workers: 1}
+	shard := filepath.Join(t.TempDir(), "unit.ulss")
+	if err := w.serve(lease{r: harness.TrialRange{Start: 0, Count: 10}, shard: shard}); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := whole[:len(whole)-3] // no end record: resumable, not complete
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := openFDs()
+	for i := 0; i < 50; i++ {
+		if err := os.WriteFile(shard, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.serve(lease{r: harness.TrialRange{Start: 10, Count: 5}, shard: shard}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("%d open descriptors before 50 foreign-range resumes, %d after", before, after)
+	}
+	if ck, err := harness.InspectShard(shard); err != nil || !ck.Done || ck.Start != 10 || ck.Count != 5 {
+		t.Fatalf("shard after the last lease: %+v, %v", ck, err)
 	}
 }

@@ -208,6 +208,9 @@ func (w *worker) serve(l lease) error {
 		return nil
 	case err == nil && c.Start == l.r.Start && c.Count == l.r.Count:
 		ck, em = c, e
+		defer e.(io.Closer).Close() // the shard file, should the run stop before End
+	case err == nil:
+		e.(io.Closer).Close() // a shard of some other range: start fresh
 	}
 	done := 0
 	if em == nil {

@@ -219,35 +219,26 @@ func (e *binaryEmitter) Begin(spec Spec, total int) error {
 		return err
 	}
 	hash := sweepSpecHash(specJSON, total)
+	e.specSeed = spec.withDefaults().Seed
 	if e.resumed {
 		// The header is already on disk; just verify the caller is
 		// continuing the same sweep.
 		if hash != e.specHash || total != e.total {
 			return fmt.Errorf("harness: resume spec mismatch (hash %016x != checkpoint %016x)", hash, e.specHash)
 		}
-		e.specSeed = spec.withDefaults().Seed
 		return nil
 	}
+	magic := binMagic
+	e.specHash, e.ckSalt, e.total = hash, hash, total
 	if e.shard {
 		if e.start < 0 || e.count <= 0 || e.start+e.count > total {
 			return fmt.Errorf("harness: shard range [%d,%d) outside sweep of %d trials", e.start, e.start+e.count, total)
 		}
+		magic, e.ckSalt = binShardMagic, shardSalt(hash, e.start, e.count)
 	} else {
 		e.start, e.count = 0, total
 	}
-	e.specSeed = spec.withDefaults().Seed
-	e.specHash = hash
-	e.ckSalt = hash
-	if e.shard {
-		e.ckSalt = shardSalt(hash, e.start, e.count)
-	}
-	e.total = total
-	b := e.buf[:0]
-	if e.shard {
-		b = append(b, binShardMagic...)
-	} else {
-		b = append(b, binMagic...)
-	}
+	b := append(e.buf[:0], magic...)
 	b = binary.AppendUvarint(b, uint64(len(specJSON)))
 	b = append(b, specJSON...)
 	b = binary.AppendUvarint(b, uint64(total))
@@ -344,6 +335,12 @@ func (e *binaryEmitter) checkpoint() error {
 	b = append(b, binTagCheckpoint)
 	b = binary.AppendUvarint(b, uint64(e.written))
 	b = binary.LittleEndian.AppendUint64(b, checkpointHash(e.ckSalt, e.written))
+	return e.commit(b)
+}
+
+// commit writes b and makes the stream so far durable: flush, then fsync
+// when the writer is a file.
+func (e *binaryEmitter) commit(b []byte) error {
 	e.buf = b
 	if _, err := e.w.Write(b); err != nil {
 		return err
@@ -379,22 +376,23 @@ func (e *binaryEmitter) End(rep *Report) error {
 		b = binary.AppendUvarint(b, uint64(rep.Errors))
 		b = append(b, binEndMagic...)
 	}
-	e.buf = b
-	if _, err := e.w.Write(b); err != nil {
+	if err := e.commit(b); err != nil {
 		return err
 	}
-	if err := e.w.Flush(); err != nil {
-		return err
+	return e.Close()
+}
+
+// Close releases the file a resumed emitter owns (ResumeBinary,
+// ResumeShard); emitters built over a caller's writer own nothing and
+// Close does nothing. End calls it, so only a sweep that stops before End
+// has to; calling it again is harmless.
+func (e *binaryEmitter) Close() error {
+	if e.closer == nil {
+		return nil
 	}
-	if e.syncFn != nil {
-		if err := e.syncFn(); err != nil {
-			return err
-		}
-	}
-	if e.closer != nil {
-		return e.closer.Close()
-	}
-	return nil
+	c := e.closer
+	e.closer = nil
+	return c.Close()
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -403,12 +401,19 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // binReader layers byte-offset accounting and bounds-checked primitives
 // over a buffered reader; every decode path funnels through it so corrupt
 // and truncated inputs surface as errors, never panics or giant
-// allocations.
+// allocations. The first failure sticks in err and every later read is a
+// no-op yielding zero, so a record decoder reads its fields in a row and
+// checks err once — but always before it indexes by a value it read (a
+// zero length allocates nothing).
 type binReader struct {
 	r   *bufio.Reader
 	off int64
+	err error
 }
 
+// ReadByte is the raw read under uvarint, and the scanner's tag read:
+// between records is the one place io.EOF is a clean end, not a torn
+// record.
 func (br *binReader) ReadByte() (byte, error) {
 	c, err := br.r.ReadByte()
 	if err == nil {
@@ -417,78 +422,73 @@ func (br *binReader) ReadByte() (byte, error) {
 	return c, err
 }
 
-func (br *binReader) readFull(p []byte) error {
-	n, err := io.ReadFull(br.r, p)
-	br.off += int64(n)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return io.ErrUnexpectedEOF
+// fail records the first error; running out of input inside a record is
+// io.ErrUnexpectedEOF whichever primitive hit it.
+func (br *binReader) fail(err error) {
+	if br.err == nil && err != nil {
+		br.err = unexpectedEOF(err)
 	}
-	return err
 }
 
-func (br *binReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err == io.EOF && v == 0 {
-		return 0, io.ErrUnexpectedEOF
+func (br *binReader) readFull(p []byte) {
+	if br.err == nil {
+		n, err := io.ReadFull(br.r, p)
+		br.off += int64(n)
+		br.fail(err)
 	}
-	return v, err
+}
+
+func (br *binReader) byte() byte {
+	if br.err != nil {
+		return 0
+	}
+	c, err := br.ReadByte()
+	br.fail(err)
+	return c
+}
+
+func (br *binReader) uvarint() uint64 {
+	if br.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(br)
+	if err != nil {
+		br.fail(err)
+		return 0 // not the partial value: a failed read yields zero
+	}
+	return v
 }
 
 // uvarintMax reads a uvarint and rejects values above max.
-func (br *binReader) uvarintMax(max uint64, what string) (uint64, error) {
-	v, err := br.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (br *binReader) uvarintMax(max uint64, what string) uint64 {
+	v := br.uvarint()
 	if v > max {
-		return 0, fmt.Errorf("harness: binary document: %s %d exceeds limit %d", what, v, max)
+		br.fail(fmt.Errorf("harness: binary document: %s %d exceeds limit %d", what, v, max))
+		return 0
 	}
-	return v, nil
+	return v
 }
 
-// readBlob reads n bytes in bounded chunks so a corrupt length claim
-// costs allocation proportional to the data actually present, not to the
-// claim — a truncated file asserting a 200 MB string fails after one
-// 64 KB chunk.
-func (br *binReader) readBlob(n uint64) ([]byte, error) {
+// blob reads a length-prefixed byte string of at most max bytes, in
+// bounded chunks so a corrupt length claim costs allocation proportional
+// to the data actually present, not to the claim — a truncated file
+// asserting a 200 MB string fails after one 64 KB chunk.
+func (br *binReader) blob(max uint64, what string) []byte {
 	const chunk = 64 << 10
-	cap0 := n
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	buf := make([]byte, 0, cap0)
-	for uint64(len(buf)) < n {
-		want := n - uint64(len(buf))
-		if want > chunk {
-			want = chunk
-		}
+	n := br.uvarintMax(max, what+" length")
+	buf := make([]byte, 0, min(n, chunk))
+	for uint64(len(buf)) < n && br.err == nil {
 		start := len(buf)
-		buf = append(buf, make([]byte, want)...)
-		if err := br.readFull(buf[start:]); err != nil {
-			return nil, err
-		}
+		buf = append(buf, make([]byte, min(n-uint64(start), chunk))...)
+		br.readFull(buf[start:])
 	}
-	return buf, nil
+	return buf
 }
 
-func (br *binReader) str(max uint64, what string) (string, error) {
-	n, err := br.uvarintMax(max, what+" length")
-	if err != nil {
-		return "", err
-	}
-	buf, err := br.readBlob(n)
-	if err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func (br *binReader) uint64LE() (uint64, error) {
+func (br *binReader) uint64LE() uint64 {
 	var b [8]byte
-	if err := br.readFull(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	br.readFull(b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // binHeader is the decoded fixed header of a binary sweep document.
@@ -510,65 +510,49 @@ type binHeader struct {
 
 func readBinHeader(br *binReader) (*binHeader, error) {
 	magic := make([]byte, len(binMagic))
-	if err := br.readFull(magic); err != nil {
-		return nil, fmt.Errorf("harness: not a %s document: %w", BinarySchemaVersion, err)
+	if br.readFull(magic); br.err != nil {
+		return nil, fmt.Errorf("harness: not a %s document: %w", BinarySchemaVersion, br.err)
 	}
-	shard := bytes.Equal(magic, binShardMagic)
-	if !shard && !bytes.Equal(magic, binMagic) {
+	h := &binHeader{shard: bytes.Equal(magic, binShardMagic)}
+	if !h.shard && !bytes.Equal(magic, binMagic) {
 		return nil, fmt.Errorf("harness: not a %s document (bad magic)", BinarySchemaVersion)
 	}
-	specLen, err := br.uvarintMax(maxBinGroups, "spec")
-	if err != nil {
+	if err := h.readFields(br); err != nil {
 		return nil, fmt.Errorf("harness: binary header: %w", err)
 	}
-	specJSON, err := br.readBlob(specLen)
-	if err != nil {
-		return nil, fmt.Errorf("harness: binary header: %w", err)
+	return h, nil
+}
+
+// readFields decodes and cross-checks everything after the magic.
+func (h *binHeader) readFields(br *binReader) error {
+	h.specJSON = br.blob(maxBinGroups, "spec")
+	h.total = int(br.uvarintMax(maxSweepTrials, "total"))
+	h.count = h.total
+	if h.shard {
+		h.start = int(br.uvarintMax(1<<40, "shard start"))
+		h.count = int(br.uvarintMax(1<<40, "shard count"))
 	}
-	total, err := br.uvarintMax(maxSweepTrials, "total")
-	if err != nil {
-		return nil, fmt.Errorf("harness: binary header: %w", err)
+	h.every = int(br.uvarintMax(1<<40, "checkpoint cadence"))
+	h.specHash = br.uint64LE()
+	h.ckSalt = h.specHash
+	if h.shard {
+		h.ckSalt = shardSalt(h.specHash, h.start, h.count)
 	}
-	var start, count uint64
-	if shard {
-		if start, err = br.uvarintMax(1<<40, "shard start"); err != nil {
-			return nil, fmt.Errorf("harness: binary header: %w", err)
-		}
-		if count, err = br.uvarintMax(1<<40, "shard count"); err != nil {
-			return nil, fmt.Errorf("harness: binary header: %w", err)
-		}
-		if count == 0 || start+count > total {
-			return nil, fmt.Errorf("harness: binary header: shard range [%d,%d) outside sweep of %d trials", start, start+count, total)
-		}
-	} else {
-		count = total
+	switch want := sweepSpecHash(h.specJSON, h.total); {
+	case br.err != nil:
+		return br.err
+	case h.shard && (h.count == 0 || h.start+h.count > h.total):
+		return fmt.Errorf("shard range [%d,%d) outside sweep of %d trials", h.start, h.start+h.count, h.total)
+	case h.every == 0:
+		return errors.New("zero checkpoint cadence")
+	case h.specHash != want:
+		return fmt.Errorf("spec hash %016x does not match spec (%016x)", h.specHash, want)
 	}
-	every, err := br.uvarintMax(1<<40, "checkpoint cadence")
-	if err != nil {
-		return nil, fmt.Errorf("harness: binary header: %w", err)
-	}
-	if every == 0 {
-		return nil, fmt.Errorf("harness: binary header: zero checkpoint cadence")
-	}
-	hash, err := br.uint64LE()
-	if err != nil {
-		return nil, fmt.Errorf("harness: binary header: %w", err)
-	}
-	if want := sweepSpecHash(specJSON, int(total)); hash != want {
-		return nil, fmt.Errorf("harness: binary header: spec hash %016x does not match spec (%016x)", hash, want)
-	}
-	h := &binHeader{
-		specJSON: specJSON, total: int(total), every: int(every), specHash: hash,
-		shard: shard, start: int(start), count: int(count), ckSalt: hash,
-	}
-	if shard {
-		h.ckSalt = shardSalt(hash, h.start, h.count)
-	}
-	if err := json.Unmarshal(specJSON, &h.spec); err != nil {
-		return nil, fmt.Errorf("harness: binary header: invalid spec JSON: %w", err)
+	if err := json.Unmarshal(h.specJSON, &h.spec); err != nil {
+		return fmt.Errorf("invalid spec JSON: %w", err)
 	}
 	h.specSeed = h.spec.withDefaults().Seed
-	return h, nil
+	return nil
 }
 
 type binCell struct {
@@ -576,205 +560,220 @@ type binCell struct {
 	n, m int
 }
 
-// binTrailer is the decoded end record: a groups trailer (tag 0x04, full
-// documents) or a shard end (tag 0x05, shard documents).
+// binTrailer is the decoded groups trailer of a full document's end
+// record (tag 0x04). A shard's end record (tag 0x05) carries only its
+// range, which must repeat the header's, so its trailer holds nothing
+// but the header's total.
 type binTrailer struct {
 	groupsJSON []byte
+	groups     []GroupStats
 	total      int
 	errors     int
-
-	shard bool
-	start int
-	count int
 }
 
-// readBinRecord decodes the next record after the header. Exactly one of
-// the returns is meaningful per tag: a trial (tag 0x02), a completed
-// count (tag 0x03), a trailer (tag 0x04); cell definitions (tag 0x01)
-// mutate cells in place and return tag only. io.EOF is returned at a
-// clean record boundary.
-func readBinRecord(br *binReader, h *binHeader, cells *[]binCell, trialsSeen int) (tag byte, tr TrialResult, completed int, trailer *binTrailer, err error) {
-	tag, err = br.ReadByte()
+// binScanner is the one reader of the record stream behind a binary
+// header, full document and shard alike: every decode path is a loop over
+// next, which yields one tagged record at a time and is the only place
+// the stream invariants are enforced:
+//
+//   - no more trial records than the header's count (the shard's count,
+//     for a shard document);
+//   - a checkpoint's completed count equals the trials seen before it,
+//     and its hash is the header's for that count;
+//   - the end record is of the header's kind, comes after exactly count
+//     trials, repeats the header's total (full) or range (shard), and its
+//     groups trailer parses;
+//   - nothing follows the end record;
+//   - io.EOF is returned only at a clean record boundary.
+//
+// Clients differ in what they do between records, not in what they
+// check: the strict decoders demand the end record (decode), the
+// checkpoint scan takes the first error for the torn tail and falls back
+// to the last durable point (scanCheckpoint), the prefix stream stops at
+// a trial count a scan already vouched for (prefixStream).
+type binScanner struct {
+	br    binReader
+	h     *binHeader
+	cells []binCell
+
+	trials  int         // trial records seen so far (range-local)
+	trial   TrialResult // the trial next last yielded
+	trailer *binTrailer // the end record, once seen
+
+	// The last durable point: the stream state just past the most recent
+	// checkpoint or end record, which the writer fsyncs right after.
+	// off < 0 until one has been seen.
+	durable struct {
+		off           int64
+		trials, cells int
+	}
+}
+
+func newBinScanner(r io.Reader) (*binScanner, error) {
+	sc := &binScanner{br: binReader{r: bufio.NewReaderSize(r, 1<<16)}}
+	sc.durable.off = -1
+	var err error
+	sc.h, err = readBinHeader(&sc.br)
+	return sc, err
+}
+
+// next decodes the following record and returns its tag. A trial (tag
+// 0x02) is left in sc.trial with its absolute index, the end record in
+// sc.trailer; cell definitions and checkpoints only update the scanner.
+func (sc *binScanner) next() (byte, error) {
+	tag, err := sc.br.ReadByte()
+	if err == nil && sc.trailer != nil {
+		err = errors.New("harness: binary document: trailing data after end record")
+	}
 	if err != nil {
-		if err == io.EOF {
-			return 0, tr, 0, nil, io.EOF
-		}
-		return 0, tr, 0, nil, err
+		return 0, err
 	}
 	switch tag {
 	case binTagCell:
-		if len(*cells) >= maxBinCells {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: too many cell definitions")
-		}
-		var c binCell
-		for i := range c.key {
-			s, err := br.str(maxBinString, "cell string")
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-			c.key[i] = s
-		}
-		n, err := br.uvarintMax(1<<40, "cell n")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		m, err := br.uvarintMax(1<<40, "cell m")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		c.n, c.m = int(n), int(m)
-		*cells = append(*cells, c)
-		return tag, tr, 0, nil, nil
-
+		err = sc.readCell()
 	case binTagTrial:
-		cellID, err := br.uvarint()
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		if cellID >= uint64(len(*cells)) {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: trial references undefined cell %d", cellID)
-		}
-		c := (*cells)[cellID]
-		rep, err := br.uvarintMax(1<<40, "rep")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return tag, tr, 0, nil, unexpectedEOF(err)
-		}
-		if flags&^byte(binFlagsKnown) != 0 {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: unknown trial flags %02x", flags)
-		}
-		var vals [5]uint64
-		for i, what := range []string{"d", "rounds", "last_active", "messages", "bits"} {
-			vals[i], err = br.uvarintMax(1<<62, what)
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-		}
-		leaders, err := br.uvarintMax(1<<40, "leaders")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		tr = TrialResult{
-			Trial: Trial{
-				Index: trialsSeen,
-				Algo:  c.key[0], Graph: c.key[1], Mode: c.key[2],
-				Wake: c.key[3], Delay: c.key[4], Fault: c.key[5],
-				Rep:  int(rep),
-				Seed: TrialSeed(h.specSeed, int(rep)),
-			},
-			N: c.n, M: c.m,
-			Outcome: Outcome{
-				D:      int(vals[0]),
-				Rounds: int(vals[1]), LastActive: int(vals[2]),
-				Messages: int64(vals[3]), Bits: int64(vals[4]),
-				Leaders:     int(leaders),
-				Unique:      flags&binFlagUnique != 0,
-				Halted:      flags&binFlagHalted != 0,
-				HitRoundCap: flags&binFlagHitRoundCap != 0,
-				LiveUnique:  flags&binFlagLiveUnique != 0,
-			},
-		}
-		if flags&binFlagSeed != 0 {
-			u, err := br.uvarint()
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-			tr.Seed = unzigzag(u)
-		}
-		if flags&binFlagFault != 0 {
-			crashes, err := br.uvarintMax(1<<40, "crashes")
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-			recoveries, err := br.uvarintMax(1<<40, "recoveries")
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-			dropped, err := br.uvarintMax(1<<62, "dropped")
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-			tr.Crashes, tr.Recoveries, tr.Dropped = int(crashes), int(recoveries), int64(dropped)
-		}
-		if flags&binFlagErr != 0 {
-			s, err := br.str(maxBinString, "trial error")
-			if err != nil {
-				return tag, tr, 0, nil, err
-			}
-			tr.Err = s
-		}
-		return tag, tr, 0, nil, nil
-
+		err = sc.readTrial()
 	case binTagCheckpoint:
-		done, err := br.uvarintMax(1<<40, "checkpoint completed")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		hash, err := br.uint64LE()
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		if hash != checkpointHash(h.ckSalt, int(done)) {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: checkpoint hash mismatch at %d trials", done)
-		}
-		return tag, tr, int(done), nil, nil
-
-	case binTagEnd:
-		if h.shard {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: groups trailer inside a shard document")
-		}
-		groupsJSON, err := br.str(maxBinGroups, "groups trailer")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		total, err := br.uvarintMax(1<<40, "trailer total")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		errCount, err := br.uvarintMax(1<<40, "trailer errors")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		endMagic := make([]byte, len(binEndMagic))
-		if err := br.readFull(endMagic); err != nil {
-			return tag, tr, 0, nil, err
-		}
-		if !bytes.Equal(endMagic, binEndMagic) {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: bad end magic")
-		}
-		return tag, tr, 0, &binTrailer{groupsJSON: []byte(groupsJSON), total: int(total), errors: int(errCount)}, nil
-
-	case binTagShardEnd:
-		if !h.shard {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: shard end inside a full document")
-		}
-		start, err := br.uvarintMax(1<<40, "shard end start")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		count, err := br.uvarintMax(1<<40, "shard end count")
-		if err != nil {
-			return tag, tr, 0, nil, err
-		}
-		endMagic := make([]byte, len(binEndMagic))
-		if err := br.readFull(endMagic); err != nil {
-			return tag, tr, 0, nil, err
-		}
-		if !bytes.Equal(endMagic, binEndMagic) {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: bad end magic")
-		}
-		if int(start) != h.start || int(count) != h.count {
-			return tag, tr, 0, nil, fmt.Errorf("harness: binary document: shard end range [%d,%d) disagrees with header [%d,%d)",
-				start, start+count, h.start, h.start+h.count)
-		}
-		return tag, tr, 0, &binTrailer{shard: true, start: int(start), count: int(count)}, nil
-
+		err = sc.readCheckpoint()
+	case binTagEnd, binTagShardEnd:
+		err = sc.readEnd(tag)
 	default:
-		return tag, tr, 0, nil, fmt.Errorf("harness: binary document: unknown record tag %02x", tag)
+		err = fmt.Errorf("harness: binary document: unknown record tag %02x", tag)
 	}
+	return tag, err
+}
+
+func (sc *binScanner) readCell() error {
+	if len(sc.cells) >= maxBinCells {
+		return errors.New("harness: binary document: too many cell definitions")
+	}
+	br := &sc.br
+	var c binCell
+	for i := range c.key {
+		c.key[i] = string(br.blob(maxBinString, "cell string"))
+	}
+	c.n = int(br.uvarintMax(1<<40, "cell n"))
+	c.m = int(br.uvarintMax(1<<40, "cell m"))
+	if br.err == nil {
+		sc.cells = append(sc.cells, c)
+	}
+	return br.err
+}
+
+func (sc *binScanner) readTrial() error {
+	if sc.trials >= sc.h.count {
+		return fmt.Errorf("harness: binary document: more trials than the declared %d", sc.h.count)
+	}
+	br := &sc.br
+	cellID := br.uvarint()
+	if br.err != nil {
+		return br.err
+	}
+	if cellID >= uint64(len(sc.cells)) {
+		return fmt.Errorf("harness: binary document: trial references undefined cell %d", cellID)
+	}
+	c := &sc.cells[cellID]
+	rep := int(br.uvarintMax(1<<40, "rep"))
+	flags := br.byte()
+	if flags&^byte(binFlagsKnown) != 0 {
+		return fmt.Errorf("harness: binary document: unknown trial flags %02x", flags)
+	}
+	tr := &sc.trial
+	*tr = TrialResult{
+		Trial: Trial{
+			Index: sc.h.start + sc.trials,
+			Algo:  c.key[0], Graph: c.key[1], Mode: c.key[2],
+			Wake: c.key[3], Delay: c.key[4], Fault: c.key[5],
+			Rep:  rep,
+			Seed: TrialSeed(sc.h.specSeed, rep),
+		},
+		N: c.n, M: c.m,
+	}
+	tr.D = int(br.uvarintMax(1<<62, "d"))
+	tr.Rounds = int(br.uvarintMax(1<<62, "rounds"))
+	tr.LastActive = int(br.uvarintMax(1<<62, "last_active"))
+	tr.Messages = int64(br.uvarintMax(1<<62, "messages"))
+	tr.Bits = int64(br.uvarintMax(1<<62, "bits"))
+	tr.Leaders = int(br.uvarintMax(1<<40, "leaders"))
+	tr.Unique = flags&binFlagUnique != 0
+	tr.Halted = flags&binFlagHalted != 0
+	tr.HitRoundCap = flags&binFlagHitRoundCap != 0
+	tr.LiveUnique = flags&binFlagLiveUnique != 0
+	if flags&binFlagSeed != 0 {
+		tr.Seed = unzigzag(br.uvarint())
+	}
+	if flags&binFlagFault != 0 {
+		tr.Crashes = int(br.uvarintMax(1<<40, "crashes"))
+		tr.Recoveries = int(br.uvarintMax(1<<40, "recoveries"))
+		tr.Dropped = int64(br.uvarintMax(1<<62, "dropped"))
+	}
+	if flags&binFlagErr != 0 {
+		tr.Err = string(br.blob(maxBinString, "trial error"))
+	}
+	if br.err == nil {
+		sc.trials++
+	}
+	return br.err
+}
+
+func (sc *binScanner) readCheckpoint() error {
+	done := int(sc.br.uvarintMax(1<<40, "checkpoint completed"))
+	hash := sc.br.uint64LE()
+	switch {
+	case sc.br.err != nil:
+		return sc.br.err
+	case hash != checkpointHash(sc.h.ckSalt, done):
+		return fmt.Errorf("harness: binary document: checkpoint hash mismatch at %d trials", done)
+	case done != sc.trials:
+		return fmt.Errorf("harness: binary document: checkpoint claims %d trials, saw %d", done, sc.trials)
+	}
+	sc.markDurable()
+	return nil
+}
+
+func (sc *binScanner) markDurable() {
+	sc.durable.off, sc.durable.trials, sc.durable.cells = sc.br.off, sc.trials, len(sc.cells)
+}
+
+func (sc *binScanner) readEnd(tag byte) error {
+	br, h := &sc.br, sc.h
+	if h.shard != (tag == binTagShardEnd) {
+		return fmt.Errorf("harness: binary document: end record %02x belongs to the other document kind", tag)
+	}
+	t := &binTrailer{total: h.total}
+	start, count := h.start, h.count
+	if h.shard {
+		start = int(br.uvarintMax(1<<40, "shard end start"))
+		count = int(br.uvarintMax(1<<40, "shard end count"))
+	} else {
+		t.groupsJSON = br.blob(maxBinGroups, "groups trailer")
+		t.total = int(br.uvarintMax(1<<40, "trailer total"))
+		t.errors = int(br.uvarintMax(1<<40, "trailer errors"))
+	}
+	endMagic := make([]byte, len(binEndMagic))
+	br.readFull(endMagic)
+	switch {
+	case br.err != nil:
+		return br.err
+	case !bytes.Equal(endMagic, binEndMagic):
+		return errors.New("harness: binary document: bad end magic")
+	case start != h.start || count != h.count:
+		return fmt.Errorf("harness: binary document: shard end range [%d,%d) disagrees with header [%d,%d)",
+			start, start+count, h.start, h.start+h.count)
+	case sc.trials != h.count || t.total != h.total:
+		return fmt.Errorf("harness: binary document: end record declares %d/%d trials after %d of %d",
+			t.total, h.total, sc.trials, h.count)
+	}
+	// The exporters copy the groups bytes verbatim and ParseBinary decodes
+	// them; checking here is what makes the two accept the same documents.
+	if !h.shard {
+		if err := json.Unmarshal(t.groupsJSON, &t.groups); err != nil {
+			return fmt.Errorf("harness: binary document: invalid groups trailer: %w", err)
+		}
+	}
+	sc.trailer = t
+	sc.markDurable()
+	return nil
 }
 
 func unexpectedEOF(err error) error {
@@ -784,53 +783,35 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// decodeBinary drives a full sequential decode: header, then records
-// until the end trailer. onTrial may be nil. It enforces record-level
-// invariants (trial count monotonicity, checkpoint consistency, nothing
-// after the trailer).
-func decodeBinary(r io.Reader, onTrial func(TrialResult) error) (*binHeader, *binTrailer, error) {
-	br := &binReader{r: bufio.NewReaderSize(r, 1<<16)}
-	h, err := readBinHeader(br)
+// openBinary starts a strict decode of a complete full document.
+func openBinary(r io.Reader) (*binScanner, error) {
+	sc, err := newBinScanner(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if h.shard {
-		return nil, nil, fmt.Errorf("harness: %s is a shard document; merge shards with MergeShards first", ShardSchemaVersion)
+	if sc.h.shard {
+		return nil, fmt.Errorf("harness: %s is a shard document; merge shards with MergeShards first", ShardSchemaVersion)
 	}
-	var cells []binCell
-	trials := 0
+	return sc, nil
+}
+
+// decode drives the rest of a strict decode: every trial goes to onTrial
+// in index order (the record is the scanner's, good until the next one),
+// and the stream must close with the end record and then the end of
+// input.
+func (sc *binScanner) decode(onTrial func(*TrialResult) error) (*binTrailer, error) {
 	for {
-		tag, tr, completed, trailer, err := readBinRecord(br, h, &cells, trials)
-		if err == io.EOF {
-			return h, nil, fmt.Errorf("harness: binary document: missing end trailer (stream ends after %d trials)", trials)
-		}
-		if err != nil {
-			return h, nil, err
-		}
-		switch tag {
-		case binTagTrial:
-			if trials >= h.total {
-				return h, nil, fmt.Errorf("harness: binary document: more trials than the declared %d", h.total)
+		switch tag, err := sc.next(); {
+		case err == io.EOF && sc.trailer != nil:
+			return sc.trailer, nil
+		case err == io.EOF:
+			return nil, fmt.Errorf("harness: binary document: missing end trailer (stream ends after %d trials)", sc.trials)
+		case err != nil:
+			return nil, err
+		case tag == binTagTrial:
+			if err := onTrial(&sc.trial); err != nil {
+				return nil, err
 			}
-			trials++
-			if onTrial != nil {
-				if err := onTrial(tr); err != nil {
-					return h, nil, err
-				}
-			}
-		case binTagCheckpoint:
-			if completed != trials {
-				return h, nil, fmt.Errorf("harness: binary document: checkpoint claims %d trials, saw %d", completed, trials)
-			}
-		case binTagEnd:
-			if trials != h.total || trailer.total != h.total {
-				return h, trailer, fmt.Errorf("harness: binary document: trailer declares %d/%d trials, saw %d",
-					trailer.total, h.total, trials)
-			}
-			if _, err := br.ReadByte(); err != io.EOF {
-				return h, trailer, fmt.Errorf("harness: binary document: trailing data after end record")
-			}
-			return h, trailer, nil
 		}
 	}
 }
@@ -840,7 +821,11 @@ func decodeBinary(r io.Reader, onTrial func(TrialResult) error) (*binHeader, *bi
 // order with O(1) memory. Incomplete (checkpoint-only) files are the
 // domain of InspectBinary/ResumeBinary and are rejected here.
 func DecodeBinaryTrials(r io.Reader, fn func(TrialResult) error) error {
-	_, _, err := decodeBinary(r, fn)
+	sc, err := openBinary(r)
+	if err != nil {
+		return err
+	}
+	_, err = sc.decode(func(tr *TrialResult) error { return fn(*tr) })
 	return err
 }
 
@@ -849,83 +834,41 @@ func DecodeBinaryTrials(r io.Reader, fn func(TrialResult) error) error {
 // to BinarySchemaVersion). Corrupt or truncated input returns an error,
 // never a panic.
 func ParseBinary(data []byte) (*Document, error) {
-	doc := &Document{Schema: BinarySchemaVersion}
-	h, trailer, err := decodeBinary(bytes.NewReader(data), func(tr TrialResult) error {
-		doc.Trials = append(doc.Trials, tr)
+	sc, err := openBinary(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	doc := &Document{Schema: BinarySchemaVersion, Spec: sc.h.spec}
+	t, err := sc.decode(func(tr *TrialResult) error {
+		doc.Trials = append(doc.Trials, *tr)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	doc.Spec = h.spec
-	doc.TotalTrials = trailer.total
-	doc.Errors = trailer.errors
-	if len(trailer.groupsJSON) > 0 {
-		if err := json.Unmarshal(trailer.groupsJSON, &doc.Groups); err != nil {
-			return nil, fmt.Errorf("harness: binary document: invalid groups trailer: %w", err)
-		}
-	}
+	doc.Groups, doc.TotalTrials, doc.Errors = t.groups, t.total, t.errors
 	return doc, nil
 }
 
 // ExportJSON re-encodes a complete binary sweep stream as the
 // ule-sweep/v3 JSON document, byte-identical to what NewJSONEmitter
-// produced during the original run: the spec echo and groups trailer are
-// stored verbatim in the binary stream, and the trial records go through
-// the same appendTrialJSON encoder the live emitter uses.
+// produced during the original run: it is that emitter, fed the header's
+// spec echo and the trailer's groups verbatim instead of marshalling
+// them, with the scanner's trials in between.
 func ExportJSON(r io.Reader, w io.Writer) error {
-	br := &binReader{r: bufio.NewReaderSize(r, 1<<16)}
-	h, err := readBinHeader(br)
+	sc, err := openBinary(r)
 	if err != nil {
 		return err
 	}
-	if h.shard {
-		return fmt.Errorf("harness: %s is a shard document; merge shards with MergeShards first", ShardSchemaVersion)
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := fmt.Fprintf(bw, "{\"schema\":%q,\n\"spec\":%s,\n\"trials\":[", SchemaVersion, h.specJSON); err != nil {
+	e := newTextEmitter(w, &jsonLayout)
+	if err := e.begin(sc.h.specJSON, sc.h.total); err != nil {
 		return err
 	}
-	var buf []byte
-	var cells []binCell
-	trials := 0
-	for {
-		tag, tr, completed, trailer, err := readBinRecord(br, h, &cells, trials)
-		if err == io.EOF {
-			return fmt.Errorf("harness: binary document: missing end trailer (stream ends after %d trials)", trials)
-		}
-		if err != nil {
-			return err
-		}
-		switch tag {
-		case binTagTrial:
-			b := buf[:0]
-			if trials == 0 {
-				b = append(b, '\n')
-			} else {
-				b = append(b, ',', '\n')
-			}
-			b = appendTrialJSON(b, &tr)
-			buf = b
-			if _, err := bw.Write(b); err != nil {
-				return err
-			}
-			trials++
-		case binTagCheckpoint:
-			if completed != trials {
-				return fmt.Errorf("harness: binary document: checkpoint claims %d trials, saw %d", completed, trials)
-			}
-		case binTagEnd:
-			if trials != h.total || trailer.total != h.total {
-				return fmt.Errorf("harness: binary document: trailer declares %d/%d trials, saw %d", trailer.total, h.total, trials)
-			}
-			if _, err := fmt.Fprintf(bw, "\n],\n\"groups\":%s,\n\"total_trials\":%d,\n\"errors\":%d}\n",
-				trailer.groupsJSON, trailer.total, trailer.errors); err != nil {
-				return err
-			}
-			return bw.Flush()
-		}
+	t, err := sc.decode(e.row)
+	if err != nil {
+		return err
 	}
+	return e.end(t.groupsJSON, t.total, t.errors)
 }
 
 // SweepCheckpoint describes the durable prefix of a (possibly
@@ -949,11 +892,11 @@ type SweepCheckpoint struct {
 	// Done reports a complete document (end trailer present).
 	Done bool
 
-	shard    bool
 	specHash uint64
+	ckSalt   uint64
 	path     string
-	offset   int64 // byte length of the durable prefix
-	cells    int   // cell definitions within the durable prefix
+	offset   int64     // byte length of the durable prefix
+	cells    []binCell // cell definitions within the durable prefix
 	every    int
 }
 
@@ -982,121 +925,113 @@ func (ck *SweepCheckpoint) CheckPlan(p *Plan) error {
 	return nil
 }
 
+// prefixStream sequentially decodes the durable trial prefix of one
+// checkpointed file; sc.trial is the next undelivered trial (absolute
+// index) while ok.
+type prefixStream struct {
+	f     *os.File
+	sc    *binScanner
+	limit int // durable prefix length, from the scan that made the checkpoint
+	ok    bool
+}
+
+func openPrefixStream(ck *SweepCheckpoint) (*prefixStream, error) {
+	f, err := os.Open(ck.path)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := newBinScanner(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &prefixStream{f: f, sc: sc, limit: ck.Completed}, nil
+}
+
+// next advances to the following trial record, or sets ok=false when the
+// durable prefix is exhausted. Decode errors inside the durable prefix
+// are real errors — the scan already vouched for these bytes.
+func (s *prefixStream) next() error {
+	s.ok = false
+	for s.sc.trials < s.limit && !s.ok {
+		tag, err := s.sc.next()
+		if err != nil {
+			return fmt.Errorf("harness: %s: %w", s.f.Name(), unexpectedEOF(err))
+		}
+		s.ok = tag == binTagTrial
+	}
+	return nil
+}
+
 // replay streams the durable prefix trials (in index order) to fn; Run
 // uses it to rebuild the aggregator state before executing the suffix.
 func (ck *SweepCheckpoint) replay(fn func(TrialResult) error) error {
 	if ck.Completed == 0 {
 		return nil
 	}
-	f, err := os.Open(ck.path)
+	s, err := openPrefixStream(ck)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	br := &binReader{r: bufio.NewReaderSize(f, 1<<16)}
-	h, err := readBinHeader(br)
-	if err != nil {
-		return err
-	}
-	var cells []binCell
-	trials := 0
-	for trials < ck.Completed {
-		tag, tr, _, _, err := readBinRecord(br, h, &cells, h.start+trials)
-		if err != nil {
-			return unexpectedEOF(err)
+	defer s.f.Close()
+	for {
+		if err := s.next(); err != nil || !s.ok {
+			return err
 		}
-		switch tag {
-		case binTagTrial:
-			trials++
-			if err := fn(tr); err != nil {
-				return err
-			}
-		case binTagEnd:
-			return fmt.Errorf("harness: checkpoint file has an end trailer before %d trials", ck.Completed)
+		if err := fn(s.sc.trial); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
 // scanCheckpoint reads as much of a binary sweep file as is intact and
 // returns the state at the last valid checkpoint (or trailer). Damage
 // past that point — a torn record from a killed process, trailing
-// garbage — is reported via durable=false for the tail, never an error,
-// as long as the header itself is sound. wantShard selects which of the
-// two document kinds the caller expects; the other kind is an error.
+// garbage — is never an error, as long as the header itself is sound.
+// wantShard selects which of the two document kinds the caller expects;
+// the other kind is an error.
 func scanCheckpoint(path string, wantShard bool) (*SweepCheckpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := &binReader{r: bufio.NewReaderSize(f, 1<<16)}
-	h, err := readBinHeader(br)
+	sc, err := newBinScanner(f)
 	if err != nil {
 		return nil, err
 	}
+	h := sc.h
 	if h.shard != wantShard {
 		if h.shard {
 			return nil, fmt.Errorf("harness: %s: shard document (use InspectShard/ResumeShard)", path)
 		}
 		return nil, fmt.Errorf("harness: %s: full document, not a shard", path)
 	}
-	ck := &SweepCheckpoint{
-		Spec:     h.spec,
-		Total:    h.total,
-		Start:    h.start,
-		Count:    h.count,
-		shard:    h.shard,
-		specHash: h.specHash,
-		path:     path,
-		offset:   -1, // no durable checkpoint seen yet
-		every:    h.every,
+	// io.EOF at a record boundary, a torn or corrupt record, a checkpoint
+	// that disagrees with the stream: each means stop trusting the file
+	// here and resume from the last durable point.
+	for err == nil {
+		_, err = sc.next()
 	}
-	var cells []binCell
-	trials := 0
-	for {
-		tag, _, completed, trailer, err := readBinRecord(br, h, &cells, h.start+trials)
-		if err != nil {
-			// io.EOF at a record boundary and any torn/corrupt tail both
-			// mean: resume from the last durable checkpoint.
-			break
-		}
-		switch tag {
-		case binTagTrial:
-			if trials >= h.count {
-				return nil, fmt.Errorf("harness: binary document: more trials than the declared %d", h.count)
-			}
-			trials++
-		case binTagCheckpoint:
-			if completed != trials {
-				// A checkpoint that disagrees with the stream is corruption;
-				// stop trusting the file here.
-				return finishScan(ck)
-			}
-			ck.Completed = trials
-			ck.offset = br.off
-			ck.cells = len(cells)
-		case binTagEnd, binTagShardEnd:
-			if (trailer.shard || trailer.total == h.total) && trials == h.count {
-				ck.Completed = trials
-				ck.offset = br.off
-				ck.cells = len(cells)
-				ck.Done = true
-			}
-			return finishScan(ck)
-		}
+	// The header checkpoint is written before the first trial, so its
+	// absence means the header never became durable.
+	if sc.durable.off < 0 {
+		return nil, fmt.Errorf("harness: %s: no durable checkpoint (file not resumable)", path)
 	}
-	return finishScan(ck)
-}
-
-// finishScan rejects files with no durable checkpoint at all (the header
-// checkpoint is written before the first trial, so its absence means the
-// header never became durable).
-func finishScan(ck *SweepCheckpoint) (*SweepCheckpoint, error) {
-	if ck.offset < 0 {
-		return nil, fmt.Errorf("harness: %s: no durable checkpoint (file not resumable)", ck.path)
-	}
-	return ck, nil
+	return &SweepCheckpoint{
+		Spec:      h.spec,
+		Total:     h.total,
+		Start:     h.start,
+		Count:     h.count,
+		Completed: sc.durable.trials,
+		Done:      sc.trailer != nil,
+		specHash:  h.specHash,
+		ckSalt:    h.ckSalt,
+		path:      path,
+		offset:    sc.durable.off,
+		cells:     sc.cells[:sc.durable.cells],
+		every:     h.every,
+	}, nil
 }
 
 // InspectBinary reports the durable state of a binary sweep file without
@@ -1116,8 +1051,9 @@ func InspectShard(path string) (*SweepCheckpoint, error) {
 // and returns the checkpoint plus an emitter that appends the remaining
 // records to the same file. Pass both to Run (RunConfig.Resume and
 // RunConfig.Emitters); the finished file is byte-identical to an
-// uninterrupted run. Returns ErrSweepComplete if the file already holds
-// the end trailer.
+// uninterrupted run. The emitter owns the open file and is an io.Closer:
+// End closes it, and a sweep abandoned before End must call Close.
+// Returns ErrSweepComplete if the file already holds the end trailer.
 func ResumeBinary(path string) (*SweepCheckpoint, Emitter, error) {
 	return resumeFile(path, false)
 }
@@ -1146,57 +1082,12 @@ func resumeFile(path string, shard bool) (*SweepCheckpoint, Emitter, error) {
 	}
 	// Re-prime the emitter exactly as it was after writing the durable
 	// prefix: cell table, trial count, checkpoint cadence.
-	salt := ck.specHash
-	if shard {
-		salt = shardSalt(ck.specHash, ck.Start, ck.Count)
-	}
-	e := &binaryEmitter{
-		w:        bufio.NewWriterSize(f, 1<<16),
-		syncFn:   f.Sync,
-		closer:   f,
-		cells:    make(map[[6]string]int, ck.cells),
-		specHash: ck.specHash,
-		ckSalt:   salt,
-		total:    ck.Total,
-		written:  ck.Completed,
-		every:    ck.every,
-		resumed:  true,
-		shard:    shard,
-		start:    ck.Start,
-		count:    ck.Count,
-	}
-	if err := primeCells(path, ck, e.cells); err != nil {
-		f.Close()
-		return nil, nil, err
+	e := NewBinaryEmitter(f, BinaryOptions{CheckpointEvery: ck.every}).(*binaryEmitter)
+	e.closer, e.resumed = f, true
+	e.specHash, e.ckSalt, e.total, e.written = ck.specHash, ck.ckSalt, ck.Total, ck.Completed
+	e.shard, e.start, e.count = shard, ck.Start, ck.Count
+	for i, c := range ck.cells {
+		e.cells[c.key] = i
 	}
 	return ck, e, nil
-}
-
-// primeCells rebuilds the emitter's cell table from the durable prefix.
-func primeCells(path string, ck *SweepCheckpoint, out map[[6]string]int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := &binReader{r: bufio.NewReaderSize(f, 1<<16)}
-	h, err := readBinHeader(br)
-	if err != nil {
-		return err
-	}
-	var cells []binCell
-	trials := 0
-	for len(cells) < ck.cells || trials < ck.Completed {
-		tag, _, _, _, err := readBinRecord(br, h, &cells, trials)
-		if err != nil {
-			return unexpectedEOF(err)
-		}
-		if tag == binTagTrial {
-			trials++
-		}
-	}
-	for i, c := range cells[:ck.cells] {
-		out[c.key] = i
-	}
-	return nil
 }

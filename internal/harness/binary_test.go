@@ -2,8 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -320,14 +324,26 @@ func TestParseBinaryRejectsCorruption(t *testing.T) {
 	spec := binarySpec()
 	_, binDoc, _ := runBinary(t, spec, 2, BinaryOptions{CheckpointEvery: 16})
 
-	if _, err := ParseBinary(nil); err == nil {
-		t.Fatal("ParseBinary(nil) succeeded")
-	}
-	if _, err := ParseBinary(binDoc[:len(binDoc)/3]); err == nil {
-		t.Fatal("ParseBinary on truncated document succeeded")
-	}
-	if _, err := ParseBinary(append(append([]byte{}, binDoc...), 0xFF)); err == nil {
-		t.Fatal("ParseBinary with trailing garbage succeeded")
+	// Every strict decoder is the same scanner, so each bad document gets
+	// the same verdict — the same error — from all three.
+	for _, bad := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"truncated", binDoc[:len(binDoc)/3]},
+		{"trailing garbage", append(append([]byte{}, binDoc...), 0xFF)},
+		{"trailing data", append(append([]byte{}, binDoc...), binDoc[:40]...)},
+	} {
+		_, parseErr := ParseBinary(bad.data)
+		streamErr := DecodeBinaryTrials(bytes.NewReader(bad.data), func(TrialResult) error { return nil })
+		exportErr := ExportJSON(bytes.NewReader(bad.data), io.Discard)
+		for _, err := range []error{parseErr, streamErr, exportErr} {
+			if err == nil || err.Error() != parseErr.Error() {
+				t.Fatalf("%s: ParseBinary = %v, DecodeBinaryTrials = %v, ExportJSON = %v; want one shared error",
+					bad.name, parseErr, streamErr, exportErr)
+			}
+		}
 	}
 	// Flip one byte at a sweep of offsets; every mutation must produce an
 	// error or a successfully-parsed document — never a panic. (Single-bit
@@ -392,5 +408,53 @@ func TestReorderRingResumeBase(t *testing.T) {
 	tr, ok = r.take()
 	if !ok || tr.Index != 501 {
 		t.Fatalf("take = %v/%v, want index 501", tr.Index, ok)
+	}
+}
+
+// The cross-commit byte pins: sha256 of the synthetic sweep (fuzzSweepDoc,
+// fuzzShardDocs — no simulation behind them, so only the codec can move
+// them) as written and as exported, taken at the commit before the codec
+// was rebuilt around one scanner and one text layout. Every other
+// byte-identity test compares the codec to itself; these compare it to
+// what it wrote before.
+const (
+	pinSweepBin       = "cbab55b69e92699592b4a45c3363046d98e99a2696f814550925cd2d23fcefbe" // 847 bytes
+	pinSweepJSON      = "f17b47c032bfec31bcfe32be8ea792146c2f2171688929e1046da54b20a48bb2" // 2709 bytes
+	pinShardSet       = "eb353067bb2380e0c8c0daef01ef420cfdf9a660b8523a18a33b92897acfef8c" // 1055 bytes, both shards concatenated
+	pinShardMergeBin  = "019b6ee1fef8cdf705223fe82631bcaf1d162653533ef9bda3ba1d45d6d40158" // 2210 bytes
+	pinShardMergeJSON = "e3c69858d38815425bf7fe95271a890801e2112236d0ed5ce89fe9f294143f6a" // 4072 bytes
+)
+
+func TestCrossCommitBytePins(t *testing.T) {
+	pin := func(what string, data []byte, want string) {
+		t.Helper()
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: sha256 %s (%d bytes), pinned %s", what, got, len(data), want)
+		}
+	}
+	export := func(bin []byte) []byte {
+		t.Helper()
+		var out bytes.Buffer
+		if err := ExportJSON(bytes.NewReader(bin), &out); err != nil {
+			t.Fatalf("ExportJSON: %v", err)
+		}
+		return out.Bytes()
+	}
+	doc := fuzzSweepDoc(t)
+	pin("binary document", doc, pinSweepBin)
+	pin("its JSON export", export(doc), pinSweepJSON)
+
+	shards := fuzzShardDocs(t)
+	pin("shard set", bytes.Join(shards, nil), pinShardSet)
+	var paths []string
+	for i, s := range shards {
+		paths = append(paths, hostileFile(t, fmt.Sprintf("shard-%d.ulss", i), s))
+	}
+	mergedBin, mergedJSON, _ := mergeToBytes(t, fuzzSweepSpec(), paths, BinaryOptions{CheckpointEvery: 3})
+	pin("merged binary document", mergedBin, pinShardMergeBin)
+	pin("merged JSON document", mergedJSON, pinShardMergeJSON)
+	if !bytes.Equal(export(mergedBin), mergedJSON) {
+		t.Error("export of the merged binary differs from the merge's live JSON document")
 	}
 }

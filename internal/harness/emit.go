@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // SchemaVersion identifies the JSON document layout emitted by
@@ -33,62 +34,19 @@ type Emitter interface {
 	End(rep *Report) error
 }
 
-// jsonEmitter streams one JSON document:
+// NDJSONSchemaVersion identifies the newline-delimited streaming layout
+// written by NewNDJSONEmitter: one JSON object per line, no enclosing
+// document. The layout:
 //
-//	{"schema":"ule-sweep/v1","spec":{...},"trials":[{...},...],"groups":[...],"total_trials":N,"errors":E}
+//	line 1    {"schema":"ule-sweep-ndjson/v1","spec":{...},"total_trials":N}
+//	per trial one object, byte-identical to the trial objects of the
+//	          ule-sweep/v3 JSON document (same appendTrialJSON encoder)
+//	last line {"groups":[...],"total_trials":N,"errors":E}
 //
-// Trials are written as they arrive, one object per line, through the
-// reflection-free appendTrialJSON encoder over a reusable buffer, so the
-// per-trial cost is a few appends and one buffered write — no
-// encoding/json, no per-record allocation — while the bytes stay
-// identical to what json.Marshal produced (pinned by encode_test.go).
-type jsonEmitter struct {
-	w      *bufio.Writer
-	trials int
-	buf    []byte
-}
-
-// NewJSONEmitter returns an emitter writing the current SchemaVersion
-// document to w.
-func NewJSONEmitter(w io.Writer) Emitter {
-	return &jsonEmitter{w: bufio.NewWriter(w)}
-}
-
-func (e *jsonEmitter) Begin(spec Spec, total int) error {
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(e.w, "{\"schema\":%q,\n\"spec\":%s,\n\"trials\":[",
-		SchemaVersion, specJSON)
-	return err
-}
-
-func (e *jsonEmitter) Trial(tr TrialResult) error {
-	b := e.buf[:0]
-	if e.trials == 0 {
-		b = append(b, '\n')
-	} else {
-		b = append(b, ',', '\n')
-	}
-	e.trials++
-	b = appendTrialJSON(b, &tr)
-	e.buf = b
-	_, err := e.w.Write(b)
-	return err
-}
-
-func (e *jsonEmitter) End(rep *Report) error {
-	groups, err := json.Marshal(rep.Groups)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(e.w, "\n],\n\"groups\":%s,\n\"total_trials\":%d,\n\"errors\":%d}\n",
-		groups, rep.Total, rep.Errors); err != nil {
-		return err
-	}
-	return e.w.Flush()
-}
+// Every line is a single Write call, so an unbuffered sink (an HTTP
+// response with per-write flushing, a pipe) observes complete records —
+// this is the streaming format of the uled serving layer (docs/SERVICE.md).
+const NDJSONSchemaVersion = "ule-sweep-ndjson/v1"
 
 // csvHeader is the column layout of the CSV emitter.
 var csvHeader = []string{
@@ -99,41 +57,154 @@ var csvHeader = []string{
 	"crashes", "recoveries", "dropped", "live_unique", "err",
 }
 
-// csvEmitter streams one row per trial through the append-based encoder
-// (appendTrialCSV) over a reusable buffer.
-type csvEmitter struct {
-	w   *bufio.Writer
-	buf []byte
+// textLayout is everything that tells the three text formats apart: how
+// the document opens and closes around the trial rows, what stands
+// between two rows, and which reflection-free appender (encode.go) writes
+// a row. The framing of each format exists here and nowhere else.
+type textLayout struct {
+	// head opens the document from the marshalled spec and the trial
+	// total; tail closes it from the marshalled report groups and the
+	// counters. A nil tail is a format with no trailer, whose End never
+	// looks at the report.
+	head func(b, specJSON []byte, total int) []byte
+	tail func(b, groupsJSON []byte, total, errors int) []byte
+	// lead precedes the first row and sep every later one.
+	lead, sep string
+	row       func(b []byte, tr *TrialResult) []byte
+	// lineWrites hands head, each row and tail to the sink as one Write
+	// apiece, unbuffered, so a streaming sink observes complete lines.
+	lineWrites bool
 }
+
+// jsonLayout is the ule-sweep/v3 document, one trial object per line:
+//
+//	{"schema":"ule-sweep/v3","spec":{...},"trials":[{...},...],"groups":[...],"total_trials":N,"errors":E}
+var jsonLayout = textLayout{
+	head: func(b, specJSON []byte, _ int) []byte {
+		return fmt.Appendf(b, "{\"schema\":%q,\n\"spec\":%s,\n\"trials\":[", SchemaVersion, specJSON)
+	},
+	lead: "\n", sep: ",\n",
+	row: appendTrialJSON,
+	tail: func(b, groupsJSON []byte, total, errors int) []byte {
+		return fmt.Appendf(b, "\n],\n\"groups\":%s,\n\"total_trials\":%d,\n\"errors\":%d}\n", groupsJSON, total, errors)
+	},
+}
+
+// ndjsonLayout is the ule-sweep-ndjson/v1 stream (NDJSONSchemaVersion).
+var ndjsonLayout = textLayout{
+	head: func(b, specJSON []byte, total int) []byte {
+		return fmt.Appendf(b, "{\"schema\":%q,\"spec\":%s,\"total_trials\":%d}\n", NDJSONSchemaVersion, specJSON, total)
+	},
+	row: func(b []byte, tr *TrialResult) []byte { return append(appendTrialJSON(b, tr), '\n') },
+	tail: func(b, groupsJSON []byte, total, errors int) []byte {
+		return fmt.Appendf(b, "{\"groups\":%s,\"total_trials\":%d,\"errors\":%d}\n", groupsJSON, total, errors)
+	},
+	lineWrites: true,
+}
+
+// csvLayout is the trials CSV: the csvHeader row, then one row per trial.
+var csvLayout = textLayout{
+	head: func(b, _ []byte, _ int) []byte {
+		return append(append(b, strings.Join(csvHeader, ",")...), '\n')
+	},
+	row: appendTrialCSV,
+}
+
+// textEmitter streams one text document in the shape its layout gives.
+// Trials are written as they arrive through the layout's append-based row
+// encoder over a reusable buffer, so the per-trial cost is a few appends
+// and one write — no encoding/json, no per-record allocation — while the
+// bytes stay identical to what json.Marshal produced (pinned by
+// encode_test.go).
+type textEmitter struct {
+	l    *textLayout
+	w    io.Writer // a *bufio.Writer, or the sink itself when the layout writes by line
+	rows int
+	cur  TrialResult // Trial's argument, copied here so that handing it to row allocates nothing
+	buf  []byte
+}
+
+func newTextEmitter(w io.Writer, l *textLayout) *textEmitter {
+	if !l.lineWrites {
+		w = bufio.NewWriterSize(w, 1<<16)
+	}
+	return &textEmitter{l: l, w: w}
+}
+
+// NewJSONEmitter returns an emitter writing the current SchemaVersion
+// document to w.
+func NewJSONEmitter(w io.Writer) Emitter { return newTextEmitter(w, &jsonLayout) }
+
+// NewNDJSONEmitter returns an emitter streaming newline-delimited JSON to
+// w (one header line, one line per trial, one trailer line — see
+// NDJSONSchemaVersion), each line one Write. Trial lines are
+// byte-identical to the trial objects inside the ule-sweep/v3 document,
+// pinned by ndjson_test.go.
+func NewNDJSONEmitter(w io.Writer) Emitter { return newTextEmitter(w, &ndjsonLayout) }
 
 // NewCSVEmitter returns an emitter writing a trials CSV to w (header row
 // first; no aggregate rows — groups belong to the JSON document).
-func NewCSVEmitter(w io.Writer) Emitter {
-	return &csvEmitter{w: bufio.NewWriter(w)}
+func NewCSVEmitter(w io.Writer) Emitter { return newTextEmitter(w, &csvLayout) }
+
+func (e *textEmitter) Begin(spec Spec, total int) error {
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return err
+	}
+	return e.begin(specJSON, total)
 }
 
-func (e *csvEmitter) Begin(Spec, int) error {
-	for i, c := range csvHeader {
-		if i > 0 {
-			if err := e.w.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		if _, err := e.w.WriteString(c); err != nil {
+// begin and end take the spec echo and the groups already marshalled:
+// ExportJSON has both verbatim from the binary stream.
+func (e *textEmitter) begin(specJSON []byte, total int) error {
+	return e.write(e.l.head(e.buf[:0], specJSON, total))
+}
+
+func (e *textEmitter) Trial(tr TrialResult) error {
+	e.cur = tr
+	return e.row(&e.cur)
+}
+
+// row writes one trial; tr must not be a caller's local, which the
+// indirect call to the layout's appender would move to the heap.
+func (e *textEmitter) row(tr *TrialResult) error {
+	b := e.buf[:0]
+	if e.rows == 0 {
+		b = append(b, e.l.lead...)
+	} else {
+		b = append(b, e.l.sep...)
+	}
+	e.rows++
+	return e.write(e.l.row(b, tr))
+}
+
+func (e *textEmitter) End(rep *Report) error {
+	if e.l.tail == nil {
+		return e.end(nil, 0, 0)
+	}
+	groupsJSON, err := json.Marshal(rep.Groups)
+	if err != nil {
+		return err
+	}
+	return e.end(groupsJSON, rep.Total, rep.Errors)
+}
+
+func (e *textEmitter) end(groupsJSON []byte, total, errors int) error {
+	if e.l.tail != nil {
+		if err := e.write(e.l.tail(e.buf[:0], groupsJSON, total, errors)); err != nil {
 			return err
 		}
 	}
-	return e.w.WriteByte('\n')
+	if bw, ok := e.w.(*bufio.Writer); ok {
+		return bw.Flush()
+	}
+	return nil
 }
 
-func (e *csvEmitter) Trial(tr TrialResult) error {
-	e.buf = appendTrialCSV(e.buf[:0], &tr)
-	_, err := e.w.Write(e.buf)
+func (e *textEmitter) write(b []byte) error {
+	e.buf = b
+	_, err := e.w.Write(b)
 	return err
-}
-
-func (e *csvEmitter) End(*Report) error {
-	return e.w.Flush()
 }
 
 // Document is the parsed form of a ule-sweep/v3 (or legacy v2/v1) JSON

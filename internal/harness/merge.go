@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"bufio"
 	"container/heap"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -90,15 +88,15 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 		return nil, &IncompleteError{Total: total, Missing: missing}
 	}
 
-	streams := make([]*shardStream, 0, len(cks))
+	streams := make([]*prefixStream, 0, len(cks))
 	defer func() {
 		for _, s := range streams {
-			s.close()
+			s.f.Close()
 		}
 	}()
 	mh := make(mergeHeap, 0, len(cks))
 	for _, ck := range cks {
-		s, err := openShardStream(ck)
+		s, err := openPrefixStream(ck)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +121,7 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 	want := 0
 	for mh.Len() > 0 {
 		s := mh[0]
-		tr := s.cur
+		tr := s.sc.trial
 		if err := s.next(); err != nil {
 			return nil, err
 		}
@@ -147,7 +145,7 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 			// provided; determinism says the bytes must agree.
 			if tr != prev {
 				return nil, fmt.Errorf("harness: shard %s: trial %d disagrees with an overlapping shard (determinism violation)",
-					s.path(), tr.Index)
+					s.f.Name(), tr.Index)
 			}
 		default:
 			// Coverage was verified up front, so an index jump here means a
@@ -200,72 +198,15 @@ func coverageGaps(total int, cks []*SweepCheckpoint) []TrialRange {
 	return missing
 }
 
-// shardStream sequentially decodes the durable trial prefix of one shard
-// file; cur holds the next undelivered trial (absolute index) while ok.
-type shardStream struct {
-	f     *os.File
-	br    *binReader
-	h     *binHeader
-	cells []binCell
-	local int // trials decoded so far (range-local)
-	limit int // durable prefix length from InspectShard
-	cur   TrialResult
-	ok    bool
-}
-
-func openShardStream(ck *SweepCheckpoint) (*shardStream, error) {
-	f, err := os.Open(ck.path)
-	if err != nil {
-		return nil, err
-	}
-	br := &binReader{r: bufio.NewReaderSize(f, 1<<16)}
-	h, err := readBinHeader(br)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &shardStream{f: f, br: br, h: h, limit: ck.Completed}, nil
-}
-
-func (s *shardStream) path() string { return s.f.Name() }
-
-func (s *shardStream) close() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
-}
-
-// next advances to the following trial record, or sets ok=false when the
-// durable prefix is exhausted. Decode errors inside the durable prefix
-// are real errors — InspectShard already vouched for these bytes.
-func (s *shardStream) next() error {
-	s.ok = false
-	for s.local < s.limit {
-		tag, tr, _, _, err := readBinRecord(s.br, s.h, &s.cells, s.h.start+s.local)
-		if err != nil {
-			return fmt.Errorf("harness: %s: %w", s.path(), unexpectedEOF(err))
-		}
-		if tag == binTagTrial {
-			s.local++
-			s.cur = tr
-			s.ok = true
-			return nil
-		}
-	}
-	s.close()
-	return nil
-}
-
 // mergeHeap orders shard streams by the absolute index of their next
 // trial, so Pop order is global trial-index order with duplicates
 // adjacent.
-type mergeHeap []*shardStream
+type mergeHeap []*prefixStream
 
 func (h mergeHeap) Len() int           { return len(h) }
-func (h mergeHeap) Less(i, j int) bool { return h[i].cur.Index < h[j].cur.Index }
+func (h mergeHeap) Less(i, j int) bool { return h[i].sc.trial.Index < h[j].sc.trial.Index }
 func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*shardStream)) }
+func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*prefixStream)) }
 func (h *mergeHeap) Pop() any {
 	old := *h
 	n := len(old)
