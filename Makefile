@@ -50,10 +50,13 @@ test-race:
 # tests; TestLemma43ListLength): its receivers read pooled wire boxes in
 # place, some of which crossed shards, and a box released too early is a
 # data race here before it is a moved hash. The harness matrix (16 sweeps
-# a pass) runs once, at 4.
+# a pass) runs once, at 4, and with it the sweep pipeline's backlog test:
+# every worker runs the ordered tail under one lock, so the emitters, the
+# aggregator and the Progress hook are only race-free if that lock is
+# where the code says it is.
 race-matrix:
 	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43' ./internal/sim ./internal/core
-	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards' ./internal/harness
+	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -127,7 +130,9 @@ bench-shard:
 	$(GO) test -bench 'EngineSharded10M' -benchtime 1x -benchmem -run='^$$' -timeout 30m .
 
 # Focused sweep-pipeline gate (docs/PERFORMANCE.md § "Sweep pipeline"):
-# the consumer allocation budget, the O(1)-aggregation guard, the
+# the tail's allocation budget, the O(1)-aggregation guard, the two
+# pipeline tests (a finished trial is emitted about when it finishes; an
+# emitter error stops the workers and leaves no goroutine), the
 # kill-and-resume byte-identity matrix, and the CLI binary sweep /
 # resume / export round trip. All of these also run inside the full
 # suite; this target exists so CI surfaces a pipeline regression under
@@ -136,7 +141,7 @@ bench-shard:
 # the binary decoder for 20 s (the suite only replays the seed corpus),
 # every reader of a document or shard being that one scanner.
 test-sweep:
-	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestBinaryKillAndResume' -v ./internal/harness
+	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestEmitKeepsUpWithCompletion|TestRunStopsOnEmitterError|TestBinaryKillAndResume' -v ./internal/harness
 	$(GO) test -run 'TestSweepModeBinaryAndExport|TestSweepModeResumeExcludesTextEmitters|TestFromBinCSVOut' -v ./cmd/ule-experiments
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzParseBinary -fuzztime 20s
 

@@ -15,8 +15,8 @@
 //
 // The lower-bound experiments (E1–E5) sample fresh adversarial instances
 // per trial through internal/lowerbound; every upper-bound sweep (E6–E16)
-// is a declarative internal/harness spec executed on the work-stealing
-// pool, so -workers parallelizes them across cores.
+// is a declarative internal/harness spec whose trials -workers workers
+// claim in index order, so -workers parallelizes them across cores.
 //
 // Use -quick for a reduced sweep (CI-sized), -csv for machine output.
 //

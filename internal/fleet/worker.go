@@ -76,8 +76,8 @@ func parseLease(line string, def chaosAction) (lease, error) {
 // Protocol (see docs/DISTRIBUTED.md):
 //   - flags: -spec FILE -checkpoint-every N [-workers N] [-stall-for DUR],
 //     and the fields of one lease: -start N -count N -shard FILE
-//     [-kill-after K] [-stall-after K]. -workers is the in-process pool
-//     size (default 1).
+//     [-kill-after K] [-stall-after K]. -workers is the in-process
+//     worker count (default 1: the leases run on the main goroutine).
 //   - With -shard the worker serves exactly that lease and exits (the
 //     one-shot form). Without it, leases arrive on stdin, one per line
 //     (lease.line); the fault flags are then the default for every lease
@@ -100,7 +100,7 @@ func RunWorker(args []string) int {
 	var (
 		specPath   = fs.String("spec", "", "sweep spec JSON file")
 		ckEvery    = fs.Int("checkpoint-every", 0, "checkpoint cadence (trials)")
-		workers    = fs.Int("workers", 1, "in-process pool size")
+		workers    = fs.Int("workers", 1, "in-process sweep workers")
 		stallFor   = fs.Duration("stall-for", 10*time.Minute, "hang duration of a stall fault")
 		start      = fs.Int("start", 0, "one-shot lease: first trial index")
 		count      = fs.Int("count", 0, "one-shot lease: trial count")
@@ -168,8 +168,10 @@ func loadPlan(specPath string) (*harness.Plan, error) {
 }
 
 // worker is the state a worker process keeps between leases: the compiled
-// sweep (with its graphs and warm Prepared caches) and the heartbeat
-// clock.
+// sweep (with its graphs and warm worker states) and the heartbeat
+// clock. lastBeat is written before Run starts and then from Run's
+// Progress hook, which Run calls one at a time on whichever of its workers
+// finished a trial: no lock of its own at any -workers.
 type worker struct {
 	plan     *harness.Plan
 	opt      harness.BinaryOptions

@@ -45,12 +45,14 @@ func syntheticTrials(n int) []TrialResult {
 	return trials
 }
 
-// scrambled returns the trial indices in the arrival order a parallel
-// pool produces: contiguous shards interleaved out of order.
-func scrambled(n int) []int {
+// completionOrder returns the trial indices in an arrival order the
+// sweep's workers can produce: trials are claimed in index order, so a
+// record is out of place by at most the worker count — here eight workers
+// that each time finish in reverse.
+func completionOrder(n int) []int {
 	order := make([]int, n)
 	for i := range order {
-		order[i] = (i*613 + 401) % n
+		order[i] = min(i|7, n-1) - i&7
 	}
 	return order
 }
@@ -98,98 +100,59 @@ func BenchmarkSpecCompile(b *testing.B) {
 	}
 }
 
-// ---- whole-consumer benchmarks: reorder window + emit + aggregation,
-// exactly the work between a worker's result and the output stream ----
-
-// consume drives the consumer: ring reorder, append-encoders into one
-// emitter set, IntSample aggregation.
-func consume(trials []TrialResult, order []int, emitters []Emitter) error {
-	ring := newReorderRing(256, 0)
-	var acc groupAcc
-	for _, idx := range order {
-		ring.put(trials[idx])
-		for {
-			tr, ok := ring.take()
-			if !ok {
-				break
-			}
-			for _, em := range emitters {
-				if err := em.Trial(tr); err != nil {
-					return err
-				}
-			}
-			acc.add(&tr)
-		}
-	}
-	if acc.trials != len(trials) {
-		return fmt.Errorf("aggregated %d trials, want %d", acc.trials, len(trials))
-	}
-	return nil
-}
+// ---- whole-tail benchmarks: reorder window + emit + aggregation, exactly
+// the work between a worker's result and the output stream. They drive
+// the production tail (sweepTail), not a model of it ----
 
 const consumerBenchTrials = 4096
 
-// steadyConsumer holds the consumer state that persists across batches
-// in a long sweep — warm ring, warm aggregation maps, warm emitter
-// buffers — so the benchmarks measure steady-state throughput at
-// 10^6-trial scale rather than cold-start map growth on every pass.
-type steadyConsumer struct {
-	ring     *reorderRing
-	acc      groupAcc
-	emitters []Emitter
-	consumed int
-}
-
-func newSteadyConsumer(total int, emitters []Emitter) *steadyConsumer {
-	for _, em := range emitters {
-		if err := em.Begin(Spec{Seed: 42}, total); err != nil {
-			panic(err)
-		}
+// syntheticTail starts the production tail for a synthetic stream. The
+// tail persists across batches the way it does through a long sweep —
+// warm ring, warm aggregation maps, warm emitter buffers — so what is
+// measured is steady-state throughput at 10^6-trial scale rather than
+// cold-start map growth on every pass.
+func syntheticTail(tb testing.TB, total int, emitters []Emitter) *sweepTail {
+	tb.Helper()
+	tail, err := (&Plan{spec: Spec{Seed: 42}, total: total}).newTail(emitters, 0)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return &steadyConsumer{ring: newReorderRing(256, 0), emitters: emitters}
+	return tail
 }
 
-// feed pushes one batch through reorder + emit + aggregation; trial
-// indices restart at 0 each batch, so the ring base is rewound (a free
-// operation — the window state machine is identical either way).
-func (c *steadyConsumer) feed(trials []TrialResult, order []int) error {
-	c.ring.base = 0
+// feedTail pushes one batch through the tail; trial indices restart at 0
+// each batch, so the ring base is rewound (a free operation — the window
+// state machine is identical either way).
+func feedTail(tb testing.TB, tail *sweepTail, trials []TrialResult, order []int) {
+	tail.plan.ring.base = 0
 	for _, idx := range order {
-		c.ring.put(trials[idx])
-		for {
-			tr, ok := c.ring.take()
-			if !ok {
-				break
-			}
-			for _, em := range c.emitters {
-				if err := em.Trial(tr); err != nil {
-					return err
-				}
-			}
-			c.acc.add(&tr)
-			c.consumed++
+		if err := tail.put(trials[idx]); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	return nil
+}
+
+// tailTrials is the number of records the tail has aggregated.
+func tailTrials(tail *sweepTail) (n int) {
+	for _, acc := range tail.agg.groups {
+		n += acc.trials
+	}
+	return n
 }
 
 func benchSteadyConsumer(b *testing.B, emitters []Emitter) {
 	trials := syntheticTrials(consumerBenchTrials)
-	order := scrambled(len(trials))
-	c := newSteadyConsumer(consumerBenchTrials, emitters)
-	if err := c.feed(trials, order); err != nil { // warm everything
-		b.Fatal(err)
-	}
+	order := completionOrder(len(trials))
+	tail := syntheticTail(b, consumerBenchTrials, emitters)
+	feedTail(b, tail, trials, order) // warm everything
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; b.N > i; i++ {
-		if err := c.feed(trials, order); err != nil {
-			b.Fatal(err)
-		}
+		feedTail(b, tail, trials, order)
 	}
 	b.StopTimer()
-	if c.consumed != (b.N+1)*consumerBenchTrials {
-		b.Fatalf("consumed %d trials, want %d", c.consumed, (b.N+1)*consumerBenchTrials)
+	if got := tailTrials(tail); got != (b.N+1)*consumerBenchTrials {
+		b.Fatalf("consumed %d trials, want %d", got, (b.N+1)*consumerBenchTrials)
 	}
 	b.ReportMetric(float64(consumerBenchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
@@ -207,34 +170,31 @@ func BenchmarkSweepConsumerBinary(b *testing.B) {
 }
 
 // TestAllocBudgetSweepConsumer pins the steady-state allocation budget of
-// the consumer: after warm-up, pushing a trial through the ring, both
+// the sweep tail: after warm-up, pushing a trial through the ring, both
 // text encoders, the binary encoder, and the streaming aggregator must
 // not allocate at all — the budget flags any reintroduced per-trial
 // reflection, string building, or map churn. (The IntSample maps are warm
 // because the synthetic stream revisits the same values.)
 func TestAllocBudgetSweepConsumer(t *testing.T) {
 	trials := syntheticTrials(2048)
-	order := scrambled(len(trials))
-	emitters := []Emitter{
+	order := completionOrder(len(trials))
+	tail := syntheticTail(t, len(trials), []Emitter{
 		NewJSONEmitter(io.Discard),
 		NewCSVEmitter(io.Discard),
 		NewBinaryEmitter(io.Discard, BinaryOptions{}),
-	}
-	for _, em := range emitters {
-		if err := em.Begin(Spec{Seed: 42}, len(trials)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run := func() {
-		if err := consume(trials, order, emitters); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm: ring sized, buffers grown, IntSample maps populated
+	})
+	run := func() { feedTail(t, tail, trials, order) }
+	run() // warm: buffers grown, cell accumulators made, IntSample maps populated
 	allocs := testing.AllocsPerRun(5, run)
 	perTrial := allocs / float64(len(trials))
 	if perTrial > 0.05 {
-		t.Errorf("consumer allocates %.3f allocs/trial steady-state (%.0f per pass), want ~0", perTrial, allocs)
+		t.Errorf("tail allocates %.3f allocs/trial steady-state (%.0f per pass), want ~0", perTrial, allocs)
+	}
+	if got, want := tailTrials(tail), 7*len(trials); got != want { // warm-up, AllocsPerRun's own, five measured
+		t.Errorf("aggregated %d trials, want %d", got, want)
+	}
+	if len(tail.plan.ring.buf) != ringSlots {
+		t.Errorf("the reorder ring grew to %d slots on an in-window stream", len(tail.plan.ring.buf))
 	}
 }
 

@@ -963,12 +963,10 @@ func (s *prefixStream) next() error {
 	return nil
 }
 
-// replay streams the durable prefix trials (in index order) to fn; Run
-// uses it to rebuild the aggregator state before executing the suffix.
-func (ck *SweepCheckpoint) replay(fn func(TrialResult) error) error {
-	if ck.Completed == 0 {
-		return nil
-	}
+// replay folds the durable prefix trials (in index order) into the tail's
+// aggregator; Run uses it to rebuild that state before executing the
+// suffix. The emitters are not fed: the prefix is already in their file.
+func (ck *SweepCheckpoint) replay(t *sweepTail) error {
 	s, err := openPrefixStream(ck)
 	if err != nil {
 		return err
@@ -978,9 +976,7 @@ func (ck *SweepCheckpoint) replay(fn func(TrialResult) error) error {
 		if err := s.next(); err != nil || !s.ok {
 			return err
 		}
-		if err := fn(s.sc.trial); err != nil {
-			return err
-		}
+		t.agg.add(&s.sc.trial)
 	}
 }
 

@@ -363,8 +363,19 @@ func TestParseBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
+// pending returns the number of buffered records.
+func (r *reorderRing) pending() int {
+	n := 0
+	for _, o := range r.occ {
+		if o {
+			n++
+		}
+	}
+	return n
+}
+
 func TestReorderRing(t *testing.T) {
-	r := newReorderRing(4, 0)
+	var r reorderRing
 	// Feed indices 0..999 in a scrambled order with a large spread to
 	// force growth, and check in-order drain.
 	const n = 1000
@@ -395,7 +406,7 @@ func TestReorderRing(t *testing.T) {
 }
 
 func TestReorderRingResumeBase(t *testing.T) {
-	r := newReorderRing(4, 500)
+	r := reorderRing{base: 500}
 	r.put(TrialResult{Trial: Trial{Index: 501}})
 	if _, ok := r.take(); ok {
 		t.Fatal("take succeeded before base index arrived")

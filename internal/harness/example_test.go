@@ -7,8 +7,8 @@ import (
 )
 
 // A declarative sweep: two algorithms on two graphs, synchronous and
-// asynchronous, executed on the work-stealing pool. The same spec yields
-// byte-identical emitter output for any worker count.
+// asynchronous, its trials claimed in index order by the workers. The same
+// spec yields byte-identical emitter output for any worker count.
 func ExampleRun() {
 	spec := harness.Spec{
 		Name:   "example",

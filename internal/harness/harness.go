@@ -2,6 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ule/internal/core"
@@ -113,14 +116,16 @@ type TrialRange struct {
 
 // RunConfig tunes sweep execution (all fields optional).
 type RunConfig struct {
-	// Workers is the pool size (default GOMAXPROCS).
+	// Workers is the number of trials in flight (default GOMAXPROCS); the
+	// calling goroutine is one of the workers.
 	Workers int
 	// Emitters receive every trial record in trial-index order, then the
 	// final report.
 	Emitters []Emitter
 	// Progress, when set, is called after every completed trial with the
-	// completed and total counts (from the single consumer goroutine).
-	// Both counts are range-local when Range is set.
+	// completed and total counts: one call at a time, on whichever worker
+	// finished the trial, so the hook needs no locking of its own but must
+	// not assume a goroutine. Both counts are range-local when Range is set.
 	Progress func(done, total int)
 	// Resume, when set, continues an interrupted binary sweep instead of
 	// starting over: the compiled spec must hash-match the checkpoint's
@@ -171,17 +176,13 @@ func (acc *groupAcc) add(next *TrialResult) {
 	}
 }
 
-// sweepAgg is the online aggregator shared by Run and MergeShards: it
-// folds trial records (fed in trial-index order) into per-cell
-// accumulators and builds the report groups, so a merged document's
-// groups are bit-identical to a single-process run's.
+// sweepAgg is the sweep tail's online aggregator: it folds trial records
+// (fed in trial-index order) into per-cell accumulators and builds the
+// report groups, so a merged document's groups are bit-identical to a
+// single-process run's.
 type sweepAgg struct {
 	groups []*groupAcc
 	byKey  map[[6]string]*groupAcc
-}
-
-func newSweepAgg() *sweepAgg {
-	return &sweepAgg{byKey: make(map[[6]string]*groupAcc)}
 }
 
 func (a *sweepAgg) add(next *TrialResult) {
@@ -231,30 +232,33 @@ func Run(spec Spec, rc RunConfig) (*Report, error) {
 	return p.Run(rc)
 }
 
-// Run executes the sweep — or rc.Range's slice of it — on the
-// work-stealing pool, streaming records to the emitters and the online
-// aggregator. It instantiates the graphs its trials touch before any
-// emitter output, so a graph spec that does not build is a spec error
-// like any other; the graphs and the workers' Prepared caches stay with
-// the Plan for the next Run.
+// Run executes the sweep — or rc.Range's slice of it — streaming records
+// to the emitters and the online aggregator. It instantiates the graphs
+// its trials touch before any emitter output, so a graph spec that does
+// not build is a spec error like any other; the graphs and each worker's
+// current Prepared stay with the Plan for the next Run.
+//
+// Trials are claimed one at a time, in index order, from one cursor; the
+// caller's goroutine is worker 0 and Workers-1 goroutines join it for the
+// run. The worker that finishes a trial takes the tail's lock and runs the
+// ordered tail itself (sweepTail.put): nothing is handed to another
+// goroutine, and a one-worker run starts none. An emitter error ends the
+// claiming; Run returns it once the trials in flight are in.
 func (p *Plan) Run(rc RunConfig) (*Report, error) {
 	workers := rc.Workers
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
-	total := p.total
 	shards := trialShards(p.spec.Shards, workers, rc.Range != nil)
 
 	// The executed range: the whole sweep, or rc.Range's slice of it.
-	rangeStart, rangeCount := 0, total
+	rangeStart, rangeCount := 0, p.total
 	if rc.Range != nil {
 		rangeStart, rangeCount = rc.Range.Start, rc.Range.Count
-		if rangeStart < 0 || rangeCount <= 0 || rangeStart+rangeCount > total {
-			return nil, fmt.Errorf("harness: trial range [%d,%d) outside sweep of %d trials", rangeStart, rangeStart+rangeCount, total)
+		if rangeStart < 0 || rangeCount <= 0 || rangeStart+rangeCount > p.total {
+			return nil, fmt.Errorf("harness: trial range [%d,%d) outside sweep of %d trials", rangeStart, rangeStart+rangeCount, p.total)
 		}
 	}
-
-	agg := newSweepAgg()
 
 	// A resumed sweep re-aggregates the durable prefix from the
 	// checkpoint file; those trials are neither re-run nor re-emitted.
@@ -279,89 +283,51 @@ func (p *Plan) Run(rc RunConfig) (*Report, error) {
 			}
 		}
 	}
-	for _, em := range rc.Emitters {
-		if err := em.Begin(p.spec, total); err != nil {
-			return nil, err
-		}
+	tail, err := p.newTail(rc.Emitters, first)
+	if err != nil {
+		return nil, err
 	}
 	if rc.Resume != nil {
-		if err := rc.Resume.replay(func(tr TrialResult) error {
-			agg.add(&tr)
-			return nil
-		}); err != nil {
+		if err := rc.Resume.replay(tail); err != nil {
 			return nil, fmt.Errorf("harness: resume replay: %w", err)
 		}
 	}
 
-	start := time.Now()
 	for len(p.states) < workers {
-		p.states = append(p.states, workerState{cache: preparedCache{}})
+		p.states = append(p.states, workerState{})
 	}
-	results := make(chan TrialResult, 2*workers)
-	poolDone := make(chan struct{})
-	go func() {
-		defer close(results)
-		runPool(n, workers, func(i, w int) {
-			select {
-			case <-poolDone:
-				return // consumer bailed on an emitter error
-			default:
-			}
-			results <- p.runTrial(p.trial(first+i), shards, &p.states[w])
-		})
-	}()
-
-	// Single consumer: reorder to trial-index order, emit, aggregate.
-	// The reorder window is a power-of-two ring of small TrialResult
-	// records (see reorderRing).
 	var (
-		ring    = newReorderRing(2*workers, first)
-		done    = completed
-		emitErr error
+		cursor atomic.Int64 // trials claimed so far, counted from first
+		mu     sync.Mutex   // guards tail and done, and serializes Progress
+		done   = completed
+		wg     sync.WaitGroup
 	)
-	for tr := range results {
-		done++
-		if rc.Progress != nil {
-			rc.Progress(done, rangeCount)
-		}
-		ring.put(tr)
+	work := func(ws *workerState) {
+		defer wg.Done()
 		for {
-			next, ok := ring.take()
-			if !ok {
-				break
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
 			}
-			if emitErr == nil {
-				for _, em := range rc.Emitters {
-					if err := em.Trial(next); err != nil {
-						emitErr = err
-						close(poolDone)
-						break
-					}
-				}
+			tr := p.runTrial(p.trial(first+i), shards, ws)
+			mu.Lock()
+			done++
+			if rc.Progress != nil {
+				rc.Progress(done, rangeCount)
 			}
-			agg.add(&next)
+			if tail.put(tr) != nil {
+				cursor.Store(int64(n)) // an emitter failed: nothing is left to claim
+			}
+			mu.Unlock()
 		}
 	}
-	if emitErr != nil {
-		return nil, emitErr
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work(&p.states[w])
 	}
-
-	rep := &Report{
-		Spec:    p.spec,
-		Total:   total,
-		Elapsed: time.Since(start),
-		Workers: workers,
-		plan:    p,
-	}
-	// The consumer aggregates in trial-index order, so groups are already
-	// in deterministic expansion (graph-major) order.
-	agg.finish(rep)
-	for _, em := range rc.Emitters {
-		if err := em.End(rep); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	work(&p.states[0])
+	wg.Wait()
+	return tail.end(workers)
 }
 
 // trialShards resolves the spec's shard count for one sweep execution.
@@ -376,45 +342,35 @@ func trialShards(specShards, workers int, ranged bool) int {
 	return specShards
 }
 
-// preparedCache holds one worker's (graph, algorithm) → Prepared
-// bindings. It is per-worker state, so no locking; the Prepared inside
-// reuses engine buffers across every trial the worker runs in that cell,
-// in this Run and in later ones on the same Plan.
-type preparedCache map[preparedKey]*core.Prepared
-
-type preparedKey struct {
-	graphIdx int
-	algo     string
-}
-
-// workerState is one pool worker's private trial machinery: the Prepared
-// cache plus a single sim.Result recycled across every trial the worker
-// runs — each trial is reduced to a TrialResult before the next one
-// overwrites it, so the O(n) statuses and instrument maps are allocated
-// once per worker rather than once per trial.
+// workerState is one worker's private trial machinery, kept by the Plan
+// across Runs: the Prepared of the (graph, algorithm) the worker is inside
+// and a single sim.Result recycled across every trial the worker runs —
+// each trial is reduced to a TrialResult before the next one overwrites
+// it, so the O(n) statuses and instrument maps are allocated once per
+// worker rather than once per trial. Claims are in index order and cells
+// graph → algorithm major, so a worker never returns to a (graph,
+// algorithm) it has left within a run: one Prepared is the whole cache.
 type workerState struct {
-	cache preparedCache
-	res   sim.Result
+	prep *core.Prepared // nil before the worker's first trial
+	res  sim.Result
 }
 
-// runTrial executes one trial through the worker's Prepared cache — the
-// shared election recipe, Election.RunOpts and Reduce, on the worker's
-// recycled Result — and reduces it to the streamed record. The record
-// carries the granted diameter even when the run fails, so it shows
-// exactly what the algorithm was told.
+// runTrial executes one trial on the worker's Prepared — the shared
+// election recipe, Election.RunOpts and Reduce, on the worker's recycled
+// Result — and reduces it to the streamed record. The record carries the
+// granted diameter even when the run fails, so it shows exactly what the
+// algorithm was told.
 func (p *Plan) runTrial(t Trial, shards int, ws *workerState) TrialResult {
-	g := p.graphs[t.graphIdx] // instantiated by Run before the pool started
+	g := p.graphs[t.graphIdx] // instantiated by Run before the first claim
 	tr := TrialResult{Trial: t, N: g.N(), M: g.M()}
-	key := preparedKey{t.graphIdx, t.Algo}
-	prep, ok := ws.cache[key]
-	if !ok {
+	prep := ws.prep
+	if prep == nil || prep.Graph() != g || prep.Spec().Name != t.Algo {
 		var err error
-		prep, err = core.Prepare(g, t.Algo)
-		if err != nil {
+		if prep, err = core.Prepare(g, t.Algo); err != nil {
 			tr.Err = err.Error()
 			return tr
 		}
-		ws.cache[key] = prep
+		ws.prep = prep
 	}
 	ro, err := Election{
 		Seed:             t.Seed,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // IncompleteError reports that a set of shards does not cover the full
@@ -66,7 +65,7 @@ func MergeShards(spec Spec, paths []string, mc MergeConfig) (*Report, error) {
 // sweep. Merging instantiates no graph; the report's Graphs does, for
 // whatever part of the axis the Plan has not built yet.
 func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
-	total, wantHash := p.total, p.hash
+	total := p.total
 
 	// Inspect every shard first: durable prefix lengths bound how far each
 	// stream may be read, and coverage is checked before any output.
@@ -76,9 +75,8 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ck.specHash != wantHash {
-			return nil, fmt.Errorf("harness: %s: shard belongs to a different sweep (hash %016x, want %016x)",
-				path, ck.specHash, wantHash)
+		if err := ck.CheckPlan(p); err != nil {
+			return nil, err // a shard of some other sweep
 		}
 		if ck.Completed > 0 {
 			cks = append(cks, ck)
@@ -110,13 +108,10 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 	}
 	heap.Init(&mh)
 
-	start := time.Now()
-	for _, em := range mc.Emitters {
-		if err := em.Begin(p.spec, total); err != nil {
-			return nil, err
-		}
+	tail, err := p.newTail(mc.Emitters, 0)
+	if err != nil {
+		return nil, err
 	}
-	agg := newSweepAgg()
 	var prev TrialResult
 	want := 0
 	for mh.Len() > 0 {
@@ -132,12 +127,9 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 		}
 		switch {
 		case tr.Index == want:
-			for _, em := range mc.Emitters {
-				if err := em.Trial(tr); err != nil {
-					return nil, err
-				}
+			if err := tail.put(tr); err != nil { // in order already: straight through the window
+				return nil, err
 			}
-			agg.add(&tr)
 			prev = tr
 			want++
 		case tr.Index == want-1:
@@ -156,20 +148,7 @@ func (p *Plan) MergeShards(paths []string, mc MergeConfig) (*Report, error) {
 	if want != total {
 		return nil, fmt.Errorf("harness: shard merge produced %d of %d trials", want, total)
 	}
-
-	rep := &Report{
-		Spec:    p.spec,
-		Total:   total,
-		Elapsed: time.Since(start),
-		plan:    p,
-	}
-	agg.finish(rep)
-	for _, em := range mc.Emitters {
-		if err := em.End(rep); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	return tail.end(0)
 }
 
 // coverageGaps returns the sorted disjoint sub-ranges of [0, total) not

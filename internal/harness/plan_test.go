@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -157,7 +158,10 @@ func TestCompileCostIndependentOfTrials(t *testing.T) {
 	}
 	small := testing.AllocsPerRun(20, validate(1))
 	large := testing.AllocsPerRun(20, validate(18519)) // 10^6 trials
-	if small != large {
+	// A cost in the trials would show as 10^6 objects; a few either way is
+	// sync.Pool under the race detector, which drops a quarter of what it is
+	// given, so the three graph builds draw on the heap unevenly.
+	if math.Abs(small-large) > 8 {
 		t.Fatalf("Validate allocates %v times at 54 trials and %v times at 10^6", small, large)
 	}
 	var m0, m1 runtime.MemStats
@@ -167,7 +171,7 @@ func TestCompileCostIndependentOfTrials(t *testing.T) {
 	if b := m1.TotalAlloc - m0.TotalAlloc; b > 1<<20 {
 		t.Fatalf("validating 10^6 trials allocated %d bytes, want < 1 MiB", b)
 	}
-	t.Logf("Validate: %v allocations at any trial count", small)
+	t.Logf("Validate: %v allocations at 54 trials, %v at 10^6", small, large)
 }
 
 // TestNumTrialsSaturates: the arithmetic trial count cannot be overflowed
@@ -230,8 +234,11 @@ func TestPlanReuse(t *testing.T) {
 	if reused.graphs[0] != g0 {
 		t.Fatal("the second Run rebuilt a graph the first had instantiated")
 	}
-	if len(reused.states) != 1 || len(reused.states[0].cache) == 0 {
-		t.Fatalf("the Plan kept no Prepared cache: %d worker states", len(reused.states))
+	// The worker keeps the Prepared of the cell it stopped in, nothing else.
+	last := reused.cells[(second.Start+second.Count-1)/reused.reps]
+	if ws := reused.states; len(ws) != 1 || ws[0].prep == nil ||
+		ws[0].prep.Graph() != reused.graphs[last.graphIdx] || ws[0].prep.Spec().Name != last.Algo {
+		t.Fatalf("the Plan's %d worker states do not hold the Prepared of (%s, %s)", len(ws), last.Graph, last.Algo)
 	}
 	if want := shard(compile(), second); !bytes.Equal(got, want) {
 		t.Fatalf("shard of %+v differs on a reused Plan (%d vs %d bytes)", second, len(got), len(want))

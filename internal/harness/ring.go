@@ -1,17 +1,18 @@
 package harness
 
-// reorderRing is the consumer's trial-index reorder window: workers
+// reorderRing is the sweep tail's trial-index reorder window: workers
 // finish trials out of order, the emitters must see them in index order.
-// It replaces the old map[int]TrialResult — whose per-record bucket
-// churn and hashing dominated the consumer once the encoders went
-// allocation-free — with a power-of-two circular buffer indexed by
-// trial index & mask. base is the next index to emit; an occupied slot i
-// always holds trial (base + ((i - base) & mask)), so put/take are one
-// mask and one array access.
+// It is a power-of-two circular buffer indexed by trial index & mask
+// (a map[int]TrialResult here cost more in bucket churn and hashing than
+// the allocation-free encoders behind it). base is the next index to
+// emit; an occupied slot i always holds trial (base + ((i - base) & mask)),
+// so put/take are one mask and one array access.
 //
-// The window grows by doubling when a result arrives more than len(buf)
-// ahead of base (with contiguous work-stealing shards the spread can
-// reach a full worker shard), so the ring never blocks the pool.
+// Workers claim trials in index order, so a finished record is ahead of
+// base by about the worker count and the normal path never leaves the
+// initial window; grow is the safety valve for a trial that outlasts
+// ringSlots of its successors, so the ring never blocks a worker. The
+// zero value is an empty window at base 0; the first put makes its slots.
 type reorderRing struct {
 	buf  []TrialResult
 	occ  []bool
@@ -19,20 +20,8 @@ type reorderRing struct {
 	base int // next trial index to hand out
 }
 
-// newReorderRing sizes the initial window to a power of two covering at
-// least min slots (floor 256).
-func newReorderRing(min, base int) *reorderRing {
-	size := 256
-	for size < min {
-		size <<= 1
-	}
-	return &reorderRing{
-		buf:  make([]TrialResult, size),
-		occ:  make([]bool, size),
-		mask: size - 1,
-		base: base,
-	}
-}
+// ringSlots is the initial window (a power of two).
+const ringSlots = 256
 
 // put stores tr, growing the window if the index is beyond the current
 // span. Indices below base are gone (each trial arrives exactly once).
@@ -52,7 +41,7 @@ func (r *reorderRing) put(tr TrialResult) {
 // window size.
 func (r *reorderRing) take() (TrialResult, bool) {
 	i := r.base & r.mask
-	if !r.occ[i] {
+	if i >= len(r.occ) || !r.occ[i] { // nothing was put yet, or not this one
 		return TrialResult{}, false
 	}
 	tr := r.buf[i]
@@ -61,21 +50,10 @@ func (r *reorderRing) take() (TrialResult, bool) {
 	return tr, true
 }
 
-// pending returns the number of buffered records (test hook).
-func (r *reorderRing) pending() int {
-	n := 0
-	for _, o := range r.occ {
-		if o {
-			n++
-		}
-	}
-	return n
-}
-
 // grow doubles the window, re-homing occupied slots by their trial index
 // under the new mask.
 func (r *reorderRing) grow() {
-	size := len(r.buf) << 1
+	size := max(ringSlots, len(r.buf)<<1)
 	buf := make([]TrialResult, size)
 	occ := make([]bool, size)
 	mask := size - 1

@@ -1,9 +1,9 @@
 // Package harness is the parallel experiment-sweep engine: it expands a
 // declarative sweep specification (algorithm set × graph family × modes ×
 // wake schedules × async delay schedules × fault schedules ×
-// repetitions) into deterministic trials, executes them on a
-// work-stealing goroutine pool, and streams the results through JSON/CSV
-// emitters and an online aggregator.
+// repetitions) into deterministic trials, executes them on workers that
+// claim trials in index order from one cursor, and streams the results
+// through JSON/CSV/binary emitters and an online aggregator.
 //
 // Determinism: every trial's randomness derives from (Spec.Seed, rep), so
 // the r-th repetition of every (algorithm, graph, mode, wake) cell sees
@@ -11,11 +11,11 @@
 // same spec produces byte-identical emitter output regardless of worker
 // count. Results are streamed, not accumulated: workers discard the full
 // sim.Result (statuses, per-edge maps and other O(n) state) after
-// reducing it to a small TrialResult record. What the consumer retains is
-// the emit reorder window (a power-of-two ring of TrialResult records)
-// plus exact value→count accumulators (stats.IntSample) per cell, so
-// consumer memory is flat in trial count while the group summaries keep
-// their exact order statistics.
+// reducing it to a small TrialResult record, and the worker that finished
+// the trial emits it (Plan.Run). What the ordered tail retains is the emit
+// reorder window (reorderRing) plus exact value→count accumulators
+// (stats.IntSample) per cell, so its memory is flat in trial count while
+// the group summaries keep their exact order statistics.
 package harness
 
 import (
@@ -135,9 +135,9 @@ const maxSweepTrials = 1 << 40
 // the trial count — trial i is computed on demand from cells[i/reps] —
 // so compiling costs the cells and a Plan for 10^6 trials is as small as
 // one for 10. Graphs are instantiated on first use and kept; so are the
-// pool workers' Prepared caches, which makes every Run after the first
-// on the same Plan start warm (a fleet worker holds one Plan for all its
-// leases). Runs on one Plan must not overlap.
+// workers' states and the reorder window, which makes every Run after the
+// first on the same Plan start warm (a fleet worker holds one Plan for all
+// its leases). Runs on one Plan must not overlap.
 type Plan struct {
 	spec  Spec    // defaults resolved
 	cells []Trial // templates: Index, Rep and Seed are per trial
@@ -147,7 +147,8 @@ type Plan struct {
 	hash uint64
 
 	graphs []*graph.Graph // parallel to spec.Graphs; nil until first use
-	states []workerState  // per pool worker, kept across Runs
+	states []workerState  // per worker, kept across Runs
+	ring   reorderRing    // the tail's reorder window, kept across Runs
 }
 
 // Total is the number of trials the sweep expands to.

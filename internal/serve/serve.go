@@ -76,7 +76,7 @@ type Config struct {
 	// Slots is the number of concurrent worker slots — the service's
 	// admission bound (default GOMAXPROCS).
 	Slots int
-	// SweepWorkers caps the harness worker pool a single sweep request
+	// SweepWorkers caps the harness workers a single sweep request
 	// may use (default 1: within one slot a sweep runs single-worker, and
 	// service concurrency comes from the slot pool; per-trial parallelism
 	// is still available through the spec's shards field).
@@ -745,18 +745,6 @@ func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
 	return p, nil
 }
 
-// sweepWorkers resolves a request's worker ask against the config cap.
-func (m *Manager) sweepWorkers(ask int) int {
-	w := ask
-	if w <= 0 {
-		w = 1
-	}
-	if w > m.cfg.SweepWorkers {
-		w = m.cfg.SweepWorkers
-	}
-	return w
-}
-
 // cancelEmitter aborts a sweep at the next trial boundary once ctx ends;
 // harness.Run returns the context error. It must precede the output
 // emitters in the chain so a cancelled sweep stops emitting immediately.
@@ -779,9 +767,25 @@ func (countEmitter) Trial(harness.TrialResult) error {
 }
 func (countEmitter) End(*harness.Report) error { return nil }
 
+// sweep is the one way the service executes a validated sweep: the
+// worker ask clamped to [1, Config.SweepWorkers], cancellation through ctx
+// at trial granularity, the service counters fed, then the caller's
+// emitters. At one worker — the default — the trials run on the calling
+// goroutine.
+func (m *Manager) sweep(ctx context.Context, p *harness.Plan, workers int, emitters ...harness.Emitter) (*harness.Report, error) {
+	rep, err := p.Run(harness.RunConfig{
+		Workers:  min(max(workers, 1), m.cfg.SweepWorkers),
+		Emitters: append([]harness.Emitter{cancelEmitter{ctx}, countEmitter{}}, emitters...),
+	})
+	if err != nil {
+		return nil, err
+	}
+	statSweeps.Add(1)
+	return rep, nil
+}
+
 // runSweep executes a validated sweep synchronously on a slot, streaming
-// through the given emitters (the NDJSON emitter over the HTTP response);
-// cancellation arrives through ctx at trial granularity.
+// through the given emitters (the NDJSON emitter over the HTTP response).
 func (m *Manager) runSweep(ctx context.Context, p *harness.Plan, workers int, emitters ...harness.Emitter) (*harness.Report, error) {
 	s, err := m.acquire(ctx)
 	if err != nil {
@@ -790,15 +794,7 @@ func (m *Manager) runSweep(ctx context.Context, p *harness.Plan, workers int, em
 	defer m.release(s)
 	statJobsInFlight.Add(1)
 	defer statJobsInFlight.Add(-1)
-	rep, err := p.Run(harness.RunConfig{
-		Workers:  m.sweepWorkers(workers),
-		Emitters: append([]harness.Emitter{cancelEmitter{ctx}, countEmitter{}}, emitters...),
-	})
-	if err != nil {
-		return nil, err
-	}
-	statSweeps.Add(1)
-	return rep, nil
+	return m.sweep(ctx, p, workers, emitters...)
 }
 
 // ---- Async jobs ----
@@ -857,14 +853,10 @@ func (m *Manager) SubmitSweep(req SweepRequest) (*Job, error) {
 		return nil, err
 	}
 	return m.submit("sweep", func(ctx context.Context, _ *slot) ([]byte, error) {
-		rep, err := p.Run(harness.RunConfig{
-			Workers:  m.sweepWorkers(req.Workers),
-			Emitters: []harness.Emitter{cancelEmitter{ctx}, countEmitter{}},
-		})
+		rep, err := m.sweep(ctx, p, req.Workers)
 		if err != nil {
 			return nil, err
 		}
-		statSweeps.Add(1)
 		return marshalJSON(SweepSummary{
 			Spec: rep.Spec, TotalTrials: rep.Total, Errors: rep.Errors, Groups: rep.Groups,
 		}), nil
