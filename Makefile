@@ -49,13 +49,17 @@ test-race:
 # goldens, the model test against the reference flooder and the ownership
 # tests; TestLemma43ListLength): its receivers read pooled wire boxes in
 # place, some of which crossed shards, and a box released too early is a
-# data race here before it is a moved hash. The harness matrix (16 sweeps
+# data race here before it is a moved hash. So does the recycling battery
+# (TestRecycled*, TestRejoin*): a warm Runner renews its processes, some of
+# whose wire records crossed shards in the run before, and a record or a
+# slab shared by mistake between two of them is a data race at 2 and 4
+# shards first. The harness matrix (16 sweeps
 # a pass) runs once, at 4, and with it the sweep pipeline's backlog test:
 # every worker runs the ordered tail under one lock, so the emitters, the
 # aggregator and the Progress hook are only race-free if that lock is
 # where the code says it is.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
 
 bench:
@@ -85,14 +89,17 @@ bench-graph:
 
 # The host-cost budgets (docs/PERFORMANCE.md): the AllocsPerRun budgets of
 # the engine fast path and, per registered algorithm, heap allocations and
-# Round calls per delivered message (TestProtocolBudgets), plus the parked
-# path's budget against the hint-blind engine (internal/sim) and the
-# sweep compiler's (internal/harness: compiling costs the cells, never the
-# trials). These also run inside the full suite; the target gives CI a
-# label for them, the way test-sweep labels the pipeline gate.
+# Round calls per delivered message, on a Prepared's first trial and on a
+# later one (TestProtocolBudgets), plus the parked path's budget against
+# the hint-blind engine (internal/sim), the sweep compiler's
+# (internal/harness: compiling costs the cells, never the trials) and what
+# a whole trial of the ule-bench sweep costs the heap
+# (TestAllocBudgetSweepTrial). These also run inside the full suite; the
+# target gives CI a label for them, the way test-sweep labels the pipeline
+# gate.
 test-budgets:
 	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
-	$(GO) test -run 'TestCompileCostIndependentOfTrials' -v ./internal/harness
+	$(GO) test -run 'TestCompileCostIndependentOfTrials|TestAllocBudgetSweepTrial' -v ./internal/harness
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the
 # budget tests plus the engine benchmarks and the kingdom benchmark's

@@ -229,15 +229,17 @@ func BenchmarkThm47_Cluster(b *testing.B) {
 // BenchmarkThm410_Kingdom (E14): O(m·log n) messages, O(D·log n) time,
 // deterministic, no knowledge. The protocol is message-driven, so next to
 // the paper's bounds it reports the host's price per delivered message:
-// heap allocations and Round calls (TestProtocolBudgets pins both).
+// heap allocations, on a Prepared's first trial and on a later one, and
+// Round calls (TestProtocolBudgets pins all three).
 func BenchmarkThm410_Kingdom(b *testing.B) {
 	g := mustRandom(b, 192, 800, 7)
 	d := g.DiameterExact()
-	allocs, steps, _ := protocolCensus(b, g, "kingdom")
+	c, _ := protocolCensus(b, g, "kingdom")
 	b.ResetTimer()
 	benchElect(b, g, "kingdom", d, float64(g.M())*log2of(g.N()), float64(d)*log2of(g.N()), true, core.Options{})
-	b.ReportMetric(allocs, "allocs/msg")
-	b.ReportMetric(steps, "steps/msg")
+	b.ReportMetric(c.cold, "cold-allocs/msg")
+	b.ReportMetric(c.warm, "warm-allocs/msg")
+	b.ReportMetric(c.steps, "steps/msg")
 }
 
 // BenchmarkTable1 (E15): head-to-head on one graph; raw msgs/m and rounds.

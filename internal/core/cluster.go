@@ -345,7 +345,7 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 		sorted = append(sorted, q)
 	}
 	sort.Ints(sorted)
-	initFlooder(&p.fl, c.Degree(), sorted, true, tagPhaseB, c.Send)
+	initFlooder(&p.fl, c.Degree(), sorted, true, tagPhaseB, c)
 	p.meKey = drawKey(c, rankSpace(c.Know().N))
 	// Anonymous networks reuse the phase-1 identity as the tiebreak token.
 	if !c.HasID() {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -274,5 +276,75 @@ func TestLeastElCongestCompliant(t *testing.T) {
 	}
 	if res.MaxMsgBits > sim.DefaultBitCap(g.N()) {
 		t.Errorf("payload of %d bits exceeds cap", res.MaxMsgBits)
+	}
+}
+
+// TestRankSpaceSaturates pins the §4.2 rank range [1, n⁴] across the int64
+// boundary: from n = 55 109 the product wrapped and every rank came from
+// {1..4}, leaving Lemma 4.3's list bound to the ID tie-breaks.
+func TestRankSpaceSaturates(t *testing.T) {
+	for _, tt := range []struct {
+		n    int
+		want int64
+	}{
+		{0, 4}, {1, 4}, {2, 16}, {16, 65536},
+		{55108, 55108 * 55108 * 55108 * 55108},
+		{55109, math.MaxInt64}, {60000, math.MaxInt64}, {65536, math.MaxInt64}, {1 << 20, math.MaxInt64},
+	} {
+		if got := rankSpace(tt.n); got != tt.want {
+			t.Errorf("rankSpace(%d) = %d, want %d", tt.n, got, tt.want)
+		}
+	}
+}
+
+// TestPreparedIDsMatchSim pins the identifier draws a Prepared makes into
+// its own buffer to the allocating originals: the same values in the same
+// order as sim.PermutationIDs (rand.Perm underneath) and sim.RandomIDs,
+// for every n up to 64 at 32 seeds, on a buffer that is reused throughout.
+func TestPreparedIDsMatchSim(t *testing.T) {
+	var ids []int64
+	seen := make(map[int64]struct{})
+	for n := 0; n <= 64; n++ {
+		for seed := int64(1); seed <= 32; seed++ {
+			want := sim.PermutationIDs(n, rand.New(rand.NewSource(seed)))
+			ids = permutationIDs(ids, n, rand.New(rand.NewSource(seed)))
+			if !slices.Equal(ids, want) {
+				t.Fatalf("permutationIDs(n=%d, seed=%d) = %v, sim.PermutationIDs %v", n, seed, ids, want)
+			}
+			want = sim.RandomIDs(n, rand.New(rand.NewSource(seed)))
+			ids = randomIDs(ids, seen, n, rand.New(rand.NewSource(seed)))
+			if !slices.Equal(ids, want) {
+				t.Fatalf("randomIDs(n=%d, seed=%d) = %v, sim.RandomIDs %v", n, seed, ids, want)
+			}
+		}
+	}
+	// Where sim.RandomIDs' n⁴ has wrapped (to 0 here, which its guard turns
+	// into n): elect-dense's flood cell draws exactly these.
+	want := sim.RandomIDs(65536, rand.New(rand.NewSource(1)))
+	if ids = randomIDs(ids, seen, 65536, rand.New(rand.NewSource(1))); !slices.Equal(ids, want) {
+		t.Error("randomIDs(n=65536) differs from sim.RandomIDs")
+	}
+	// Through the Prepared: the election recipe's streams.
+	g := graph.Ring(24)
+	prep, err := Prepare(g, "leastel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		want := sim.PermutationIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(seed, -2))))
+		if got := prep.PermutationIDs(sim.NodeSeed(seed, -2)); !slices.Equal(got, want) {
+			t.Errorf("Prepared.PermutationIDs(seed %d) = %v, want %v", seed, got, want)
+		}
+		fresh, _, err := Config(g, "leastel", RunOpts{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, _, err := prep.config(RunOpts{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(warm.IDs, fresh.IDs) {
+			t.Errorf("seed %d: a Prepared draws IDs %v, Config %v", seed, warm.IDs, fresh.IDs)
+		}
 	}
 }

@@ -44,8 +44,8 @@ type estimateProc struct {
 }
 
 func (p *estimateProc) Start(c *sim.Context) {
-	initFlooder(&p.flA, c.Degree(), nil, false, tagPhaseA, c.Send)
-	initFlooder(&p.flB, c.Degree(), nil, true, tagPhaseB, c.Send)
+	initFlooder(&p.flA, c.Degree(), nil, false, tagPhaseA, c)
+	initFlooder(&p.flB, c.Degree(), nil, true, tagPhaseB, c)
 	// Geometric draw: flips until the first heads.
 	p.x = 1
 	for c.Rand().Intn(2) == 0 {

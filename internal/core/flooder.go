@@ -97,6 +97,29 @@ var flMsgPool = sync.Pool{New: func() any { return new(flMsg) }}
 // transcript, and count the releases.
 var onRelease func(*flMsg)
 
+// onRenew, when set, sees every process a sim.Recycler of this package is
+// about to renew, before any of it is reset. Tests only: they scribble
+// over everything the process retained, so that a field the reset leaves
+// out moves a transcript.
+var onRenew func(sim.Process)
+
+// reuse returns the process a Renew builds the initial state in: old when
+// it is one of the protocol's own (a *T), a new T when the node has not run
+// yet or ran another protocol last.
+func reuse[T any, P interface {
+	*T
+	sim.Process
+}](old sim.Process) P {
+	p, ok := old.(P)
+	if !ok {
+		return new(T)
+	}
+	if onRenew != nil {
+		onRenew(p)
+	}
+	return p
+}
+
 // releaseInbox returns the flood boxes of a handled inbox to the pool.
 func releaseInbox(inbox []sim.Message) {
 	for i := range inbox {
@@ -140,10 +163,11 @@ type flooder struct {
 	// nil meaning all deg of them.
 	deg   int
 	ports []int
-	send  func(realPort int, p sim.Payload)
+	wire  sender
 
 	// q is the drip queue, one FIFO for all ports; sent is flush's
-	// per-port count, allocated by the first flush that needs one.
+	// per-port count, all zero between flushes and sized by the first one
+	// that needs it.
 	q    []flRef
 	sent []uint8
 	// ranks is handleInbox's reusable sort scratch.
@@ -163,15 +187,32 @@ type flooder struct {
 	won       bool
 }
 
+// sender is where a flooder puts its *flMsg boxes on the wire: the node's
+// *sim.Context in production.
+type sender interface {
+	Send(realPort int, p sim.Payload)
+}
+
 // flushRate bounds flood sends per port per round, keeping bursts of
 // echoes within the CONGEST per-edge budget.
 const flushRate = 4
 
-// initFlooder initializes a flooder in place on a node of degree deg. A nil
-// ports means every port; send receives the *flMsg boxes (Context.Send in
-// production).
-func initFlooder(f *flooder, deg int, ports []int, min bool, tag uint8, send func(int, sim.Payload)) {
-	*f = flooder{min: min, tag: tag, deg: deg, ports: ports, send: send, best: negKey, heard: negKey}
+// recycle returns f to the zero flooder, keeping the capacity of its queue,
+// scratch and list for the next run. A run can end with records queued:
+// the queue is cleared so that it pins no box.
+func (f *flooder) recycle() {
+	clear(f.q)
+	clear(f.sent)
+	*f = flooder{q: f.q[:0], sent: f.sent[:0], ranks: f.ranks[:0], list: f.list[:0]}
+}
+
+// initFlooder initializes a flooder in place on a node of degree deg, on
+// top of whatever storage an earlier run of the process left in it. A nil
+// ports means every port; wire receives the *flMsg boxes.
+func initFlooder(f *flooder, deg int, ports []int, min bool, tag uint8, wire sender) {
+	f.recycle()
+	f.min, f.tag, f.deg, f.ports, f.wire = min, tag, deg, ports, wire
+	f.best, f.heard = negKey, negKey
 	if min {
 		f.best, f.heard = infKey, infKey
 	}
@@ -231,19 +272,19 @@ func (f *flooder) flush() {
 	q := f.q
 	if len(q) <= flushRate { // no port can be over its rate
 		for i := range q {
-			f.send(q[i].port, q[i].m)
+			f.wire.Send(q[i].port, q[i].m)
 			q[i].m = nil
 		}
 		f.q = q[:0]
 		return
 	}
-	if f.sent == nil {
-		f.sent = make([]uint8, f.deg)
+	if len(f.sent) != f.deg {
+		f.sent = slices.Grow(f.sent[:0], f.deg)[:f.deg] // all zero: see recycle
 	}
 	for i := range q {
 		if p := q[i].port; f.sent[p] < flushRate {
 			f.sent[p]++
-			f.send(p, q[i].m)
+			f.wire.Send(p, q[i].m)
 			q[i].m = nil
 		}
 	}

@@ -70,7 +70,7 @@ func poisonReleases(t *testing.T) *releaseCensus {
 // entries the far end of each port would read.
 type wire []sim.Message
 
-func (w *wire) send(port int, p sim.Payload) { *w = append(*w, sim.Message{Port: port, Payload: p}) }
+func (w *wire) Send(port int, p sim.Payload) { *w = append(*w, sim.Message{Port: port, Payload: p}) }
 
 // take empties the wire.
 func (w *wire) take() []sim.Message {
@@ -88,8 +88,8 @@ type loopback struct {
 
 func newLoopback() *loopback {
 	lb := new(loopback)
-	initFlooder(&lb.a, 1, nil, true, 0, lb.toB.send)
-	initFlooder(&lb.b, 1, nil, true, 0, lb.toA.send)
+	initFlooder(&lb.a, 1, nil, true, 0, &lb.toB)
+	initFlooder(&lb.b, 1, nil, true, 0, &lb.toA)
 	return lb
 }
 
@@ -280,7 +280,7 @@ func TestFlooderQueueDrip(t *testing.T) {
 		w wire
 		f flooder
 	)
-	initFlooder(&f, 3, nil, true, 0, w.send)
+	initFlooder(&f, 3, nil, true, 0, &w)
 	for i, port := range []int{2, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1} {
 		f.out(port).Rank = int64(i)
 	}
@@ -324,8 +324,8 @@ func TestFlooderSharedInbox(t *testing.T) {
 		wa, wb wire
 		a, b   flooder
 	)
-	initFlooder(&a, 2, nil, false, tagPhaseA, wa.send)
-	initFlooder(&b, 2, nil, true, tagPhaseB, wb.send)
+	initFlooder(&a, 2, nil, false, tagPhaseA, &wa)
+	initFlooder(&b, 2, nil, true, tagPhaseB, &wb)
 	inbox := []sim.Message{
 		{Port: 0, Payload: &flMsg{Tag: tagPhaseA, Origin: 1, Rank: 7}},
 		{Port: 0, Payload: &flMsg{Tag: tagPhaseB, Origin: 2, Rank: 3}},
@@ -401,7 +401,7 @@ func TestFlooderIgnoresForeignPayloads(t *testing.T) {
 
 func TestFlooderAddPortIdempotent(t *testing.T) {
 	var f flooder
-	initFlooder(&f, 3, []int{0, 1}, true, 0, new(wire).send)
+	initFlooder(&f, 3, []int{0, 1}, true, 0, new(wire))
 	f.addPort(1)
 	f.addPort(2)
 	f.addPort(2)
@@ -409,7 +409,7 @@ func TestFlooderAddPortIdempotent(t *testing.T) {
 		t.Errorf("ports = %v", f.ports)
 	}
 	// A flood on every port has nothing to add.
-	initFlooder(&f, 3, nil, true, 0, new(wire).send)
+	initFlooder(&f, 3, nil, true, 0, new(wire))
 	f.addPort(2)
 	if f.ports != nil || f.numPorts() != 3 {
 		t.Errorf("all-ports flood grew: ports = %v", f.ports)

@@ -9,14 +9,24 @@ import "ule/internal/sim"
 // the gap the paper's algorithms close.
 type FloodMax struct{}
 
-var _ sim.Protocol = FloodMax{}
+var _ sim.Recycler = FloodMax{}
 
 // Name implements sim.Protocol.
 func (FloodMax) Name() string { return "flood" }
 
 // New implements sim.Protocol.
-func (FloodMax) New(info sim.NodeInfo) sim.Process { return &floodProc{} }
+func (f FloodMax) New(info sim.NodeInfo) sim.Process { return f.Renew(nil, info) }
 
+// Renew implements sim.Recycler.
+func (FloodMax) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[floodProc](old)
+	*p = floodProc{slab: p.slab.rewound()}
+	return p
+}
+
+// idMsg is the wire record: the largest identifier the sender has seen.
+// It travels as a pointer into the sender's slab, so a Broadcast boxes
+// nothing.
 type idMsg struct{ id int64 }
 
 func (m idMsg) Bits() int { return sim.BitsFor(m.id) }
@@ -24,6 +34,7 @@ func (m idMsg) Bits() int { return sim.BitsFor(m.id) }
 type floodProc struct {
 	me, max  int64
 	deadline int
+	slab     slab[idMsg]
 }
 
 func (p *floodProc) Start(c *sim.Context) {
@@ -36,13 +47,13 @@ func (p *floodProc) Start(c *sim.Context) {
 	// The maximum ID reaches every node within D hops; one extra round
 	// accounts for the initial send.
 	p.deadline = c.Round() + c.Know().D + 1
-	c.Broadcast(idMsg{p.me})
+	c.Broadcast(p.slab.box(idMsg{p.me}))
 }
 
 func (p *floodProc) Round(c *sim.Context, inbox []sim.Message) {
 	improved := false
 	for _, in := range inbox {
-		m, ok := in.Payload.(idMsg)
+		m, ok := in.Payload.(*idMsg)
 		if !ok {
 			continue
 		}
@@ -52,7 +63,7 @@ func (p *floodProc) Round(c *sim.Context, inbox []sim.Message) {
 		}
 	}
 	if improved && c.Round() < p.deadline {
-		c.Broadcast(idMsg{p.max})
+		c.Broadcast(p.slab.box(idMsg{p.max}))
 	}
 	if c.Round() >= p.deadline {
 		if p.max == p.me {

@@ -28,7 +28,7 @@ type Kingdom struct {
 	KnownD bool
 }
 
-var _ sim.Protocol = Kingdom{}
+var _ sim.Recycler = Kingdom{}
 
 // Name implements sim.Protocol.
 func (k Kingdom) Name() string {
@@ -39,8 +39,15 @@ func (k Kingdom) Name() string {
 }
 
 // New implements sim.Protocol.
-func (k Kingdom) New(info sim.NodeInfo) sim.Process {
-	return &kingdomProc{knownD: k.KnownD}
+func (k Kingdom) New(info sim.NodeInfo) sim.Process { return k.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a kingdom process,
+// written over old's wave table, children slices and slab when old is a
+// kingdom process.
+func (k Kingdom) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[kingdomProc](old)
+	*p = kingdomProc{knownD: k.KnownD, states: p.states[:0], slab: p.slab.rewound(), elects: p.elects[:0]}
+	return p
 }
 
 // kkey is a kingdom claim: candidate id at a phase, totally ordered.
@@ -81,9 +88,8 @@ const (
 // kMsg is the one wire record of the protocol, sent as *kMsg so a Send
 // boxes nothing. Fields a kind does not carry are zero and cost no bits.
 //
-// Ownership: the sender draws the record from its own slab (box) and never
-// writes it again; one record may ride every port of a broadcast. Receivers
-// only read it, and only during the Round that delivers it. The record is
+// Ownership: the sender draws the record from its own slab (slab.go has the
+// rules) and one record may ride every port of a broadcast. The record is
 // pointer-free, so the slab chunks are never scanned.
 type kMsg struct {
 	kind    kKind
@@ -115,11 +121,9 @@ func (m *kMsg) Bits() int {
 // msgKDone is the field-less termination payload, shared by every sender.
 var msgKDone = &kMsg{kind: kDone}
 
-// kSlabChunk is the number of wire records a process allocates at a time.
-const kSlabChunk = 16
-
 // kState is the per-wave membership state at a node.
 type kState struct {
+	key      kkey
 	parent   int // port toward the wave's root; -1 at the root
 	children []int
 	pending  int  // outstanding ELECT replies
@@ -135,19 +139,20 @@ type kState struct {
 type kingdomProc struct {
 	knownD bool
 
-	me        int64
-	zMax      kkey // largest claim ever seen (monotone)
-	states    map[kkey]*kState
+	me   int64
+	zMax kkey // largest claim ever seen (monotone)
+	// states holds the waves this node joined or launched, in that order.
+	// A wave enters only by overtaking zMax, so the keys ascend strictly
+	// and the newest entries are the live ones.
+	states    []kState
 	candidate bool
 	phase     int32
 	decided   bool
 	doneSent  bool
 	halting   bool
 
-	// slab chunk-allocates the wire records this node sends (see kMsg); a
-	// full chunk is abandoned in place — records in flight keep pointing
-	// into it — and a fresh one started.
-	slab []kMsg
+	// slab holds the wire records this node sends (see kMsg).
+	slab slab[kMsg]
 	// elects is Round's reusable scratch: this round's ELECTs, strongest
 	// claim first.
 	elects []kElectIn
@@ -159,13 +164,26 @@ type kElectIn struct {
 	m    *kMsg
 }
 
-// box copies m into the slab and returns the record to send.
-func (p *kingdomProc) box(m kMsg) *kMsg {
-	if len(p.slab) == cap(p.slab) {
-		p.slab = make([]kMsg, 0, kSlabChunk)
+// enter appends the state of wave key, reached through parent and waiting
+// for pending replies, on top of whatever entry an earlier run left there
+// (its children slice is kept for its capacity). The pointer is good until
+// the next enter.
+func (p *kingdomProc) enter(key kkey, parent, pending int) *kState {
+	p.states = extend(p.states)
+	st := &p.states[len(p.states)-1]
+	*st = kState{key: key, parent: parent, pending: pending, agg: key, children: st.children[:0]}
+	return st
+}
+
+// wave returns the state of wave key, nil when this node never entered it;
+// newest first: traffic mostly belongs to the latest waves.
+func (p *kingdomProc) wave(key kkey) *kState {
+	for i := len(p.states) - 1; i >= 0; i-- {
+		if p.states[i].key == key {
+			return &p.states[i]
+		}
 	}
-	p.slab = append(p.slab, m)
-	return &p.slab[len(p.slab)-1]
+	return nil
 }
 
 func (p *kingdomProc) radius(phase int32, c *sim.Context) int32 {
@@ -187,7 +205,6 @@ func (p *kingdomProc) Start(c *sim.Context) {
 	if !c.HasID() {
 		p.me = c.Rand().Int63()
 	}
-	p.states = make(map[kkey]*kState)
 	p.candidate = true
 	p.phase = 1
 	p.launchWave(c)
@@ -197,14 +214,12 @@ func (p *kingdomProc) Start(c *sim.Context) {
 func (p *kingdomProc) launchWave(c *sim.Context) {
 	key := kkey{phase: p.phase, id: p.me}
 	p.zMax = p.zMax.max(key)
-	st := &kState{parent: -1, pending: c.Degree(), agg: key}
-	p.states[key] = st
-	if st.pending == 0 {
+	if p.enter(key, -1, c.Degree()).pending == 0 {
 		// Single-node network: both wins are vacuous.
 		p.crown(c)
 		return
 	}
-	c.Broadcast(p.box(kMsg{kind: kElect, key: key, ttl: p.radius(p.phase, c)}))
+	c.Broadcast(p.slab.box(kMsg{kind: kElect, key: key, ttl: p.radius(p.phase, c)}))
 }
 
 // Round is message-driven: every state change of the protocol sits in a
@@ -255,7 +270,7 @@ func (p *kingdomProc) Round(c *sim.Context, inbox []sim.Message) {
 		case kConfirm:
 			p.handleConfirm(c, m.key)
 		case kProbe:
-			c.Send(in.Port, p.box(kMsg{kind: kProbeRe, key: m.key, max: p.zMax}))
+			c.Send(in.Port, p.slab.box(kMsg{kind: kProbeRe, key: m.key, max: p.zMax}))
 		case kProbeRe:
 			p.handleVictorPart(c, m.key, m.max, m.max == m.key)
 		case kVictor:
@@ -272,25 +287,24 @@ func (p *kingdomProc) Round(c *sim.Context, inbox []sim.Message) {
 func (p *kingdomProc) handleElect(c *sim.Context, port int, m *kMsg) {
 	if !p.zMax.less(m.key) {
 		// Known or weaker claim: immediate echo carrying the stronger one.
-		c.Send(port, p.box(kMsg{kind: kReply, key: m.key, max: p.zMax}))
+		c.Send(port, p.slab.box(kMsg{kind: kReply, key: m.key, max: p.zMax}))
 		return
 	}
 	p.zMax = m.key
 	p.noteDefeat(c)
-	st := &kState{parent: port, agg: m.key}
-	p.states[m.key] = st
+	st := p.enter(m.key, port, 0)
 	if m.ttl > 1 && c.Degree() > 1 {
 		st.pending = c.Degree() - 1
-		c.BroadcastExcept(port, p.box(kMsg{kind: kElect, key: m.key, ttl: m.ttl - 1}))
+		c.BroadcastExcept(port, p.slab.box(kMsg{kind: kElect, key: m.key, ttl: m.ttl - 1}))
 		return
 	}
 	// Leaf of the wave: join immediately.
 	st.replied = true
-	c.Send(port, p.box(kMsg{kind: kReply, key: m.key, join: true, max: p.zMax}))
+	c.Send(port, p.slab.box(kMsg{kind: kReply, key: m.key, join: true, max: p.zMax}))
 }
 
 func (p *kingdomProc) handleReply(c *sim.Context, port int, m *kMsg) {
-	st := p.states[m.key]
+	st := p.wave(m.key)
 	if st == nil || st.pending == 0 {
 		return // echo for an abandoned wave
 	}
@@ -304,7 +318,7 @@ func (p *kingdomProc) handleReply(c *sim.Context, port int, m *kMsg) {
 	}
 	if st.parent >= 0 {
 		st.replied = true
-		c.Send(st.parent, p.box(kMsg{kind: kReply, key: m.key, join: true, max: st.agg.max(p.zMax)}))
+		c.Send(st.parent, p.slab.box(kMsg{kind: kReply, key: m.key, join: true, max: st.agg.max(p.zMax)}))
 		return
 	}
 	// Root: first win decided.
@@ -331,19 +345,19 @@ func (p *kingdomProc) startStage2(c *sim.Context, key kkey, st *kState) {
 	st.covered2 = true
 	st.pending2 = len(st.children) + c.Degree()
 	if len(st.children) > 0 {
-		confirm := p.box(kMsg{kind: kConfirm, key: key})
+		confirm := p.slab.box(kMsg{kind: kConfirm, key: key})
 		for _, ch := range st.children {
 			c.Send(ch, confirm)
 		}
 	}
-	c.Broadcast(p.box(kMsg{kind: kProbe, key: key}))
+	c.Broadcast(p.slab.box(kMsg{kind: kProbe, key: key}))
 	if st.pending2 == 0 {
 		p.stage2Done(c, key, st)
 	}
 }
 
 func (p *kingdomProc) handleConfirm(c *sim.Context, key kkey) {
-	st := p.states[key]
+	st := p.wave(key)
 	if st == nil || st.stage2 || !st.replied {
 		return // not a member (or duplicate confirm)
 	}
@@ -353,7 +367,7 @@ func (p *kingdomProc) handleConfirm(c *sim.Context, key kkey) {
 // handleVictorPart folds one probe reply or child victor into the stage-2
 // aggregate of the wave identified by key.
 func (p *kingdomProc) handleVictorPart(c *sim.Context, key, max kkey, covered bool) {
-	st := p.states[key]
+	st := p.wave(key)
 	if st == nil || !st.stage2 || st.pending2 == 0 {
 		return
 	}
@@ -370,7 +384,7 @@ func (p *kingdomProc) handleVictorPart(c *sim.Context, key, max kkey, covered bo
 
 func (p *kingdomProc) stage2Done(c *sim.Context, key kkey, st *kState) {
 	if st.parent >= 0 {
-		c.Send(st.parent, p.box(kMsg{kind: kVictor, key: key, max: st.agg2.max(p.zMax), covered: st.covered2}))
+		c.Send(st.parent, p.slab.box(kMsg{kind: kVictor, key: key, max: st.agg2.max(p.zMax), covered: st.covered2}))
 		return
 	}
 	if !p.candidate || key.id != p.me || key.phase != p.phase {
@@ -385,7 +399,7 @@ func (p *kingdomProc) stage2Done(c *sim.Context, key kkey, st *kState) {
 		p.crown(c)
 	default:
 		p.phase++
-		p.launchWave(c)
+		p.launchWave(c) // enters a wave: st, and the caller's, is stale from here
 	}
 }
 

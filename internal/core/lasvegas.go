@@ -50,7 +50,7 @@ func (p *lvProc) Start(c *sim.Context) {
 func (p *lvProc) startEpoch(c *sim.Context) {
 	d := c.Know().D
 	p.epochEnd = c.Round() + 2*d + 3
-	initFlooder(&p.fl, c.Degree(), nil, true, tagPhaseB, c.Send)
+	initFlooder(&p.fl, c.Degree(), nil, true, tagPhaseB, c)
 	p.active = false
 	p.wonKnown = false
 	n := c.Know().N

@@ -59,13 +59,20 @@ func fValue(k FKind, n int, o Options) float64 {
 	return f
 }
 
-// rankSpace returns the rank range [1, n^4] of Section 4.2.
+// rankSpace returns the rank range [1, n^4] of Section 4.2, at least 4 and
+// saturated at math.MaxInt64: n^4 leaves int64 at n = 55 109, and the
+// wrapped product (0 at n = 65 536) would have every rank drawn from {1..4}
+// exactly where the range should be largest, leaving the Lemma 4.3 list
+// bound to the ID tie-breaks.
 func rankSpace(n int) int64 {
-	s := int64(n) * int64(n) * int64(n) * int64(n)
-	if s < 4 {
-		s = 4
+	if n > math.MaxInt32 {
+		return math.MaxInt64
 	}
-	return s
+	sq := int64(n) * int64(n)
+	if sq > 1 && sq > math.MaxInt64/sq {
+		return math.MaxInt64
+	}
+	return max(sq*sq, 4)
 }
 
 // drawKey draws a candidate's (rank, origin) pair. The origin is the unique
@@ -92,14 +99,21 @@ type LeastEl struct {
 	Opt Options
 }
 
-var _ sim.Protocol = LeastEl{}
+var _ sim.Recycler = LeastEl{}
 
 // Name implements sim.Protocol.
 func (l LeastEl) Name() string { return "leastel(" + l.F.String() + ")" }
 
 // New implements sim.Protocol.
-func (l LeastEl) New(info sim.NodeInfo) sim.Process {
-	return &leastelProc{kind: l.F, opt: l.Opt}
+func (l LeastEl) New(info sim.NodeInfo) sim.Process { return l.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a least-element
+// process, keeping the flooder storage of old when old is one.
+func (l LeastEl) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[leastelProc](old)
+	p.fl.recycle()
+	*p = leastelProc{kind: l.F, opt: l.Opt, fl: p.fl}
+	return p
 }
 
 type leastelProc struct {
@@ -113,7 +127,7 @@ type leastelProc struct {
 
 func (p *leastelProc) Start(c *sim.Context) {
 	n := c.Know().N // Theorem 4.4 assumes n is known
-	initFlooder(&p.fl, c.Degree(), nil, true, 0, c.Send)
+	initFlooder(&p.fl, c.Degree(), nil, true, 0, c)
 	f := fValue(p.kind, n, p.opt)
 	p.candidate = c.Rand().Float64() < f/float64(n)
 	if p.candidate {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ule/internal/graph"
 	"ule/internal/sim"
@@ -128,6 +129,11 @@ type Prepared struct {
 	// rng is the per-trial seed stream (ID draws), reseeded for every use
 	// so a trial pays neither a fill nor an allocation for it.
 	rng *rand.Rand
+	// ids and idSeen hold the current trial's drawn identifiers (the
+	// permutation or the random assignment; a trial uses one of them) and
+	// the random draw's duplicate filter, so a trial allocates neither.
+	ids    []int64
+	idSeen map[int64]struct{}
 }
 
 // Prepare validates the algorithm name and graph and builds the reusable
@@ -150,17 +156,63 @@ func (p *Prepared) Spec() Spec { return p.spec }
 // Graph returns the graph this Prepared is bound to.
 func (p *Prepared) Graph() *graph.Graph { return p.g }
 
-// Rand returns the Prepared's one scratch generator reseeded: it draws what
-// rand.New(rand.NewSource(seed)) would. The next Rand or Run call on p
-// reseeds it, so draw everything needed first.
-func (p *Prepared) Rand(seed int64) *rand.Rand {
+// PermutationIDs returns what sim.PermutationIDs(n, rand.New(rand.NewSource(
+// seed))) would, in a buffer p owns: the slice is good until p next draws
+// identifiers — the next PermutationIDs, or a Run without RunOpts.IDs.
+func (p *Prepared) PermutationIDs(seed int64) []int64 {
 	p.rng.Seed(seed)
-	return p.rng
+	p.ids = permutationIDs(p.ids, p.g.N(), p.rng)
+	return p.ids
+}
+
+// permutationIDs is sim.PermutationIDs(n, rng) written over ids: rand.Perm's
+// draws in rand.Perm's order, shuffled in place.
+func permutationIDs(ids []int64, n int, rng *rand.Rand) []int64 {
+	ids = slices.Grow(ids[:0], n)[:n]
+	for i := range ids {
+		j := rng.Intn(i + 1)
+		ids[i] = ids[j]
+		ids[j] = int64(i) + 1
+	}
+	return ids
+}
+
+// randomIDs is sim.RandomIDs(n, rng) written over ids — the same draws in
+// the same order, from the same space, its wrap past n = 55 108 and the
+// guard on it included — with seen, emptied first, as the duplicate filter.
+func randomIDs(ids []int64, seen map[int64]struct{}, n int, rng *rand.Rand) []int64 {
+	clear(seen)
+	space := int64(n) * int64(n) * int64(n) * int64(n)
+	if space < int64(n) {
+		space = int64(n)
+	}
+	for ids = ids[:0]; len(ids) < n; {
+		id := 1 + rng.Int63n(space)
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// config is RunOpts.config on p's graph and algorithm, with the random
+// identifiers — when the run draws any — in p's own buffer.
+func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
+	if ro.IDs == nil && !ro.Anonymous {
+		if p.idSeen == nil {
+			p.idSeen = make(map[int64]struct{}, p.g.N())
+		}
+		p.rng.Seed(sim.NodeSeed(ro.Seed, -1))
+		p.ids = randomIDs(p.ids, p.idSeen, p.g.N(), p.rng)
+		ro.IDs = p.ids
+	}
+	return ro.config(p.g, p.spec, p.rng)
 }
 
 // Run executes one trial.
 func (p *Prepared) Run(ro RunOpts) (*sim.Result, error) {
-	cfg, proto, err := ro.config(p.g, p.spec, p.rng)
+	cfg, proto, err := p.config(ro)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +225,7 @@ func (p *Prepared) Run(ro RunOpts) (*sim.Result, error) {
 // allocation flat; the filled Result is overwritten by the next RunInto
 // with the same out.
 func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
-	cfg, proto, err := ro.config(p.g, p.spec, p.rng)
+	cfg, proto, err := p.config(ro)
 	if err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func (p *spannerLEProc) beginElection(c *sim.Context) {
 		// every port instead.
 		ports = nil
 	}
-	initFlooder(&p.fl, c.Degree(), ports, true, tagPhaseB, c.Send)
+	initFlooder(&p.fl, c.Degree(), ports, true, tagPhaseB, c)
 	p.me = drawKey(c, rankSpace(c.Know().N))
 	p.fl.start(p.me, 0)
 	p.fl.flush()

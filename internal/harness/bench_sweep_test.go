@@ -5,8 +5,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 )
+
+// poolDrops reports whether sync.Pool loses what it was just given, as it
+// does under the race detector (Put discards a quarter of the items at
+// random): the flood family's wire boxes then come from the heap again and
+// allocation counts mean nothing.
+func poolDrops() bool {
+	const k = 64
+	var p sync.Pool
+	for i := 0; i < k; i++ {
+		p.Put(new(int))
+	}
+	kept := 0
+	for i := 0; i < k; i++ {
+		if p.Get() != nil {
+			kept++
+		}
+	}
+	return kept < k-1 // one item can strand on another P's private slot
+}
 
 // syntheticTrials fabricates a deterministic emit-bound trial stream —
 // mixed cells, a sprinkling of fault counts — shaped like a real sweep
@@ -195,6 +216,44 @@ func TestAllocBudgetSweepConsumer(t *testing.T) {
 	}
 	if len(tail.plan.ring.buf) != ringSlots {
 		t.Errorf("the reorder ring grew to %d slots on an in-window stream", len(tail.plan.ring.buf))
+	}
+}
+
+// TestAllocBudgetSweepTrial pins what a whole trial costs the heap on the
+// sweep cmd/ule-bench runs (sweep-small: 54 cells of 16-24 node graphs,
+// round-capped): on a Plan's second Run, one worker, at most 1 KB and 12
+// allocations per trial with everything counted — the run's nine Prepares
+// and their cold first trials (some 180 KB each, which is why a cell gets
+// 100 trials here: at 20 they are three quarters of the reading), the
+// tail, the per-trial protocol value. A warm Runner renews its processes
+// (sim.Recycler) and the Prepared owns the ID buffer, so a trial rebuilds
+// neither; before that a trial of this sweep cost 17 KB and 120
+// allocations.
+func TestAllocBudgetSweepTrial(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool is dropping items (race detector?): wire boxes would count")
+	}
+	plan, err := benchLikeSpec(100).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		rc := RunConfig{Workers: 1, Emitters: []Emitter{NewBinaryEmitter(io.Discard, BinaryOptions{})}}
+		if _, err := plan.Run(rc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // builds the graphs and warms the tail
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	trials := float64(plan.Total())
+	allocs := float64(after.Mallocs-before.Mallocs) / trials
+	size := float64(after.TotalAlloc-before.TotalAlloc) / trials
+	t.Logf("%d trials: %.1f allocations and %.0f B per trial", plan.Total(), allocs, size)
+	if allocs > 12 || size > 1024 {
+		t.Errorf("a sweep trial costs %.1f allocations and %.0f B, budget 12 and 1024", allocs, size)
 	}
 }
 

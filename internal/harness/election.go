@@ -33,6 +33,10 @@ type Election struct {
 // small-ID permutation, the materialized wake schedule and — only when the
 // algorithm's Table 1 row assumes knowledge of D — the granted diameter
 // (memoized on the graph). It fails only on a malformed wake spec.
+//
+// The permutation sits in a buffer prep owns (core.Prepared.PermutationIDs):
+// ro.IDs is good until the next RunOpts on that Prepared, so run the
+// election before resolving another.
 func (e Election) RunOpts(prep *core.Prepared) (core.RunOpts, error) {
 	g := prep.Graph()
 	wake, err := WakeSchedule(e.Wake, g.N(), e.Seed)
@@ -49,7 +53,7 @@ func (e Election) RunOpts(prep *core.Prepared) (core.RunOpts, error) {
 		Opt:       e.Opt,
 	}
 	if e.SmallIDs {
-		ro.IDs = sim.PermutationIDs(g.N(), prep.Rand(sim.NodeSeed(e.Seed, -2)))
+		ro.IDs = prep.PermutationIDs(sim.NodeSeed(e.Seed, -2))
 	}
 	if prep.Spec().NeedsD {
 		if e.DiameterEstimate {

@@ -500,7 +500,10 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 				continue
 			}
 			// Reset-state recovery / churn join: a fresh process appears and
-			// Starts this tick as a spontaneous waker.
+			// Starts this tick as a spontaneous waker. New, never Renew: what
+			// the crashed incarnation sent may still be in flight, and a
+			// renewed process would write over the records its receivers are
+			// about to read.
 			e.procs[u] = e.proto.New(e.ctxs[u].info)
 			e.status[u] = Undecided
 			e.halted[u] = false

@@ -298,6 +298,8 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	for i := range r.sendCnt {
 		r.sendCnt[i] = 0
 	}
+	// A warm Runner recycles: procs[u] is still what node u ran last.
+	recycler, _ := p.(Recycler)
 	for u := 0; u < n; u++ {
 		e.out[u] = e.out[u][:0]
 		e.inbox[u] = e.inbox[u][:0]
@@ -313,7 +315,11 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 			hasID = true
 		}
 		info := NodeInfo{ID: id, HasID: hasID, Degree: g.Degree(u), Know: cfg.Know}
-		e.procs[u] = p.New(info)
+		if recycler != nil {
+			e.procs[u] = recycler.Renew(e.procs[u], info)
+		} else {
+			e.procs[u] = p.New(info)
+		}
 		// The RNG is built and seeded lazily on the node's first Rand()
 		// call (see Context.Rand); r.rngs[u] is nil until then.
 		e.ctxs[u] = Context{eng: e, node: u, info: info, rng: r.rngs[u]}

@@ -144,6 +144,19 @@ type Protocol interface {
 	New(info NodeInfo) Process
 }
 
+// Recycler is a Protocol whose processes outlive the run: a Runner hands
+// Renew the process the node ran last on that Runner (nil on a first run;
+// another protocol's process when the Runner changed protocols) and runs
+// what it returns. Renew must return a process in exactly the state
+// New(info) would — no run may be able to tell the two apart — and may
+// build it in old's storage when old is one of its own. The engine renews
+// only between runs, when nothing the old process sent is in flight; a
+// node that rejoins mid-run (fault.go) gets a New process.
+type Recycler interface {
+	Protocol
+	Renew(old Process, info NodeInfo) Process
+}
+
 // Context is the per-node handle through which a process observes and acts
 // on the network. It is only valid during the Start/Round call that received
 // it.
