@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
+.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
 
 build:
 	$(GO) build ./...
@@ -57,9 +57,15 @@ test-race:
 # a pass) runs once, at 4, and with it the sweep pipeline's backlog test:
 # every worker runs the ordered tail under one lock, so the emitters, the
 # aggregator and the Progress hook are only race-free if that lock is
-# where the code says it is.
+# where the code says it is. The message-path battery rides along too
+# (TestBroadcastMatches*, TestInboxOrder*, TestRowOutgrows*,
+# TestWheelStorage*): the inbox-ordering scratch and the wheel's spare
+# delivery arrays are per shard and the rows are stretches of one slab per
+# Runner, which is exactly where a sharing mistake — a scratch two shards
+# both reach, a row that spills into its neighbour's stretch — is a data
+# race first.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
 
 bench:
@@ -75,9 +81,12 @@ bench-all:
 # One iteration per benchmark: proves the bench harness still runs without
 # paying for a full measurement sweep (-benchmem so the allocation columns
 # the fast-path work watches are exercised too). Covers the root package
-# experiment benchmarks and the topology benchmarks. Wired into CI.
+# experiment benchmarks (the dense flood cell of bench-dense among them),
+# the topology benchmarks and bench-dense's inbox-ordering rows. Wired
+# into CI.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/graph
+	$(GO) test -bench 'InboxOrder' -benchtime=1x -benchmem -run='^$$' ./internal/sim
 
 # The topology fast-path measurement set (docs/PERFORMANCE.md): CSR
 # construction + BFS/diameter benchmarks, the graph-construction
@@ -88,7 +97,8 @@ bench-graph:
 	$(GO) test -bench 'GraphMillionNodeWave|EngineWarm|EngineThroughput' -benchtime 5x -benchmem -run='^$$' .
 
 # The host-cost budgets (docs/PERFORMANCE.md): the AllocsPerRun budgets of
-# the engine fast path and, per registered algorithm, heap allocations and
+# the engine fast path, what a cold Runner costs before that path is warm
+# (TestAllocBudgetColdRunner) and, per registered algorithm, heap allocations and
 # Round calls per delivered message, on a Prepared's first trial and on a
 # later one (TestProtocolBudgets), plus the parked path's budget against
 # the hint-blind engine (internal/sim), the sweep compiler's
@@ -118,6 +128,17 @@ bench-flood:
 	$(GO) test -run 'TestFloodStartBudget|TestProtocolBudgets' -v .
 	$(GO) test -bench 'FloodRound' -benchtime 20x -run='^$$' ./internal/core
 
+# The synchronous message path measurement set (docs/PERFORMANCE.md § "The
+# synchronous message path"): the flood cell that dominates elect-dense —
+# warm, ns/msg and B/op, on one core and on two, since the default shard
+# count follows GOMAXPROCS — and what ordering one inbox row costs per
+# message by row length, degree and arrival order. These are the by-step
+# numbers that section quotes; the recorded end-to-end ones are
+# cmd/ule-bench's (elect-dense: core.run_ms.flood-random64k).
+bench-dense:
+	$(GO) test -bench 'EngineDense_FloodRandom64k' -benchtime 5x -benchmem -cpu 1,2 -run='^$$' .
+	$(GO) test -bench 'InboxOrder' -benchmem -run='^$$' ./internal/sim
+
 # The fault-adversary measurement set (docs/FAULTS.md): the fault-injected
 # allocation budget plus the warm-path fault benchmarks.
 bench-faults:
@@ -126,13 +147,15 @@ bench-faults:
 
 # The sharded-engine measurement set (docs/PERFORMANCE.md § "Sharded
 # engine scaling"): the sharded allocation budgets, the inline-vs-pooled
-# tick sweep the dispatch threshold was read from, the million-node ring
-# wave at 1/2/4/8 shards, and the 10M-node run. The before/after rows of
+# tick sweep the dispatch threshold was read from, what starting and
+# closing the shard pool costs against the emptiest run that starts one,
+# the million-node ring wave at 1/2/4/8 shards, and the 10M-node run. The before/after rows of
 # that section come from cmd/ule-bench (elect-dense, elect-sparse), not
 # from here.
 bench-shard:
 	$(GO) test -run 'TestAllocBudgetLeastelSharded|TestAllocBudgetLeastelAutoSharded' -v .
 	$(GO) test -bench 'TickDispatch' -benchtime 5x -run='^$$' ./internal/sim
+	$(GO) test -bench 'ShardPoolLifecycle' -benchmem -cpu 2 -run='^$$' ./internal/sim
 	$(GO) test -bench 'EngineSharded$$' -benchtime 3x -benchmem -run='^$$' -timeout 30m .
 	$(GO) test -bench 'EngineSharded10M' -benchtime 1x -benchmem -run='^$$' -timeout 30m .
 

@@ -249,6 +249,73 @@ func TestAllocBudgetGraphConstruction(t *testing.T) {
 	}
 }
 
+// heapCost returns the bytes and objects f allocates, read off the
+// runtime's cumulative counters (one call: what a first run costs cannot
+// be averaged over repeats).
+func heapCost(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestAllocBudgetColdRunner pins what a Runner costs before it is warm —
+// the price of every uled request that misses the Prepared cache and of
+// every graph a sweep visits once. On a small graph, core.Prepare plus the
+// first run of kingdom: the rows start out carved from two slabs instead
+// of growing one append at a time, node by node, and the wheel grows one
+// delivery array, not one per tick of the run (231 KB in 720 allocations
+// before that; 124 KB in 384 measured). On complete:1024, where a row
+// could be a thousand messages: the slab gives a row at most 32 slots up
+// front (8.6 MB for the Runner before, 10.2 MB measured; n·degree slots
+// would be 50 MB), and the first kingdom run, whose rows do grow, costs
+// what the traffic needs rather than that per ring slot (1.09 GB before,
+// 0.4 GB measured).
+func TestAllocBudgetColdRunner(t *testing.T) {
+	small, err := graph.FromSpec("random:24:60", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res sim.Result
+	run := func(prep *core.Prepared) {
+		if err := prep.RunInto(core.RunOpts{Seed: 7, IDs: prep.PermutationIDs(3)}, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !res.UniqueLeader() {
+			t.Fatal("election failed")
+		}
+	}
+	bytes, objects := heapCost(func() {
+		prep, err := core.Prepare(small, "kingdom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(prep)
+	})
+	t.Logf("kingdom on random:24:60, Prepare + first run: %d B in %d allocations", bytes, objects)
+	if bytes > 130<<10 || objects > 420 {
+		t.Errorf("kingdom on random:24:60, Prepare + first run: %d KB in %d allocations, budget 130 KB in 420", bytes>>10, objects)
+	}
+
+	big := graph.Complete(1024)
+	var prep *core.Prepared
+	bytes, _ = heapCost(func() {
+		if prep, err = core.Prepare(big, "kingdom"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Prepare on complete:1024: %d B", bytes)
+	if bytes > 12<<20 {
+		t.Errorf("Prepare on complete:1024: %.1f MB, budget 12 MB", float64(bytes)/(1<<20))
+	}
+	bytes, _ = heapCost(func() { run(prep) })
+	t.Logf("kingdom on complete:1024, first run: %d B", bytes)
+	if bytes > 450<<20 {
+		t.Errorf("kingdom on complete:1024, first run: %d MB allocated, budget 450 MB", bytes>>20)
+	}
+}
+
 // stepCounter wraps a protocol so that every Round call of every node is
 // counted: the host steps a run costs, next to the messages the paper
 // prices it in. Single-shard runs only (one shared counter).

@@ -701,3 +701,43 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineDense_FloodRandom64k is the flood cell of cmd/ule-bench's
+// elect-dense workload (`core.run_ms.flood-random64k`), the cell that
+// dominates that workload's rotation: FloodMax on random:65536:524288 with
+// the double-sweep diameter estimate granted, one warm Prepared serving
+// every iteration. Nearly all of a run is the engine's synchronous message
+// path — Broadcast, flush, delivery, inbox order — around an eight-line
+// Round, so ns/msg here is the price of one simulated message on a graph
+// too large for the cache (docs/PERFORMANCE.md § "The synchronous message
+// path" quotes it step by step). Run with -cpu 1,2: the default shard
+// count follows GOMAXPROCS (`make bench-dense`).
+func BenchmarkEngineDense_FloodRandom64k(b *testing.B) {
+	g, err := graph.FromSpec("random:65536:524288", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := core.Prepare(g, "flood")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := g.DiameterEstimate()
+	var res sim.Result
+	run := func(seed int64) {
+		if err := prep.RunInto(core.RunOpts{Seed: seed, D: d}, &res); err != nil {
+			b.Fatal(err)
+		}
+		if !res.UniqueLeader() {
+			b.Fatal("election failed")
+		}
+	}
+	run(0) // warm: rows, wheels and processes reach their steady size
+	var msgs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(int64(i) + 1)
+		msgs += res.Messages
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+}

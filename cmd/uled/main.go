@@ -54,6 +54,7 @@ func run(args []string) error {
 		jobTTL       = fs.Duration("job-ttl", 0, "finished-job retention before GC (0 = 10m)")
 		maxRounds    = fs.Int("max-rounds-cap", 0, "reject requests asking for more rounds than this (0 = 1<<20)")
 		maxTrials    = fs.Int("max-trials-cap", 0, "reject sweeps expanding past this many trials (0 = 1<<20)")
+		maxEdges     = fs.Int("max-edges-cap", 0, "reject graph specs expanding past this many edges, or a quarter as many nodes (0 = 1<<22)")
 		drain        = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 		withPprof    = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
@@ -64,7 +65,7 @@ func run(args []string) error {
 	m := serve.NewManager(serve.Config{
 		Slots: *slots, SweepWorkers: *sweepWorkers,
 		MaxJobs: *maxJobs, JobTTL: *jobTTL,
-		MaxRounds: *maxRounds, MaxTrials: *maxTrials,
+		MaxRounds: *maxRounds, MaxTrials: *maxTrials, MaxEdges: *maxEdges,
 	})
 	srv := &http.Server{
 		Handler:           serve.NewHandler(m, serve.HandlerConfig{Pprof: *withPprof}),

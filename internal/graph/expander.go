@@ -5,17 +5,26 @@ import (
 	"math/rand"
 )
 
+// checkRandomRegular is RandomRegular's precondition (spec.go answers size
+// questions by it without building).
+func checkRandomRegular(n, d int) error {
+	if d < 1 || d >= n {
+		return fmt.Errorf("graph: RandomRegular needs 1 <= d < n, got n=%d d=%d", n, d)
+	}
+	if n%2 != 0 && d%2 != 0 {
+		return fmt.Errorf("graph: RandomRegular needs n·d even, got n=%d d=%d", n, d)
+	}
+	return nil
+}
+
 // RandomRegular returns a random d-regular graph on n nodes (n·d even,
 // d < n), built by the pairing model with restarts: d-regular random
 // graphs are expanders with high probability, the graph class for which
 // [14] showed the Ω(n) message bound fails (context for the paper's
 // introduction). Rejection-samples until simple and connected.
 func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
-	if d < 1 || d >= n {
-		return nil, fmt.Errorf("graph: RandomRegular needs 1 <= d < n, got n=%d d=%d", n, d)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular needs n·d even, got n=%d d=%d", n, d)
+	if err := checkRandomRegular(n, d); err != nil {
+		return nil, err
 	}
 	for attempt := 0; attempt < 200; attempt++ {
 		stubs := make([]int, 0, n*d)

@@ -148,18 +148,26 @@ func (s *edgeSet) insert(u, v int) bool {
 	return true
 }
 
+// checkRandomConnected is RandomConnected's precondition (spec.go answers
+// size questions by it without building).
+func checkRandomConnected(n, m int) error {
+	if n < 1 {
+		return fmt.Errorf("graph: RandomConnected needs n >= 1, got %d", n)
+	}
+	if m < n-1 || int64(m) > pairs(n) {
+		return fmt.Errorf("graph: RandomConnected needs n-1 <= m <= n(n-1)/2, got n=%d m=%d", n, m)
+	}
+	return nil
+}
+
 // RandomConnected returns a uniformly-wired connected graph with n nodes and
 // exactly m edges (n-1 <= m <= n(n-1)/2): a random spanning tree plus m-n+1
 // additional distinct random edges. The RNG is consumed in a fixed order
 // independent of the storage representation, so seeded graphs are stable
 // across refactors.
 func RandomConnected(n, m int, rng *rand.Rand) (*Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("graph: RandomConnected needs n >= 1, got %d", n)
-	}
-	maxM := n * (n - 1) / 2
-	if m < n-1 || m > maxM {
-		return nil, fmt.Errorf("graph: RandomConnected needs n-1 <= m <= n(n-1)/2, got n=%d m=%d", n, m)
+	if err := checkRandomConnected(n, m); err != nil {
+		return nil, err
 	}
 	perm := rng.Perm(n)
 	used := newEdgeSet(n, m)

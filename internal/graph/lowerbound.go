@@ -13,21 +13,30 @@ type Lollipop struct {
 	Kappa int
 }
 
+// lollipopKappa checks NewLollipop's precondition and returns the clique
+// size κ it builds: the largest κ with κ(κ-1)/2 + κ <= m, at most n-2.
+func lollipopKappa(n, m int) (int, error) {
+	if n < 4 {
+		return 0, fmt.Errorf("graph: lollipop needs n >= 4, got %d", n)
+	}
+	if m < n {
+		return 0, fmt.Errorf("graph: lollipop needs m >= n, got n=%d m=%d", n, m)
+	}
+	// κ <= n-2 keeps at least a 2-node path, so a dumbbell has positive
+	// bridge distance; the bound also ends the search.
+	kappa := 2
+	for kappa < n-2 && pairs(kappa+1)+int64(kappa)+1 <= int64(m) {
+		kappa++
+	}
+	return kappa, nil
+}
+
 // NewLollipop builds the Theorem 3.1 base graph for the requested node and
 // edge budget. Requires n >= 4 and n <= m.
 func NewLollipop(n, m int) (*Lollipop, error) {
-	if n < 4 {
-		return nil, fmt.Errorf("graph: lollipop needs n >= 4, got %d", n)
-	}
-	if m < n {
-		return nil, fmt.Errorf("graph: lollipop needs m >= n, got n=%d m=%d", n, m)
-	}
-	kappa := 2
-	for (kappa+1)*kappa/2+kappa+1 <= m {
-		kappa++
-	}
-	if kappa > n-2 {
-		kappa = n - 2 // keep at least a 2-node path so a dumbbell has positive bridge distance
+	kappa, err := lollipopKappa(n, m)
+	if err != nil {
+		return nil, err
 	}
 	g := mustFromStream(n, "lollipop", func(yield func(u, v int)) {
 		for u := 0; u < kappa; u++ {
@@ -150,17 +159,24 @@ type CliqueCycle struct {
 	Gamma int
 }
 
+// cliqueCycleShape checks NewCliqueCycle's precondition and returns the
+// number of cliques D' and the clique size γ it builds.
+func cliqueCycleShape(n, d int) (dp, gamma int, err error) {
+	if d <= 2 || d >= n {
+		return 0, 0, fmt.Errorf("graph: clique-cycle needs 2 < d < n, got n=%d d=%d", n, d)
+	}
+	dp = 4 * ((d + 3) / 4)
+	gamma = (n-1)/dp + 1 // ⌈n/dp⌉ without the overflow
+	return dp, gamma, nil
+}
+
 // NewCliqueCycle builds the construction for target size n and diameter
 // parameter d (2 < d < n). The resulting graph has γ·D' = Θ(n) nodes and
 // diameter Θ(d).
 func NewCliqueCycle(n, d int) (*CliqueCycle, error) {
-	if d <= 2 || d >= n {
-		return nil, fmt.Errorf("graph: clique-cycle needs 2 < d < n, got n=%d d=%d", n, d)
-	}
-	dp := 4 * ((d + 3) / 4)
-	gamma := (n + dp - 1) / dp
-	if gamma < 1 {
-		gamma = 1
+	dp, gamma, err := cliqueCycleShape(n, d)
+	if err != nil {
+		return nil, err
 	}
 	total := gamma * dp
 	node := func(clique, k int) int { return clique*gamma + k }

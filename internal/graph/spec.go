@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -19,160 +20,223 @@ import (
 // Randomized families (random, regular, dumbbell) are deterministic given
 // (spec, seed); deterministic families ignore the seed.
 func FromSpec(spec string, seed int64) (*Graph, error) {
-	parts := strings.Split(spec, ":")
-	kind := parts[0]
-	wantParts := func(k int, usage string) error {
-		if len(parts) != k {
-			return fmt.Errorf("graph spec %q: want %s", spec, usage)
-		}
-		return nil
+	f, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	num := func(i int) (int, error) {
-		v, err := strconv.Atoi(parts[i])
+	return f.build(seed)
+}
+
+// SpecSize returns the node and edge count of the graph FromSpec(spec, ·)
+// builds, by arithmetic alone — the seed of a randomized family moves
+// edges, never their number — so that a caller can refuse a spec for its
+// size before paying for it. It fails exactly on the specs FromSpec
+// refuses for their text; the one failure it cannot foresee is regular:N:D
+// finding no connected pairing in its 200 draws.
+func SpecSize(spec string) (nodes, edges int64, err error) {
+	f, err := parseSpec(spec)
+	if err != nil {
+		return 0, 0, err
+	}
+	nodes, edges = f.size()
+	return nodes, edges, nil
+}
+
+// family is a parsed spec: a family name and its parameters, inside the
+// family's documented range.
+type family struct {
+	kind string
+	a, b int // b is 0 for the one-parameter families
+}
+
+// parseSpec is the grammar: the one place that decides what is a valid
+// spec, for the builder and the size arithmetic alike. The constructors
+// reserve panics for programmatic misuse, but a spec string is user
+// input, so every family's minimum and every constructor's precondition
+// is a parse error here. A parameter beyond the CSR arrays' int32 index
+// range describes no graph this package can hold and is refused as such,
+// which also keeps every product in size inside an int64.
+func parseSpec(spec string) (family, error) {
+	parts := strings.Split(spec, ":")
+	f := family{kind: parts[0]}
+	num := func(text string) (int, error) {
+		v, err := strconv.Atoi(text)
 		if err != nil {
-			return 0, fmt.Errorf("graph spec %q: bad parameter %q", spec, parts[i])
+			return 0, fmt.Errorf("graph spec %q: bad parameter %q", spec, text)
+		}
+		if v > math.MaxInt32 {
+			return 0, fmt.Errorf("graph spec %q: parameter %q out of range", spec, text)
 		}
 		return v, nil
 	}
-	pair := func(i int) (int, int, error) {
-		dims := strings.Split(parts[i], "x")
-		if len(dims) != 2 {
-			return 0, 0, fmt.Errorf("graph spec %q: want AxB, got %q", spec, parts[i])
-		}
-		a, err := strconv.Atoi(dims[0])
-		if err != nil {
-			return 0, 0, fmt.Errorf("graph spec %q: bad parameter %q", spec, dims[0])
-		}
-		b, err := strconv.Atoi(dims[1])
-		if err != nil {
-			return 0, 0, fmt.Errorf("graph spec %q: bad parameter %q", spec, dims[1])
-		}
-		return a, b, nil
-	}
-
-	// atLeast turns a family's documented minimum into a parse error, so
-	// the shared grammar is total: the constructors reserve panics for
-	// programmatic misuse, but a spec string is user input.
 	atLeast := func(v, min int, what string) error {
 		if v < min {
 			return fmt.Errorf("graph spec %q: %s must be >= %d", spec, what, min)
 		}
 		return nil
 	}
+	// params reads the family's two parameters from texts and holds both
+	// to min.
+	params := func(texts []string, min int) (err error) {
+		if f.a, err = num(texts[0]); err != nil {
+			return err
+		}
+		if f.b, err = num(texts[1]); err != nil {
+			return err
+		}
+		if err = atLeast(f.a, min, "A"); err != nil {
+			return err
+		}
+		return atLeast(f.b, min, "B")
+	}
 
-	switch kind {
+	var err error
+	switch f.kind {
 	case "path", "ring", "star", "complete", "hypercube":
-		if err := wantParts(2, kind+":N"); err != nil {
-			return nil, err
+		if len(parts) != 2 {
+			return f, fmt.Errorf("graph spec %q: want %s:N", spec, f.kind)
 		}
-		n, err := num(1)
-		if err != nil {
-			return nil, err
+		if f.a, err = num(parts[1]); err != nil {
+			return f, err
 		}
-		switch kind {
-		case "path":
-			if err := atLeast(n, 1, "N"); err != nil {
-				return nil, err
-			}
-			return Path(n), nil
+		switch f.kind {
 		case "ring":
-			if err := atLeast(n, 3, "N"); err != nil {
-				return nil, err
-			}
-			return Ring(n), nil
-		case "star":
-			if err := atLeast(n, 1, "N"); err != nil {
-				return nil, err
-			}
-			return Star(n), nil
-		case "complete":
-			if err := atLeast(n, 1, "N"); err != nil {
-				return nil, err
-			}
-			return Complete(n), nil
-		default:
+			err = atLeast(f.a, 3, "N")
+		case "hypercube":
 			// 2^DIM nodes: reject dimensions whose node count cannot even
 			// be represented, before the shift wraps or the alloc explodes.
-			if n < 0 || n > 30 {
-				return nil, fmt.Errorf("graph spec %q: hypercube dimension out of range [0, 30]", spec)
+			if f.a < 0 || f.a > 30 {
+				err = fmt.Errorf("graph spec %q: hypercube dimension out of range [0, 30]", spec)
 			}
-			return Hypercube(n), nil
+		default:
+			err = atLeast(f.a, 1, "N")
 		}
 	case "grid", "torus", "bipartite":
-		if err := wantParts(2, kind+":AxB"); err != nil {
-			return nil, err
+		if len(parts) != 2 {
+			return f, fmt.Errorf("graph spec %q: want %s:AxB", spec, f.kind)
 		}
-		a, b, err := pair(1)
-		if err != nil {
-			return nil, err
+		dims := strings.Split(parts[1], "x")
+		if len(dims) != 2 {
+			return f, fmt.Errorf("graph spec %q: want AxB, got %q", spec, parts[1])
 		}
 		min := 1
-		if kind == "torus" {
+		if f.kind == "torus" {
 			min = 3
 		}
-		if err := atLeast(a, min, "A"); err != nil {
-			return nil, err
-		}
-		if err := atLeast(b, min, "B"); err != nil {
-			return nil, err
-		}
-		switch kind {
-		case "grid":
-			return Grid(a, b), nil
-		case "torus":
-			return Torus(a, b), nil
-		default:
-			return CompleteBipartite(a, b), nil
-		}
+		err = params(dims, min)
 	case "random", "regular", "caterpillar", "lollipop", "dumbbell", "cliquecycle":
-		if err := wantParts(3, kind+":A:B"); err != nil {
-			return nil, err
+		if len(parts) != 3 {
+			return f, fmt.Errorf("graph spec %q: want %s:A:B", spec, f.kind)
 		}
-		a, err := num(1)
-		if err != nil {
-			return nil, err
+		if err = params(parts[1:], 0); err != nil {
+			return f, err
 		}
-		b, err := num(2)
-		if err != nil {
-			return nil, err
-		}
-		if err := atLeast(a, 0, "A"); err != nil {
-			return nil, err
-		}
-		if err := atLeast(b, 0, "B"); err != nil {
-			return nil, err
-		}
-		switch kind {
+		switch f.kind {
 		case "random":
-			return RandomConnected(a, b, rand.New(rand.NewSource(seed)))
+			err = checkRandomConnected(f.a, f.b)
 		case "regular":
-			return RandomRegular(a, b, rand.New(rand.NewSource(seed)))
+			err = checkRandomRegular(f.a, f.b)
 		case "caterpillar":
-			if err := atLeast(a, 1, "SPINE"); err != nil {
-				return nil, err
-			}
-			return Caterpillar(a, b), nil
-		case "lollipop":
-			l, err := NewLollipop(a, b)
-			if err != nil {
-				return nil, err
-			}
-			return l.Graph, nil
-		case "dumbbell":
-			d, _, err := RandomDumbbell(a, b, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				return nil, err
-			}
-			return d.Graph, nil
+			err = atLeast(f.a, 1, "SPINE")
+		case "lollipop", "dumbbell":
+			_, err = lollipopKappa(f.a, f.b)
 		default:
-			cc, err := NewCliqueCycle(a, b)
-			if err != nil {
-				return nil, err
-			}
-			return cc.Graph, nil
+			_, _, err = cliqueCycleShape(f.a, f.b)
 		}
 	default:
-		return nil, fmt.Errorf("unknown graph family %q in spec %q", kind, spec)
+		err = fmt.Errorf("unknown graph family %q in spec %q", f.kind, spec)
+	}
+	return f, err
+}
+
+// pairs is n(n-1)/2, the edges of K_n.
+func pairs(n int) int64 { return int64(n) * int64(n-1) / 2 }
+
+// size is the node and edge count of the family's graphs.
+func (f family) size() (nodes, edges int64) {
+	a, b := int64(f.a), int64(f.b)
+	switch f.kind {
+	case "path", "star":
+		return a, a - 1
+	case "ring":
+		return a, a
+	case "complete":
+		return a, pairs(f.a)
+	case "hypercube":
+		return 1 << a, a << a / 2
+	case "grid":
+		return a * b, a*(b-1) + b*(a-1)
+	case "torus":
+		return a * b, 2 * a * b
+	case "bipartite":
+		return a + b, a * b
+	case "random":
+		return a, b
+	case "regular":
+		return a, a * b / 2
+	case "caterpillar":
+		return a * (b + 1), a*(b+1) - 1
+	case "lollipop", "dumbbell":
+		// A κ-clique, κ edges from it to the head of a path of n-κ nodes:
+		// κ(κ-1)/2 + κ + (n-κ-1).
+		kappa, _ := lollipopKappa(f.a, f.b)
+		edges = pairs(kappa) + a - 1
+		if f.kind == "dumbbell" {
+			// Two copies; the bridges take the place of the opened edges.
+			return 2 * a, 2 * edges
+		}
+		return a, edges
+	default:
+		// D' cliques of γ, each with one edge to the next.
+		dp, gamma, _ := cliqueCycleShape(f.a, f.b)
+		return int64(dp) * int64(gamma), int64(dp) * (pairs(gamma) + 1)
+	}
+}
+
+// build constructs the family's graph; seed matters to the randomized
+// families only.
+func (f family) build(seed int64) (*Graph, error) {
+	switch f.kind {
+	case "path":
+		return Path(f.a), nil
+	case "ring":
+		return Ring(f.a), nil
+	case "star":
+		return Star(f.a), nil
+	case "complete":
+		return Complete(f.a), nil
+	case "hypercube":
+		return Hypercube(f.a), nil
+	case "grid":
+		return Grid(f.a, f.b), nil
+	case "torus":
+		return Torus(f.a, f.b), nil
+	case "bipartite":
+		return CompleteBipartite(f.a, f.b), nil
+	case "random":
+		return RandomConnected(f.a, f.b, rand.New(rand.NewSource(seed)))
+	case "regular":
+		return RandomRegular(f.a, f.b, rand.New(rand.NewSource(seed)))
+	case "caterpillar":
+		return Caterpillar(f.a, f.b), nil
+	case "lollipop":
+		l, err := NewLollipop(f.a, f.b)
+		if err != nil {
+			return nil, err
+		}
+		return l.Graph, nil
+	case "dumbbell":
+		d, _, err := RandomDumbbell(f.a, f.b, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return nil, err
+		}
+		return d.Graph, nil
+	default:
+		cc, err := NewCliqueCycle(f.a, f.b)
+		if err != nil {
+			return nil, err
+		}
+		return cc.Graph, nil
 	}
 }
 

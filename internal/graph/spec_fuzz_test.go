@@ -1,19 +1,21 @@
 package graph
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// fuzzSpecTooLarge bounds the graphs a fuzz iteration may build: any
-// numeric parameter above this is skipped (not rejected — large specs
-// are valid, just too expensive to construct millions of times).
-const fuzzSpecTooLarge = 512
+// fuzzSpecTooLarge bounds the graphs a fuzz iteration may build: a spec
+// whose SpecSize has more nodes or edges than this is skipped (not
+// rejected — large specs are valid, just too expensive to construct
+// millions of times).
+const fuzzSpecTooLarge = 4096
 
 // FuzzFromSpec asserts the graph-spec grammar is total: any input either
 // errors cleanly or builds a structurally consistent graph — never a
-// panic, whatever sizes, separators or junk the spec carries.
+// panic, whatever sizes, separators or junk the spec carries — and that
+// SpecSize, asked first, refuses exactly the specs FromSpec refuses and
+// counts exactly the graph FromSpec builds.
 func FuzzFromSpec(f *testing.F) {
 	for _, seed := range []string{
 		"path:8",
@@ -50,25 +52,43 @@ func FuzzFromSpec(f *testing.F) {
 		"ring:064",
 		"ring:+3",
 		"complete:1",
+		"complete:20000",
+		"complete:2147483647",
+		"complete:2147483648",
+		"torus:2147483647x2147483647",
+		"random:99999999999:5",
+		"regular:4:1",
+		"regular:7:3",
+		"lollipop:4:4",
+		"lollipop:3:9",
+		"dumbbell:6:2000",
+		"cliquecycle:5:3",
+		"cliquecycle:5:5",
+		"hypercube:30",
+		"caterpillar:0:3",
+		"star:1",
 	} {
 		f.Add(seed, int64(1))
 	}
 	f.Fuzz(func(t *testing.T, spec string, seed int64) {
-		// Skip (don't reject) oversized parameters: building the graph
-		// would be valid but too slow/large for a fuzz iteration. The
-		// scan mirrors the parser's number extraction over both ':' and
-		// 'x' separators.
-		for _, part := range strings.FieldsFunc(spec, func(r rune) bool { return r == ':' || r == 'x' }) {
-			if v, err := strconv.Atoi(part); err == nil && (v > fuzzSpecTooLarge || v < -fuzzSpecTooLarge) {
-				t.Skip("parameter out of fuzz budget")
-			}
+		nodes, edges, sizeErr := SpecSize(spec)
+		if sizeErr == nil && (nodes > fuzzSpecTooLarge || edges > fuzzSpecTooLarge) {
+			t.Skip("graph out of fuzz budget")
 		}
 		g, err := FromSpec(spec, seed)
 		if err != nil {
 			if g != nil {
 				t.Fatalf("FromSpec(%q) returned both a graph and error %v", spec, err)
 			}
+			// The one refusal the arithmetic cannot foresee: regular:N:D
+			// drawing no simple connected pairing (always, at D = 1 < N-1).
+			if sizeErr == nil && !strings.Contains(err.Error(), "no simple connected pairing") {
+				t.Fatalf("SpecSize(%q) = (%d, %d) but FromSpec refuses: %v", spec, nodes, edges, err)
+			}
 			return
+		}
+		if sizeErr != nil {
+			t.Fatalf("FromSpec(%q) builds a graph but SpecSize refuses: %v", spec, sizeErr)
 		}
 		if g == nil {
 			t.Fatalf("FromSpec(%q) returned nil graph and nil error", spec)
@@ -88,6 +108,9 @@ func FuzzFromSpec(f *testing.F) {
 					t.Fatalf("FromSpec(%q): reverse port of (%d,%d) broken", spec, u, p)
 				}
 			}
+		}
+		if int64(g.N()) != nodes || int64(g.M()) != edges {
+			t.Fatalf("SpecSize(%q) = (%d, %d), the graph has n=%d m=%d", spec, nodes, edges, g.N(), g.M())
 		}
 		if degSum != 2*g.M() {
 			t.Fatalf("FromSpec(%q): degree sum %d != 2m = %d", spec, degSum, 2*g.M())

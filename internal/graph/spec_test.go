@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -94,5 +96,73 @@ func TestDiameterExactMemoized(t *testing.T) {
 		if d := <-done; d != 11 {
 			t.Fatalf("grid:6x7 diameter = %d, want 11", d)
 		}
+	}
+}
+
+// TestSpecSizeMatchesBuild holds the size arithmetic to the builders: for
+// every family over a grid of small parameters (and, where a seed moves
+// the edges, eight seeds), SpecSize refuses what FromSpec refuses and
+// otherwise names the N() and M() of the graph FromSpec builds.
+func TestSpecSizeMatchesBuild(t *testing.T) {
+	var specs []string
+	for a := 0; a <= 12; a++ {
+		for _, kind := range []string{"path", "ring", "star", "complete"} {
+			specs = append(specs, fmt.Sprintf("%s:%d", kind, a))
+		}
+		if a <= 6 {
+			specs = append(specs, fmt.Sprintf("hypercube:%d", a))
+		}
+		for b := 0; b <= 40; b++ {
+			if b <= 6 {
+				for _, kind := range []string{"grid", "torus", "bipartite"} {
+					specs = append(specs, fmt.Sprintf("%s:%dx%d", kind, a, b))
+				}
+			}
+			for _, kind := range []string{"random", "regular", "caterpillar", "lollipop", "dumbbell", "cliquecycle"} {
+				specs = append(specs, fmt.Sprintf("%s:%d:%d", kind, a, b))
+			}
+		}
+	}
+	built := map[string]int{}
+	for _, spec := range specs {
+		kind, _, _ := strings.Cut(spec, ":")
+		nodes, edges, sizeErr := SpecSize(spec)
+		for seed := int64(1); seed <= 8; seed++ {
+			g, err := FromSpec(spec, seed)
+			if err != nil && sizeErr == nil && kind == "regular" && strings.Contains(err.Error(), "no simple connected pairing") {
+				continue // the pairing model's bad luck, not the spec's fault
+			}
+			if (err != nil) != (sizeErr != nil) {
+				t.Fatalf("%s: FromSpec error %v, SpecSize error %v", spec, err, sizeErr)
+			}
+			if err != nil {
+				break
+			}
+			if int64(g.N()) != nodes || int64(g.M()) != edges {
+				t.Fatalf("%s seed %d: SpecSize says n=%d m=%d, the graph has n=%d m=%d", spec, seed, nodes, edges, g.N(), g.M())
+			}
+			built[kind]++
+		}
+	}
+	for _, kind := range []string{"path", "ring", "star", "complete", "hypercube", "grid", "torus", "bipartite",
+		"random", "regular", "caterpillar", "lollipop", "dumbbell", "cliquecycle"} {
+		if built[kind] < 8 {
+			t.Errorf("%s: only %d graphs built: the parameter grid misses the family", kind, built[kind])
+		}
+	}
+	// Sizes no builder could be asked for stay arithmetic.
+	for spec, want := range map[string][2]int64{
+		"complete:20000":              {20000, 199990000},
+		"complete:2147483647":         {2147483647, 2305843005992468481},
+		"torus:2147483647x2147483647": {4611686014132420609, 9223372028264841218},
+		"hypercube:30":                {1 << 30, 15 << 30},
+	} {
+		nodes, edges, err := SpecSize(spec)
+		if err != nil || nodes != want[0] || edges != want[1] {
+			t.Errorf("SpecSize(%q) = (%d, %d, %v), want %v", spec, nodes, edges, err, want)
+		}
+	}
+	if _, _, err := SpecSize("complete:2147483648"); err == nil {
+		t.Error("SpecSize accepts a parameter beyond the int32 index range")
 	}
 }

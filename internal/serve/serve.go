@@ -94,6 +94,11 @@ type Config struct {
 	// MaxTrials caps a sweep request's expanded trial count (default
 	// 1 << 20).
 	MaxTrials int
+	// MaxEdges caps the graph a request may name (default 1 << 22 edges),
+	// and with it the nodes, at a quarter of it (1 << 20): a spec is a few
+	// bytes whatever it expands to, so its size is worked out
+	// (graph.SpecSize) and held to the cap before anything is built.
+	MaxEdges int
 }
 
 func (c Config) withDefaults() Config {
@@ -114,6 +119,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTrials <= 0 {
 		c.MaxTrials = 1 << 20
+	}
+	if c.MaxEdges <= 0 {
+		c.MaxEdges = 1 << 22
 	}
 	return c
 }
@@ -160,14 +168,32 @@ type prepKey struct {
 	algo string
 }
 
+// graphWithin refuses a graph spec that is malformed or expands past
+// maxEdges edges (or a quarter as many nodes), without building it.
+func graphWithin(spec string, maxEdges int) error {
+	nodes, edges, err := graph.SpecSize(spec)
+	if err != nil {
+		return badRequest("graph: %v", err)
+	}
+	if edges > int64(maxEdges) || nodes > int64(maxEdges)/4 {
+		return badRequest("graph %s has %d nodes and %d edges, above the server cap of %d nodes and %d edges",
+			spec, nodes, edges, maxEdges/4, maxEdges)
+	}
+	return nil
+}
+
 // graph returns the slot's cached instance of (spec, seed), building and
-// caching it on a miss. Cached instances keep their memoized diameters,
-// so repeated D-dependent elections pay the all-pairs BFS once.
-func (s *slot) graph(spec string, seed int64) (*graph.Graph, error) {
+// caching it on a miss — once its size is known to be within maxEdges.
+// Cached instances keep their memoized diameters, so repeated D-dependent
+// elections pay the all-pairs BFS once.
+func (s *slot) graph(spec string, seed int64, maxEdges int) (*graph.Graph, error) {
 	key := graphKey{spec, seed}
 	if g, ok := s.graphs[key]; ok {
 		statGraphHits.Add(1)
 		return g, nil
+	}
+	if err := graphWithin(spec, maxEdges); err != nil {
+		return nil, err
 	}
 	g, err := graph.FromSpec(spec, seed)
 	if err != nil {
@@ -634,7 +660,7 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	if gseed == 0 {
 		gseed = 1
 	}
-	g, err := s.graph(req.Graph, gseed)
+	g, err := s.graph(req.Graph, gseed, m.cfg.MaxEdges)
 	if err != nil {
 		return nil, err
 	}
@@ -725,15 +751,21 @@ type SweepSummary struct {
 }
 
 // validateSweep pre-flights a sweep request and compiles it, once: the
-// trial count is checked against the cap by arithmetic before anything
-// is built from the spec, then the axes are parsed and the graphs
-// instantiated. The returned Plan is what the request runs on.
+// trial count and the size of every graph on the graph axis are checked
+// against their caps by arithmetic before anything is built from the
+// spec, then the axes are parsed and the graphs instantiated. The
+// returned Plan is what the request runs on.
 func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
 	if req.MaxRounds > m.cfg.MaxRounds {
 		return nil, badRequest("max_rounds %d above the server cap %d", req.MaxRounds, m.cfg.MaxRounds)
 	}
 	if total := req.Spec.NumTrials(); total > m.cfg.MaxTrials {
 		return nil, badRequest("spec expands to %d trials, above the server cap %d", total, m.cfg.MaxTrials)
+	}
+	for _, g := range req.Spec.Graphs {
+		if err := graphWithin(g, m.cfg.MaxEdges); err != nil {
+			return nil, err
+		}
 	}
 	p, err := req.Spec.Compile()
 	if err == nil {

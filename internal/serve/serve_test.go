@@ -648,3 +648,54 @@ func TestSweepOverCapRejectedBeforeExpansion(t *testing.T) {
 		t.Fatalf("24-trial sweep NDJSON: sha256 %s, want %s (%d bytes)", got, want, rec.Body.Len())
 	}
 }
+
+// TestGraphOverCapRejectedBeforeBuild: a graph spec is a few bytes
+// whatever it expands to — complete:20000 asks for 4·10⁸ CSR slots — so
+// an election or a sweep naming one above the cap is a 400 decided by
+// arithmetic, before the graph is built, and the cap moves with
+// Config.MaxEdges.
+func TestGraphOverCapRejectedBeforeBuild(t *testing.T) {
+	m := NewManager(Config{Slots: 1})
+	defer m.Shutdown(context.Background())
+	h := NewHandler(m, HandlerConfig{})
+	post := func(h http.Handler, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec
+	}
+	for path, body := range map[string]string{
+		"/v1/elections": `{"graph":"complete:20000","algo":"flood"}`,
+		"/v1/sweeps":    `{"algos":["flood"],"graphs":["ring:8","complete:20000"],"trials":1}`,
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rec := post(h, path, body)
+		runtime.ReadMemStats(&m1)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "199990000 edges") {
+			t.Fatalf("%s %s: status %d, body %s", path, body, rec.Code, rec.Body)
+		}
+		if b := m1.TotalAlloc - m0.TotalAlloc; b > 1<<20 {
+			t.Fatalf("%s: rejecting complete:20000 allocated %d bytes, want < 1 MiB", path, b)
+		}
+	}
+	// Many nodes and few edges are over the cap too; a malformed spec stays
+	// the 400 it was.
+	for _, g := range []string{"path:2000000", "ring:99999999999", "ring:2"} {
+		if rec := post(h, "/v1/elections", fmt.Sprintf(`{"graph":%q,"algo":"flood"}`, g)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %s", g, rec.Code, rec.Body)
+		}
+	}
+
+	small := NewManager(Config{Slots: 1, MaxEdges: 100})
+	defer small.Shutdown(context.Background())
+	hs := NewHandler(small, HandlerConfig{})
+	if rec := post(hs, "/v1/elections", `{"graph":"ring:24","algo":"flood"}`); rec.Code != http.StatusOK {
+		t.Fatalf("ring:24 under a 100-edge cap: status %d, body %s", rec.Code, rec.Body)
+	}
+	if rec := post(hs, "/v1/elections", `{"graph":"ring:26","algo":"flood"}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("ring:26 (26 nodes) under a 100-edge, 25-node cap: status %d, body %s", rec.Code, rec.Body)
+	}
+	if rec := post(hs, "/v1/elections", `{"graph":"complete:16","algo":"flood"}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("complete:16 (120 edges) under a 100-edge cap: status %d, body %s", rec.Code, rec.Body)
+	}
+}

@@ -71,3 +71,43 @@ func BenchmarkTickDispatch(b *testing.B) {
 		}
 	}
 }
+
+// haltProto is the emptiest run there is: every node halts as it wakes.
+type haltProto struct{}
+
+func (haltProto) Name() string         { return "halt" }
+func (haltProto) New(NodeInfo) Process { return haltProc{} }
+
+type haltProc struct{}
+
+func (haltProc) Start(c *Context)          { c.Halt() }
+func (haltProc) Round(*Context, []Message) {}
+
+// BenchmarkShardPoolLifecycle is the measurement behind "a Runner needs no
+// Close" (docs/ARCHITECTURE.md § "Sharded execution"): what starting and
+// closing the shard pool costs a run, against the shortest run that ever
+// starts one by default — 8 192 nodes is the smallest graph the engine
+// shards on its own, and a run on it in which every node halts as it
+// wakes does nothing but the per-run reset and one tick. Meaningful at
+// -cpu 2 and up; on one core no run starts a pool.
+func BenchmarkShardPoolLifecycle(b *testing.B) {
+	b.Run("pool", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			newShardPool(2).close()
+		}
+	})
+	b.Run("emptiest-run", func(b *testing.B) {
+		r, err := NewRunner(graph.Ring(2 * minNodesPerShard))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var res Result
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := r.RunInto(Config{}, haltProto{}, &res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -54,18 +54,13 @@ type delivery struct {
 // wakeAll is the common "everyone wakes in round 1"
 // schedule, kept implicit to avoid materializing an n-element slice per
 // run (each shard's wheel interprets it over its own node range).
+// deliveries is on loan from the wheel (nil until the first delivery is
+// scheduled; see timingWheel.lend).
 type tickBucket struct {
 	deliveries []delivery
 	wakes      []int
 	timers     []int
 	wakeAll    bool
-}
-
-func (b *tickBucket) clear() {
-	b.deliveries = b.deliveries[:0]
-	b.wakes = b.wakes[:0]
-	b.timers = b.timers[:0]
-	b.wakeAll = false
 }
 
 // wakeRound returns node u's configured spontaneous wake round (1 when no
@@ -305,7 +300,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 				sh.stepSet = append(sh.stepSet, u)
 			}
 		}
-		b.clear()
+		sh.wheel.release(b)
 	}
 	// Deliveries wake sleeping receivers and step awake ones — in the
 	// synchronous modes the parked ones; the others hold a round timer.
@@ -474,10 +469,23 @@ func (e *engine) deliver(sh *engineShard, ds []delivery, t int) {
 	if len(ds) > 0 {
 		sh.lastActive = t
 	}
+	// On a tick that reached a good share of the shard's nodes, list the
+	// receivers again in node order — which is the order their rows lie in
+	// the slab — so that this pass and the tick's later ones over recv walk
+	// memory forwards instead of in order of first arrival. Nothing can
+	// observe recv's order: wake and step candidates are sorted before use.
+	if 4*len(sh.recv) >= sh.hi-sh.lo {
+		sh.recv = sh.recv[:0]
+		for v := sh.lo; v < sh.hi; v++ {
+			if len(e.inbox[v]) != 0 {
+				sh.recv = append(sh.recv, v)
+			}
+		}
+	}
 	// Deterministic inbox order: ascending receiving port, preserving
 	// per-link send order within a port.
 	for _, v := range sh.recv {
-		sortInboxByPort(e.inbox[v])
+		sh.order.orderInbox(e.inbox[v], int(e.off[v+1]-e.off[v]))
 	}
 }
 
@@ -486,6 +494,8 @@ func (e *engine) deliver(sh *engineShard, ds []delivery, t int) {
 // the cross-shard mailboxes). Safe to call on overlapping lists: every
 // merge is guarded or self-clearing.
 func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
+	lo, hi := int32(sh.lo), int32(sh.hi)
+	var next *tickBucket // tick t+1's bucket, once a delivery lands in it
 	for _, u := range list {
 		if err := e.nodeErr[u]; err != nil && (sh.err == nil || u < sh.errNode) {
 			sh.errNode, sh.err = u, err
@@ -551,24 +561,29 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 					to: e.nbr[base+p], port: e.portBack[base+p], bits: m.bits, pl: m.pl,
 				})
 			}
-		} else if len(e.shards) == 1 {
-			// Single shard, synchronous, lossless: batch straight into the
-			// next tick's bucket without per-message routing.
-			db := sh.wheel.at(t + 1)
-			for _, m := range ob {
-				p := int(m.port)
-				db.deliveries = append(db.deliveries, delivery{
-					to: e.nbr[base+p], port: e.portBack[base+p], bits: m.bits, pl: m.pl,
-				})
-			}
-			sh.pendingMsgs += len(ob)
 		} else {
+			// Synchronous and lossless: every message arrives next tick —
+			// in this shard's own next bucket or, bound for another shard's
+			// node, in the mailbox row toward it (what route does, with
+			// the range test and the bucket lookup hoisted out of the
+			// loop; a single shard's range is every node).
+			mailed := 0
 			for _, m := range ob {
-				p := int(m.port)
-				e.route(sh, t+1, delivery{
-					to: e.nbr[base+p], port: e.portBack[base+p], bits: m.bits, pl: m.pl,
-				})
+				p := base + int(m.port)
+				d := delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl}
+				if d.to >= lo && d.to < hi {
+					if next == nil {
+						next = sh.wheel.lend(t + 1)
+					}
+					next.deliveries = append(next.deliveries, d)
+					continue
+				}
+				ds := int(d.to) / e.shardSize
+				sh.mail[ds] = append(sh.mail[ds], shardMsg{at: t + 1, d: d})
+				mailed++
 			}
+			sh.mailed += mailed
+			sh.pendingMsgs += len(ob) - mailed
 		}
 		if e.sendCap > 0 {
 			for _, m := range ob {

@@ -1,0 +1,329 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"ule/internal/graph"
+)
+
+// The equivalence battery of the synchronous message path: each of the
+// places a message passes between Context.Send and Process.Round — the
+// one-check broadcast (sendAll), the slab rows, the wheel's lent delivery
+// arrays, the one-pass inbox order — held to the plain thing it replaces.
+
+// sendShell is the part of an engine the send rules read and write, on g,
+// as the reference interpreter builds it.
+func sendShell(g *graph.Graph, mode Mode, bitCap, sendCap int) *engine {
+	off, _ := g.CSR()
+	n := g.N()
+	return &engine{
+		cfg: Config{Model: ModelSpec{Mode: mode}}, bitCap: bitCap, sendCap: sendCap, round: 3,
+		off: off, sendCnt: make([]int32, off[n]),
+		out: make([][]outMsg, n), nodeErr: make([]error, n),
+	}
+}
+
+// TestBroadcastMatchesSendLoop holds Broadcast and BroadcastExcept to the
+// loop they abbreviate — Send on every port but skip, ascending — on nodes
+// of degree 0, 1 and 5, for every kind of skip, over every way a send can
+// fail and the ways it cannot: the queued row, the per-port send counts
+// and the node's error must come out the same.
+func TestBroadcastMatchesSendLoop(t *testing.T) {
+	// Node 0 is a hub of degree 5, nodes 1-5 its leaves, node 6 isolated.
+	g, err := graph.NewFromEdges(7, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bitCap, sendCap = 40, 2
+	ok, fat := &tokenMsg{7}, Payload(fatMsg{})
+	fill := func(port int) func(c *Context) {
+		return func(c *Context) {
+			for i := 0; i < sendCap && port < c.Degree(); i++ {
+				c.Send(port, ok)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		mode Mode
+		cap  int
+		pre  func(c *Context) // what the node did earlier in the round
+		pl   Payload
+	}{
+		{"ok", CONGEST, sendCap, nil, ok},
+		{"ok uncapped", LOCAL, 0, nil, ok},
+		{"nil payload", CONGEST, sendCap, nil, nil},
+		{"over the bit cap", CONGEST, sendCap, nil, fat},
+		{"LOCAL oversized", LOCAL, sendCap, nil, fat},
+		{"cap reached on port 0", CONGEST, sendCap, fill(0), ok},
+		{"cap reached on a middle port", CONGEST, sendCap, fill(2), ok},
+		{"cap reached on the last port", CONGEST, sendCap, fill(4), ok},
+		{"cap reached by broadcasts", CONGEST, sendCap, func(c *Context) { c.Broadcast(ok); c.Broadcast(ok) }, ok},
+		{"one send short of the cap", CONGEST, sendCap, func(c *Context) { c.Send(0, ok) }, ok},
+		{"nil payload at a full port", CONGEST, sendCap, fill(0), nil},
+		{"node already in error", CONGEST, sendCap, func(c *Context) { c.Send(-1, ok) }, ok},
+	}
+	for _, tc := range cases {
+		for _, u := range []int{6, 1, 0} {
+			deg := g.Degree(u)
+			for _, skip := range []int{-1, 0, deg / 2, deg - 1, deg, deg + 3} {
+				run := func(act func(c *Context)) *engine {
+					e := sendShell(g, tc.mode, bitCap, tc.cap)
+					c := &Context{eng: e, node: u, info: NodeInfo{Degree: deg}}
+					if tc.pre != nil {
+						tc.pre(c)
+					}
+					act(c)
+					return e
+				}
+				want := run(func(c *Context) {
+					for port := 0; port < c.Degree(); port++ {
+						if port != skip {
+							c.Send(port, tc.pl)
+						}
+					}
+				})
+				acts := map[string]func(c *Context){
+					"BroadcastExcept": func(c *Context) { c.BroadcastExcept(skip, tc.pl) },
+				}
+				if skip < 0 {
+					acts["Broadcast"] = func(c *Context) { c.Broadcast(tc.pl) }
+				}
+				for name, act := range acts {
+					got := run(act)
+					where := fmt.Sprintf("%s, degree %d, skip %d: %s", tc.name, deg, skip, name)
+					if !slices.Equal(got.out[u], want.out[u]) {
+						t.Errorf("%s queued %v, the Send loop %v", where, got.out[u], want.out[u])
+					}
+					if !slices.Equal(got.sendCnt, want.sendCnt) {
+						t.Errorf("%s left send counts %v, the Send loop %v", where, got.sendCnt, want.sendCnt)
+					}
+					if ge, we := fmt.Sprint(got.nodeErr[u]), fmt.Sprint(want.nodeErr[u]); ge != we {
+						t.Errorf("%s: error %q, the Send loop's %q", where, ge, we)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInboxOrderMatchesStableSort holds orderInbox to the inbox contract
+// written as a library call: random rows for degrees 1..200 — up to 4·deg
+// messages, at most 8 per port, arriving shuffled, in order, reversed, or
+// few against the degree — come out as slices.SortStableFunc by port puts
+// them, payload for payload, and leave no payload (and no count) in the
+// scratch.
+func TestInboxOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var o inboxOrder
+	for iter := 0; iter < 4000; iter++ {
+		deg := 1 + rng.Intn(200)
+		k := rng.Intn(4*deg + 1)
+		shape := rng.Intn(4)
+		if shape == 3 {
+			k = rng.Intn(deg/8 + 2) // k ≪ deg
+		}
+		row := make([]Message, 0, k)
+		perPort := make([]int, deg)
+		for len(row) < k {
+			p := rng.Intn(deg)
+			if perPort[p] == 8 {
+				continue
+			}
+			perPort[p]++
+			// One payload per message: equal ports stay distinguishable.
+			row = append(row, Message{Port: p, Payload: &tokenMsg{int64(len(row))}})
+		}
+		byPort := func(a, b Message) int { return a.Port - b.Port }
+		switch shape {
+		case 1:
+			slices.SortStableFunc(row, byPort)
+		case 2:
+			slices.SortStableFunc(row, byPort)
+			slices.Reverse(row)
+		}
+		want := slices.Clone(row)
+		slices.SortStableFunc(want, byPort)
+		o.orderInbox(row, deg)
+		if !slices.Equal(row, want) {
+			t.Fatalf("iteration %d (deg %d, k %d, shape %d): row differs from the stable sort by port", iter, deg, k, shape)
+		}
+		for i, m := range o.tmp[:cap(o.tmp)] {
+			if m != (Message{}) {
+				t.Fatalf("iteration %d: scratch slot %d still holds %v", iter, i, m)
+			}
+		}
+		for p, c := range o.cnt[:cap(o.cnt)] {
+			if c != 0 {
+				t.Fatalf("iteration %d: count slot %d left at %d", iter, p, c)
+			}
+		}
+	}
+	if len(o.tmp) == 0 {
+		t.Fatal("no row took the counting placement")
+	}
+}
+
+// burstProto outgrows rows. In Start every node sends per·degree+1 tokens
+// through port 0; from then on a node folds what it receives — port and
+// token, in inbox order — into a digest and answers with one token derived
+// from it, so a message out of place moves the bit total, and in round 5
+// it decides by the digest's parity and halts.
+type burstProto struct{ per int }
+
+func (burstProto) Name() string           { return "burst" }
+func (p burstProto) New(NodeInfo) Process { return &burstProc{per: p.per} }
+
+type burstProc struct {
+	per    int
+	digest int64
+}
+
+func (p *burstProc) Start(c *Context) {
+	for i := 0; i <= p.per*c.Degree(); i++ {
+		c.Send(0, tokenMsg{int64(i)})
+	}
+}
+
+func (p *burstProc) Round(c *Context, inbox []Message) {
+	for _, m := range inbox {
+		p.digest = (p.digest*31 + int64(m.Port)*1009 + m.Payload.(tokenMsg).v) % (1 << 40)
+	}
+	if c.Round() >= 5 {
+		c.Decide(Leader + Status(p.digest%2))
+		c.Halt()
+	} else if len(inbox) > 0 {
+		c.Send(0, tokenMsg{p.digest})
+	}
+}
+
+// TestRowOutgrowsSlab drives rows past the stretch of the slab they start
+// in: an outbox row of 3·degree+1 sends through one port, the inbox rows
+// those land in, and the inbox of a star:4096 centre that hears four times
+// from every leaf. LOCAL and uncapped, so none of it is a violation. Every
+// run equals the reference interpreter's, on a Runner's first run — rows
+// re-homed by append as they grow — and on its second, in the arrays the
+// first one left.
+func TestRowOutgrowsSlab(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Torus(6, 6), graph.Complete(slabRowCap + 8), graph.Star(4096)} {
+		cfg := Config{Graph: g, Seed: 5, Model: ModelSpec{Mode: LOCAL}}
+		want, err := runReference(cfg, burstProto{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Messages < int64(3*g.DegreeSum()) {
+			t.Fatalf("%s: the reference moved %d messages: the bursts did not happen", g.Name(), want.Messages)
+		}
+		for _, shards := range []int{1, 3} {
+			r, err := NewRunner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Shards = shards
+			for run := 0; run < 2; run++ {
+				got, err := r.Run(cfg, burstProto{3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s, %d shards, run %d: engine diverges from the reference:\nreference: %+v\nevent:     %+v",
+						g.Name(), shards, run, want, got)
+				}
+			}
+		}
+	}
+}
+
+// chatterProto has every node broadcast in every step up to round `until`
+// and count what it received into perTick (atomically: shards step
+// concurrently). With a timer each step asks for the next tick, so an
+// ASYNC run steps every node at every tick as a synchronous one does.
+type chatterProto struct {
+	until   int
+	perTick []atomic.Int64
+}
+
+func (*chatterProto) Name() string           { return "chatter" }
+func (p *chatterProto) New(NodeInfo) Process { return p }
+func (p *chatterProto) Start(c *Context)     {}
+func (p *chatterProto) peak() (peak int64) {
+	for i := range p.perTick {
+		peak = max(peak, p.perTick[i].Load())
+	}
+	return peak
+}
+
+func (p *chatterProto) Round(c *Context, inbox []Message) {
+	p.perTick[c.Round()].Add(int64(len(inbox)))
+	if c.Round() >= p.until {
+		c.Halt()
+		return
+	}
+	c.Broadcast(tokenMsg{1})
+	c.RequestWake(1)
+}
+
+// deliveryStorage sums the capacity of every []delivery the Runner's
+// wheels hold: in ring slots, overflow buckets, recycled buckets, spares.
+func deliveryStorage(r *Runner) (total int) {
+	for i := range r.shards {
+		w := r.shards[i].wheel
+		for s := range w.slots {
+			total += cap(w.slots[s].deliveries)
+		}
+		for _, b := range w.far {
+			total += cap(b.deliveries)
+		}
+		for _, b := range w.free {
+			total += cap(b.deliveries)
+		}
+		for _, d := range w.spares {
+			total += cap(d)
+		}
+	}
+	return total
+}
+
+// TestWheelStorageFollowsTraffic pins what a run's delivery records cost
+// in memory to what is in flight at once, not to how many ticks the run
+// lasted: after 600 ticks of every node of torus:32x32 broadcasting, the
+// wheels hold room for at most 4× the deliveries of the busiest tick
+// (a ring slot that owned its array made it 256×), and under
+// async+random:8, where nine ticks are pending at a time, at most 12×.
+func TestWheelStorageFollowsTraffic(t *testing.T) {
+	g := graph.Torus(32, 32)
+	for _, tc := range []struct {
+		model string
+		bound int64
+	}{{"congest", 4}, {"async+random:8", 12}} {
+		m, err := ParseModel(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2} {
+			r, err := NewRunner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &chatterProto{until: 600, perTick: make([]atomic.Int64, 700)}
+			res, err := r.Run(Config{Seed: 9, Model: m, Shards: shards}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak, held := p.peak(), int64(deliveryStorage(r))
+			if res.Rounds < 600 || peak < int64(g.DegreeSum())/2 {
+				t.Fatalf("%s: %d rounds, busiest tick %d deliveries: not the run this test is about", tc.model, res.Rounds, peak)
+			}
+			t.Logf("%s, %d shards: room for %d deliveries, busiest tick %d", tc.model, shards, held, peak)
+			if held > tc.bound*peak {
+				t.Errorf("%s, %d shards: the wheels hold room for %d deliveries, %.1f× the busiest tick's %d (bound %d×)",
+					tc.model, shards, held, float64(held)/float64(peak), peak, tc.bound)
+			}
+		}
+	}
+}

@@ -115,11 +115,28 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 	// ShufflePorts, so the old O(Σ deg²) PortTo validation scan is gone —
 	// NewRunner is O(n) for any density.
 	r.sendCnt = make([]int32, len(nbr))
+	r.carveRows()
 	r.linkSeq = make([]int32, len(nbr))
 	r.wakeAt = make([]int, n)
 	r.idle = make([]int, n)
 	r.haltCounted = make([]bool, n)
 	return r, nil
+}
+
+// carveRows homes every node's inbox and outbox row in one slab each, in
+// node order, with room for min(degree, slabRowCap) messages (arena.go).
+func (r *Runner) carveRows() {
+	total := 0
+	for u := range r.out {
+		total += min(int(r.off[u+1]-r.off[u]), slabRowCap)
+	}
+	in, out := make([]Message, total), make([]outMsg, total)
+	at := 0
+	for u := range r.out {
+		end := at + min(int(r.off[u+1]-r.off[u]), slabRowCap)
+		r.inbox[u], r.out[u] = in[at:at:end], out[at:at:end]
+		at = end
+	}
 }
 
 // ensureShards (re)builds the Runner's shard array for an effective

@@ -104,6 +104,7 @@ type engineShard struct {
 	recv     []int // own nodes that received a delivery this tick
 	wake     []int // own wake candidates this tick
 	mergeBuf []int
+	order    inboxOrder // inbox ordering scratch (arena.go)
 
 	// faults is the shard's slice of the fault adversary: the event heap
 	// and pending-recovery counter for its own node range (fault.go). nil
@@ -189,7 +190,7 @@ func (e *engine) route(sh *engineShard, at int, d delivery) {
 		sh.mailed++
 		return
 	}
-	b := sh.wheel.at(at)
+	b := sh.wheel.lend(at)
 	b.deliveries = append(b.deliveries, d)
 	sh.pendingMsgs++
 }
@@ -264,7 +265,7 @@ func (e *engine) drainMail(dst *engineShard) {
 			continue
 		}
 		for i := range row {
-			b := dst.wheel.at(row[i].at)
+			b := dst.wheel.lend(row[i].at)
 			b.deliveries = append(b.deliveries, row[i].d)
 		}
 		dst.pendingMsgs += len(row)

@@ -253,19 +253,13 @@ func (c *Context) Send(port int, p Payload) {
 
 // Broadcast sends payload through every port.
 func (c *Context) Broadcast(p Payload) {
-	for port := 0; port < c.info.Degree; port++ {
-		c.eng.send(c.node, port, p)
-	}
+	c.eng.sendAll(c.node, -1, p)
 }
 
 // BroadcastExcept sends payload through every port except skip (pass a
 // negative skip to send on all ports).
 func (c *Context) BroadcastExcept(skip int, p Payload) {
-	for port := 0; port < c.info.Degree; port++ {
-		if port != skip {
-			c.eng.send(c.node, port, p)
-		}
-	}
+	c.eng.sendAll(c.node, skip, p)
 }
 
 // Decide sets the node's election status.
@@ -549,6 +543,54 @@ func (e *engine) send(u, port int, p Payload) {
 		return
 	}
 	e.out[u] = append(e.out[u], outMsg{port: int32(port), bits: int32(bits), pl: p})
+}
+
+// sendAll is send(u, port, p) for every port but skip, in ascending port
+// order, with everything that depends only on the payload — the node's
+// error, nil, Bits() and the bit cap — tested once instead of once per
+// port. The per-port send cap is still counted port by port. Whatever
+// fails is handed, with the port it fails at, to send, so the error and
+// the row prefix queued before it are exactly the per-port loop's.
+func (e *engine) sendAll(u, skip int, p Payload) {
+	if e.nodeErr[u] != nil {
+		return
+	}
+	base := int(e.off[u])
+	deg := int(e.off[u+1]) - base
+	first := 0
+	if skip == 0 {
+		first = 1
+	}
+	if first >= deg {
+		return
+	}
+	if p == nil {
+		e.send(u, first, p)
+		return
+	}
+	bits := p.Bits()
+	if e.cfg.Model.Mode != LOCAL && bits > e.bitCap {
+		e.send(u, first, p)
+		return
+	}
+	row := e.out[u]
+	m := outMsg{bits: int32(bits), pl: p}
+	for port := first; port < deg; port++ {
+		if port == skip {
+			continue
+		}
+		if e.sendCap > 0 {
+			if int(e.sendCnt[base+port]) >= e.sendCap {
+				e.out[u] = row
+				e.send(u, port, p)
+				return
+			}
+			e.sendCnt[base+port]++
+		}
+		m.port = int32(port)
+		row = append(row, m)
+	}
+	e.out[u] = row
 }
 
 func (e *engine) decide(u int, s Status) {

@@ -9,7 +9,19 @@
 // overflows into a tick-keyed min-heap and migrates into the ring as
 // virtual time advances. Compared to the previous map[int]*tickBucket plus
 // heap, the wheel does no hashing and no allocation on the hot path: ring
-// buckets live inline in the wheel and their slices are recycled in place.
+// buckets live inline in the wheel and their wake and timer slices are
+// recycled in place.
+//
+// A bucket's []delivery — the one array here whose size follows the
+// traffic — is owned by the wheel, not by the bucket: a bucket borrows one
+// from the wheel's spares when its first delivery is scheduled (lend) and
+// hands it back when the bucket is cleared (release: once its tick's
+// events are applied, when pruning drops it, on reset). A wheel therefore
+// holds as many arrays as buckets ever held deliveries at once — one in a
+// lossless synchronous run, where tick t's deliveries are in the inboxes
+// and its array is back before the flush fills tick t+1's; the delay
+// bound in ASYNC — instead of one peak-sized array per ring slot the run
+// ever passed through.
 package sim
 
 import "math/bits"
@@ -38,19 +50,48 @@ type timingWheel struct {
 	far     map[int]*tickBucket
 	farHeap []int
 	free    []*tickBucket
+
+	// spares are the delivery arrays no bucket is borrowing, emptied.
+	spares [][]delivery
 }
 
 func newTimingWheel() *timingWheel {
 	return &timingWheel{far: make(map[int]*tickBucket)}
 }
 
+// lend returns tick t's bucket (see at) holding a delivery array to
+// append to: the one it already borrowed, or a spare.
+func (w *timingWheel) lend(t int) *tickBucket {
+	b := w.at(t)
+	if b.deliveries == nil {
+		if k := len(w.spares); k > 0 {
+			b.deliveries, w.spares = w.spares[k-1], w.spares[:k-1]
+		} else {
+			b.deliveries = []delivery{}
+		}
+	}
+	return b
+}
+
+// release empties bucket b, which has left the pending set, and returns
+// its delivery array to the spares.
+func (w *timingWheel) release(b *tickBucket) {
+	if b.deliveries != nil {
+		w.spares = append(w.spares, b.deliveries[:0])
+		b.deliveries = nil
+	}
+	b.wakes = b.wakes[:0]
+	b.timers = b.timers[:0]
+	b.wakeAll = false
+}
+
 // reset clears all pending events for Runner reuse. Slice capacity inside
-// ring and freed buckets is retained.
+// ring and freed buckets, and the spares, are retained.
 func (w *timingWheel) reset() {
 	if w.live > 0 {
 		for s := range w.slots {
 			if w.occ[s>>6]&(1<<(s&63)) != 0 {
-				w.slots[s].clear()
+				w.release(&w.slots[s])
 			}
 		}
 	}
@@ -58,7 +99,7 @@ func (w *timingWheel) reset() {
 	w.live = 0
 	w.cur = 0
 	for t, b := range w.far {
-		b.clear()
+		w.release(b)
 		w.free = append(w.free, b)
 		delete(w.far, t)
 	}
@@ -109,8 +150,8 @@ func (w *timingWheel) advance(t int) {
 		delete(w.far, ft)
 		s := ft & wheelMask
 		// Swap contents so both the (empty — see the window invariant
-		// above) slot and the recycled far bucket keep their slice
-		// capacity.
+		// above) slot and the recycled far bucket keep their wake and
+		// timer capacity; a borrowed delivery array moves with the rest.
 		w.slots[s], *fb = *fb, w.slots[s]
 		w.occ[s>>6] |= 1 << (s & 63)
 		w.live++
@@ -120,8 +161,8 @@ func (w *timingWheel) advance(t int) {
 
 // takeCurrent removes and returns the bucket of tick t, which must be the
 // tick advance was just called with (so it is ring-resident if present).
-// The returned bucket stays owned by its slot; the caller clears it after
-// processing.
+// The returned bucket stays owned by its slot; the caller releases it
+// after processing.
 func (w *timingWheel) takeCurrent(t int) *tickBucket {
 	s := t & wheelMask
 	if w.occ[s>>6]&(1<<(s&63)) == 0 {
@@ -172,14 +213,14 @@ func (w *timingWheel) drop(t int) {
 		if w.occ[s>>6]&(1<<(s&63)) != 0 {
 			w.occ[s>>6] &^= 1 << (s & 63)
 			w.live--
-			w.slots[s].clear()
+			w.release(&w.slots[s])
 		}
 		return
 	}
 	if b, ok := w.far[t]; ok {
 		delete(w.far, t)
 		w.farPopMin()
-		b.clear()
+		w.release(b)
 		w.free = append(w.free, b)
 	}
 }

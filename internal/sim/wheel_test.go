@@ -39,7 +39,7 @@ func TestTimingWheelBasics(t *testing.T) {
 	if b == nil || b.wakes[0] != 30 {
 		t.Fatal("takeCurrent(3) lost the bucket")
 	}
-	b.clear()
+	w.release(b)
 	if got := w.minTick(); got != wheelSlots {
 		t.Fatalf("minTick = %d, want %d", got, wheelSlots)
 	}
@@ -48,7 +48,7 @@ func TestTimingWheelBasics(t *testing.T) {
 	if eb == nil {
 		t.Fatal("tick wheelSlots lost")
 	}
-	eb.clear()
+	w.release(eb)
 	if w.takeCurrent(wheelSlots) != nil {
 		t.Fatal("takeCurrent returned an already-taken bucket")
 	}
@@ -57,7 +57,7 @@ func TestTimingWheelBasics(t *testing.T) {
 	if mb == nil || len(mb.wakes) != 1 || mb.wakes[0] != 32 {
 		t.Fatal("overflow bucket did not migrate into the ring")
 	}
-	mb.clear()
+	w.release(mb)
 	if got := w.minTick(); got != 5000 {
 		t.Fatalf("minTick = %d, want 5000", got)
 	}
@@ -91,7 +91,7 @@ func TestTimingWheelNoCurrentSlotCollision(t *testing.T) {
 	if b == nil || len(b.wakes) != 1 || b.wakes[0] != 10 {
 		t.Fatalf("tick 1's bucket clobbered by migration: %+v", b)
 	}
-	b.clear()
+	w.release(b)
 	if got := w.minTick(); got != 1+wheelSlots {
 		t.Fatalf("minTick = %d, want %d", got, 1+wheelSlots)
 	}
