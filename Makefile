@@ -104,12 +104,17 @@ bench-graph:
 # the hint-blind engine (internal/sim), the sweep compiler's
 # (internal/harness: compiling costs the cells, never the trials) and what
 # a whole trial of the ule-bench sweep costs the heap
-# (TestAllocBudgetSweepTrial). These also run inside the full suite; the
-# target gives CI a label for them, the way test-sweep labels the pipeline
-# gate.
+# (TestAllocBudgetSweepTrial), and what a node's coins and least-element
+# list cost (TestAllocBudgetNodeFootprint). These also run inside the full
+# suite; the target gives CI a label for them, the way test-sweep labels
+# the pipeline gate. The last line is the one thing the full suite does
+# not do: it fuzzes the node generator against math/rand for 20 s (the
+# suite only replays the seed corpus), the one place that value-for-value
+# equivalence is fuzzed.
 test-budgets:
 	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
 	$(GO) test -run 'TestCompileCostIndependentOfTrials|TestAllocBudgetSweepTrial' -v ./internal/harness
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the
 # budget tests plus the engine benchmarks and the kingdom benchmark's

@@ -316,6 +316,67 @@ func TestAllocBudgetColdRunner(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetNodeFootprint pins what a node's coins and least-element
+// list cost the heap. A generator that draws no more than the 273 values
+// its closed form covers holds no register: sim.NewRand plus 273 draws is
+// the 48-byte source, and the 48-byte *rand.Rand when it escapes (the
+// register in 64-word chunks cost 5.3 KB in 11 allocations). A cold
+// core.Prepare plus the first run of elect-sparse's leastel cell, scaled
+// to ring:4096 (async random delays, adversarial wake), is held per node
+// to its measured cost plus 15 %: 1281 B measured, 2579 B with chunked
+// generators and 24-byte list entries. Under the race detector sync.Pool
+// drops wire boxes: only bytes are checked there, less those of a warm run.
+func TestAllocBudgetNodeFootprint(t *testing.T) {
+	checkObjects := !poolDrops()
+	const seeds = 64
+	bytes, objects := heapCost(func() {
+		for s := int64(0); s < seeds; s++ {
+			r := sim.NewRand(s)
+			for i := 0; i < 273; i++ {
+				coinSink += r.Int63()
+			}
+		}
+	})
+	t.Logf("sim.NewRand + 273 draws: %.1f B in %.2f allocations", float64(bytes)/seeds, float64(objects)/seeds)
+	if bytes > 112*seeds || checkObjects && objects > 2*seeds {
+		t.Errorf("sim.NewRand + 273 draws: %.1f B in %.2f allocations, budget 112 B in 2", float64(bytes)/seeds, float64(objects)/seeds)
+	}
+
+	g := graph.Ring(4096)
+	m, err := sim.ParseModel("async+random:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := core.RunOpts{Seed: 7, Model: m, Wake: adversarialWake(g.N())}
+	var prep *core.Prepared
+	var res sim.Result
+	run := func() {
+		if err := prep.RunInto(ro, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !res.UniqueLeader() {
+			t.Fatal("election failed")
+		}
+	}
+	bytes, objects = heapCost(func() {
+		if prep, err = core.Prepare(g, "leastel"); err != nil {
+			t.Fatal(err)
+		}
+		run()
+	})
+	if !checkObjects {
+		// The dropped boxes come from the heap again, on every run alike; a
+		// warm run at the same seed allocates nothing else.
+		dropped, _ := heapCost(run)
+		bytes -= dropped
+	}
+	perNode := float64(bytes) / float64(g.N())
+	t.Logf("leastel on ring:4096 (async+random:8, adversarial wake), Prepare + first run: %.0f B per node in %.2f allocations", perNode, float64(objects)/float64(g.N()))
+	if perNode > 1475 {
+		t.Errorf("leastel on ring:4096, Prepare + first run: %.0f B per node, budget 1475", perNode)
+	}
+}
+
 // stepCounter wraps a protocol so that every Round call of every node is
 // counted: the host steps a run costs, next to the messages the paper
 // prices it in. Single-shard runs only (one shared counter).

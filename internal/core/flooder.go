@@ -134,11 +134,12 @@ func releaseInbox(inbox []sim.Message) {
 
 // flState is one entry of the least-element list: an adopted origin and its
 // propagation-with-feedback record (the "echo" mechanism of [11] as
-// described in Section 4.2).
+// described in Section 4.2). Ports and echo counts are bounded by the
+// degree, which the CSR holds in int32, so an entry is 16 bytes.
 type flState struct {
 	origin     int64
-	parentPort int // real port toward the origin; -1 at the origin itself
-	pending    int // echoes still outstanding
+	parentPort int32 // real port toward the origin; -1 at the origin itself
+	pending    int32 // echoes still outstanding
 }
 
 // flRef is a wire record with the real port it leaves or arrived through.
@@ -337,7 +338,7 @@ func (f *flooder) adopt(origin int64, parentPort, pending int) *flState {
 	if f.list == nil {
 		f.list = make([]flState, 0, 4)
 	}
-	f.list = append(f.list, flState{origin: origin, parentPort: parentPort, pending: pending})
+	f.list = append(f.list, flState{origin: origin, parentPort: int32(parentPort), pending: int32(pending)})
 	return &f.list[len(f.list)-1]
 }
 
@@ -454,7 +455,7 @@ func (f *flooder) echo(st *flState, k flKey) {
 		f.complete()
 		return
 	}
-	f.ack(st.parentPort, k)
+	f.ack(int(st.parentPort), k)
 }
 
 // addPort grows the port set after the flood started (used by the

@@ -60,13 +60,13 @@ func (r *refFlooder) echo(st *flState, m flMsg) {
 		r.completed, r.won = true, r.heard == r.self
 		return
 	}
-	r.ack(st.parentPort, m)
+	r.ack(int(st.parentPort), m)
 }
 
 func (r *refFlooder) adopt(k flKey, aux int64, from, pending int) {
 	r.best = k
 	r.listLen++
-	st := &flState{origin: k.origin, parentPort: from, pending: pending}
+	st := &flState{origin: k.origin, parentPort: int32(from), pending: int32(pending)}
 	r.states[k.origin] = st
 	for _, p := range r.ports {
 		if p != from {
