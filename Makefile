@@ -63,9 +63,14 @@ test-race:
 # delivery arrays are per shard and the rows are stretches of one slab per
 # Runner, which is exactly where a sharing mistake — a scratch two shards
 # both reach, a row that spills into its neighbour's stretch — is a data
-# race first.
+# race first. So do the arrival-pass tests (TestRoundCapLeavesNothingInFlight,
+# TestCrashDropsPrewrittenArrivals, TestLossyInstrumentsPinned): a
+# synchronous message is written into its receiver's row by the flush or
+# the mailbox drain a tick before it is read, and at 2 and 4 shards a row
+# written by the wrong shard, or before its tick's step phase has read it,
+# is a data race here.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
 
 bench:
@@ -135,8 +140,9 @@ bench-flood:
 
 # The synchronous message path measurement set (docs/PERFORMANCE.md § "The
 # synchronous message path"): the flood cell that dominates elect-dense —
-# warm, ns/msg and B/op, on one core and on two, since the default shard
-# count follows GOMAXPROCS — and what ordering one inbox row costs per
+# warm, ns/msg, B/op and the heap in use after its warm runs (heap-MiB), on
+# one core and on two, since the default shard count follows GOMAXPROCS —
+# and what ordering one inbox row costs per
 # message by row length, degree and arrival order. These are the by-step
 # numbers that section quotes; the recorded end-to-end ones are
 # cmd/ule-bench's (elect-dense: core.run_ms.flood-random64k).

@@ -8,6 +8,7 @@ package ule
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ule/internal/core"
@@ -710,8 +711,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // path — Broadcast, flush, delivery, inbox order — around an eight-line
 // Round, so ns/msg here is the price of one simulated message on a graph
 // too large for the cache (docs/PERFORMANCE.md § "The synchronous message
-// path" quotes it step by step). Run with -cpu 1,2: the default shard
-// count follows GOMAXPROCS (`make bench-dense`).
+// path" quotes it step by step). heap-MiB is the heap in use after a
+// collection once the warm runs are done: what the Prepared, its Runner's
+// rows and mailboxes and the graph hold between elections
+// (docs/PERFORMANCE.md § "A synchronous message never enters the wheel").
+// Run with -cpu 1,2: the default shard count follows GOMAXPROCS (`make
+// bench-dense`).
 func BenchmarkEngineDense_FloodRandom64k(b *testing.B) {
 	g, err := graph.FromSpec("random:65536:524288", 1)
 	if err != nil {
@@ -739,5 +744,11 @@ func BenchmarkEngineDense_FloodRandom64k(b *testing.B) {
 		run(int64(i) + 1)
 		msgs += res.Messages
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "heap-MiB")
+	runtime.KeepAlive(prep)
 }

@@ -1,7 +1,12 @@
 // Message arena: the zero-allocation containers of the engine's hot path.
 //
 // A node has two rows: its outbox — this round's sends, outMsg values in
-// send order — and its inbox — the Messages delivered to it this tick.
+// send order — and its inbox — the Messages delivered to it this tick. In
+// the synchronous modes the inbox row is also where a message waits: the
+// flush of tick t (or, from another shard, the mailbox drain at its
+// barrier) writes it there for tick t+1, once the row's tick-t messages
+// have been read. An ASYNC message waits in the wheel instead and is
+// written into the row when its tick falls due.
 // The Runner owns both and carves them, in NewRunner, out of two slabs
 // (one []outMsg, one []Message) in node order, a row's stretch holding
 // min(degree, slabRowCap) records: the step phase reads inboxes and the
@@ -15,8 +20,9 @@
 // a round of traffic performs no allocation.
 //
 // Payload.Bits() is evaluated exactly once, at send time, and cached in
-// the outMsg / delivery records, so neither the CONGEST cap check nor the
-// delivery accounting re-dispatches through the Payload interface.
+// the outMsg / delivery records; a row's arrivals are summed as they are
+// written (land), so neither the CONGEST cap check nor the delivery
+// accounting re-dispatches through the Payload interface.
 // Per-port bookkeeping (send caps, reverse ports, async link sequence
 // numbers) lives in flat arrays indexed by off[u]+port.
 //
@@ -34,7 +40,7 @@ import "slices"
 const slabRowCap = 32
 
 // outMsg is one queued send. The receiving-side coordinates are resolved
-// when the row is flushed into delivery events.
+// when the row is flushed.
 type outMsg struct {
 	port int32 // sending port
 	bits int32 // cached Payload.Bits() from send time

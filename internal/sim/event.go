@@ -2,17 +2,26 @@
 //
 // Instead of scanning every node in every round (which is how the tests'
 // reference interpreter, reference_test.go, writes the synchronous model
-// down), the engine keeps a pending-event queue of message deliveries and
-// timer wake-ups, bucketed by virtual-time tick on a timing wheel
-// (wheel.go), and steps only the nodes an event touches. Sleeping and
+// down), the engine keeps the pending events — message arrivals and timer
+// wake-ups — and steps only the nodes an event touches. Sleeping and
 // halted nodes cost zero work per tick, which is what makes
 // sparse-activity workloads (adversarial wake-up, late quiet phases)
 // cheap; quiescence detection is O(1) per tick via counters instead of
 // O(n) scans.
 //
-// The queue is partitioned into contiguous node shards (shard.go), each
+// Where a pending message waits depends on when it arrives. In the
+// synchronous modes every message sent at tick t arrives at t+1, so the
+// flush writes it straight into its receiver's inbox row (by way of a
+// mailbox row when the receiver is another shard's), and tick t+1 reads
+// it there. ASYNC's deliveries take 1..B ticks, so they wait as delivery
+// records in per-tick buckets of a timing wheel (wheel.go) and are
+// scattered into the rows when their tick falls due. Either way one
+// arrival pass (arrive) then delivers what the rows hold. Wake-ups and
+// timers are wheel events in every mode.
+//
+// The nodes are partitioned into contiguous shards (shard.go), each
 // owning a private wheel, scratch lists and fault heap; within a tick the
-// shards step independently and exchange cross-shard deliveries at the
+// shards step independently and exchange cross-shard messages at the
 // barrier. Every function in this file that takes an
 // *engineShard runs shard-local — it touches only the shard's own nodes'
 // rows — while loopEvent and the fold/selection helpers run on the
@@ -37,8 +46,10 @@ package sim
 
 import "sort"
 
-// delivery is one scheduled message arrival. bits caches the payload's
-// send-time Bits() so delivery accounting never touches the interface.
+// delivery is one message on its way to another node's row: an ASYNC
+// arrival waiting in its tick's bucket, or a message of either kind in a
+// mailbox row toward another shard. bits caches the payload's send-time
+// Bits() so delivery accounting never touches the interface.
 type delivery struct {
 	to   int32 // receiving node
 	port int32 // receiving port
@@ -46,16 +57,17 @@ type delivery struct {
 	pl   Payload
 }
 
-// tickBucket holds every event scheduled for one tick: message arrivals,
-// spontaneous wake-ups from the wake schedule, and timers — RequestWake's
-// in ASYNC, the ends of IdleUntil promises in the synchronous modes (kept
-// apart because a scheduled wake-up for a node that was meanwhile woken
-// by a message is dead, while a timer steps its — awake — node).
-// wakeAll is the common "everyone wakes in round 1"
+// tickBucket holds every wheel event scheduled for one tick: ASYNC message
+// arrivals, spontaneous wake-ups from the wake schedule, and timers —
+// RequestWake's in ASYNC, the ends of IdleUntil promises in the
+// synchronous modes (kept apart because a scheduled wake-up for a node
+// that was meanwhile woken by a message is dead, while a timer steps its —
+// awake — node). wakeAll is the common "everyone wakes in round 1"
 // schedule, kept implicit to avoid materializing an n-element slice per
 // run (each shard's wheel interprets it over its own node range).
-// deliveries is on loan from the wheel (nil until the first delivery is
-// scheduled; see timingWheel.lend).
+// deliveries holds ASYNC arrivals only — a synchronous message never
+// enters the wheel — and is on loan from the wheel (nil until the first
+// delivery is scheduled; see timingWheel.lend).
 type tickBucket struct {
 	deliveries []delivery
 	wakes      []int
@@ -108,7 +120,11 @@ func (e *engine) loopEvent() {
 		// wake-up for a node that a message woke earlier must not keep
 		// the run alive or inflate Rounds.
 		var next int
-		if !e.async && e.running > 0 {
+		if e.arrivals > 0 {
+			// Messages written into inbox rows arrive next tick, and
+			// nothing else can be due before it.
+			next = t + 1
+		} else if !e.async && e.running > 0 {
 			// Synchronous semantics: a node on an active list is stepped
 			// every round, so virtual time cannot skip ahead (pending fault
 			// events due by t+1 are applied at the start of tick t+1). With
@@ -161,7 +177,7 @@ func (e *engine) loopEvent() {
 		if e.err != nil {
 			return
 		}
-		if e.pendingMsgs == 0 && e.pendingUp() == 0 {
+		if e.pendingMsgs == 0 && e.arrivals == 0 && e.pendingUp() == 0 {
 			// With a recovery pending the run is never over: the rejoining
 			// node re-enters (with reset state it even re-Starts), so every
 			// quiescence test below would be premature.
@@ -191,15 +207,15 @@ func (e *engine) loopEvent() {
 }
 
 // pruneDeadEvents drops minimum-tick buckets that no longer hold any live
-// event. A delivery is always live (even one bound for a crashed node —
-// it must still be drained and accounted as dropped); a scheduled wake-up
-// is live while its node still sleeps; a timer is live for a non-halted
-// node — in the synchronous modes only while the node is parked until
-// exactly that tick (a node roused earlier queues a fresh timer if it
-// parks again). Wakes and timers of a crashed node are dead, unless a
-// recovery is pending anywhere: the node might be back up by the bucket's
-// tick, so pruning stays conservative then. A discarded bucket could
-// never have done anything.
+// event. An ASYNC delivery is always live (even one bound for a crashed
+// node — it must still be drained and accounted as dropped); a scheduled
+// wake-up is live while its node still sleeps; a timer is live for a
+// non-halted node — in the synchronous modes only while the node is
+// parked until exactly that tick (a node roused earlier queues a fresh
+// timer if it parks again). Wakes and timers of a crashed node are dead,
+// unless a recovery is pending anywhere: the node might be back up by the
+// bucket's tick, so pruning stays conservative then. A discarded bucket
+// could never have done anything.
 //
 // The scan runs over the globally earliest pending bucket each
 // iteration — exactly the order a single queue would present — and stops
@@ -263,12 +279,12 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
 	}
 	sh.err = nil
-	sh.recv = sh.recv[:0]
 	sh.wake = sh.wake[:0]
 	sh.stepSet = sh.stepSet[:0]
 
 	// Membership changes first: a node crashed at t misses t's deliveries
-	// and wake-ups, a node recovered at t takes part in them.
+	// and wake-ups — what was written into its row is lost in the arrival
+	// pass below — and a node recovered at t takes part in them.
 	if sh.faults != nil {
 		sh.faults.revived = sh.faults.revived[:0]
 		e.applyFaults(sh, t)
@@ -277,7 +293,12 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	sh.wheel.advance(t)
 	b := sh.wheel.takeCurrent(t)
 	if b != nil {
-		e.deliver(sh, b.deliveries, t)
+		// ASYNC arrivals due now join the rows the synchronous flush
+		// writes directly.
+		for _, d := range b.deliveries {
+			e.land(sh, d)
+		}
+		sh.pendingMsgs -= len(b.deliveries)
 		// Scheduled wake-ups rouse (live) sleepers; a wake for a node
 		// that a message woke earlier is dead.
 		if b.wakeAll {
@@ -302,6 +323,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		}
 		sh.wheel.release(b)
 	}
+	e.arrive(sh, t)
 	// Deliveries wake sleeping receivers and step awake ones — in the
 	// synchronous modes the parked ones; the others hold a round timer.
 	for _, v := range sh.recv {
@@ -386,18 +408,20 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		e.procs[u].Round(&e.ctxs[u], e.inbox[u])
 	}
 
-	// Merge phase: fold each touched node's private scratch (errors,
-	// status changes, halts, RequestWake timers) into the shard, and flush
-	// its outbox into future delivery events. started ⊆ step except for
-	// nodes that halted inside Start, so visiting both lists covers every
-	// touched node; all merges are idempotent across the overlap.
-	e.mergeAndFlush(sh, started, t)
-	e.mergeAndFlush(sh, step, t)
-
-	// Consumed inboxes are reset for the next delivery.
+	// The tick's rows are read: empty them, so that the flush can write
+	// the next tick's arrivals into them and list their receivers anew.
 	for _, v := range sh.recv {
 		e.inbox[v] = e.inbox[v][:0]
 	}
+	sh.recv = sh.recv[:0]
+
+	// Merge phase: fold each touched node's private scratch (errors,
+	// status changes, halts, RequestWake timers) into the shard, and flush
+	// its outbox. started ⊆ step except for nodes that halted inside
+	// Start, so visiting both lists covers every touched node; all merges
+	// are idempotent across the overlap.
+	e.mergeAndFlush(sh, started, t)
+	e.mergeAndFlush(sh, step, t)
 
 	if !e.async {
 		// A stepped node keeps its round timers unless it halted or promised
@@ -426,54 +450,78 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	}
 }
 
-// deliver applies one tick's message arrivals to one shard's nodes:
-// inbox building, sorting, and the full accounting (totals, per-edge
-// counts, watched crossings) at delivery time. Payload sizes come from
-// the send-time cache in the delivery records.
-func (e *engine) deliver(sh *engineShard, ds []delivery, t int) {
-	for _, d := range ds {
-		v := int(d.to)
-		if e.live(v) {
-			if len(e.inbox[v]) == 0 {
-				sh.recv = append(sh.recv, v)
-			}
-			e.inbox[v] = append(e.inbox[v], Message{Port: int(d.port), Payload: d.pl})
-		} else {
-			// The receiver is down: the message is lost, but the sender
-			// already paid for it, so the full accounting below applies.
-			sh.dropped++
-		}
-		bits := int(d.bits)
-		sh.bits += int64(bits)
-		if bits > sh.maxMsgBits {
-			sh.maxMsgBits = bits
-		}
-		if sh.pe != nil || e.watch != nil {
-			key := normPair(v, int(e.nbr[int(e.off[v])+int(d.port)]))
-			if sh.pe != nil {
-				sh.pe[key]++
-			}
-			if e.watch != nil && e.watch[key] {
-				if cur, ok := sh.fc[key]; !ok || t < cur {
-					sh.fc[key] = t
-				}
-				sh.crossedTick = true
-			}
-		}
+// land writes delivery d into its receiver's inbox row — a node of the
+// shard's own — listing the receiver in recv at its first arrival and
+// counting the message, with its cached size, for the arrival pass. It is
+// the one way a message reaches a row: the synchronous flush and mailbox
+// drain call it at tick t for tick t+1, an ASYNC tick for the bucket that
+// falls due.
+func (e *engine) land(sh *engineShard, d delivery) {
+	v := int(d.to)
+	if len(e.inbox[v]) == 0 {
+		sh.recv = append(sh.recv, v)
 	}
-	sh.pendingMsgs -= len(ds)
-	sh.msgs += int64(len(ds))
+	e.inbox[v] = append(e.inbox[v], Message{Port: int(d.port), Payload: d.pl})
+	sh.arrivals++
+	sh.arrivalBits += int64(d.bits)
+	if int(d.bits) > sh.arrivalMax {
+		sh.arrivalMax = int(d.bits)
+	}
+}
+
+// arrive is the arrival pass: it delivers at tick t what the shard's rows
+// hold — the rows recv lists — with the full accounting (totals from the
+// counters land kept, per-edge counts, watched crossings), and loses what
+// reached a receiver that is down by now, though its sender paid for it.
+// Then it orders every surviving row once.
+func (e *engine) arrive(sh *engineShard, t int) {
+	k := sh.arrivals
+	if k == 0 {
+		return
+	}
+	sh.msgs += int64(k)
+	sh.bits += sh.arrivalBits
+	sh.maxMsgBits = max(sh.maxMsgBits, sh.arrivalMax)
+	sh.arrivals, sh.arrivalBits, sh.arrivalMax = 0, 0, 0
+	sh.lastActive = t
 	if e.watch != nil {
-		sh.deliveredTick += int64(len(ds))
+		sh.deliveredTick += int64(k)
 	}
-	if len(ds) > 0 {
-		sh.lastActive = t
+	if sh.pe != nil || e.watch != nil || e.fAlive != nil {
+		w := 0
+		for _, v := range sh.recv {
+			row := e.inbox[v]
+			if sh.pe != nil || e.watch != nil {
+				base := int(e.off[v])
+				for _, m := range row {
+					key := normPair(v, int(e.nbr[base+m.Port]))
+					if sh.pe != nil {
+						sh.pe[key]++
+					}
+					if e.watch != nil && e.watch[key] {
+						if cur, ok := sh.fc[key]; !ok || t < cur {
+							sh.fc[key] = t
+						}
+						sh.crossedTick = true
+					}
+				}
+			}
+			if !e.live(v) {
+				sh.dropped += int64(len(row))
+				e.inbox[v] = row[:0]
+				continue
+			}
+			sh.recv[w] = v
+			w++
+		}
+		sh.recv = sh.recv[:w]
 	}
 	// On a tick that reached a good share of the shard's nodes, list the
 	// receivers again in node order — which is the order their rows lie in
-	// the slab — so that this pass and the tick's later ones over recv walk
-	// memory forwards instead of in order of first arrival. Nothing can
-	// observe recv's order: wake and step candidates are sorted before use.
+	// the slab — so that the ordering pass and the tick's later ones over
+	// recv walk memory forwards instead of in order of first arrival.
+	// Nothing can observe recv's order: wake and step candidates are
+	// sorted before use.
 	if 4*len(sh.recv) >= sh.hi-sh.lo {
 		sh.recv = sh.recv[:0]
 		for v := sh.lo; v < sh.hi; v++ {
@@ -490,12 +538,24 @@ func (e *engine) deliver(sh *engineShard, ds []delivery, t int) {
 }
 
 // mergeAndFlush folds the private scratch of each node in list into its
-// shard and schedules the node's outgoing messages (through the wheel or
-// the cross-shard mailboxes). Safe to call on overlapping lists: every
-// merge is guarded or self-clearing.
+// shard and sends the node's outbox on, in two passes over list. The
+// first routes every message that leaves the shard or the tick — an ASYNC
+// one into the wheel bucket of its arrival tick (route), a synchronous
+// one bound for another shard's node into the mailbox row toward it — and
+// keeps the synchronous messages for the shard's own nodes at the front
+// of the outbox row. The second lands those in their receivers' rows for
+// tick t+1. So the scattered writes into the rows run on their own, in
+// one tight loop, not interleaved with the sequential mailbox appends and
+// the per-node bookkeeping of the first pass; landing them inside the
+// first pass cost elect-dense CPU time (docs/PERFORMANCE.md § "A
+// synchronous message never enters the wheel"). Safe to call on
+// overlapping lists: every merge is guarded or self-clearing, and an
+// outbox the second pass has landed is empty.
 func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 	lo, hi := int32(sh.lo), int32(sh.hi)
-	var next *tickBucket // tick t+1's bucket, once a delivery lands in it
+	dropActive := e.fsched != nil && e.fsched.dropP > 0
+	perLink := e.async || dropActive
+	mailed := 0
 	for _, u := range list {
 		if err := e.nodeErr[u]; err != nil && (sh.err == nil || u < sh.errNode) {
 			sh.errNode, sh.err = u, err
@@ -524,21 +584,24 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 			continue
 		}
 		base := int(e.off[u])
-		dropActive := e.fsched != nil && e.fsched.dropP > 0
-		if e.async || dropActive {
-			// Per-message path: each send consumes its link's sequence
-			// number (the shared coordinate of the drop predicate and the
-			// delay schedule), may be lost on the link, and otherwise
-			// lands in its own delivery bucket. With drops active in a
-			// synchronous mode the delay is the fixed one round.
+		if e.sendCap > 0 {
 			for _, m := range ob {
-				p := int(m.port)
-				seq := e.linkSeq[base+p]
-				e.linkSeq[base+p] = seq + 1
-				if dropActive && e.fsched.dropMsg(e.cfg.Seed, u, p, int(seq)) {
-					// Lost on the link: charged to the sender at drop
-					// time (delivery-time accounting never sees it), but
-					// it neither crosses the edge nor counts as activity.
+				e.sendCnt[base+int(m.port)] = 0
+			}
+		}
+		kept := 0
+		for _, m := range ob {
+			p := base + int(m.port)
+			d := delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl}
+			if perLink {
+				// Each send consumes its link's sequence number, the shared
+				// coordinate of the drop predicate and the delay schedule.
+				seq := int(e.linkSeq[p])
+				e.linkSeq[p]++
+				if dropActive && e.fsched.dropMsg(e.cfg.Seed, u, int(m.port), seq) {
+					// Lost on the link: charged to the sender at drop time
+					// (the arrival pass never sees it), but it neither
+					// crosses the edge nor counts as activity.
 					sh.dropped++
 					sh.msgs++
 					sh.bits += int64(m.bits)
@@ -550,45 +613,37 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 					}
 					continue
 				}
-				d := 1
 				if e.async {
-					d = e.delay.Delay(e.cfg.Seed, u, p, int(seq))
-					if d < 1 {
-						d = 1 // a custom schedule must not move time backwards
-					}
-				}
-				e.route(sh, t+d, delivery{
-					to: e.nbr[base+p], port: e.portBack[base+p], bits: m.bits, pl: m.pl,
-				})
-			}
-		} else {
-			// Synchronous and lossless: every message arrives next tick —
-			// in this shard's own next bucket or, bound for another shard's
-			// node, in the mailbox row toward it (what route does, with
-			// the range test and the bucket lookup hoisted out of the
-			// loop; a single shard's range is every node).
-			mailed := 0
-			for _, m := range ob {
-				p := base + int(m.port)
-				d := delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl}
-				if d.to >= lo && d.to < hi {
-					if next == nil {
-						next = sh.wheel.lend(t + 1)
-					}
-					next.deliveries = append(next.deliveries, d)
+					// A custom schedule must not move time backwards.
+					e.route(sh, t+max(e.delay.Delay(e.cfg.Seed, u, int(m.port), seq), 1), d)
 					continue
 				}
-				ds := int(d.to) / e.shardSize
-				sh.mail[ds] = append(sh.mail[ds], shardMsg{at: t + 1, d: d})
-				mailed++
 			}
-			sh.mailed += mailed
-			sh.pendingMsgs += len(ob) - mailed
+			// Synchronous: the message arrives next tick, in its receiver's
+			// row — landed by the second pass, or by the drain from the
+			// mailbox row toward the receiver's shard (a single shard's
+			// range is every node).
+			if d.to >= lo && d.to < hi {
+				ob[kept] = m
+				kept++
+				continue
+			}
+			ds := int(d.to) / e.shardSize
+			sh.mail[ds] = append(sh.mail[ds], shardMsg{at: t + 1, d: d})
+			mailed++
 		}
-		if e.sendCap > 0 {
-			for _, m := range ob {
-				e.sendCnt[base+int(m.port)] = 0
-			}
+		e.out[u] = ob[:kept]
+	}
+	sh.mailed += mailed
+	for _, u := range list {
+		ob := e.out[u]
+		if len(ob) == 0 {
+			continue
+		}
+		base := int(e.off[u])
+		for _, m := range ob {
+			p := base + int(m.port)
+			e.land(sh, delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl})
 		}
 		e.out[u] = ob[:0]
 	}

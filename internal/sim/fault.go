@@ -438,14 +438,16 @@ func (fst *faultState) pop() faultEvent {
 }
 
 // applyFaults pops and applies every fault event of one shard due at or
-// before tick t. Crashes silence a node (it stops stepping; later
-// deliveries to it are dropped); recoveries bring it back — reset-state
-// recoveries and churn joins install a fresh Process and Start it this
-// tick, keep-state recoveries resume the surviving Process. Every write
-// targets the shard's own nodes or its own counters, so shards apply
-// their heaps concurrently; within a shard, events apply in the global
-// (tick, node, kind) order, and events of different shards touch
-// disjoint state, so the shard layout cannot change the outcome.
+// before tick t. Crashes silence a node (it stops stepping; whatever
+// arrives for it while it is down — including what its row already holds
+// for t — is dropped by the arrival pass); recoveries bring it back —
+// reset-state recoveries and churn joins install a fresh Process and
+// Start it this tick, keep-state recoveries resume the surviving
+// Process. Every write targets the shard's own nodes or its own
+// counters, so shards apply their heaps concurrently; within a shard,
+// events apply in the global (tick, node, kind) order, and events of
+// different shards touch disjoint state, so the shard layout cannot
+// change the outcome.
 func (e *engine) applyFaults(sh *engineShard, t int) {
 	fst := sh.faults
 	for len(fst.heap) > 0 && fst.heap[0].tick <= t {
@@ -465,7 +467,6 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 				e.haltCounted[u] = true
 				sh.numHalted++
 			}
-			e.inbox[u] = e.inbox[u][:0]
 			e.wakeAt[u] = 0
 			e.idle[u] = 0 // a revived node holds its round timers again
 			if fst.fs.class == faultChurn {

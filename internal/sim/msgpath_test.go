@@ -11,10 +11,11 @@ import (
 	"ule/internal/graph"
 )
 
-// The equivalence battery of the synchronous message path: each of the
-// places a message passes between Context.Send and Process.Round — the
-// one-check broadcast (sendAll), the slab rows, the wheel's lent delivery
-// arrays, the one-pass inbox order — held to the plain thing it replaces.
+// The equivalence battery of the message path: each of the places a
+// message passes between Context.Send and Process.Round — the one-check
+// broadcast (sendAll), the slab rows, the wheel's lent delivery arrays
+// (ASYNC only), the one-pass inbox order, the arrival pass — held to the
+// plain thing it replaces.
 
 // sendShell is the part of an engine the send rules read and write, on g,
 // as the reference interpreter builds it.
@@ -290,20 +291,28 @@ func deliveryStorage(r *Runner) (total int) {
 }
 
 // TestWheelStorageFollowsTraffic pins what a run's delivery records cost
-// in memory to what is in flight at once, not to how many ticks the run
-// lasted: after 600 ticks of every node of torus:32x32 broadcasting, the
-// wheels hold room for at most 4× the deliveries of the busiest tick
-// (a ring slot that owned its array made it 256×), and under
-// async+random:8, where nine ticks are pending at a time, at most 12×.
+// in memory, after 600 ticks of every node of torus:32x32 broadcasting.
+// A synchronous message never enters the wheel, so a CONGEST run leaves
+// its wheels with room for no delivery at all — fault-free, and with
+// crashes, link drops, watched edges and per-edge counts, at 1 and 2
+// shards (the flush wrote each tick's messages into a lent array, room
+// for the busiest tick; a ring slot that owned its array made it 256×).
+// Under async+random:8, where nine ticks are pending at a time, the
+// wheels hold room for at most 12× the busiest tick's deliveries.
 func TestWheelStorageFollowsTraffic(t *testing.T) {
 	g := graph.Torus(32, 32)
 	for _, tc := range []struct {
 		model string
-		bound int64
-	}{{"congest", 4}, {"async+random:8", 12}} {
+		watch bool
+		bound int64 // room for this many busiest ticks' deliveries
+	}{{"congest", false, 0}, {"congest+crash:0.1+drop:0.05", true, 0}, {"async+random:8", false, 12}} {
 		m, err := ParseModel(tc.model)
 		if err != nil {
 			t.Fatal(err)
+		}
+		cfg := Config{Seed: 9, Model: m}
+		if tc.watch {
+			cfg.WatchEdges, cfg.CountPerEdge = [][2]int{{0, 1}, {500, 532}}, true
 		}
 		for _, shards := range []int{1, 2} {
 			r, err := NewRunner(g)
@@ -311,7 +320,8 @@ func TestWheelStorageFollowsTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := &chatterProto{until: 600, perTick: make([]atomic.Int64, 700)}
-			res, err := r.Run(Config{Seed: 9, Model: m, Shards: shards}, p)
+			cfg.Shards = shards
+			res, err := r.Run(cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,11 +329,182 @@ func TestWheelStorageFollowsTraffic(t *testing.T) {
 			if res.Rounds < 600 || peak < int64(g.DegreeSum())/2 {
 				t.Fatalf("%s: %d rounds, busiest tick %d deliveries: not the run this test is about", tc.model, res.Rounds, peak)
 			}
+			if tc.watch && (res.Crashes == 0 || res.Dropped == 0 || len(res.FirstCrossing) == 0 || len(res.PerEdge) == 0) {
+				t.Fatalf("%s: %d crashes, %d dropped, %d crossings, %d edges counted: not the run this test is about",
+					tc.model, res.Crashes, res.Dropped, len(res.FirstCrossing), len(res.PerEdge))
+			}
 			t.Logf("%s, %d shards: room for %d deliveries, busiest tick %d", tc.model, shards, held, peak)
 			if held > tc.bound*peak {
 				t.Errorf("%s, %d shards: the wheels hold room for %d deliveries, %.1f× the busiest tick's %d (bound %d×)",
 					tc.model, shards, held, float64(held)/float64(peak), peak, tc.bound)
 			}
+		}
+	}
+}
+
+// The arrival pass. A synchronous message is written into its receiver's
+// row by the flush of the tick that sent it, one tick before it is
+// delivered; the tests below hold what that tick in between may not
+// change — a round cap that falls on it, a crash that falls on the next,
+// the instruments of a lossy run — to the engine that kept such messages
+// in the wheel until their tick.
+
+// rollcallProto has every node broadcast ID·round in every round before
+// round `until` and halt there: from tick 2 on every node hears from
+// every neighbour at every tick, and payload sizes differ by sender and
+// round.
+type rollcallProto struct{ until int }
+
+func (rollcallProto) Name() string { return "rollcall" }
+func (p rollcallProto) New(info NodeInfo) Process {
+	return &rollcallProc{until: p.until, id: info.ID}
+}
+
+type rollcallProc struct {
+	until int
+	id    int64
+}
+
+func (p *rollcallProc) Start(c *Context) {}
+func (p *rollcallProc) Round(c *Context, inbox []Message) {
+	if c.Round() >= p.until {
+		c.Halt()
+		return
+	}
+	c.Broadcast(tokenMsg{p.id * int64(c.Round())})
+}
+
+// TestRoundCapLeavesNothingInFlight stops a rollcall at MaxRounds 8, when
+// the rows for tick 9 are written: Messages, Bits and MaxMsgBits count
+// rounds 1-7 exactly — round 8's sends, the largest payloads, were never
+// delivered — and the next run on the same Runner equals a fresh
+// Runner's, field for field, at 1 and 2 shards.
+func TestRoundCapLeavesNothingInFlight(t *testing.T) {
+	g := graph.Torus(8, 8)
+	n := g.N()
+	ids := SequentialIDs(n, 1)
+	var msgs, bits int64
+	maxBits := 0
+	for r := 1; r <= 7; r++ {
+		for u := 0; u < n; u++ {
+			b := BitsFor(ids[u] * int64(r))
+			msgs += int64(g.Degree(u))
+			bits += int64(g.Degree(u) * b)
+			maxBits = max(maxBits, b)
+		}
+	}
+	if BitsFor(ids[n-1]*8) <= maxBits {
+		t.Fatal("round 8's payloads are no larger: the test cannot see them")
+	}
+	capped := Config{IDs: ids, Seed: 3, MaxRounds: 8}
+	next := Config{Graph: g, IDs: ids, Seed: 4, CountPerEdge: true, WatchEdges: [][2]int{{0, 1}}}
+	for _, shards := range []int{1, 2} {
+		capped.Shards, next.Shards = shards, shards
+		r, err := NewRunner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(capped, rollcallProto{until: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.HitRoundCap || res.Rounds != 8 {
+			t.Fatalf("%d shards: HitRoundCap %v, Rounds %d: not the run this test is about", shards, res.HitRoundCap, res.Rounds)
+		}
+		if res.Messages != msgs || res.Bits != bits || res.MaxMsgBits != maxBits || res.LastActive != 8 {
+			t.Errorf("%d shards: messages %d, bits %d, largest %d, last active %d; rounds 1-7 delivered are %d, %d, %d, 8",
+				shards, res.Messages, res.Bits, res.MaxMsgBits, res.LastActive, msgs, bits, maxBits)
+		}
+		got, err := r.Run(next, rollcallProto{until: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(next, rollcallProto{until: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: the run after a capped one diverges from a fresh Runner's:\nfresh: %+v\nafter: %+v", shards, want, got)
+		}
+	}
+}
+
+// TestCrashDropsPrewrittenArrivals crashes four nodes of a rollcall at
+// tick 4, one in each of four shards, when their rows already hold what
+// their neighbours sent at tick 3. Those messages are lost, not
+// forgotten: Dropped, Messages, Bits, MaxMsgBits and LastActive equal the
+// values the engine read when such messages waited in the wheel, at 1, 2
+// and 4 shards — 96 drops are four nodes of degree 4 missing rounds 3-8;
+// emptying the crashed rows instead would read 80.
+func TestCrashDropsPrewrittenArrivals(t *testing.T) {
+	fs, err := ParseFaults("crash@4:3,17,40,63")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Torus(8, 8)
+	cfg := Config{Graph: g, IDs: SequentialIDs(g.N(), 1), Seed: 5, Model: ModelSpec{Faults: fs}}
+	for _, shards := range []int{1, 2, 4} {
+		cfg.Shards = shards
+		res, err := Run(cfg, rollcallProto{until: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Crashes != 4 || res.Rounds != 9 {
+			t.Fatalf("%d shards: %d crashes, %d rounds: not the run this test is about", shards, res.Crashes, res.Rounds)
+		}
+		if res.Dropped != 96 || res.Messages != 1968 || res.Bits != 13824 || res.MaxMsgBits != 9 || res.LastActive != 9 {
+			t.Errorf("%d shards: dropped %d, messages %d, bits %d, largest %d, last active %d; pinned 96, 1968, 13824, 9, 9",
+				shards, res.Dropped, res.Messages, res.Bits, res.MaxMsgBits, res.LastActive)
+		}
+	}
+}
+
+// perEdgeDigest folds a per-edge count map into one number that moves
+// when any edge's count does.
+func perEdgeDigest(pe map[[2]int]int64) (d int64) {
+	for k, c := range pe {
+		d += c * int64(k[0]*1_000_003+k[1]*7_919+1)
+	}
+	return d
+}
+
+// TestLossyInstrumentsPinned floods torus:8x8 from node 0 over links that
+// lose a tenth of the messages, watching three edges and counting every
+// edge: the first crossings, the messages before the first one and the
+// per-edge counts equal the values the engine read when the messages
+// waited in the wheel, at 1 and 2 shards.
+func TestLossyInstrumentsPinned(t *testing.T) {
+	m, err := ParseModel("congest+drop:0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Torus(8, 8)
+	wake := make([]int, g.N())
+	for i := range wake {
+		wake[i] = WakeOnMessage
+	}
+	wake[0] = 1
+	cfg := Config{
+		Graph: g, IDs: SequentialIDs(g.N(), 1), Wake: wake, Seed: 21, Model: m,
+		WatchEdges: [][2]int{{27, 28}, {36, 44}, {62, 63}}, CountPerEdge: true,
+	}
+	for _, shards := range []int{1, 2} {
+		cfg.Shards = shards
+		res, err := Run(cfg, floodOnceProto{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Messages != 256 || res.Dropped != 19 {
+			t.Fatalf("%d shards: %d messages, %d dropped: not the run this test is about", shards, res.Messages, res.Dropped)
+		}
+		want := map[[2]int]int{{27, 28}: 8, {36, 44}: 9, {62, 63}: 4}
+		if !reflect.DeepEqual(res.FirstCrossing, want) || res.MessagesBeforeCrossing != 20 {
+			t.Errorf("%d shards: first crossings %v after %d messages; pinned %v after 20",
+				shards, res.FirstCrossing, res.MessagesBeforeCrossing, want)
+		}
+		if len(res.PerEdge) != 127 || perEdgeDigest(res.PerEdge) != 6623721645 {
+			t.Errorf("%d shards: %d edges counted, digest %d; pinned 127, 6623721645",
+				shards, len(res.PerEdge), perEdgeDigest(res.PerEdge))
 		}
 	}
 }

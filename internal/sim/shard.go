@@ -7,10 +7,11 @@
 // status vectors, linkSeq/wakeAt slots) is written only by its owner, so
 // shards step one tick concurrently without locks. The one cross-shard
 // interaction is message routing: a sender whose neighbor lives in
-// another shard parks the scheduled delivery in a per-(src,dst) mailbox
-// row instead of its own wheel, and at the tick barrier every shard
-// drains the rows addressed to it, in ascending source-shard order, into
-// its own wheel.
+// another shard parks the message in a per-(src,dst) mailbox row instead
+// of the receiver's inbox row (synchronous modes) or its own wheel
+// (ASYNC), and at the tick barrier every shard drains the rows addressed
+// to it, in ascending source-shard order: a synchronous message into its
+// receiver's inbox row for the next tick, an ASYNC one into the wheel.
 //
 // Determinism does not depend on the shard count. The only event order
 // the simulation can observe is the per-link order of same-tick arrivals:
@@ -80,8 +81,8 @@ func EffectiveShards(shards, n, procs int) int {
 	return (n + size - 1) / size
 }
 
-// shardMsg is one cross-shard delivery in flight: the delivery record
-// plus its target tick, parked in a mailbox row until the barrier.
+// shardMsg is one cross-shard message in flight: the delivery record
+// plus its arrival tick, parked in a mailbox row until the barrier.
 type shardMsg struct {
 	at int
 	d  delivery
@@ -94,14 +95,18 @@ type engineShard struct {
 	id     int
 	lo, hi int
 
-	// wheel is the shard's private pending-event queue. Every event in it
-	// targets the shard's own nodes.
+	// wheel is the shard's private pending-event queue: wake-ups, timers
+	// and ASYNC deliveries. Every event in it targets the shard's own
+	// nodes.
 	wheel *timingWheel
 
 	// Tick-loop scratch (see event.go), all over own nodes only.
-	active   []int // sorted ids of the nodes holding a round timer (synchronous modes)
-	stepSet  []int
-	recv     []int // own nodes that received a delivery this tick
+	active  []int // sorted ids of the nodes holding a round timer (synchronous modes)
+	stepSet []int
+	// recv lists the own nodes whose inbox rows hold arrivals (land): from
+	// the flush and drain of tick t until tick t+1's step phase has read
+	// them in the synchronous modes, within the tick in ASYNC.
+	recv     []int
 	wake     []int // own wake candidates this tick
 	mergeBuf []int
 	order    inboxOrder // inbox ordering scratch (arena.go)
@@ -112,9 +117,9 @@ type engineShard struct {
 	faults       *faultState
 	faultScratch *faultState
 
-	// mail[d] is the outbound mailbox toward shard d: deliveries for
-	// shard d's nodes scheduled by this shard's senders during the
-	// current tick, in send order. Shard d drains it at the barrier.
+	// mail[d] is the outbound mailbox toward shard d: messages for shard
+	// d's nodes sent by this shard's senders during the current tick, in
+	// send order. Shard d drains it at the barrier.
 	// mailed counts what the tick parked across all rows, so that a tick
 	// without cross-shard traffic skips the drain phase.
 	mail   [][]shardMsg
@@ -125,9 +130,17 @@ type engineShard struct {
 	due int
 
 	// Quiescence counters over own nodes; the coordinator sums them.
-	pendingMsgs int // undelivered messages queued in this shard's wheel
+	pendingMsgs int // ASYNC deliveries queued in this shard's wheel
 	numRunning  int // awake && !halted && alive
 	numHalted   int
+
+	// The arrivals landed in own rows and not yet delivered (arrive): how
+	// many, their summed cached bits and the largest, so that the arrival
+	// pass never touches a payload. Between ticks they are the synchronous
+	// messages due next tick.
+	arrivals    int
+	arrivalBits int64
+	arrivalMax  int
 
 	// Cumulative accounting, folded into the Result when the run ends.
 	msgs       int64
@@ -171,6 +184,7 @@ func (sh *engineShard) resetRun() {
 	sh.mailed = 0
 	sh.faults = nil
 	sh.pendingMsgs, sh.numRunning, sh.numHalted = 0, 0, 0
+	sh.arrivals, sh.arrivalBits, sh.arrivalMax = 0, 0, 0
 	sh.msgs, sh.bits, sh.dropped = 0, 0, 0
 	sh.maxMsgBits, sh.lastActive = 0, 0
 	sh.crashes, sh.recoveries = 0, 0
@@ -179,8 +193,8 @@ func (sh *engineShard) resetRun() {
 	sh.fc, sh.pe = nil, nil
 }
 
-// route schedules delivery d for tick at: into the sending shard's own
-// wheel when the receiver is local, into the mailbox row toward the
+// route schedules ASYNC delivery d for tick at: into the sending shard's
+// own wheel when the receiver is local, into the mailbox row toward the
 // receiver's shard otherwise. The receiving shard's pendingMsgs is
 // charged at drain time.
 func (e *engine) route(sh *engineShard, at int, d delivery) {
@@ -199,20 +213,20 @@ func (e *engine) route(sh *engineShard, at int, d delivery) {
 // events, a barrier, every shard drains the mailboxes addressed to it
 // (ascending source-shard order), a barrier, then the coordinator folds
 // the per-shard tick scratch. What the tick holds is known before it
-// runs — per shard, the nodes its round timers will step plus the
-// deliveries, wake-ups and timers in the bucket that falls due. With at
-// least minPooledWork of it, and a pool, both phases run concurrently;
-// otherwise — a sparse tick, one shard, one core — they run inline in
-// shard order, and a shard with nothing due sits the tick out, so that a
-// sparse run costs what a single shard's would. A tick that parked no
-// cross-shard mail skips the drain phase. The results are identical
-// whichever way a tick goes.
+// runs — per shard, the nodes its round timers will step, the arrivals
+// in its rows, and the deliveries, wake-ups and timers in the bucket that
+// falls due. With at least minPooledWork of it, and a pool, both phases
+// run concurrently; otherwise — a sparse tick, one shard, one core — they
+// run inline in shard order, and a shard with nothing due sits the tick
+// out, so that a sparse run costs what a single shard's would. A tick
+// that parked no cross-shard mail skips the drain phase. The results are
+// identical whichever way a tick goes.
 func (e *engine) runTick(t int) {
 	e.round = t
 	work := 0
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.due = len(sh.active)
+		sh.due = len(sh.active) + sh.arrivals
 		if b := sh.wheel.peek(t); b != nil {
 			sh.due += 1 + len(b.deliveries) + len(b.wakes) + len(b.timers)
 			if b.wakeAll {
@@ -251,12 +265,14 @@ func (e *engine) runTick(t int) {
 	e.foldTick(t)
 }
 
-// drainMail moves every delivery parked for dst into dst's wheel. Rows
-// are visited in ascending source-shard order and each row in send
-// order, so the per-link arrival order in dst's buckets is exactly the
-// senders' flush order — the order the single-shard engine would have
-// appended in. Runs concurrently per destination: dst writes only its
-// own wheel and counters, and resets only rows addressed to it.
+// drainMail moves every message parked for dst where it waits: a
+// synchronous one into its receiver's inbox row for the next tick (land),
+// an ASYNC one into dst's wheel. Rows are visited in ascending
+// source-shard order and each row in send order, so the per-link arrival
+// order in dst's rows and buckets is exactly the senders' flush order —
+// the order the single-shard engine would have appended in. Runs
+// concurrently per destination: dst writes only its own rows, wheel and
+// counters, and resets only mailbox rows addressed to it.
 func (e *engine) drainMail(dst *engineShard) {
 	for si := range e.shards {
 		src := &e.shards[si]
@@ -264,11 +280,17 @@ func (e *engine) drainMail(dst *engineShard) {
 		if len(row) == 0 {
 			continue
 		}
-		for i := range row {
-			b := dst.wheel.lend(row[i].at)
-			b.deliveries = append(b.deliveries, row[i].d)
+		if e.async {
+			for i := range row {
+				b := dst.wheel.lend(row[i].at)
+				b.deliveries = append(b.deliveries, row[i].d)
+			}
+			dst.pendingMsgs += len(row)
+		} else {
+			for i := range row {
+				e.land(dst, row[i].d)
+			}
 		}
-		dst.pendingMsgs += len(row)
 		src.mail[dst.id] = row[:0]
 	}
 }
@@ -279,12 +301,13 @@ func (e *engine) drainMail(dst *engineShard) {
 // that has one), and the watched-edge crossing cut, which must be
 // computed against the whole tick's deliveries, not any one shard's.
 func (e *engine) foldTick(t int) {
-	e.running, e.active, e.pendingMsgs = 0, 0, 0
+	e.running, e.active, e.pendingMsgs, e.arrivals = 0, 0, 0, 0
 	for i := range e.shards {
 		sh := &e.shards[i]
 		e.running += sh.numRunning
 		e.active += len(sh.active)
 		e.pendingMsgs += sh.pendingMsgs
+		e.arrivals += sh.arrivals
 		if e.err == nil {
 			e.err = sh.err
 		}

@@ -435,7 +435,8 @@ type engine struct {
 	// out[u] is u's outbox row: this round's sends in send order, with
 	// Bits() cached (see arena.go).
 	out [][]outMsg
-	// inbox[u] holds the messages delivered to u this round.
+	// inbox[u] holds the messages delivered to u this round — in the
+	// synchronous modes, from the flush of the round before on.
 	inbox [][]Message
 
 	status  []Status
@@ -484,10 +485,12 @@ type engine struct {
 	maxTick   int // round cap; timers past it are never scheduled
 	// Quiescence counters summed over the shards at the end of every tick
 	// (foldTick): awake live non-halted nodes, those of them that hold a
-	// round timer (synchronous modes), undelivered messages.
+	// round timer (synchronous modes), ASYNC deliveries in the wheels, and
+	// synchronous messages in the rows, due next tick.
 	running     int
 	active      int
 	pendingMsgs int
+	arrivals    int
 
 	// shardPool drives the pooled ticks of a multi-shard run on a
 	// multi-core host (nil otherwise), with tickFn/drainFn the fixed

@@ -1,8 +1,11 @@
 // Timing wheel: the pending-event index of the event-driven engine.
 //
-// Nearly every schedule the engine performs lands within a few ticks of
-// the current one — synchronous deliveries at t+1, bounded asynchronous
-// delays, short RequestWake timers — so events are kept in a power-of-two
+// The wheel holds what falls due at a later tick: spontaneous wake-ups,
+// timers and ASYNC deliveries. A synchronous message is not among them —
+// it always arrives at t+1, so the flush writes it straight into its
+// receiver's inbox row (event.go). Nearly every schedule lands within a
+// few ticks of the current one — bounded asynchronous delays, short
+// RequestWake and IdleUntil timers — so events are kept in a power-of-two
 // ring of per-tick buckets addressed by tick&mask, with a word-level
 // occupancy bitmap for O(1) amortized "next scheduled tick" queries. The
 // rare far-future event (a distant spontaneous-wake round, a long timer)
@@ -13,15 +16,14 @@
 // recycled in place.
 //
 // A bucket's []delivery — the one array here whose size follows the
-// traffic — is owned by the wheel, not by the bucket: a bucket borrows one
-// from the wheel's spares when its first delivery is scheduled (lend) and
-// hands it back when the bucket is cleared (release: once its tick's
-// events are applied, when pruning drops it, on reset). A wheel therefore
-// holds as many arrays as buckets ever held deliveries at once — one in a
-// lossless synchronous run, where tick t's deliveries are in the inboxes
-// and its array is back before the flush fills tick t+1's; the delay
-// bound in ASYNC — instead of one peak-sized array per ring slot the run
-// ever passed through.
+// traffic, and only in ASYNC — is owned by the wheel, not by the bucket: a
+// bucket borrows one from the wheel's spares when its first delivery is
+// scheduled (lend) and hands it back when the bucket is cleared (release:
+// once its tick's events are applied, when pruning drops it, on reset). A
+// wheel therefore holds as many arrays as buckets ever held deliveries at
+// once — about the delay bound — instead of one peak-sized array per ring
+// slot the run ever passed through, and a synchronous run's wheels hold
+// none.
 package sim
 
 import "math/bits"
