@@ -37,7 +37,7 @@ test-race:
 # faults, at shards 1/2/4 pooled and inline), the randomized
 # differential against the reference (TestReference*: it crosses shard
 # counts on one reused Runner), the EffectiveShards table and the
-# harness shard×worker byte-identity matrix. This is the strongest signal
+# harness worker byte-identity matrix. This is the strongest signal
 # on the tick-barrier protocol — a shard writing outside its node range
 # is a data race here long before it is a wrong answer anywhere else.
 # -cpu 1,2,4 on the engine layers
@@ -53,7 +53,7 @@ test-race:
 # (TestRecycled*, TestRejoin*): a warm Runner renews its processes, some of
 # whose wire records crossed shards in the run before, and a record or a
 # slab shared by mistake between two of them is a data race at 2 and 4
-# shards first. The harness matrix (16 sweeps
+# shards first. The harness matrix (4 sweeps
 # a pass) runs once, at 4, and with it the sweep pipeline's backlog test:
 # every worker runs the ordered tail under one lock, so the emitters, the
 # aggregator and the Progress hook are only race-free if that lock is
@@ -200,15 +200,14 @@ bench-sweep:
 sweep-smoke:
 	$(GO) run ./cmd/ule-experiments -sweep builtin:smoke -workers 4 -json - -progress=false > /dev/null
 
-# Serving-layer smoke (docs/SERVICE.md): boot uled on an ephemeral port,
-# run the uled-load correctness sequence against it (elections byte-
-# identical across repeats and to the batch path, a streamed sweep
-# byte-identical to a local harness run, the async job lifecycle, a
-# guaranteed 400, goroutine flatness), then SIGTERM and require a clean
-# drain. Wired into CI.
+# Serving-layer smoke (docs/SERVICE.md): the uled binary itself — the
+# test binary re-executed as uled — boots on an ephemeral port, answers an
+# election over TCP with the in-process service's bytes, and on SIGTERM
+# drains and exits 0. Everything else about the service (byte identity to
+# the batch path, the async job lifecycle, the 400s, goroutine flatness)
+# is internal/serve's in-process suite. Wired into CI.
 serve-smoke:
-	$(GO) build -o bin/uled ./cmd/uled
-	$(GO) run ./cmd/uled-load -spawn bin/uled -smoke
+	$(GO) test -count=1 -run TestServeAndDrain -v ./cmd/uled
 
 # Distributed-sweep chaos gate (docs/DISTRIBUTED.md): run the gate sweep
 # through lease-serving worker processes at 1, 2 and 4 workers, and in 24
@@ -239,4 +238,4 @@ docs-check: fmt-check vet
 	$(GO) test -run Example ./...
 
 # Everything the CI pipeline runs, in the same order.
-ci: fmt-check vet build test-shuffle race race-matrix test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos docs-check
+ci: fmt-check vet build test-shuffle race test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos test-race race-matrix docs-check

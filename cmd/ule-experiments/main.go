@@ -51,9 +51,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
-	"ule/internal/cmdutil"
 	"ule/internal/core"
 	"ule/internal/harness"
 	"ule/internal/lowerbound"
@@ -96,7 +96,6 @@ func run(args []string) error {
 		delays    = fs.String("delays", "", "sweep mode: override the spec's async delay axis (comma-separated: unit,random:B,fifo:B)")
 		faults    = fs.String("faults", "", "sweep mode: override the spec's fault axis (comma-separated: none,crash:P,crashrec:P:D,drop:P,churn:P:K)")
 		diamEst   = fs.Bool("diam-estimate", false, "sweep mode: grant D-dependent algorithms graph.DiameterEstimate instead of the exact all-pairs diameter (for graphs too large for O(n·m))")
-		shards    = fs.Int("shards", 0, "sweep mode: override the spec's engine shard count (0 = keep the spec value, whose own 0 = engine decides; 1 = single, k = exactly k, -1 = one per core; results identical at any count)")
 		progress  = fs.Bool("progress", true, "sweep mode: report progress on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -115,7 +114,7 @@ func run(args []string) error {
 			workers: *workers, jsonOut: *jsonOut, csvOut: *csvOut,
 			binOut: *binOut, resume: *resume, ckptEvery: *ckptEvery,
 			mode: *mode, delays: *delays, faults: *faults,
-			diamEstimate: *diamEst, shards: *shards, progress: *progress,
+			diamEstimate: *diamEst, progress: *progress,
 		})
 	}
 	d := &driver{quick: *quick, seed: *seed, trials: 10, csv: *csv, workers: *workers}
@@ -172,8 +171,25 @@ type sweepOpts struct {
 	mode            string
 	delays, faults  string
 	diamEstimate    bool
-	shards          int
 	progress        bool
+}
+
+// apply rewrites spec with the axis overrides (-mode, -delays, -faults,
+// -diam-estimate), so one spec file serves the synchronous, asynchronous
+// and faulty scenario space. Unset flags leave the spec untouched.
+func (o sweepOpts) apply(spec *harness.Spec) {
+	if o.mode != "" {
+		spec.Modes = strings.Split(o.mode, ",")
+	}
+	if o.delays != "" {
+		spec.Delays = strings.Split(o.delays, ",")
+	}
+	if o.faults != "" {
+		spec.Faults = strings.Split(o.faults, ",")
+	}
+	if o.diamEstimate {
+		spec.DiameterEstimate = true
+	}
 }
 
 // exportBinary streams a ule-sweepbin/v1 file through export to outPath
@@ -216,18 +232,13 @@ func exportCSV(in io.Reader, out io.Writer) error {
 	return em.End(nil)
 }
 
-// runSweep executes one declarative sweep spec through the harness. Spec
-// loading and the axis overrides live in internal/cmdutil, shared with
-// cmd/ule and the uled serving layer.
+// runSweep executes one declarative sweep spec through the harness.
 func runSweep(specArg string, o sweepOpts) error {
-	spec, err := cmdutil.LoadSpec(specArg)
+	spec, err := harness.LoadSpec(specArg)
 	if err != nil {
 		return err
 	}
-	cmdutil.SpecOverrides{
-		Modes: o.mode, Delays: o.delays, Faults: o.faults,
-		DiameterEstimate: o.diamEstimate, Shards: o.shards,
-	}.Apply(&spec)
+	o.apply(&spec)
 	rc := harness.RunConfig{Workers: o.workers}
 	if o.resume != "" {
 		// A resumed run appends to the binary file; the text emitters

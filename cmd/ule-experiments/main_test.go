@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ule/internal/harness"
@@ -90,6 +91,26 @@ func TestSweepModeAsyncOverride(t *testing.T) {
 		if !seen[d] {
 			t.Errorf("delay model %q missing from trials", d)
 		}
+	}
+}
+
+func TestSpecOverrides(t *testing.T) {
+	spec := harness.Spec{Algos: []string{"leastel"}, Graphs: []string{"ring:8"}}
+	sweepOpts{mode: "async", delays: "unit,random:4", faults: "crash:0.2", diamEstimate: true}.apply(&spec)
+	if len(spec.Modes) != 1 || spec.Modes[0] != "async" {
+		t.Fatalf("modes = %v", spec.Modes)
+	}
+	if len(spec.Delays) != 2 || spec.Delays[1] != "random:4" {
+		t.Fatalf("delays = %v", spec.Delays)
+	}
+	if len(spec.Faults) != 1 || !spec.DiameterEstimate {
+		t.Fatalf("overrides not applied: %+v", spec)
+	}
+
+	// Zero overrides leave the spec untouched.
+	sweepOpts{}.apply(&spec)
+	if len(spec.Modes) != 1 || len(spec.Delays) != 2 || len(spec.Faults) != 1 || !spec.DiameterEstimate {
+		t.Fatalf("zero overrides mutated the spec: %+v", spec)
 	}
 }
 
@@ -185,6 +206,28 @@ func TestFromBinCSVOut(t *testing.T) {
 		if len(want) == 0 || !bytes.Equal(got, want) {
 			t.Errorf("%s differs from %s (%d vs %d bytes)", pair[0], pair[1], len(got), len(want))
 		}
+	}
+}
+
+// TestSweepSpecUnknownFieldNamed: a spec key the schema does not have is
+// an error naming it, not a sweep run without it.
+func TestSweepSpecUnknownFieldNamed(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, body, field string }{
+		{"typo", `{"name":"typo","algos":["leastel"],"graphs":["ring:8"],"trails":5,"seed":3,"shards":2}`, "trails"},
+		{"shards", `{"algos":["leastel"],"graphs":["ring:8"],"shards":2}`, "shards"},
+	} {
+		specPath := filepath.Join(dir, c.name+".json")
+		if err := os.WriteFile(specPath, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-sweep", specPath, "-json", filepath.Join(dir, c.name+".out.json"), "-progress=false"})
+		if err == nil || !strings.Contains(err.Error(), `"`+c.field+`"`) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.field)
+		}
+	}
+	if err := run([]string{"-sweep", "builtin:smoke", "-shards", "2", "-progress=false"}); err == nil {
+		t.Error("-shards accepted")
 	}
 }
 

@@ -80,7 +80,7 @@ func run(args []string) error {
 	if *specPath == "" || *out == "" {
 		return fmt.Errorf("need -spec and -out (or -gate)")
 	}
-	spec, err := loadSpec(*specPath)
+	spec, err := harness.LoadSpec(*specPath)
 	if err != nil {
 		return err
 	}
@@ -120,20 +120,6 @@ func run(args []string) error {
 		}
 	}
 	return runErr
-}
-
-func loadSpec(path string) (harness.Spec, error) {
-	var spec harness.Spec
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return spec, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("spec %s: %w", path, err)
-	}
-	return spec, nil
 }
 
 // parseChaos parses "kill:P,stall:P,corrupt:P" into a ChaosPlan.
@@ -192,7 +178,7 @@ func gateSpec() harness.Spec {
 func runGate(specPath string, verbose bool) error {
 	spec := gateSpec()
 	if specPath != "" {
-		s, err := loadSpec(specPath)
+		s, err := harness.LoadSpec(specPath)
 		if err != nil {
 			return err
 		}

@@ -4,9 +4,9 @@
 // Usage:
 //
 //	ule -graph ring:64 -algo leastel -trials 5 -seed 1
-//	ule -graph ring:64 -algo leastel -mode async -delay random:8
+//	ule -graph ring:64 -algo leastel -model async+random:8
 //	ule -graph ring:64 -algo leastel -model async+random:8+crash:0.2
-//	ule -graph ring:64 -algo leastel -faults crashrec:0.2:32
+//	ule -graph ring:64 -algo leastel -model crashrec:0.2:32
 //	ule -graph ring:4096 -algo leastel -trials 20 -cpuprofile cpu.out -memprofile mem.out
 //	ule -list
 //
@@ -14,11 +14,11 @@
 // bipartite:AxB hypercube:DIM random:N:M regular:N:D caterpillar:SPINE:LEGS
 // lollipop:N:M dumbbell:N:M cliquecycle:N:D
 //
-// Modes: congest (default), local, async. In async mode -delay selects the
-// message-delay schedule (unit, random:B, fifo:B). -faults injects the
+// -model is the execution model in one string (sim.ParseModel grammar):
+// a mode — congest (the default), local or async — then, for async, the
+// message-delay schedule (unit, random:B, fifo:B), then the
 // seed-deterministic fault adversary (crash:P, crashrec:P:DOWN, drop:P,
-// churn:P:K — see docs/FAULTS.md); -model sets the full execution-model
-// spec in one string and overrides -mode/-delay.
+// churn:P:K — see docs/FAULTS.md), joined by "+".
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"runtime/pprof"
 
 	"ule/election"
-	"ule/internal/cmdutil"
 	"ule/internal/core"
 	"ule/internal/graph"
 	"ule/internal/harness"
@@ -52,14 +51,10 @@ func run(args []string, out io.Writer) error {
 		algo      = fs.String("algo", "leastel", "algorithm name (see -list)")
 		trials    = fs.Int("trials", 1, "independent trials (fresh IDs/coins)")
 		seed      = fs.Int64("seed", 1, "base seed")
-		mode      = fs.String("mode", "congest", "execution model: congest, local, async")
-		delay     = fs.String("delay", "", "async delay schedule: unit, random:B, fifo:B")
-		model     = fs.String("model", "", "full execution-model spec (overrides -mode/-delay), e.g. async+random:4+crash:0.2")
-		faults    = fs.String("faults", "", "fault schedule: crash:P[:W], crashrec:P:DOWN[:keep], drop:P, churn:P:K")
+		model     = fs.String("model", "", "execution model: mode[+delay][+faults], e.g. local, async+random:4, crash:0.2, async+fifo:8+crashrec:0.1:32 (empty = congest)")
 		anonymous = fs.Bool("anonymous", false, "run without node identifiers")
 		smallIDs  = fs.Bool("small-ids", false, "permutation IDs 1..n (needed for dfs)")
 		maxRounds = fs.Int("max-rounds", 1<<18, "round cap")
-		shards    = fs.Int("shards", 0, "engine shards (0 = engine decides: large graphs are split across the cores, 1 = single, k = exactly k, -1 = one per core; results identical)")
 		list      = fs.Bool("list", false, "list algorithms and exit")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the trials to this file")
 		memProf   = fs.String("memprofile", "", "write an allocation profile to this file after the trials")
@@ -101,10 +96,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	// Resolve the execution model: -model wins; otherwise the -mode/-delay
-	// flags are composed into the same spec grammar, and -faults appends
-	// the fault adversary either way.
-	em, err := cmdutil.ResolveModel(*model, *mode, *delay, *faults)
+	em, err := sim.ParseModel(*model)
 	if err != nil {
 		return err
 	}
@@ -146,7 +138,6 @@ func run(args []string, out io.Writer) error {
 			SmallIDs:  *smallIDs,
 			Anonymous: *anonymous,
 			MaxRounds: *maxRounds,
-			Shards:    *shards,
 		}.RunOpts(prep)
 		if err != nil {
 			return err

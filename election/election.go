@@ -165,12 +165,6 @@ type Params struct {
 	// constraints; that doc is the single source of truth. Empty means
 	// CONGEST, fault-free.
 	Model string
-	// Shards partitions the simulation into concurrently stepped node
-	// shards. Any value produces byte-identical results: 0 = engine
-	// decides (large graphs are split across the cores, small ones are
-	// not), 1 = single shard, k > 1 = exactly k, negative = one per
-	// core. See sim.Config.Shards.
-	Shards int
 	// Wake is the wake-up schedule (nil = simultaneous round 1).
 	Wake []int
 	// Opt tunes algorithm parameters.
@@ -190,7 +184,6 @@ func Elect(g *Graph, algorithm string, p Params) (*Result, error) {
 		D:         p.D,
 		MaxRounds: p.MaxRounds,
 		Model:     m,
-		Shards:    p.Shards,
 		Wake:      p.Wake,
 		Opt:       p.Opt,
 	})

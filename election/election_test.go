@@ -58,12 +58,12 @@ func TestLocalModeAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := election.Elect(g, "leastel", election.Params{Seed: 2, Shards: -1})
+	b, err := election.Elect(g, "leastel", election.Params{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Messages != b.Messages || !a.UniqueLeader() || !b.UniqueLeader() {
-		t.Errorf("LOCAL/parallel runs diverge: %d vs %d msgs", a.Messages, b.Messages)
+		t.Errorf("LOCAL/CONGEST runs diverge: %d vs %d msgs", a.Messages, b.Messages)
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"ule/internal/cmdutil"
 )
 
 func main() {
@@ -109,28 +107,26 @@ func main() {
 	fmt.Printf("job %s: done, %d trials\n", job.ID, summary.TotalTrials)
 }
 
-// post retries 503s (full job table, draining server) with capped
-// backoff, honoring the server's Retry-After hint when present instead of
-// hot-looping on a saturated server.
+// post retries 503s (full job table, draining server): it waits the
+// server's Retry-After hint when there is one, and otherwise a delay that
+// doubles from 200ms, instead of hot-looping on a saturated server.
 func post(url string, req, res any) error {
 	const maxAttempts = 5
-	bo := cmdutil.Backoff{Base: 200 * time.Millisecond, Cap: 2 * time.Second, Jitter: 0.2}
 	body, _ := json.Marshal(req)
+	delay := 200 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable && attempt < maxAttempts-1 {
-			delay := bo.Delay(attempt)
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-				if hinted := time.Duration(secs) * time.Second; hinted < delay {
-					delay = hinted
-				}
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+				delay = time.Duration(secs) * time.Second
 			}
 			resp.Body.Close()
 			fmt.Printf("server busy (503), retrying in %v…\n", delay.Round(time.Millisecond))
 			time.Sleep(delay)
+			delay *= 2
 			continue
 		}
 		defer resp.Body.Close()

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ule/internal/cmdutil"
 	"ule/internal/harness"
 	"ule/internal/stats"
 )
@@ -54,8 +53,8 @@ type Config struct {
 	MaxAttempts int
 
 	// Backoff paces retries of a failed unit (zero value: 10ms base,
-	// 300ms cap, no jitter — see cmdutil.Backoff).
-	Backoff cmdutil.Backoff
+	// 300ms cap).
+	Backoff Backoff
 
 	// Dir holds the spec file and shard files; it is created if missing
 	// (default: a fresh temp directory, left on disk for post-mortems).
@@ -373,7 +372,7 @@ func (c *coordinator) resolve(u *unit, act chaosAction, stalled bool) {
 	delay := c.cfg.Backoff.Delay(u.attempt - 1)
 	c.event("retry", nil, u, "chaos", act.kind.String(), "ms", float64(delay)/1e6)
 	go func() {
-		c.cfg.Backoff.Sleep(u.attempt-1, nil)
+		time.Sleep(delay)
 		c.ready <- u
 	}()
 }

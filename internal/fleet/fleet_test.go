@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ule/internal/cmdutil"
 	"ule/internal/harness"
 )
 
@@ -56,7 +55,7 @@ func fleetConfig(t *testing.T, spec harness.Spec) Config {
 		Workers:         3,
 		UnitTrials:      5,
 		CheckpointEvery: testCadence,
-		Backoff:         cmdutil.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 1},
+		Backoff:         Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond},
 		Dir:             dir,
 		Out:             filepath.Join(dir, "merged.ulsb"),
 		WorkerArgv:      []string{exe},

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -156,13 +155,9 @@ func loadPlan(specPath string) (*harness.Plan, error) {
 	if specPath == "" {
 		return nil, fmt.Errorf("need -spec")
 	}
-	data, err := os.ReadFile(specPath)
+	spec, err := harness.LoadSpec(specPath)
 	if err != nil {
 		return nil, err
-	}
-	var spec harness.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("spec %s: %w", specPath, err)
 	}
 	return spec.Compile()
 }
@@ -234,7 +229,7 @@ func (w *worker) serve(l lease) error {
 	_, err := w.plan.Run(harness.RunConfig{
 		Workers:  w.workers,
 		Emitters: []harness.Emitter{em, &chaosEmitter{fault: l.fault, stallFor: w.stallFor}},
-		// A ranged run also keeps unset spec shards at 1: the fleet's
+		// A ranged run keeps each trial on one engine shard: the fleet's
 		// processes, not one trial's shards, fill the cores.
 		Range:  &l.r,
 		Resume: ck,

@@ -23,9 +23,8 @@ type Election struct {
 	// DiameterEstimate grants a D-dependent algorithm the double-sweep
 	// bound instead of the exact diameter.
 	DiameterEstimate bool
-	// MaxRounds, Shards and Opt are passed through (core.RunOpts).
+	// MaxRounds and Opt are passed through (core.RunOpts).
 	MaxRounds int
-	Shards    int
 	Opt       core.Options
 }
 
@@ -49,7 +48,6 @@ func (e Election) RunOpts(prep *core.Prepared) (core.RunOpts, error) {
 		MaxRounds: e.MaxRounds,
 		Model:     e.Model,
 		Wake:      wake,
-		Shards:    e.Shards,
 		Opt:       e.Opt,
 	}
 	if e.SmallIDs {

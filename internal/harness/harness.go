@@ -249,7 +249,7 @@ func (p *Plan) Run(rc RunConfig) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := trialShards(p.spec.Shards, workers, rc.Range != nil)
+	shards := trialShards(workers, rc.Range != nil)
 
 	// The executed range: the whole sweep, or rc.Range's slice of it.
 	rangeStart, rangeCount := 0, p.total
@@ -330,16 +330,16 @@ func (p *Plan) Run(rc RunConfig) (*Report, error) {
 	return tail.end(workers)
 }
 
-// trialShards resolves the spec's shard count for one sweep execution.
-// Several workers, or a range (one process's slice of a fleet's sweep),
-// already fill the cores with whole trials: an unset count then means
-// one shard, not the engine's own multi-core default. Anything the spec
-// did set is passed through.
-func trialShards(specShards, workers int, ranged bool) int {
-	if specShards == 0 && (workers > 1 || ranged) {
+// trialShards is the one override of the engine's shard count
+// (core.RunOpts.Shards) outside tests. Several workers, or a range (one
+// process's slice of a fleet's sweep), already fill the cores with whole
+// trials, so each trial runs on one shard; otherwise 0 leaves the choice
+// to the engine (sim.EffectiveShards). Output is the same bytes either way.
+func trialShards(workers int, ranged bool) int {
+	if workers > 1 || ranged {
 		return 1
 	}
-	return specShards
+	return 0
 }
 
 // workerState is one worker's private trial machinery, kept by the Plan
@@ -379,11 +379,11 @@ func (p *Plan) runTrial(t Trial, shards int, ws *workerState) TrialResult {
 		SmallIDs:         p.spec.SmallIDs,
 		DiameterEstimate: p.spec.DiameterEstimate,
 		MaxRounds:        p.spec.MaxRounds,
-		Shards:           shards,
 		Opt:              p.spec.Opt,
 	}.RunOpts(prep)
 	if err == nil {
 		tr.D = ro.D
+		ro.Shards = shards
 		err = prep.RunInto(ro, &ws.res)
 	}
 	if err != nil {

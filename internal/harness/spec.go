@@ -21,6 +21,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -76,19 +77,30 @@ type Spec struct {
 	// an under-estimate changes what the algorithm is told, so trials with
 	// this flag are labeled by it in the emitted spec.
 	DiameterEstimate bool `json:"diameter_estimate,omitempty"`
-	// Shards partitions each trial's event engine into concurrently
-	// stepped node shards (sim.Config.Shards: 0 = engine decides, 1 =
-	// single shard, k > 1 = exactly k, negative = GOMAXPROCS). A sweep
-	// that fills the cores with whole trials — more than one worker, or a
-	// fleet worker's trial range — runs unset (0) as 1. Emitted output is
-	// byte-identical at every shard count, so this is a pure execution
-	// knob like RunConfig.Workers — but it is part of the spec echo, so
-	// two sweeps differing only in Shards differ in the emitted spec
-	// header (the echo is always what the spec said, never the resolved
-	// count).
-	Shards int `json:"shards,omitempty"`
 	// Opt tunes the algorithms (shared by every trial).
 	Opt core.Options `json:"opt,omitempty"`
+}
+
+// LoadSpec reads a sweep spec: the literal "builtin:smoke" or a JSON
+// file. It is the one spec reader of every front end, and it is strict:
+// a key the schema does not have (a typo such as "trails") is an error
+// that names it, never a silently defaulted axis.
+func LoadSpec(arg string) (Spec, error) {
+	if arg == "builtin:smoke" {
+		return Smoke(), nil
+	}
+	f, err := os.Open(arg)
+	if err != nil {
+		return Spec{}, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, fmt.Errorf("sweep spec %s: %w", arg, err)
+	}
+	return spec, nil
 }
 
 // Trial identifies one expanded (algorithm, graph, mode, wake, delay,

@@ -19,7 +19,7 @@
 // Determinism: a request with a given seed produces byte-identical
 // results to the batch path — elections reduce the same sim.Result the
 // same way, sweeps run the same harness with the same trial expansion —
-// pinned by serve_test.go and by `uled-load -smoke`.
+// pinned by serve_test.go; cmd/uled's test boots the real binary.
 package serve
 
 import (
@@ -78,8 +78,8 @@ type Config struct {
 	Slots int
 	// SweepWorkers caps the harness workers a single sweep request
 	// may use (default 1: within one slot a sweep runs single-worker, and
-	// service concurrency comes from the slot pool; per-trial parallelism
-	// is still available through the spec's shards field).
+	// service concurrency comes from the slot pool; the engine may still
+	// split one large trial across the cores).
 	SweepWorkers int
 	// MaxJobs bounds the retained async jobs, finished included (default
 	// 256). Admission fails with ErrBusy when the table is full of
@@ -600,10 +600,6 @@ type ElectionRequest struct {
 	Anonymous bool `json:"anonymous,omitempty"`
 	// MaxRounds bounds the run (default 1 << 18, capped by Config.MaxRounds).
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Shards partitions the engine (0 = engine decides, 1 = single,
-	// k = exactly k, -1 = one per core; clamped by sim.EffectiveShards;
-	// results identical at any count).
-	Shards int `json:"shards,omitempty"`
 	// DiameterEstimate grants D-dependent algorithms the double-sweep
 	// bound instead of the exact diameter.
 	DiameterEstimate bool `json:"diameter_estimate,omitempty"`
@@ -680,7 +676,6 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 		Anonymous:        req.Anonymous,
 		DiameterEstimate: req.DiameterEstimate,
 		MaxRounds:        maxRounds,
-		Shards:           req.Shards,
 	}.RunOpts(prep)
 	if err != nil {
 		return nil, badRequest("wake: %v", err)
@@ -710,8 +705,7 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 }
 
 // RunElection executes one election request synchronously on a pooled
-// slot. It is the sync HTTP path and the verification entry point of
-// uled-load and the tests.
+// slot. It is the sync HTTP path and the tests' entry point.
 func (m *Manager) RunElection(ctx context.Context, req ElectionRequest) (*ElectionResult, error) {
 	if err := m.checkOpen(); err != nil {
 		return nil, err
