@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check ci
+.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check loc ci
 
 build:
 	$(GO) build ./...
@@ -68,9 +68,12 @@ test-race:
 # synchronous message is written into its receiver's row by the flush or
 # the mailbox drain a tick before it is read, and at 2 and 4 shards a row
 # written by the wrong shard, or before its tick's step phase has read it,
-# is a data race here.
+# is a data race here. So does the warm-Runner table (TestWarmRunner*):
+# one Runner through mode, shard-count, instrument, fault, error and
+# round-cap transitions, each run held to a fresh Runner's, at 4 shards
+# pooled where the cores allow.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
 
 bench:
@@ -236,6 +239,16 @@ docs-check: fmt-check vet
 		fi; \
 	done; [ $$missing -eq 0 ]
 	$(GO) test -run Example ./...
+
+# Go line counts per package directory, non-test and test apart, then the
+# totals: git ls-files '*.go', split on _test.go.
+loc:
+	@git ls-files '*.go' | while read -r f; do echo "$$f $$(wc -l < "$$f")"; done | \
+	awk 'BEGIN { printf "%-28s %8s %8s\n", "package", "non-test", "test" } \
+		{ d = $$1; sub(/\/[^\/]*$$/, "", d); if (d == $$1) d = "."; t = ($$1 ~ /_test\.go$$/); \
+		  src[d] += (1 - t) * $$2; tst[d] += t * $$2; S += (1 - t) * $$2; T += t * $$2 } \
+		END { for (d in src) printf "%-28s %8d %8d\n", d, src[d], tst[d] | "sort"; close("sort"); \
+		  printf "%-28s %8d %8d\n", "total", S, T }'
 
 # Everything the CI pipeline runs, in the same order.
 ci: fmt-check vet build test-shuffle race test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos test-race race-matrix docs-check

@@ -73,7 +73,7 @@ func BenchmarkLB_MessagesDumbbell(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				db, kappa, err := lowerbound.DumbbellInstance(24, 200, rng)
+				db, kappa, err := graph.RandomDumbbell(24, 200, rng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -97,7 +97,7 @@ func BenchmarkLB_BridgeCrossing(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	var before, cross float64
 	for i := 0; i < b.N; i++ {
-		db, kappa, err := lowerbound.DumbbellInstance(24, 200, rng)
+		db, kappa, err := graph.RandomDumbbell(24, 200, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

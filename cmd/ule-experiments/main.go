@@ -424,20 +424,12 @@ func (d *driver) e3TimeLB() (*stats.Table, error) {
 	ds := d.sizes([]int{8, 16}, []int{8, 16, 32, 64})
 	for _, algo := range []string{"leastel", "flood", "lasvegas", "kingdom-d"} {
 		for _, dd := range ds {
-			row, err := lowerbound.TimeLB(4*dd, dd, lowerbound.Sweep{Algo: algo, Trials: d.trials, Seed: d.seed})
-			if err != nil {
-				return nil, err
-			}
-			t25, err := lowerbound.TruncatedSuccess(4*dd, dd, 0.25, lowerbound.Sweep{Algo: algo, Trials: d.trials, Seed: d.seed})
-			if err != nil {
-				return nil, err
-			}
-			t50, err := lowerbound.TruncatedSuccess(4*dd, dd, 0.5, lowerbound.Sweep{Algo: algo, Trials: d.trials, Seed: d.seed})
+			row, trunc, err := lowerbound.TimeLB(4*dd, dd, lowerbound.Sweep{Algo: algo, Trials: d.trials, Seed: d.seed}, 0.25, 0.5)
 			if err != nil {
 				return nil, err
 			}
 			t.AddRow(algo, row.N, row.D, row.RoundsPerD.Min, row.RoundsPerD.Mean,
-				row.SuccessRate, t25.SuccessRate, t50.SuccessRate)
+				row.SuccessRate, trunc[0].SuccessRate, trunc[1].SuccessRate)
 		}
 	}
 	return t, nil

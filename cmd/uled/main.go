@@ -7,7 +7,7 @@
 //
 //	uled -addr :8080
 //	uled -addr 127.0.0.1:0 -addr-file /tmp/uled.addr   # ephemeral port
-//	uled -slots 8 -sweep-workers 2 -job-ttl 5m -pprof
+//	uled -slots 8 -job-ttl 5m -pprof
 //
 // Endpoints (contract in docs/SERVICE.md):
 //
@@ -46,24 +46,23 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("uled", flag.ContinueOnError)
 	var (
-		addr         = fs.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
-		addrFile     = fs.String("addr-file", "", "write the resolved listen address to this file (for ephemeral ports)")
-		slots        = fs.Int("slots", 0, "concurrent worker slots (0 = GOMAXPROCS)")
-		sweepWorkers = fs.Int("sweep-workers", 0, "max harness workers per sweep request (0 = 1)")
-		maxJobs      = fs.Int("max-jobs", 0, "retained async jobs (0 = 256)")
-		jobTTL       = fs.Duration("job-ttl", 0, "finished-job retention before GC (0 = 10m)")
-		maxRounds    = fs.Int("max-rounds-cap", 0, "reject requests asking for more rounds than this (0 = 1<<20)")
-		maxTrials    = fs.Int("max-trials-cap", 0, "reject sweeps expanding past this many trials (0 = 1<<20)")
-		maxEdges     = fs.Int("max-edges-cap", 0, "reject graph specs expanding past this many edges, or a quarter as many nodes (0 = 1<<22)")
-		drain        = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
-		withPprof    = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		addr      = fs.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
+		addrFile  = fs.String("addr-file", "", "write the resolved listen address to this file (for ephemeral ports)")
+		slots     = fs.Int("slots", 0, "concurrent worker slots (0 = GOMAXPROCS)")
+		maxJobs   = fs.Int("max-jobs", 0, "retained async jobs (0 = 256)")
+		jobTTL    = fs.Duration("job-ttl", 0, "finished-job retention before GC (0 = 10m)")
+		maxRounds = fs.Int("max-rounds-cap", 0, "reject requests asking for more rounds than this (0 = 1<<20)")
+		maxTrials = fs.Int("max-trials-cap", 0, "reject sweeps expanding past this many trials (0 = 1<<20)")
+		maxEdges  = fs.Int("max-edges-cap", 0, "reject graph specs expanding past this many edges, or a quarter as many nodes (0 = 1<<22)")
+		drain     = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
+		withPprof = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	m := serve.NewManager(serve.Config{
-		Slots: *slots, SweepWorkers: *sweepWorkers,
+		Slots:   *slots,
 		MaxJobs: *maxJobs, JobTTL: *jobTTL,
 		MaxRounds: *maxRounds, MaxTrials: *maxTrials, MaxEdges: *maxEdges,
 	})
@@ -90,8 +89,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("uled: listening on %s (slots=%d, sweep-workers=%d)\n",
-		resolved, m.Config().Slots, m.Config().SweepWorkers)
+	fmt.Printf("uled: listening on %s (slots=%d)\n", resolved, m.Config().Slots)
 
 	// Serve until a signal arrives, then drain: the HTTP server stops
 	// accepting and waits for in-flight requests (streaming sweeps

@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"ule/election"
+	"ule/internal/graph"
 	"ule/internal/lowerbound"
 )
 
@@ -37,16 +38,12 @@ func main() {
 	fmt.Println("\n=== Theorem 3.13: Ω(D) time on the clique-cycle (Figure 1) ===")
 	fmt.Printf("%-10s %6s %10s %14s %14s\n", "algo", "D", "rounds/D", "success@0.25D", "success@full")
 	for _, d := range []int{8, 16, 32} {
-		row, err := lowerbound.TimeLB(4*d, d, lowerbound.Sweep{Algo: "leastel", Trials: 5, Seed: 9})
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := lowerbound.TruncatedSuccess(4*d, d, 0.25, lowerbound.Sweep{Algo: "leastel", Trials: 5, Seed: 9})
+		row, trunc, err := lowerbound.TimeLB(4*d, d, lowerbound.Sweep{Algo: "leastel", Trials: 5, Seed: 9}, 0.25)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s %6d %10.2f %14.2f %14.2f\n",
-			"leastel", row.D, row.RoundsPerD.Mean, tr.SuccessRate, row.SuccessRate)
+			"leastel", row.D, row.RoundsPerD.Mean, trunc[0].SuccessRate, row.SuccessRate)
 	}
 
 	fmt.Println("\n=== §1: why \"suitably large\" success probability matters ===")
@@ -58,7 +55,7 @@ func main() {
 	fmt.Println("constant-but-small success is free; the lower bounds kick in above it.")
 
 	// The tightness witness: Theorem 4.1 achieves O(m) on the same family.
-	db, _, err := lowerbound.DumbbellInstance(24, 300, election.NewRand(2))
+	db, _, err := graph.RandomDumbbell(24, 300, election.NewRand(2))
 	if err != nil {
 		log.Fatal(err)
 	}

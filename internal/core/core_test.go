@@ -298,33 +298,10 @@ func TestRankSpaceSaturates(t *testing.T) {
 }
 
 // TestPreparedIDsMatchSim pins the identifier draws a Prepared makes into
-// its own buffer to the allocating originals: the same values in the same
-// order as sim.PermutationIDs (rand.Perm underneath) and sim.RandomIDs,
-// for every n up to 64 at 32 seeds, on a buffer that is reused throughout.
+// its own buffer to sim's allocating draws, on the election recipe's
+// streams: its permutations, and the random assignment of a run without
+// RunOpts.IDs, which must be the cold path's (Config).
 func TestPreparedIDsMatchSim(t *testing.T) {
-	var ids []int64
-	seen := make(map[int64]struct{})
-	for n := 0; n <= 64; n++ {
-		for seed := int64(1); seed <= 32; seed++ {
-			want := sim.PermutationIDs(n, rand.New(rand.NewSource(seed)))
-			ids = permutationIDs(ids, n, rand.New(rand.NewSource(seed)))
-			if !slices.Equal(ids, want) {
-				t.Fatalf("permutationIDs(n=%d, seed=%d) = %v, sim.PermutationIDs %v", n, seed, ids, want)
-			}
-			want = sim.RandomIDs(n, rand.New(rand.NewSource(seed)))
-			ids = randomIDs(ids, seen, n, rand.New(rand.NewSource(seed)))
-			if !slices.Equal(ids, want) {
-				t.Fatalf("randomIDs(n=%d, seed=%d) = %v, sim.RandomIDs %v", n, seed, ids, want)
-			}
-		}
-	}
-	// Where sim.RandomIDs' n⁴ has wrapped (to 0 here, which its guard turns
-	// into n): elect-dense's flood cell draws exactly these.
-	want := sim.RandomIDs(65536, rand.New(rand.NewSource(1)))
-	if ids = randomIDs(ids, seen, 65536, rand.New(rand.NewSource(1))); !slices.Equal(ids, want) {
-		t.Error("randomIDs(n=65536) differs from sim.RandomIDs")
-	}
-	// Through the Prepared: the election recipe's streams.
 	g := graph.Ring(24)
 	prep, err := Prepare(g, "leastel")
 	if err != nil {

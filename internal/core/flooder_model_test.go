@@ -395,7 +395,7 @@ func TestLemma43ListLength(t *testing.T) {
 		}
 		total := 0
 		for seed := int64(1); seed <= seeds; seed++ {
-			cfg, proto, err := RunOpts{Seed: seed, Shards: 1}.config(g, MustGet("leastel"), sim.NewRand(0))
+			cfg, proto, err := Config(g, "leastel", RunOpts{Seed: seed, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

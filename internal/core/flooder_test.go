@@ -370,7 +370,7 @@ func TestFlooderIgnoresForeignPayloads(t *testing.T) {
 	g := graph.Torus(6, 6)
 	isRank := func(p sim.Payload) bool { m, ok := p.(*flMsg); return ok && !m.Ack }
 	for _, algo := range floodFamily {
-		cfg, proto, err := RunOpts{Seed: 9, Shards: 1}.config(g, MustGet(algo), sim.NewRand(0))
+		cfg, proto, err := Config(g, algo, RunOpts{Seed: 9, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

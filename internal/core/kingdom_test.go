@@ -147,7 +147,7 @@ func (p *strayProc) Round(c *sim.Context, inbox []sim.Message) {
 func TestKingdomIgnoresForeignPayloads(t *testing.T) {
 	g := graph.Torus(6, 6)
 	for _, algo := range []string{"kingdom", "kingdom-d"} {
-		cfg, proto, err := RunOpts{Seed: 9, Shards: 1}.config(g, MustGet(algo), sim.NewRand(0))
+		cfg, proto, err := Config(g, algo, RunOpts{Seed: 9, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"ule/internal/graph"
 	"ule/internal/sim"
@@ -45,43 +44,6 @@ type RunOpts struct {
 	Opt Options
 }
 
-// config resolves the RunOpts against the algorithm spec into the engine
-// configuration and protocol instance. Knowledge is granted exactly as the
-// algorithm's Table 1 row assumes. rng is lent for the ID draw, which
-// reseeds it.
-func (ro RunOpts) config(g *graph.Graph, spec Spec, rng *rand.Rand) (sim.Config, sim.Protocol, error) {
-	if spec.NeedsIDs && ro.Anonymous {
-		return sim.Config{}, nil, fmt.Errorf("core: %s requires unique IDs", spec.Name)
-	}
-	d := ro.D
-	if d <= 0 && spec.NeedsD {
-		d = g.DiameterExact()
-	}
-	ids := ro.IDs
-	if ids == nil && !ro.Anonymous {
-		rng.Seed(sim.NodeSeed(ro.Seed, -1))
-		ids = sim.RandomIDs(g.N(), rng)
-	}
-	cfg := sim.Config{
-		Graph: g,
-		IDs:   ids,
-		Know: sim.Knowledge{
-			N: g.N(), HasN: spec.NeedsN,
-			M: g.M(), HasM: false,
-			D: d, HasD: spec.NeedsD,
-		},
-		Seed:          ro.Seed,
-		Model:         ro.Model,
-		MaxRounds:     ro.MaxRounds,
-		Wake:          ro.Wake,
-		StopWhenQuiet: spec.Quiet,
-		WatchEdges:    ro.WatchEdges,
-		CountPerEdge:  ro.CountPerEdge,
-		Shards:        ro.Shards,
-	}
-	return cfg, spec.New(ro.Opt), nil
-}
-
 // Correct reports whether res is a correct election outcome under the
 // given execution model: fault-free, the paper's success condition (one
 // leader, everyone decided — Result.UniqueLeader); under a fault
@@ -101,11 +63,11 @@ func Correct(m sim.ModelSpec, res *sim.Result) bool {
 // the engine is handed for the run: the sim.Config (IDs drawn, the Table 1
 // knowledge granted) and the protocol instance.
 func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, error) {
-	spec, ok := Get(algo)
-	if !ok {
-		return sim.Config{}, nil, fmt.Errorf("core: unknown algorithm %q", algo)
+	p, err := bind(g, algo)
+	if err != nil {
+		return sim.Config{}, nil, err
 	}
-	return ro.config(g, spec, sim.NewRand(0))
+	return p.config(ro)
 }
 
 // Run executes the registered algorithm on g and returns the run summary.
@@ -139,15 +101,24 @@ type Prepared struct {
 // Prepare validates the algorithm name and graph and builds the reusable
 // runner state.
 func Prepare(g *graph.Graph, algo string) (*Prepared, error) {
+	p, err := bind(g, algo)
+	if err != nil {
+		return nil, err
+	}
+	if p.runner, err = sim.NewRunner(g); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// bind is a Prepared without its Runner: all that resolving a run's
+// configuration needs.
+func bind(g *graph.Graph, algo string) (*Prepared, error) {
 	spec, ok := Get(algo)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", algo)
 	}
-	runner, err := sim.NewRunner(g)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{g: g, spec: spec, runner: runner, rng: sim.NewRand(0)}, nil
+	return &Prepared{g: g, spec: spec, rng: sim.NewRand(0)}, nil
 }
 
 // Spec returns the algorithm spec this Prepared runs.
@@ -161,53 +132,49 @@ func (p *Prepared) Graph() *graph.Graph { return p.g }
 // identifiers — the next PermutationIDs, or a Run without RunOpts.IDs.
 func (p *Prepared) PermutationIDs(seed int64) []int64 {
 	p.rng.Seed(seed)
-	p.ids = permutationIDs(p.ids, p.g.N(), p.rng)
+	p.ids = sim.PermutationIDsInto(p.ids, p.g.N(), p.rng)
 	return p.ids
 }
 
-// permutationIDs is sim.PermutationIDs(n, rng) written over ids: rand.Perm's
-// draws in rand.Perm's order, shuffled in place.
-func permutationIDs(ids []int64, n int, rng *rand.Rand) []int64 {
-	ids = slices.Grow(ids[:0], n)[:n]
-	for i := range ids {
-		j := rng.Intn(i + 1)
-		ids[i] = ids[j]
-		ids[j] = int64(i) + 1
-	}
-	return ids
-}
-
-// randomIDs is sim.RandomIDs(n, rng) written over ids — the same draws in
-// the same order, from the same space, its wrap past n = 55 108 and the
-// guard on it included — with seen, emptied first, as the duplicate filter.
-func randomIDs(ids []int64, seen map[int64]struct{}, n int, rng *rand.Rand) []int64 {
-	clear(seen)
-	space := int64(n) * int64(n) * int64(n) * int64(n)
-	if space < int64(n) {
-		space = int64(n)
-	}
-	for ids = ids[:0]; len(ids) < n; {
-		id := 1 + rng.Int63n(space)
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// config is RunOpts.config on p's graph and algorithm, with the random
-// identifiers — when the run draws any — in p's own buffer.
+// config resolves ro against p's graph and algorithm into the engine
+// configuration and protocol instance. Knowledge is granted exactly as the
+// algorithm's Table 1 row assumes; the random identifiers, when the run
+// draws any, land in p's own buffer.
 func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
+	g, spec := p.g, p.spec
+	if spec.NeedsIDs && ro.Anonymous {
+		return sim.Config{}, nil, fmt.Errorf("core: %s requires unique IDs", spec.Name)
+	}
+	d := ro.D
+	if d <= 0 && spec.NeedsD {
+		d = g.DiameterExact()
+	}
 	if ro.IDs == nil && !ro.Anonymous {
 		if p.idSeen == nil {
-			p.idSeen = make(map[int64]struct{}, p.g.N())
+			p.idSeen = make(map[int64]struct{}, g.N())
 		}
 		p.rng.Seed(sim.NodeSeed(ro.Seed, -1))
-		p.ids = randomIDs(p.ids, p.idSeen, p.g.N(), p.rng)
+		p.ids = sim.RandomIDsInto(p.ids, p.idSeen, g.N(), p.rng)
 		ro.IDs = p.ids
 	}
-	return ro.config(p.g, p.spec, p.rng)
+	cfg := sim.Config{
+		Graph: g,
+		IDs:   ro.IDs,
+		Know: sim.Knowledge{
+			N: g.N(), HasN: spec.NeedsN,
+			M: g.M(), HasM: false,
+			D: d, HasD: spec.NeedsD,
+		},
+		Seed:          ro.Seed,
+		Model:         ro.Model,
+		MaxRounds:     ro.MaxRounds,
+		Wake:          ro.Wake,
+		StopWhenQuiet: spec.Quiet,
+		WatchEdges:    ro.WatchEdges,
+		CountPerEdge:  ro.CountPerEdge,
+		Shards:        ro.Shards,
+	}
+	return cfg, spec.New(ro.Opt), nil
 }
 
 // Run executes one trial.

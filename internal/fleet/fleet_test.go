@@ -564,7 +564,7 @@ func TestWorkerClosesForeignResumedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &worker{plan: plan, opt: harness.BinaryOptions{CheckpointEvery: testCadence}, workers: 1}
+	w := &worker{plan: plan, opt: harness.BinaryOptions{CheckpointEvery: testCadence}}
 	shard := filepath.Join(t.TempDir(), "unit.ulss")
 	if err := w.serve(lease{r: harness.TrialRange{Start: 0, Count: 10}, shard: shard}); err != nil {
 		t.Fatal(err)

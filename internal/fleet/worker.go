@@ -73,10 +73,11 @@ func parseLease(line string, def chaosAction) (lease, error) {
 // failed, 2 on a malformed flag or lease line.
 //
 // Protocol (see docs/DISTRIBUTED.md):
-//   - flags: -spec FILE -checkpoint-every N [-workers N] [-stall-for DUR],
-//     and the fields of one lease: -start N -count N -shard FILE
-//     [-kill-after K] [-stall-after K]. -workers is the in-process
-//     worker count (default 1: the leases run on the main goroutine).
+//   - flags: -spec FILE -checkpoint-every N [-stall-for DUR], and the
+//     fields of one lease: -start N -count N -shard FILE [-kill-after K]
+//     [-stall-after K]. The leases run on the main goroutine, one trial
+//     at a time: the fleet's processes, not one process's goroutines,
+//     fill the cores.
 //   - With -shard the worker serves exactly that lease and exits (the
 //     one-shot form). Without it, leases arrive on stdin, one per line
 //     (lease.line); the fault flags are then the default for every lease
@@ -99,7 +100,6 @@ func RunWorker(args []string) int {
 	var (
 		specPath   = fs.String("spec", "", "sweep spec JSON file")
 		ckEvery    = fs.Int("checkpoint-every", 0, "checkpoint cadence (trials)")
-		workers    = fs.Int("workers", 1, "in-process sweep workers")
 		stallFor   = fs.Duration("stall-for", 10*time.Minute, "hang duration of a stall fault")
 		start      = fs.Int("start", 0, "one-shot lease: first trial index")
 		count      = fs.Int("count", 0, "one-shot lease: trial count")
@@ -123,7 +123,7 @@ func RunWorker(args []string) int {
 		fmt.Fprintln(os.Stderr, "ule-fleet worker:", err)
 		return 1
 	}
-	w := &worker{plan: plan, opt: harness.BinaryOptions{CheckpointEvery: *ckEvery}, workers: *workers, stallFor: *stallFor}
+	w := &worker{plan: plan, opt: harness.BinaryOptions{CheckpointEvery: *ckEvery}, stallFor: *stallFor}
 
 	// The lease source: stdin, or the one lease the flags spell out — as
 	// the line the coordinator would have sent (the fault flags are every
@@ -163,14 +163,11 @@ func loadPlan(specPath string) (*harness.Plan, error) {
 }
 
 // worker is the state a worker process keeps between leases: the compiled
-// sweep (with its graphs and warm worker states) and the heartbeat
-// clock. lastBeat is written before Run starts and then from Run's
-// Progress hook, which Run calls one at a time on whichever of its workers
-// finished a trial: no lock of its own at any -workers.
+// sweep (with its graphs and warm worker state) and the heartbeat clock,
+// which Run's Progress hook reads and writes on the one goroutine.
 type worker struct {
 	plan     *harness.Plan
 	opt      harness.BinaryOptions
-	workers  int
 	stallFor time.Duration
 	lastBeat time.Time
 }
@@ -227,7 +224,7 @@ func (w *worker) serve(l lease) error {
 	w.beat(done, l.r.Count)
 
 	_, err := w.plan.Run(harness.RunConfig{
-		Workers:  w.workers,
+		Workers:  1,
 		Emitters: []harness.Emitter{em, &chaosEmitter{fault: l.fault, stallFor: w.stallFor}},
 		// A ranged run keeps each trial on one engine shard: the fleet's
 		// processes, not one trial's shards, fill the cores.

@@ -46,15 +46,6 @@ func (s Sweep) maxRounds() int {
 	return 1 << 18
 }
 
-// DumbbellInstance builds a sampled dumbbell from the Theorem 3.1 family
-// for target per-side size n and edge budget m: a lollipop base graph, two
-// uniformly chosen clique edges opened, ports shuffled, IDs sampled from
-// [1, (2n)^4] with disjoint halves. It also returns the lollipop clique
-// size κ, which determines the invariant diameter 2(n−κ)+1.
-func DumbbellInstance(n, m int, rng *rand.Rand) (*graph.Dumbbell, int, error) {
-	return graph.RandomDumbbell(n, m, rng)
-}
-
 // MessageRow is one dumbbell measurement.
 type MessageRow struct {
 	N, M, D      int
@@ -74,7 +65,7 @@ func MessageLB(n, m int, sw Sweep) (MessageRow, error) {
 	successes := 0
 	var dval int
 	for trial := 0; trial < sw.Trials; trial++ {
-		db, kappa, err := DumbbellInstance(n, m, rng)
+		db, kappa, err := graph.RandomDumbbell(n, m, rng)
 		if err != nil {
 			return MessageRow{}, err
 		}
@@ -122,41 +113,6 @@ type TimeRow struct {
 	SuccessRate  float64
 }
 
-// TimeLB runs the Theorem 3.13 experiment: rounds/D on the Figure 1
-// clique-cycle with target size n and diameter parameter d.
-func TimeLB(n, d int, sw Sweep) (TimeRow, error) {
-	cc, err := graph.NewCliqueCycle(n, d)
-	if err != nil {
-		return TimeRow{}, err
-	}
-	diam := cc.DiameterExact()
-	rng := rand.New(rand.NewSource(sw.Seed))
-	var ratios []float64
-	successes := 0
-	for trial := 0; trial < sw.Trials; trial++ {
-		g := cc.Graph.Clone()
-		g.ShufflePorts(rng)
-		res, err := core.Run(g, sw.Algo, core.RunOpts{
-			Seed:      rng.Int63(),
-			IDs:       sim.RandomIDs(g.N(), rng),
-			D:         diam,
-			MaxRounds: sw.maxRounds(),
-		})
-		if err != nil {
-			return TimeRow{}, err
-		}
-		ratios = append(ratios, float64(res.LastActive)/float64(diam))
-		if res.UniqueLeader() {
-			successes++
-		}
-	}
-	return TimeRow{
-		N: cc.N(), D: diam, DPrime: cc.DPrime, Algo: sw.Algo,
-		RoundsPerD:  stats.Summarize(ratios),
-		SuccessRate: float64(successes) / float64(sw.Trials),
-	}, nil
-}
-
 // TruncatedRow measures election success under a hard round budget.
 type TruncatedRow struct {
 	N, D        int
@@ -165,42 +121,58 @@ type TruncatedRow struct {
 	SuccessRate float64
 }
 
-// TruncatedSuccess runs the Theorem 3.13 complement: cap the run at
-// frac·D rounds and measure how often a unique leader exists at the cap —
-// the paper's claim is that o(D) budgets cannot reach large constant
-// success probability on the clique-cycle.
-func TruncatedSuccess(n, d int, frac float64, sw Sweep) (TruncatedRow, error) {
+// TimeLB runs the Theorem 3.13 experiment on the Figure 1 clique-cycle
+// with target size n and diameter parameter d: rounds/D and success of
+// full runs, and for each frac its complement — how often a run capped at
+// frac·D rounds (at least 1) has a unique leader at the cap; the paper's
+// claim is that o(D) budgets cannot reach large constant success
+// probability. Every budget runs on the same sampled instances.
+func TimeLB(n, d int, sw Sweep, fracs ...float64) (TimeRow, []TruncatedRow, error) {
 	cc, err := graph.NewCliqueCycle(n, d)
 	if err != nil {
-		return TruncatedRow{}, err
+		return TimeRow{}, nil, err
 	}
 	diam := cc.DiameterExact()
-	budget := int(frac * float64(diam))
-	if budget < 1 {
-		budget = 1
+	budgets := []int{sw.maxRounds()}
+	for _, frac := range fracs {
+		budgets = append(budgets, max(int(frac*float64(diam)), 1))
 	}
 	rng := rand.New(rand.NewSource(sw.Seed))
-	successes := 0
+	var ratios []float64
+	successes := make([]int, len(budgets))
 	for trial := 0; trial < sw.Trials; trial++ {
 		g := cc.Graph.Clone()
 		g.ShufflePorts(rng)
-		res, err := core.Run(g, sw.Algo, core.RunOpts{
-			Seed:      rng.Int63(),
-			IDs:       sim.RandomIDs(g.N(), rng),
-			D:         diam,
-			MaxRounds: budget,
-		})
+		prep, err := core.Prepare(g, sw.Algo)
 		if err != nil {
-			return TruncatedRow{}, err
+			return TimeRow{}, nil, err
 		}
-		if res.UniqueLeader() {
-			successes++
+		ro := core.RunOpts{Seed: rng.Int63(), IDs: sim.RandomIDs(g.N(), rng), D: diam}
+		for i, budget := range budgets {
+			ro.MaxRounds = budget
+			res, err := prep.Run(ro)
+			if err != nil {
+				return TimeRow{}, nil, err
+			}
+			if i == 0 {
+				ratios = append(ratios, float64(res.LastActive)/float64(diam))
+			}
+			if res.UniqueLeader() {
+				successes[i]++
+			}
 		}
 	}
-	return TruncatedRow{
-		N: cc.N(), D: diam, Algo: sw.Algo, BudgetFrac: frac,
-		SuccessRate: float64(successes) / float64(sw.Trials),
-	}, nil
+	rate := func(s int) float64 { return float64(s) / float64(sw.Trials) }
+	row := TimeRow{
+		N: cc.N(), D: diam, DPrime: cc.DPrime, Algo: sw.Algo,
+		RoundsPerD:  stats.Summarize(ratios),
+		SuccessRate: rate(successes[0]),
+	}
+	trunc := make([]TruncatedRow, len(fracs))
+	for i, frac := range fracs {
+		trunc[i] = TruncatedRow{N: cc.N(), D: diam, Algo: sw.Algo, BudgetFrac: frac, SuccessRate: rate(successes[i+1])}
+	}
+	return row, trunc, nil
 }
 
 // TrivialRow records the §1 zero-message algorithm's measured success.
@@ -250,7 +222,7 @@ func BroadcastLB(n, m int, trials int, seed int64) (BroadcastRow, error) {
 	var ratios, before, rounds []float64
 	majority := 0
 	for trial := 0; trial < trials; trial++ {
-		db, _, err := DumbbellInstance(n, m, rng)
+		db, _, err := graph.RandomDumbbell(n, m, rng)
 		if err != nil {
 			return BroadcastRow{}, err
 		}

@@ -4,12 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ule/internal/graph"
 )
 
+// TestDumbbellInstanceShape checks the dumbbell instances E1, E2 and E5
+// sample.
 func TestDumbbellInstanceShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
-		db, kappa, err := DumbbellInstance(16, 60, rng)
+		db, kappa, err := graph.RandomDumbbell(16, 60, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +69,7 @@ func TestMessageLBBridgeCrossing(t *testing.T) {
 func TestTimeLBShowsOmegaD(t *testing.T) {
 	for _, algo := range []string{"leastel", "flood", "lasvegas"} {
 		for _, d := range []int{8, 16, 32} {
-			row, err := TimeLB(4*d, d, Sweep{Algo: algo, Trials: 3, Seed: 11})
+			row, _, err := TimeLB(4*d, d, Sweep{Algo: algo, Trials: 3, Seed: 11})
 			if err != nil {
 				t.Fatalf("%s: %v", algo, err)
 			}
@@ -82,18 +86,14 @@ func TestTimeLBShowsOmegaD(t *testing.T) {
 
 func TestTruncatedSuccessDropsBelowBudget(t *testing.T) {
 	// With a 10%-of-D budget the election cannot complete; with 4x it must.
-	low, err := TruncatedSuccess(48, 12, 0.1, Sweep{Algo: "leastel", Trials: 6, Seed: 5})
+	_, trunc, err := TimeLB(48, 12, Sweep{Algo: "leastel", Trials: 6, Seed: 5}, 0.1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := TruncatedSuccess(48, 12, 4, Sweep{Algo: "leastel", Trials: 6, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low.SuccessRate > 0.5 {
+	if low := trunc[0]; low.SuccessRate > 0.5 {
 		t.Errorf("truncated run at 0.1·D succeeded %.2f of the time", low.SuccessRate)
 	}
-	if high.SuccessRate < 1 {
+	if high := trunc[1]; high.SuccessRate < 1 {
 		t.Errorf("full-budget run only succeeded %.2f", high.SuccessRate)
 	}
 }

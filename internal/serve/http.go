@@ -186,7 +186,7 @@ func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
 	f, _ := w.(http.Flusher)
 	fw := &flushWriter{w: w, f: f}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if _, err := m.runSweep(r.Context(), p, req.Workers, harness.NewNDJSONEmitter(fw)); err != nil {
+	if _, err := m.runSweep(r.Context(), p, harness.NewNDJSONEmitter(fw)); err != nil {
 		if !fw.wrote {
 			writeError(w, err)
 			return

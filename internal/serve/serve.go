@@ -76,11 +76,6 @@ type Config struct {
 	// Slots is the number of concurrent worker slots — the service's
 	// admission bound (default GOMAXPROCS).
 	Slots int
-	// SweepWorkers caps the harness workers a single sweep request
-	// may use (default 1: within one slot a sweep runs single-worker, and
-	// service concurrency comes from the slot pool; the engine may still
-	// split one large trial across the cores).
-	SweepWorkers int
 	// MaxJobs bounds the retained async jobs, finished included (default
 	// 256). Admission fails with ErrBusy when the table is full of
 	// unfinished jobs.
@@ -104,9 +99,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Slots <= 0 {
 		c.Slots = runtime.GOMAXPROCS(0)
-	}
-	if c.SweepWorkers <= 0 {
-		c.SweepWorkers = 1
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
@@ -727,9 +719,6 @@ func (m *Manager) RunElection(ctx context.Context, req ElectionRequest) (*Electi
 // with `ule-experiments -sweep` is a valid request body.
 type SweepRequest struct {
 	harness.Spec
-	// Workers asks for a harness worker pool of this size, clamped to
-	// [1, Config.SweepWorkers]. Results are byte-identical at any value.
-	Workers int `json:"workers,omitempty"`
 	// Async turns the request into a job (also ?async=1); the stored
 	// result is the SweepSummary (trial records are not retained).
 	Async bool `json:"async,omitempty"`
@@ -793,14 +782,14 @@ func (countEmitter) Trial(harness.TrialResult) error {
 }
 func (countEmitter) End(*harness.Report) error { return nil }
 
-// sweep is the one way the service executes a validated sweep: the
-// worker ask clamped to [1, Config.SweepWorkers], cancellation through ctx
-// at trial granularity, the service counters fed, then the caller's
-// emitters. At one worker — the default — the trials run on the calling
-// goroutine.
-func (m *Manager) sweep(ctx context.Context, p *harness.Plan, workers int, emitters ...harness.Emitter) (*harness.Report, error) {
+// sweep is the one way the service executes a validated sweep: one
+// harness worker, the calling goroutine — service concurrency comes from
+// the slot pool, and the engine may still split one large trial across the
+// cores — cancellation through ctx at trial granularity, the service
+// counters fed, then the caller's emitters.
+func (m *Manager) sweep(ctx context.Context, p *harness.Plan, emitters ...harness.Emitter) (*harness.Report, error) {
 	rep, err := p.Run(harness.RunConfig{
-		Workers:  min(max(workers, 1), m.cfg.SweepWorkers),
+		Workers:  1,
 		Emitters: append([]harness.Emitter{cancelEmitter{ctx}, countEmitter{}}, emitters...),
 	})
 	if err != nil {
@@ -812,7 +801,7 @@ func (m *Manager) sweep(ctx context.Context, p *harness.Plan, workers int, emitt
 
 // runSweep executes a validated sweep synchronously on a slot, streaming
 // through the given emitters (the NDJSON emitter over the HTTP response).
-func (m *Manager) runSweep(ctx context.Context, p *harness.Plan, workers int, emitters ...harness.Emitter) (*harness.Report, error) {
+func (m *Manager) runSweep(ctx context.Context, p *harness.Plan, emitters ...harness.Emitter) (*harness.Report, error) {
 	s, err := m.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -820,7 +809,7 @@ func (m *Manager) runSweep(ctx context.Context, p *harness.Plan, workers int, em
 	defer m.release(s)
 	statJobsInFlight.Add(1)
 	defer statJobsInFlight.Add(-1)
-	return m.sweep(ctx, p, workers, emitters...)
+	return m.sweep(ctx, p, emitters...)
 }
 
 // ---- Async jobs ----
@@ -879,7 +868,7 @@ func (m *Manager) SubmitSweep(req SweepRequest) (*Job, error) {
 		return nil, err
 	}
 	return m.submit("sweep", func(ctx context.Context, _ *slot) ([]byte, error) {
-		rep, err := m.sweep(ctx, p, req.Workers)
+		rep, err := m.sweep(ctx, p)
 		if err != nil {
 			return nil, err
 		}

@@ -170,6 +170,8 @@ func TestBadRequests(t *testing.T) {
 		// The engine alone picks the shard count: the key is unknown.
 		{"election shards", "/v1/elections", `{"graph":"ring:8","algo":"leastel","shards":4}`, 400, `"shards"`},
 		{"sweep shards", "/v1/sweeps", `{"algos":["leastel"],"graphs":["ring:8"],"shards":2}`, 400, `"shards"`},
+		// A served sweep runs one harness worker: the key is unknown.
+		{"sweep workers", "/v1/sweeps", `{"algos":["leastel"],"graphs":["ring:8"],"workers":4}`, 400, `"workers"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,7 +207,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestSweepStreamByteIdentical pins the served NDJSON stream to the batch
 // path: POST /v1/sweeps returns exactly the bytes a local harness.Run
-// with the NDJSON emitter produces, at any worker count.
+// with the NDJSON emitter produces.
 func TestSweepStreamByteIdentical(t *testing.T) {
 	spec := smallSpec()
 	var want bytes.Buffer
@@ -216,30 +218,23 @@ func TestSweepStreamByteIdentical(t *testing.T) {
 		t.Fatalf("local run: %v", err)
 	}
 
-	ts, _ := newTestServer(t, Config{Slots: 2, SweepWorkers: 4})
+	ts, _ := newTestServer(t, Config{Slots: 2})
 	specJSON, _ := json.Marshal(spec)
-
-	for _, workers := range []int{0, 4} {
-		body := specJSON
-		if workers > 0 {
-			body = []byte(fmt.Sprintf(`{"algos":["leastel","flood"],"graphs":["ring:32"],"trials":2,"seed":7,"small_ids":true,"name":"serve-test","workers":%d}`, workers))
-		}
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("workers=%d: status %d: %s", workers, resp.StatusCode, got)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Fatalf("content type %q", ct)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("workers=%d: served NDJSON differs from the batch path (%d vs %d bytes)\nserved: %.200s\nbatch:  %.200s",
-				workers, len(got), want.Len(), got, want.Bytes())
-		}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("content type %q", ct)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("served NDJSON differs from the batch path (%d vs %d bytes)\nserved: %.200s\nbatch:  %.200s",
+			len(got), want.Len(), got, want.Bytes())
 	}
 }
 

@@ -487,15 +487,16 @@ func (e *engine) arrive(sh *engineShard, t int) {
 	if e.watch != nil {
 		sh.deliveredTick += int64(k)
 	}
-	if sh.pe != nil || e.watch != nil || e.fAlive != nil {
+	perEdge := e.cfg.CountPerEdge
+	if perEdge || e.watch != nil || e.fAlive != nil {
 		w := 0
 		for _, v := range sh.recv {
 			row := e.inbox[v]
-			if sh.pe != nil || e.watch != nil {
+			if perEdge || e.watch != nil {
 				base := int(e.off[v])
 				for _, m := range row {
 					key := normPair(v, int(e.nbr[base+m.Port]))
-					if sh.pe != nil {
+					if perEdge {
 						sh.pe[key]++
 					}
 					if e.watch != nil && e.watch[key] {

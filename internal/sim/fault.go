@@ -317,8 +317,8 @@ type faultState struct {
 	lo, hi  int   // owned node range
 	revived []int // keep-state revivals to splice back into the step sets
 
-	heap      []faultEvent // min-heap by (tick, node, kind)
-	pendingUp int          // queued fvRecover events (they can revive a quiet run)
+	heap      minHeap[faultEvent] // by faultEventLess: (tick, node, kind)
+	pendingUp int                 // queued fvRecover events (they can revive a quiet run)
 
 	maxTick int
 }
@@ -395,47 +395,7 @@ func (fst *faultState) pushRecover(t int, u int32) {
 	fst.push(faultEvent{tick: t, node: u, kind: fvRecover})
 }
 
-// push / pop: a manual binary min-heap over faultEventLess (no
-// container/heap interface boxing on the run path).
-func (fst *faultState) push(ev faultEvent) {
-	h := append(fst.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !faultEventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	fst.heap = h
-}
-
-func (fst *faultState) pop() faultEvent {
-	h := fst.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && faultEventLess(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && faultEventLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	fst.heap = h
-	return top
-}
+func (fst *faultState) push(ev faultEvent) { fst.heap.push(ev, faultEventLess) }
 
 // applyFaults pops and applies every fault event of one shard due at or
 // before tick t. Crashes silence a node (it stops stepping; whatever
@@ -451,7 +411,7 @@ func (fst *faultState) pop() faultEvent {
 func (e *engine) applyFaults(sh *engineShard, t int) {
 	fst := sh.faults
 	for len(fst.heap) > 0 && fst.heap[0].tick <= t {
-		ev := fst.pop()
+		ev := fst.heap.pop(faultEventLess)
 		u := int(ev.node)
 		switch ev.kind {
 		case fvCrash:

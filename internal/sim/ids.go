@@ -3,6 +3,7 @@ package sim
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // BitsFor returns the number of bits charged for transmitting the integer v
@@ -21,16 +22,22 @@ func BitsFor(v int64) int {
 // RandomIDs draws n distinct identifiers uniformly from [1, n^4], the
 // adversarially-chosen polynomial ID space Z of the paper (|Z| = n^4).
 func RandomIDs(n int, rng *rand.Rand) []int64 {
+	return RandomIDsInto(nil, make(map[int64]struct{}, n), n, rng)
+}
+
+// RandomIDsInto is RandomIDs written over ids, with seen — emptied first —
+// as the duplicate filter, so a caller that keeps both draws without
+// allocating.
+func RandomIDsInto(ids []int64, seen map[int64]struct{}, n int, rng *rand.Rand) []int64 {
+	clear(seen)
 	space := int64(n) * int64(n) * int64(n) * int64(n)
 	if space < int64(n) {
-		space = int64(n) // overflow guard for absurd n
+		space = int64(n) // the product wraps from n = 55 109 on
 	}
-	ids := make([]int64, 0, n)
-	seen := make(map[int64]bool, n)
-	for len(ids) < n {
+	for ids = slices.Grow(ids[:0], n); len(ids) < n; {
 		id := 1 + rng.Int63n(space)
-		if !seen[id] {
-			seen[id] = true
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
 			ids = append(ids, id)
 		}
 	}
@@ -41,9 +48,17 @@ func RandomIDs(n int, rng *rand.Rand) []int64 {
 // the Theorem 4.1 algorithm, whose running time is exponential in the
 // smallest ID value.
 func PermutationIDs(n int, rng *rand.Rand) []int64 {
-	ids := make([]int64, n)
-	for i, p := range rng.Perm(n) {
-		ids[i] = int64(p) + 1
+	return PermutationIDsInto(nil, n, rng)
+}
+
+// PermutationIDsInto is PermutationIDs written over ids: rand.Perm's draws
+// in rand.Perm's order, shuffled in place.
+func PermutationIDsInto(ids []int64, n int, rng *rand.Rand) []int64 {
+	ids = slices.Grow(ids[:0], n)[:n]
+	for i := range ids {
+		j := rng.Intn(i + 1)
+		ids[i] = ids[j]
+		ids[j] = int64(i) + 1
 	}
 	return ids
 }
@@ -56,17 +71,6 @@ func SequentialIDs(n int, base int64) []int64 {
 		ids[i] = base + int64(i)
 	}
 	return ids
-}
-
-// SimultaneousWake returns a wake schedule where all nodes wake in round 1
-// (the paper's lower-bound model). A nil Config.Wake means the same thing;
-// this helper exists for explicitness in tests.
-func SimultaneousWake(n int) []int {
-	w := make([]int, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
 }
 
 // AdversarialWake returns a schedule where a random subset of nodes wakes

@@ -24,8 +24,7 @@ func sendShell(g *graph.Graph, mode Mode, bitCap, sendCap int) *engine {
 	n := g.N()
 	return &engine{
 		cfg: Config{Model: ModelSpec{Mode: mode}}, bitCap: bitCap, sendCap: sendCap, round: 3,
-		off: off, sendCnt: make([]int32, off[n]),
-		out: make([][]outMsg, n), nodeErr: make([]error, n),
+		buffers: buffers{off: off, sendCnt: make([]int32, off[n]), out: make([][]outMsg, n), nodeErr: make([]error, n)},
 	}
 }
 
@@ -272,8 +271,8 @@ func (p *chatterProto) Round(c *Context, inbox []Message) {
 // deliveryStorage sums the capacity of every []delivery the Runner's
 // wheels hold: in ring slots, overflow buckets, recycled buckets, spares.
 func deliveryStorage(r *Runner) (total int) {
-	for i := range r.shards {
-		w := r.shards[i].wheel
+	for i := range r.eng.shards {
+		w := r.eng.shards[i].wheel
 		for s := range w.slots {
 			total += cap(w.slots[s].deliveries)
 		}

@@ -43,9 +43,11 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 	off, _ := g.CSR()
 	e := &engine{
 		cfg: cfg, bitCap: bitCap, sendCap: sendCap,
-		off: off, sendCnt: make([]int32, off[n]),
-		out: make([][]outMsg, n), status: make([]Status, n), halted: make([]bool, n),
-		changed: make([]bool, n), nodeErr: make([]error, n), rngs: make([]*rand.Rand, n),
+		buffers: buffers{
+			off: off, sendCnt: make([]int32, off[n]),
+			out: make([][]outMsg, n), status: make([]Status, n), halted: make([]bool, n),
+			changed: make([]bool, n), nodeErr: make([]error, n), rngs: make([]*rand.Rand, n),
+		},
 	}
 	procs, ctxs, awake := make([]Process, n), make([]Context, n), make([]bool, n)
 	for u := range procs {

@@ -40,52 +40,68 @@ func Run(cfg Config, p Protocol) (*Result, error) {
 // this removes almost all per-trial allocation; a Runner is NOT safe for
 // concurrent use — give each worker its own. The graph's port numbering
 // must not change (no ShufflePorts) while the Runner is in use.
+//
+// A Runner is its engine: what a run leaves behind for the next one is
+// the engine's buffers, and everything else the engine holds is rebuilt
+// from zero by RunInto.
 type Runner struct {
+	eng engine
+}
+
+// buffers is the engine state that outlives a run: the graph, its
+// borrowed tables, and every row, shard and map the engine builds once
+// and empties per run. engine embeds it by value, so the step, flush and
+// arrival loops read these fields as the engine's own.
+type buffers struct {
 	g *graph.Graph
 
-	// Flat per-(node, port) tables, indexed by off[u]+p. off/nbr/portBack
-	// are the graph's own CSR arrays (graph.CSR, graph.PortBacks) — purely
-	// topological, built once with the graph. sendCnt (Runner-owned)
-	// carries the per-round per-port send counts.
+	// Flat per-(node, port) tables, indexed by off[u]+p (see arena.go).
+	// off and nbr are the graph's CSR arrays and portBack its reverse-port
+	// table, borrowed via graph.CSR()/PortBacks() so the delivery fast
+	// path resolves neighbors and return ports with single array loads —
+	// no method call, no per-node slice header. sendCnt counts this
+	// round's sends through each port for the per-port cap; linkSeq
+	// numbers each link's messages (ASYNC, link drops).
 	off      []int32
 	nbr      []int32
 	portBack []int32
 	sendCnt  []int32
+	linkSeq  []int32
 
-	// Reusable per-node scratch, reset at the start of every run.
-	out     [][]outMsg
-	inbox   [][]Message
-	status  []Status
-	halted  []bool
-	awake   []bool
-	changed []bool
-	nodeErr []error
-	procs   []Process
-	ctxs    []Context
-	rngs    []*rand.Rand
+	// out[u] is u's outbox row: this round's sends in send order, with
+	// Bits() cached (see arena.go). inbox[u] holds the messages delivered
+	// to u this round — in the synchronous modes, from the flush of the
+	// round before on.
+	out   [][]outMsg
+	inbox [][]Message
 
-	// Reusable flat per-node / per-(node,port) rows of the event engine.
-	linkSeq     []int32
-	wakeAt      []int
-	idle        []int
-	haltCounted []bool
+	// Per-node rows shared by the shards — each shard writes only its own
+	// nodes' slots, so no synchronization is needed.
+	status      []Status
+	halted      []bool
+	awake       []bool
+	changed     []bool
+	nodeErr     []error
+	procs       []Process
+	ctxs        []Context
+	rngs        []*rand.Rand // lazily-built per-node generators
+	wakeAt      []int        // pending RequestWake target tick (0 = none; ASYNC)
+	idle        []int        // round a parked node idles until (0 = not parked)
+	haltCounted []bool       // halt already merged into the counters
 
-	// Reusable shard state (timing wheels, scratch lists, fault heaps,
-	// mailboxes); rebuilt only when the effective shard count changes.
+	// shards holds the per-range wheels, scratch lists, fault heaps,
+	// mailboxes and instrument maps (shard.go), rebuilt only when the
+	// effective shard count changes.
 	shards []engineShard
 
-	// Reusable global fault-membership vectors, built on the first
-	// faulty run.
-	fAlive    []bool
-	fRejoined []bool
-
-	// Lazily-built validation/instrument scratch, recycled across runs.
-	idSeen map[int64]struct{}
-	watch  map[[2]int]bool
-
-	// eng is the engine shell reused across runs (its pointers are re-wired
-	// per run; no allocation).
-	eng engine
+	// Built on the first run that needs them: the fault-membership
+	// vectors and the watched-edge set, which the engine's fAlive,
+	// fRejoined and watch point at on the runs that use them, and the
+	// duplicate filter of ID validation.
+	aliveBuf    []bool
+	rejoinedBuf []bool
+	watchBuf    map[[2]int]bool
+	idSeen      map[int64]struct{}
 }
 
 // NewRunner validates the graph and precomputes the reusable engine state.
@@ -94,70 +110,67 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		return nil, fmt.Errorf("%w: empty graph", ErrConfig)
 	}
 	n := g.N()
-	off, nbr := g.CSR()
-	r := &Runner{
-		g:        g,
-		off:      off,
-		nbr:      nbr,
-		portBack: g.PortBacks(),
-		out:      make([][]outMsg, n),
-		inbox:    make([][]Message, n),
-		status:   make([]Status, n),
-		halted:   make([]bool, n),
-		awake:    make([]bool, n),
-		changed:  make([]bool, n),
-		nodeErr:  make([]error, n),
-		procs:    make([]Process, n),
-		ctxs:     make([]Context, n),
-		rngs:     make([]*rand.Rand, n),
-	}
 	// The graph maintains its reverse-port table through construction and
-	// ShufflePorts, so the old O(Σ deg²) PortTo validation scan is gone —
-	// NewRunner is O(n) for any density.
-	r.sendCnt = make([]int32, len(nbr))
-	r.carveRows()
-	r.linkSeq = make([]int32, len(nbr))
-	r.wakeAt = make([]int, n)
-	r.idle = make([]int, n)
-	r.haltCounted = make([]bool, n)
+	// ShufflePorts, so NewRunner is O(n + m) for any density.
+	off, nbr := g.CSR()
+	r := new(Runner)
+	r.eng.buffers = buffers{
+		g:           g,
+		off:         off,
+		nbr:         nbr,
+		portBack:    g.PortBacks(),
+		sendCnt:     make([]int32, len(nbr)),
+		linkSeq:     make([]int32, len(nbr)),
+		out:         make([][]outMsg, n),
+		inbox:       make([][]Message, n),
+		status:      make([]Status, n),
+		halted:      make([]bool, n),
+		awake:       make([]bool, n),
+		changed:     make([]bool, n),
+		nodeErr:     make([]error, n),
+		procs:       make([]Process, n),
+		ctxs:        make([]Context, n),
+		rngs:        make([]*rand.Rand, n),
+		wakeAt:      make([]int, n),
+		idle:        make([]int, n),
+		haltCounted: make([]bool, n),
+	}
+	r.eng.carveRows()
 	return r, nil
 }
 
 // carveRows homes every node's inbox and outbox row in one slab each, in
 // node order, with room for min(degree, slabRowCap) messages (arena.go).
-func (r *Runner) carveRows() {
+func (b *buffers) carveRows() {
 	total := 0
-	for u := range r.out {
-		total += min(int(r.off[u+1]-r.off[u]), slabRowCap)
+	for u := range b.out {
+		total += min(int(b.off[u+1]-b.off[u]), slabRowCap)
 	}
 	in, out := make([]Message, total), make([]outMsg, total)
 	at := 0
-	for u := range r.out {
-		end := at + min(int(r.off[u+1]-r.off[u]), slabRowCap)
-		r.inbox[u], r.out[u] = in[at:at:end], out[at:at:end]
+	for u := range b.out {
+		end := at + min(int(b.off[u+1]-b.off[u]), slabRowCap)
+		b.inbox[u], b.out[u] = in[at:at:end], out[at:at:end]
 		at = end
 	}
 }
 
-// ensureShards (re)builds the Runner's shard array for an effective
-// shard count of S, partitioning the nodes into contiguous ranges of
-// ⌈n/S⌉. Rebuilt only when S changes between runs; each shard's wheels
-// and scratch persist across runs of the same count.
-func (r *Runner) ensureShards(S int) {
-	if len(r.shards) == S {
+// ensureShards (re)builds the shard array for an effective shard count
+// of S, partitioning the nodes into contiguous ranges of ⌈n/S⌉. Rebuilt
+// only when S changes between runs; each shard's wheels and scratch
+// persist across runs of the same count.
+func (b *buffers) ensureShards(S int) {
+	if len(b.shards) == S {
 		return
 	}
-	n := r.g.N()
+	n := b.g.N()
 	size := (n + S - 1) / S
-	r.shards = make([]engineShard, S)
-	for i := range r.shards {
-		sh := &r.shards[i]
+	b.shards = make([]engineShard, S)
+	for i := range b.shards {
+		sh := &b.shards[i]
 		sh.id = i
 		sh.lo = i * size
-		sh.hi = sh.lo + size
-		if sh.hi > n {
-			sh.hi = n
-		}
+		sh.hi = min(sh.lo+size, n)
 		sh.wheel = newTimingWheel()
 		sh.mail = make([][]shardMsg, S)
 	}
@@ -180,7 +193,8 @@ func (r *Runner) Run(cfg Config, p Protocol) (*Result, error) {
 // owned by the caller (it does not alias Runner state), but is
 // overwritten by the next RunInto with the same out.
 func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
-	g := r.g
+	e := &r.eng
+	g := e.g
 	if cfg.Graph != nil && cfg.Graph != g {
 		return fmt.Errorf("%w: Runner bound to a different graph", ErrConfig)
 	}
@@ -190,12 +204,12 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		if len(cfg.IDs) != n {
 			return fmt.Errorf("%w: len(IDs)=%d want %d", ErrConfig, len(cfg.IDs), n)
 		}
-		r.idSeen = recycled(r.idSeen, n)
+		e.idSeen = recycled(e.idSeen, n)
 		for _, id := range cfg.IDs {
-			if _, dup := r.idSeen[id]; dup {
+			if _, dup := e.idSeen[id]; dup {
 				return fmt.Errorf("%w: duplicate ID %d", ErrConfig, id)
 			}
-			r.idSeen[id] = struct{}{}
+			e.idSeen[id] = struct{}{}
 		}
 	}
 	if cfg.Wake != nil && len(cfg.Wake) != n {
@@ -226,13 +240,9 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if bitCap <= 0 {
 		bitCap = DefaultBitCap(n)
 	}
-	sendCap := cfg.PortSendCap
-	if sendCap <= 0 {
-		if m.Mode == LOCAL {
-			sendCap = 0 // unlimited
-		} else {
-			sendCap = 8
-		}
+	sendCap := cfg.PortSendCap // unlimited unless positive
+	if sendCap <= 0 && m.Mode != LOCAL {
+		sendCap = 8
 	}
 
 	// Reset the result shell, recycling its slices and maps. Crashed is
@@ -246,74 +256,43 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		PerEdge:       out.PerEdge,
 	}
 
-	// Reset the reusable scratch and wire it into the engine shell.
-	e := &r.eng
+	// Reset the engine by construction: every field but the buffers
+	// starts the run at zero.
 	*e = engine{
-		cfg: cfg, g: g, bitCap: bitCap, sendCap: sendCap,
-		off:      r.off,
-		nbr:      r.nbr,
-		portBack: r.portBack,
-		sendCnt:  r.sendCnt,
-		out:      r.out,
-		inbox:    r.inbox,
-		status:   r.status,
-		halted:   r.halted,
-		awake:    r.awake,
-		changed:  r.changed,
-		nodeErr:  r.nodeErr,
-		procs:    r.procs,
-		ctxs:     r.ctxs,
-		rngs:     r.rngs,
-		res:      out,
-
-		async:       m.Mode == ASYNC,
-		delay:       m.Delay,
-		linkSeq:     r.linkSeq,
-		wakeAt:      r.wakeAt,
-		idle:        r.idle,
-		hints:       m.Mode != ASYNC && honorIdleHints,
-		haltCounted: r.haltCounted,
-		maxTick:     maxRounds,
+		buffers: e.buffers,
+		cfg:     cfg, bitCap: bitCap, sendCap: sendCap, res: out,
+		async:   m.Mode == ASYNC,
+		delay:   m.Delay,
+		hints:   m.Mode != ASYNC && honorIdleHints,
+		maxTick: maxRounds,
 	}
-	for i := range r.linkSeq {
-		r.linkSeq[i] = 0
-	}
-	for i := range r.wakeAt {
-		r.wakeAt[i] = 0
-		r.idle[i] = 0
-	}
-	for i := range r.haltCounted {
-		r.haltCounted[i] = false
-	}
-	r.ensureShards(shardCount)
-	e.shards = r.shards
+	clear(e.sendCnt)
+	clear(e.linkSeq)
+	clear(e.wakeAt)
+	clear(e.idle)
+	clear(e.haltCounted)
+	e.ensureShards(shardCount)
 	e.shardSize = (n + shardCount - 1) / shardCount
-	for i := range r.shards {
-		r.shards[i].resetRun()
+	for i := range e.shards {
+		e.shards[i].resetRun()
 	}
 	if m.Faults != nil {
 		e.fsched = m.Faults
 		e.proto = p
-		if r.fAlive == nil {
-			r.fAlive = make([]bool, n)
-			r.fRejoined = make([]bool, n)
+		if e.aliveBuf == nil {
+			e.aliveBuf = make([]bool, n)
+			e.rejoinedBuf = make([]bool, n)
 		}
-		e.fAlive, e.fRejoined = r.fAlive, r.fRejoined
-		for u := 0; u < n; u++ {
-			r.fAlive[u] = true
-			r.fRejoined[u] = false
+		e.fAlive, e.fRejoined = e.aliveBuf, e.rejoinedBuf
+		for u := range e.fAlive {
+			e.fAlive[u] = true
 		}
-		for i := range r.shards {
-			sh := &r.shards[i]
-			if sh.faultScratch == nil {
-				sh.faultScratch = new(faultState)
-			}
-			sh.faultScratch.reset(m.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
-			sh.faults = sh.faultScratch
+		clear(e.fRejoined)
+		for i := range e.shards {
+			sh := &e.shards[i]
+			sh.faults = &sh.faultBuf
+			sh.faults.reset(m.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
 		}
-	}
-	for i := range r.sendCnt {
-		r.sendCnt[i] = 0
 	}
 	// A warm Runner recycles: procs[u] is still what node u ran last.
 	recycler, _ := p.(Recycler)
@@ -325,61 +304,35 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		e.awake[u] = false
 		e.changed[u] = false
 		e.nodeErr[u] = nil
-		var id int64
-		hasID := false
+		info := NodeInfo{Degree: g.Degree(u), Know: cfg.Know}
 		if cfg.IDs != nil {
-			id = cfg.IDs[u]
-			hasID = true
+			info.ID, info.HasID = cfg.IDs[u], true
 		}
-		info := NodeInfo{ID: id, HasID: hasID, Degree: g.Degree(u), Know: cfg.Know}
 		if recycler != nil {
 			e.procs[u] = recycler.Renew(e.procs[u], info)
 		} else {
 			e.procs[u] = p.New(info)
 		}
 		// The RNG is built and seeded lazily on the node's first Rand()
-		// call (see Context.Rand); r.rngs[u] is nil until then.
-		e.ctxs[u] = Context{eng: e, node: u, info: info, rng: r.rngs[u]}
+		// call (see Context.Rand); rngs[u] is nil until then.
+		e.ctxs[u] = Context{eng: e, node: u, info: info, rng: e.rngs[u]}
 	}
+	// The instruments: every shard fills its own maps, which the fold
+	// merges into the Result's at every shard count.
 	if len(cfg.WatchEdges) > 0 {
-		r.watch = recycled(r.watch, len(cfg.WatchEdges))
-		e.watch = r.watch
-		out.FirstCrossing = recycled(out.FirstCrossing, len(cfg.WatchEdges))
+		e.watchBuf = recycled(e.watchBuf, len(cfg.WatchEdges))
+		e.watch = e.watchBuf
 		for _, w := range cfg.WatchEdges {
 			e.watch[normPair(w[0], w[1])] = true
 		}
-	} else {
-		out.FirstCrossing = nil
 	}
-	if cfg.CountPerEdge {
-		out.PerEdge = recycled(out.PerEdge, 0)
-	} else {
-		out.PerEdge = nil
-	}
-	// Wire the event engine's instrument maps: a single shard writes the
-	// Result's maps directly; multiple shards fill per-shard scratch maps
-	// (merged after the run — crossing ticks by minimum, per-edge counts
-	// by sum, both independent of the shard layout).
-	if e.watch != nil || cfg.CountPerEdge {
-		single := len(e.shards) == 1
-		for i := range e.shards {
-			sh := &e.shards[i]
-			if e.watch != nil {
-				if single {
-					sh.fc = out.FirstCrossing
-				} else {
-					sh.fcScratch = recycled(sh.fcScratch, 0)
-					sh.fc = sh.fcScratch
-				}
-			}
-			if cfg.CountPerEdge {
-				if single {
-					sh.pe = out.PerEdge
-				} else {
-					sh.peScratch = recycled(sh.peScratch, 0)
-					sh.pe = sh.peScratch
-				}
-			}
+	for i := range e.shards {
+		sh := &e.shards[i]
+		if e.watch != nil {
+			sh.fc = recycled(sh.fc, 0)
+		}
+		if cfg.CountPerEdge {
+			sh.pe = recycled(sh.pe, 0)
 		}
 	}
 
@@ -400,33 +353,18 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if e.err != nil {
 		return e.err
 	}
-	// Fold the per-shard accounting into the Result. Sums, maxes and map
-	// merges are all independent of shard order; single-shard runs alias
-	// the instrument maps directly, so only the scalars fold.
-	singleShard := len(e.shards) == 1
+	if e.watch != nil {
+		out.FirstCrossing = recycled(out.FirstCrossing, len(cfg.WatchEdges))
+	} else {
+		out.FirstCrossing = nil
+	}
+	if cfg.CountPerEdge {
+		out.PerEdge = recycled(out.PerEdge, 0)
+	} else {
+		out.PerEdge = nil
+	}
 	for i := range e.shards {
-		sh := &e.shards[i]
-		out.Messages += sh.msgs
-		out.Bits += sh.bits
-		out.Dropped += sh.dropped
-		out.Crashes += sh.crashes
-		out.Recoveries += sh.recoveries
-		if sh.maxMsgBits > out.MaxMsgBits {
-			out.MaxMsgBits = sh.maxMsgBits
-		}
-		if sh.lastActive > out.LastActive {
-			out.LastActive = sh.lastActive
-		}
-		if !singleShard {
-			for k, v := range sh.fc {
-				if cur, ok := out.FirstCrossing[k]; !ok || v < cur {
-					out.FirstCrossing[k] = v
-				}
-			}
-			for k, v := range sh.pe {
-				out.PerEdge[k] += v
-			}
-		}
+		e.shards[i].fold(out)
 	}
 	out.Statuses = append(out.Statuses[:0], e.status...)
 	for u, s := range e.status {

@@ -113,9 +113,9 @@ type engineShard struct {
 
 	// faults is the shard's slice of the fault adversary: the event heap
 	// and pending-recovery counter for its own node range (fault.go). nil
-	// on fault-free runs; faultScratch is the persistent backing store.
-	faults       *faultState
-	faultScratch *faultState
+	// on fault-free runs, &faultBuf on faulty ones.
+	faults   *faultState
+	faultBuf faultState
 
 	// mail[d] is the outbound mailbox toward shard d: messages for shard
 	// d's nodes sent by this shard's senders during the current tick, in
@@ -129,7 +129,27 @@ type engineShard struct {
 	// (runTick); zero means nothing to do.
 	due int
 
-	// Quiescence counters over own nodes; the coordinator sums them.
+	// The tick's model violation by the shard's lowest-numbered erring
+	// node (err == nil: none); the fold takes the first shard's.
+	errNode int
+	err     error
+
+	// The instrument maps — first crossing tick per watched edge, message
+	// count per edge — over the arrivals at the shard's own nodes. Kept
+	// across runs and emptied by every run that fills them; the engine's
+	// watch and cfg.CountPerEdge say whether this one does.
+	fc map[[2]int]int
+	pe map[[2]int]int64
+
+	shardCounts
+}
+
+// shardCounts is a shard's accounting over its own nodes for one run:
+// zeroed as one value when the run starts (resetRun), summed at every
+// tick barrier (foldTick) and added into the Result when the run ends
+// (fold).
+type shardCounts struct {
+	// Quiescence counters; the coordinator sums them.
 	pendingMsgs int // ASYNC deliveries queued in this shard's wheel
 	numRunning  int // awake && !halted && alive
 	numHalted   int
@@ -142,7 +162,7 @@ type engineShard struct {
 	arrivalBits int64
 	arrivalMax  int
 
-	// Cumulative accounting, folded into the Result when the run ends.
+	// Run totals.
 	msgs       int64
 	bits       int64
 	dropped    int64
@@ -156,19 +176,6 @@ type engineShard struct {
 	deliveredTick int64
 	sendDropTick  int64
 	crossedTick   bool
-
-	// The tick's model violation by the shard's lowest-numbered erring
-	// node (err == nil: none); the fold takes the first shard's.
-	errNode int
-	err     error
-
-	// Instrument maps. A single-shard run aliases the Result's maps
-	// directly; multi-shard runs fill per-shard scratch maps (fcScratch,
-	// peScratch, recycled across runs) merged when the run ends.
-	fc        map[[2]int]int
-	pe        map[[2]int]int64
-	fcScratch map[[2]int]int
-	peScratch map[[2]int]int64
 }
 
 // resetRun re-arms the shard for one run, keeping every allocation.
@@ -183,14 +190,33 @@ func (sh *engineShard) resetRun() {
 	}
 	sh.mailed = 0
 	sh.faults = nil
-	sh.pendingMsgs, sh.numRunning, sh.numHalted = 0, 0, 0
-	sh.arrivals, sh.arrivalBits, sh.arrivalMax = 0, 0, 0
-	sh.msgs, sh.bits, sh.dropped = 0, 0, 0
-	sh.maxMsgBits, sh.lastActive = 0, 0
-	sh.crashes, sh.recoveries = 0, 0
-	sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
 	sh.err = nil
-	sh.fc, sh.pe = nil, nil
+	sh.shardCounts = shardCounts{}
+}
+
+// fold adds the shard's run totals into out, and its instrument maps into
+// out's where out keeps them: sums, maxima, and crossing ticks by
+// minimum, so the Result does not depend on the shard layout.
+func (sh *engineShard) fold(out *Result) {
+	out.Messages += sh.msgs
+	out.Bits += sh.bits
+	out.Dropped += sh.dropped
+	out.Crashes += sh.crashes
+	out.Recoveries += sh.recoveries
+	out.MaxMsgBits = max(out.MaxMsgBits, sh.maxMsgBits)
+	out.LastActive = max(out.LastActive, sh.lastActive)
+	if out.FirstCrossing != nil {
+		for k, v := range sh.fc {
+			if cur, ok := out.FirstCrossing[k]; !ok || v < cur {
+				out.FirstCrossing[k] = v
+			}
+		}
+	}
+	if out.PerEdge != nil {
+		for k, v := range sh.pe {
+			out.PerEdge[k] += v
+		}
+	}
 }
 
 // route schedules ASYNC delivery d for tick at: into the sending shard's

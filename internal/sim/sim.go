@@ -415,56 +415,27 @@ func (r *Result) UniqueLiveLeader() bool {
 	return leaders == 1
 }
 
-// engine holds the mutable run state.
+// engine holds the state of a run: the buffers the Runner keeps between
+// runs, embedded by value, and the per-run fields around them, which
+// Runner.RunInto rebuilds from zero for every run.
 type engine struct {
-	cfg   Config
-	g     *graph.Graph
-	round int
+	buffers
 
-	// Flat per-(node, port) tables, indexed by off[u]+p (see arena.go).
-	// off and nbr are the graph's CSR arrays and portBack its reverse-port
-	// table, borrowed via graph.CSR()/PortBacks() so the delivery fast
-	// path resolves neighbors and return ports with single array loads —
-	// no method call, no per-node slice header. sendCnt (engine-owned)
-	// counts this round's sends through each port for the per-port cap.
-	off      []int32
-	nbr      []int32
-	portBack []int32
-	sendCnt  []int32
-
-	// out[u] is u's outbox row: this round's sends in send order, with
-	// Bits() cached (see arena.go).
-	out [][]outMsg
-	// inbox[u] holds the messages delivered to u this round — in the
-	// synchronous modes, from the flush of the round before on.
-	inbox [][]Message
-
-	status  []Status
-	halted  []bool
-	awake   []bool
-	changed []bool
-	nodeErr []error
-	procs   []Process
-	ctxs    []Context
-	rngs    []*rand.Rand // lazily-built per-node generators (Runner-owned)
+	cfg     Config
+	round   int
 	bitCap  int
 	sendCap int
-	watch   map[[2]int]bool
+	// watch is the run's watched-edge set: nil when no edge is watched,
+	// and every instrument branch is gated on that nil check or on
+	// cfg.CountPerEdge.
+	watch map[[2]int]bool
 
 	// Sharded event-engine state (event.go, shard.go). shardSize is
 	// ⌈n/len(shards)⌉, the stride of the contiguous node partition (a
 	// node's shard is one division).
-	shards    []engineShard
 	shardSize int
 	delay     DelaySchedule
 	async     bool
-	// Flat per-node / per-(node,port) rows shared by the shards — each
-	// shard writes only its own nodes' slots, so no synchronization is
-	// needed.
-	linkSeq     []int32 // per-link message sequence numbers (ASYNC/drop)
-	wakeAt      []int   // pending RequestWake target tick (0 = none; ASYNC)
-	idle        []int   // round a parked node idles until (0 = not parked)
-	haltCounted []bool  // halt already merged into the counters
 	// hints reports whether IdleUntil is honoured: the synchronous modes of
 	// the event engine.
 	hints bool

@@ -26,7 +26,10 @@
 // none.
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+)
 
 // wheelSlots is the ring size. A schedule at most wheelSlots ticks ahead
 // of the current tick hits the ring directly; anything farther goes to
@@ -50,7 +53,7 @@ type timingWheel struct {
 	// Overflow state for ticks beyond the ring window. far is keyed by
 	// tick; farHeap is a min-heap of its keys; free recycles buckets.
 	far     map[int]*tickBucket
-	farHeap []int
+	farHeap minHeap[int]
 	free    []*tickBucket
 
 	// spares are the delivery arrays no bucket is borrowing, emptied.
@@ -132,7 +135,7 @@ func (w *timingWheel) at(t int) *tickBucket {
 		b = &tickBucket{}
 	}
 	w.far[t] = b
-	w.farPush(t)
+	w.farHeap.push(t, cmp.Less[int])
 	return b
 }
 
@@ -146,8 +149,7 @@ func (w *timingWheel) at(t int) *tickBucket {
 func (w *timingWheel) advance(t int) {
 	w.cur = t
 	for len(w.farHeap) > 0 && w.farHeap[0]-t < wheelSlots {
-		ft := w.farHeap[0]
-		w.farPopMin()
+		ft := w.farHeap.pop(cmp.Less[int])
 		fb := w.far[ft]
 		delete(w.far, ft)
 		s := ft & wheelMask
@@ -221,44 +223,8 @@ func (w *timingWheel) drop(t int) {
 	}
 	if b, ok := w.far[t]; ok {
 		delete(w.far, t)
-		w.farPopMin()
+		w.farHeap.pop(cmp.Less[int])
 		w.release(b)
 		w.free = append(w.free, b)
 	}
-}
-
-func (w *timingWheel) farPush(t int) {
-	h := append(w.farHeap, t)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	w.farHeap = h
-}
-
-func (w *timingWheel) farPopMin() {
-	h := w.farHeap
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h[l] < h[small] {
-			small = l
-		}
-		if r < last && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	w.farHeap = h
 }
