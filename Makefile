@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-race test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check loc ci
+.PHONY: build test test-shuffle test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check loc ci
 
 build:
 	$(GO) build ./...
@@ -17,15 +17,6 @@ test-shuffle:
 
 race:
 	$(GO) test -race ./...
-
-# Focused -race pass over the engine and algorithm layers the fault
-# subsystem touches, plus the fleet coordinator (per-slot lease streams
-# over long-lived worker pipes, the heartbeat deadline, retry scheduler
-# and result counters all run concurrently); much
-# faster than the full `race` target and wired into CI as its own job
-# so engine-level data races surface on their own.
-test-race:
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/fleet/...
 
 # The sharded determinism matrix under the race detector: every
 # algorithm × model × fault schedule at shard counts 1/2/4/8, the
@@ -251,4 +242,4 @@ loc:
 		  printf "%-28s %8d %8d\n", "total", S, T }'
 
 # Everything the CI pipeline runs, in the same order.
-ci: fmt-check vet build test-shuffle race test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos test-race race-matrix docs-check
+ci: fmt-check vet build test-shuffle race test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check

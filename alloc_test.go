@@ -575,23 +575,26 @@ func poolDrops() bool {
 // to the message-proportional target (docs/PERFORMANCE.md has the census
 // before and after); the other rows are the measured census rounded up,
 // so that a reintroduced per-send boxing, per-round slice or lost idle
-// hint has a row to fail. The warm column is every later trial: the
-// protocols that renew their processes (sim.Recycler) allocate next to
-// nothing there, and the others are held to their cold row.
+// hint has a row to fail. The warm column is every later trial, on renewed
+// processes (every registered protocol is a sim.Recycler): the flood family
+// and kingdom allocate next to nothing there; cluster, dfs and spanner-le
+// still allocate per message (boxed payloads, agent records, the
+// Baswana–Sen machine) and are held to their measured warm census, rounded
+// up the way the cold rows are.
 func TestProtocolBudgets(t *testing.T) {
 	const renewed = 0.05
 	budgets := map[string]struct{ cold, warm, steps float64 }{
-		"cluster":          {1.8, 1.8, 1.0},
-		"dfs":              {1.6, 1.6, 1.2},
+		"cluster":          {1.8, 1.0, 1.0},
+		"dfs":              {1.6, 1.2, 1.2},
 		"flood":            {0.3, renewed, 0.8},
 		"kingdom":          {0.5, renewed, 1.0},
 		"kingdom-d":        {0.5, renewed, 1.0},
-		"lasvegas":         {0.5, 0.5, 1.0},
+		"lasvegas":         {0.5, renewed, 1.0},
 		"leastel":          {0.3, renewed, 0.6},
 		"leastel-const":    {0.4, renewed, 0.9},
-		"leastel-estimate": {0.3, 0.3, 0.6},
+		"leastel-estimate": {0.3, renewed, 0.6},
 		"leastel-loglog":   {0.4, renewed, 0.9},
-		"spanner-le":       {0.8, 0.8, 0.8},
+		"spanner-le":       {0.8, 0.7, 0.8},
 	}
 	checkAllocs := !poolDrops()
 	if !checkAllocs {

@@ -23,22 +23,35 @@ import (
 // tree edges plus retained inter-cluster edges, whose size is O(n + log² n)
 // and diameter O(D·log n).
 type Cluster struct {
-	// Factor scales the 8·ln(n)/n candidate probability.
+	// Factor scales the 8·ln(n)/n candidate probability
+	// (Options.ClusterCandidateFactor).
 	Factor float64
 }
 
-var _ sim.Protocol = Cluster{}
+var _ sim.Recycler = Cluster{}
 
 // Name implements sim.Protocol.
 func (Cluster) Name() string { return "cluster" }
 
 // New implements sim.Protocol.
-func (cl Cluster) New(info sim.NodeInfo) sim.Process {
-	f := cl.Factor
-	if f <= 0 {
-		f = 1
+func (cl Cluster) New(info sim.NodeInfo) sim.Process { return cl.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a cluster process, in
+// old's tables, scratch and flooder when old is a cluster process. Records
+// that arrived before phase 3 of a run that ended first are dropped, so that
+// they pin no box.
+func (cl Cluster) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[clusterProc](old)
+	p.fl.recycle()
+	*p = clusterProc{
+		factor: cl.Factor, parentPort: -1,
+		childPorts: emptied(p.childPorts), nbrCluster: emptied(p.nbrCluster),
+		upRecs: emptied(p.upRecs), finalRecs: p.finalRecs[:0],
+		markPorts: emptied(p.markPorts), queue: portQueue{emptied(p.queue.q)},
+		fl:      p.fl,
+		joinBuf: p.joinBuf[:0], answerBuf: p.answerBuf[:0], recBuf: p.recBuf[:0],
 	}
-	return &clusterProc{factor: f}
+	return p
 }
 
 // Cluster-algorithm message types. Records travel one per message: a
@@ -88,7 +101,6 @@ type clusterProc struct {
 	me     int64
 
 	// Phase 1 state.
-	candidate  bool
 	joined     bool
 	cluster    int64
 	parentPort int
@@ -97,20 +109,16 @@ type clusterProc struct {
 	nbrCluster map[int]int64
 
 	// Phase 2 state.
-	endUpLeft  int // children whose up-stream has not ended yet
-	upRecs     map[int64]record
-	sentUp     bool
-	finalRecs  []record
-	endDown    bool
-	markPorts  map[int]bool
-	queue      *portQueue
-	phase3From int
+	endUpLeft int // children whose up-stream has not ended yet
+	upRecs    map[int64]record
+	sentUp    bool
+	finalRecs []record
+	markPorts map[int]bool
+	queue     portQueue
 
 	// Phase 3 state.
-	inPh3   bool
-	fl      flooder
-	meKey   flKey
-	decided bool
+	inPh3 bool
+	fl    flooder
 	// early holds, in arrival order, the flood records that arrive before
 	// this node is in phase 3 (its neighbours may get there first); the
 	// round that enters phase 3 handles them as one inbox.
@@ -125,19 +133,12 @@ func (p *clusterProc) Start(c *sim.Context) {
 	if !c.HasID() {
 		p.me = c.Rand().Int63()
 	}
-	p.parentPort = -1
-	p.childPorts = make(map[int]bool)
-	p.nbrCluster = make(map[int]int64)
-	p.upRecs = make(map[int64]record)
-	p.markPorts = make(map[int]bool)
-	p.queue = newPortQueue()
 	n := c.Know().N
 	prob := p.factor * 8 * math.Log(float64(n)+1) / float64(n)
 	if prob > 1 {
 		prob = 1
 	}
-	p.candidate = c.Rand().Float64() < prob
-	if p.candidate {
+	if c.Rand().Float64() < prob { // a candidate
 		p.joined = true
 		p.cluster = p.me
 		p.awaiting = c.Degree()
@@ -192,7 +193,7 @@ func (p *clusterProc) Round(c *sim.Context, inbox []sim.Message) {
 			inbox, p.early = p.early, nil
 		}
 		p.fl.round(inbox)
-		p.decide(c)
+		p.fl.settle(c)
 	}
 }
 
@@ -309,7 +310,6 @@ func (p *clusterProc) handleRec(c *sim.Context, port int, pl sim.Payload) {
 			for ch := range p.childPorts {
 				p.queue.push(ch, m)
 			}
-			p.endDown = true
 			p.enterPhase3(c)
 		} else {
 			p.endUpLeft--
@@ -346,30 +346,13 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 	}
 	sort.Ints(sorted)
 	initFlooder(&p.fl, c.Degree(), sorted, true, tagPhaseB, c)
-	p.meKey = drawKey(c, rankSpace(c.Know().N))
+	self := drawKey(c, rankSpace(c.Know().N))
 	// Anonymous networks reuse the phase-1 identity as the tiebreak token.
 	if !c.HasID() {
-		p.meKey.origin = p.me
+		self.origin = p.me
 	}
-	p.fl.start(p.meKey, 0)
-	p.decide(c)
-}
-
-func (p *clusterProc) decide(c *sim.Context) {
-	if p.decided {
-		return
-	}
-	if p.fl.completed {
-		if p.fl.won {
-			c.Decide(sim.Leader)
-		} else {
-			c.Decide(sim.NonLeader)
-		}
-		p.decided = true
-	} else if p.fl.heard != p.meKey && p.fl.better(p.fl.heard, p.meKey) {
-		c.Decide(sim.NonLeader)
-		p.decided = true
-	}
+	p.fl.start(self, 0)
+	p.fl.settle(c)
 }
 
 func sortedClusters(m map[int64]record) []int64 {
@@ -388,6 +371,6 @@ func init() {
 		Summary: "Θ(log n) BFS clusters, sparsified inter-edges, overlay least-el; O(D log n) time, O(m+n log n) msgs whp",
 		NeedsN:  true,
 		Quiet:   true,
-		New:     func(o Options) sim.Protocol { return Cluster{Factor: o.clusterFactor()} },
+		New:     func(o Options) sim.Recycler { return Cluster{Factor: o.clusterFactor()} },
 	})
 }

@@ -27,8 +27,8 @@ type Options struct {
 	// FScale multiplies the candidate budget f(n) of leastel variants.
 	// Default 1.
 	FScale float64
-	// SpannerK is the Baswana–Sen parameter (spanner stretch 2k-1).
-	// Default: ⌈2/Epsilon⌉ capped at 4.
+	// SpannerK is the Baswana–Sen parameter (spanner stretch 2k-1), at
+	// least 2. Default: ⌈2/Epsilon⌉ capped at 4.
 	SpannerK int
 	// DFSBudgetCap caps the per-agent step period 2^i of the Theorem 4.1
 	// algorithm to keep simulations finite when IDs are large. Default 20
@@ -55,17 +55,11 @@ func (o Options) fScale() float64 {
 }
 
 func (o Options) spannerK() int {
-	if o.SpannerK > 0 {
-		return o.SpannerK
+	k := o.SpannerK
+	if k <= 0 {
+		k = min(int(math.Ceil(2/o.epsilon())), 4)
 	}
-	k := int(math.Ceil(2 / o.epsilon()))
-	if k > 4 {
-		k = 4
-	}
-	if k < 2 {
-		k = 2
-	}
-	return k
+	return max(k, 2)
 }
 
 func (o Options) dfsBudgetCap() int {
@@ -99,8 +93,9 @@ type Spec struct {
 	// Quiet requests the engine's StopWhenQuiet termination (the protocol
 	// decides everywhere but does not halt every node explicitly).
 	Quiet bool
-	// New constructs the protocol.
-	New func(o Options) sim.Protocol
+	// New constructs the protocol. Every registered protocol renews its
+	// processes (ARCHITECTURE.md § "Process lifetime").
+	New func(o Options) sim.Recycler
 }
 
 var registry = map[string]Spec{}

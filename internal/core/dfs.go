@@ -29,22 +29,24 @@ import (
 // (large) IDs remain simulable; capped agents move so rarely that the
 // message bound is unaffected.
 type DFS struct {
-	// BudgetCap caps the per-step period exponent (default 20).
+	// BudgetCap caps the per-step period exponent (Options.DFSBudgetCap).
 	BudgetCap int
 }
 
-var _ sim.Protocol = DFS{}
+var _ sim.Recycler = DFS{}
 
 // Name implements sim.Protocol.
 func (DFS) Name() string { return "dfs" }
 
 // New implements sim.Protocol.
-func (d DFS) New(info sim.NodeInfo) sim.Process {
-	cap := d.BudgetCap
-	if cap <= 0 {
-		cap = 20
-	}
-	return &dfsProc{capExp: cap}
+func (d DFS) New(info sim.NodeInfo) sim.Process { return d.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a DFS process, in
+// old's agent table when old is a DFS process.
+func (d DFS) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[dfsProc](old)
+	*p = dfsProc{capExp: d.BudgetCap, smallest: math.MaxInt64, agents: emptied(p.agents)}
+	return p
 }
 
 // Message kinds of the DFS election.
@@ -90,7 +92,6 @@ type dfsProc struct {
 	smallest int64
 	agents   map[int64]*dfsAgent
 	pend     *dfsPend
-	decided  bool
 	doneSent bool
 }
 
@@ -113,8 +114,6 @@ func (p *dfsProc) due(id int64, now int) int {
 }
 
 func (p *dfsProc) Start(c *sim.Context) {
-	p.smallest = math.MaxInt64
-	p.agents = make(map[int64]*dfsAgent)
 	if c.SpontaneousWake() {
 		p.wake(c)
 	}
@@ -181,10 +180,9 @@ func (p *dfsProc) handleAgent(c *sim.Context, port int, m agentMsg) {
 			p.pend = nil // destroy larger waiting agent
 		}
 	}
-	if m.id < p.me && !p.decided {
+	if m.id < p.me && c.Status() == sim.Undecided {
 		// Evidence of a smaller candidate: this node cannot win.
 		c.Decide(sim.NonLeader)
-		p.decided = true
 	}
 	st := p.agents[m.id]
 	if st == nil {
@@ -231,7 +229,6 @@ func (p *dfsProc) step(c *sim.Context, d *dfsPend) {
 	}
 	// The agent explored every edge and returned home: this node leads.
 	c.Decide(sim.Leader)
-	p.decided = true
 	p.doneSent = true
 	c.Broadcast(msgDone)
 	c.Halt()
@@ -239,9 +236,8 @@ func (p *dfsProc) step(c *sim.Context, d *dfsPend) {
 
 // finish handles the done flood: decide, forward once, halt.
 func (p *dfsProc) finish(c *sim.Context) {
-	if !p.decided {
+	if c.Status() == sim.Undecided {
 		c.Decide(sim.NonLeader)
-		p.decided = true
 	}
 	if !p.doneSent {
 		p.doneSent = true
@@ -257,6 +253,6 @@ func init() {
 		Summary:       "DFS annexing agents, step period 2^ID; O(m) msgs, unbounded (exponential-in-minID) time",
 		Deterministic: true,
 		NeedsIDs:      true,
-		New:           func(o Options) sim.Protocol { return DFS{BudgetCap: o.dfsBudgetCap()} },
+		New:           func(o Options) sim.Recycler { return DFS{BudgetCap: o.dfsBudgetCap()} },
 	})
 }

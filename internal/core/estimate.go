@@ -20,13 +20,23 @@ import "ule/internal/sim"
 // preserves the flood-timing argument despite the skewed starts.
 type Estimate struct{}
 
-var _ sim.Protocol = Estimate{}
+var _ sim.Recycler = Estimate{}
 
 // Name implements sim.Protocol.
 func (Estimate) Name() string { return "leastel-estimate" }
 
 // New implements sim.Protocol.
-func (Estimate) New(info sim.NodeInfo) sim.Process { return &estimateProc{} }
+func (e Estimate) New(info sim.NodeInfo) sim.Process { return e.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a size-estimating
+// process, keeping the storage of both flooders when old is one.
+func (Estimate) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[estimateProc](old)
+	p.flA.recycle()
+	p.flB.recycle()
+	*p = estimateProc{flA: p.flA, flB: p.flB}
+	return p
+}
 
 // startBMsg floods the phase-B start signal carrying X̄.
 type startBMsg struct{ xbar int64 }
@@ -35,11 +45,8 @@ func (m startBMsg) Bits() int { return 3 + sim.BitsFor(m.xbar) }
 
 type estimateProc struct {
 	flA, flB flooder // phase A (max) and phase B (min), sharing every inbox
-	x        int64   // own geometric draw
-	meB      flKey
 	inB      bool
 	startFwd bool
-	decided  bool
 	sawAWin  bool
 }
 
@@ -47,19 +54,19 @@ func (p *estimateProc) Start(c *sim.Context) {
 	initFlooder(&p.flA, c.Degree(), nil, false, tagPhaseA, c)
 	initFlooder(&p.flB, c.Degree(), nil, true, tagPhaseB, c)
 	// Geometric draw: flips until the first heads.
-	p.x = 1
+	x := int64(1)
 	for c.Rand().Intn(2) == 0 {
-		p.x++
+		x++
 	}
 	origin := c.ID()
 	if !c.HasID() {
 		origin = c.Rand().Int63()
 	}
-	p.flA.start(flKey{rank: p.x, origin: origin}, 0)
+	p.flA.start(flKey{rank: x, origin: origin}, 0)
 	p.flA.flush()
 	if p.flA.completed {
 		// Single-node network: phase A is trivially complete.
-		p.enterPhaseB(c, p.x)
+		p.enterPhaseB(c, x)
 	}
 }
 
@@ -69,19 +76,9 @@ func (p *estimateProc) enterPhaseB(c *sim.Context, xbar int64) {
 		return
 	}
 	p.inB = true
-	if xbar > 15 {
-		xbar = 15 // clamp the rank space to a sane 60-bit ceiling
-	}
-	nHat := int64(1) << uint(xbar)
-	space := nHat * nHat * nHat * nHat
-	if space < 4 {
-		space = 4
-	}
-	p.meB = drawKey(c, space)
-	p.flB.start(p.meB, xbar)
-	if p.flB.completed {
-		p.finishB(c)
-	}
+	xbar = min(xbar, 15) // n̂ = 2^X̄ ≤ 2^15: a 60-bit rank space
+	p.flB.start(drawKey(c, rankSpace(1<<xbar)), xbar)
+	p.flB.settle(c)
 }
 
 func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
@@ -120,13 +117,8 @@ func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
 	releaseInbox(inbox)
 	p.flA.flush()
 	p.flB.flush()
-	if p.inB && !p.decided {
-		if p.flB.completed {
-			p.finishB(c)
-		} else if p.flB.heard != p.meB && p.flB.better(p.flB.heard, p.meB) {
-			c.Decide(sim.NonLeader)
-			p.decided = true
-		}
+	if p.inB {
+		p.flB.settle(c)
 	}
 	// Quiet round with nothing queued: every check above ran on flooder
 	// state that only a delivery can change, and nothing here counts
@@ -136,21 +128,12 @@ func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
 	}
 }
 
-func (p *estimateProc) finishB(c *sim.Context) {
-	if p.flB.won {
-		c.Decide(sim.Leader)
-	} else {
-		c.Decide(sim.NonLeader)
-	}
-	p.decided = true
-}
-
 func init() {
 	register(Spec{
 		Name:    "leastel-estimate",
 		Result:  "Cor 4.5",
 		Summary: "size-estimate max-flood then f=n least-el; no knowledge, prob 1, O(D) time, O(m·min(log n,D)) msgs whp",
 		Quiet:   true,
-		New:     func(o Options) sim.Protocol { return Estimate{} },
+		New:     func(o Options) sim.Recycler { return Estimate{} },
 	})
 }

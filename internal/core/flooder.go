@@ -177,7 +177,7 @@ type flooder struct {
 	// self is this node's own value, once start injected it. best is the
 	// least (resp. greatest) value adopted and re-flooded; it gates
 	// adoption. heard additionally folds in ack gossip and gates only the
-	// local win decision — see the safety note in leastel.go.
+	// local win decision (complete, settle).
 	self, best, heard flKey
 	// list is this node's least-element list in adoption order, one entry
 	// per origin; Lemma 4.3 bounds its expected length by
@@ -319,6 +319,22 @@ func (f *flooder) better(a, b flKey) bool {
 		return a.less(b)
 	}
 	return b.less(a)
+}
+
+// settle is the verdict on the candidacy of a node whose own value started
+// the flood (self), given once, while the engine holds the node undecided:
+// Leader or NonLeader once its own flood has completed, NonLeader as soon as
+// a better value was heard.
+func (f *flooder) settle(c *sim.Context) {
+	if c.Status() != sim.Undecided {
+		return
+	}
+	switch {
+	case f.completed && f.won:
+		c.Decide(sim.Leader)
+	case f.completed || f.better(f.heard, f.self):
+		c.Decide(sim.NonLeader)
+	}
 }
 
 // find returns the list entry of origin, newest first: echoes mostly

@@ -248,7 +248,7 @@ func TestDeterministicSafetyQuick(t *testing.T) {
 }
 
 func TestPortQueueDrip(t *testing.T) {
-	q := newPortQueue()
+	q := portQueue{make(map[int][]sim.Payload)}
 	for i := 0; i < 5; i++ {
 		q.push(0, idMsg{int64(i)})
 	}

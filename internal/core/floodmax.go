@@ -87,6 +87,6 @@ func init() {
 		Summary:  "max-ID flooding; O(D) time, O(m·min(n,D)) msgs, deterministic",
 		NeedsD:   true,
 		NeedsIDs: true,
-		New:      func(o Options) sim.Protocol { return FloodMax{} },
+		New:      func(o Options) sim.Recycler { return FloodMax{} },
 	})
 }

@@ -147,7 +147,6 @@ type kingdomProc struct {
 	states    []kState
 	candidate bool
 	phase     int32
-	decided   bool
 	doneSent  bool
 	halting   bool
 
@@ -416,23 +415,20 @@ func (p *kingdomProc) noteDefeat(c *sim.Context) {
 
 func (p *kingdomProc) defeat(c *sim.Context) {
 	p.candidate = false
-	if !p.decided {
+	if c.Status() == sim.Undecided {
 		c.Decide(sim.NonLeader)
-		p.decided = true
 	}
 }
 
 func (p *kingdomProc) crown(c *sim.Context) {
 	c.Decide(sim.Leader)
-	p.decided = true
 	p.finish(c)
 }
 
 // finish floods the done signal and halts.
 func (p *kingdomProc) finish(c *sim.Context) {
-	if !p.decided {
+	if c.Status() == sim.Undecided {
 		c.Decide(sim.NonLeader)
-		p.decided = true
 	}
 	if !p.doneSent {
 		p.doneSent = true
@@ -449,7 +445,7 @@ func init() {
 		Summary:       "double-win growing kingdoms, radius 2^(p-1); deterministic, no knowledge, O(D log n) time, O(m log n) msgs",
 		Deterministic: true,
 		NeedsIDs:      true,
-		New:           func(o Options) sim.Protocol { return Kingdom{} },
+		New:           func(o Options) sim.Recycler { return Kingdom{} },
 	})
 	register(Spec{
 		Name:          "kingdom-d",
@@ -458,6 +454,6 @@ func init() {
 		Deterministic: true,
 		NeedsD:        true,
 		NeedsIDs:      true,
-		New:           func(o Options) sim.Protocol { return Kingdom{KnownD: true} },
+		New:           func(o Options) sim.Recycler { return Kingdom{KnownD: true} },
 	})
 }

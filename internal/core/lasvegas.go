@@ -13,34 +13,32 @@ import "ule/internal/sim"
 // because with at least one candidate the flood reaches every node within D
 // rounds), everyone restarts with fresh coins. The expected number of
 // epochs is the constant 1/(1−e^−f).
-type LasVegas struct {
-	// F is the constant expected candidate count per epoch (default 4).
-	F float64
-}
+type LasVegas struct{}
 
-var _ sim.Protocol = LasVegas{}
+// lvCandidates is f, the expected number of candidates per epoch.
+const lvCandidates = 4
+
+var _ sim.Recycler = LasVegas{}
 
 // Name implements sim.Protocol.
 func (LasVegas) Name() string { return "lasvegas" }
 
 // New implements sim.Protocol.
-func (l LasVegas) New(info sim.NodeInfo) sim.Process {
-	f := l.F
-	if f <= 0 {
-		f = 4
-	}
-	return &lvProc{f: f}
+func (l LasVegas) New(info sim.NodeInfo) sim.Process { return l.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a Las Vegas process,
+// keeping the flooder storage of old when old is one.
+func (LasVegas) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[lvProc](old)
+	p.fl.recycle()
+	*p = lvProc{fl: p.fl}
+	return p
 }
 
 type lvProc struct {
-	f         float64
-	epochEnd  int
-	fl        flooder
-	candidate bool
-	me        flKey
-	active    bool // any message seen or candidacy held this epoch
-	won       bool
-	wonKnown  bool
+	epochEnd int
+	fl       flooder
+	active   bool // any message seen or candidacy held this epoch
 }
 
 func (p *lvProc) Start(c *sim.Context) {
@@ -51,22 +49,15 @@ func (p *lvProc) startEpoch(c *sim.Context) {
 	d := c.Know().D
 	p.epochEnd = c.Round() + 2*d + 3
 	initFlooder(&p.fl, c.Degree(), nil, true, tagPhaseB, c)
-	p.active = false
-	p.wonKnown = false
 	n := c.Know().N
-	prob := p.f / float64(n)
+	prob := lvCandidates / float64(n)
 	if prob > 1 {
 		prob = 1
 	}
-	p.candidate = c.Rand().Float64() < prob
-	if p.candidate {
-		p.active = true
-		p.me = drawKey(c, rankSpace(n))
-		p.fl.start(p.me, 0)
+	p.active = c.Rand().Float64() < prob // a candidate
+	if p.active {
+		p.fl.start(drawKey(c, rankSpace(n)), 0)
 		p.fl.flush()
-		if p.fl.completed {
-			p.won, p.wonKnown = p.fl.won, true
-		}
 	}
 }
 
@@ -80,17 +71,15 @@ func (p *lvProc) Round(c *sim.Context, inbox []sim.Message) {
 	if p.fl.round(inbox) > 0 {
 		p.active = true
 	}
-	if p.candidate && p.fl.completed && !p.wonKnown {
-		p.won, p.wonKnown = p.fl.won, true
-	}
 	if c.Round() < p.epochEnd {
 		return
 	}
 	// Epoch boundary: with any candidate present, every node observed
 	// traffic (the minimum rank floods everywhere within D rounds), so the
-	// outcome is consistent network-wide.
+	// outcome is consistent network-wide. Only a candidate's own flood
+	// completes, and it completes once per epoch.
 	if p.active {
-		if p.candidate && p.wonKnown && p.won {
+		if p.fl.completed && p.fl.won {
 			c.Decide(sim.Leader)
 		} else {
 			c.Decide(sim.NonLeader)
@@ -108,6 +97,6 @@ func init() {
 		Summary: "epoch-restarted f=Θ(1) least-el; knows n and D, prob 1, expected O(D) time and O(m) msgs",
 		NeedsN:  true,
 		NeedsD:  true,
-		New:     func(o Options) sim.Protocol { return LasVegas{} },
+		New:     func(o Options) sim.Recycler { return LasVegas{} },
 	})
 }

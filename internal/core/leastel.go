@@ -117,32 +117,23 @@ func (l LeastEl) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
 }
 
 type leastelProc struct {
-	kind      FKind
-	opt       Options
-	fl        flooder
-	candidate bool
-	me        flKey
-	decided   bool
+	kind FKind
+	opt  Options
+	fl   flooder
 }
 
 func (p *leastelProc) Start(c *sim.Context) {
 	n := c.Know().N // Theorem 4.4 assumes n is known
 	initFlooder(&p.fl, c.Degree(), nil, true, 0, c)
-	f := fValue(p.kind, n, p.opt)
-	p.candidate = c.Rand().Float64() < f/float64(n)
-	if p.candidate {
-		p.me = drawKey(c, rankSpace(n))
-		p.fl.start(p.me, 0)
-		p.fl.flush()
-		if p.fl.completed { // degree-0 corner: single-node network
-			p.finish(c)
-		}
-	} else {
+	if c.Rand().Float64() >= fValue(p.kind, n, p.opt)/float64(n) {
 		// Non-candidates know immediately that they are not the leader
 		// (implicit election only requires the leader to know).
 		c.Decide(sim.NonLeader)
-		p.decided = true
+		return
 	}
+	p.fl.start(drawKey(c, rankSpace(n)), 0)
+	p.fl.flush()
+	p.fl.settle(c) // degree-0 corner: a single-node network completes here
 }
 
 func (p *leastelProc) Round(c *sim.Context, inbox []sim.Message) {
@@ -153,24 +144,7 @@ func (p *leastelProc) Round(c *sim.Context, inbox []sim.Message) {
 		return
 	}
 	p.fl.round(inbox)
-	if p.candidate && !p.decided {
-		if p.fl.completed {
-			p.finish(c)
-		} else if p.fl.heard != p.me && p.fl.better(p.fl.heard, p.me) {
-			// A strictly better rank exists: this candidate lost.
-			c.Decide(sim.NonLeader)
-			p.decided = true
-		}
-	}
-}
-
-func (p *leastelProc) finish(c *sim.Context) {
-	if p.fl.won {
-		c.Decide(sim.Leader)
-	} else {
-		c.Decide(sim.NonLeader)
-	}
-	p.decided = true
+	p.fl.settle(c)
 }
 
 func init() {
@@ -180,7 +154,7 @@ func init() {
 		Summary: "least-element-list election, every node a candidate (f=n); O(D) time, O(m·min(log n,D)) msgs",
 		NeedsN:  true,
 		Quiet:   true,
-		New:     func(o Options) sim.Protocol { return LeastEl{F: FAll, Opt: o} },
+		New:     func(o Options) sim.Recycler { return LeastEl{F: FAll, Opt: o} },
 	})
 	register(Spec{
 		Name:    "leastel-loglog",
@@ -188,7 +162,7 @@ func init() {
 		Summary: "f(n)=Θ(log n) candidates; O(D) time, O(m·min(log log n,D)) msgs, success whp",
 		NeedsN:  true,
 		Quiet:   true,
-		New:     func(o Options) sim.Protocol { return LeastEl{F: FLog, Opt: o} },
+		New:     func(o Options) sim.Recycler { return LeastEl{F: FLog, Opt: o} },
 	})
 	register(Spec{
 		Name:    "leastel-const",
@@ -196,6 +170,6 @@ func init() {
 		Summary: "f(n)=4·ln(1/ε) candidates; O(D) time, O(m) msgs, success ≥ 1−ε",
 		NeedsN:  true,
 		Quiet:   true,
-		New:     func(o Options) sim.Protocol { return LeastEl{F: FConst, Opt: o} },
+		New:     func(o Options) sim.Recycler { return LeastEl{F: FConst, Opt: o} },
 	})
 }

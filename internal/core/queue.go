@@ -12,8 +12,6 @@ type portQueue struct {
 	q map[int][]sim.Payload
 }
 
-func newPortQueue() *portQueue { return &portQueue{q: make(map[int][]sim.Payload)} }
-
 func (pq *portQueue) push(port int, p sim.Payload) {
 	pq.q[port] = append(pq.q[port], p)
 }

@@ -52,6 +52,25 @@ func poisonRenewals(t *testing.T) *int {
 			self: bad, best: bad, heard: bad, completed: true, won: true,
 		}
 	}
+	badMsgs := func(msgs []sim.Message) []sim.Message {
+		msgs = msgs[:cap(msgs)]
+		for i := range msgs {
+			msgs[i] = sim.Message{Port: 99, Payload: badBox}
+		}
+		return msgs
+	}
+	// A map is poisoned on every key a run can read (the ports, IDs and
+	// cluster identities of the small-ID trials, and -1).
+	const badKeys = 64
+	badPorts := func(m map[int]bool) map[int]bool {
+		if m == nil {
+			m = make(map[int]bool)
+		}
+		for k := -1; k < badKeys; k++ {
+			m[k] = true
+		}
+		return m
+	}
 	onRenew = func(old sim.Process) {
 		*poisoned++
 		switch p := old.(type) {
@@ -68,17 +87,63 @@ func poisonRenewals(t *testing.T) *int {
 			}
 			*p = kingdomProc{
 				knownD: !p.knownD, me: -1, zMax: badKey, states: states, candidate: true, phase: 1 << 20,
-				decided: true, doneSent: true, halting: true,
+				doneSent: true, halting: true,
 				slab: scribbled(p.slab, *badMsg), elects: elects,
 			}
 		case *leastelProc:
 			flood(&p.fl)
-			*p = leastelProc{
-				kind: -1, opt: Options{Epsilon: 0.999, FScale: 1e-9}, fl: p.fl,
-				candidate: true, me: flKey{rank: math.MinInt64, origin: math.MinInt64}, decided: true,
-			}
+			*p = leastelProc{kind: -1, opt: Options{Epsilon: 0.999, FScale: 1e-9}, fl: p.fl}
 		case *floodProc:
 			*p = floodProc{me: math.MaxInt64, max: math.MaxInt64, deadline: -1, slab: scribbled(p.slab, idMsg{math.MaxInt64})}
+		case *dfsProc:
+			agents := p.agents
+			if agents == nil {
+				agents = make(map[int64]*dfsAgent)
+			}
+			for id := int64(-1); id < badKeys; id++ {
+				agents[id] = nil // the key; the loop below poisons every entry
+			}
+			for id := range agents {
+				agents[id] = &dfsAgent{visited: true, parentPort: 99, nextPort: 99}
+			}
+			*p = dfsProc{
+				capExp: -1, started: true, me: -1, smallest: math.MinInt64, agents: agents,
+				pend: &dfsPend{id: -1, bounce: true, bPort: 99, dueRound: -1}, doneSent: true,
+			}
+		case *clusterProc:
+			flood(&p.fl)
+			bad := record{other: -1, owner: -1, ownPort: 99}
+			nbr, up, queue := p.nbrCluster, p.upRecs, p.queue.q
+			if nbr == nil {
+				nbr, up, queue = make(map[int]int64), make(map[int64]record), make(map[int][]sim.Payload)
+			}
+			for k := -1; k < badKeys; k++ {
+				nbr[k], up[int64(k)], queue[k] = -1, bad, []sim.Payload{badBox}
+			}
+			for k := range up {
+				up[k] = bad
+			}
+			final := p.finalRecs[:cap(p.finalRecs)]
+			for i := range final {
+				final[i] = bad
+			}
+			*p = clusterProc{
+				factor: -1, me: -1, joined: true, cluster: -1, parentPort: 99, childPorts: badPorts(p.childPorts),
+				awaiting: 99, nbrCluster: nbr, endUpLeft: 99, upRecs: up, sentUp: true, finalRecs: final,
+				markPorts: badPorts(p.markPorts), queue: portQueue{queue}, inPh3: true, fl: p.fl,
+				early: badMsgs(p.early), joinBuf: badMsgs(p.joinBuf), answerBuf: badMsgs(p.answerBuf), recBuf: badMsgs(p.recBuf),
+			}
+		case *estimateProc:
+			flood(&p.flA)
+			flood(&p.flB)
+			*p = estimateProc{flA: p.flA, flB: p.flB, inB: true, startFwd: true, sawAWin: true}
+		case *spannerLEProc:
+			flood(&p.fl)
+			*p = spannerLEProc{k: -1, machine: p.machine, startRd: -1, electing: true, fl: p.fl}
+		case *lvProc:
+			flood(&p.fl)
+			*p = lvProc{epochEnd: -1, fl: p.fl, active: true}
+		case *trivialProc: // no state
 		default:
 			t.Errorf("onRenew: %T is renewed but not poisoned", old)
 		}
@@ -183,7 +248,8 @@ func (p captureProto) New(info sim.NodeInfo) sim.Process {
 // stateDiff names the first place two process states differ, "" when
 // nothing a run can observe does: slices are compared by length and
 // elements, so a nil slice and an emptied one with capacity are equal —
-// the one difference a renewed process is allowed.
+// the one difference a renewed process is allowed — and maps by length and
+// entries, so a nil map and an emptied one are equal too.
 func stateDiff(path string, a, b reflect.Value) string {
 	if a.Kind() != b.Kind() {
 		return path + ": kinds differ"
@@ -217,6 +283,20 @@ func stateDiff(path string, a, b reflect.Value) string {
 			}
 		}
 		return ""
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return path + ": lengths differ"
+		}
+		for it := a.MapRange(); it.Next(); {
+			key := fmt.Sprintf("%s[%v]", path, it.Key())
+			if !b.MapIndex(it.Key()).IsValid() {
+				return key + ": missing"
+			}
+			if d := stateDiff(key, it.Value(), b.MapIndex(it.Key())); d != "" {
+				return d
+			}
+		}
+		return ""
 	case reflect.Bool:
 		return differ(a.Bool() != b.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -245,8 +325,8 @@ func renewedStateDiff(t *testing.T, cfg sim.Config, proto sim.Recycler) string {
 		if d := stateDiff(fmt.Sprintf("node %d: %T", u, renewed), reflect.ValueOf(renewed), reflect.ValueOf(proto.New(info))); d != "" {
 			return d
 		}
-		if p, ok := renewed.(*leastelProc); ok {
-			for _, r := range p.fl.q[:cap(p.fl.q)] {
+		for _, f := range flooders(renewed) {
+			for _, r := range f.q[:cap(f.q)] {
 				if r.m != nil {
 					return fmt.Sprintf("node %d: the emptied drip queue pins a box", u)
 				}
@@ -254,6 +334,23 @@ func renewedStateDiff(t *testing.T, cfg sim.Config, proto sim.Recycler) string {
 		}
 	}
 	return ""
+}
+
+// flooders returns the flooders of a flood-family process.
+func flooders(p sim.Process) []*flooder {
+	switch p := p.(type) {
+	case *leastelProc:
+		return []*flooder{&p.fl}
+	case *clusterProc:
+		return []*flooder{&p.fl}
+	case *estimateProc:
+		return []*flooder{&p.flA, &p.flB}
+	case *spannerLEProc:
+		return []*flooder{&p.fl}
+	case *lvProc:
+		return []*flooder{&p.fl}
+	}
+	return nil
 }
 
 // TestRecycledProcessesMatchFresh is what licenses sim.Recycler: for every
@@ -304,10 +401,8 @@ func TestRecycledProcessesMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec, ok := proto.(sim.Recycler); ok {
-			if d := renewedStateDiff(t, cfg, rec); d != "" {
-				t.Errorf("%s: a renewed process differs from a new one at %s", algo, d)
-			}
+		if d := renewedStateDiff(t, cfg, proto.(sim.Recycler)); d != "" {
+			t.Errorf("%s: a renewed process differs from a new one at %s", algo, d)
 		}
 		for _, reverse := range []bool{false, true} {
 			prep := prepare()
@@ -335,12 +430,15 @@ func TestRecycledProcessesMatchFresh(t *testing.T) {
 // TestRejoinKeepsRecordsInFlight pins the one place a process must not be
 // renewed: a node that rejoins mid-run (reset-state recovery, churn).
 // Under an asynchronous delay adversary the records its last incarnation
-// sent are still on their way when it comes back two ticks later; they
-// point into the old process's slab, so the rejoining process has to be a
-// New one. The goldens are cells of the two protocols that send slab
-// records, at the commit before processes were recycled; the runs are warm
-// and poisoned, so a rejoin that renewed would scribble over the records
-// in flight and move them.
+// sent are still on their way when it comes back two ticks later; for the
+// protocols that send slab records they point into the old process's
+// slab, so the rejoining process has to be a New one. The goldens hold a
+// cell of every registered protocol, each at the last commit before that
+// protocol's processes were recycled, and the runs are warm and poisoned:
+// a rejoin that renewed would scribble over the records in flight and move
+// the slab senders' cells (kingdom, kingdom-d, flood), and the other cells
+// hold the rejoin and the renewal of every other protocol to its
+// transcript.
 func TestRejoinKeepsRecordsInFlight(t *testing.T) {
 	g, err := graph.FromSpec("torus:5x5", 1)
 	if err != nil {
@@ -381,7 +479,7 @@ func TestRejoinKeepsRecordsInFlight(t *testing.T) {
 }
 
 // rejoinGolden holds the result hashes of TestRejoinKeepsRecordsInFlight's
-// cells at seeds 1-3 as the parent commit produced them.
+// cells at seeds 1-3 as the commit before recycling produced them.
 var rejoinGolden = []struct {
 	algo, model string
 	want        [3]uint64
@@ -389,4 +487,14 @@ var rejoinGolden = []struct {
 	{"kingdom", "async+random:8+crashrec:0.5:2", [3]uint64{0xf0ce2dc253c5a0b1, 0xe98cf5f8bad6bf37, 0xbff90551b5643a45}},
 	{"kingdom", "async+random:8+churn:0.5:2", [3]uint64{0x784966505f984ecc, 0x87fd4aa9856f0dfc, 0xf073093f1ecb2322}},
 	{"flood", "async+random:8+churn:0.5:2", [3]uint64{0x60e5a7d7e78f8cf4, 0x835b078ce97b2479, 0xf089536380dedd38}},
+	{"cluster", "async+random:8+churn:0.5:2", [3]uint64{0x945212ed095d595d, 0x5a40a10ca056286e, 0x23c2c43ff779abb3}},
+	{"dfs", "async+random:8+crashrec:0.5:2", [3]uint64{0x127c9eb6a2fb4014, 0xfebdb4d0b823c528, 0x4bfe10e07ee38041}},
+	{"kingdom-d", "async+random:8+crashrec:0.5:2", [3]uint64{0xea4ce94fa351708c, 0x4917234ec5f60858, 0xf6f59fbd175c2e9d}},
+	{"lasvegas", "async+random:8+churn:0.5:2", [3]uint64{0xa41f9e2d4f003902, 0xec8c40d03f3853ac, 0x5ec62338e15f0741}},
+	{"leastel", "async+random:8+crashrec:0.5:2", [3]uint64{0x8808c0a5c02344c0, 0xf374099497b7bf2a, 0x5eb0a2bd4b9e920a}},
+	{"leastel-const", "async+random:8+churn:0.5:2", [3]uint64{0x9c234750a948a217, 0x1324cd8999268883, 0xe85c6fc8b5a21644}},
+	{"leastel-estimate", "async+random:8+crashrec:0.5:2", [3]uint64{0xd0937d67fecf0d21, 0x7f2fbf3a56fc3e9c, 0x7d9448081236cdd9}},
+	{"leastel-loglog", "async+random:8+churn:0.5:2", [3]uint64{0x2cb6a9b4427e81af, 0x3a9d87f91c5d26e, 0x33da8f0f1940468f}},
+	{"spanner-le", "async+random:8+crashrec:0.5:2", [3]uint64{0xba23dbd82b7640a8, 0x30afee5de8d55334, 0x37b1eb652a960ccf}},
+	{"trivial", "async+random:8+churn:0.5:2", [3]uint64{0x84ebe9764038e7b8, 0xbd3b0e3a2d4dd98c, 0x229142ae1ce37c34}},
 }

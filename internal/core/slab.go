@@ -37,6 +37,16 @@ func (s *slab[T]) box(v T) *T {
 // next run.
 func (s slab[T]) rewound() slab[T] { return slab[T]{chunks: s.chunks[:0]} }
 
+// emptied returns m with every entry deleted and its storage kept for the
+// next run, or a new map when there is none yet.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
+}
+
 // extend lengthens s by one element: the one an earlier run of the process
 // left in the spare capacity, with whatever storage it owns, or a zero one.
 func extend[T any](s []T) []T {

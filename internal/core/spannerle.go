@@ -12,34 +12,34 @@ import (
 // O(m) expected messages, with success whp (probability 1 here thanks to
 // ID tiebreaks).
 type SpannerLE struct {
-	// K is the Baswana–Sen parameter (stretch 2k−1).
+	// K is the Baswana–Sen parameter (stretch 2k−1), at least 2
+	// (Options.SpannerK).
 	K int
 }
 
-var _ sim.Protocol = SpannerLE{}
+var _ sim.Recycler = SpannerLE{}
 
 // Name implements sim.Protocol.
 func (s SpannerLE) Name() string { return "spanner-le" }
 
 // New implements sim.Protocol.
-func (s SpannerLE) New(info sim.NodeInfo) sim.Process {
-	k := s.K
-	if k < 2 {
-		k = 2
-	}
-	return &spannerLEProc{k: k}
+func (s SpannerLE) New(info sim.NodeInfo) sim.Process { return s.Renew(nil, info) }
+
+// Renew implements sim.Recycler: the initial state of a spanner-election
+// process, keeping the flooder storage of old when old is one.
+func (s SpannerLE) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	p := reuse[spannerLEProc](old)
+	p.fl.recycle()
+	*p = spannerLEProc{k: s.K, fl: p.fl}
+	return p
 }
 
 type spannerLEProc struct {
-	k         int
-	machine   *spanner.Machine
-	total     int
-	startRd   int
-	electing  bool
-	fl        flooder
-	me        flKey
-	decided   bool
-	spanPorts []int
+	k        int
+	machine  *spanner.Machine
+	startRd  int
+	electing bool
+	fl       flooder
 }
 
 func (p *spannerLEProc) Start(c *sim.Context) {
@@ -48,7 +48,6 @@ func (p *spannerLEProc) Start(c *sim.Context) {
 		identity = c.Rand().Int63()
 	}
 	p.machine = spanner.New(identity, c.Know().N, p.k)
-	p.total = spanner.TotalRounds(p.k)
 	p.startRd = c.Round()
 }
 
@@ -70,20 +69,7 @@ func (p *spannerLEProc) Round(c *sim.Context, inbox []sim.Message) {
 		return
 	}
 	p.fl.round(inbox)
-	if p.decided {
-		return
-	}
-	if p.fl.completed {
-		if p.fl.won {
-			c.Decide(sim.Leader)
-		} else {
-			c.Decide(sim.NonLeader)
-		}
-		p.decided = true
-	} else if p.fl.heard != p.me && p.fl.better(p.fl.heard, p.me) {
-		c.Decide(sim.NonLeader)
-		p.decided = true
-	}
+	p.fl.settle(c)
 }
 
 // beginElection switches to the least-element election on spanner ports.
@@ -91,8 +77,7 @@ func (p *spannerLEProc) Round(c *sim.Context, inbox []sim.Message) {
 // a network-wide constant.
 func (p *spannerLEProc) beginElection(c *sim.Context) {
 	p.electing = true
-	p.spanPorts = p.machine.Ports()
-	ports := p.spanPorts
+	ports := p.machine.Ports()
 	if len(ports) == 0 && c.Degree() > 0 {
 		// Defensive fallback; the construction guarantees every node an
 		// incident spanner edge in connected graphs (tested), but a
@@ -101,17 +86,9 @@ func (p *spannerLEProc) beginElection(c *sim.Context) {
 		ports = nil
 	}
 	initFlooder(&p.fl, c.Degree(), ports, true, tagPhaseB, c)
-	p.me = drawKey(c, rankSpace(c.Know().N))
-	p.fl.start(p.me, 0)
+	p.fl.start(drawKey(c, rankSpace(c.Know().N)), 0)
 	p.fl.flush()
-	if p.fl.completed && !p.decided {
-		if p.fl.won {
-			c.Decide(sim.Leader)
-		} else {
-			c.Decide(sim.NonLeader)
-		}
-		p.decided = true
-	}
+	p.fl.settle(c)
 }
 
 func init() {
@@ -121,6 +98,6 @@ func init() {
 		Summary: "Baswana–Sen spanner then least-el on it; O(D) time, O(m) msgs when m>n^(1+ε), whp",
 		NeedsN:  true,
 		Quiet:   true,
-		New:     func(o Options) sim.Protocol { return SpannerLE{K: o.spannerK()} },
+		New:     func(o Options) sim.Recycler { return SpannerLE{K: o.spannerK()} },
 	})
 }

@@ -8,13 +8,18 @@ import "ule/internal/sim"
 // lower bounds require a suitably large constant success probability.
 type Trivial struct{}
 
-var _ sim.Protocol = Trivial{}
+var _ sim.Recycler = Trivial{}
 
 // Name implements sim.Protocol.
 func (Trivial) Name() string { return "trivial" }
 
 // New implements sim.Protocol.
-func (Trivial) New(info sim.NodeInfo) sim.Process { return &trivialProc{} }
+func (t Trivial) New(info sim.NodeInfo) sim.Process { return t.Renew(nil, info) }
+
+// Renew implements sim.Recycler: a trivial process has no state to reset.
+func (Trivial) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+	return reuse[trivialProc](old)
+}
 
 type trivialProc struct{}
 
@@ -35,6 +40,6 @@ func init() {
 		Result:  "§1 example",
 		Summary: "self-elect w.p. 1/n; zero messages, one round, succeeds w.p. ≈ 1/e",
 		NeedsN:  true,
-		New:     func(o Options) sim.Protocol { return Trivial{} },
+		New:     func(o Options) sim.Recycler { return Trivial{} },
 	})
 }

@@ -69,7 +69,11 @@ func TestDiameterEstimateSpecField(t *testing.T) {
 	exactJSON, exactRep := runToJSON(t, base, 4)
 	estJSON, estRep := runToJSON(t, est, 4)
 
-	graphs, err := base.BuildGraphs()
+	plan, err := base.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := plan.Graphs()
 	if err != nil {
 		t.Fatal(err)
 	}

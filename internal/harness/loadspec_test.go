@@ -41,17 +41,24 @@ func TestLoadSpec(t *testing.T) {
 }
 
 // TestLoadSpecIsStrict: the spec reader every front end shares names a key
-// the schema does not have instead of running a sweep without it.
+// the schema does not have instead of running a sweep without it, and
+// refuses a file with anything after the spec, where such a key could hide.
 func TestLoadSpecIsStrict(t *testing.T) {
 	dir := t.TempDir()
-	for _, c := range []struct{ name, body, field string }{
-		{"typo", `{"name":"typo","algos":["leastel"],"graphs":["ring:8"],"trails":5,"seed":3,"shards":2}`, "trails"},
-		{"shards", `{"algos":["leastel"],"graphs":["ring:8"],"shards":2}`, "shards"},
+	for _, c := range []struct{ name, body, want string }{
+		{"typo", `{"name":"typo","algos":["leastel"],"graphs":["ring:8"],"trails":5,"seed":3,"shards":2}`, `"trails"`},
+		{"shards", `{"algos":["leastel"],"graphs":["ring:8"],"shards":2}`, `"shards"`},
+		{"second value", `{"algos":["leastel"],"graphs":["ring:8"]}` + "\n" + `{"trails":3}`, "data after the spec"},
+		{"trailing garbage", `{"algos":["leastel"],"graphs":["ring:8"]} garbage`, "data after the spec"},
+		{"stray brace", `{"algos":["leastel"],"graphs":["ring:8"]}}`, "data after the spec"},
 	} {
 		_, err := LoadSpec(specFile(t, dir, c.name+".json", c.body))
-		if err == nil || !strings.Contains(err.Error(), `"`+c.field+`"`) {
-			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.field)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
 		}
+	}
+	if _, err := LoadSpec(specFile(t, dir, "newline.json", `{"algos":["leastel"],"graphs":["ring:8"]}`+"\n\n")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
 	}
 }
 

@@ -256,7 +256,11 @@ func TestPlanReuse(t *testing.T) {
 func TestReportGraphsComplete(t *testing.T) {
 	spec := benchLikeSpec(2) // 3 graphs × 18 cells × 2 = 108 trials
 	opt := BinaryOptions{CheckpointEvery: 5}
-	want, err := spec.BuildGraphs()
+	wantPlan, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wantPlan.Graphs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -84,7 +85,8 @@ type Spec struct {
 // LoadSpec reads a sweep spec: the literal "builtin:smoke" or a JSON
 // file. It is the one spec reader of every front end, and it is strict:
 // a key the schema does not have (a typo such as "trails") is an error
-// that names it, never a silently defaulted axis.
+// that names it, never a silently defaulted axis, and so is anything after
+// the spec's one JSON object.
 func LoadSpec(arg string) (Spec, error) {
 	if arg == "builtin:smoke" {
 		return Smoke(), nil
@@ -99,6 +101,9 @@ func LoadSpec(arg string) (Spec, error) {
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {
 		return Spec{}, fmt.Errorf("sweep spec %s: %w", arg, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("sweep spec %s: data after the spec object", arg)
 	}
 	return spec, nil
 }
@@ -176,10 +181,10 @@ func (p *Plan) trial(i int) Trial {
 }
 
 // graph returns the gi-th graph of the axis, instantiating it on first
-// use.
+// use (deterministic given Spec.Seed).
 func (p *Plan) graph(gi int) (*graph.Graph, error) {
 	if p.graphs[gi] == nil {
-		g, err := p.spec.buildGraph(gi)
+		g, err := graph.FromSpec(p.spec.Graphs[gi], graphSeed(p.spec.Seed, gi))
 		if err != nil {
 			return nil, err
 		}
@@ -338,29 +343,6 @@ func (s Spec) faultAxis() []string {
 		return []string{""}
 	}
 	return s.Faults
-}
-
-// BuildGraphs instantiates the spec's graph axis exactly as Run does
-// (deterministic given Spec.Seed), for callers that need the instances —
-// e.g. to compute table normalizations like rounds/D from the memoized
-// exact diameter.
-func (s Spec) BuildGraphs() ([]*graph.Graph, error) {
-	s = s.withDefaults()
-	graphs := make([]*graph.Graph, len(s.Graphs))
-	for i := range s.Graphs {
-		g, err := s.buildGraph(i)
-		if err != nil {
-			return nil, err
-		}
-		graphs[i] = g
-	}
-	return graphs, nil
-}
-
-// buildGraph instantiates the i-th graph axis entry of a spec whose
-// defaults are resolved (deterministic given Spec.Seed).
-func (s Spec) buildGraph(i int) (*graph.Graph, error) {
-	return graph.FromSpec(s.Graphs[i], graphSeed(s.Seed, i))
 }
 
 // Compile validates the spec — axis grammars parsed, algorithms

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -101,12 +102,16 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 // decodeBody decodes a bounded JSON request body into v, rejecting
-// unknown fields so typos surface as 400s instead of silent defaults.
+// unknown fields so typos surface as 400s instead of silent defaults, and
+// anything after the one JSON value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest("body: data after the JSON value")
 	}
 	return nil
 }

@@ -172,6 +172,10 @@ func TestBadRequests(t *testing.T) {
 		{"sweep shards", "/v1/sweeps", `{"algos":["leastel"],"graphs":["ring:8"],"shards":2}`, 400, `"shards"`},
 		// A served sweep runs one harness worker: the key is unknown.
 		{"sweep workers", "/v1/sweeps", `{"algos":["leastel"],"graphs":["ring:8"],"workers":4}`, 400, `"workers"`},
+		// One JSON value per body: a second one would go unread.
+		{"trailing garbage", "/v1/elections", `{"graph":"ring:8","algo":"leastel"} garbage`, 400, "after the JSON value"},
+		{"second value", "/v1/elections", `{"graph":"ring:8","algo":"leastel"}{"shards":3}`, 400, "after the JSON value"},
+		{"sweep second value", "/v1/sweeps", `{"algos":["leastel"],"graphs":["ring:8"]}{"trails":3}`, 400, "after the JSON value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"ule/internal/graph"
@@ -138,16 +139,27 @@ func (p *sleeperProc) Round(c *Context, inbox []Message) {
 
 func TestRequestWakeTimer(t *testing.T) {
 	g := graph.Path(2)
-	res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: ASYNC}, MaxRounds: 100}, sleeperProto{delta: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tick 1: wake + Round (sets the timer); tick 8: timer fires, halt.
-	if !res.Halted || res.Rounds != 8 {
-		t.Errorf("halted=%v rounds=%d, want halted at tick 8", res.Halted, res.Rounds)
-	}
-	if res.Messages != 0 {
-		t.Errorf("messages = %d, want 0", res.Messages)
+	for _, tc := range []struct {
+		delta  int
+		halted bool
+		rounds int
+	}{
+		// Tick 1: wake + Round (sets the timer); tick 8: timer fires, halt.
+		{delta: 7, halted: true, rounds: 8},
+		// A timer past the last tick never fires: round+delta must not wrap
+		// into the past.
+		{delta: math.MaxInt, halted: false, rounds: 1},
+	} {
+		res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: ASYNC}, MaxRounds: 100}, sleeperProto{delta: tc.delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Halted != tc.halted || res.Rounds != tc.rounds {
+			t.Errorf("delta %d: halted=%v rounds=%d, want halted=%v at tick %d", tc.delta, res.Halted, res.Rounds, tc.halted, tc.rounds)
+		}
+		if res.Messages != 0 {
+			t.Errorf("delta %d: messages = %d, want 0", tc.delta, res.Messages)
+		}
 	}
 }
 

@@ -192,11 +192,10 @@ func (c *Context) Round() int { return c.eng.round }
 // protocols arrange to act after a silent period; in the synchronous
 // modes a node already holds a timer at every round it has not declared
 // idle, so the call is a no-op there. Repeated calls keep the earliest
-// requested tick.
+// requested tick. A target tick past math.MaxInt (a delta of Forever, say)
+// saturates there instead of wrapping into the past, so it never fires.
 func (c *Context) RequestWake(delta int) {
-	if delta < 1 {
-		delta = 1
-	}
+	delta = min(max(delta, 1), math.MaxInt-c.eng.round)
 	c.eng.requestWake(c.node, c.eng.round+delta)
 }
 
