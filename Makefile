@@ -62,9 +62,12 @@ race:
 # is a data race here. So does the warm-Runner table (TestWarmRunner*):
 # one Runner through mode, shard-count, instrument, fault, error and
 # round-cap transitions, each run held to a fresh Runner's, at 4 shards
-# pooled where the cores allow.
+# pooled where the cores allow — and the rebinding table
+# (TestRebindMatchesFresh): one Runner through graphs of other sizes and
+# back, at 1, 2 and 4 shards, where rows and shards carved for the last
+# graph are exactly what a stale range would race on.
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh' ./internal/sim ./internal/core
 	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
 
 bench:
@@ -103,8 +106,10 @@ bench-graph:
 # the hint-blind engine (internal/sim), the sweep compiler's
 # (internal/harness: compiling costs the cells, never the trials) and what
 # a whole trial of the ule-bench sweep costs the heap
-# (TestAllocBudgetSweepTrial), and what a node's coins and least-element
-# list cost (TestAllocBudgetNodeFootprint). These also run inside the full
+# (TestAllocBudgetSweepTrial), what a node's coins and least-element
+# list cost (TestAllocBudgetNodeFootprint), and what a uled slot holds and
+# a request it has no cell for costs (internal/serve: at most slotPrepCap
+# cells, a cold request rebinds one). These also run inside the full
 # suite; the target gives CI a label for them, the way test-sweep labels
 # the pipeline gate. The last line is the one thing the full suite does
 # not do: it fuzzes the node generator against math/rand for 20 s (the
@@ -113,6 +118,7 @@ bench-graph:
 test-budgets:
 	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
 	$(GO) test -run 'TestCompileCostIndependentOfTrials|TestAllocBudgetSweepTrial' -v ./internal/harness
+	$(GO) test -run 'TestAllocBudgetColdElection|TestSlotMemoryFollowsTraffic|TestArenaReuse' -v ./internal/serve
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the

@@ -360,17 +360,24 @@ func flooders(p sim.Process) []*flooder {
 // by the engine on an oversized message), so each trial inherits the
 // leftovers of a different one — must report, trial by trial, exactly
 // what the same trial reports on a Prepared of its own, in both orders of
-// the sequence. The warm sequences run with every renewed process
-// poisoned first. What no transcript shows — a field Start overwrites
-// before anything reads it, a table that is never rewound and only grows —
-// the field-by-field comparison of a renewed process with a new one does.
+// the sequence, and on a Prepared rebound to the cell after a trial on
+// another graph or of another algorithm. The warm sequences run with
+// every renewed process poisoned first. What no transcript shows — a
+// field Start overwrites before anything reads it, a table that is never
+// rewound and only grows — the field-by-field comparison of a renewed
+// process with a new one does.
 func TestRecycledProcessesMatchFresh(t *testing.T) {
 	g, err := graph.FromSpec("random:24:60", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := graph.FromSpec("ring:16", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	poisoned := poisonRenewals(t)
-	for _, algo := range Names() {
+	names := Names()
+	for ai, algo := range names {
 		prepare := func() *Prepared {
 			prep, err := Prepare(g, algo)
 			if err != nil {
@@ -404,20 +411,40 @@ func TestRecycledProcessesMatchFresh(t *testing.T) {
 		if d := renewedStateDiff(t, cfg, proto.(sim.Recycler)); d != "" {
 			t.Errorf("%s: a renewed process differs from a new one at %s", algo, d)
 		}
-		for _, reverse := range []bool{false, true} {
-			prep := prepare()
+		legs := []struct {
+			name    string
+			g       *graph.Graph
+			algo    string
+			reverse bool
+		}{
+			{"warm", g, algo, false},
+			{"warm, reverse", g, algo, true},
+			{"from ring:16", other, algo, false},
+			{"from " + names[(ai+1)%len(names)], g, names[(ai+1)%len(names)], false},
+		}
+		for _, leg := range legs {
+			prep, err := Prepare(leg.g, leg.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var res sim.Result
+			if leg.g != g || leg.algo != algo {
+				recycleTrials[0].run(t, prep, &res) // its processes are what the cell renews
+				if err := prep.Rebind(g, algo); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for k := range recycleTrials {
 				i := k
-				if reverse {
+				if leg.reverse {
 					i = len(recycleTrials) - 1 - k
 				}
 				tr := recycleTrials[i]
 				got, err := tr.run(t, prep, &res)
 				if (err == nil) != (fresh[i].err == nil) || (err != nil && err.Error() != fresh[i].err.Error()) {
-					t.Errorf("%s %s (reverse=%v): err %v, on a fresh Prepared %v", algo, tr.name, reverse, err, fresh[i].err)
+					t.Errorf("%s %s (%s): err %v, on a fresh Prepared %v", algo, tr.name, leg.name, err, fresh[i].err)
 				} else if got != fresh[i].res {
-					t.Errorf("%s %s (reverse=%v) diverges from a fresh Prepared:\nwarm:  %s\nfresh: %s", algo, tr.name, reverse, got, fresh[i].res)
+					t.Errorf("%s %s (%s) diverges from a fresh Prepared:\nwarm:  %s\nfresh: %s", algo, tr.name, leg.name, got, fresh[i].res)
 				}
 			}
 		}

@@ -79,11 +79,12 @@ func Run(g *graph.Graph, algo string, ro RunOpts) (*sim.Result, error) {
 	return sim.Run(cfg, proto)
 }
 
-// Prepared binds a registered algorithm to one graph with a reusable
+// Prepared binds a registered algorithm to a graph with a reusable
 // sim.Runner, so a batch driver pays per-trial setup cost — reverse-port
-// tables, engine scratch buffers, the memoized diameter — once. Results
-// are identical to calling Run per trial. Not safe for concurrent use;
-// sweep workers hold one Prepared per (graph, algorithm) cell each.
+// tables, engine scratch buffers, the memoized diameter — once, and
+// Rebind moves it to another cell. Results are identical to calling Run
+// per trial. Not safe for concurrent use; sweep workers hold one Prepared
+// per (graph, algorithm) cell each.
 type Prepared struct {
 	g      *graph.Graph
 	spec   Spec
@@ -114,11 +115,42 @@ func Prepare(g *graph.Graph, algo string) (*Prepared, error) {
 // bind is a Prepared without its Runner: all that resolving a run's
 // configuration needs.
 func bind(g *graph.Graph, algo string) (*Prepared, error) {
-	spec, ok := Get(algo)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q", algo)
+	spec, err := lookup(algo)
+	if err != nil {
+		return nil, err
 	}
 	return &Prepared{g: g, spec: spec, rng: sim.NewRand(0)}, nil
+}
+
+// lookup returns the registered algorithm's spec.
+func lookup(algo string) (Spec, error) {
+	spec, ok := Get(algo)
+	if !ok {
+		return Spec{}, fmt.Errorf("core: unknown algorithm %q", algo)
+	}
+	return spec, nil
+}
+
+// Rebind re-targets p at algo on g, keeping its storage: the Runner is
+// rebound (sim.Runner.Rebind) and the identifier buffers reused unless g
+// needs less than an eighth of them. The processes the Runner keeps are
+// renewed across the change of graph and algorithm like a warm trial's
+// (Renew ignores the old NodeInfo and replaces a process of another
+// type), so a trial after Rebind(g, algo) reports exactly what one on
+// Prepare(g, algo) does. On an error p is left as it was.
+func (p *Prepared) Rebind(g *graph.Graph, algo string) error {
+	spec, err := lookup(algo)
+	if err != nil {
+		return err
+	}
+	if err := p.runner.Rebind(g); err != nil {
+		return err
+	}
+	if 8*g.N() < cap(p.ids) {
+		p.ids, p.idSeen = nil, nil
+	}
+	p.g, p.spec = g, spec
+	return nil
 }
 
 // Spec returns the algorithm spec this Prepared runs.

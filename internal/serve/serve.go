@@ -3,12 +3,12 @@
 // pool of reusable worker slots, with an HTTP front end (http.go) that
 // streams sweep results as NDJSON.
 //
-// Slots are the request-scoped reuse unit. Each slot owns a graph cache
-// (instantiated families plus their memoized diameters), a core.Prepared
-// cache — the engine-arena/Runner recycling the batch harness uses per
-// worker — and one recycled sim.Result, so a warm election request runs
-// the same near-alloc-free fast path as a batch trial. The slot pool also
-// bounds concurrency: at most Config.Slots requests execute at once, the
+// Slots are the request-scoped reuse unit. Each slot keeps slotPrepCap
+// prepared cells — a core.Prepared, the Runner recycling the batch
+// harness uses per worker, on a graph with its memoized diameter — and
+// one recycled sim.Result, so a warm election request runs the same
+// near-alloc-free fast path as a batch trial. The slot pool also bounds
+// concurrency: at most Config.Slots requests execute at once, the
 // rest queue on slot acquisition (and give up when their context ends).
 //
 // Async requests become jobs with a lifecycle (pending → running →
@@ -28,6 +28,7 @@ import (
 	"expvar"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,6 +48,7 @@ var (
 	statTrials       = expvar.NewInt("uled_sweep_trials_total")
 	statPrepHits     = expvar.NewInt("uled_prepared_reuse_hits")
 	statPrepMisses   = expvar.NewInt("uled_prepared_reuse_misses")
+	statPrepRebinds  = expvar.NewInt("uled_prepared_rebinds")
 	statGraphHits    = expvar.NewInt("uled_graph_reuse_hits")
 	statGraphMisses  = expvar.NewInt("uled_graph_reuse_misses")
 
@@ -97,25 +99,20 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Slots <= 0 {
-		c.Slots = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 256
-	}
-	if c.JobTTL <= 0 {
-		c.JobTTL = 10 * time.Minute
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 1 << 20
-	}
-	if c.MaxTrials <= 0 {
-		c.MaxTrials = 1 << 20
-	}
-	if c.MaxEdges <= 0 {
-		c.MaxEdges = 1 << 22
-	}
+	orDefault(&c.Slots, runtime.GOMAXPROCS(0))
+	orDefault(&c.MaxJobs, 256)
+	orDefault(&c.JobTTL, 10*time.Minute)
+	orDefault(&c.MaxRounds, 1<<20)
+	orDefault(&c.MaxTrials, 1<<20)
+	orDefault(&c.MaxEdges, 1<<22)
 	return c
+}
+
+// orDefault sets *v to d unless it is positive.
+func orDefault[T int | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
 }
 
 // RequestError marks a client-side error (invalid spec, unknown
@@ -137,32 +134,40 @@ var ErrBusy = errors.New("serve: job table full")
 // ErrNotFound is returned for an unknown job ID.
 var ErrNotFound = errors.New("serve: no such job")
 
-// slotCacheCap bounds each slot's graph/Prepared caches; when an insert
-// would exceed it the caches are dropped wholesale (a service hammered
-// with distinct specs degrades to the uncached path instead of growing).
-const slotCacheCap = 128
+// slotPrepCap bounds the cells a slot keeps, so that its memory follows
+// its working set (docs/PERFORMANCE.md, "Serving layer", has the
+// measurement the cap was read from).
+const slotPrepCap = 16
+
+// exactDiameterCap bounds n·m of a graph a request may have the exact
+// diameter of: the all-pairs BFS cannot be stopped (2^25 takes 0.15 s).
+const exactDiameterCap = 1 << 28
 
 // slot is one worker's private, reusable election machinery. Slots are
 // owned exclusively while a request runs, so no locking.
 type slot struct {
-	graphs map[graphKey]*graph.Graph
-	preps  map[prepKey]*core.Prepared
-	res    sim.Result
+	cells []cell
+	uses  int64 // requests served: the clock of cell.used
+	res   sim.Result
 }
 
-type graphKey struct {
+// cell is a slot's Prepared for one key, stamped with its last use.
+type cell struct {
+	cellKey
+	prep *core.Prepared
+	used int64
+}
+
+type cellKey struct {
 	spec string
 	seed int64
-}
-
-type prepKey struct {
-	graphKey
 	algo string
 }
 
 // graphWithin refuses a graph spec that is malformed or expands past
-// maxEdges edges (or a quarter as many nodes), without building it.
-func graphWithin(spec string, maxEdges int) error {
+// maxEdges edges (or a quarter as many nodes) and, when exactD, one whose
+// n·m is above exactDiameterCap, without building it.
+func graphWithin(spec string, maxEdges int, exactD bool) error {
 	nodes, edges, err := graph.SpecSize(spec)
 	if err != nil {
 		return badRequest("graph: %v", err)
@@ -171,54 +176,63 @@ func graphWithin(spec string, maxEdges int) error {
 		return badRequest("graph %s has %d nodes and %d edges, above the server cap of %d nodes and %d edges",
 			spec, nodes, edges, maxEdges/4, maxEdges)
 	}
+	if exactD && edges > 0 && nodes > exactDiameterCap/edges {
+		return badRequest("graph %s has %d nodes and %d edges: its exact diameter costs n·m above %d, set diameter_estimate",
+			spec, nodes, edges, exactDiameterCap)
+	}
 	return nil
 }
 
-// graph returns the slot's cached instance of (spec, seed), building and
-// caching it on a miss — once its size is known to be within maxEdges.
-// Cached instances keep their memoized diameters, so repeated D-dependent
-// elections pay the all-pairs BFS once.
-func (s *slot) graph(spec string, seed int64, maxEdges int) (*graph.Graph, error) {
-	key := graphKey{spec, seed}
-	if g, ok := s.graphs[key]; ok {
+// prepared returns the slot's core.Prepared for key; a hit reuses the
+// engine arenas and Runner buffers of every earlier request on the cell.
+// A miss takes the graph, with its memoized diameter, from a cell on the
+// same (spec, seed) or builds it once its size is known to be within
+// maxEdges, then prepares a new cell while the slot has room and rebinds
+// the least recently used one once it is full.
+func (s *slot) prepared(key cellKey, maxEdges int) (*core.Prepared, error) {
+	s.uses++
+	var g *graph.Graph
+	lru := 0
+	for i := range s.cells {
+		c := &s.cells[i]
+		switch {
+		case c.cellKey == key:
+			c.used = s.uses
+			statPrepHits.Add(1)
+			statGraphHits.Add(1)
+			return c.prep, nil
+		case c.spec == key.spec && c.seed == key.seed:
+			g = c.prep.Graph()
+		}
+		if c.used < s.cells[lru].used {
+			lru = i
+		}
+	}
+	if g != nil {
 		statGraphHits.Add(1)
-		return g, nil
-	}
-	if err := graphWithin(spec, maxEdges); err != nil {
+	} else if err := graphWithin(key.spec, maxEdges, false); err != nil {
 		return nil, err
-	}
-	g, err := graph.FromSpec(spec, seed)
-	if err != nil {
+	} else if g, err = graph.FromSpec(key.spec, key.seed); err != nil {
 		return nil, badRequest("graph: %v", err)
+	} else {
+		statGraphMisses.Add(1)
 	}
-	statGraphMisses.Add(1)
-	if len(s.graphs) >= slotCacheCap {
-		s.graphs = make(map[graphKey]*graph.Graph)
-		s.preps = make(map[prepKey]*core.Prepared)
+	var err error
+	if len(s.cells) < slotPrepCap {
+		var p *core.Prepared
+		if p, err = core.Prepare(g, key.algo); err == nil {
+			s.cells, lru = append(s.cells, cell{prep: p}), len(s.cells)
+		}
+	} else if err = s.cells[lru].prep.Rebind(g, key.algo); err == nil {
+		statPrepRebinds.Add(1)
 	}
-	s.graphs[key] = g
-	return g, nil
-}
-
-// prepared returns the slot's cached core.Prepared for (graph, algo); a
-// hit reuses the engine arenas and Runner buffers of every earlier
-// request on the same cell (the expvar "arena reuse" signal).
-func (s *slot) prepared(key graphKey, g *graph.Graph, algo string) (*core.Prepared, error) {
-	pk := prepKey{key, algo}
-	if p, ok := s.preps[pk]; ok {
-		statPrepHits.Add(1)
-		return p, nil
-	}
-	p, err := core.Prepare(g, algo)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	statPrepMisses.Add(1)
-	if len(s.preps) >= slotCacheCap {
-		s.preps = make(map[prepKey]*core.Prepared)
-	}
-	s.preps[pk] = p
-	return p, nil
+	c := &s.cells[lru]
+	c.cellKey, c.used = key, s.uses
+	return c.prep, nil
 }
 
 // Manager owns the slot pool and the job table.
@@ -248,10 +262,7 @@ func NewManager(cfg Config) *Manager {
 		gcDone: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Slots; i++ {
-		m.slots <- &slot{
-			graphs: make(map[graphKey]*graph.Graph),
-			preps:  make(map[prepKey]*core.Prepared),
-		}
+		m.slots <- new(slot)
 	}
 	go m.gcLoop()
 	return m
@@ -280,14 +291,7 @@ func (m *Manager) release(s *slot) { m.slots <- s }
 // gcLoop prunes finished jobs past their TTL.
 func (m *Manager) gcLoop() {
 	defer close(m.gcDone)
-	period := m.cfg.JobTTL / 4
-	if period < 50*time.Millisecond {
-		period = 50 * time.Millisecond
-	}
-	if period > time.Minute {
-		period = time.Minute
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(min(max(m.cfg.JobTTL/4, 50*time.Millisecond), time.Minute))
 	defer t.Stop()
 	for {
 		select {
@@ -464,17 +468,6 @@ func (j *Job) finish(result []byte, err error) {
 	}
 }
 
-func (j *Job) markCancelled() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return
-	}
-	j.state = JobCancelled
-	j.err = "cancelled"
-	j.Finished = time.Now()
-}
-
 // newJob registers a pending job, enforcing admission limits. cancel is
 // installed under the lock so Shutdown never observes a job without one.
 func (m *Manager) newJob(kind string, cancel context.CancelFunc) (*Job, error) {
@@ -629,6 +622,12 @@ type ElectionResult struct {
 	LiveUnique bool  `json:"live_unique,omitempty"`
 }
 
+// needsExactD reports whether a run of algo is granted the exact diameter.
+func needsExactD(algo string, estimate bool) bool {
+	spec, ok := core.Get(algo)
+	return ok && spec.NeedsD && !estimate
+}
+
 // runElection validates and executes one election on a slot.
 func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, error) {
 	if req.Graph == "" {
@@ -644,18 +643,20 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	if err != nil {
 		return nil, badRequest("model: %v", err)
 	}
+	if needsExactD(req.Algo, req.DiameterEstimate) {
+		if err := graphWithin(req.Graph, m.cfg.MaxEdges, true); err != nil {
+			return nil, err
+		}
+	}
 	gseed := req.GraphSeed
 	if gseed == 0 {
 		gseed = 1
 	}
-	g, err := s.graph(req.Graph, gseed, m.cfg.MaxEdges)
+	prep, err := s.prepared(cellKey{req.Graph, gseed, req.Algo}, m.cfg.MaxEdges)
 	if err != nil {
 		return nil, err
 	}
-	prep, err := s.prepared(graphKey{req.Graph, gseed}, g, req.Algo)
-	if err != nil {
-		return nil, err
-	}
+	g := prep.Graph()
 	maxRounds := req.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 1 << 18
@@ -745,8 +746,9 @@ func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
 	if total := req.Spec.NumTrials(); total > m.cfg.MaxTrials {
 		return nil, badRequest("spec expands to %d trials, above the server cap %d", total, m.cfg.MaxTrials)
 	}
+	exactD := slices.ContainsFunc(req.Spec.Algos, func(a string) bool { return needsExactD(a, req.Spec.DiameterEstimate) })
 	for _, g := range req.Spec.Graphs {
-		if err := graphWithin(g, m.cfg.MaxEdges); err != nil {
+		if err := graphWithin(g, m.cfg.MaxEdges, exactD); err != nil {
 			return nil, err
 		}
 	}
@@ -765,11 +767,9 @@ func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
 // emitters in the chain so a cancelled sweep stops emitting immediately.
 type cancelEmitter struct{ ctx context.Context }
 
-func (e cancelEmitter) Begin(harness.Spec, int) error { return e.ctx.Err() }
-func (e cancelEmitter) Trial(harness.TrialResult) error {
-	return e.ctx.Err()
-}
-func (e cancelEmitter) End(*harness.Report) error { return e.ctx.Err() }
+func (e cancelEmitter) Begin(harness.Spec, int) error   { return e.ctx.Err() }
+func (e cancelEmitter) Trial(harness.TrialResult) error { return e.ctx.Err() }
+func (e cancelEmitter) End(*harness.Report) error       { return e.ctx.Err() }
 
 // countEmitter feeds the service trial counter.
 type countEmitter struct{}
@@ -832,7 +832,7 @@ func (m *Manager) submit(kind string, run func(ctx context.Context, s *slot) ([]
 		defer statJobsInFlight.Add(-1)
 		s, err := m.acquire(ctx)
 		if err != nil {
-			j.markCancelled()
+			j.finish(nil, context.Canceled)
 			return
 		}
 		defer m.release(s)
@@ -841,7 +841,7 @@ func (m *Manager) submit(kind string, run func(ctx context.Context, s *slot) ([]
 		}
 		result, err := run(ctx, s)
 		if err == nil && ctx.Err() != nil {
-			j.markCancelled()
+			j.finish(nil, context.Canceled)
 			return
 		}
 		j.finish(result, err)

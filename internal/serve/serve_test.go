@@ -176,10 +176,17 @@ func TestBadRequests(t *testing.T) {
 		{"trailing garbage", "/v1/elections", `{"graph":"ring:8","algo":"leastel"} garbage`, 400, "after the JSON value"},
 		{"second value", "/v1/elections", `{"graph":"ring:8","algo":"leastel"}{"shards":3}`, 400, "after the JSON value"},
 		{"sweep second value", "/v1/sweeps", `{"algos":["leastel"],"graphs":["ring:8"]}{"trails":3}`, 400, "after the JSON value"},
+		// An exact diameter costs O(n·m) and cannot be stopped once it runs.
+		{"exact diameter", "/v1/elections", `{"graph":"random:65536:524288","algo":"flood"}`, 400, "diameter_estimate"},
+		{"sweep exact diameter", "/v1/sweeps", `{"algos":["leastel","flood"],"graphs":["ring:8","random:65536:524288"]}`, 400, "diameter_estimate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
 			code, data := postJSON(t, ts.URL+tc.path, tc.body)
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("answered in %v, want within 1 s", d)
+			}
 			if code != tc.code {
 				t.Fatalf("status %d, want %d (%s)", code, tc.code, data)
 			}
@@ -499,7 +506,8 @@ func TestExpvarEndpoint(t *testing.T) {
 }
 
 // TestArenaReuse: repeated requests for the same (graph, algo) hit the
-// slot caches instead of rebuilding state.
+// slot's cell instead of rebuilding state, and a new cell on a full slot
+// rebinds an old one instead of preparing another.
 func TestArenaReuse(t *testing.T) {
 	m := NewManager(Config{Slots: 1})
 	t.Cleanup(func() {
@@ -518,6 +526,18 @@ func TestArenaReuse(t *testing.T) {
 	hits, misses := statPrepHits.Value()-h0, statPrepMisses.Value()-m0
 	if misses != 1 || hits != 7 {
 		t.Fatalf("prepared cache: %d hits / %d misses over 8 identical requests, want 7 / 1", hits, misses)
+	}
+	for req.GraphSeed = 2; req.GraphSeed <= slotPrepCap; req.GraphSeed++ {
+		if _, err := m.RunElection(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m0, r0 := statPrepMisses.Value(), statPrepRebinds.Value()
+	if _, err := m.RunElection(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if misses, rebinds := statPrepMisses.Value()-m0, statPrepRebinds.Value()-r0; misses != 1 || rebinds != 1 {
+		t.Fatalf("a new cell on a full slot: %d misses / %d rebinds, want 1 / 1 (no Prepare)", misses, rebinds)
 	}
 }
 

@@ -7,17 +7,17 @@
 // barrier) writes it there for tick t+1, once the row's tick-t messages
 // have been read. An ASYNC message waits in the wheel instead and is
 // written into the row when its tick falls due.
-// The Runner owns both and carves them, in NewRunner, out of two slabs
-// (one []outMsg, one []Message) in node order, a row's stretch holding
-// min(degree, slabRowCap) records: the step phase reads inboxes and the
-// flush reads outboxes in ascending node order, so rows laid out in that
-// order are read forwards, and a Runner's first run finds them where
-// every later run will. A stretch is capped three-index, so a row that
-// outgrows it is re-homed by append onto an array of its own and never
-// into its neighbour's stretch; it keeps that larger array for the
-// Runner's life (its stretch of the slab is then dead weight, at most
-// slabRowCap records). Rows are emptied, never freed: after the first run
-// a round of traffic performs no allocation.
+// The Runner owns both and carves them, in NewRunner and Rebind, out of
+// two slabs (one []outMsg, one []Message) in node order, a row's stretch
+// holding min(degree, slabRowCap) records: the step phase reads inboxes
+// and the flush reads outboxes in ascending node order, so rows laid out
+// in that order are read forwards, and a Runner's first run finds them
+// where every later run will. A stretch is capped three-index, so a row
+// that outgrows it is re-homed by append onto an array of its own and
+// never into its neighbour's stretch; it keeps that larger array until
+// the Runner is rebound (its stretch of the slab is then dead weight, at
+// most slabRowCap records). Rows are emptied, never freed: after the first
+// run a round of traffic performs no allocation.
 //
 // Payload.Bits() is evaluated exactly once, at send time, and cached in
 // the outMsg / delivery records; a row's arrivals are summed as they are

@@ -104,3 +104,95 @@ func TestWarmRunnerMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// renewingChaos is chaosProto as a Recycler: a process of its own type is
+// rewritten in place, anything else replaced.
+type renewingChaos struct{ chaosProto }
+
+func (p renewingChaos) Renew(old Process, info NodeInfo) Process {
+	if c, ok := old.(*chaosProc); ok {
+		*c = chaosProc{violate: p.violate}
+		return c
+	}
+	return p.New(info)
+}
+
+// TestRebindMatchesFresh drives one Runner through
+// graphs of different node counts, edge counts and degrees and back, and
+// on each through the synchronous and ASYNC modes, crashes, crash-recovery
+// and link drops, with the instruments on every other run and the
+// processes alternately renewed and replaced. Every run must return
+// exactly what a fresh Runner on that graph returns, at every shard count,
+// and every Rebind must leave the slabs and the process slots past the
+// graph's last node holding nothing.
+func TestRebindMatchesFresh(t *testing.T) {
+	// Each graph is built with its index as seed, so the two random:24:60
+	// in a row have the same node and edge counts and other wiring.
+	specs := []string{"ring:16", "random:24:60", "random:24:60", "star:12", "dumbbell:16:40", "torus:4x4", "dumbbell:16:40", "star:12", "random:24:60", "ring:16"}
+	models := []string{"congest", "local", "async+random:4", "crash:0.1", "crashrec:0.2:4", "drop:0.05"}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var r *Runner
+			step := 0
+			for i, spec := range specs {
+				g, err := graph.FromSpec(spec, int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r == nil {
+					r, err = NewRunner(g)
+				} else {
+					err = r.Rebind(g)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := &r.eng.buffers
+				for _, p := range b.procs[g.N():cap(b.procs)] {
+					if p != nil {
+						t.Fatalf("%s: a process past the last node survives the Rebind", spec)
+					}
+				}
+				for _, m := range b.inSlab[:cap(b.inSlab)] {
+					if m.Payload != nil {
+						t.Fatalf("%s: the inbox slab pins a payload after the Rebind", spec)
+					}
+				}
+				for _, m := range b.outSlab[:cap(b.outSlab)] {
+					if m.pl != nil {
+						t.Fatalf("%s: the outbox slab pins a payload after the Rebind", spec)
+					}
+				}
+				for _, model := range models {
+					step++
+					m, err := ParseModel(model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := Config{
+						Graph: g, IDs: SequentialIDs(g.N(), int64(step)), Seed: int64(step), Model: m,
+						MaxRounds: 400, Shards: shards,
+					}
+					if step%2 == 0 {
+						cfg.WatchEdges, cfg.CountPerEdge = [][2]int{{0, g.Neighbor(0, 0)}}, true
+					}
+					var p Protocol = chaosProto{}
+					if step%3 != 0 {
+						p = renewingChaos{}
+					}
+					fresh, err := Run(cfg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					warm, err := r.Run(cfg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(warm, fresh) {
+						t.Fatalf("%s %s: the rebound Runner diverges:\nwarm:  %+v\nfresh: %+v", spec, model, *warm, *fresh)
+					}
+				}
+			}
+		})
+	}
+}

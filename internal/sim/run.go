@@ -33,13 +33,14 @@ func Run(cfg Config, p Protocol) (*Result, error) {
 	return r.Run(cfg, p)
 }
 
-// Runner executes runs on one fixed graph, reusing the engine state that
-// depends only on the topology (the graph's CSR and reverse-port arrays,
-// borrowed rather than rebuilt) and the per-node scratch buffers (outbox
-// arenas, inboxes, status vectors, RNGs) across runs. For sweep workloads
-// this removes almost all per-trial allocation; a Runner is NOT safe for
-// concurrent use — give each worker its own. The graph's port numbering
-// must not change (no ShufflePorts) while the Runner is in use.
+// Runner executes runs on one graph at a time, reusing the engine state
+// that depends only on the topology (the graph's CSR and reverse-port
+// arrays, borrowed rather than rebuilt) and the per-node scratch buffers
+// (outbox arenas, inboxes, status vectors, RNGs) across runs; Rebind moves
+// that storage to another graph. For sweep workloads this removes almost
+// all per-trial allocation; a Runner is NOT safe for concurrent use — give
+// each worker its own. The graph's port numbering must not change (no
+// ShufflePorts) while the Runner is bound to it.
 //
 // A Runner is its engine: what a run leaves behind for the next one is
 // the engine's buffers, and everything else the engine holds is rebuilt
@@ -71,9 +72,11 @@ type buffers struct {
 	// out[u] is u's outbox row: this round's sends in send order, with
 	// Bits() cached (see arena.go). inbox[u] holds the messages delivered
 	// to u this round — in the synchronous modes, from the flush of the
-	// round before on.
-	out   [][]outMsg
-	inbox [][]Message
+	// round before on. Both are carved out of the two slabs (carveRows).
+	out     [][]outMsg
+	inbox   [][]Message
+	outSlab []outMsg
+	inSlab  []Message
 
 	// Per-node rows shared by the shards — each shard writes only its own
 	// nodes' slots, so no synchronization is needed.
@@ -90,8 +93,8 @@ type buffers struct {
 	haltCounted []bool       // halt already merged into the counters
 
 	// shards holds the per-range wheels, scratch lists, fault heaps,
-	// mailboxes and instrument maps (shard.go), rebuilt only when the
-	// effective shard count changes.
+	// mailboxes and instrument maps (shard.go), rebuilt when the effective
+	// shard count or the node count changes.
 	shards []engineShard
 
 	// Built on the first run that needs them: the fault-membership
@@ -106,59 +109,96 @@ type buffers struct {
 
 // NewRunner validates the graph and precomputes the reusable engine state.
 func NewRunner(g *graph.Graph) (*Runner, error) {
-	if g == nil || g.N() == 0 {
-		return nil, fmt.Errorf("%w: empty graph", ErrConfig)
-	}
-	n := g.N()
-	// The graph maintains its reverse-port table through construction and
-	// ShufflePorts, so NewRunner is O(n + m) for any density.
-	off, nbr := g.CSR()
 	r := new(Runner)
-	r.eng.buffers = buffers{
-		g:           g,
-		off:         off,
-		nbr:         nbr,
-		portBack:    g.PortBacks(),
-		sendCnt:     make([]int32, len(nbr)),
-		linkSeq:     make([]int32, len(nbr)),
-		out:         make([][]outMsg, n),
-		inbox:       make([][]Message, n),
-		status:      make([]Status, n),
-		halted:      make([]bool, n),
-		awake:       make([]bool, n),
-		changed:     make([]bool, n),
-		nodeErr:     make([]error, n),
-		procs:       make([]Process, n),
-		ctxs:        make([]Context, n),
-		rngs:        make([]*rand.Rand, n),
-		wakeAt:      make([]int, n),
-		idle:        make([]int, n),
-		haltCounted: make([]bool, n),
+	if err := r.Rebind(g); err != nil {
+		return nil, err
 	}
-	r.eng.carveRows()
 	return r, nil
 }
 
-// carveRows homes every node's inbox and outbox row in one slab each, in
+// Rebind re-targets the Runner at g, keeping what of its storage g can
+// use: it borrows g's tables, re-slices every per-node and per-port row
+// (growing it only for a larger graph) and re-carves the inbox and outbox
+// rows out of the slabs it keeps, cleared so that they pin no payload.
+// When the node count changes the shards and the fault vectors are
+// rebuilt on the next run, and the processes of nodes past g's last are
+// released. A buffer g needs less than an eighth of is reallocated at g's
+// size, so a Runner that once ran a large graph does not pin its storage.
+// A run after Rebind(g) returns exactly what a NewRunner(g)'s would: the
+// processes kept are renewed or replaced like a warm Runner's.
+func (r *Runner) Rebind(g *graph.Graph) error {
+	if g == nil || g.N() == 0 {
+		return fmt.Errorf("%w: empty graph", ErrConfig)
+	}
+	b := &r.eng.buffers
+	if g == b.g {
+		return nil
+	}
+	n := g.N()
+	if n != len(b.status) {
+		if 8*n < len(b.status) {
+			b.idSeen = nil
+		}
+		b.shards, b.aliveBuf, b.rejoinedBuf = nil, nil, nil
+	}
+	// The graph maintains its reverse-port table through construction and
+	// ShufflePorts, so a Rebind is O(n + m) for any density.
+	off, nbr := g.CSR()
+	b.g, b.off, b.nbr, b.portBack = g, off, nbr, g.PortBacks()
+	b.sendCnt = resized(b.sendCnt, len(nbr))
+	b.linkSeq = resized(b.linkSeq, len(nbr))
+	b.out = resized(b.out, n)
+	b.inbox = resized(b.inbox, n)
+	b.status = resized(b.status, n)
+	b.halted = resized(b.halted, n)
+	b.awake = resized(b.awake, n)
+	b.changed = resized(b.changed, n)
+	b.nodeErr = resized(b.nodeErr, n)
+	b.procs = resized(b.procs, n)
+	b.ctxs = resized(b.ctxs, n)
+	b.rngs = resized(b.rngs, n)
+	b.wakeAt = resized(b.wakeAt, n)
+	b.idle = resized(b.idle, n)
+	b.haltCounted = resized(b.haltCounted, n)
+	b.carveRows()
+	return nil
+}
+
+// resized returns s at length n: on its own array, with the slots past n
+// cleared so that they pin nothing, when that array holds n and n is at
+// least an eighth of it; on a new array otherwise.
+func resized[T any](s []T, n int) []T {
+	if c := cap(s); n <= c && 8*n >= c {
+		clear(s[n:c])
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// carveRows homes every node's inbox and outbox row in the two slabs, in
 // node order, with room for min(degree, slabRowCap) messages (arena.go).
+// The slabs are re-sliced like the per-node rows and cleared, so no row
+// starts with a payload a run before left in it.
 func (b *buffers) carveRows() {
 	total := 0
 	for u := range b.out {
 		total += min(int(b.off[u+1]-b.off[u]), slabRowCap)
 	}
-	in, out := make([]Message, total), make([]outMsg, total)
+	b.inSlab, b.outSlab = resized(b.inSlab, total), resized(b.outSlab, total)
+	clear(b.inSlab)
+	clear(b.outSlab)
 	at := 0
 	for u := range b.out {
 		end := at + min(int(b.off[u+1]-b.off[u]), slabRowCap)
-		b.inbox[u], b.out[u] = in[at:at:end], out[at:at:end]
+		b.inbox[u], b.out[u] = b.inSlab[at:at:end], b.outSlab[at:at:end]
 		at = end
 	}
 }
 
 // ensureShards (re)builds the shard array for an effective shard count
 // of S, partitioning the nodes into contiguous ranges of ⌈n/S⌉. Rebuilt
-// only when S changes between runs; each shard's wheels and scratch
-// persist across runs of the same count.
+// only when S changes between runs or a Rebind changed n; each shard's
+// wheels and scratch persist across runs of the same layout.
 func (b *buffers) ensureShards(S int) {
 	if len(b.shards) == S {
 		return
