@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos fmt fmt-check vet docs-check loc ci
+.PHONY: build test test-shuffle test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
 
 build:
 	$(GO) build ./...
@@ -216,6 +216,14 @@ serve-smoke:
 # Wired into CI.
 fleet-chaos:
 	$(GO) run ./cmd/ule-fleet -gate
+
+# Fresh SHA-256 sums of the outputs TestOutputPins holds (two `ule`
+# tables, uled election bodies and a /v1/sweeps stream, `ule-experiments
+# -quick`, a builtin:smoke sweep's JSON and binary documents), printed as
+# the testdata/pins.json a change that means to move them would write.
+pins:
+	@ULE_PINS=print $(GO) test -count=1 -run '^TestOutputPins$$' -v ./cmd/ule ./cmd/ule-experiments | \
+		grep '^  "' | sort | sed '$$!s/$$/,/; 1s/^/{\n/; $$s/$$/\n}/'
 
 fmt:
 	gofmt -w .

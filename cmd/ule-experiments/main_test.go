@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +246,71 @@ func TestSweepModeResumeExcludesTextEmitters(t *testing.T) {
 		"-json", filepath.Join(dir, "out.json"), "-progress=false"})
 	if err == nil {
 		t.Fatal("-resume with -json succeeded, want error")
+	}
+}
+
+// TestOutputPins holds `-quick` and a builtin:smoke sweep's JSON and
+// binary documents to the SHA-256 sums in testdata/pins.json. `make pins`
+// prints fresh sums.
+func TestOutputPins(t *testing.T) {
+	dir := t.TempDir()
+	stdoutOf := func(args ...string) []byte {
+		f, err := os.CreateTemp(dir, "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		saved := os.Stdout
+		os.Stdout = f
+		err = run(args)
+		os.Stdout = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	binPath := filepath.Join(dir, "smoke.bin")
+	got := map[string][]byte{
+		"ule-experiments/quick":      stdoutOf("-quick"),
+		"ule-experiments/smoke-json": stdoutOf("-sweep", "builtin:smoke", "-json", "-", "-bin", binPath, "-progress=false"),
+	}
+	var err error
+	if got["ule-experiments/smoke-bin"], err = os.ReadFile(binPath); err != nil {
+		t.Fatal(err)
+	}
+	checkPins(t, got)
+}
+
+// checkPins compares the SHA-256 of each output in got with its entry in
+// testdata/pins.json, and requires an output for every entry under the
+// prefixes of got's keys. With ULE_PINS=print it prints the sums instead.
+func checkPins(t *testing.T, got map[string][]byte) {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/pins.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]string
+	if err := json.Unmarshal(data, &pins); err != nil {
+		t.Fatal(err)
+	}
+	prefixes := map[string]bool{}
+	for _, k := range slices.Sorted(maps.Keys(got)) {
+		prefixes[k[:strings.IndexByte(k, '/')+1]] = true
+		sum := fmt.Sprintf("%x", sha256.Sum256(got[k]))
+		if os.Getenv("ULE_PINS") == "print" {
+			fmt.Printf("  %q: %q\n", k, sum)
+		} else if sum != pins[k] {
+			t.Errorf("%s: sha256 %s, pinned %q", k, sum, pins[k])
+		}
+	}
+	for k := range pins {
+		if prefixes[k[:strings.IndexByte(k, '/')+1]] && got[k] == nil {
+			t.Errorf("%s: pinned, but no output", k)
+		}
 	}
 }

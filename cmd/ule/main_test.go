@@ -3,11 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"ule/internal/harness"
 	"ule/internal/serve"
 )
 
@@ -128,5 +136,93 @@ func TestSmallIDsRowMatchesService(t *testing.T) {
 	got := strings.Join(row[1:4], " ")
 	if w := fmt.Sprintf("%d %d %d", want.Rounds, want.Messages, want.Bits); got != w {
 		t.Errorf("ule row rounds/messages/bits = %s, uled says %s", got, w)
+	}
+}
+
+// pinnedElections are the uled bodies TestOutputPins holds, one per
+// recipe corner: plain, small IDs, async, crash-recovery, crashes, a
+// round cap under loss and churn, a large graph, an adversarial wake, an
+// estimated diameter.
+var pinnedElections = []string{
+	`{"graph":"ring:64","algo":"leastel","seed":1}`,
+	`{"graph":"torus:8x8","algo":"kingdom","seed":2,"small_ids":true}`,
+	`{"graph":"ring:32","algo":"lasvegas","seed":3,"model":"async+random:4"}`,
+	`{"graph":"random:64:200","algo":"leastel-loglog","seed":4,"model":"async+fifo:3+crashrec:0.2:3"}`,
+	`{"graph":"grid:8x8","algo":"cluster","seed":5,"model":"crash:0.1"}`,
+	`{"graph":"ring:32","algo":"flood","seed":6,"model":"drop:0.05+churn:0.2:4","max_rounds":40}`,
+	`{"graph":"torus:100x100","algo":"leastel","seed":7}`,
+	`{"graph":"ring:64","algo":"leastel","seed":8,"model":"async","wake":"adversarial"}`,
+	`{"graph":"random:48:120","algo":"kingdom-d","seed":9,"small_ids":true,"diameter_estimate":true}`,
+}
+
+// TestOutputPins holds two `ule` tables, the uled bodies above (each
+// posted twice to one slot, so the second comes from a warm cell) and a
+// builtin:smoke /v1/sweeps stream to the SHA-256 sums in
+// testdata/pins.json. `make pins` prints fresh sums.
+func TestOutputPins(t *testing.T) {
+	got := map[string][]byte{}
+	for i, args := range [][]string{
+		{"-graph", "ring:64", "-algo", "leastel", "-trials", "3", "-seed", "1"},
+		{"-graph", "torus:8x8", "-algo", "kingdom-d", "-small-ids", "-trials", "3", "-seed", "1", "-model", "crash:0.1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("ule/table-%d", i)] = out.Bytes()
+	}
+	m := serve.NewManager(serve.Config{Slots: 1})
+	defer m.Shutdown(context.Background())
+	h := serve.NewHandler(m, serve.HandlerConfig{})
+	post := func(path, body string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for i, body := range pinnedElections {
+		cold, warm := post("/v1/elections", body), post("/v1/elections", body)
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("%s: warm body %s, cold %s", body, warm, cold)
+		}
+		got[fmt.Sprintf("uled/election-%d", i)] = cold
+	}
+	smoke, err := json.Marshal(harness.Smoke())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["uled/sweep-smoke"] = post("/v1/sweeps", string(smoke))
+	checkPins(t, got)
+}
+
+// checkPins compares the SHA-256 of each output in got with its entry in
+// testdata/pins.json, and requires an output for every entry under the
+// prefixes of got's keys. With ULE_PINS=print it prints the sums instead.
+func checkPins(t *testing.T, got map[string][]byte) {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/pins.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]string
+	if err := json.Unmarshal(data, &pins); err != nil {
+		t.Fatal(err)
+	}
+	prefixes := map[string]bool{}
+	for _, k := range slices.Sorted(maps.Keys(got)) {
+		prefixes[k[:strings.IndexByte(k, '/')+1]] = true
+		sum := fmt.Sprintf("%x", sha256.Sum256(got[k]))
+		if os.Getenv("ULE_PINS") == "print" {
+			fmt.Printf("  %q: %q\n", k, sum)
+		} else if sum != pins[k] {
+			t.Errorf("%s: sha256 %s, pinned %q", k, sum, pins[k])
+		}
+	}
+	for k := range pins {
+		if prefixes[k[:strings.IndexByte(k, '/')+1]] && got[k] == nil {
+			t.Errorf("%s: pinned, but no output", k)
+		}
 	}
 }
