@@ -108,8 +108,9 @@ bench-graph:
 # a whole trial of the ule-bench sweep costs the heap
 # (TestAllocBudgetSweepTrial), what a node's coins and least-element
 # list cost (TestAllocBudgetNodeFootprint), and what a uled slot holds and
-# a request it has no cell for costs (internal/serve: at most slotPrepCap
-# cells, a cold request rebinds one). These also run inside the full
+# a request costs it (internal/serve: at most slotPrepCap cells, a cold
+# request rebinds one, a hot one costs only its response). These also run
+# inside the full
 # suite; the target gives CI a label for them, the way test-sweep labels
 # the pipeline gate. The last line is the one thing the full suite does
 # not do: it fuzzes the node generator against math/rand for 20 s (the
@@ -118,7 +119,7 @@ bench-graph:
 test-budgets:
 	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
 	$(GO) test -run 'TestCompileCostIndependentOfTrials|TestAllocBudgetSweepTrial' -v ./internal/harness
-	$(GO) test -run 'TestAllocBudgetColdElection|TestSlotMemoryFollowsTraffic|TestArenaReuse' -v ./internal/serve
+	$(GO) test -run 'TestAllocBudgetColdElection|TestAllocBudgetHotElection|TestSlotMemoryFollowsTraffic|TestArenaReuse' -v ./internal/serve
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the

@@ -281,7 +281,7 @@ func TestAllocBudgetColdRunner(t *testing.T) {
 	}
 	var res sim.Result
 	run := func(prep *core.Prepared) {
-		if err := prep.RunInto(core.RunOpts{Seed: 7, IDs: prep.PermutationIDs(3)}, &res); err != nil {
+		if err := prep.RunInto(core.RunOpts{Seed: 7, SmallIDs: true}, &res); err != nil {
 			t.Fatal(err)
 		}
 		if !res.UniqueLeader() {

@@ -32,7 +32,6 @@ import (
 	"ule/election"
 	"ule/internal/core"
 	"ule/internal/graph"
-	"ule/internal/harness"
 	"ule/internal/sim"
 	"ule/internal/stats"
 )
@@ -130,23 +129,22 @@ func run(args []string, out io.Writer) error {
 	// Each trial is one election through the recipe a sweep trial and a
 	// uled request use, so a (graph, algo, seed, flags) row is the same
 	// election everywhere.
-	var msgs, rounds []float64
+	var (
+		msgs, rounds []float64
+		res          sim.Result
+	)
 	for i := 0; i < *trials; i++ {
-		ro, err := harness.Election{
+		ro := core.RunOpts{
 			Seed:      *seed + int64(i),
-			Model:     em,
 			SmallIDs:  *smallIDs,
 			Anonymous: *anonymous,
 			MaxRounds: *maxRounds,
-		}.RunOpts(prep)
-		if err != nil {
+			Model:     em,
+		}
+		if err := prep.RunInto(ro, &res); err != nil {
 			return err
 		}
-		res, err := prep.Run(ro)
-		if err != nil {
-			return err
-		}
-		o := harness.Reduce(ro, res)
+		o := prep.Reduce(ro, &res)
 		if withFaults {
 			table.AddRow(i, o.Rounds, o.Messages, o.Bits, o.Leaders, o.Unique,
 				o.Crashes, o.Recoveries, o.Dropped, o.LiveUnique)

@@ -32,6 +32,9 @@ func TestRunListAndElection(t *testing.T) {
 	if err := run([]string{"-graph", "nope:5"}, io.Discard); err == nil {
 		t.Error("unknown graph family accepted")
 	}
+	if err := run([]string{"-anonymous", "-small-ids"}, io.Discard); err == nil {
+		t.Error("anonymous run with small IDs accepted")
+	}
 	if err := run([]string{"-model", "quantum"}, io.Discard); err == nil {
 		t.Error("unknown mode accepted")
 	}

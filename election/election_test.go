@@ -127,3 +127,17 @@ func TestElectWithFaults(t *testing.T) {
 		t.Errorf("invalid fault spec accepted, got %v", bad)
 	}
 }
+
+// TestAnonymousRefusesIDs: an anonymous network has no identifiers, so
+// Params with both Anonymous and an ID list is an error, not a run with
+// the IDs.
+func TestAnonymousRefusesIDs(t *testing.T) {
+	g := election.Ring(16)
+	_, err := election.Elect(g, "leastel", election.Params{Seed: 3, Anonymous: true, IDs: election.SequentialIDs(16, 1)})
+	if err == nil || !strings.Contains(err.Error(), "anonymous") {
+		t.Fatalf("anonymous run with IDs: err = %v, want a refusal", err)
+	}
+	if _, err := election.Elect(g, "leastel", election.Params{Seed: 3, Anonymous: true}); err != nil {
+		t.Fatalf("anonymous run: %v", err)
+	}
+}

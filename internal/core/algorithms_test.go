@@ -111,7 +111,7 @@ func TestDFSAdversarialWakeup(t *testing.T) {
 		res, err := Run(g, "dfs", RunOpts{
 			Seed:      seed,
 			IDs:       sim.PermutationIDs(g.N(), wrng),
-			Wake:      sim.AdversarialWake(g.N(), 10, wrng),
+			Wake:      adversarialWake(g.N(), 10, wrng),
 			MaxRounds: 1 << 17,
 		})
 		if err != nil {
@@ -269,4 +269,21 @@ func TestEveryAlgorithmOnEveryGraphSmoke(t *testing.T) {
 			}
 		}
 	}
+}
+
+// adversarialWake returns a schedule where a random subset of nodes wakes
+// spontaneously at random rounds in [1, spread] and everyone else wakes
+// only on message arrival. At least one node wakes in round 1 (the model
+// guarantee).
+func adversarialWake(n, spread int, rng *rand.Rand) []int {
+	w := make([]int, n)
+	for i := range w {
+		if rng.Intn(2) == 0 {
+			w[i] = 1 + rng.Intn(spread)
+		} else {
+			w[i] = sim.WakeOnMessage
+		}
+	}
+	w[rng.Intn(n)] = 1
+	return w
 }

@@ -299,8 +299,8 @@ func TestRankSpaceSaturates(t *testing.T) {
 
 // TestPreparedIDsMatchSim pins the identifier draws a Prepared makes into
 // its own buffer to sim's allocating draws, on the election recipe's
-// streams: its permutations, and the random assignment of a run without
-// RunOpts.IDs, which must be the cold path's (Config).
+// streams — the small-ID permutation and the random assignment — and to
+// the cold path's (Config).
 func TestPreparedIDsMatchSim(t *testing.T) {
 	g := graph.Ring(24)
 	prep, err := Prepare(g, "leastel")
@@ -308,20 +308,45 @@ func TestPreparedIDsMatchSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		want := sim.PermutationIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(seed, -2))))
-		if got := prep.PermutationIDs(sim.NodeSeed(seed, -2)); !slices.Equal(got, want) {
-			t.Errorf("Prepared.PermutationIDs(seed %d) = %v, want %v", seed, got, want)
+		for _, small := range []bool{false, true} {
+			ro := RunOpts{Seed: seed, SmallIDs: small}
+			fresh, _, err := Config(g, "leastel", ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, _, err := prep.config(ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sim.RandomIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(seed, -1))))
+			if small {
+				want = sim.PermutationIDs(g.N(), rand.New(rand.NewSource(sim.NodeSeed(seed, -2))))
+			}
+			if !slices.Equal(warm.IDs, want) || !slices.Equal(fresh.IDs, want) {
+				t.Errorf("seed %d, small IDs %v: a Prepared draws %v, Config %v, want %v", seed, small, warm.IDs, fresh.IDs, want)
+			}
 		}
-		fresh, _, err := Config(g, "leastel", RunOpts{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestAnonymousTakesNoIDs: an anonymous network has no identifiers, so a
+// run that is also given small IDs or an ID list is refused, not run with
+// them; and only the algorithms that need IDs refuse a plain anonymous run.
+func TestAnonymousTakesNoIDs(t *testing.T) {
+	g := graph.Ring(16)
+	for _, ro := range []RunOpts{
+		{Seed: 3, Anonymous: true, SmallIDs: true},
+		{Seed: 3, Anonymous: true, IDs: sim.SequentialIDs(16, 1)},
+	} {
+		if _, err := Run(g, "leastel", ro); err == nil || !strings.Contains(err.Error(), "anonymous excludes small_ids") {
+			t.Errorf("%+v: err = %v, want the anonymous refusal", ro, err)
 		}
-		warm, _, err := prep.config(RunOpts{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(warm.IDs, fresh.IDs) {
-			t.Errorf("seed %d: a Prepared draws IDs %v, Config %v", seed, warm.IDs, fresh.IDs)
-		}
+	}
+	res, err := Run(g, "leastel", RunOpts{Seed: 3, Anonymous: true})
+	if err != nil || !res.UniqueLeader() {
+		t.Fatalf("anonymous leastel: %v", err)
+	}
+	if _, err := Run(g, "dfs", RunOpts{Seed: 3, Anonymous: true}); err == nil {
+		t.Error("anonymous dfs ran")
 	}
 }

@@ -139,7 +139,7 @@ func TestAdversarialWakeupDFS(t *testing.T) {
 			res, err := Run(g, "dfs", RunOpts{
 				Seed: s,
 				IDs:  sim.PermutationIDs(g.N(), wrng),
-				Wake: sim.AdversarialWake(g.N(), 20, wrng),
+				Wake: adversarialWake(g.N(), 20, wrng),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -111,9 +111,9 @@ func TestPreparedMatchesRun(t *testing.T) {
 					IDs:       sim.PermutationIDs(g.N(), rand.New(rand.NewSource(seed))),
 					MaxRounds: 1 << 17,
 				}
-				batch, err := prep.Run(ro)
-				if err != nil {
-					t.Fatalf("%s on %s seed %d: Prepared.Run: %v", algo, gname, seed, err)
+				batch := new(sim.Result)
+				if err := prep.RunInto(ro, batch); err != nil {
+					t.Fatalf("%s on %s seed %d: Prepared.RunInto: %v", algo, gname, seed, err)
 				}
 				solo, err := Run(g, algo, ro)
 				if err != nil {

@@ -214,7 +214,7 @@ func (tr recycleTrial) run(t *testing.T, prep *Prepared, res *sim.Result) (strin
 	case tr.ids == "anon" && !prep.Spec().NeedsIDs:
 		ro.Anonymous = true
 	case tr.ids != "random":
-		ro.IDs = prep.PermutationIDs(sim.NodeSeed(tr.seed, -2))
+		ro.SmallIDs = true
 	}
 	if tr.oneAwake {
 		ro.Wake = oneAwake(prep.Graph().N())
@@ -485,7 +485,7 @@ func TestRejoinKeepsRecordsInFlight(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			for i, want := range cell.want {
 				seed := int64(i + 1)
-				ro := RunOpts{Seed: seed, IDs: prep.PermutationIDs(sim.NodeSeed(seed, -2)), Model: m, MaxRounds: 1 << 10, Shards: int(seed%2) + 1}
+				ro := RunOpts{Seed: seed, SmallIDs: true, Model: m, MaxRounds: 1 << 10, Shards: int(seed%2) + 1}
 				if err := prep.RunInto(ro, &res); err != nil {
 					t.Fatal(err)
 				}

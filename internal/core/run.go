@@ -8,19 +8,27 @@ import (
 	"ule/internal/sim"
 )
 
-// RunOpts configures a single election run driven by the registry.
+// RunOpts is one election on a (graph, algorithm) cell: a sweep trial, a
+// uled request and a `ule` row are each one of these. A Prepared resolves
+// it — draws the identifiers, grants the Table 1 knowledge — in config
+// and records the run in Reduce, so equal RunOpts are the same election,
+// byte for byte, from every front end.
 type RunOpts struct {
 	// Seed drives ID assignment and all node coins.
 	Seed int64
-	// IDs overrides the generated identifier assignment.
-	IDs []int64
-	// Anonymous runs without identifiers (only valid for algorithms with
-	// NeedsIDs == false).
+	// IDs overrides the identifier assignment; SmallIDs draws the
+	// permutation 1..n instead of random 64-bit identifiers. Anonymous
+	// runs without identifiers (only valid for algorithms with NeedsIDs
+	// == false) and so excludes both.
+	IDs       []int64
+	SmallIDs  bool
 	Anonymous bool
-	// D is the known diameter; 0 means "compute exactly" (memoized on the
-	// graph, so repeated runs on one graph pay the O(n·m) all-pairs BFS
-	// once — pass the family's closed form to skip it entirely).
-	D int
+	// D is the known diameter; 0 grants the graph's exact diameter, or
+	// with DiameterEstimate its double-sweep bound (both memoized on the
+	// graph, so repeated runs on one graph pay for it once — pass the
+	// family's closed form to skip it entirely). See Prepared.Diameter.
+	D                int
+	DiameterEstimate bool
 	// MaxRounds bounds the run (0 = engine default).
 	MaxRounds int
 	// Model is the execution model — mode, delay schedule and fault
@@ -59,14 +67,69 @@ func Correct(m sim.ModelSpec, res *sim.Result) bool {
 	return res.UniqueLiveLeader()
 }
 
+// Outcome is the scalar record of one finished election — everything a
+// front end reports about a run; the O(n) sim.Result it was reduced from
+// is discarded or recycled.
+type Outcome struct {
+	// D is the diameter granted as knowledge (0 when the algorithm runs
+	// without knowing D).
+	D int `json:"d,omitempty"`
+	// Rounds is the executed round count; LastActive the last round with
+	// activity (the natural time measure for quiet protocols).
+	Rounds     int `json:"rounds"`
+	LastActive int `json:"last_active"`
+	// Messages and Bits are the run's communication totals.
+	Messages int64 `json:"messages"`
+	Bits     int64 `json:"bits"`
+	// Leaders counts elected nodes; Unique is the paper's success
+	// condition (exactly one leader, nobody undecided).
+	Leaders int  `json:"leaders"`
+	Unique  bool `json:"unique"`
+	// Halted / HitRoundCap describe how the run ended.
+	Halted      bool `json:"halted"`
+	HitRoundCap bool `json:"hit_round_cap,omitempty"`
+	// Fault measurements, set only when the run had a fault schedule
+	// (fault-free records are unchanged from earlier schema versions):
+	// applied crash/recovery event counts, messages lost to the fault
+	// adversary, and the fault-tolerant success condition (Correct — a
+	// unique leader among the live nodes).
+	Crashes    int   `json:"crashes,omitempty"`
+	Recoveries int   `json:"recoveries,omitempty"`
+	Dropped    int64 `json:"dropped,omitempty"`
+	LiveUnique bool  `json:"live_unique,omitempty"`
+}
+
+// Reduce reduces the result of running ro on p to its scalar record.
+func (p *Prepared) Reduce(ro RunOpts, res *sim.Result) Outcome {
+	o := Outcome{
+		D:           p.Diameter(ro),
+		Rounds:      res.Rounds,
+		LastActive:  res.LastActive,
+		Messages:    res.Messages,
+		Bits:        res.Bits,
+		Leaders:     res.LeaderCount(),
+		Unique:      res.UniqueLeader(),
+		Halted:      res.Halted,
+		HitRoundCap: res.HitRoundCap,
+	}
+	if ro.Model.Faults != nil {
+		o.Crashes = res.Crashes
+		o.Recoveries = res.Recoveries
+		o.Dropped = res.Dropped
+		o.LiveUnique = Correct(ro.Model, res)
+	}
+	return o
+}
+
 // Config resolves ro against the registered algorithm into exactly what
 // the engine is handed for the run: the sim.Config (IDs drawn, the Table 1
 // knowledge granted) and the protocol instance.
 func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, error) {
-	p, err := bind(g, algo)
+	spec, err := lookup(algo)
 	if err != nil {
 		return sim.Config{}, nil, err
 	}
+	p := Prepared{g: g, spec: spec}
 	return p.config(ro)
 }
 
@@ -83,8 +146,8 @@ func Run(g *graph.Graph, algo string, ro RunOpts) (*sim.Result, error) {
 // sim.Runner, so a batch driver pays per-trial setup cost — reverse-port
 // tables, engine scratch buffers, the memoized diameter — once, and
 // Rebind moves it to another cell. Results are identical to calling Run
-// per trial. Not safe for concurrent use; sweep workers hold one Prepared
-// per (graph, algorithm) cell each.
+// per trial. Its zero value is bound to nothing: Rebind binds it. Not
+// safe for concurrent use; a sweep worker and a uled cell hold one each.
 type Prepared struct {
 	g      *graph.Graph
 	spec   Spec
@@ -102,24 +165,11 @@ type Prepared struct {
 // Prepare validates the algorithm name and graph and builds the reusable
 // runner state.
 func Prepare(g *graph.Graph, algo string) (*Prepared, error) {
-	p, err := bind(g, algo)
-	if err != nil {
-		return nil, err
-	}
-	if p.runner, err = sim.NewRunner(g); err != nil {
+	p := new(Prepared)
+	if err := p.Rebind(g, algo); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// bind is a Prepared without its Runner: all that resolving a run's
-// configuration needs.
-func bind(g *graph.Graph, algo string) (*Prepared, error) {
-	spec, err := lookup(algo)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{g: g, spec: spec, rng: sim.NewRand(0)}, nil
 }
 
 // lookup returns the registered algorithm's spec.
@@ -131,17 +181,20 @@ func lookup(algo string) (Spec, error) {
 	return spec, nil
 }
 
-// Rebind re-targets p at algo on g, keeping its storage: the Runner is
+// Rebind binds p to algo on g, keeping its storage: the Runner is
 // rebound (sim.Runner.Rebind) and the identifier buffers reused unless g
 // needs less than an eighth of them. The processes the Runner keeps are
 // renewed across the change of graph and algorithm like a warm trial's
 // (Renew ignores the old NodeInfo and replaces a process of another
 // type), so a trial after Rebind(g, algo) reports exactly what one on
-// Prepare(g, algo) does. On an error p is left as it was.
+// Prepare(g, algo) does. On an error p is left bound as it was.
 func (p *Prepared) Rebind(g *graph.Graph, algo string) error {
 	spec, err := lookup(algo)
 	if err != nil {
 		return err
+	}
+	if p.runner == nil {
+		p.runner = new(sim.Runner)
 	}
 	if err := p.runner.Rebind(g); err != nil {
 		return err
@@ -159,34 +212,49 @@ func (p *Prepared) Spec() Spec { return p.spec }
 // Graph returns the graph this Prepared is bound to.
 func (p *Prepared) Graph() *graph.Graph { return p.g }
 
-// PermutationIDs returns what sim.PermutationIDs(n, rand.New(rand.NewSource(
-// seed))) would, in a buffer p owns: the slice is good until p next draws
-// identifiers — the next PermutationIDs, or a Run without RunOpts.IDs.
-func (p *Prepared) PermutationIDs(seed int64) []int64 {
-	p.rng.Seed(seed)
-	p.ids = sim.PermutationIDsInto(p.ids, p.g.N(), p.rng)
-	return p.ids
+// Diameter returns the diameter ro grants the algorithm: 0 when its
+// Table 1 row does not assume knowledge of D, else ro.D when set, else the
+// graph's memoized double-sweep bound (ro.DiameterEstimate) or exact
+// diameter.
+func (p *Prepared) Diameter(ro RunOpts) int {
+	switch {
+	case !p.spec.NeedsD:
+		return 0
+	case ro.D > 0:
+		return ro.D
+	case ro.DiameterEstimate:
+		return p.g.DiameterEstimate()
+	}
+	return p.g.DiameterExact()
 }
 
 // config resolves ro against p's graph and algorithm into the engine
-// configuration and protocol instance. Knowledge is granted exactly as the
-// algorithm's Table 1 row assumes; the random identifiers, when the run
-// draws any, land in p's own buffer.
+// configuration and protocol instance: the one place that draws a run's
+// identifiers — random from NodeSeed(seed, -1), the small-ID permutation
+// from NodeSeed(seed, -2), into p's own buffer — and grants its Table 1
+// knowledge.
 func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 	g, spec := p.g, p.spec
-	if spec.NeedsIDs && ro.Anonymous {
+	switch {
+	case ro.Anonymous && spec.NeedsIDs:
 		return sim.Config{}, nil, fmt.Errorf("core: %s requires unique IDs", spec.Name)
-	}
-	d := ro.D
-	if d <= 0 && spec.NeedsD {
-		d = g.DiameterExact()
+	case ro.Anonymous && (ro.IDs != nil || ro.SmallIDs):
+		return sim.Config{}, nil, fmt.Errorf("core: anonymous excludes small_ids and IDs: an anonymous network has no identifiers")
 	}
 	if ro.IDs == nil && !ro.Anonymous {
-		if p.idSeen == nil {
-			p.idSeen = make(map[int64]struct{}, g.N())
+		if p.rng == nil {
+			p.rng = sim.NewRand(0)
 		}
-		p.rng.Seed(sim.NodeSeed(ro.Seed, -1))
-		p.ids = sim.RandomIDsInto(p.ids, p.idSeen, g.N(), p.rng)
+		if ro.SmallIDs {
+			p.rng.Seed(sim.NodeSeed(ro.Seed, -2))
+			p.ids = sim.PermutationIDsInto(p.ids, g.N(), p.rng)
+		} else {
+			if p.idSeen == nil {
+				p.idSeen = make(map[int64]struct{}, g.N())
+			}
+			p.rng.Seed(sim.NodeSeed(ro.Seed, -1))
+			p.ids = sim.RandomIDsInto(p.ids, p.idSeen, g.N(), p.rng)
+		}
 		ro.IDs = p.ids
 	}
 	cfg := sim.Config{
@@ -195,7 +263,7 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 		Know: sim.Knowledge{
 			N: g.N(), HasN: spec.NeedsN,
 			M: g.M(), HasM: false,
-			D: d, HasD: spec.NeedsD,
+			D: p.Diameter(ro), HasD: spec.NeedsD,
 		},
 		Seed:          ro.Seed,
 		Model:         ro.Model,
@@ -209,20 +277,10 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 	return cfg, spec.New(ro.Opt), nil
 }
 
-// Run executes one trial.
-func (p *Prepared) Run(ro RunOpts) (*sim.Result, error) {
-	cfg, proto, err := p.config(ro)
-	if err != nil {
-		return nil, err
-	}
-	return p.runner.Run(cfg, proto)
-}
-
 // RunInto executes one trial into *out, recycling out's slices and maps
-// across calls (see sim.Runner.RunInto). Sweep drivers that reduce each
-// result to scalars before the next trial use this to keep per-trial
-// allocation flat; the filled Result is overwritten by the next RunInto
-// with the same out.
+// across calls (see sim.Runner.RunInto), so a driver that reduces each
+// result (Reduce) before the next trial keeps per-trial allocation flat;
+// the filled Result is overwritten by the next RunInto with the same out.
 func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
 	cfg, proto, err := p.config(ro)
 	if err != nil {

@@ -158,22 +158,3 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Error("clone shape mismatch")
 	}
 }
-
-func TestDiameterTwoSweepLowerBoundsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 20; i++ {
-		n := 5 + rng.Intn(40)
-		m := n - 1 + rng.Intn(n)
-		g, err := RandomConnected(n, m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, ex := g.DiameterTwoSweep(), g.DiameterExact()
-		if ts > ex {
-			t.Fatalf("two-sweep %d > exact %d", ts, ex)
-		}
-		if ts*2 < ex {
-			t.Fatalf("two-sweep %d < half of exact %d", ts, ex)
-		}
-	}
-}

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -119,92 +120,52 @@ func (g *Graph) DiameterExact() int {
 // once; coarse enough that the shared counter never contends.
 const diamChunk = 16
 
-// diameterExact is the uncached all-pairs computation.
+// diameterExact is the uncached all-pairs computation: the caller runs as
+// worker 0 and starts the others, one per core up to one per diamChunk
+// sources.
 func (g *Graph) diameterExact() int {
 	n := g.N()
 	if n == 0 {
 		return 0
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if max := n / diamChunk; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		sc := scratchPool.Get().(*bfsScratch)
-		defer scratchPool.Put(sc)
-		diam := int32(0)
-		for u := 0; u < n; u++ {
-			ecc, _, visited := sc.run(g, u)
-			if visited < n {
-				return -1
-			}
-			if ecc > diam {
-				diam = ecc
-			}
-		}
-		return int(diam)
-	}
+	workers := min(runtime.GOMAXPROCS(0), max(n/diamChunk, 1))
 	var (
 		next   atomic.Int64
 		wg     sync.WaitGroup
 		maxEcc = make([]int32, workers)
 		discon atomic.Bool
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			var sc bfsScratch
-			for !discon.Load() {
-				lo := int(next.Add(diamChunk)) - diamChunk
-				if lo >= n {
+	work := func(w int) {
+		sc := scratchPool.Get().(*bfsScratch)
+		defer scratchPool.Put(sc)
+		for !discon.Load() {
+			lo := int(next.Add(diamChunk)) - diamChunk
+			if lo >= n {
+				return
+			}
+			for u := lo; u < min(lo+diamChunk, n); u++ {
+				ecc, _, visited := sc.run(g, u)
+				if visited < n {
+					discon.Store(true)
 					return
 				}
-				hi := lo + diamChunk
-				if hi > n {
-					hi = n
-				}
-				for u := lo; u < hi; u++ {
-					ecc, _, visited := sc.run(g, u)
-					if visited < n {
-						discon.Store(true)
-						return
-					}
-					if ecc > maxEcc[w] {
-						maxEcc[w] = ecc
-					}
-				}
+				maxEcc[w] = max(maxEcc[w], ecc)
 			}
-		}(w)
+		}
 	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 	if discon.Load() {
 		return -1
 	}
-	diam := int32(0)
-	for _, e := range maxEcc {
-		if e > diam {
-			diam = e
-		}
-	}
-	return int(diam)
-}
-
-// DiameterTwoSweep returns a lower bound on the diameter computed with the
-// classic double-sweep heuristic (exact on trees, a good estimate on the
-// families used here). Cost: two BFS traversals.
-func (g *Graph) DiameterTwoSweep() int {
-	if g.N() == 0 {
-		return 0
-	}
-	sc := scratchPool.Get().(*bfsScratch)
-	defer scratchPool.Put(sc)
-	_, far, _ := sc.run(g, 0)
-	ecc, _, visited := sc.run(g, far)
-	if visited < g.N() {
-		return -1
-	}
-	return int(ecc)
+	return int(slices.Max(maxEcc))
 }
 
 // estimateRestarts bounds the iterated double-sweep: the deterministic

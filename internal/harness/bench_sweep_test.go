@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"ule/internal/core"
 )
 
 // poolDrops reports whether sync.Pool loses what it was just given, as it
@@ -48,7 +50,7 @@ func syntheticTrials(n int) []TrialResult {
 				Seed: TrialSeed(42, i%50),
 			},
 			N: 256, M: 1024,
-			Outcome: Outcome{
+			Outcome: core.Outcome{
 				D:      16,
 				Rounds: 40 + i%17, LastActive: 39 + i%17,
 				Messages: int64(9000 + i%4096), Bits: int64(288000 + 32*(i%4096)),
@@ -266,7 +268,7 @@ func TestConsumerMemoryFlatInTrialCount(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		tr := TrialResult{
 			N: 8, M: 8,
-			Outcome: Outcome{
+			Outcome: core.Outcome{
 				Messages: int64(i % 200), Bits: int64(i % 300),
 				Leaders: 1, Unique: true, Halted: true,
 			},

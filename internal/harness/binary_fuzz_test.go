@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"ule/internal/core"
 )
 
 // fuzzSweepSpec is the sweep the synthetic documents below claim to be.
@@ -39,7 +41,7 @@ func fuzzSweepTrials(spec Spec) []TrialResult {
 				Wake: "sync", Fault: fault, Rep: rep, Seed: TrialSeed(seed, rep),
 			},
 			N: 8, M: 8,
-			Outcome: Outcome{
+			Outcome: core.Outcome{
 				D: 4, Rounds: 10 + i, LastActive: 9 + i,
 				Messages: int64(100 * (i + 1)), Bits: int64(4000 * (i + 1)),
 				Leaders: 1, Unique: true, Halted: true,

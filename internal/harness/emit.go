@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -221,71 +222,73 @@ type Document struct {
 // ParseDocument decodes and validates a ule-sweep/v3 document. Legacy
 // ule-sweep/v2 and v1 documents are also accepted: their trials and
 // groups predate the fault (and, for v1, the delay) axis and parse with
-// the corresponding fields empty.
+// the corresponding fields empty. It is readDocument collecting the
+// trials, so it accepts exactly the documents DecodeTrials does.
 func ParseDocument(data []byte) (*Document, error) {
-	var doc Document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("harness: invalid sweep document: %w", err)
+	doc := new(Document)
+	if err := readDocument(bytes.NewReader(data), doc, func(tr TrialResult) error {
+		doc.Trials = append(doc.Trials, tr)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	if doc.Schema != SchemaVersion && doc.Schema != legacySchemaV2 && doc.Schema != legacySchemaV1 {
-		return nil, fmt.Errorf("harness: unknown schema %q (want %q)", doc.Schema, SchemaVersion)
-	}
-	if len(doc.Trials) != doc.TotalTrials {
-		return nil, fmt.Errorf("harness: document lists %d trials but declares %d",
-			len(doc.Trials), doc.TotalTrials)
-	}
-	return &doc, nil
+	return doc, nil
 }
 
 // DecodeTrials streams the trial records of a ule-sweep JSON document
 // (v3 or legacy v2/v1) from r, calling fn once per trial in document
 // order. Unlike ParseDocument it never materializes the trials array, so
 // memory stays constant in document size — the consumption path for
-// million-trial documents. The schema field must precede the trials
-// array (every document the emitters produce has it first) and is
-// validated before the first callback; any fn error aborts the decode
-// and is returned verbatim.
+// million-trial documents. Any fn error aborts the decode and is
+// returned verbatim.
 func DecodeTrials(r io.Reader, fn func(TrialResult) error) error {
+	return readDocument(r, new(Document), fn)
+}
+
+// readDocument is the one reader of a ule-sweep JSON document: it decodes
+// the document from r into doc, handing each trial to fn instead of
+// storing it. The schema field must precede the trials array (every
+// document the emitters produce has it first) and is validated before the
+// first callback; the trial count must match total_trials, and nothing
+// but white space may follow the document.
+func readDocument(r io.Reader, doc *Document, fn func(TrialResult) error) error {
+	invalid := func(err error) error { return fmt.Errorf("harness: invalid sweep document: %w", err) }
 	dec := json.NewDecoder(r)
 	tok, err := dec.Token()
 	if err != nil {
-		return fmt.Errorf("harness: invalid sweep document: %w", err)
+		return invalid(err)
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
 		return fmt.Errorf("harness: invalid sweep document: not a JSON object")
 	}
-	schemaOK := false
+	trials := 0
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
-			return fmt.Errorf("harness: invalid sweep document: %w", err)
+			return invalid(err)
 		}
-		key, ok := keyTok.(string)
-		if !ok {
-			return fmt.Errorf("harness: invalid sweep document: non-string key %v", keyTok)
-		}
-		switch key {
+		var dst any
+		switch keyTok {
 		case "schema":
-			var schema string
-			if err := dec.Decode(&schema); err != nil {
-				return fmt.Errorf("harness: invalid sweep document: %w", err)
-			}
-			if schema != SchemaVersion && schema != legacySchemaV2 && schema != legacySchemaV1 {
-				return fmt.Errorf("harness: unknown schema %q (want %q)", schema, SchemaVersion)
-			}
-			schemaOK = true
+			dst = &doc.Schema
+		case "spec":
+			dst = &doc.Spec
+		case "groups":
+			dst = &doc.Groups
+		case "total_trials":
+			dst = &doc.TotalTrials
+		case "errors":
+			dst = &doc.Errors
 		case "trials":
-			if !schemaOK {
+			if doc.Schema == "" {
 				return fmt.Errorf("harness: document schema must precede trials for streaming decode")
 			}
-			tok, err := dec.Token()
-			if err != nil {
-				return fmt.Errorf("harness: invalid sweep document: %w", err)
-			}
-			if d, ok := tok.(json.Delim); !ok || d != '[' {
+			if tok, err := dec.Token(); err != nil {
+				return invalid(err)
+			} else if d, ok := tok.(json.Delim); !ok || d != '[' {
 				return fmt.Errorf("harness: invalid sweep document: trials is not an array")
 			}
-			for dec.More() {
+			for ; dec.More(); trials++ {
 				var tr TrialResult
 				if err := dec.Decode(&tr); err != nil {
 					return fmt.Errorf("harness: invalid trial record: %w", err)
@@ -295,21 +298,30 @@ func DecodeTrials(r io.Reader, fn func(TrialResult) error) error {
 				}
 			}
 			if _, err := dec.Token(); err != nil { // closing ']'
-				return fmt.Errorf("harness: invalid sweep document: %w", err)
+				return invalid(err)
 			}
+			continue
 		default:
-			// Skip the value without keeping it (spec, groups, counters).
-			var raw json.RawMessage
-			if err := dec.Decode(&raw); err != nil {
-				return fmt.Errorf("harness: invalid sweep document: %w", err)
-			}
+			dst = new(json.RawMessage) // skipped without being kept
+		}
+		if err := dec.Decode(dst); err != nil {
+			return invalid(err)
+		}
+		if keyTok == "schema" && doc.Schema != SchemaVersion && doc.Schema != legacySchemaV2 && doc.Schema != legacySchemaV1 {
+			return fmt.Errorf("harness: unknown schema %q (want %q)", doc.Schema, SchemaVersion)
 		}
 	}
 	if _, err := dec.Token(); err != nil { // closing '}'
-		return fmt.Errorf("harness: invalid sweep document: %w", err)
+		return invalid(err)
 	}
-	if !schemaOK {
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("harness: invalid sweep document: data after the document")
+	}
+	if doc.Schema == "" {
 		return fmt.Errorf("harness: document carries no schema field")
+	}
+	if trials != doc.TotalTrials {
+		return fmt.Errorf("harness: document lists %d trials but declares %d", trials, doc.TotalTrials)
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ule/internal/core"
 )
 
 // encodeTrialCases is the field-combination battery shared by the JSON
@@ -20,7 +22,7 @@ func encodeTrialCases() []TrialResult {
 			Wake: "sync", Rep: 2, Seed: 12345,
 		},
 		N: 24, M: 24,
-		Outcome: Outcome{
+		Outcome: core.Outcome{
 			Rounds: 17, LastActive: 15,
 			Messages: 812, Bits: 51968, Leaders: 1, Unique: true, Halted: true,
 		},
@@ -355,5 +357,35 @@ func TestDecodeTrialsStreams(t *testing.T) {
 		if err := DecodeTrials(strings.NewReader(bad), func(TrialResult) error { return nil }); err == nil {
 			t.Errorf("DecodeTrials(%q): want error", bad)
 		}
+	}
+}
+
+// TestDocumentReadersAgree: ParseDocument and DecodeTrials accept and
+// refuse the same bytes. Each of these documents split them while they
+// were two readers.
+func TestDocumentReadersAgree(t *testing.T) {
+	data, _ := runToJSON(t, sweepSpec(), 2)
+	doc := string(data)
+	schemaLast := strings.Replace(doc, "{\"schema\":\""+SchemaVersion+"\",\n", "{", 1)
+	schemaLast = strings.TrimSuffix(schemaLast, "}\n") + ",\"schema\":\"" + SchemaVersion + "\"}\n"
+	if !json.Valid([]byte(schemaLast)) || schemaLast == doc {
+		t.Fatalf("moving the schema field broke the document: %.200s", schemaLast)
+	}
+	for _, c := range []struct {
+		name, doc string
+		ok        bool
+	}{
+		{"valid", doc, true},
+		{"trailing garbage", doc + "garbage", false},
+		{"total_trials above the trials", `{"schema":"ule-sweep/v3","trials":[{},{},{}],"total_trials":5}`, false},
+		{"schema after the trials", schemaLast, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, parseErr := ParseDocument([]byte(c.doc))
+			decodeErr := DecodeTrials(strings.NewReader(c.doc), func(TrialResult) error { return nil })
+			if (parseErr == nil) != c.ok || (decodeErr == nil) != c.ok {
+				t.Errorf("ParseDocument: %v; DecodeTrials: %v; want accepted %v by both", parseErr, decodeErr, c.ok)
+			}
+		})
 	}
 }

@@ -24,7 +24,7 @@ type TrialResult struct {
 	M int `json:"m"`
 	// Outcome holds the measurements (its fields are inlined in the JSON
 	// record).
-	Outcome
+	core.Outcome
 	// Err records a per-trial model violation ("" = clean run). The sweep
 	// continues past trial errors; Report.Errors counts them.
 	Err string `json:"err,omitempty"`
@@ -343,54 +343,50 @@ func trialShards(workers int, ranged bool) int {
 }
 
 // workerState is one worker's private trial machinery, kept by the Plan
-// across Runs: the Prepared of the (graph, algorithm) the worker is inside
-// and a single sim.Result recycled across every trial the worker runs —
-// each trial is reduced to a TrialResult before the next one overwrites
-// it, so the O(n) statuses and instrument maps are allocated once per
-// worker rather than once per trial. Claims are in index order and cells
-// graph → algorithm major, so a worker never returns to a (graph,
-// algorithm) it has left within a run: one Prepared is the whole cache.
+// across Runs: a Prepared, rebound whenever the worker enters another
+// (graph, algorithm) cell, and a single sim.Result recycled across every
+// trial the worker runs — each trial is reduced to a TrialResult before
+// the next one overwrites it, so the O(n) statuses and instrument maps are
+// allocated once per worker rather than once per trial. Claims are in
+// index order and cells graph → algorithm major, so a worker never
+// returns to a (graph, algorithm) it has left within a run: one Prepared
+// is the whole cache.
 type workerState struct {
-	prep *core.Prepared // nil before the worker's first trial
+	prep core.Prepared
 	res  sim.Result
 }
 
-// runTrial executes one trial on the worker's Prepared — the shared
-// election recipe, Election.RunOpts and Reduce, on the worker's recycled
-// Result — and reduces it to the streamed record. The record carries the
-// granted diameter even when the run fails, so it shows exactly what the
+// runTrial runs one trial on the worker's Prepared and recycled Result
+// and reduces it to the streamed record. The record carries the granted
+// diameter even when the run fails, so it shows exactly what the
 // algorithm was told.
 func (p *Plan) runTrial(t Trial, shards int, ws *workerState) TrialResult {
 	g := p.graphs[t.graphIdx] // instantiated by Run before the first claim
 	tr := TrialResult{Trial: t, N: g.N(), M: g.M()}
-	prep := ws.prep
-	if prep == nil || prep.Graph() != g || prep.Spec().Name != t.Algo {
-		var err error
-		if prep, err = core.Prepare(g, t.Algo); err != nil {
-			tr.Err = err.Error()
-			return tr
-		}
-		ws.prep = prep
+	prep := &ws.prep
+	wake, err := WakeSchedule(t.Wake, g.N(), t.Seed)
+	if err == nil && (prep.Graph() != g || prep.Spec().Name != t.Algo) {
+		err = prep.Rebind(g, t.Algo)
 	}
-	ro, err := Election{
+	ro := core.RunOpts{
 		Seed:             t.Seed,
-		Model:            t.model,
-		Wake:             t.Wake,
 		SmallIDs:         p.spec.SmallIDs,
 		DiameterEstimate: p.spec.DiameterEstimate,
 		MaxRounds:        p.spec.MaxRounds,
+		Model:            t.model,
+		Shards:           shards,
+		Wake:             wake,
 		Opt:              p.spec.Opt,
-	}.RunOpts(prep)
+	}
 	if err == nil {
-		tr.D = ro.D
-		ro.Shards = shards
+		tr.D = prep.Diameter(ro)
 		err = prep.RunInto(ro, &ws.res)
 	}
 	if err != nil {
 		tr.Err = err.Error()
 		return tr
 	}
-	tr.Outcome = Reduce(ro, &ws.res)
+	tr.Outcome = prep.Reduce(ro, &ws.res)
 	return tr
 }
 

@@ -236,7 +236,7 @@ func TestPlanReuse(t *testing.T) {
 	}
 	// The worker keeps the Prepared of the cell it stopped in, nothing else.
 	last := reused.cells[(second.Start+second.Count-1)/reused.reps]
-	if ws := reused.states; len(ws) != 1 || ws[0].prep == nil ||
+	if ws := reused.states; len(ws) != 1 ||
 		ws[0].prep.Graph() != reused.graphs[last.graphIdx] || ws[0].prep.Spec().Name != last.Algo {
 		t.Fatalf("the Plan's %d worker states do not hold the Prepared of (%s, %s)", len(ws), last.Graph, last.Algo)
 	}

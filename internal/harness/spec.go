@@ -276,8 +276,9 @@ func wakeSchedule(spec string, n int, trialSeed int64) []int {
 
 // WakeSchedule validates and materializes a wake-schedule spec for an
 // n-node run (the schedule derives from trialSeed, so every front end
-// reproduces the batch path byte-for-byte). Election.RunOpts is its
-// caller on the election path.
+// reproduces the batch path byte-for-byte). Every front end that takes a
+// wake spec — a sweep trial, a uled request — materializes it here into
+// core.RunOpts.Wake.
 func WakeSchedule(spec string, n int, trialSeed int64) ([]int, error) {
 	if err := parseWake(spec); err != nil {
 		return nil, err

@@ -148,10 +148,10 @@ func TimeLB(n, d int, sw Sweep, fracs ...float64) (TimeRow, []TruncatedRow, erro
 			return TimeRow{}, nil, err
 		}
 		ro := core.RunOpts{Seed: rng.Int63(), IDs: sim.RandomIDs(g.N(), rng), D: diam}
+		var res sim.Result
 		for i, budget := range budgets {
 			ro.MaxRounds = budget
-			res, err := prep.Run(ro)
-			if err != nil {
+			if err := prep.RunInto(ro, &res); err != nil {
 				return TimeRow{}, nil, err
 			}
 			if i == 0 {

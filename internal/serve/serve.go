@@ -166,7 +166,7 @@ type cellKey struct {
 
 // graphWithin refuses a graph spec that is malformed or expands past
 // maxEdges edges (or a quarter as many nodes) and, when exactD, one whose
-// n·m is above exactDiameterCap, without building it.
+// exact diameter is above the cap (diameterWithin), without building it.
 func graphWithin(spec string, maxEdges int, exactD bool) error {
 	nodes, edges, err := graph.SpecSize(spec)
 	if err != nil {
@@ -176,6 +176,12 @@ func graphWithin(spec string, maxEdges int, exactD bool) error {
 		return badRequest("graph %s has %d nodes and %d edges, above the server cap of %d nodes and %d edges",
 			spec, nodes, edges, maxEdges/4, maxEdges)
 	}
+	return diameterWithin(spec, nodes, edges, exactD)
+}
+
+// diameterWithin refuses, when exactD, the exact diameter of a graph of
+// nodes and edges whose n·m is above exactDiameterCap.
+func diameterWithin(spec string, nodes, edges int64, exactD bool) error {
 	if exactD && edges > 0 && nodes > exactDiameterCap/edges {
 		return badRequest("graph %s has %d nodes and %d edges: its exact diameter costs n·m above %d, set diameter_estimate",
 			spec, nodes, edges, exactDiameterCap)
@@ -183,54 +189,59 @@ func graphWithin(spec string, maxEdges int, exactD bool) error {
 	return nil
 }
 
-// prepared returns the slot's core.Prepared for key; a hit reuses the
+// prepared returns the slot's core.Prepared for key, refusing the graph
+// when exactD and its exact diameter is above the cap; a hit reuses the
 // engine arenas and Runner buffers of every earlier request on the cell.
 // A miss takes the graph, with its memoized diameter, from a cell on the
 // same (spec, seed) or builds it once its size is known to be within
-// maxEdges, then prepares a new cell while the slot has room and rebinds
-// the least recently used one once it is full.
-func (s *slot) prepared(key cellKey, maxEdges int) (*core.Prepared, error) {
+// maxEdges, then binds a new cell while the slot has room and rebinds the
+// least recently used one once it is full.
+func (s *slot) prepared(key cellKey, maxEdges int, exactD bool) (*core.Prepared, error) {
 	s.uses++
 	var g *graph.Graph
-	lru := 0
-	for i := range s.cells {
-		c := &s.cells[i]
-		switch {
-		case c.cellKey == key:
-			c.used = s.uses
-			statPrepHits.Add(1)
-			statGraphHits.Add(1)
-			return c.prep, nil
-		case c.spec == key.spec && c.seed == key.seed:
+	hit, lru := -1, 0
+	for i, c := range s.cells {
+		if c.spec == key.spec && c.seed == key.seed {
 			g = c.prep.Graph()
+			if c.algo == key.algo {
+				hit = i
+			}
 		}
 		if c.used < s.cells[lru].used {
 			lru = i
 		}
 	}
 	if g != nil {
+		if err := diameterWithin(key.spec, int64(g.N()), int64(g.M()), exactD); err != nil {
+			return nil, err
+		}
 		statGraphHits.Add(1)
-	} else if err := graphWithin(key.spec, maxEdges, false); err != nil {
+		if hit >= 0 {
+			s.cells[hit].used = s.uses
+			statPrepHits.Add(1)
+			return s.cells[hit].prep, nil
+		}
+	} else if err := graphWithin(key.spec, maxEdges, exactD); err != nil {
 		return nil, err
 	} else if g, err = graph.FromSpec(key.spec, key.seed); err != nil {
 		return nil, badRequest("graph: %v", err)
 	} else {
 		statGraphMisses.Add(1)
 	}
-	var err error
 	if len(s.cells) < slotPrepCap {
-		var p *core.Prepared
-		if p, err = core.Prepare(g, key.algo); err == nil {
-			s.cells, lru = append(s.cells, cell{prep: p}), len(s.cells)
-		}
-	} else if err = s.cells[lru].prep.Rebind(g, key.algo); err == nil {
-		statPrepRebinds.Add(1)
+		s.cells, lru = append(s.cells, cell{prep: new(core.Prepared)}), len(s.cells)
 	}
-	if err != nil {
+	c := &s.cells[lru]
+	if err := c.prep.Rebind(g, key.algo); err != nil {
+		// An unknown algorithm. A cell appended for it stays unbound: no
+		// request hits its empty key, and it is the first a full slot
+		// rebinds.
 		return nil, badRequest("%v", err)
 	}
+	if c.algo != "" {
+		statPrepRebinds.Add(1)
+	}
 	statPrepMisses.Add(1)
-	c := &s.cells[lru]
 	c.cellKey, c.used = key, s.uses
 	return c.prep, nil
 }
@@ -579,9 +590,10 @@ type ElectionRequest struct {
 	// "adversarial" — the harness grammar, derived from Seed).
 	Wake string `json:"wake,omitempty"`
 	// SmallIDs assigns permutation IDs 1..n exactly as the harness does
-	// (harness.Election); required for "dfs".
+	// (core.RunOpts); required for "dfs".
 	SmallIDs bool `json:"small_ids,omitempty"`
-	// Anonymous removes identifiers (randomized algorithms only).
+	// Anonymous removes identifiers (randomized algorithms only); it
+	// excludes small_ids.
 	Anonymous bool `json:"anonymous,omitempty"`
 	// MaxRounds bounds the run (default 1 << 18, capped by Config.MaxRounds).
 	MaxRounds int `json:"max_rounds,omitempty"`
@@ -593,7 +605,7 @@ type ElectionRequest struct {
 }
 
 // ElectionResult is the wire form of an election outcome. The measurements
-// are the batch harness's own reduction (harness.Reduce), so a served
+// are the batch harness's own reduction (core.Prepared.Reduce), so a served
 // election and a batch trial with the same seed agree on every field.
 type ElectionResult struct {
 	Graph string `json:"graph"`
@@ -643,34 +655,27 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	if err != nil {
 		return nil, badRequest("model: %v", err)
 	}
-	if needsExactD(req.Algo, req.DiameterEstimate) {
-		if err := graphWithin(req.Graph, m.cfg.MaxEdges, true); err != nil {
-			return nil, err
-		}
-	}
 	gseed := req.GraphSeed
 	if gseed == 0 {
 		gseed = 1
 	}
-	prep, err := s.prepared(cellKey{req.Graph, gseed, req.Algo}, m.cfg.MaxEdges)
+	prep, err := s.prepared(cellKey{req.Graph, gseed, req.Algo}, m.cfg.MaxEdges, needsExactD(req.Algo, req.DiameterEstimate))
 	if err != nil {
 		return nil, err
 	}
 	g := prep.Graph()
-	maxRounds := req.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1 << 18
-	}
-	ro, err := harness.Election{
+	ro := core.RunOpts{
 		Seed:             req.Seed,
-		Model:            model,
-		Wake:             req.Wake,
 		SmallIDs:         req.SmallIDs,
 		Anonymous:        req.Anonymous,
 		DiameterEstimate: req.DiameterEstimate,
-		MaxRounds:        maxRounds,
-	}.RunOpts(prep)
-	if err != nil {
+		MaxRounds:        req.MaxRounds,
+		Model:            model,
+	}
+	if ro.MaxRounds <= 0 {
+		ro.MaxRounds = 1 << 18
+	}
+	if ro.Wake, err = harness.WakeSchedule(req.Wake, g.N(), req.Seed); err != nil {
 		return nil, badRequest("wake: %v", err)
 	}
 	if err := prep.RunInto(ro, &s.res); err != nil {
@@ -678,7 +683,7 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 		// errors; model violations during the run are server-side.
 		return nil, badRequest("%v", err)
 	}
-	o := harness.Reduce(ro, &s.res)
+	o := prep.Reduce(ro, &s.res)
 	out := &ElectionResult{
 		Graph: req.Graph, Algo: req.Algo, Seed: req.Seed,
 		Model: req.Model, Wake: req.Wake,

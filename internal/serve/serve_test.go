@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -162,6 +163,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad algo", "/v1/elections", `{"graph":"ring:8","algo":"zeus"}`, 400, "zeus"},
 		{"bad model", "/v1/elections", `{"graph":"ring:8","algo":"leastel","model":"warp"}`, 400, "warp"},
 		{"bad wake", "/v1/elections", `{"graph":"ring:8","algo":"leastel","wake":"sometimes"}`, 400, "sometimes"},
+		// An anonymous network has no identifiers to assign.
+		{"anonymous small IDs", "/v1/elections", `{"graph":"ring:16","algo":"leastel","seed":3,"anonymous":true,"small_ids":true}`, 400, "anonymous excludes small_ids"},
 		{"rounds above cap", "/v1/elections", `{"graph":"ring:8","algo":"leastel","max_rounds":4194304}`, 400, "max_rounds"},
 		{"sweep bad algo", "/v1/sweeps", `{"algos":["zeus"],"graphs":["ring:8"]}`, 400, "zeus"},
 		{"sweep bad graph", "/v1/sweeps", `{"algos":["leastel"],"graphs":["blob:9"]}`, 400, "blob"},
@@ -683,5 +686,32 @@ func TestGraphOverCapRejectedBeforeBuild(t *testing.T) {
 	}
 	if rec := post(hs, "/v1/elections", `{"graph":"complete:16","algo":"flood"}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("complete:16 (120 edges) under a 100-edge cap: status %d, body %s", rec.Code, rec.Body)
+	}
+}
+
+// TestExactDiameterCapOnHeldGraph: the exact-diameter cap holds however
+// the slot comes by the graph — built for the request, borrowed from a
+// cell of another algorithm, or the request's own cell — so a refusal
+// never depends on what the slot served before. star:20000 has n·m above
+// the cap and a diameter of 2.
+func TestExactDiameterCapOnHeldGraph(t *testing.T) {
+	m := NewManager(Config{Slots: 1})
+	defer m.Shutdown(context.Background())
+	exact := ElectionRequest{Graph: "star:20000", Algo: "flood"}
+	for i, c := range []struct {
+		req     ElectionRequest
+		refused bool
+	}{
+		{exact, true}, // built
+		{ElectionRequest{Graph: "star:20000", Algo: "trivial"}, false},
+		{exact, true}, // borrowed from the trivial cell
+		{ElectionRequest{Graph: "star:20000", Algo: "flood", DiameterEstimate: true}, false},
+		{exact, true}, // the flood cell's own
+	} {
+		_, err := m.RunElection(context.Background(), c.req)
+		var reqErr *RequestError
+		if refused := errors.As(err, &reqErr) && strings.Contains(err.Error(), "diameter_estimate"); refused != c.refused {
+			t.Errorf("request %d %+v: err = %v, want refused %v", i, c.req, err, c.refused)
+		}
 	}
 }

@@ -73,6 +73,39 @@ func TestAllocBudgetColdElection(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetHotElection: a request for a cell its slot holds costs
+// its ElectionResult and nothing else. The exact-diameter cap of a flood
+// request is read off the cell's graph, not parsed from the spec again
+// (224 B in 2 allocations per request when every flood, lasvegas and
+// kingdom-d request ran graph.SpecSize).
+func TestAllocBudgetHotElection(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops items here (race detector): pooled records allocate")
+	}
+	m := NewManager(Config{Slots: 1})
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
+	s := <-m.slots
+	defer m.release(s)
+	req := ElectionRequest{Graph: "ring:64", Algo: "flood", Seed: 1}
+	hot := func() {
+		if _, err := m.runElection(req, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hot() // build the cell
+	const runs = 256
+	bytes, objects := heapCost(func() {
+		for i := 0; i < runs; i++ {
+			hot()
+		}
+	})
+	perBytes, perObjects := float64(bytes)/runs, float64(objects)/runs
+	t.Logf("hot ring:64 flood request: %.1f B in %.2f allocations", perBytes, perObjects)
+	if perBytes > 200 || perObjects > 1.1 {
+		t.Errorf("hot request: %.1f B in %.2f allocations, budget 200 B in 1", perBytes, perObjects)
+	}
+}
+
 // TestSlotMemoryFollowsTraffic: however many distinct cells a slot serves,
 // it keeps at most slotPrepCap of them, and a cell rebound from a large
 // graph to a small one keeps no storage of the large one.
@@ -105,7 +138,7 @@ func TestSlotMemoryFollowsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res sim.Result
-	if err := prep.RunInto(core.RunOpts{Seed: 1, IDs: prep.PermutationIDs(1)}, &res); err != nil {
+	if err := prep.RunInto(core.RunOpts{Seed: 1, SmallIDs: true}, &res); err != nil {
 		t.Fatal(err)
 	}
 	if err := prep.Rebind(graph.Ring(64), "leastel"); err != nil {

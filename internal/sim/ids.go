@@ -72,20 +72,3 @@ func SequentialIDs(n int, base int64) []int64 {
 	}
 	return ids
 }
-
-// AdversarialWake returns a schedule where a random subset of nodes wakes
-// spontaneously at random rounds in [1, spread] and everyone else wakes only
-// on message arrival. At least one node wakes in round 1 (the model
-// guarantee).
-func AdversarialWake(n, spread int, rng *rand.Rand) []int {
-	w := make([]int, n)
-	for i := range w {
-		if rng.Intn(2) == 0 {
-			w[i] = 1 + rng.Intn(spread)
-		} else {
-			w[i] = WakeOnMessage
-		}
-	}
-	w[rng.Intn(n)] = 1
-	return w
-}
