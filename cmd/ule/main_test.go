@@ -158,7 +158,9 @@ var pinnedElections = []string{
 	`{"graph":"random:48:120","algo":"kingdom-d","seed":9,"small_ids":true,"diameter_estimate":true}`,
 }
 
-// TestOutputPins holds two `ule` tables, the uled bodies above (each
+// TestOutputPins holds five `ule` tables (the last three reach a
+// reset-state rejoin of cluster, dfs and spanner-le with records still in
+// flight), the uled bodies above (each
 // posted twice to one slot, so the second comes from a warm cell) and a
 // builtin:smoke /v1/sweeps stream to the SHA-256 sums in
 // testdata/pins.json. `make pins` prints fresh sums.
@@ -167,6 +169,9 @@ func TestOutputPins(t *testing.T) {
 	for i, args := range [][]string{
 		{"-graph", "ring:64", "-algo", "leastel", "-trials", "3", "-seed", "1"},
 		{"-graph", "torus:8x8", "-algo", "kingdom-d", "-small-ids", "-trials", "3", "-seed", "1", "-model", "crash:0.1"},
+		{"-graph", "random:48:160", "-algo", "cluster", "-trials", "3", "-model", "async+random:4+crashrec:0.2:8"},
+		{"-graph", "torus:6x6", "-algo", "dfs", "-small-ids", "-trials", "3", "-max-rounds", "4096", "-model", "crashrec:0.2:8"},
+		{"-graph", "random:64:512", "-algo", "spanner-le", "-trials", "3", "-max-rounds", "2048", "-model", "async+fifo:4+crashrec:0.1:8"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err != nil {
