@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-sweep test-budgets race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
+.PHONY: build test test-shuffle test-sweep test-budgets fuzz-smoke race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
 
 build:
 	$(GO) build ./...
@@ -112,15 +112,12 @@ bench-graph:
 # request rebinds one, a hot one costs only its response). These also run
 # inside the full
 # suite; the target gives CI a label for them, the way test-sweep labels
-# the pipeline gate. The last line is the one thing the full suite does
-# not do: it fuzzes the node generator against math/rand for 20 s (the
-# suite only replays the seed corpus), the one place that value-for-value
-# equivalence is fuzzed.
+# the pipeline gate. The node generator's fuzzing against math/rand is in
+# fuzz-smoke.
 test-budgets:
 	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
 	$(GO) test -run 'TestCompileCostIndependentOfTrials|TestAllocBudgetSweepTrial' -v ./internal/harness
 	$(GO) test -run 'TestAllocBudgetColdElection|TestAllocBudgetHotElection|TestSlotMemoryFollowsTraffic|TestArenaReuse' -v ./internal/serve
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
 
 # The allocation fast-path measurement set (docs/PERFORMANCE.md): the
 # budget tests plus the engine benchmarks and the kingdom benchmark's
@@ -179,13 +176,25 @@ bench-shard:
 # resume / export round trip. All of these also run inside the full
 # suite; this target exists so CI surfaces a pipeline regression under
 # its own label, the same way race-matrix labels the determinism matrix.
-# The last line is the one thing the full suite does not do: it fuzzes
-# the binary decoder for 20 s (the suite only replays the seed corpus),
-# every reader of a document or shard being that one scanner.
+# The binary decoder's fuzzing is in fuzz-smoke.
 test-sweep:
 	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestEmitKeepsUpWithCompletion|TestRunStopsOnEmitterError|TestBinaryKillAndResume' -v ./internal/harness
 	$(GO) test -run 'TestSweepModeBinaryAndExport|TestSweepModeResumeExcludesTextEmitters|TestFromBinCSVOut' -v ./cmd/ule-experiments
+
+# Every fuzz target for 20 s each: the one thing the full suite does not do
+# (it only replays each target's seed corpus). FromSpec: the graph specs
+# uled reads from clients. ParseModel: the execution-model grammar.
+# ParseBinary: the binary decoder, every reader of a document or shard
+# being that one scanner. LazySource: the node generator against
+# math/rand, value for value. LeaseLine: the fleet's lease and worker
+# lines, which a worker reads from its stdin and a coordinator from a
+# process that may die mid-write. Wired into CI.
+fuzz-smoke:
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzFromSpec -fuzztime 20s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzParseModel -fuzztime 20s
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzParseBinary -fuzztime 20s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzLeaseLine -fuzztime 20s
 
 # The sweep-pipeline measurement set (docs/PERFORMANCE.md): per-trial
 # encoder benchmarks, steady-state consumer throughput for the
@@ -257,4 +266,4 @@ loc:
 		  printf "%-28s %8d %8d\n", "total", S, T }'
 
 # Everything the CI pipeline runs, in the same order.
-ci: fmt-check vet build test-shuffle race test-sweep test-budgets bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check
+ci: fmt-check vet build test-shuffle race test-sweep test-budgets fuzz-smoke bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check

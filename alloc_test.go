@@ -571,21 +571,18 @@ func poolDrops() bool {
 // TestProtocolBudgets prices every registered algorithm in the paper's own
 // unit: on torus:32x32, heap allocations and Round calls per delivered
 // message must stay within the row below. The cold column is a Prepared's
-// first trial, every process built by New: kingdom and kingdom-d are held
-// to the message-proportional target (docs/PERFORMANCE.md has the census
-// before and after); the other rows are the measured census rounded up,
-// so that a reintroduced per-send boxing, per-round slice or lost idle
+// first trial, every process built by New: kingdom, kingdom-d and cluster
+// are held to the message-proportional target (docs/PERFORMANCE.md has the
+// census before and after); the other rows are the measured census rounded
+// up, so that a reintroduced per-send boxing, per-round slice or lost idle
 // hint has a row to fail. The warm column is every later trial, on renewed
-// processes (every registered protocol is a sim.Recycler): the flood family
-// and kingdom allocate next to nothing there; cluster, dfs and spanner-le
-// still allocate per message (boxed payloads, agent records, the
-// Baswana–Sen machine) and are held to their measured warm census, rounded
-// up the way the cold rows are.
+// processes (every registered protocol is a sim.Recycler), and every
+// protocol allocates next to nothing there.
 func TestProtocolBudgets(t *testing.T) {
 	const renewed = 0.05
 	budgets := map[string]struct{ cold, warm, steps float64 }{
-		"cluster":          {1.8, 1.0, 1.0},
-		"dfs":              {1.6, 1.2, 1.2},
+		"cluster":          {0.5, renewed, 1.0},
+		"dfs":              {0.4, renewed, 1.2},
 		"flood":            {0.3, renewed, 0.8},
 		"kingdom":          {0.5, renewed, 1.0},
 		"kingdom-d":        {0.5, renewed, 1.0},
@@ -594,7 +591,7 @@ func TestProtocolBudgets(t *testing.T) {
 		"leastel-const":    {0.4, renewed, 0.9},
 		"leastel-estimate": {0.3, renewed, 0.6},
 		"leastel-loglog":   {0.4, renewed, 0.9},
-		"spanner-le":       {0.8, 0.7, 0.8},
+		"spanner-le":       {0.4, renewed, 0.8},
 	}
 	checkAllocs := !poolDrops()
 	if !checkAllocs {

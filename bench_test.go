@@ -311,7 +311,6 @@ var waveTok sim.Payload = waveMsg{}
 
 type waveProto struct{}
 
-func (waveProto) Name() string                 { return "wave" }
 func (waveProto) New(sim.NodeInfo) sim.Process { return &waveProc{} }
 
 type waveProc struct{ done bool }
@@ -459,7 +458,6 @@ type threeCoinsProto struct {
 	seed int64        // run seed, for std
 }
 
-func (threeCoinsProto) Name() string                   { return "three-coins" }
 func (p threeCoinsProto) New(sim.NodeInfo) sim.Process { return p }
 func (threeCoinsProto) Start(*sim.Context)             {}
 

@@ -72,6 +72,7 @@ func TestModelFlag(t *testing.T) {
 		{"congest", "congest", plain + "trial "},
 		{"local", "local", plain + "trial "},
 		{"async unit", "async", "graph ring:8: n=8 m=8  (async, delay unit)\ntrial "},
+		{"mode in capitals", "ASYNC", "graph ring:8: n=8 m=8  (async, delay unit)\ntrial "},
 		{"async with delay", "async+fifo:8", "graph ring:8: n=8 m=8  (async, delay fifo:8)\ntrial "},
 		{"faults appended", "async+random:4+crashrec:0.1:32", "graph ring:8: n=8 m=8  (async, delay random:4)\nfaults: crashrec:0.1:32\ntrial "},
 		{"bad model", "warp", ""},

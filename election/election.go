@@ -26,7 +26,8 @@
 // Use Algorithms to list the registry and Describe for the paper result
 // each name realizes. Custom protocols can be written against the
 // simulator types re-exported here (Protocol, Process, Context) and run
-// with Run; see the runnable examples.
+// with Run: a Protocol is one method, New, which builds a node's Process
+// from its NodeInfo; see the runnable examples.
 package election
 
 import (

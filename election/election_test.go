@@ -75,7 +75,6 @@ func (pingPayload) Bits() int { return 1 }
 
 type pingProto struct{}
 
-func (pingProto) Name() string { return "ping" }
 func (pingProto) New(info election.NodeInfo) election.Process {
 	return &pingProc{}
 }

@@ -64,7 +64,6 @@ func (echo) Bits() int { return 1 }
 
 type echoProto struct{}
 
-func (echoProto) Name() string                                { return "echo" }
 func (echoProto) New(info election.NodeInfo) election.Process { return &echoProc{} }
 
 type echoProc struct{ sent bool }

@@ -18,9 +18,6 @@ type Flood struct {
 
 var _ sim.Protocol = Flood{}
 
-// Name implements sim.Protocol.
-func (Flood) Name() string { return "broadcast-flood" }
-
 // New implements sim.Protocol.
 func (f Flood) New(info sim.NodeInfo) sim.Process {
 	return &floodProc{}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"ule/internal/sim"
 )
@@ -28,104 +29,120 @@ type Cluster struct {
 	Factor float64
 }
 
-var _ sim.Recycler = Cluster{}
-
-// Name implements sim.Protocol.
-func (Cluster) Name() string { return "cluster" }
-
 // New implements sim.Protocol.
 func (cl Cluster) New(info sim.NodeInfo) sim.Process { return cl.Renew(nil, info) }
 
 // Renew implements sim.Recycler: the initial state of a cluster process, in
-// old's tables, scratch and flooder when old is a cluster process. Records
-// that arrived before phase 3 of a run that ended first are dropped, so that
-// they pin no box.
-func (cl Cluster) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+// old's rows, scratch, slab and flooder when old is a cluster process.
+// Records that arrived before phase 3 of a run that ended first are
+// dropped, so that they pin no box.
+func (cl Cluster) Renew(old sim.Process, info sim.NodeInfo) sim.Process {
 	p := reuse[clusterProc](old)
 	p.fl.recycle()
+	clear(p.early)
 	*p = clusterProc{
-		factor: cl.Factor, parentPort: -1,
-		childPorts: emptied(p.childPorts), nbrCluster: emptied(p.nbrCluster),
-		upRecs: emptied(p.upRecs), finalRecs: p.finalRecs[:0],
-		markPorts: emptied(p.markPorts), queue: portQueue{emptied(p.queue.q)},
-		fl:      p.fl,
-		joinBuf: p.joinBuf[:0], answerBuf: p.answerBuf[:0], recBuf: p.recBuf[:0],
+		factor: cl.Factor, parentPort: -1, port: row(p.port, info.Degree),
+		upRecs: p.upRecs[:0], queue: p.queue.recycled(),
+		overlay: p.overlay[:0], fl: p.fl, early: p.early[:0], slab: p.slab.rewound(),
 	}
 	return p
 }
 
-// Cluster-algorithm message types. Records travel one per message: a
-// retained inter-cluster edge identified by (foreign cluster, owner node,
-// owner port).
-type (
-	cJoin   struct{ cluster int64 }
-	cAccept struct{}
-	cReject struct{ cluster int64 }
-	cRec    struct {
-		down    bool
-		other   int64 // foreign cluster id
-		owner   int64 // in-cluster endpoint's identity
-		ownPort int   // owner's port for the edge
-	}
-	cEnd  struct{ down bool }
-	cMark struct{}
+// cKind tags the cluster wire record.
+type cKind uint8
+
+const (
+	cJoin   cKind = iota // join the sender's cluster (phase 1)
+	cAccept              // joined: the sender is the receiver's child
+	cReject              // refused: the sender is in cluster already
+	cRec                 // a retained inter-cluster edge, streamed up or down (phase 2)
+	cEnd                 // the end of a record stream
+	cMark                // the edge is in the phase-3 overlay
 )
 
-func (m cJoin) Bits() int   { return 3 + sim.BitsFor(m.cluster) }
-func (cAccept) Bits() int   { return 3 }
-func (m cReject) Bits() int { return 3 + sim.BitsFor(m.cluster) }
-func (m cRec) Bits() int {
-	return 4 + sim.BitsFor(m.other) + sim.BitsFor(m.owner) + sim.BitsFor(int64(m.ownPort))
+// stage is the order a Round handles the kinds in: joins first, so that
+// same-round joins and answers are handled consistently, then the answers,
+// then the record streams; marks before all of them.
+var stage = [...]int{cMark: 0, cJoin: 1, cAccept: 2, cReject: 2, cRec: 3, cEnd: 3}
+
+// cMsg is the one wire record of the protocol's own traffic (the phase-3
+// flood sends *flMsg), sent as *cMsg from the sender's slab, the way kMsg
+// is. Records travel one per message.
+type cMsg struct {
+	kind    cKind
+	down    bool  // cRec, cEnd: the final set streaming down, not a subtree's streaming up
+	cluster int64 // cJoin, cReject: the sender's cluster
+	rec     record
 }
-func (cEnd) Bits() int  { return 4 }
-func (cMark) Bits() int { return 3 }
 
-// Package-level singletons for the field-less (and two-valued) payloads:
-// sending one never converts a fresh value into the Payload interface.
+// Bits implements sim.Payload.
+func (m *cMsg) Bits() int {
+	switch m.kind {
+	case cJoin, cReject:
+		return 3 + sim.BitsFor(m.cluster)
+	case cRec:
+		return 4 + sim.BitsFor(m.rec.other) + sim.BitsFor(m.rec.owner) + sim.BitsFor(int64(m.rec.ownPort))
+	case cEnd:
+		return 4
+	default: // cAccept, cMark
+		return 3
+	}
+}
+
+// The field-less records, shared by every sender.
 var (
-	msgAccept  sim.Payload = cAccept{}
-	msgMark    sim.Payload = cMark{}
-	msgEndUp   sim.Payload = cEnd{}
-	msgEndDown sim.Payload = cEnd{down: true}
+	msgAccept  = &cMsg{kind: cAccept}
+	msgMark    = &cMsg{kind: cMark}
+	msgEndUp   = &cMsg{kind: cEnd}
+	msgEndDown = &cMsg{kind: cEnd, down: true}
 )
 
-// record is a retained inter-cluster edge.
+// record is a retained inter-cluster edge: the foreign cluster, the
+// in-cluster endpoint's identity and that endpoint's port for the edge.
 type record struct {
 	other   int64
 	owner   int64
 	ownPort int
 }
 
+// cPort is what a node knows about one of its ports.
+type cPort struct {
+	heard   bool  // a JOIN or a REJECT told the neighbour's cluster
+	cluster int64 // the neighbour's cluster, once heard
+	child   bool  // the neighbour joined this node's tree
+	marked  bool  // the far side's record kept the edge for the overlay
+	owned   int   // records of the final set that name this node and port
+}
+
 type clusterProc struct {
 	factor float64
 	me     int64
+	// port is indexed by port.
+	port []cPort
 
 	// Phase 1 state.
 	joined     bool
 	cluster    int64
 	parentPort int
-	childPorts map[int]bool
 	awaiting   int // JOIN answers still outstanding
-	nbrCluster map[int]int64
 
 	// Phase 2 state.
-	endUpLeft int // children whose up-stream has not ended yet
-	upRecs    map[int64]record
+	endUpLeft int      // children whose up-stream has not ended yet
+	upRecs    []record // one per foreign cluster, ascending by it
 	sentUp    bool
-	finalRecs []record
-	markPorts map[int]bool
-	queue     portQueue
+	queue     drip[*cMsg]
 
 	// Phase 3 state.
-	inPh3 bool
-	fl    flooder
+	inPh3   bool
+	overlay []int // the flood's ports, ascending
+	fl      flooder
 	// early holds, in arrival order, the flood records that arrive before
 	// this node is in phase 3 (its neighbours may get there first); the
 	// round that enters phase 3 handles them as one inbox.
 	early []sim.Message
 
-	// Reusable per-round classification scratch.
-	joinBuf, answerBuf, recBuf []sim.Message
+	// slab holds the records this node sends (see cMsg).
+	slab slab[cMsg]
 }
 
 func (p *clusterProc) Start(c *sim.Context) {
@@ -142,34 +159,30 @@ func (p *clusterProc) Start(c *sim.Context) {
 		p.joined = true
 		p.cluster = p.me
 		p.awaiting = c.Degree()
-		c.Broadcast(cJoin{cluster: p.cluster})
+		c.Broadcast(p.slab.box(cMsg{kind: cJoin, cluster: p.cluster}))
 		p.maybeFinishPhase1(c)
 	}
 }
+
+// clusterRate bounds the phase-2 records a port carries per round.
+const clusterRate = 2
 
 func (p *clusterProc) Round(c *sim.Context, inbox []sim.Message) {
 	// Quiet round: no phase counts rounds — joins, record streams and the
 	// phase-3 flood all advance on deliveries or on queued sends — so with
 	// nothing arrived and nothing queued there is nothing to do.
-	if len(inbox) == 0 && p.queue.empty() && (!p.inPh3 || p.fl.idle()) {
+	if len(inbox) == 0 && p.queue.idle() && (!p.inPh3 || p.fl.idle()) {
 		c.IdleUntil(sim.Forever)
 		return
 	}
-	// Collect per-kind, processing joins first so that same-round
-	// joins/answers are handled consistently.
-	joins, answers, recs := p.joinBuf[:0], p.answerBuf[:0], p.recBuf[:0]
 	for _, in := range inbox {
-		switch in.Payload.(type) {
-		case cJoin:
-			joins = append(joins, in)
-		case cAccept, cReject:
-			answers = append(answers, in)
-		case cRec, cEnd:
-			recs = append(recs, in)
-		case cMark:
-			p.markPorts[in.Port] = true
-			if p.inPh3 {
-				p.fl.addPort(in.Port)
+		switch m := in.Payload.(type) {
+		case *cMsg:
+			if m.kind == cMark {
+				p.port[in.Port].marked = true
+				if p.inPh3 {
+					p.fl.addPort(in.Port)
+				}
 			}
 		case *flMsg:
 			if !p.inPh3 {
@@ -177,77 +190,106 @@ func (p *clusterProc) Round(c *sim.Context, inbox []sim.Message) {
 			}
 		}
 	}
-	p.joinBuf, p.answerBuf, p.recBuf = joins, answers, recs
-	for _, in := range joins {
-		p.handleJoin(c, in.Port, in.Payload.(cJoin))
-	}
-	for _, in := range answers {
-		p.handleAnswer(c, in.Port, in.Payload)
-	}
-	for _, in := range recs {
-		p.handleRec(c, in.Port, in.Payload)
-	}
-	p.queue.flush(func(port int, pl sim.Payload) { c.Send(port, pl) }, 2)
-	if p.inPh3 {
-		if p.early != nil { // entered phase 3 this round: early has the inbox's records too
-			inbox, p.early = p.early, nil
+	for st := stage[cJoin]; st <= stage[cRec]; st++ {
+		for _, in := range inbox {
+			if m, ok := in.Payload.(*cMsg); ok && stage[m.kind] == st {
+				p.handle(c, in.Port, m)
+			}
 		}
-		p.fl.round(inbox)
+	}
+	p.queue.flush(c, c.Degree(), clusterRate)
+	if p.inPh3 {
+		if len(p.early) > 0 { // entered phase 3 this round: early has the inbox's records too
+			p.fl.round(p.early)
+			clear(p.early)
+			p.early = p.early[:0]
+		} else {
+			p.fl.round(inbox)
+		}
 		p.fl.settle(c)
 	}
 }
 
-func (p *clusterProc) handleJoin(c *sim.Context, port int, m cJoin) {
-	p.nbrCluster[port] = m.cluster
-	if p.joined {
-		c.Send(port, cReject{cluster: p.cluster})
-		return
+// handle is one record of the protocol's own traffic.
+func (p *clusterProc) handle(c *sim.Context, port int, m *cMsg) {
+	switch m.kind {
+	case cJoin:
+		p.port[port].heard, p.port[port].cluster = true, m.cluster
+		if p.joined {
+			c.Send(port, p.slab.box(cMsg{kind: cReject, cluster: p.cluster}))
+			return
+		}
+		// First join request wins: adopt the cluster and keep flooding.
+		p.joined = true
+		p.cluster = m.cluster
+		p.parentPort = port
+		p.awaiting = c.Degree() - 1
+		c.Send(port, msgAccept)
+		c.BroadcastExcept(port, p.slab.box(cMsg{kind: cJoin, cluster: p.cluster}))
+		p.maybeFinishPhase1(c)
+	case cAccept, cReject:
+		if m.kind == cAccept {
+			p.port[port].child = true
+			p.endUpLeft++
+		} else {
+			p.port[port].heard, p.port[port].cluster = true, m.cluster
+		}
+		p.awaiting--
+		p.maybeFinishPhase1(c)
+	case cRec:
+		if !m.down {
+			p.addUp(m.rec) // sparsify: one edge per foreign cluster
+			return
+		}
+		p.own(m.rec)
+		p.pushChildren(m) // stream onward immediately (pipelined broadcast)
+	case cEnd:
+		if !m.down {
+			p.endUpLeft--
+			p.maybeSendUp(c)
+			return
+		}
+		p.pushChildren(m)
+		p.enterPhase3(c)
 	}
-	// First join request wins: adopt the cluster and keep flooding.
-	p.joined = true
-	p.cluster = m.cluster
-	p.parentPort = port
-	p.awaiting = c.Degree() - 1
-	c.Send(port, msgAccept)
-	c.BroadcastExcept(port, cJoin{cluster: p.cluster})
-	p.maybeFinishPhase1(c)
 }
 
-func (p *clusterProc) handleAnswer(c *sim.Context, port int, pl sim.Payload) {
-	switch m := pl.(type) {
-	case cAccept:
-		p.childPorts[port] = true
-		p.endUpLeft++
-	case cReject:
-		p.nbrCluster[port] = m.cluster
+// addUp keeps r unless a record toward its foreign cluster is kept already.
+func (p *clusterProc) addUp(r record) {
+	i, found := slices.BinarySearchFunc(p.upRecs, r.other, func(u record, other int64) int { return cmp.Compare(u.other, other) })
+	if !found {
+		p.upRecs = slices.Insert(p.upRecs, i, r)
 	}
-	p.awaiting--
-	p.maybeFinishPhase1(c)
+}
+
+// own counts r toward its port when this node is its owner.
+func (p *clusterProc) own(r record) {
+	if r.owner == p.me {
+		p.port[r.ownPort].owned++
+	}
+}
+
+// pushChildren queues m on every tree-child port.
+func (p *clusterProc) pushChildren(m *cMsg) {
+	for port := range p.port {
+		if p.port[port].child {
+			p.queue.push(port, m)
+		}
+	}
 }
 
 // maybeFinishPhase1 fires when every JOIN answer arrived: the local tree
 // neighborhood is known, so this node's own inter-cluster records are
-// final and the phase-2 convergecast can include them.
+// final and the phase-2 convergecast can include them. A foreign cluster
+// reachable through several ports is recorded through the lowest.
 func (p *clusterProc) maybeFinishPhase1(c *sim.Context) {
 	if !p.joined || p.awaiting > 0 {
 		return
 	}
-	// Ascending port order: a foreign cluster reachable through several
-	// ports must be recorded through the same (lowest) port on every run,
-	// or the retained edge — and with it the whole transcript — would
-	// depend on map iteration order.
-	ports := make([]int, 0, len(p.nbrCluster))
-	for port := range p.nbrCluster {
-		ports = append(ports, port)
-	}
-	sort.Ints(ports)
-	for _, port := range ports {
-		cl := p.nbrCluster[port]
-		if cl == p.cluster {
-			continue
-		}
-		if _, ok := p.upRecs[cl]; !ok {
-			p.upRecs[cl] = record{other: cl, owner: p.me, ownPort: port}
+	p.upRecs = slices.Grow(p.upRecs, len(p.port)) // at most one more per port
+	for port, pt := range p.port {
+		if pt.heard && pt.cluster != p.cluster {
+			p.addUp(record{other: pt.cluster, owner: p.me, ownPort: port})
 		}
 	}
 	p.maybeSendUp(c)
@@ -261,61 +303,21 @@ func (p *clusterProc) maybeSendUp(c *sim.Context) {
 	}
 	p.sentUp = true
 	if p.parentPort < 0 {
-		p.rootFinish(c)
+		// The candidate owns the final sparsified inter-cluster graph:
+		// broadcast it down and start phase 3.
+		for _, r := range p.upRecs {
+			p.own(r)
+			p.pushChildren(p.slab.box(cMsg{kind: cRec, down: true, rec: r}))
+		}
+		p.pushChildren(msgEndDown)
+		p.enterPhase3(c)
 		return
 	}
-	for _, cl := range sortedClusters(p.upRecs) {
-		r := p.upRecs[cl]
-		p.queue.push(p.parentPort, cRec{other: r.other, owner: r.owner, ownPort: r.ownPort})
+	p.queue.q = slices.Grow(p.queue.q, len(p.upRecs)+1) // the stream in one allocation
+	for _, r := range p.upRecs {
+		p.queue.push(p.parentPort, p.slab.box(cMsg{kind: cRec, rec: r}))
 	}
 	p.queue.push(p.parentPort, msgEndUp)
-}
-
-// rootFinish: the candidate owns the final sparsified inter-cluster graph;
-// broadcast it down and start phase 3.
-func (p *clusterProc) rootFinish(c *sim.Context) {
-	for _, cl := range sortedClusters(p.upRecs) {
-		p.finalRecs = append(p.finalRecs, p.upRecs[cl])
-	}
-	p.pushDown(c, p.finalRecs)
-	p.enterPhase3(c)
-}
-
-func (p *clusterProc) pushDown(c *sim.Context, recs []record) {
-	for port := range p.childPorts {
-		for _, r := range recs {
-			p.queue.push(port, cRec{down: true, other: r.other, owner: r.owner, ownPort: r.ownPort})
-		}
-		p.queue.push(port, msgEndDown)
-	}
-}
-
-func (p *clusterProc) handleRec(c *sim.Context, port int, pl sim.Payload) {
-	switch m := pl.(type) {
-	case cRec:
-		if m.down {
-			p.finalRecs = append(p.finalRecs, record{other: m.other, owner: m.owner, ownPort: m.ownPort})
-			// Stream onward immediately (pipelined broadcast).
-			for ch := range p.childPorts {
-				p.queue.push(ch, m)
-			}
-		} else {
-			r := record{other: m.other, owner: m.owner, ownPort: m.ownPort}
-			if _, ok := p.upRecs[m.other]; !ok {
-				p.upRecs[m.other] = r // sparsify: one edge per foreign cluster
-			}
-		}
-	case cEnd:
-		if m.down {
-			for ch := range p.childPorts {
-				p.queue.push(ch, m)
-			}
-			p.enterPhase3(c)
-		} else {
-			p.endUpLeft--
-			p.maybeSendUp(c)
-		}
-	}
 }
 
 // enterPhase3 computes the overlay ports and starts the f(n)=n election.
@@ -324,28 +326,17 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 		return
 	}
 	p.inPh3 = true
-	ports := make(map[int]bool)
-	if p.parentPort >= 0 {
-		ports[p.parentPort] = true
-	}
-	for ch := range p.childPorts {
-		ports[ch] = true
-	}
-	for _, r := range p.finalRecs {
-		if r.owner == p.me {
-			ports[r.ownPort] = true
-			c.Send(r.ownPort, msgMark)
+	// Never nil on a node with ports: nil would mean every port.
+	p.overlay = slices.Grow(p.overlay[:0], c.Degree())
+	for port, pt := range p.port {
+		for range pt.owned { // the far side learns that the edge is kept
+			c.Send(port, msgMark)
+		}
+		if port == p.parentPort || pt.child || pt.marked || pt.owned > 0 {
+			p.overlay = append(p.overlay, port)
 		}
 	}
-	for mp := range p.markPorts {
-		ports[mp] = true
-	}
-	sorted := make([]int, 0, len(ports))
-	for q := range ports {
-		sorted = append(sorted, q)
-	}
-	sort.Ints(sorted)
-	initFlooder(&p.fl, c.Degree(), sorted, true, tagPhaseB, c)
+	initFlooder(&p.fl, c.Degree(), p.overlay, true, tagPhaseB, c)
 	self := drawKey(c, rankSpace(c.Know().N))
 	// Anonymous networks reuse the phase-1 identity as the tiebreak token.
 	if !c.HasID() {
@@ -353,15 +344,6 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 	}
 	p.fl.start(self, 0)
 	p.fl.settle(c)
-}
-
-func sortedClusters(m map[int64]record) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 func init() {

@@ -33,23 +33,19 @@ type DFS struct {
 	BudgetCap int
 }
 
-var _ sim.Recycler = DFS{}
-
-// Name implements sim.Protocol.
-func (DFS) Name() string { return "dfs" }
-
 // New implements sim.Protocol.
 func (d DFS) New(info sim.NodeInfo) sim.Process { return d.Renew(nil, info) }
 
 // Renew implements sim.Recycler: the initial state of a DFS process, in
-// old's agent table when old is a DFS process.
+// old's slab when old is a DFS process.
 func (d DFS) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
 	p := reuse[dfsProc](old)
-	*p = dfsProc{capExp: d.BudgetCap, smallest: math.MaxInt64, agents: emptied(p.agents)}
+	*p = dfsProc{capExp: d.BudgetCap, smallest: math.MaxInt64, slab: p.slab.rewound()}
 	return p
 }
 
-// Message kinds of the DFS election.
+// Message kinds of the DFS election. An agent's token is sent as *agentMsg
+// from the sender's slab, the way kMsg is.
 type (
 	wakeMsg  struct{}
 	agentMsg struct {
@@ -59,9 +55,9 @@ type (
 	doneMsg struct{}
 )
 
-func (wakeMsg) Bits() int    { return 1 }
-func (m agentMsg) Bits() int { return 1 + sim.BitsFor(m.id) }
-func (doneMsg) Bits() int    { return 1 }
+func (wakeMsg) Bits() int     { return 1 }
+func (m *agentMsg) Bits() int { return 1 + sim.BitsFor(m.id) }
+func (doneMsg) Bits() int     { return 1 }
 
 // Field-less payload singletons: sends never re-box a fresh value.
 var (
@@ -69,7 +65,7 @@ var (
 	msgDone sim.Payload = doneMsg{}
 )
 
-// dfsAgent is the per-agent DFS bookkeeping kept at each visited node.
+// dfsAgent is an agent's DFS bookkeeping at a node it visited.
 type dfsAgent struct {
 	visited    bool
 	parentPort int
@@ -79,6 +75,7 @@ type dfsAgent struct {
 // dfsPend is the single waiting token at this node (only the locally
 // smallest agent may wait; larger waiting agents are destroyed).
 type dfsPend struct {
+	waiting  bool // a token waits
 	id       int64
 	bounce   bool // true: send back through bouncePort without advancing
 	bPort    int
@@ -90,9 +87,14 @@ type dfsProc struct {
 	started  bool
 	me       int64
 	smallest int64
-	agents   map[int64]*dfsAgent
-	pend     *dfsPend
+	// agent is the bookkeeping of agent smallest, the only one that can
+	// still act here: a larger agent dies on arrival, and a smaller one
+	// arrives at a node it never visited.
+	agent    dfsAgent
+	pend     dfsPend
 	doneSent bool
+	// slab holds the tokens this node sends (see agentMsg).
+	slab slab[agentMsg]
 }
 
 // period returns the step period 2^min(id, capExp) of agent id.
@@ -127,17 +129,17 @@ func (p *dfsProc) wake(c *sim.Context) {
 	if p.me < p.smallest {
 		p.smallest = p.me
 	}
-	p.agents[p.me] = &dfsAgent{visited: true, parentPort: -1}
-	p.schedule(c, &dfsPend{id: p.me})
+	p.agent = dfsAgent{visited: true, parentPort: -1}
+	p.schedule(c, dfsPend{id: p.me})
 }
 
 // schedule installs a pending token action unless a smaller token already
 // waits here (in which case the larger one is destroyed, per the paper).
-func (p *dfsProc) schedule(c *sim.Context, d *dfsPend) {
-	if p.pend != nil && p.pend.id < d.id {
+func (p *dfsProc) schedule(c *sim.Context, d dfsPend) {
+	if p.pend.waiting && p.pend.id < d.id {
 		return // new arrival destroyed by smaller waiting agent
 	}
-	d.dueRound = p.due(d.id, c.Round())
+	d.waiting, d.dueRound = true, p.due(d.id, c.Round())
 	p.pend = d // destroys any larger waiting agent
 }
 
@@ -152,18 +154,18 @@ func (p *dfsProc) Round(c *sim.Context, inbox []sim.Message) {
 		case doneMsg:
 			p.finish(c)
 			return
-		case agentMsg:
-			p.handleAgent(c, in.Port, m)
+		case *agentMsg:
+			p.handleAgent(c, in.Port, *m)
 		}
 	}
-	if p.pend != nil && c.Round() >= p.pend.dueRound {
+	if p.pend.waiting && c.Round() >= p.pend.dueRound {
 		d := p.pend
-		p.pend = nil
+		p.pend = dfsPend{}
 		p.step(c, d)
 	}
 	// The 2^ID wait is the algorithm: nothing above runs on an empty inbox
 	// until the waiting token (if any) falls due.
-	if p.pend != nil {
+	if p.pend.waiting {
 		c.IdleUntil(p.pend.dueRound)
 	} else {
 		c.IdleUntil(sim.Forever)
@@ -176,55 +178,52 @@ func (p *dfsProc) handleAgent(c *sim.Context, port int, m agentMsg) {
 	}
 	if m.id < p.smallest {
 		p.smallest = m.id
-		if p.pend != nil && p.pend.id > m.id {
-			p.pend = nil // destroy larger waiting agent
+		p.agent = dfsAgent{} // a node this agent never visited
+		if p.pend.waiting && p.pend.id > m.id {
+			p.pend = dfsPend{} // destroy larger waiting agent
 		}
 	}
 	if m.id < p.me && c.Status() == sim.Undecided {
 		// Evidence of a smaller candidate: this node cannot win.
 		c.Decide(sim.NonLeader)
 	}
-	st := p.agents[m.id]
-	if st == nil {
-		st = &dfsAgent{}
-		p.agents[m.id] = st
-	}
+	st := &p.agent
 	if m.back {
 		if !st.visited {
 			return // stale return for a destroyed traversal
 		}
 		// Token returns: continue the DFS at this node.
-		p.schedule(c, &dfsPend{id: m.id})
+		p.schedule(c, dfsPend{id: m.id})
 		return
 	}
 	if st.visited {
 		// Already annexed by this agent: bounce the token straight back.
-		p.schedule(c, &dfsPend{id: m.id, bounce: true, bPort: port})
+		p.schedule(c, dfsPend{id: m.id, bounce: true, bPort: port})
 		return
 	}
 	st.visited = true
 	st.parentPort = port
 	st.nextPort = 0
-	p.schedule(c, &dfsPend{id: m.id})
+	p.schedule(c, dfsPend{id: m.id})
 }
 
 // step executes one DFS step of the waiting token.
-func (p *dfsProc) step(c *sim.Context, d *dfsPend) {
+func (p *dfsProc) step(c *sim.Context, d dfsPend) {
 	if d.bounce {
-		c.Send(d.bPort, agentMsg{id: d.id, back: true})
+		c.Send(d.bPort, p.slab.box(agentMsg{id: d.id, back: true}))
 		return
 	}
-	st := p.agents[d.id]
+	st := &p.agent
 	for st.nextPort < c.Degree() && st.nextPort == st.parentPort {
 		st.nextPort++
 	}
 	if st.nextPort < c.Degree() {
-		c.Send(st.nextPort, agentMsg{id: d.id})
+		c.Send(st.nextPort, p.slab.box(agentMsg{id: d.id}))
 		st.nextPort++
 		return
 	}
 	if st.parentPort >= 0 {
-		c.Send(st.parentPort, agentMsg{id: d.id, back: true})
+		c.Send(st.parentPort, p.slab.box(agentMsg{id: d.id, back: true}))
 		return
 	}
 	// The agent explored every edge and returned home: this node leads.

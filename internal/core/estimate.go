@@ -20,11 +20,6 @@ import "ule/internal/sim"
 // preserves the flood-timing argument despite the skewed starts.
 type Estimate struct{}
 
-var _ sim.Recycler = Estimate{}
-
-// Name implements sim.Protocol.
-func (Estimate) Name() string { return "leastel-estimate" }
-
 // New implements sim.Protocol.
 func (e Estimate) New(info sim.NodeInfo) sim.Process { return e.Renew(nil, info) }
 

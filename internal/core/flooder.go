@@ -50,12 +50,11 @@ type flMsg struct {
 	HeardOrigin int64
 }
 
-// Phase tags multiplexing the flooders (and the start signal) of the
-// protocols that run the flood beside other traffic.
+// Phase tags multiplexing the flooders of the protocols that run the flood
+// beside other traffic.
 const (
 	tagPhaseA uint8 = iota + 1
 	tagPhaseB
-	tagStartB
 )
 
 // Bits implements sim.Payload; every identifier-sized field costs its bit
@@ -142,10 +141,75 @@ type flState struct {
 	pending    int32 // echoes still outstanding
 }
 
-// flRef is a wire record with the real port it leaves or arrived through.
-type flRef struct {
+// portRef is a wire record with the real port it leaves or arrived through.
+type portRef[P any] struct {
 	port int
-	m    *flMsg
+	m    P
+}
+
+// flRef is a flood record with its port.
+type flRef = portRef[*flMsg]
+
+// drip is a process's queue of records waiting for the wire: one FIFO for
+// all ports, dripped at a constant per-round rate per port so that streams
+// and bursts stay within the CONGEST per-edge budget. sent is flush's
+// per-port count, all zero between flushes and sized by the first one that
+// needs it.
+type drip[P sim.Payload] struct {
+	q    []portRef[P]
+	sent []uint8
+}
+
+func (d *drip[P]) push(port int, m P) { d.q = append(d.q, portRef[P]{port, m}) }
+
+// idle reports whether nothing is queued.
+func (d *drip[P]) idle() bool { return len(d.q) == 0 }
+
+// recycled returns d empty, its storage kept for the next run. A run can
+// end with records queued: the queue is cleared so that it pins none.
+func (d drip[P]) recycled() drip[P] {
+	clear(d.q)
+	clear(d.sent)
+	return drip[P]{q: d.q[:0], sent: d.sent[:0]}
+}
+
+// flush sends the first rate queued records of every port of a node of
+// degree deg through w, in queue order, and keeps the rest in order; it
+// runs once per Round, after the inbox was handled. Only the order within a
+// port is observable: link sequence numbers are per link and an inbox is
+// sorted by receiving port. A sent slot is cleared, so a drained queue pins
+// no record.
+func (d *drip[P]) flush(w sender, deg, rate int) {
+	q := d.q
+	if len(q) > rate { // a port may be over its rate
+		if len(d.sent) != deg {
+			d.sent = slices.Grow(d.sent[:0], deg)[:deg] // all zero: see recycled
+		}
+		for i := range q {
+			if p := q[i].port; int(d.sent[p]) < rate {
+				d.sent[p]++
+				w.Send(p, q[i].m)
+				q[i].port = ^p // sent
+			}
+		}
+		kept := 0
+		for _, r := range q {
+			if r.port < 0 {
+				d.sent[^r.port] = 0 // every port with a count sent something
+				continue
+			}
+			q[kept] = r
+			kept++
+		}
+		q = q[:kept]
+	} else {
+		for _, r := range q {
+			w.Send(r.port, r.m)
+		}
+		q = q[:0]
+	}
+	clear(d.q[len(q):])
+	d.q = q
 }
 
 // flooder is the least-element-list flood with echo-based termination used
@@ -166,11 +230,8 @@ type flooder struct {
 	ports []int
 	wire  sender
 
-	// q is the drip queue, one FIFO for all ports; sent is flush's
-	// per-port count, all zero between flushes and sized by the first one
-	// that needs it.
-	q    []flRef
-	sent []uint8
+	// q holds the records waiting for the wire.
+	q drip[*flMsg]
 	// ranks is handleInbox's reusable sort scratch.
 	ranks []flRef
 
@@ -199,12 +260,9 @@ type sender interface {
 const flushRate = 4
 
 // recycle returns f to the zero flooder, keeping the capacity of its queue,
-// scratch and list for the next run. A run can end with records queued:
-// the queue is cleared so that it pins no box.
+// scratch and list for the next run.
 func (f *flooder) recycle() {
-	clear(f.q)
-	clear(f.sent)
-	*f = flooder{q: f.q[:0], sent: f.sent[:0], ranks: f.ranks[:0], list: f.list[:0]}
+	*f = flooder{q: f.q.recycled(), ranks: f.ranks[:0], list: f.list[:0]}
 }
 
 // initFlooder initializes a flooder in place on a node of degree deg, on
@@ -236,7 +294,7 @@ func (f *flooder) listLen() int { return len(f.list) }
 func (f *flooder) out(port int) *flMsg {
 	b := flMsgPool.Get().(*flMsg)
 	*b = flMsg{Tag: f.tag}
-	f.q = append(f.q, flRef{port, b})
+	f.q.push(port, b)
 	return b
 }
 
@@ -244,7 +302,7 @@ func (f *flooder) out(port int) *flMsg {
 // for none).
 func (f *flooder) announce(k flKey, aux int64, skip int) {
 	n := f.numPorts()
-	f.q = slices.Grow(f.q, n)
+	f.q.q = slices.Grow(f.q.q, n)
 	for i := 0; i < n; i++ {
 		p := i
 		if f.ports != nil {
@@ -264,42 +322,8 @@ func (f *flooder) ack(port int, k flKey) {
 	b.HeardRank, b.HeardOrigin = f.heard.rank, f.heard.origin
 }
 
-// flush sends the first flushRate queued records of every port, in queue
-// order, and keeps the rest in order; it runs once per Round, after the
-// inbox was handled. Only the order within a port is observable: link
-// sequence numbers are per link and an inbox is sorted by receiving port.
-// A sent slot is cleared, so a drained queue pins no box.
-func (f *flooder) flush() {
-	q := f.q
-	if len(q) <= flushRate { // no port can be over its rate
-		for i := range q {
-			f.wire.Send(q[i].port, q[i].m)
-			q[i].m = nil
-		}
-		f.q = q[:0]
-		return
-	}
-	if len(f.sent) != f.deg {
-		f.sent = slices.Grow(f.sent[:0], f.deg)[:f.deg] // all zero: see recycle
-	}
-	for i := range q {
-		if p := q[i].port; f.sent[p] < flushRate {
-			f.sent[p]++
-			f.wire.Send(p, q[i].m)
-			q[i].m = nil
-		}
-	}
-	kept := 0
-	for i := range q {
-		f.sent[q[i].port] = 0
-		if q[i].m != nil {
-			q[kept] = q[i]
-			kept++
-		}
-	}
-	clear(q[kept:])
-	f.q = q[:kept]
-}
+// flush drips the queue onto the wire (see drip.flush).
+func (f *flooder) flush() { f.q.flush(f.wire, f.deg, flushRate) }
 
 // round is one Round of a process's only flooder: handle the inbox, give
 // its boxes back, drip the queue. It returns the number of records handled.
@@ -311,7 +335,7 @@ func (f *flooder) round(inbox []sim.Message) int {
 }
 
 // idle reports whether no flood traffic is queued.
-func (f *flooder) idle() bool { return len(f.q) == 0 }
+func (f *flooder) idle() bool { return f.q.idle() }
 
 // better reports whether a beats b in the flood's direction.
 func (f *flooder) better(a, b flKey) bool {

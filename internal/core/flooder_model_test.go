@@ -199,10 +199,10 @@ func sameBacklog(f *flooder, r *refFlooder) error {
 	for _, row := range r.rows {
 		want += len(row)
 	}
-	if len(f.q) != want {
-		return fmt.Errorf("%d records queued, reference %d", len(f.q), want)
+	if len(f.q.q) != want {
+		return fmt.Errorf("%d records queued, reference %d", len(f.q.q), want)
 	}
-	for _, slot := range f.q[len(f.q):cap(f.q)] {
+	for _, slot := range f.q.q[len(f.q.q):cap(f.q.q)] {
 		if slot.m != nil {
 			return fmt.Errorf("a sent queue slot still holds its box")
 		}
@@ -304,8 +304,6 @@ func (m refWire) Bits() int { return (*flMsg)(&m).Bits() }
 // refLeastEl is leastel (f = n) on the reference flooder: the same coins,
 // the same decisions, value payloads.
 type refLeastEl struct{ procs *[]*refLeastelProc }
-
-func (refLeastEl) Name() string { return "leastel(reference)" }
 
 func (p refLeastEl) New(sim.NodeInfo) sim.Process {
 	q := new(refLeastelProc)

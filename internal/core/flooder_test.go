@@ -247,17 +247,25 @@ func TestDeterministicSafetyQuick(t *testing.T) {
 	}
 }
 
-func TestPortQueueDrip(t *testing.T) {
-	q := portQueue{make(map[int][]sim.Payload)}
+// TestDripRateTwo: the drip queue at cluster's rate of two records per
+// port and round, on cluster records.
+func TestDripRateTwo(t *testing.T) {
+	var (
+		w wire
+		q drip[*cMsg]
+	)
 	for i := 0; i < 5; i++ {
-		q.push(0, idMsg{int64(i)})
+		q.push(0, &cMsg{kind: cJoin, cluster: int64(i)})
 	}
-	q.push(1, idMsg{99})
+	q.push(1, &cMsg{kind: cJoin, cluster: 99})
 	var sent [][2]int64 // (port, value)
-	send := func(port int, pl sim.Payload) {
-		sent = append(sent, [2]int64{int64(port), pl.(idMsg).id})
+	flush := func() {
+		q.flush(&w, 2, 2)
+		for _, m := range w.take() {
+			sent = append(sent, [2]int64{int64(m.Port), m.Payload.(*cMsg).cluster})
+		}
 	}
-	q.flush(send, 2)
+	flush()
 	if len(sent) != 3 { // 2 from port 0, 1 from port 1
 		t.Fatalf("first flush sent %d, want 3", len(sent))
 	}
@@ -265,10 +273,10 @@ func TestPortQueueDrip(t *testing.T) {
 		t.Error("FIFO order violated")
 	}
 	sent = nil
-	q.flush(send, 2)
-	q.flush(send, 2)
-	if len(sent) != 3 || !q.empty() {
-		t.Fatalf("remaining flushes sent %d, empty=%v", len(sent), q.empty())
+	flush()
+	flush()
+	if len(sent) != 3 || !q.idle() {
+		t.Fatalf("remaining flushes sent %d, idle=%v", len(sent), q.idle())
 	}
 }
 
@@ -307,7 +315,7 @@ func TestFlooderQueueDrip(t *testing.T) {
 	if !f.idle() {
 		t.Error("queue not drained")
 	}
-	for _, slot := range f.q[:cap(f.q)] {
+	for _, slot := range f.q.q[:cap(f.q.q)] {
 		if slot.m != nil {
 			t.Fatal("a drained queue still pins a box")
 		}

@@ -9,11 +9,6 @@ import "ule/internal/sim"
 // the gap the paper's algorithms close.
 type FloodMax struct{}
 
-var _ sim.Recycler = FloodMax{}
-
-// Name implements sim.Protocol.
-func (FloodMax) Name() string { return "flood" }
-
 // New implements sim.Protocol.
 func (f FloodMax) New(info sim.NodeInfo) sim.Process { return f.Renew(nil, info) }
 

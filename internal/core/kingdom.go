@@ -28,16 +28,6 @@ type Kingdom struct {
 	KnownD bool
 }
 
-var _ sim.Recycler = Kingdom{}
-
-// Name implements sim.Protocol.
-func (k Kingdom) Name() string {
-	if k.KnownD {
-		return "kingdom-d"
-	}
-	return "kingdom"
-}
-
 // New implements sim.Protocol.
 func (k Kingdom) New(info sim.NodeInfo) sim.Process { return k.Renew(nil, info) }
 

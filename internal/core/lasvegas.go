@@ -18,11 +18,6 @@ type LasVegas struct{}
 // lvCandidates is f, the expected number of candidates per epoch.
 const lvCandidates = 4
 
-var _ sim.Recycler = LasVegas{}
-
-// Name implements sim.Protocol.
-func (LasVegas) Name() string { return "lasvegas" }
-
 // New implements sim.Protocol.
 func (l LasVegas) New(info sim.NodeInfo) sim.Process { return l.Renew(nil, info) }
 

@@ -25,19 +25,6 @@ const (
 	FConst
 )
 
-func (k FKind) String() string {
-	switch k {
-	case FAll:
-		return "f=n"
-	case FLog:
-		return "f=log n"
-	case FConst:
-		return "f=const"
-	default:
-		return "f=?"
-	}
-}
-
 // fValue returns f(n) for budget kind k.
 func fValue(k FKind, n int, o Options) float64 {
 	var f float64
@@ -98,11 +85,6 @@ type LeastEl struct {
 	// Opt carries shared tuning parameters.
 	Opt Options
 }
-
-var _ sim.Recycler = LeastEl{}
-
-// Name implements sim.Protocol.
-func (l LeastEl) Name() string { return "leastel(" + l.F.String() + ")" }
 
 // New implements sim.Protocol.
 func (l LeastEl) New(info sim.NodeInfo) sim.Process { return l.Renew(nil, info) }

@@ -33,13 +33,7 @@ func poisonRenewals(t *testing.T) *int {
 		return ports
 	}
 	flood := func(f *flooder) {
-		q, sent, ranks, list := f.q[:cap(f.q)], f.sent[:cap(f.sent)], f.ranks[:cap(f.ranks)], f.list[:cap(f.list)]
-		for i := range q {
-			q[i] = flRef{port: 99, m: badBox}
-		}
-		for i := range sent {
-			sent[i] = 0xff
-		}
+		ranks, list := f.ranks[:cap(f.ranks)], f.list[:cap(f.list)]
 		for i := range ranks {
 			ranks[i] = flRef{port: 99, m: badBox}
 		}
@@ -48,7 +42,7 @@ func poisonRenewals(t *testing.T) *int {
 		}
 		bad := flKey{rank: math.MinInt64, origin: math.MinInt64}
 		*f = flooder{
-			min: !f.min, tag: 0x7f, deg: 99, ports: []int{99}, q: q, sent: sent, ranks: ranks, list: list,
+			min: !f.min, tag: 0x7f, deg: 99, ports: []int{99}, q: scribbledDrip(f.q, badBox), ranks: ranks, list: list,
 			self: bad, best: bad, heard: bad, completed: true, won: true,
 		}
 	}
@@ -58,18 +52,6 @@ func poisonRenewals(t *testing.T) *int {
 			msgs[i] = sim.Message{Port: 99, Payload: badBox}
 		}
 		return msgs
-	}
-	// A map is poisoned on every key a run can read (the ports, IDs and
-	// cluster identities of the small-ID trials, and -1).
-	const badKeys = 64
-	badPorts := func(m map[int]bool) map[int]bool {
-		if m == nil {
-			m = make(map[int]bool)
-		}
-		for k := -1; k < badKeys; k++ {
-			m[k] = true
-		}
-		return m
 	}
 	onRenew = func(old sim.Process) {
 		*poisoned++
@@ -96,42 +78,22 @@ func poisonRenewals(t *testing.T) *int {
 		case *floodProc:
 			*p = floodProc{me: math.MaxInt64, max: math.MaxInt64, deadline: -1, slab: scribbled(p.slab, idMsg{math.MaxInt64})}
 		case *dfsProc:
-			agents := p.agents
-			if agents == nil {
-				agents = make(map[int64]*dfsAgent)
-			}
-			for id := int64(-1); id < badKeys; id++ {
-				agents[id] = nil // the key; the loop below poisons every entry
-			}
-			for id := range agents {
-				agents[id] = &dfsAgent{visited: true, parentPort: 99, nextPort: 99}
-			}
 			*p = dfsProc{
-				capExp: -1, started: true, me: -1, smallest: math.MinInt64, agents: agents,
-				pend: &dfsPend{id: -1, bounce: true, bPort: 99, dueRound: -1}, doneSent: true,
+				capExp: -1, started: true, me: -1, smallest: math.MinInt64,
+				agent:    dfsAgent{visited: true, parentPort: 99, nextPort: 99},
+				pend:     dfsPend{waiting: true, id: -1, bounce: true, bPort: 99, dueRound: -1},
+				doneSent: true, slab: scribbled(p.slab, agentMsg{id: -1, back: true}),
 			}
 		case *clusterProc:
 			flood(&p.fl)
-			bad := record{other: -1, owner: -1, ownPort: 99}
-			nbr, up, queue := p.nbrCluster, p.upRecs, p.queue.q
-			if nbr == nil {
-				nbr, up, queue = make(map[int]int64), make(map[int64]record), make(map[int][]sim.Payload)
-			}
-			for k := -1; k < badKeys; k++ {
-				nbr[k], up[int64(k)], queue[k] = -1, bad, []sim.Payload{badBox}
-			}
-			for k := range up {
-				up[k] = bad
-			}
-			final := p.finalRecs[:cap(p.finalRecs)]
-			for i := range final {
-				final[i] = bad
-			}
+			badRec := record{other: -1, owner: -1, ownPort: 99}
+			badC := cMsg{kind: cRec, down: true, cluster: -1, rec: badRec}
 			*p = clusterProc{
-				factor: -1, me: -1, joined: true, cluster: -1, parentPort: 99, childPorts: badPorts(p.childPorts),
-				awaiting: 99, nbrCluster: nbr, endUpLeft: 99, upRecs: up, sentUp: true, finalRecs: final,
-				markPorts: badPorts(p.markPorts), queue: portQueue{queue}, inPh3: true, fl: p.fl,
-				early: badMsgs(p.early), joinBuf: badMsgs(p.joinBuf), answerBuf: badMsgs(p.answerBuf), recBuf: badMsgs(p.recBuf),
+				factor: -1, me: -1, port: scribbledRow(p.port, cPort{heard: true, cluster: -1, child: true, marked: true, owned: 99}),
+				joined: true, cluster: -1, parentPort: 99, awaiting: 99, endUpLeft: 99,
+				upRecs: scribbledRow(p.upRecs, badRec), sentUp: true,
+				queue: scribbledDrip(p.queue, &badC), inPh3: true, overlay: fill(p.overlay), fl: p.fl,
+				early: badMsgs(p.early), slab: scribbled(p.slab, badC),
 			}
 		case *estimateProc:
 			flood(&p.flA)
@@ -139,7 +101,19 @@ func poisonRenewals(t *testing.T) *int {
 			*p = estimateProc{flA: p.flA, flB: p.flB, inB: true, startFwd: true, sawAWin: true}
 		case *spannerLEProc:
 			flood(&p.fl)
-			*p = spannerLEProc{k: -1, machine: p.machine, startRd: -1, electing: true, fl: p.fl}
+			bs := &p.bs
+			picked := bs.picked
+			if picked == nil {
+				picked = make(map[int64]bool)
+			}
+			for id := int64(-1); id < 64; id++ { // every identity a small-ID trial can read
+				picked[id] = true
+			}
+			p.bs = baswanaSen{
+				k: -1, prob: 2, cluster: -1, sampled: true, port: scribbledRow(bs.port, bsPort{true, true, true, true, -1}),
+				picked: picked, ports: fill(bs.ports), slab: scribbled(bs.slab, bsMsg{kind: bsMark, sampled: true, cluster: -1}),
+			}
+			*p = spannerLEProc{bs: p.bs, startRd: -1, electing: true, fl: p.fl}
 		case *lvProc:
 			flood(&p.fl)
 			*p = lvProc{epochEnd: -1, fl: p.fl, active: true}
@@ -150,6 +124,21 @@ func poisonRenewals(t *testing.T) *int {
 	}
 	t.Cleanup(func() { onRenew = nil })
 	return poisoned
+}
+
+// scribbledRow returns s to its capacity, every element bad.
+func scribbledRow[T any](s []T, bad T) []T {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = bad
+	}
+	return s
+}
+
+// scribbledDrip returns d with every slot of its queue holding bad for a
+// port no node has, and every count at its limit.
+func scribbledDrip[P sim.Payload](d drip[P], bad P) drip[P] {
+	return drip[P]{q: scribbledRow(d.q, portRef[P]{port: 99, m: bad}), sent: scribbledRow(d.sent, 0xff)}
 }
 
 // scribbled returns s with every record of every chunk it ever started
@@ -326,7 +315,7 @@ func renewedStateDiff(t *testing.T, cfg sim.Config, proto sim.Recycler) string {
 			return d
 		}
 		for _, f := range flooders(renewed) {
-			for _, r := range f.q[:cap(f.q)] {
+			for _, r := range f.q.q[:cap(f.q.q)] {
 				if r.m != nil {
 					return fmt.Sprintf("node %d: the emptied drip queue pins a box", u)
 				}

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // slab chunk-allocates the wire records one process sends as pointers, so
 // that a Send boxes nothing: box copies a record into the current chunk,
 // and a full chunk is left in place — records in flight keep pointing into
@@ -45,6 +47,14 @@ func emptied[K comparable, V any](m map[K]V) map[K]V {
 	}
 	clear(m)
 	return m
+}
+
+// row returns s as n zero elements, on s's storage when it has room: a
+// per-port row of a node of degree n.
+func row[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // extend lengthens s by one element: the one an earlier run of the process

@@ -1,7 +1,8 @@
-package spanner
+package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,52 +10,62 @@ import (
 	"ule/internal/sim"
 )
 
-// buildProto runs only the spanner construction and records each node's
-// marked ports.
-type buildProto struct {
+// spannerBuild runs only the Baswana–Sen construction and records each
+// node's spanner ports.
+type spannerBuild struct {
 	k  int
 	mu *sync.Mutex
-	// ports[id] = marked ports of the node with that identity.
+	// ports[id] = spanner ports of the node with that identity.
 	ports map[int64][]int
 }
 
-func (b *buildProto) Name() string { return "spanner-build" }
-
-func (b *buildProto) New(info sim.NodeInfo) sim.Process {
-	return &buildProc{k: b.k, proto: b}
+func (b *spannerBuild) New(info sim.NodeInfo) sim.Process {
+	p := &spannerBuildProc{proto: b}
+	p.bs = p.bs.renewed(b.k, info)
+	return p
 }
 
-type buildProc struct {
-	k     int
-	proto *buildProto
-	m     *Machine
+type spannerBuildProc struct {
+	proto *spannerBuild
+	bs    baswanaSen
 	start int
 	done  bool
 }
 
-func (p *buildProc) Start(c *sim.Context) {
-	p.m = New(c.ID(), c.Know().N, p.k)
+func (p *spannerBuildProc) Start(c *sim.Context) {
+	p.bs.cluster = c.ID()
 	p.start = c.Round()
 }
 
-func (p *buildProc) Round(c *sim.Context, inbox []sim.Message) {
+func (p *spannerBuildProc) Round(c *sim.Context, inbox []sim.Message) {
 	if p.done {
 		return
 	}
-	if p.m.Step(c, c.Round()-p.start, inbox) {
+	if p.bs.step(c, c.Round()-p.start, inbox) {
 		p.done = true
 		p.proto.mu.Lock()
-		p.proto.ports[c.ID()] = p.m.Ports()
+		p.proto.ports[c.ID()] = slices.Clone(p.bs.spannerPorts())
 		p.proto.mu.Unlock()
 		c.Decide(sim.NonLeader)
 		c.Halt()
 	}
 }
 
+// spannerRounds returns the construction's fixed schedule length for
+// parameter k: k−1 iterations of i+3 rounds plus a 3-round final
+// iteration.
+func spannerRounds(k int) int {
+	t := 0
+	for i := 0; i <= k-2; i++ {
+		t += i + 3
+	}
+	return t + 3
+}
+
 // buildSpanner runs the construction on g and returns the spanner subgraph.
 func buildSpanner(t *testing.T, g *graph.Graph, k int, seed int64) *graph.Graph {
 	t.Helper()
-	proto := &buildProto{k: k, mu: &sync.Mutex{}, ports: make(map[int64][]int)}
+	proto := &spannerBuild{k: k, mu: &sync.Mutex{}, ports: make(map[int64][]int)}
 	ids := make([]int64, g.N())
 	for i := range ids {
 		ids[i] = int64(i) + 1
@@ -62,7 +73,7 @@ func buildSpanner(t *testing.T, g *graph.Graph, k int, seed int64) *graph.Graph 
 	res, err := sim.Run(sim.Config{
 		Graph: g, IDs: ids, Seed: seed,
 		Know:      sim.Knowledge{N: g.N(), HasN: true},
-		MaxRounds: TotalRounds(k) + 4,
+		MaxRounds: spannerRounds(k) + 4,
 	}, proto)
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +122,24 @@ func buildSpanner(t *testing.T, g *graph.Graph, k int, seed int64) *graph.Graph 
 	return sg
 }
 
+// TestSpannerSchedule: every node finishes the construction in the last
+// round of its fixed schedule.
 func TestSpannerSchedule(t *testing.T) {
-	if got := TotalRounds(2); got != 6 {
-		t.Errorf("TotalRounds(2) = %d, want 6", got)
-	}
-	if got := TotalRounds(4); got != 15 {
-		t.Errorf("TotalRounds(4) = %d, want 15", got)
+	for k, want := range map[int]int{2: 6, 4: 15} {
+		if got := spannerRounds(k); got != want {
+			t.Errorf("spannerRounds(%d) = %d, want %d", k, got, want)
+		}
+		proto := &spannerBuild{k: k, mu: &sync.Mutex{}, ports: make(map[int64][]int)}
+		res, err := sim.Run(sim.Config{
+			Graph: graph.Complete(8), IDs: []int64{1, 2, 3, 4, 5, 6, 7, 8}, Seed: 1,
+			Know: sim.Knowledge{N: 8, HasN: true}, MaxRounds: want + 4,
+		}, proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Halted || res.Rounds != want {
+			t.Errorf("k=%d: construction ended in round %d (halted %v), want %d", k, res.Rounds, res.Halted, want)
+		}
 	}
 }
 
@@ -129,8 +152,8 @@ func TestSpannerPreservesConnectivityAndStretch(t *testing.T) {
 	}{
 		{"complete-20-k2", graph.Complete(20), 2},
 		{"complete-40-k3", graph.Complete(40), 3},
-		{"dense-random-k2", mustRandom(t, rng, 60, 600), 2},
-		{"dense-random-k3", mustRandom(t, rng, 80, 1200), 3},
+		{"dense-random-k2", mustRandomGraph(t, rng, 60, 600), 2},
+		{"dense-random-k3", mustRandomGraph(t, rng, 80, 1200), 3},
 		{"ring", graph.Ring(30), 3},
 		{"star", graph.Star(25), 2},
 		{"hypercube", graph.Hypercube(5), 2},
@@ -178,7 +201,7 @@ func TestSpannerSparsifiesDenseGraphs(t *testing.T) {
 	}
 }
 
-func mustRandom(t *testing.T, rng *rand.Rand, n, m int) *graph.Graph {
+func mustRandomGraph(t *testing.T, rng *rand.Rand, n, m int) *graph.Graph {
 	t.Helper()
 	g, err := graph.RandomConnected(n, m, rng)
 	if err != nil {

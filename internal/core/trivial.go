@@ -8,11 +8,6 @@ import "ule/internal/sim"
 // lower bounds require a suitably large constant success probability.
 type Trivial struct{}
 
-var _ sim.Recycler = Trivial{}
-
-// Name implements sim.Protocol.
-func (Trivial) Name() string { return "trivial" }
-
 // New implements sim.Protocol.
 func (t Trivial) New(info sim.NodeInfo) sim.Process { return t.Renew(nil, info) }
 

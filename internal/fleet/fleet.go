@@ -405,6 +405,16 @@ type workerLine struct {
 	err  string
 }
 
+// parseWorkerLine reads one stdout line of a worker; a line of neither
+// form is the zero workerLine.
+func parseWorkerLine(s string) workerLine {
+	var ln workerLine
+	if n, _ := fmt.Sscanf(s, "%s %d %d err %q", &ln.kind, &ln.a, &ln.b, &ln.err); n < 3 {
+		return workerLine{}
+	}
+	return ln
+}
+
 // spawn starts the slot's worker process in its streaming form; nil means
 // the exec failed (logged), which the caller treats as a failed attempt.
 func (c *coordinator) spawn(slot int) *workerProc {
@@ -433,11 +443,7 @@ func (c *coordinator) spawn(slot int) *workerProc {
 	go func() {
 		defer close(w.lines)
 		for sc := bufio.NewScanner(stdout); sc.Scan(); {
-			var ln workerLine
-			if n, _ := fmt.Sscanf(sc.Text(), "%s %d %d err %q", &ln.kind, &ln.a, &ln.b, &ln.err); n < 3 {
-				ln = workerLine{}
-			}
-			w.lines <- ln
+			w.lines <- parseWorkerLine(sc.Text())
 		}
 	}()
 	c.event("spawn", w, nil)

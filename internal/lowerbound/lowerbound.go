@@ -58,27 +58,29 @@ type MessageRow struct {
 }
 
 // MessageLB runs the Theorem 3.1 experiment: algorithm msgs/m on sampled
-// dumbbells of per-side size n and edge budget m.
+// dumbbells of per-side size n and edge budget m, every trial on one
+// Prepared rebound to its dumbbell.
 func MessageLB(n, m int, sw Sweep) (MessageRow, error) {
 	rng := rand.New(rand.NewSource(sw.Seed))
 	var ratios, before, crossAt, msgs []float64
 	successes := 0
 	var dval int
+	var (
+		prep core.Prepared
+		res  sim.Result
+	)
 	for trial := 0; trial < sw.Trials; trial++ {
 		db, kappa, err := graph.RandomDumbbell(n, m, rng)
 		if err != nil {
 			return MessageRow{}, err
 		}
+		if err := prep.Rebind(db.Graph, sw.Algo); err != nil {
+			return MessageRow{}, err
+		}
 		dval = 2*(n-kappa) + 1
 		ids := sim.RandomIDs(db.N(), rng)
-		res, err := core.Run(db.Graph, sw.Algo, core.RunOpts{
-			Seed:       rng.Int63(),
-			IDs:        ids,
-			D:          dval,
-			MaxRounds:  sw.maxRounds(),
-			WatchEdges: db.Bridges[:],
-		})
-		if err != nil {
+		ro := core.RunOpts{Seed: rng.Int63(), IDs: ids, D: dval, MaxRounds: sw.maxRounds(), WatchEdges: db.Bridges[:]}
+		if err := prep.RunInto(ro, &res); err != nil {
 			return MessageRow{}, fmt.Errorf("dumbbell n=%d m=%d: %w", n, m, err)
 		}
 		ratios = append(ratios, float64(res.Messages)/float64(db.M()))
@@ -140,15 +142,17 @@ func TimeLB(n, d int, sw Sweep, fracs ...float64) (TimeRow, []TruncatedRow, erro
 	rng := rand.New(rand.NewSource(sw.Seed))
 	var ratios []float64
 	successes := make([]int, len(budgets))
+	var (
+		prep core.Prepared
+		res  sim.Result
+	)
 	for trial := 0; trial < sw.Trials; trial++ {
 		g := cc.Graph.Clone()
 		g.ShufflePorts(rng)
-		prep, err := core.Prepare(g, sw.Algo)
-		if err != nil {
+		if err := prep.Rebind(g, sw.Algo); err != nil {
 			return TimeRow{}, nil, err
 		}
 		ro := core.RunOpts{Seed: rng.Int63(), IDs: sim.RandomIDs(g.N(), rng), D: diam}
-		var res sim.Result
 		for i, budget := range budgets {
 			ro.MaxRounds = budget
 			if err := prep.RunInto(ro, &res); err != nil {
@@ -185,12 +189,15 @@ type TrivialRow struct {
 
 // TrivialSuccess measures the success probability of the 1/n self-election.
 func TrivialSuccess(n, trials int, seed int64) (TrivialRow, error) {
-	g := graph.Ring(n)
+	prep, err := core.Prepare(graph.Ring(n), "trivial")
+	if err != nil {
+		return TrivialRow{}, err
+	}
 	successes := 0
 	var msgs int64
+	var res sim.Result
 	for trial := 0; trial < trials; trial++ {
-		res, err := core.Run(g, "trivial", core.RunOpts{Seed: seed + int64(trial)})
-		if err != nil {
+		if err := prep.RunInto(core.RunOpts{Seed: seed + int64(trial)}, &res); err != nil {
 			return TrivialRow{}, err
 		}
 		msgs += res.Messages

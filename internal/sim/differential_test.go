@@ -36,7 +36,6 @@ func mustMatchReference(t *testing.T, cfg Config, p Protocol) *Result {
 // the model (an invalid port, a payload over the CONGEST budget).
 type chaosProto struct{ violate bool }
 
-func (chaosProto) Name() string           { return "chaos" }
 func (p chaosProto) New(NodeInfo) Process { return &chaosProc{violate: p.violate} }
 
 type chaosProc struct {
@@ -171,7 +170,6 @@ func TestReferenceRandomSchedules(t *testing.T) {
 // otherwise.
 type lateBadPortProto struct{}
 
-func (lateBadPortProto) Name() string         { return "late-bad-port" }
 func (lateBadPortProto) New(NodeInfo) Process { return lateBadPort{} }
 
 type lateBadPort struct{}

@@ -13,7 +13,6 @@ import (
 // and steps two awake nodes — three units of due work.
 type bounceProto struct{}
 
-func (bounceProto) Name() string         { return "bounce" }
 func (bounceProto) New(NodeInfo) Process { return bounceProc{} }
 
 type bounceProc struct{}
@@ -75,7 +74,6 @@ func BenchmarkTickDispatch(b *testing.B) {
 // haltProto is the emptiest run there is: every node halts as it wakes.
 type haltProto struct{}
 
-func (haltProto) Name() string         { return "halt" }
 func (haltProto) New(NodeInfo) Process { return haltProc{} }
 
 type haltProc struct{}

@@ -82,7 +82,6 @@ func TestDispatchInvariance(t *testing.T) {
 // 2, after a first round busy enough to go to the pool.
 type twiceProto struct{}
 
-func (twiceProto) Name() string                 { return "twice" }
 func (twiceProto) New(sim.NodeInfo) sim.Process { return twiceProc{} }
 
 type twiceProc struct{}

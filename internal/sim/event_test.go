@@ -118,7 +118,6 @@ func TestAsyncUnitMatchesSync(t *testing.T) {
 // its timer fires, with no messages in the network at all.
 type sleeperProto struct{ delta int }
 
-func (p sleeperProto) Name() string         { return "sleeper" }
 func (p sleeperProto) New(NodeInfo) Process { return &sleeperProc{delta: p.delta} }
 
 type sleeperProc struct {
@@ -279,7 +278,6 @@ func TestAsyncRunnerReuse(t *testing.T) {
 // the sparsest possible protocol, used to probe termination corners.
 type haltInStartProto struct{}
 
-func (haltInStartProto) Name() string         { return "halt-in-start" }
 func (haltInStartProto) New(NodeInfo) Process { return haltInStart{} }
 
 type haltInStart struct{}
@@ -324,7 +322,6 @@ func TestStaleWakeDoesNotInflateRounds(t *testing.T) {
 // arrival in every mode.
 type requestAndHaltProto struct{}
 
-func (requestAndHaltProto) Name() string         { return "request-and-halt" }
 func (requestAndHaltProto) New(NodeInfo) Process { return requestAndHalt{} }
 
 type requestAndHalt struct{}

@@ -156,7 +156,6 @@ type waitProto struct {
 	steps *int
 }
 
-func (waitProto) Name() string                   { return "wait" }
 func (p waitProto) New(sim.NodeInfo) sim.Process { return p }
 func (waitProto) Start(*sim.Context)             {}
 

@@ -207,7 +207,6 @@ func (p drawProto) coins(u int) int {
 	return u%5 + 1
 }
 
-func (drawProto) Name() string           { return "draw" }
 func (p drawProto) New(NodeInfo) Process { return p }
 func (drawProto) Start(*Context)         {}
 

@@ -1,9 +1,11 @@
 // The execution-model spec: one parsed value carrying the communication
 // mode, the asynchronous delay adversary and the fault adversary, with one
-// grammar. Config.Model holds it, every layer above the simulator
-// (core.RunOpts, election.Params, harness.Spec, the CLIs) builds it through
-// ParseModel and hands it down unchanged, so the constraints between the
-// three axes are defined — and documented — exactly here.
+// grammar. Config.Model holds it and every layer above the simulator hands
+// it down unchanged, so the constraints between the three axes are
+// defined — and documented — exactly here. The CLIs, uled and
+// election.Params build it from a string through ParseModel; harness.Spec
+// keeps the axes apart and builds it from ParseMode, ParseDelay and
+// ParseFaults, whose grammars ParseModel shares term for term.
 package sim
 
 import (
@@ -56,7 +58,8 @@ func (m ModelSpec) String() string {
 }
 
 // ParseModel resolves an execution-model spec string: "+"-separated
-// terms, each either a mode ("congest", "local", "async"), a delay
+// terms, each either a mode ("congest", "local", "async", in any case, as
+// ParseMode reads them), a delay
 // schedule ("unit", "random:B", "fifo:B" — async only), or a fault term
 // (see ParseFaults: "crash:P[:W]", "crash@T:u1,u2,...",
 // "crashrec:P:D[:keep]", "drop:P", "churn:P:K"; "none" is accepted and
@@ -76,7 +79,11 @@ func ParseModel(spec string) (ModelSpec, error) {
 	}
 	var faultTerms []string
 	for _, term := range strings.Split(spec, "+") {
-		switch kind, _, _ := strings.Cut(term, ":"); kind {
+		kind, _, _ := strings.Cut(term, ":")
+		if lower := strings.ToLower(kind); lower == "congest" || lower == "local" || lower == "async" {
+			kind = lower // a mode term, matched the way ParseMode matches it
+		}
+		switch kind {
 		case "congest", "local", "async":
 			if m.Mode != 0 {
 				return ModelSpec{}, fmt.Errorf("sim: model %q has two mode terms", spec)

@@ -54,6 +54,21 @@ func TestParseModel(t *testing.T) {
 	}
 }
 
+// TestParseModeAndModelAgree: a sweep's mode axis (ParseMode) and a model
+// string (ParseModel) accept the same mode spellings and read the same Mode
+// from each.
+func TestParseModeAndModelAgree(t *testing.T) {
+	for _, s := range []string{"", "congest", "local", "async", "CONGEST", "Local", "ASYNC", "aSyNc", "asynch", "warp"} {
+		mode, modeErr := ParseMode(s)
+		m, modelErr := ParseModel(s)
+		if (modeErr == nil) != (modelErr == nil) {
+			t.Errorf("%q: ParseMode error %v, ParseModel error %v", s, modeErr, modelErr)
+		} else if modeErr == nil && m.Mode != mode {
+			t.Errorf("%q: ParseMode reads %v, ParseModel %v", s, mode, m.Mode)
+		}
+	}
+}
+
 func TestModelSpecZero(t *testing.T) {
 	var m ModelSpec
 	if m.String() != "congest" {

@@ -176,7 +176,6 @@ func TestInboxOrderMatchesStableSort(t *testing.T) {
 // it decides by the digest's parity and halts.
 type burstProto struct{ per int }
 
-func (burstProto) Name() string           { return "burst" }
 func (p burstProto) New(NodeInfo) Process { return &burstProc{per: p.per} }
 
 type burstProc struct {
@@ -248,7 +247,6 @@ type chatterProto struct {
 	perTick []atomic.Int64
 }
 
-func (*chatterProto) Name() string           { return "chatter" }
 func (p *chatterProto) New(NodeInfo) Process { return p }
 func (p *chatterProto) Start(c *Context)     {}
 func (p *chatterProto) peak() (peak int64) {
@@ -354,7 +352,6 @@ func TestWheelStorageFollowsTraffic(t *testing.T) {
 // round.
 type rollcallProto struct{ until int }
 
-func (rollcallProto) Name() string { return "rollcall" }
 func (p rollcallProto) New(info NodeInfo) Process {
 	return &rollcallProc{until: p.until, id: info.ID}
 }

@@ -14,7 +14,6 @@ import (
 // through port 0 once more than the default cap allows.
 type overSendProto struct{ at int }
 
-func (overSendProto) Name() string           { return "over-send" }
 func (p overSendProto) New(NodeInfo) Process { return &overSender{at: p.at} }
 
 type overSender struct {

@@ -138,8 +138,6 @@ type Process interface {
 
 // Protocol creates the per-node processes of a distributed algorithm.
 type Protocol interface {
-	// Name returns a short identifier for reporting.
-	Name() string
 	// New returns the process run by a node with the given static info.
 	New(info NodeInfo) Process
 }

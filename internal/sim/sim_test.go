@@ -17,7 +17,6 @@ type floodOnce struct{ seen bool }
 
 type floodOnceProto struct{}
 
-func (floodOnceProto) Name() string              { return "flood-once" }
 func (floodOnceProto) New(info NodeInfo) Process { return &floodOnce{} }
 
 func (p *floodOnce) Start(c *Context) {
@@ -105,7 +104,6 @@ type doubleSender struct{}
 
 type doubleSenderProto struct{}
 
-func (doubleSenderProto) Name() string              { return "double" }
 func (doubleSenderProto) New(info NodeInfo) Process { return doubleSender{} }
 func (doubleSender) Start(c *Context)               {}
 func (doubleSender) Round(c *Context, inbox []Message) {
@@ -137,7 +135,6 @@ func (fatMsg) Bits() int { return 1 << 20 }
 
 type fatSenderProto struct{}
 
-func (fatSenderProto) Name() string              { return "fat" }
 func (fatSenderProto) New(info NodeInfo) Process { return fatSender{} }
 
 type fatSender struct{}
@@ -195,7 +192,6 @@ func TestMaxRoundsCap(t *testing.T) {
 
 type babblerProto struct{}
 
-func (babblerProto) Name() string              { return "babbler" }
 func (babblerProto) New(info NodeInfo) Process { return babbler{} }
 
 type babbler struct{}
@@ -229,7 +225,6 @@ func TestDeterminism(t *testing.T) {
 // coinProto uses node coins so determinism of seeding is actually tested.
 type coinProto struct{}
 
-func (coinProto) Name() string              { return "coin" }
 func (coinProto) New(info NodeInfo) Process { return &coinProc{} }
 
 type coinProc struct{ sent int }

@@ -114,7 +114,6 @@ func TestTimingWheelNoCurrentSlotCollision(t *testing.T) {
 // statuses.
 type busyProto struct{ stop int }
 
-func (busyProto) Name() string                { return "busy" }
 func (b busyProto) New(info NodeInfo) Process { return &busyProc{stop: b.stop} }
 
 type busyProc struct{ stop int }
@@ -164,7 +163,6 @@ type farWakeMsg struct{}
 
 func (farWakeMsg) Bits() int { return 1 }
 
-func (farWakeProto) Name() string              { return "farwake" }
 func (farWakeProto) New(info NodeInfo) Process { return &farWakeProc{} }
 
 type farWakeProc struct{ sent bool }
