@@ -66,9 +66,20 @@ race:
 # (TestRebindMatchesFresh): one Runner through graphs of other sizes and
 # back, at 1, 2 and 4 shards, where rows and shards carved for the last
 # graph are exactly what a stale range would race on.
+# Every name in either -run list must match a test (go test -list), so a
+# renamed or deleted test fails the target instead of leaving the matrix
+# without a word.
+RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh
+RACE_SWEEP_RUN := TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion
 race-matrix:
-	$(GO) test -race -cpu 1,2,4 -run 'TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh' ./internal/sim ./internal/core
-	$(GO) test -race -cpu 4 -run 'TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion' ./internal/harness
+	@set -e; for arg in '$(RACE_ENGINE_RUN);./internal/sim ./internal/core' '$(RACE_SWEEP_RUN);./internal/harness'; do \
+		run="$${arg%%;*}"; pkgs="$${arg#*;}"; tests="$$($(GO) test -list '.*' $$pkgs | grep '^Test')"; \
+		for name in $$(echo "$$run" | tr '|' ' '); do \
+			echo "$$tests" | grep -qE "$$name" || { echo "race-matrix: -run name $$name matches no test in $$pkgs"; exit 1; }; \
+		done; \
+	done
+	$(GO) test -race -cpu 1,2,4 -run '$(RACE_ENGINE_RUN)' ./internal/sim ./internal/core
+	$(GO) test -race -cpu 4 -run '$(RACE_SWEEP_RUN)' ./internal/harness
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

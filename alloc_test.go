@@ -131,7 +131,7 @@ func TestAllocBudgetLeastelFaultyRing(t *testing.T) {
 
 // TestAllocBudgetLeastelSharded pins the sharded warm path to the same
 // per-round budget as the single-shard engine: shard scratch (wheels,
-// mailboxes, fault heaps, instrument maps) lives on the Runner and is
+// mailboxes, fault heaps) lives on the Runner and is
 // recycled across runs, and the tick/drain dispatch closures are built
 // once per run — so splitting the adversarial leastel run across 4
 // shards must not add a single steady-state allocation per round.
@@ -521,7 +521,7 @@ func TestFloodStartBudget(t *testing.T) {
 		var mallocs uint64
 		cfg := sim.Config{
 			IDs:  sim.PermutationIDs(g.N(), rand.New(rand.NewSource(3))),
-			Know: sim.Knowledge{N: g.N(), HasN: true, M: g.M()},
+			Know: sim.Knowledge{N: g.N()},
 			Seed: 5, Shards: 1, StopWhenQuiet: true,
 		}
 		proto := startMeter{core.MustGet("leastel").New(core.Options{}), &mallocs}

@@ -92,7 +92,7 @@ func BenchmarkLB_MessagesDumbbell(b *testing.B) {
 }
 
 // BenchmarkLB_BridgeCrossing (E2, Lemma 3.5): messages precede the first
-// bridge crossing.
+// bridge crossing; crossRound is the round of that crossing.
 func BenchmarkLB_BridgeCrossing(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	var before, cross float64
@@ -109,9 +109,7 @@ func BenchmarkLB_BridgeCrossing(b *testing.B) {
 			b.Fatal(err)
 		}
 		before += float64(res.MessagesBeforeCrossing)
-		for _, r := range res.FirstCrossing {
-			cross += float64(r) / 2
-		}
+		cross += float64(res.FirstCrossing)
 	}
 	b.ReportMetric(before/float64(b.N), "msgsBeforeCross")
 	b.ReportMetric(cross/float64(b.N), "crossRound")

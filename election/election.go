@@ -47,7 +47,10 @@ type (
 	Result = sim.Result
 	// Status is a node's election output (Leader / NonLeader / Undecided).
 	Status = sim.Status
-	// Knowledge declares the a-priori known parameters of a run.
+	// Knowledge is what every node knows a priori: n and D, each zero
+	// when not granted. Elect grants an algorithm its Table 1 row and no
+	// more (n only if it needs n, D only if it needs D); Run hands a
+	// custom protocol what Config.Know says.
 	Knowledge = sim.Knowledge
 	// Config is the low-level simulator configuration for Run.
 	Config = sim.Config

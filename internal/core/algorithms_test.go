@@ -134,6 +134,30 @@ func TestEstimateNeedsNoKnowledge(t *testing.T) {
 	}
 }
 
+// TestKnowledgeIsTheRow: a run grants exactly the knowledge its Table 1
+// row assumes — n only where the algorithm needs n, D only where it
+// needs D — so no algorithm can read a parameter its row does not give.
+func TestKnowledgeIsTheRow(t *testing.T) {
+	g := graph.Ring(16)
+	for _, algo := range Names() {
+		cfg, _, err := Config(g, algo, RunOpts{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want sim.Knowledge
+		spec := MustGet(algo)
+		if spec.NeedsN {
+			want.N = 16
+		}
+		if spec.NeedsD {
+			want.D = 8
+		}
+		if cfg.Know != want {
+			t.Errorf("%s on ring:16 is granted %+v, its row %+v", algo, cfg.Know, want)
+		}
+	}
+}
+
 func TestLasVegasElectsUniqueLeader(t *testing.T) {
 	checkAll(t, "lasvegas", 6, 1.0)
 }

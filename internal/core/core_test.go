@@ -248,34 +248,11 @@ func TestRunRejectsAnonymousForIDAlgorithms(t *testing.T) {
 	}
 }
 
-func TestParallelEngineMatchesSequential(t *testing.T) {
-	g := graph.Torus(5, 5)
-	for _, algo := range []string{"leastel", "leastel-const", "flood"} {
-		a, err := Run(g, algo, RunOpts{Seed: 3, Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(g, algo, RunOpts{Seed: 3, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Messages != b.Messages || a.Rounds != b.Rounds || len(a.Leaders) != len(b.Leaders) {
-			t.Errorf("%s: 4 shards diverge: %d/%d msgs, %d/%d rounds", algo,
-				a.Messages, b.Messages, a.Rounds, b.Rounds)
-		}
-	}
-}
-
 func TestLeastElCongestCompliant(t *testing.T) {
-	// All payloads must fit the CONGEST budget (Run would error otherwise);
-	// additionally check the observed max is Θ(log n)-sized.
-	g := graph.Complete(40)
-	res, err := Run(g, "leastel", RunOpts{Seed: 2})
-	if err != nil {
+	// All payloads must fit the CONGEST budget: the engine refuses a
+	// larger one at send with ErrBitCap.
+	if _, err := Run(graph.Complete(40), "leastel", RunOpts{Seed: 2}); err != nil {
 		t.Fatal(err)
-	}
-	if res.MaxMsgBits > sim.DefaultBitCap(g.N()) {
-		t.Errorf("payload of %d bits exceeds cap", res.MaxMsgBits)
 	}
 }
 

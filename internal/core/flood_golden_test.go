@@ -68,7 +68,7 @@ func floodGoldenHash(t *testing.T, algo string, c floodCell) uint64 {
 	}
 	ro := RunOpts{
 		Seed: 17, Model: m, MaxRounds: 1 << 12, Shards: c.shards, Anonymous: c.anonymous,
-		WatchEdges: [][2]int{{0, 1}}, CountPerEdge: true,
+		WatchEdges: [][2]int{{0, 1}},
 	}
 	if c.oneAwake {
 		ro.Wake = oneAwake(g.N())
@@ -108,13 +108,16 @@ func TestFloodGolden(t *testing.T) {
 }
 
 // floodGolden holds, per algorithm, the result hash of each floodCells
-// entry in order, as the parent of the rebuild produced them.
+// entry in order, as the parent of the rebuild produced them. The hashes
+// were re-taken in resultBytes' present form when Result lost its per-edge
+// counts and its largest message size, at the commit before that change,
+// where the old ones held.
 var floodGolden = map[string][]uint64{
-	"leastel":          {0xdf957afeacda3b05, 0x472ff176f260c5aa, 0xa8b40253223882e9, 0xcc192af341dfbd36, 0xe1b34f6a57b2de6f, 0xe6d41153d1ddd9a4, 0xbf65649fa76abb47, 0x465d33e51b85b4b7},
-	"leastel-const":    {0x1327c1fb456021a, 0x3cd39f5a80d08a0d, 0x66018bbf9b8b885e, 0xcd058834eb4d576, 0xcd07a08c6f099471, 0xd479bab1dfda22c7, 0xe01e943ad09c7a41, 0xc5522acc3ba854},
-	"leastel-loglog":   {0x636400219280b810, 0x3cd39f5a80d08a0d, 0x400da7a8377a189d, 0x99773565d250a31f, 0x8982beb8e76b86e6, 0x13ad5ed8a490630b, 0xff0b3234bf25377e, 0x3e26bb8cf81beb6e},
-	"leastel-estimate": {0x1942fdba25803cc1, 0xe02ca6118d108365, 0x1ded27d116cf1e03, 0xc1481e31ecf12d07, 0x7b003bf7f3f9578d, 0x1262b7908176a21, 0x682a5bb77a903ddb, 0x68cc967a3f66b079},
-	"lasvegas":         {0x70e9cc798cc45ff3, 0xef7e5b606822a55, 0x831bf1a0598c1051, 0x2e3d6ab645b769ad, 0xddf46c8e239bc248, 0xf12c0be24ad45853, 0xcbb21451d33df841, 0xa97bd0e6cc067829},
-	"cluster":          {0xabec989b7a4177f0, 0x1c183d9cdbc4427c, 0xda2ef1da9496c581, 0x17346a1bca2e8a0, 0x1fbdd494324ec9ee, 0xa74e19533d6828fa, 0xa7eb88cbf7811bab, 0x31ca6181f10f727},
-	"spanner-le":       {0x627a57649a64780d, 0xee5cad0825d2cb3d, 0xb4ae287f1528fb6f, 0x2b5ec15a7c30d07a, 0x6eeadd1dfc9ad403, 0x3e92e28ffba96818, 0x6b6b4b9ea1816aa4, 0x264cc46a8b96a2b4},
+	"leastel":          {0x55d83ad8b7b53800, 0xce13a9564d84d551, 0x5d13a1af07ae0e36, 0x7f109abd2208550e, 0x7861409495d99fcb, 0xed33aa4816443567, 0x3085efe610faab72, 0x2ed1e83255b7f6c7},
+	"leastel-const":    {0x4a337920bd78196d, 0xf462b006486b2d9d, 0x16cf0d13cdec1c1c, 0x50b2ab003a2d9e21, 0x65115583f103c2ed, 0xf1bb1df5459227ac, 0xfd16827af5a35a59, 0x80562f5bcdd0767},
+	"leastel-loglog":   {0x85b893259df39293, 0xf462b006486b2d9d, 0xa52f105b4a60a7d7, 0xeeb8bee827ece888, 0x70cacd5ff75e748c, 0xb09584f9bcd9eff6, 0xf6ec7a4a3879518c, 0xd7b4b02894ed478d},
+	"leastel-estimate": {0x70c3d7c8386f4f3a, 0x22f6328a698f57d9, 0x667e4ba08c7622c, 0xd083831922bca245, 0xcbc34183f32cd902, 0x9348fd4be9f9553a, 0x38da7b625f4f7bc, 0x183c757da152c4f2},
+	"lasvegas":         {0x51d8e15ece68b5e5, 0x9057803abfc90391, 0xa4c9e77b16b8035a, 0xc5bd1d751b09d611, 0x322f9d2ee32455aa, 0x8f337403218b4ad2, 0xf5097e5fde06a6c0, 0x84015dab4887a5c1},
+	"cluster":          {0xc817f4106bd55954, 0xe082fb0f9add5833, 0x4a3a955e99e33bba, 0x86c5878ec56aaf11, 0xf70329af0085db9a, 0xca526d85616fe5f5, 0x8c38918102da5143, 0x516dc07e0ad10a9d},
+	"spanner-le":       {0xaca53ac3cd9ecebe, 0x4f911e80754de758, 0xb50429999b9ad749, 0x63c4b1dbfefbee40, 0x234ae6964ab91a00, 0xec8c68d39cf47b97, 0xbc4652b4ff651798, 0xd4fa8b525d1a3127},
 }

@@ -13,12 +13,12 @@ import (
 // the host pays per message, so everything the simulation reports must be
 // what it was.
 type kingdomGolden struct {
-	algo                   string
-	seed                   int64
-	shards                 int
-	messages, bits         int64
-	rounds, lastActive     int
-	maxMsgBits, leaderNode int
+	algo               string
+	seed               int64
+	shards             int
+	messages, bits     int64
+	rounds, lastActive int
+	leaderNode         int
 }
 
 func checkKingdomGolden(t *testing.T, g *graph.Graph, w kingdomGolden) {
@@ -30,7 +30,7 @@ func checkKingdomGolden(t *testing.T, g *graph.Graph, w kingdomGolden) {
 	got := kingdomGolden{
 		algo: w.algo, seed: w.seed, shards: w.shards,
 		messages: res.Messages, bits: res.Bits, rounds: res.Rounds,
-		lastActive: res.LastActive, maxMsgBits: res.MaxMsgBits, leaderNode: -1,
+		lastActive: res.LastActive, leaderNode: -1,
 	}
 	if len(res.Leaders) == 1 {
 		got.leaderNode = res.Leaders[0]
@@ -44,11 +44,11 @@ func checkKingdomGolden(t *testing.T, g *graph.Graph, w kingdomGolden) {
 func TestKingdomGoldenTorus96(t *testing.T) {
 	g := graph.Torus(96, 96)
 	for _, w := range []kingdomGolden{
-		{"kingdom", 11, 0, 743244, 61933935, 1008, 1008, 118, 510},
-		{"kingdom", 12, 0, 717354, 59654151, 1008, 1008, 118, 9093},
-		{"kingdom", 13, 0, 696498, 57805735, 1008, 1008, 118, 6142},
-		{"kingdom", 14, 0, 698698, 57996975, 1008, 1008, 118, 6799},
-		{"kingdom", 15, 0, 744286, 62057266, 1008, 1008, 118, 6008},
+		{"kingdom", 11, 0, 743244, 61933935, 1008, 1008, 510},
+		{"kingdom", 12, 0, 717354, 59654151, 1008, 1008, 9093},
+		{"kingdom", 13, 0, 696498, 57805735, 1008, 1008, 6142},
+		{"kingdom", 14, 0, 698698, 57996975, 1008, 1008, 6799},
+		{"kingdom", 15, 0, 744286, 62057266, 1008, 1008, 6008},
 	} {
 		checkKingdomGolden(t, g, w)
 	}
@@ -57,8 +57,8 @@ func TestKingdomGoldenTorus96(t *testing.T) {
 func TestKingdomGoldenTorus32(t *testing.T) {
 	g := graph.Torus(32, 32)
 	for _, w := range []kingdomGolden{
-		{"kingdom", 5, 1, 63866, 4028067, 298, 298, 90, 437},
-		{"kingdom-d", 5, 1, 53834, 3325033, 164, 164, 86, 437},
+		{"kingdom", 5, 1, 63866, 4028067, 298, 298, 437},
+		{"kingdom-d", 5, 1, 53834, 3325033, 164, 164, 437},
 	} {
 		checkKingdomGolden(t, g, w)
 	}

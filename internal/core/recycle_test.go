@@ -168,7 +168,7 @@ type recycleTrial struct {
 	maxRounds int
 	bitCap    int  // > 0: the engine aborts the run on the first larger message
 	oneAwake  bool // adversarial wake-up
-	watch     bool // lower-bound instruments on
+	watch     bool // lower-bound instrument on
 }
 
 var recycleTrials = []recycleTrial{
@@ -198,7 +198,7 @@ func (tr recycleTrial) run(t *testing.T, prep *Prepared, res *sim.Result) (strin
 	if maxRounds == 0 {
 		maxRounds = 1 << 10
 	}
-	ro := RunOpts{Seed: tr.seed, Model: m, Shards: tr.shards, Opt: tr.opt, MaxRounds: maxRounds, CountPerEdge: tr.watch}
+	ro := RunOpts{Seed: tr.seed, Model: m, Shards: tr.shards, Opt: tr.opt, MaxRounds: maxRounds}
 	switch {
 	case tr.ids == "anon" && !prep.Spec().NeedsIDs:
 		ro.Anonymous = true
@@ -495,22 +495,23 @@ func TestRejoinKeepsRecordsInFlight(t *testing.T) {
 }
 
 // rejoinGolden holds the result hashes of TestRejoinKeepsRecordsInFlight's
-// cells at seeds 1-3 as the commit before recycling produced them.
+// cells at seeds 1-3 as the commit before recycling produced them,
+// re-taken in resultBytes' present form the way floodGolden's were.
 var rejoinGolden = []struct {
 	algo, model string
 	want        [3]uint64
 }{
-	{"kingdom", "async+random:8+crashrec:0.5:2", [3]uint64{0xf0ce2dc253c5a0b1, 0xe98cf5f8bad6bf37, 0xbff90551b5643a45}},
-	{"kingdom", "async+random:8+churn:0.5:2", [3]uint64{0x784966505f984ecc, 0x87fd4aa9856f0dfc, 0xf073093f1ecb2322}},
-	{"flood", "async+random:8+churn:0.5:2", [3]uint64{0x60e5a7d7e78f8cf4, 0x835b078ce97b2479, 0xf089536380dedd38}},
-	{"cluster", "async+random:8+churn:0.5:2", [3]uint64{0x945212ed095d595d, 0x5a40a10ca056286e, 0x23c2c43ff779abb3}},
-	{"dfs", "async+random:8+crashrec:0.5:2", [3]uint64{0x127c9eb6a2fb4014, 0xfebdb4d0b823c528, 0x4bfe10e07ee38041}},
-	{"kingdom-d", "async+random:8+crashrec:0.5:2", [3]uint64{0xea4ce94fa351708c, 0x4917234ec5f60858, 0xf6f59fbd175c2e9d}},
-	{"lasvegas", "async+random:8+churn:0.5:2", [3]uint64{0xa41f9e2d4f003902, 0xec8c40d03f3853ac, 0x5ec62338e15f0741}},
-	{"leastel", "async+random:8+crashrec:0.5:2", [3]uint64{0x8808c0a5c02344c0, 0xf374099497b7bf2a, 0x5eb0a2bd4b9e920a}},
-	{"leastel-const", "async+random:8+churn:0.5:2", [3]uint64{0x9c234750a948a217, 0x1324cd8999268883, 0xe85c6fc8b5a21644}},
-	{"leastel-estimate", "async+random:8+crashrec:0.5:2", [3]uint64{0xd0937d67fecf0d21, 0x7f2fbf3a56fc3e9c, 0x7d9448081236cdd9}},
-	{"leastel-loglog", "async+random:8+churn:0.5:2", [3]uint64{0x2cb6a9b4427e81af, 0x3a9d87f91c5d26e, 0x33da8f0f1940468f}},
-	{"spanner-le", "async+random:8+crashrec:0.5:2", [3]uint64{0xba23dbd82b7640a8, 0x30afee5de8d55334, 0x37b1eb652a960ccf}},
-	{"trivial", "async+random:8+churn:0.5:2", [3]uint64{0x84ebe9764038e7b8, 0xbd3b0e3a2d4dd98c, 0x229142ae1ce37c34}},
+	{"kingdom", "async+random:8+crashrec:0.5:2", [3]uint64{0x47eced8eb660b116, 0xd4965ef52e7defa7, 0x9c076adf675759f5}},
+	{"kingdom", "async+random:8+churn:0.5:2", [3]uint64{0xa333c41b50004d7d, 0xd54ea860422ec997, 0xf857a78bbadf5ec7}},
+	{"flood", "async+random:8+churn:0.5:2", [3]uint64{0xb73717907f42ca77, 0xc73e3d94d0678db6, 0x9782d362f595812b}},
+	{"cluster", "async+random:8+churn:0.5:2", [3]uint64{0xd5fdd6ba9b8858dd, 0x72299b25450bc65, 0xfcd22275ef920cf6}},
+	{"dfs", "async+random:8+crashrec:0.5:2", [3]uint64{0xfbdeb29d17f21c56, 0x1e077d1e063aea6f, 0x658f848234528d0f}},
+	{"kingdom-d", "async+random:8+crashrec:0.5:2", [3]uint64{0x3acd8fb276c9442f, 0x3a8893796002365, 0xc83e7bdd7d8823dc}},
+	{"lasvegas", "async+random:8+churn:0.5:2", [3]uint64{0xb13c87e6c8504ddf, 0x18469845756275bf, 0x7b4a82db91e6f3a0}},
+	{"leastel", "async+random:8+crashrec:0.5:2", [3]uint64{0xc37b818f2ee2a5d9, 0xeb9ac33a5f28437f, 0x918d5812279ebec6}},
+	{"leastel-const", "async+random:8+churn:0.5:2", [3]uint64{0x5e9e4002af9e01e7, 0x47c269847ac0c98a, 0xadd884fd83db4eac}},
+	{"leastel-estimate", "async+random:8+crashrec:0.5:2", [3]uint64{0xfd2d85ffde20395, 0x3f21589608d43fb1, 0xf39a64b7d6dc3a4c}},
+	{"leastel-loglog", "async+random:8+churn:0.5:2", [3]uint64{0x81f47511b045b47, 0x4ee71712ba11a5f3, 0xb77b595d0b006664}},
+	{"spanner-le", "async+random:8+crashrec:0.5:2", [3]uint64{0xdbd71daaa6259168, 0x281e9ca4be56be0a, 0x1aa4bf1f1429484e}},
+	{"trivial", "async+random:8+churn:0.5:2", [3]uint64{0xa7f5f4c2663ff7b4, 0x47a33c82c5edddb8, 0xae01d0474350d8e8}},
 }

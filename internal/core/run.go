@@ -45,9 +45,8 @@ type RunOpts struct {
 	Shards int
 	// Wake is the wake-up schedule (nil = simultaneous).
 	Wake []int
-	// WatchEdges and CountPerEdge enable the lower-bound instruments.
-	WatchEdges   [][2]int
-	CountPerEdge bool
+	// WatchEdges enables the lower-bound crossing instrument.
+	WatchEdges [][2]int
 	// Opt tunes the algorithm.
 	Opt Options
 }
@@ -258,29 +257,27 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 		ro.IDs = p.ids
 	}
 	cfg := sim.Config{
-		Graph: g,
-		IDs:   ro.IDs,
-		Know: sim.Knowledge{
-			N: g.N(), HasN: spec.NeedsN,
-			M: g.M(), HasM: false,
-			D: p.Diameter(ro), HasD: spec.NeedsD,
-		},
+		Graph:         g,
+		IDs:           ro.IDs,
+		Know:          sim.Knowledge{D: p.Diameter(ro)},
 		Seed:          ro.Seed,
 		Model:         ro.Model,
 		MaxRounds:     ro.MaxRounds,
 		Wake:          ro.Wake,
 		StopWhenQuiet: spec.Quiet,
 		WatchEdges:    ro.WatchEdges,
-		CountPerEdge:  ro.CountPerEdge,
 		Shards:        ro.Shards,
+	}
+	if spec.NeedsN {
+		cfg.Know.N = g.N()
 	}
 	return cfg, spec.New(ro.Opt), nil
 }
 
-// RunInto executes one trial into *out, recycling out's slices and maps
-// across calls (see sim.Runner.RunInto), so a driver that reduces each
-// result (Reduce) before the next trial keeps per-trial allocation flat;
-// the filled Result is overwritten by the next RunInto with the same out.
+// RunInto executes one trial into *out, recycling out's slices across
+// calls (see sim.Runner.RunInto), so a driver that reduces each result
+// (Reduce) before the next trial keeps per-trial allocation flat; the
+// filled Result is overwritten by the next RunInto with the same out.
 func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
 	cfg, proto, err := p.config(ro)
 	if err != nil {

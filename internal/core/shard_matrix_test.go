@@ -47,8 +47,8 @@ func TestShardMatrixAllAlgorithms(t *testing.T) {
 							Seed:  5,
 							IDs:   sim.PermutationIDs(g.N(), rand.New(rand.NewSource(5))),
 							Model: m, MaxRounds: 1 << 12,
-							WatchEdges: [][2]int{{0, 1}}, CountPerEdge: true,
-							Shards: shards,
+							WatchEdges: [][2]int{{0, 1}},
+							Shards:     shards,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -96,7 +96,7 @@ func TestThreeWayEngineDifferential(t *testing.T) {
 						Seed:  9,
 						IDs:   sim.PermutationIDs(g.N(), rand.New(rand.NewSource(9))),
 						Model: m, MaxRounds: 1 << 12,
-						WatchEdges: [][2]int{{0, 1}}, CountPerEdge: true,
+						WatchEdges: [][2]int{{0, 1}},
 					}
 					run := func(ro RunOpts) string {
 						res, err := Run(g, algo, ro)

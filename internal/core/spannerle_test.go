@@ -72,7 +72,7 @@ func buildSpanner(t *testing.T, g *graph.Graph, k int, seed int64) *graph.Graph 
 	}
 	res, err := sim.Run(sim.Config{
 		Graph: g, IDs: ids, Seed: seed,
-		Know:      sim.Knowledge{N: g.N(), HasN: true},
+		Know:      sim.Knowledge{N: g.N()},
 		MaxRounds: spannerRounds(k) + 4,
 	}, proto)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestSpannerSchedule(t *testing.T) {
 		proto := &spannerBuild{k: k, mu: &sync.Mutex{}, ports: make(map[int64][]int)}
 		res, err := sim.Run(sim.Config{
 			Graph: graph.Complete(8), IDs: []int64{1, 2, 3, 4, 5, 6, 7, 8}, Seed: 1,
-			Know: sim.Knowledge{N: 8, HasN: true}, MaxRounds: want + 4,
+			Know: sim.Knowledge{N: 8}, MaxRounds: want + 4,
 		}, proto)
 		if err != nil {
 			t.Fatal(err)

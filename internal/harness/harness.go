@@ -15,7 +15,7 @@ import (
 
 // TrialResult is the streamed per-trial record: the trial identity plus
 // the scalar measurements reduced from the full sim.Result (which is
-// discarded immediately — statuses, per-edge maps and other O(n) state
+// discarded immediately — statuses and other O(n) state
 // never accumulate across a sweep).
 type TrialResult struct {
 	Trial
@@ -346,7 +346,7 @@ func trialShards(workers int, ranged bool) int {
 // across Runs: a Prepared, rebound whenever the worker enters another
 // (graph, algorithm) cell, and a single sim.Result recycled across every
 // trial the worker runs — each trial is reduced to a TrialResult before
-// the next one overwrites it, so the O(n) statuses and instrument maps are
+// the next one overwrites it, so the O(n) statuses and leader list are
 // allocated once per worker rather than once per trial. Claims are in
 // index order and cells graph → algorithm major, so a worker never
 // returns to a (graph, algorithm) it has left within a run: one Prepared

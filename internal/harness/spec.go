@@ -10,7 +10,7 @@
 // the same coins and ID assignment — a paired-sample design — and the
 // same spec produces byte-identical emitter output regardless of worker
 // count. Results are streamed, not accumulated: workers discard the full
-// sim.Result (statuses, per-edge maps and other O(n) state) after
+// sim.Result (statuses and other O(n) state) after
 // reducing it to a small TrialResult record, and the worker that finished
 // the trial emits it (Plan.Run). What the ordered tail retains is the emit
 // reorder window (reorderRing) plus exact value→count accumulators

@@ -86,13 +86,7 @@ func MessageLB(n, m int, sw Sweep) (MessageRow, error) {
 		ratios = append(ratios, float64(res.Messages)/float64(db.M()))
 		msgs = append(msgs, float64(res.Messages))
 		before = append(before, float64(res.MessagesBeforeCrossing))
-		first := 0
-		for _, r := range res.FirstCrossing {
-			if first == 0 || (r > 0 && r < first) {
-				first = r
-			}
-		}
-		crossAt = append(crossAt, float64(first))
+		crossAt = append(crossAt, float64(res.FirstCrossing))
 		if res.UniqueLeader() {
 			successes++
 		}

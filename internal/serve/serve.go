@@ -82,8 +82,8 @@ type Config struct {
 	// 256). Admission fails with ErrBusy when the table is full of
 	// unfinished jobs.
 	MaxJobs int
-	// JobTTL is the retention of finished jobs (default 10m); the GC
-	// goroutine prunes older ones.
+	// JobTTL is the retention of finished jobs (default 10m): an older
+	// one is pruned the next time the job table is read or grown.
 	JobTTL time.Duration
 	// MaxRounds caps a request's max_rounds (default 1 << 20); requests
 	// above it are rejected rather than silently clamped.
@@ -256,26 +256,20 @@ type Manager struct {
 	seq    int
 	closed bool
 
-	wg     sync.WaitGroup // in-flight async jobs
-	stopGC chan struct{}
-	gcDone chan struct{}
+	wg sync.WaitGroup // in-flight async jobs
 }
 
-// NewManager builds a Manager and starts its GC goroutine; pair with
-// Shutdown.
+// NewManager builds a Manager; pair with Shutdown.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:    cfg,
-		slots:  make(chan *slot, cfg.Slots),
-		jobs:   make(map[string]*Job),
-		stopGC: make(chan struct{}),
-		gcDone: make(chan struct{}),
+		cfg:   cfg,
+		slots: make(chan *slot, cfg.Slots),
+		jobs:  make(map[string]*Job),
 	}
 	for i := 0; i < cfg.Slots; i++ {
 		m.slots <- new(slot)
 	}
-	go m.gcLoop()
 	return m
 }
 
@@ -299,26 +293,11 @@ func (m *Manager) acquire(ctx context.Context) (*slot, error) {
 
 func (m *Manager) release(s *slot) { m.slots <- s }
 
-// gcLoop prunes finished jobs past their TTL.
-func (m *Manager) gcLoop() {
-	defer close(m.gcDone)
-	t := time.NewTicker(min(max(m.cfg.JobTTL/4, 50*time.Millisecond), time.Minute))
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopGC:
-			return
-		case <-t.C:
-			m.gc(time.Now())
-		}
-	}
-}
-
 // gc removes finished jobs older than the TTL, plus — oldest first — any
-// finished jobs beyond MaxJobs.
+// finished jobs beyond MaxJobs. The caller holds m.mu: every method that
+// reads or grows the table prunes it first, so no expired job is ever
+// returned and no goroutine has to keep time.
 func (m *Manager) gc(now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var finished []*Job
 	for id, j := range m.jobs {
 		j.mu.Lock()
@@ -344,19 +323,14 @@ func (m *Manager) gc(now time.Time) {
 	}
 }
 
-// Shutdown stops admission, waits for in-flight async jobs to drain, and
-// stops the GC goroutine. If ctx expires first, every unfinished job is
-// cancelled and Shutdown waits for the cancellations to take effect
-// before returning ctx's error. Sync (HTTP-request-scoped) work is the
-// HTTP server's to drain.
+// Shutdown stops admission and waits for in-flight async jobs to drain.
+// If ctx expires first, every unfinished job is cancelled and Shutdown
+// waits for the cancellations to take effect before returning ctx's
+// error. Sync (HTTP-request-scoped) work is the HTTP server's to drain.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
-	already := m.closed
 	m.closed = true
 	m.mu.Unlock()
-	if !already {
-		close(m.stopGC)
-	}
 	drained := make(chan struct{})
 	go func() {
 		m.wg.Wait()
@@ -374,7 +348,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.mu.Unlock()
 		<-drained
 	}
-	<-m.gcDone
 	return err
 }
 
@@ -399,6 +372,7 @@ type Job struct {
 	ID      string
 	Kind    string // "election" | "sweep"
 	Created time.Time
+	seq     int // the Manager's admission count when it was made
 
 	cancel context.CancelFunc
 
@@ -487,6 +461,7 @@ func (m *Manager) newJob(kind string, cancel context.CancelFunc) (*Job, error) {
 	if m.closed {
 		return nil, ErrShutdown
 	}
+	m.gc(time.Now())
 	unfinished := 0
 	for _, j := range m.jobs {
 		j.mu.Lock()
@@ -503,6 +478,7 @@ func (m *Manager) newJob(kind string, cancel context.CancelFunc) (*Job, error) {
 		ID:      fmt.Sprintf("j%06d", m.seq),
 		Kind:    kind,
 		Created: time.Now(),
+		seq:     m.seq,
 		state:   JobPending,
 		cancel:  cancel,
 	}
@@ -514,6 +490,7 @@ func (m *Manager) newJob(kind string, cancel context.CancelFunc) (*Job, error) {
 func (m *Manager) Job(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.gc(time.Now())
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, ErrNotFound
@@ -524,12 +501,13 @@ func (m *Manager) Job(id string) (*Job, error) {
 // Jobs returns a snapshot of every retained job, newest first.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
+	m.gc(time.Now())
 	all := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		all = append(all, j)
 	}
 	m.mu.Unlock()
-	sort.Slice(all, func(i, k int) bool { return all[i].ID > all[k].ID })
+	sort.Slice(all, func(i, k int) bool { return all[i].seq > all[k].seq })
 	out := make([]JobStatus, len(all))
 	for i, j := range all {
 		out[i] = j.Snapshot()
@@ -541,6 +519,7 @@ func (m *Manager) Jobs() []JobStatus {
 // context and finishes as cancelled) or deletes a finished one.
 func (m *Manager) Cancel(id string) (JobStatus, error) {
 	m.mu.Lock()
+	m.gc(time.Now())
 	j, ok := m.jobs[id]
 	if !ok {
 		m.mu.Unlock()

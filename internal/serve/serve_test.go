@@ -438,8 +438,9 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestJobGC: finished jobs expire after the TTL and the table never holds
-// more than MaxJobs finished entries.
+// TestJobGC: a finished job older than the TTL is never returned — not
+// listed by Jobs, ErrNotFound from Job — though no goroutine keeps time:
+// the table is pruned whenever it is read or grown.
 func TestJobGC(t *testing.T) {
 	m := NewManager(Config{Slots: 1, MaxJobs: 2, JobTTL: 50 * time.Millisecond})
 	t.Cleanup(func() {
@@ -448,25 +449,23 @@ func TestJobGC(t *testing.T) {
 		m.Shutdown(ctx)
 	})
 
-	var ids []string
+	var jobs []*Job
 	for i := 0; i < 2; i++ {
 		j, err := m.SubmitElection(ElectionRequest{Graph: "ring:8", Algo: "leastel", Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, j.ID)
+		jobs = append(jobs, j)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		done := 0
-		for _, id := range ids {
-			if j, err := m.Job(id); err == nil {
-				if st := j.Snapshot(); st.State == JobDone {
-					done++
-				}
+		for _, j := range jobs {
+			if j.Snapshot().State == JobDone {
+				done++
 			}
 		}
-		if done == len(ids) {
+		if done == len(jobs) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -475,19 +474,38 @@ func TestJobGC(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// TTL expiry: the GC loop (50ms period here) removes them.
-	expireBy := time.Now().Add(10 * time.Second)
-	for {
-		m.mu.Lock()
-		left := len(m.jobs)
-		m.mu.Unlock()
-		if left == 0 {
-			break
+	time.Sleep(60 * time.Millisecond)
+	if left := m.Jobs(); len(left) != 0 {
+		t.Fatalf("%d finished jobs listed past the TTL: %+v", len(left), left)
+	}
+	for _, j := range jobs {
+		if _, err := m.Job(j.ID); !errors.Is(err, ErrNotFound) {
+			t.Errorf("job %s past the TTL: err %v, want ErrNotFound", j.ID, err)
 		}
-		if time.Now().After(expireBy) {
-			t.Fatalf("%d finished jobs survived the TTL", left)
+	}
+}
+
+// TestJobsNewestFirstPastAMillion: Jobs orders by admission, not by the
+// ID's text, so j1000000 lists above j999999.
+func TestJobsNewestFirstPastAMillion(t *testing.T) {
+	m := NewManager(Config{Slots: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	m.seq = 999_998
+	for i := 0; i < 3; i++ {
+		if _, err := m.SubmitElection(ElectionRequest{Graph: "ring:8", Algo: "leastel", Seed: int64(i)}); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	var got []string
+	for _, st := range m.Jobs() {
+		got = append(got, st.ID)
+	}
+	if got, want := strings.Join(got, " "), "j1000001 j1000000 j999999"; got != want {
+		t.Errorf("Jobs lists %s, want %s", got, want)
 	}
 }
 

@@ -94,7 +94,7 @@ func (p *chaosProc) act(c *Context) {
 // event engine and the reference interpreter: random small graphs, and on
 // each four runs through one reused Runner at random shard counts, pooled
 // and inline, over random synchronous configurations — wake schedules with
-// rounds ≤ 0 and beyond the cap, StopWhenQuiet, both instruments, send
+// rounds ≤ 0 and beyond the cap, StopWhenQuiet, the crossing instrument, send
 // caps. Results must be deeply equal and failing runs must fail with the
 // same words. Seeded: a failure names its iteration.
 func TestReferenceRandomSchedules(t *testing.T) {
@@ -125,7 +125,6 @@ func TestReferenceRandomSchedules(t *testing.T) {
 				Graph: g, Seed: rng.Int63(), MaxRounds: 1 + rng.Intn(60),
 				Model:         ModelSpec{Mode: []Mode{0, CONGEST, LOCAL}[rng.Intn(3)]},
 				StopWhenQuiet: rng.Intn(2) == 0,
-				CountPerEdge:  rng.Intn(2) == 0,
 				PortSendCap:   []int{0, 0, 0, 2}[rng.Intn(4)],
 				Shards:        1 + rng.Intn(4),
 			}

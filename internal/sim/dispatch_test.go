@@ -38,7 +38,7 @@ func setRoute(work int) (restore func()) {
 // TestDispatchInvariance pins the claim the adaptive tick rests on: how a
 // tick is dispatched is unobservable. Every registered algorithm under
 // every timing model and fault class must return the same Result —
-// statuses, rounds, messages, bits, instrument maps, fault counters —
+// statuses, rounds, messages, bits, first crossing, fault counters —
 // whichever route its ticks take. Run it with -race -cpu 1,2,4: on one
 // core the run has no pool and the three routes coincide, above that the
 // race detector watches the pooled one.
@@ -58,8 +58,8 @@ func TestDispatchInvariance(t *testing.T) {
 						restore := setRoute(route.work)
 						got, err := core.Run(g, algo, core.RunOpts{
 							Seed: 5, IDs: ids, Model: m, MaxRounds: 1 << 11,
-							WatchEdges: [][2]int{{0, 1}, {70, 71}}, CountPerEdge: true,
-							Shards: 3,
+							WatchEdges: [][2]int{{0, 1}, {70, 71}},
+							Shards:     3,
 						})
 						restore()
 						if err != nil {

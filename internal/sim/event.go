@@ -464,16 +464,13 @@ func (e *engine) land(sh *engineShard, d delivery) {
 	e.inbox[v] = append(e.inbox[v], Message{Port: int(d.port), Payload: d.pl})
 	sh.arrivals++
 	sh.arrivalBits += int64(d.bits)
-	if int(d.bits) > sh.arrivalMax {
-		sh.arrivalMax = int(d.bits)
-	}
 }
 
 // arrive is the arrival pass: it delivers at tick t what the shard's rows
 // hold — the rows recv lists — with the full accounting (totals from the
-// counters land kept, per-edge counts, watched crossings), and loses what
-// reached a receiver that is down by now, though its sender paid for it.
-// Then it orders every surviving row once.
+// counters land kept, a watched edge's crossing until the first one), and
+// loses what reached a receiver that is down by now, though its sender
+// paid for it. Then it orders every surviving row once.
 func (e *engine) arrive(sh *engineShard, t int) {
 	k := sh.arrivals
 	if k == 0 {
@@ -481,29 +478,23 @@ func (e *engine) arrive(sh *engineShard, t int) {
 	}
 	sh.msgs += int64(k)
 	sh.bits += sh.arrivalBits
-	sh.maxMsgBits = max(sh.maxMsgBits, sh.arrivalMax)
-	sh.arrivals, sh.arrivalBits, sh.arrivalMax = 0, 0, 0
+	sh.arrivals, sh.arrivalBits = 0, 0
 	sh.lastActive = t
 	if e.watch != nil {
 		sh.deliveredTick += int64(k)
 	}
-	perEdge := e.cfg.CountPerEdge
-	if perEdge || e.watch != nil || e.fAlive != nil {
+	// crossed is the coordinator's, written only at the barrier: until the
+	// first crossing every shard looks for one in its rows.
+	if !e.crossed || e.fAlive != nil {
 		w := 0
 		for _, v := range sh.recv {
 			row := e.inbox[v]
-			if perEdge || e.watch != nil {
+			if !e.crossed && !sh.crossedTick {
 				base := int(e.off[v])
 				for _, m := range row {
-					key := normPair(v, int(e.nbr[base+m.Port]))
-					if perEdge {
-						sh.pe[key]++
-					}
-					if e.watch != nil && e.watch[key] {
-						if cur, ok := sh.fc[key]; !ok || t < cur {
-							sh.fc[key] = t
-						}
+					if e.watch[normPair(v, int(e.nbr[base+m.Port]))] {
 						sh.crossedTick = true
+						break
 					}
 				}
 			}
@@ -606,9 +597,6 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 					sh.dropped++
 					sh.msgs++
 					sh.bits += int64(m.bits)
-					if int(m.bits) > sh.maxMsgBits {
-						sh.maxMsgBits = int(m.bits)
-					}
 					if e.watch != nil {
 						sh.sendDropTick++
 					}

@@ -12,8 +12,8 @@ import (
 // resultKey reduces a Result to everything observable, for engine
 // equivalence checks.
 func resultKey(r *Result) string {
-	return fmt.Sprintf("rounds=%d last=%d msgs=%d bits=%d maxbits=%d leaders=%v halted=%v cap=%v statuses=%v",
-		r.Rounds, r.LastActive, r.Messages, r.Bits, r.MaxMsgBits, r.Leaders, r.Halted, r.HitRoundCap, r.Statuses)
+	return fmt.Sprintf("rounds=%d last=%d msgs=%d bits=%d leaders=%v halted=%v cap=%v statuses=%v",
+		r.Rounds, r.LastActive, r.Messages, r.Bits, r.Leaders, r.Halted, r.HitRoundCap, r.Statuses)
 }
 
 // TestEventEngineMatchesDense is the differential test behind the engine:
@@ -51,7 +51,7 @@ func TestEventEngineMatchesDense(t *testing.T) {
 			t.Run(wname+"/"+pname, func(t *testing.T) {
 				cfg := Config{
 					Graph: g, IDs: SequentialIDs(n, 1), Seed: 9, Wake: wake,
-					MaxRounds: 60, WatchEdges: [][2]int{{0, 1}}, CountPerEdge: true,
+					MaxRounds: 60, WatchEdges: [][2]int{{0, 1}},
 				}
 				mustMatchReference(t, cfg, proto)
 			})

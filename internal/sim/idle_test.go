@@ -75,7 +75,7 @@ func forEachIdleCell(t *testing.T, graphs map[string]*graph.Graph, faults []stri
 							}
 							fn(t, g, algo, core.RunOpts{
 								Seed: 7, IDs: ids, Model: m, Wake: wake, MaxRounds: maxRounds,
-								WatchEdges: [][2]int{{0, 1}}, CountPerEdge: true,
+								WatchEdges: [][2]int{{0, 1}},
 							})
 						})
 					}

@@ -291,7 +291,7 @@ func deliveryStorage(r *Runner) (total int) {
 // in memory, after 600 ticks of every node of torus:32x32 broadcasting.
 // A synchronous message never enters the wheel, so a CONGEST run leaves
 // its wheels with room for no delivery at all — fault-free, and with
-// crashes, link drops, watched edges and per-edge counts, at 1 and 2
+// crashes, link drops and watched edges, at 1 and 2
 // shards (the flush wrote each tick's messages into a lent array, room
 // for the busiest tick; a ring slot that owned its array made it 256×).
 // Under async+random:8, where nine ticks are pending at a time, the
@@ -309,7 +309,7 @@ func TestWheelStorageFollowsTraffic(t *testing.T) {
 		}
 		cfg := Config{Seed: 9, Model: m}
 		if tc.watch {
-			cfg.WatchEdges, cfg.CountPerEdge = [][2]int{{0, 1}, {500, 532}}, true
+			cfg.WatchEdges = [][2]int{{0, 1}, {500, 532}}
 		}
 		for _, shards := range []int{1, 2} {
 			r, err := NewRunner(g)
@@ -326,9 +326,9 @@ func TestWheelStorageFollowsTraffic(t *testing.T) {
 			if res.Rounds < 600 || peak < int64(g.DegreeSum())/2 {
 				t.Fatalf("%s: %d rounds, busiest tick %d deliveries: not the run this test is about", tc.model, res.Rounds, peak)
 			}
-			if tc.watch && (res.Crashes == 0 || res.Dropped == 0 || len(res.FirstCrossing) == 0 || len(res.PerEdge) == 0) {
-				t.Fatalf("%s: %d crashes, %d dropped, %d crossings, %d edges counted: not the run this test is about",
-					tc.model, res.Crashes, res.Dropped, len(res.FirstCrossing), len(res.PerEdge))
+			if tc.watch && (res.Crashes == 0 || res.Dropped == 0 || res.FirstCrossing == 0) {
+				t.Fatalf("%s: %d crashes, %d dropped, first crossing at %d: not the run this test is about",
+					tc.model, res.Crashes, res.Dropped, res.FirstCrossing)
 			}
 			t.Logf("%s, %d shards: room for %d deliveries, busiest tick %d", tc.model, shards, held, peak)
 			if held > tc.bound*peak {
@@ -371,29 +371,23 @@ func (p *rollcallProc) Round(c *Context, inbox []Message) {
 }
 
 // TestRoundCapLeavesNothingInFlight stops a rollcall at MaxRounds 8, when
-// the rows for tick 9 are written: Messages, Bits and MaxMsgBits count
-// rounds 1-7 exactly — round 8's sends, the largest payloads, were never
-// delivered — and the next run on the same Runner equals a fresh
+// the rows for tick 9 are written: Messages and Bits count rounds 1-7
+// exactly — round 8's sends, the largest payloads, were never delivered —
+// and the next run on the same Runner equals a fresh
 // Runner's, field for field, at 1 and 2 shards.
 func TestRoundCapLeavesNothingInFlight(t *testing.T) {
 	g := graph.Torus(8, 8)
 	n := g.N()
 	ids := SequentialIDs(n, 1)
 	var msgs, bits int64
-	maxBits := 0
 	for r := 1; r <= 7; r++ {
 		for u := 0; u < n; u++ {
-			b := BitsFor(ids[u] * int64(r))
 			msgs += int64(g.Degree(u))
-			bits += int64(g.Degree(u) * b)
-			maxBits = max(maxBits, b)
+			bits += int64(g.Degree(u) * BitsFor(ids[u]*int64(r)))
 		}
 	}
-	if BitsFor(ids[n-1]*8) <= maxBits {
-		t.Fatal("round 8's payloads are no larger: the test cannot see them")
-	}
 	capped := Config{IDs: ids, Seed: 3, MaxRounds: 8}
-	next := Config{Graph: g, IDs: ids, Seed: 4, CountPerEdge: true, WatchEdges: [][2]int{{0, 1}}}
+	next := Config{Graph: g, IDs: ids, Seed: 4, WatchEdges: [][2]int{{0, 1}}}
 	for _, shards := range []int{1, 2} {
 		capped.Shards, next.Shards = shards, shards
 		r, err := NewRunner(g)
@@ -407,9 +401,9 @@ func TestRoundCapLeavesNothingInFlight(t *testing.T) {
 		if !res.HitRoundCap || res.Rounds != 8 {
 			t.Fatalf("%d shards: HitRoundCap %v, Rounds %d: not the run this test is about", shards, res.HitRoundCap, res.Rounds)
 		}
-		if res.Messages != msgs || res.Bits != bits || res.MaxMsgBits != maxBits || res.LastActive != 8 {
-			t.Errorf("%d shards: messages %d, bits %d, largest %d, last active %d; rounds 1-7 delivered are %d, %d, %d, 8",
-				shards, res.Messages, res.Bits, res.MaxMsgBits, res.LastActive, msgs, bits, maxBits)
+		if res.Messages != msgs || res.Bits != bits || res.LastActive != 8 {
+			t.Errorf("%d shards: messages %d, bits %d, last active %d; rounds 1-7 delivered are %d, %d, 8",
+				shards, res.Messages, res.Bits, res.LastActive, msgs, bits)
 		}
 		got, err := r.Run(next, rollcallProto{until: 5})
 		if err != nil {
@@ -428,7 +422,7 @@ func TestRoundCapLeavesNothingInFlight(t *testing.T) {
 // TestCrashDropsPrewrittenArrivals crashes four nodes of a rollcall at
 // tick 4, one in each of four shards, when their rows already hold what
 // their neighbours sent at tick 3. Those messages are lost, not
-// forgotten: Dropped, Messages, Bits, MaxMsgBits and LastActive equal the
+// forgotten: Dropped, Messages, Bits and LastActive equal the
 // values the engine read when such messages waited in the wheel, at 1, 2
 // and 4 shards — 96 drops are four nodes of degree 4 missing rounds 3-8;
 // emptying the crashed rows instead would read 80.
@@ -448,27 +442,17 @@ func TestCrashDropsPrewrittenArrivals(t *testing.T) {
 		if res.Crashes != 4 || res.Rounds != 9 {
 			t.Fatalf("%d shards: %d crashes, %d rounds: not the run this test is about", shards, res.Crashes, res.Rounds)
 		}
-		if res.Dropped != 96 || res.Messages != 1968 || res.Bits != 13824 || res.MaxMsgBits != 9 || res.LastActive != 9 {
-			t.Errorf("%d shards: dropped %d, messages %d, bits %d, largest %d, last active %d; pinned 96, 1968, 13824, 9, 9",
-				shards, res.Dropped, res.Messages, res.Bits, res.MaxMsgBits, res.LastActive)
+		if res.Dropped != 96 || res.Messages != 1968 || res.Bits != 13824 || res.LastActive != 9 {
+			t.Errorf("%d shards: dropped %d, messages %d, bits %d, last active %d; pinned 96, 1968, 13824, 9",
+				shards, res.Dropped, res.Messages, res.Bits, res.LastActive)
 		}
 	}
 }
 
-// perEdgeDigest folds a per-edge count map into one number that moves
-// when any edge's count does.
-func perEdgeDigest(pe map[[2]int]int64) (d int64) {
-	for k, c := range pe {
-		d += c * int64(k[0]*1_000_003+k[1]*7_919+1)
-	}
-	return d
-}
-
 // TestLossyInstrumentsPinned floods torus:8x8 from node 0 over links that
-// lose a tenth of the messages, watching three edges and counting every
-// edge: the first crossings, the messages before the first one and the
-// per-edge counts equal the values the engine read when the messages
-// waited in the wheel, at 1 and 2 shards.
+// lose a tenth of the messages, watching three edges: the first crossing
+// and the messages before it equal the values the engine read when the
+// messages waited in the wheel, at 1 and 2 shards.
 func TestLossyInstrumentsPinned(t *testing.T) {
 	m, err := ParseModel("congest+drop:0.1")
 	if err != nil {
@@ -482,7 +466,7 @@ func TestLossyInstrumentsPinned(t *testing.T) {
 	wake[0] = 1
 	cfg := Config{
 		Graph: g, IDs: SequentialIDs(g.N(), 1), Wake: wake, Seed: 21, Model: m,
-		WatchEdges: [][2]int{{27, 28}, {36, 44}, {62, 63}}, CountPerEdge: true,
+		WatchEdges: [][2]int{{27, 28}, {36, 44}, {62, 63}},
 	}
 	for _, shards := range []int{1, 2} {
 		cfg.Shards = shards
@@ -493,14 +477,9 @@ func TestLossyInstrumentsPinned(t *testing.T) {
 		if res.Messages != 256 || res.Dropped != 19 {
 			t.Fatalf("%d shards: %d messages, %d dropped: not the run this test is about", shards, res.Messages, res.Dropped)
 		}
-		want := map[[2]int]int{{27, 28}: 8, {36, 44}: 9, {62, 63}: 4}
-		if !reflect.DeepEqual(res.FirstCrossing, want) || res.MessagesBeforeCrossing != 20 {
-			t.Errorf("%d shards: first crossings %v after %d messages; pinned %v after 20",
-				shards, res.FirstCrossing, res.MessagesBeforeCrossing, want)
-		}
-		if len(res.PerEdge) != 127 || perEdgeDigest(res.PerEdge) != 6623721645 {
-			t.Errorf("%d shards: %d edges counted, digest %d; pinned 127, 6623721645",
-				shards, len(res.PerEdge), perEdgeDigest(res.PerEdge))
+		if res.FirstCrossing != 4 || res.MessagesBeforeCrossing != 20 {
+			t.Errorf("%d shards: first crossing at %d after %d messages; pinned 4 after 20",
+				shards, res.FirstCrossing, res.MessagesBeforeCrossing)
 		}
 	}
 }

@@ -64,12 +64,6 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 	for _, w := range cfg.WatchEdges {
 		watch[normPair(w[0], w[1])] = true
 	}
-	if len(watch) > 0 {
-		res.FirstCrossing = make(map[[2]int]int)
-	}
-	if cfg.CountPerEdge {
-		res.PerEdge = make(map[[2]int]int64)
-	}
 	crossed := len(watch) == 0
 	res.Rounds, res.HitRoundCap = maxRounds, true
 	for e.round = 1; e.round <= maxRounds; e.round++ {
@@ -83,16 +77,9 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 				inbox[v] = append(inbox[v], Message{Port: g.PortBack(u, port), Payload: m.pl})
 				res.Messages++
 				res.Bits += int64(m.bits)
-				res.MaxMsgBits = max(res.MaxMsgBits, int(m.bits))
 				res.LastActive = r
-				key := normPair(u, v)
-				if res.PerEdge != nil {
-					res.PerEdge[key]++
-				}
-				if watch[key] {
-					if res.FirstCrossing[key] == 0 {
-						res.FirstCrossing[key] = r
-					}
+				if watch[normPair(u, v)] && !crossed {
+					res.FirstCrossing = r
 					crossed = true
 				}
 				e.sendCnt[int(off[u])+port] = 0

@@ -34,8 +34,8 @@ func (p *overSender) Round(c *Context, inbox []Message) {
 // faults on and off, a run that dies of a double send and one stopped at
 // the round cap with messages in flight, each followed by a clean run —
 // and requires every run to return exactly what a fresh Runner returns:
-// the same Result, instrument maps and Crashed nil where the run keeps
-// none, or the same error.
+// the same Result, Crashed nil where the run keeps none, or the same
+// error.
 func TestWarmRunnerMatchesFresh(t *testing.T) {
 	g := graph.Torus(8, 8)
 	watch := [][2]int{{0, 1}, {9, 17}, {62, 63}}
@@ -80,7 +80,7 @@ func TestWarmRunnerMatchesFresh(t *testing.T) {
 			cfg.MaxRounds = st.maxRounds
 		}
 		if st.instruments {
-			cfg.WatchEdges, cfg.CountPerEdge = watch, true
+			cfg.WatchEdges = watch
 		}
 		var p Protocol = chaosProto{}
 		if st.overSendAt > 0 {
@@ -173,7 +173,7 @@ func TestRebindMatchesFresh(t *testing.T) {
 						MaxRounds: 400, Shards: shards,
 					}
 					if step%2 == 0 {
-						cfg.WatchEdges, cfg.CountPerEdge = [][2]int{{0, g.Neighbor(0, 0)}}, true
+						cfg.WatchEdges = [][2]int{{0, g.Neighbor(0, 0)}}
 					}
 					var p Protocol = chaosProto{}
 					if step%3 != 0 {

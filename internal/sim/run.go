@@ -92,9 +92,9 @@ type buffers struct {
 	idle        []int        // round a parked node idles until (0 = not parked)
 	haltCounted []bool       // halt already merged into the counters
 
-	// shards holds the per-range wheels, scratch lists, fault heaps,
-	// mailboxes and instrument maps (shard.go), rebuilt when the effective
-	// shard count or the node count changes.
+	// shards holds the per-range wheels, scratch lists, fault heaps and
+	// mailboxes (shard.go), rebuilt when the effective shard count or the
+	// node count changes.
 	shards []engineShard
 
 	// Built on the first run that needs them: the fault-membership
@@ -227,11 +227,11 @@ func (r *Runner) Run(cfg Config, p Protocol) (*Result, error) {
 }
 
 // RunInto executes one protocol run like Run, writing the summary into
-// *out and recycling out's slices and maps — a sweep driver that reuses
-// one Result across trials keeps steady-state allocation at zero. On
-// error *out holds unspecified intermediate state. The filled Result is
-// owned by the caller (it does not alias Runner state), but is
-// overwritten by the next RunInto with the same out.
+// *out and recycling out's slices — a sweep driver that reuses one Result
+// across trials keeps steady-state allocation at zero. On error *out
+// holds unspecified intermediate state. The filled Result is owned by the
+// caller (it does not alias Runner state), but is overwritten by the next
+// RunInto with the same out.
 func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	e := &r.eng
 	g := e.g
@@ -285,16 +285,11 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		sendCap = 8
 	}
 
-	// Reset the result shell, recycling its slices and maps. Crashed is
-	// reset to nil — the fault-free contract — with its capacity parked
-	// aside for faulty runs to reuse.
+	// Reset the result shell, recycling its slices. Crashed is reset to
+	// nil — the fault-free contract — with its capacity parked aside for
+	// faulty runs to reuse.
 	crashedScratch := out.Crashed[:0]
-	*out = Result{
-		Statuses:      out.Statuses[:0],
-		Leaders:       out.Leaders[:0],
-		FirstCrossing: out.FirstCrossing,
-		PerEdge:       out.PerEdge,
-	}
+	*out = Result{Statuses: out.Statuses[:0], Leaders: out.Leaders[:0]}
 
 	// Reset the engine by construction: every field but the buffers
 	// starts the run at zero.
@@ -357,22 +352,12 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		// call (see Context.Rand); rngs[u] is nil until then.
 		e.ctxs[u] = Context{eng: e, node: u, info: info, rng: e.rngs[u]}
 	}
-	// The instruments: every shard fills its own maps, which the fold
-	// merges into the Result's at every shard count.
+	// The crossing instrument: every shard reads the one watched set.
 	if len(cfg.WatchEdges) > 0 {
 		e.watchBuf = recycled(e.watchBuf, len(cfg.WatchEdges))
 		e.watch = e.watchBuf
 		for _, w := range cfg.WatchEdges {
 			e.watch[normPair(w[0], w[1])] = true
-		}
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		if e.watch != nil {
-			sh.fc = recycled(sh.fc, 0)
-		}
-		if cfg.CountPerEdge {
-			sh.pe = recycled(sh.pe, 0)
 		}
 	}
 
@@ -392,16 +377,6 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	e.loopEvent()
 	if e.err != nil {
 		return e.err
-	}
-	if e.watch != nil {
-		out.FirstCrossing = recycled(out.FirstCrossing, len(cfg.WatchEdges))
-	} else {
-		out.FirstCrossing = nil
-	}
-	if cfg.CountPerEdge {
-		out.PerEdge = recycled(out.PerEdge, 0)
-	} else {
-		out.PerEdge = nil
 	}
 	for i := range e.shards {
 		e.shards[i].fold(out)

@@ -21,13 +21,13 @@
 // lives in exactly one shard, and both the sender's flush and the mailbox
 // drain preserve its send order — so every interleaving the sharding
 // changes is invisible. Everything else the engine accumulates (message,
-// bit and drop totals, per-edge counts, crossing instruments, halt/run
-// counters) is order-independent: sums, maxes, per-tick minima. The one
-// ordered choice is which model violation a failing run reports when
-// several nodes err in one round: the lowest-numbered one. Each shard
-// keeps its own lowest, and the ranges ascend with the shard index, so
-// the first shard holding an error holds that node. Same seed, same
-// transcript, same error, any shard count.
+// bit and drop totals, the crossing instrument, halt/run counters) is
+// order-independent: sums, maxes, a per-tick or. The one ordered choice
+// is which model violation a failing run reports when several nodes err
+// in one round: the lowest-numbered one. Each shard keeps its own lowest,
+// and the ranges ascend with the shard index, so the first shard holding
+// an error holds that node. Same seed, same transcript, same error, any
+// shard count.
 package sim
 
 const (
@@ -134,13 +134,6 @@ type engineShard struct {
 	errNode int
 	err     error
 
-	// The instrument maps — first crossing tick per watched edge, message
-	// count per edge — over the arrivals at the shard's own nodes. Kept
-	// across runs and emptied by every run that fills them; the engine's
-	// watch and cfg.CountPerEdge say whether this one does.
-	fc map[[2]int]int
-	pe map[[2]int]int64
-
 	shardCounts
 }
 
@@ -155,18 +148,16 @@ type shardCounts struct {
 	numHalted   int
 
 	// The arrivals landed in own rows and not yet delivered (arrive): how
-	// many, their summed cached bits and the largest, so that the arrival
-	// pass never touches a payload. Between ticks they are the synchronous
-	// messages due next tick.
+	// many and their summed cached bits, so that the arrival pass never
+	// touches a payload. Between ticks they are the synchronous messages
+	// due next tick.
 	arrivals    int
 	arrivalBits int64
-	arrivalMax  int
 
 	// Run totals.
 	msgs       int64
 	bits       int64
 	dropped    int64
-	maxMsgBits int
 	lastActive int
 	crashes    int
 	recoveries int
@@ -194,29 +185,15 @@ func (sh *engineShard) resetRun() {
 	sh.shardCounts = shardCounts{}
 }
 
-// fold adds the shard's run totals into out, and its instrument maps into
-// out's where out keeps them: sums, maxima, and crossing ticks by
-// minimum, so the Result does not depend on the shard layout.
+// fold adds the shard's run totals into out: sums, and the last active
+// tick by maximum, so the Result does not depend on the shard layout.
 func (sh *engineShard) fold(out *Result) {
 	out.Messages += sh.msgs
 	out.Bits += sh.bits
 	out.Dropped += sh.dropped
 	out.Crashes += sh.crashes
 	out.Recoveries += sh.recoveries
-	out.MaxMsgBits = max(out.MaxMsgBits, sh.maxMsgBits)
 	out.LastActive = max(out.LastActive, sh.lastActive)
-	if out.FirstCrossing != nil {
-		for k, v := range sh.fc {
-			if cur, ok := out.FirstCrossing[k]; !ok || v < cur {
-				out.FirstCrossing[k] = v
-			}
-		}
-	}
-	if out.PerEdge != nil {
-		for k, v := range sh.pe {
-			out.PerEdge[k] += v
-		}
-	}
 }
 
 // route schedules ASYNC delivery d for tick at: into the sending shard's
@@ -324,8 +301,9 @@ func (e *engine) drainMail(dst *engineShard) {
 // foldTick resolves the per-shard tick scratch on the coordinator: the
 // quiescence counters loopEvent selects the next tick by, the model
 // violation of the round's lowest-numbered erring node (the first shard's
-// that has one), and the watched-edge crossing cut, which must be
-// computed against the whole tick's deliveries, not any one shard's.
+// that has one), and the watched-edge crossing cut — the tick of the
+// first crossing and the messages before it — which must be computed
+// against the whole tick's deliveries, not any one shard's.
 func (e *engine) foldTick(t int) {
 	e.running, e.active, e.pendingMsgs, e.arrivals = 0, 0, 0, 0
 	for i := range e.shards {
@@ -352,8 +330,11 @@ func (e *engine) foldTick(t int) {
 	// Mirror the single-shard accounting order: deliveries land before
 	// the crossing check, send-time drops after it.
 	post := e.msgsTotal + delivered
-	if !crossedNow {
+	switch {
+	case !crossedNow:
 		e.res.MessagesBeforeCrossing = post
+	case !e.crossed:
+		e.res.FirstCrossing = t
 	}
 	e.crossed = crossedNow
 	e.msgsTotal = post + dropSend

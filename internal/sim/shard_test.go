@@ -4,41 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"ule/internal/graph"
 )
 
-// fullResultKey extends resultKey with every fault and instrument field,
-// rendering maps in sorted key order so equal Results compare equal.
+// fullResultKey extends resultKey with every fault and instrument field.
 func fullResultKey(r *Result) string {
-	s := resultKey(r)
-	s += fmt.Sprintf(" crashes=%d recov=%d dropped=%d crashed=%v mbc=%d",
-		r.Crashes, r.Recoveries, r.Dropped, r.Crashed, r.MessagesBeforeCrossing)
-	for _, m := range []map[[2]int]int{r.FirstCrossing} {
-		keys := make([][2]int, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			return keys[i][0] < keys[j][0] || (keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1])
-		})
-		for _, k := range keys {
-			s += fmt.Sprintf(" fc%v=%d", k, m[k])
-		}
-	}
-	keys := make([][2]int, 0, len(r.PerEdge))
-	for k := range r.PerEdge {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return keys[i][0] < keys[j][0] || (keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1])
-	})
-	for _, k := range keys {
-		s += fmt.Sprintf(" pe%v=%d", k, r.PerEdge[k])
-	}
-	return s
+	return resultKey(r) + fmt.Sprintf(" crashes=%d recov=%d dropped=%d crashed=%v fc=%d mbc=%d",
+		r.Crashes, r.Recoveries, r.Dropped, r.Crashed, r.FirstCrossing, r.MessagesBeforeCrossing)
 }
 
 // TestShardedEngineMatchesSingleShard is the tentpole's contract at the
@@ -96,8 +70,8 @@ func TestShardedEngineMatchesSingleShard(t *testing.T) {
 							res, err := Run(Config{
 								Graph: g, IDs: SequentialIDs(n, 1), Seed: 11, Wake: wake,
 								Model: ModelSpec{Mode: m.mode, Delay: delay, Faults: fs}, MaxRounds: 200,
-								WatchEdges: [][2]int{{0, 1}, {5, 6}}, CountPerEdge: true,
-								Shards: shards,
+								WatchEdges: [][2]int{{0, 1}, {5, 6}},
+								Shards:     shards,
 							}, proto)
 							if err != nil {
 								t.Fatal(err)
@@ -132,7 +106,7 @@ func TestShardedRunnerReuse(t *testing.T) {
 	want := map[string]string{}
 	for _, shards := range []int{1, 4, 2, 8, 1, 3} {
 		for _, faulty := range []bool{false, true} {
-			cfg := Config{Seed: 7, MaxRounds: 200, Shards: shards, CountPerEdge: true}
+			cfg := Config{Seed: 7, MaxRounds: 200, Shards: shards}
 			if faulty {
 				cfg.Model.Faults = fs
 			}
@@ -180,7 +154,7 @@ func TestShardedConfigValidation(t *testing.T) {
 func TestShardedEveryCountOnSmallPaths(t *testing.T) {
 	for _, mode := range []Mode{CONGEST, ASYNC} {
 		for n := 2; n <= 40; n++ {
-			cfg := Config{Graph: graph.Path(n), Seed: int64(n), Model: ModelSpec{Mode: mode}, MaxRounds: 200, CountPerEdge: true}
+			cfg := Config{Graph: graph.Path(n), Seed: int64(n), Model: ModelSpec{Mode: mode}, MaxRounds: 200}
 			want, err := Run(cfg, coinProto{})
 			if err != nil {
 				t.Fatal(err)

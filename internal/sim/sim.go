@@ -107,11 +107,10 @@ type Message struct {
 	Payload Payload
 }
 
-// Knowledge records which global parameters the nodes are given a priori,
-// matching the "Knowledge" column of Table 1.
+// Knowledge is the global parameters the nodes are given a priori — an
+// algorithm's "Knowledge" column of Table 1. A zero field is not granted.
 type Knowledge struct {
-	N, M, D          int
-	HasN, HasM, HasD bool
+	N, D int
 }
 
 // NodeInfo is the static information available to a node at creation.
@@ -315,8 +314,6 @@ type Config struct {
 	// WatchEdges lists edges whose first crossing round is recorded
 	// (the "bridge crossing" instrument of Lemma 3.5).
 	WatchEdges [][2]int
-	// CountPerEdge enables per-edge message counting.
-	CountPerEdge bool
 	// Shards is the number of contiguous node ranges the event engine is
 	// partitioned into, each with a private timing wheel, fault heap and
 	// scratch state (see shard.go). Results are byte-identical at every
@@ -339,8 +336,6 @@ type Result struct {
 	Messages int64
 	// Bits is the total number of payload bits sent.
 	Bits int64
-	// MaxMsgBits is the largest single payload observed.
-	MaxMsgBits int
 	// Statuses holds each node's final election status.
 	Statuses []Status
 	// Leaders lists the nodes that ended in status elected.
@@ -349,14 +344,12 @@ type Result struct {
 	Halted bool
 	// HitRoundCap reports whether the run stopped at MaxRounds.
 	HitRoundCap bool
-	// FirstCrossing maps each watched edge (normalized low,high) to the
-	// first round a message crossed it in either direction (0 = never).
-	FirstCrossing map[[2]int]int
+	// FirstCrossing is the first round in which a message crossed any
+	// watched edge, in either direction (0 = never).
+	FirstCrossing int
 	// MessagesBeforeCrossing counts messages sent strictly before the
 	// first crossing of any watched edge (only tracked with WatchEdges).
 	MessagesBeforeCrossing int64
-	// PerEdge counts messages per normalized edge when CountPerEdge.
-	PerEdge map[[2]int]int64
 	// Crashed flags the nodes that were down when the run ended (nil for
 	// fault-free runs). A node that crashed and recovered is not flagged.
 	Crashed []bool
@@ -423,8 +416,7 @@ type engine struct {
 	bitCap  int
 	sendCap int
 	// watch is the run's watched-edge set: nil when no edge is watched,
-	// and every instrument branch is gated on that nil check or on
-	// cfg.CountPerEdge.
+	// and every instrument branch is gated on that nil check.
 	watch map[[2]int]bool
 
 	// Sharded event-engine state (event.go, shard.go). shardSize is
