@@ -255,9 +255,10 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Docs hygiene: every file under docs/ must be linked from README.md, and
-# the runnable godoc examples must pass (gofmt/vet cover them via
-# fmt-check and vet, which gate this target).
+# Docs hygiene: every file under docs/ must be linked from README.md, the
+# runnable godoc examples must pass (gofmt/vet cover them via fmt-check
+# and vet, which gate this target), and docs/PAPER_MAP.md's Table 1 must
+# restate the registry's core.Spec row for row.
 docs-check: fmt-check vet
 	@missing=0; for f in docs/*.md; do \
 		if ! grep -q "$$f" README.md; then \
@@ -265,6 +266,7 @@ docs-check: fmt-check vet
 		fi; \
 	done; [ $$missing -eq 0 ]
 	$(GO) test -run Example ./...
+	$(GO) test -run '^TestPaperMapMatchesRegistry$$' ./internal/core
 
 # Go line counts per package directory, non-test and test apart, then the
 # totals: git ls-files '*.go', split on _test.go.

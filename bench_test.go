@@ -46,12 +46,17 @@ func benchElect(b *testing.B, g *graph.Graph, algo string, d int, msgDenom, time
 	b.ReportMetric(succ/n, "success")
 }
 
-func log2of(n int) float64 {
-	l := 1.0
-	for v := 2; v < n; v *= 2 {
-		l++
+// benchRow is benchElect normalised by algo's Table 1 bound
+// (core.Bound); rounds stay raw where the row gives no time bound in n, m
+// and D.
+func benchRow(b *testing.B, g *graph.Graph, algo string, d int, smallIDs bool, opt core.Options) {
+	b.Helper()
+	bound := core.MustGet(algo).Bound
+	rounds := 1.0
+	if bound.Rounds.Of != nil {
+		rounds = bound.Rounds.Of(g.N(), g.M(), d)
 	}
-	return l
+	benchElect(b, g, algo, d, bound.Msgs.Of(g.N(), g.M(), d), rounds, smallIDs, opt)
 }
 
 func mustRandom(b *testing.B, n, m int, seed int64) *graph.Graph {
@@ -171,28 +176,28 @@ func BenchmarkLB_Broadcast(b *testing.B) {
 // BenchmarkThm41_DFS (E6): O(m) messages.
 func BenchmarkThm41_DFS(b *testing.B) {
 	g := mustRandom(b, 96, 400, 2)
-	benchElect(b, g, "dfs", 0, float64(g.M()), 1, true, core.Options{})
+	benchRow(b, g, "dfs", 0, true, core.Options{})
 }
 
 // BenchmarkThm44_LeastEl (E7): O(m·min(log f, D)) messages, O(D) time.
 func BenchmarkThm44_LeastEl(b *testing.B) {
 	g := mustRandom(b, 256, 1500, 3)
 	d := g.DiameterExact()
-	benchElect(b, g, "leastel", d, float64(g.M())*log2of(g.N()), float64(d), false, core.Options{})
+	benchRow(b, g, "leastel", d, false, core.Options{})
 }
 
 // BenchmarkThm44A (E8): O(m·log log n) messages.
 func BenchmarkThm44A(b *testing.B) {
 	g := mustRandom(b, 256, 1500, 3)
 	d := g.DiameterExact()
-	benchElect(b, g, "leastel-loglog", d, float64(g.M())*log2of(int(log2of(g.N()))), float64(d), false, core.Options{})
+	benchRow(b, g, "leastel-loglog", d, false, core.Options{})
 }
 
 // BenchmarkThm44B (E9): O(m) messages, success >= 1-eps.
 func BenchmarkThm44B(b *testing.B) {
 	g := mustRandom(b, 256, 1500, 3)
 	d := g.DiameterExact()
-	benchElect(b, g, "leastel-const", d, float64(g.M()), float64(d), false, core.Options{Epsilon: 0.1})
+	benchRow(b, g, "leastel-const", d, false, core.Options{Epsilon: 0.1})
 }
 
 // BenchmarkCor42_Spanner (E10): O(m) messages and O(D) time on dense
@@ -201,28 +206,27 @@ func BenchmarkCor42_Spanner(b *testing.B) {
 	n := 128
 	g := mustRandom(b, n, n*(n-1)/4, 4)
 	d := g.DiameterExact()
-	benchElect(b, g, "spanner-le", d, float64(g.M()), float64(d), false, core.Options{SpannerK: 2})
+	benchRow(b, g, "spanner-le", d, false, core.Options{SpannerK: 2})
 }
 
 // BenchmarkCor45_Estimate (E11): no knowledge of n, O(m·log n) messages.
 func BenchmarkCor45_Estimate(b *testing.B) {
 	g := mustRandom(b, 256, 1200, 5)
 	d := g.DiameterExact()
-	benchElect(b, g, "leastel-estimate", d, float64(g.M())*log2of(g.N()), float64(d), false, core.Options{})
+	benchRow(b, g, "leastel-estimate", d, false, core.Options{})
 }
 
 // BenchmarkCor46_LasVegas (E12): expected O(m) messages and O(D) time.
 func BenchmarkCor46_LasVegas(b *testing.B) {
 	g := graph.Ring(128)
-	benchElect(b, g, "lasvegas", 64, float64(g.M()), 64, false, core.Options{})
+	benchRow(b, g, "lasvegas", 64, false, core.Options{})
 }
 
 // BenchmarkThm47_Cluster (E13): O(m + n·log n) messages, O(D·log n) time.
 func BenchmarkThm47_Cluster(b *testing.B) {
 	g := mustRandom(b, 256, 1500, 6)
 	d := g.DiameterExact()
-	denom := float64(g.M()) + float64(g.N())*log2of(g.N())
-	benchElect(b, g, "cluster", d, denom, float64(d)*log2of(g.N()), false, core.Options{})
+	benchRow(b, g, "cluster", d, false, core.Options{})
 }
 
 // BenchmarkThm410_Kingdom (E14): O(m·log n) messages, O(D·log n) time,
@@ -235,7 +239,7 @@ func BenchmarkThm410_Kingdom(b *testing.B) {
 	d := g.DiameterExact()
 	c, _ := protocolCensus(b, g, "kingdom")
 	b.ResetTimer()
-	benchElect(b, g, "kingdom", d, float64(g.M())*log2of(g.N()), float64(d)*log2of(g.N()), true, core.Options{})
+	benchRow(b, g, "kingdom", d, true, core.Options{})
 	b.ReportMetric(c.cold, "cold-allocs/msg")
 	b.ReportMetric(c.warm, "warm-allocs/msg")
 	b.ReportMetric(c.steps, "steps/msg")

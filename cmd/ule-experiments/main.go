@@ -49,8 +49,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,13 +136,13 @@ func run(args []string) error {
 		{"E5", d.e5Broadcast, "Cor 3.12: flooding broadcast costs Θ(m) (≈2 msgs/edge) on dumbbells"},
 		{"E6", d.e6DFS, "Thm 4.1: msgs/m bounded by a constant; time grows exponentially with min ID"},
 		{"E7", d.e7LeastElF, "Thm 4.4: messages scale with m·log f(n); success rises with f(n)"},
-		{"E8", d.e8LogLog, "Thm 4.4.(A): msgs/(m·log log n) bounded, success whp"},
+		{"E8", d.ratio(ratioTables["E8"]), "Thm 4.4.(A): msgs/(m·log log n) bounded, success whp"},
 		{"E9", d.e9Const, "Thm 4.4.(B): msgs/m bounded; success ≥ 1−ε across ε"},
-		{"E10", d.e10Spanner, "Cor 4.2: on dense graphs spanner+LE gets O(m) msgs and O(D) time"},
-		{"E11", d.e11Estimate, "Cor 4.5: no knowledge of n; msgs/(m·log n) bounded; prob 1"},
-		{"E12", d.e12LasVegas, "Cor 4.6: expected O(D) time / O(m) msgs with restarts"},
-		{"E13", d.e13Cluster, "Thm 4.7: msgs/(m+n log n) bounded; time O(D log n)"},
-		{"E14", d.e14Kingdom, "Thm 4.10: deterministic, msgs/(m log n) and rounds/(D log n) bounded"},
+		{"E10", d.ratio(ratioTables["E10"]), "Cor 4.2: on dense graphs spanner+LE gets O(m) msgs and O(D) time"},
+		{"E11", d.ratio(ratioTables["E11"]), "Cor 4.5: no knowledge of n; msgs/(m·log n) bounded; prob 1"},
+		{"E12", d.ratio(ratioTables["E12"]), "Cor 4.6: expected O(D) time / O(m) msgs with restarts"},
+		{"E13", d.ratio(ratioTables["E13"]), "Thm 4.7: msgs/(m+n log n) bounded; time O(D log n)"},
+		{"E14", d.ratio(ratioTables["E14"]), "Thm 4.10: deterministic, msgs/(m log n) and rounds/(D log n) bounded"},
 		{"E15", d.e15Table1, "Table 1 head-to-head on a common graph"},
 		{"E16", d.e16Async, "asynchronous model: success and cost under the unit / bounded-random / FIFO-per-link delay adversaries"},
 		{"E17", d.e17Faults, "fault model: the paper's algorithms assume a fault-free network; survival (unique leader among live nodes) under seed-deterministic crash / crash-recovery / drop / churn adversaries"},
@@ -474,12 +476,86 @@ func (d *driver) e5Broadcast() (*stats.Table, error) {
 
 // ---- Upper-bound sweeps (Table 1 rows), all driven by the harness ----
 
-func log2f(n int) float64 {
-	l := 1.0
-	for v := 2; v < n; v *= 2 {
-		l++
+// ratioTable declares one upper-bound sweep whose ratio columns divide
+// the measured means by the core.Bound of its first algorithm.
+type ratioTable struct {
+	title       string
+	lead        []string // leading columns: n, m, D, algo or variant, graph, msgs mean
+	algos       []string
+	graph       func(n int) string
+	quick, full []int // sizes passed to graph
+	smallIDs    bool
+	opt         core.Options
+}
+
+func random(deg int) func(n int) string {
+	return func(n int) string { return fmt.Sprintf("random:%d:%d", n, deg*n) }
+}
+
+// ratioTables are the Table 1 rows whose experiment is the ratio of the
+// measured cost to the row's bound.
+var ratioTables = map[string]ratioTable{
+	"E8": {title: "E8 — Thm 4.4.(A): msgs/(m·log log n) with f(n)=log n",
+		lead: []string{"n", "m", "msgs mean"}, algos: []string{"leastel-loglog"},
+		graph: random(5), quick: []int{64, 128}, full: []int{64, 128, 256, 512}},
+	"E10": {title: "E10 — Cor 4.2: spanner+LE vs plain LE on dense graphs (m ≈ n^1.5)",
+		lead: []string{"n", "m", "algo"}, algos: []string{"spanner-le", "leastel"},
+		graph: func(n int) string { return fmt.Sprintf("random:%d:%d", n, n*int(math.Sqrt(float64(n)))) },
+		quick: []int{64}, full: []int{64, 144, 256, 400}, opt: core.Options{Epsilon: 0.5}},
+	"E11": {title: "E11 — Cor 4.5: no knowledge of n; msgs/(m·log n) bounded",
+		lead: []string{"n", "m"}, algos: []string{"leastel-estimate"},
+		graph: random(4), quick: []int{64, 128}, full: []int{64, 128, 256, 512}},
+	"E12": {title: "E12 — Cor 4.6: Las Vegas with knowledge of n and D",
+		lead: []string{"graph", "n", "D"}, algos: []string{"lasvegas"},
+		graph: func(n int) string { return fmt.Sprintf("ring:%d", n) }, quick: []int{32}, full: []int{32, 64, 128, 256}},
+	"E13": {title: "E13 — Thm 4.7: clustering algorithm O(m+n log n) msgs, O(D log n) time",
+		lead: []string{"n", "m"}, algos: []string{"cluster"},
+		graph: random(6), quick: []int{64, 128}, full: []int{64, 128, 256, 512}},
+	"E14": {title: "E14 — Thm 4.10: growing kingdoms, deterministic, no knowledge",
+		lead: []string{"variant", "n", "m"}, algos: []string{"kingdom", "kingdom-d"},
+		graph: random(4), quick: []int{48}, full: []int{48, 96, 192, 384}, smallIDs: true},
+}
+
+// ratio runs the sweep r declares and divides each group's mean messages
+// and rounds by the first algorithm's bound at the graph's n, m and exact D.
+func (d *driver) ratio(r ratioTable) func() (*stats.Table, error) {
+	return func() (*stats.Table, error) {
+		b := core.MustGet(r.algos[0]).Bound
+		t := stats.NewTable(r.title, slices.Concat(r.lead, []string{over("msgs", b.Msgs), over("rounds", b.Rounds), "success"})...)
+		spec := harness.Spec{Algos: r.algos, SmallIDs: r.smallIDs, Opt: r.opt}
+		for _, n := range d.sizes(r.quick, r.full) {
+			spec.Graphs = append(spec.Graphs, r.graph(n))
+		}
+		rep, err := d.sweep(spec)
+		if err != nil {
+			return nil, err
+		}
+		graphs := rep.Graphs()
+		for gi, gs := range spec.Graphs {
+			g := graphs[gi]
+			n, m, diam := g.N(), g.M(), g.DiameterExact()
+			for _, algo := range spec.Algos {
+				grp := rep.Group(algo, gs, "congest", "sync")
+				cells := map[string]any{"n": n, "m": m, "D": diam, "algo": algo, "variant": algo,
+					"graph": gs[:strings.IndexByte(gs, ':')], "msgs mean": grp.Messages.Mean}
+				var row []any
+				for _, col := range r.lead {
+					row = append(row, cells[col])
+				}
+				t.AddRow(append(row, grp.Messages.Mean/b.Msgs.Of(n, m, diam), grp.Rounds.Mean/b.Rounds.Of(n, m, diam), grp.Success)...)
+			}
+		}
+		return t, nil
 	}
-	return l
+}
+
+// over is the header of a ratio column: quantity/label, the label
+// parenthesised when it is compound.
+func over(quantity string, term core.Term) string {
+	if len(term.Label) > 1 {
+		return quantity + "/(" + term.Label + ")"
+	}
+	return quantity + "/" + term.Label
 }
 
 func (d *driver) e6DFS() (*stats.Table, error) {
@@ -552,29 +628,6 @@ func (d *driver) e7LeastElF() (*stats.Table, error) {
 	return t, nil
 }
 
-func (d *driver) e8LogLog() (*stats.Table, error) {
-	t := stats.NewTable("E8 — Thm 4.4.(A): msgs/(m·log log n) with f(n)=log n",
-		"n", "m", "msgs mean", "msgs/(m·loglog n)", "rounds/D", "success")
-	spec := harness.Spec{Name: "e8-loglog", Algos: []string{"leastel-loglog"}}
-	for _, n := range d.sizes([]int{64, 128}, []int{64, 128, 256, 512}) {
-		spec.Graphs = append(spec.Graphs, fmt.Sprintf("random:%d:%d", n, 5*n))
-	}
-	rep, err := d.sweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	graphs := rep.Graphs()
-	for gi, gs := range spec.Graphs {
-		grp := rep.Group("leastel-loglog", gs, "congest", "sync")
-		g := graphs[gi]
-		diam := float64(g.DiameterExact())
-		ll := log2f(int(log2f(g.N())))
-		t.AddRow(g.N(), g.M(), grp.Messages.Mean,
-			grp.Messages.Mean/(float64(g.M())*ll), grp.Rounds.Mean/diam, grp.Success)
-	}
-	return t, nil
-}
-
 func (d *driver) e9Const() (*stats.Table, error) {
 	t := stats.NewTable("E9 — Thm 4.4.(B): O(m) messages with success ≥ 1−ε",
 		"epsilon", "n", "m", "msgs/m", "success", "target ≥")
@@ -594,139 +647,6 @@ func (d *driver) e9Const() (*stats.Table, error) {
 		}
 		grp := rep.Group("leastel-const", gs, "congest", "sync")
 		t.AddRow(eps, grp.N, grp.M, grp.Messages.Mean/float64(grp.M), grp.Success, 1-eps)
-	}
-	return t, nil
-}
-
-func (d *driver) e10Spanner() (*stats.Table, error) {
-	t := stats.NewTable("E10 — Cor 4.2: spanner+LE vs plain LE on dense graphs (m ≈ n^1.5)",
-		"n", "m", "algo", "msgs/m", "rounds/D", "success")
-	spec := harness.Spec{
-		Name:  "e10-spanner",
-		Algos: []string{"spanner-le", "leastel"},
-		Opt:   core.Options{Epsilon: 0.5},
-	}
-	for _, n := range d.sizes([]int{64}, []int{64, 144, 256, 400}) {
-		m := n * isqrt(n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		spec.Graphs = append(spec.Graphs, fmt.Sprintf("random:%d:%d", n, m))
-	}
-	rep, err := d.sweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	graphs := rep.Graphs()
-	for gi, gs := range spec.Graphs {
-		g := graphs[gi]
-		diam := float64(g.DiameterExact())
-		for _, algo := range spec.Algos {
-			grp := rep.Group(algo, gs, "congest", "sync")
-			t.AddRow(g.N(), g.M(), algo, grp.Messages.Mean/float64(g.M()),
-				grp.Rounds.Mean/diam, grp.Success)
-		}
-	}
-	return t, nil
-}
-
-func isqrt(n int) int {
-	r := 1
-	for r*r <= n {
-		r++
-	}
-	return r - 1
-}
-
-func (d *driver) e11Estimate() (*stats.Table, error) {
-	t := stats.NewTable("E11 — Cor 4.5: no knowledge of n; msgs/(m·log n) bounded",
-		"n", "m", "msgs/(m·log n)", "rounds/D", "success")
-	spec := harness.Spec{Name: "e11-estimate", Algos: []string{"leastel-estimate"}}
-	for _, n := range d.sizes([]int{64, 128}, []int{64, 128, 256, 512}) {
-		spec.Graphs = append(spec.Graphs, fmt.Sprintf("random:%d:%d", n, 4*n))
-	}
-	rep, err := d.sweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	graphs := rep.Graphs()
-	for gi, gs := range spec.Graphs {
-		grp := rep.Group("leastel-estimate", gs, "congest", "sync")
-		g := graphs[gi]
-		diam := float64(g.DiameterExact())
-		t.AddRow(g.N(), g.M(), grp.Messages.Mean/(float64(g.M())*log2f(g.N())),
-			grp.Rounds.Mean/diam, grp.Success)
-	}
-	return t, nil
-}
-
-func (d *driver) e12LasVegas() (*stats.Table, error) {
-	t := stats.NewTable("E12 — Cor 4.6: Las Vegas with knowledge of n and D",
-		"graph", "n", "D", "msgs/m", "rounds/D", "success")
-	spec := harness.Spec{Name: "e12-lasvegas", Algos: []string{"lasvegas"}}
-	for _, n := range d.sizes([]int{32}, []int{32, 64, 128, 256}) {
-		spec.Graphs = append(spec.Graphs, fmt.Sprintf("ring:%d", n))
-	}
-	rep, err := d.sweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, gs := range spec.Graphs {
-		grp := rep.Group("lasvegas", gs, "congest", "sync")
-		// lasvegas knows D, so the harness recorded the exact diameter.
-		t.AddRow("ring", grp.N, grp.D, grp.Messages.Mean/float64(grp.M),
-			grp.Rounds.Mean/float64(grp.D), grp.Success)
-	}
-	return t, nil
-}
-
-func (d *driver) e13Cluster() (*stats.Table, error) {
-	t := stats.NewTable("E13 — Thm 4.7: clustering algorithm O(m+n log n) msgs, O(D log n) time",
-		"n", "m", "msgs/(m+n·log n)", "rounds/(D·log n)", "success")
-	spec := harness.Spec{Name: "e13-cluster", Algos: []string{"cluster"}}
-	for _, n := range d.sizes([]int{64, 128}, []int{64, 128, 256, 512}) {
-		spec.Graphs = append(spec.Graphs, fmt.Sprintf("random:%d:%d", n, 6*n))
-	}
-	rep, err := d.sweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	graphs := rep.Graphs()
-	for gi, gs := range spec.Graphs {
-		grp := rep.Group("cluster", gs, "congest", "sync")
-		g := graphs[gi]
-		diam := float64(g.DiameterExact())
-		denom := float64(g.M()) + float64(g.N())*log2f(g.N())
-		t.AddRow(g.N(), g.M(), grp.Messages.Mean/denom,
-			grp.Rounds.Mean/(diam*log2f(g.N())), grp.Success)
-	}
-	return t, nil
-}
-
-func (d *driver) e14Kingdom() (*stats.Table, error) {
-	t := stats.NewTable("E14 — Thm 4.10: growing kingdoms, deterministic, no knowledge",
-		"variant", "n", "m", "msgs/(m·log n)", "rounds/(D·log n)", "success")
-	spec := harness.Spec{
-		Name:     "e14-kingdom",
-		Algos:    []string{"kingdom", "kingdom-d"},
-		SmallIDs: true,
-	}
-	for _, n := range d.sizes([]int{48}, []int{48, 96, 192, 384}) {
-		spec.Graphs = append(spec.Graphs, fmt.Sprintf("random:%d:%d", n, 4*n))
-	}
-	rep, err := d.sweep(spec)
-	if err != nil {
-		return nil, err
-	}
-	graphs := rep.Graphs()
-	for gi, gs := range spec.Graphs {
-		g := graphs[gi]
-		diam := float64(g.DiameterExact())
-		for _, algo := range spec.Algos {
-			grp := rep.Group(algo, gs, "congest", "sync")
-			t.AddRow(algo, g.N(), g.M(), grp.Messages.Mean/(float64(g.M())*log2f(g.N())),
-				grp.Rounds.Mean/(diam*log2f(g.N())), grp.Success)
-		}
 	}
 	return t, nil
 }
@@ -758,11 +678,13 @@ func (d *driver) e15Table1() (*stats.Table, error) {
 	return t, nil
 }
 
-// e16: the asynchronous scenario axis. Message-driven algorithms keep
-// electing under every delay adversary; protocols that count silent
-// rounds (flood's D-round wait, dfs budgets, lasvegas epochs) stall and
-// quiesce undecided — exactly the synchronous/asynchronous split the
-// paper's model section draws.
+// e16: the asynchronous scenario axis. ASYNC steps a node only on a
+// delivery, so the message-driven rows (core.Bound.MessageDriven:
+// leastel*, kingdom*, trivial) keep electing under every delay adversary.
+// The others act on an empty inbox — flood's D-round wait, dfs budgets,
+// lasvegas epochs, spanner-le's Baswana–Sen schedule, cluster's drip
+// queue — and stall, mostly quiescing undecided: the synchronous/
+// asynchronous split the paper's model section draws.
 func (d *driver) e16Async() (*stats.Table, error) {
 	t := stats.NewTable("E16 — asynchronous model: sync vs delay adversaries",
 		"algo", "delay", "msgs mean", "ticks mean", "success")

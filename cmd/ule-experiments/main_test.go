@@ -249,9 +249,10 @@ func TestSweepModeResumeExcludesTextEmitters(t *testing.T) {
 	}
 }
 
-// TestOutputPins holds `-quick` and a builtin:smoke sweep's JSON and
-// binary documents to the SHA-256 sums in testdata/pins.json. `make pins`
-// prints fresh sums.
+// TestOutputPins holds `-quick`, the full-size ratio tables (E8, E10–E14,
+// which -quick runs only at their small sizes) and a builtin:smoke sweep's
+// JSON and binary documents to the SHA-256 sums in testdata/pins.json.
+// `make pins` prints fresh sums.
 func TestOutputPins(t *testing.T) {
 	dir := t.TempDir()
 	stdoutOf := func(args ...string) []byte {
@@ -281,6 +282,9 @@ func TestOutputPins(t *testing.T) {
 	var err error
 	if got["ule-experiments/smoke-bin"], err = os.ReadFile(binPath); err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range []string{"E8", "E10", "E11", "E12", "E13", "E14"} {
+		got["ule-experiments/ratios"] = append(got["ule-experiments/ratios"], stdoutOf("-only", id)...)
 	}
 	checkPins(t, got)
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"ule/internal/graph"
@@ -69,8 +73,8 @@ func TestDFSMessagesLinearInM(t *testing.T) {
 		if !res.UniqueLeader() {
 			t.Fatalf("n=%d: no unique leader", tt.n)
 		}
-		if res.Messages > int64(16*g.M()) {
-			t.Errorf("n=%d m=%d: %d messages > 16m (not O(m))", tt.n, tt.m, res.Messages)
+		if r := float64(res.Messages) / MustGet("dfs").Bound.Msgs.Of(tt.n, g.M(), 0); r > 16 {
+			t.Errorf("n=%d m=%d: %d messages = %.2f·m > 16m (not O(m))", tt.n, tt.m, res.Messages, r)
 		}
 	}
 }
@@ -154,6 +158,60 @@ func TestKnowledgeIsTheRow(t *testing.T) {
 		}
 		if cfg.Know != want {
 			t.Errorf("%s on ring:16 is granted %+v, its row %+v", algo, cfg.Know, want)
+		}
+	}
+}
+
+// TestPaperMapMatchesRegistry: docs/PAPER_MAP.md's Table 1 has one row
+// per registered algorithm, and each row's knowledge, coins, success and
+// async cells restate its Spec, its paper-result cell starting with
+// Spec.Result.
+func TestPaperMapMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("../../docs/PAPER_MAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	success := map[Success]string{Always: "1", WHP: "whp", OneMinusE: "≥ 1−ε", OverE: "≈ 1/e"}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		cells := strings.Split(line, " | ")
+		if len(cells) != 8 || !strings.HasPrefix(cells[0], "| `") {
+			continue
+		}
+		name := strings.Trim(cells[0], "| `")
+		spec, ok := Get(name)
+		if !ok || seen[name] {
+			t.Errorf("PAPER_MAP row %q: not a registered algorithm, or listed twice", name)
+			continue
+		}
+		seen[name] = true
+		var know []string
+		for _, k := range []struct {
+			needs bool
+			label string
+		}{{spec.NeedsN, "n"}, {spec.NeedsD, "D"}, {spec.NeedsIDs, "IDs"}} {
+			if k.needs {
+				know = append(know, k.label)
+			}
+		}
+		coins, async := "randomized", "round-driven"
+		if spec.Deterministic {
+			coins = "deterministic"
+		}
+		if spec.Bound.MessageDriven {
+			async = "message-driven"
+		}
+		want := []string{cmp.Or(strings.Join(know, ", "), "—"), coins, success[spec.Bound.Success], async}
+		if got := cells[2:6]; !slices.Equal(got, want) {
+			t.Errorf("PAPER_MAP row %s: knowledge, coins, success, async = %q, its Spec says %q", name, got, want)
+		}
+		if !strings.HasPrefix(cells[1], spec.Result+" ") {
+			t.Errorf("PAPER_MAP row %s: paper result %q does not start with %q", name, cells[1], spec.Result)
+		}
+	}
+	for _, name := range Names() {
+		if !seen[name] {
+			t.Errorf("PAPER_MAP has no row for %s", name)
 		}
 	}
 }
@@ -249,10 +307,8 @@ func TestKingdomTimeShape(t *testing.T) {
 		if !res.UniqueLeader() {
 			t.Fatalf("n=%d: failed", n)
 		}
-		d := float64(n / 2)
-		limit := 24 * d * logf(n)
-		if float64(res.Rounds) > limit {
-			t.Errorf("n=%d: rounds=%d > %0.f (not O(D log n))", n, res.Rounds, limit)
+		if r := float64(res.Rounds) / MustGet("kingdom").Bound.Rounds.Of(n, g.M(), n/2); r > 24 {
+			t.Errorf("n=%d: rounds=%d = %.2f·D·log n > 24·D·log n (not O(D log n))", n, res.Rounds, r)
 		}
 	}
 }
@@ -269,9 +325,8 @@ func TestKingdomMessageShape(t *testing.T) {
 		if !res.UniqueLeader() {
 			t.Fatalf("n=%d: failed", n)
 		}
-		limit := 24 * float64(g.M()) * logf(n)
-		if float64(res.Messages) > limit {
-			t.Errorf("n=%d: messages=%d > %0.f (not O(m log n))", n, res.Messages, limit)
+		if r := float64(res.Messages) / MustGet("kingdom").Bound.Msgs.Of(n, g.M(), 0); r > 24 {
+			t.Errorf("n=%d: messages=%d = %.2f·m·log n > 24·m·log n (not O(m log n))", n, res.Messages, r)
 		}
 	}
 }
@@ -286,9 +341,9 @@ func TestEveryAlgorithmOnEveryGraphSmoke(t *testing.T) {
 			if res.HitRoundCap {
 				t.Errorf("%s on %s: round cap", algo, name)
 			}
-			// The trivial algorithm's legal failure mode is multiple
-			// leaders; every real election must never elect two.
-			if algo != "trivial" && res.LeaderCount() > 1 {
+			// A 1/e row's legal failure mode is multiple leaders; every
+			// real election must never elect two.
+			if MustGet(algo).Bound.Success != OverE && res.LeaderCount() > 1 {
 				t.Errorf("%s on %s: %d leaders", algo, name, res.LeaderCount())
 			}
 		}

@@ -353,6 +353,7 @@ func init() {
 		Summary: "Θ(log n) BFS clusters, sparsified inter-edges, overlay least-el; O(D log n) time, O(m+n log n) msgs whp",
 		NeedsN:  true,
 		Quiet:   true,
+		Bound:   Bound{Msgs: Term{"m+n·log n", func(n, m, d int) float64 { return float64(m) + float64(n)*log2(n) }}, Rounds: termDLogN, Success: WHP},
 		New:     func(o Options) sim.Recycler { return Cluster{Factor: o.clusterFactor()} },
 	})
 }

@@ -93,9 +93,56 @@ type Spec struct {
 	// Quiet requests the engine's StopWhenQuiet termination (the protocol
 	// decides everywhere but does not halt every node explicitly).
 	Quiet bool
+	// Bound is the row's Table 1 entry.
+	Bound Bound
 	// New constructs the protocol. Every registered protocol renews its
 	// processes (ARCHITECTURE.md § "Process lifetime").
 	New func(o Options) sim.Recycler
+}
+
+// Bound is what a Table 1 row promises: its message and time bounds as
+// terms in n, m and D, how often it elects, and whether it is
+// message-driven — a node acts only on a delivery, so an asynchronous run
+// under unit delays steps it exactly when a synchronous one does. Where
+// the row writes min(f, D) the term is f, the quantity the experiment
+// tables divide by.
+type Bound struct {
+	Msgs, Rounds  Term
+	Success       Success
+	MessageDriven bool
+}
+
+// Term is one bound, O(Label). Of evaluates it; it is nil where the row
+// gives no bound in n, m and D (Theorem 4.1's time).
+type Term struct {
+	Label string
+	Of    func(n, m, d int) float64
+}
+
+// Success is how often a row elects a unique leader.
+type Success uint8
+
+const (
+	Always    Success = iota // probability 1
+	WHP                      // with high probability
+	OneMinusE                // at least 1−ε
+	OverE                    // about 1/e
+)
+
+var (
+	termM     = Term{"m", func(n, m, d int) float64 { return float64(m) }}
+	termD     = Term{"D", func(n, m, d int) float64 { return float64(d) }}
+	termMLogN = Term{"m·log n", func(n, m, d int) float64 { return float64(m) * log2(n) }}
+	termDLogN = Term{"D·log n", func(n, m, d int) float64 { return float64(d) * log2(n) }}
+)
+
+// log2 is ⌈log2 n⌉, at least 1.
+func log2(n int) float64 {
+	l := 1.0
+	for v := 2; v < n; v *= 2 {
+		l++
+	}
+	return l
 }
 
 var registry = map[string]Spec{}

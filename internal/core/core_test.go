@@ -157,19 +157,10 @@ func TestLeastElMessagesScaleWithMLogN(t *testing.T) {
 		}
 		// Generous constant: 2 messages (rank+echo) per entry per edge
 		// endpoint, expected list length ~ ln n.
-		limit := float64(g.M()) * 8 * logf(n)
-		if float64(res.Messages) > limit {
-			t.Errorf("n=%d: messages=%d > %0.f", n, res.Messages, limit)
+		if r := float64(res.Messages) / MustGet("leastel").Bound.Msgs.Of(n, g.M(), 0); r > 8 {
+			t.Errorf("n=%d: messages=%d, %.2f·m·log n > 8·m·log n", n, res.Messages, r)
 		}
 	}
-}
-
-func logf(n int) float64 {
-	l := 1.0
-	for v := 2; v < n; v *= 2 {
-		l++
-	}
-	return l
 }
 
 func TestLeastElConstUsesFewerMessagesThanAll(t *testing.T) {

@@ -252,6 +252,7 @@ func init() {
 		Summary:       "DFS annexing agents, step period 2^ID; O(m) msgs, unbounded (exponential-in-minID) time",
 		Deterministic: true,
 		NeedsIDs:      true,
+		Bound:         Bound{Msgs: termM, Rounds: Term{Label: "m·2^minID"}},
 		New:           func(o Options) sim.Recycler { return DFS{BudgetCap: o.dfsBudgetCap()} },
 	})
 }

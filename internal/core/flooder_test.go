@@ -172,7 +172,7 @@ func TestLeastElListInvariants(t *testing.T) {
 		totalLen += float64(res.Messages) / float64(4*g.M())
 	}
 	mean := totalLen / seeds
-	limit := 2 * logf(g.N())
+	limit := 2 * log2(g.N())
 	if mean > limit {
 		t.Errorf("mean list length proxy %.2f > %v = 2·log n (Lemma 4.3)", mean, limit)
 	}
@@ -209,7 +209,7 @@ func TestElectionSafetyQuick(t *testing.T) {
 		if res.LeaderCount() > 1 {
 			return false
 		}
-		if (algo == "leastel" || algo == "leastel-estimate") && !res.UniqueLeader() {
+		if MustGet(algo).Bound.Success == Always && !res.UniqueLeader() {
 			return false // probability-1 algorithms must always succeed
 		}
 		return true

@@ -77,11 +77,13 @@ func (p *floodProc) Round(c *sim.Context, inbox []sim.Message) {
 
 func init() {
 	register(Spec{
-		Name:     "flood",
-		Result:   "[20] baseline",
-		Summary:  "max-ID flooding; O(D) time, O(m·min(n,D)) msgs, deterministic",
-		NeedsD:   true,
-		NeedsIDs: true,
-		New:      func(o Options) sim.Recycler { return FloodMax{} },
+		Name:          "flood",
+		Result:        "[20] baseline",
+		Summary:       "max-ID flooding; O(D) time, O(m·min(n,D)) msgs, deterministic",
+		Deterministic: true,
+		NeedsD:        true,
+		NeedsIDs:      true,
+		Bound:         Bound{Msgs: Term{"m·D", func(n, m, d int) float64 { return float64(m * d) }}, Rounds: termD},
+		New:           func(o Options) sim.Recycler { return FloodMax{} },
 	})
 }

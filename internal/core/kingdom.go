@@ -435,6 +435,7 @@ func init() {
 		Summary:       "double-win growing kingdoms, radius 2^(p-1); deterministic, no knowledge, O(D log n) time, O(m log n) msgs",
 		Deterministic: true,
 		NeedsIDs:      true,
+		Bound:         Bound{Msgs: termMLogN, Rounds: termDLogN, MessageDriven: true},
 		New:           func(o Options) sim.Recycler { return Kingdom{} },
 	})
 	register(Spec{
@@ -444,6 +445,7 @@ func init() {
 		Deterministic: true,
 		NeedsD:        true,
 		NeedsIDs:      true,
+		Bound:         Bound{Msgs: termMLogN, Rounds: termDLogN, MessageDriven: true},
 		New:           func(o Options) sim.Recycler { return Kingdom{KnownD: true} },
 	})
 }

@@ -92,6 +92,7 @@ func init() {
 		Summary: "epoch-restarted f=Θ(1) least-el; knows n and D, prob 1, expected O(D) time and O(m) msgs",
 		NeedsN:  true,
 		NeedsD:  true,
+		Bound:   Bound{Msgs: termM, Rounds: termD},
 		New:     func(o Options) sim.Recycler { return LasVegas{} },
 	})
 }

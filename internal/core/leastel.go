@@ -136,6 +136,7 @@ func init() {
 		Summary: "least-element-list election, every node a candidate (f=n); O(D) time, O(m·min(log n,D)) msgs",
 		NeedsN:  true,
 		Quiet:   true,
+		Bound:   Bound{Msgs: termMLogN, Rounds: termD, MessageDriven: true},
 		New:     func(o Options) sim.Recycler { return LeastEl{F: FAll, Opt: o} },
 	})
 	register(Spec{
@@ -144,6 +145,7 @@ func init() {
 		Summary: "f(n)=Θ(log n) candidates; O(D) time, O(m·min(log log n,D)) msgs, success whp",
 		NeedsN:  true,
 		Quiet:   true,
+		Bound:   Bound{Msgs: Term{"m·loglog n", func(n, m, d int) float64 { return float64(m) * log2(int(log2(n))) }}, Rounds: termD, Success: WHP, MessageDriven: true},
 		New:     func(o Options) sim.Recycler { return LeastEl{F: FLog, Opt: o} },
 	})
 	register(Spec{
@@ -152,6 +154,7 @@ func init() {
 		Summary: "f(n)=4·ln(1/ε) candidates; O(D) time, O(m) msgs, success ≥ 1−ε",
 		NeedsN:  true,
 		Quiet:   true,
+		Bound:   Bound{Msgs: termM, Rounds: termD, Success: OneMinusE, MessageDriven: true},
 		New:     func(o Options) sim.Recycler { return LeastEl{F: FConst, Opt: o} },
 	})
 }

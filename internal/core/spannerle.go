@@ -295,6 +295,7 @@ func init() {
 		Summary: "Baswana–Sen spanner then least-el on it; O(D) time, O(m) msgs when m>n^(1+ε), whp",
 		NeedsN:  true,
 		Quiet:   true,
+		Bound:   Bound{Msgs: termM, Rounds: termD, Success: WHP},
 		New:     func(o Options) sim.Recycler { return SpannerLE{K: o.spannerK()} },
 	})
 }

@@ -35,6 +35,7 @@ func init() {
 		Result:  "§1 example",
 		Summary: "self-elect w.p. 1/n; zero messages, one round, succeeds w.p. ≈ 1/e",
 		NeedsN:  true,
+		Bound:   Bound{Msgs: Term{"0", func(n, m, d int) float64 { return 0 }}, Rounds: Term{"1", func(n, m, d int) float64 { return 1 }}, Success: OverE, MessageDriven: true},
 		New:     func(o Options) sim.Recycler { return Trivial{} },
 	})
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ule/internal/core"
 )
 
 // sweepSpec is the shared ≥100-trial matrix used by the determinism and
@@ -338,20 +340,21 @@ func TestAsyncSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAsyncUnitReproducesSync: for oblivious (message-driven) algorithms,
-// the async/unit cells must reproduce the synchronous cells exactly —
-// same message totals, rounds and success, trial by trial.
+// TestAsyncUnitReproducesSync: ASYNC steps a node only on a delivery, so
+// under unit delays a message-driven row (core.Bound.MessageDriven) must
+// reproduce its synchronous cells exactly — same message totals, rounds
+// and success, trial by trial — and every other row, which acts on an
+// empty inbox, must diverge in at least one.
 func TestAsyncUnitReproducesSync(t *testing.T) {
-	// cluster is deliberately absent: its BFS phases wait out silent
-	// rounds on some topologies, so it is only oblivious by accident.
 	spec := Spec{
-		Name:   "async-vs-sync",
-		Algos:  []string{"leastel", "leastel-const", "kingdom"},
-		Graphs: []string{"ring:24", "random:32:96"},
-		Modes:  []string{"congest", "async"},
-		Delays: []string{"unit"},
-		Trials: 3,
-		Seed:   11,
+		Name:     "async-vs-sync",
+		Algos:    core.Names(),
+		Graphs:   []string{"ring:24", "random:32:96"},
+		Modes:    []string{"congest", "async"},
+		Delays:   []string{"unit"},
+		Trials:   3,
+		Seed:     11,
+		SmallIDs: true,
 	}
 	data, _ := runToJSON(t, spec, 4)
 	doc, err := ParseDocument(data)
@@ -368,7 +371,7 @@ func TestAsyncUnitReproducesSync(t *testing.T) {
 			sync[cell{tr.Algo, tr.Graph, tr.Rep}] = tr
 		}
 	}
-	checked := 0
+	checked, diverged := 0, map[string]bool{}
 	for _, tr := range doc.Trials {
 		if tr.Mode != "async" {
 			continue
@@ -379,12 +382,20 @@ func TestAsyncUnitReproducesSync(t *testing.T) {
 		}
 		if tr.Messages != s.Messages || tr.Bits != s.Bits || tr.LastActive != s.LastActive ||
 			tr.Leaders != s.Leaders || tr.Unique != s.Unique {
-			t.Errorf("%s/%s rep %d: async/unit diverges from sync:\nsync:  %+v\nasync: %+v",
-				tr.Algo, tr.Graph, tr.Rep, s, tr)
+			diverged[tr.Algo] = true
+			if core.MustGet(tr.Algo).Bound.MessageDriven {
+				t.Errorf("%s/%s rep %d: async/unit diverges from sync:\nsync:  %+v\nasync: %+v",
+					tr.Algo, tr.Graph, tr.Rep, s, tr)
+			}
 		}
 		checked++
 	}
 	if checked != spec.NumTrials()/2 {
 		t.Fatalf("compared %d pairs, want %d", checked, spec.NumTrials()/2)
+	}
+	for _, algo := range spec.Algos {
+		if !core.MustGet(algo).Bound.MessageDriven && !diverged[algo] {
+			t.Errorf("%s is not message-driven, but async/unit reproduced sync in every cell", algo)
+		}
 	}
 }
