@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-sweep test-budgets fuzz-smoke race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
+.PHONY: build test test-shuffle test-sweep check-matrix test-budgets fuzz-smoke race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
 
 build:
 	$(GO) build ./...
@@ -192,6 +192,16 @@ test-sweep:
 	$(GO) test -run 'TestAllocBudgetSweepConsumer|TestConsumerMemoryFlatInTrialCount|TestEmitKeepsUpWithCompletion|TestRunStopsOnEmitterError|TestBinaryKillAndResume' -v ./internal/harness
 	$(GO) test -run 'TestSweepModeBinaryAndExport|TestSweepModeResumeExcludesTextEmitters|TestFromBinCSVOut' -v ./cmd/ule-experiments
 
+# The guarantee gate (docs/ARCHITECTURE.md § "One verdict"): every
+# registered row on fifteen graphs under the seven fault-free models, held
+# by Prepared.RunInto's check to its Table 1 row, must break it exactly in
+# the recorded kingdom-d runs (TestCheckMatrix); and the rows that keep
+# their rules under a staggered start must keep them on the zoo under four
+# wake schedules (TestCheckStaggeredStart). Both run inside the full suite;
+# this target gives CI a label for them, as test-sweep does the pipeline.
+check-matrix:
+	$(GO) test -run '^TestCheck(Matrix|StaggeredStart)$$' -v ./internal/core
+
 # Every fuzz target for 20 s each: the one thing the full suite does not do
 # (it only replays each target's seed corpus). FromSpec: the graph specs
 # uled reads from clients. ParseModel: the execution-model grammar.
@@ -279,4 +289,4 @@ loc:
 		  printf "%-28s %8d %8d\n", "total", S, T }'
 
 # Everything the CI pipeline runs, in the same order.
-ci: fmt-check vet build test-shuffle race test-sweep test-budgets fuzz-smoke bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check
+ci: fmt-check vet build test-shuffle race test-sweep check-matrix test-budgets fuzz-smoke bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check

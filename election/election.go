@@ -175,7 +175,9 @@ type Params struct {
 	Opt Options
 }
 
-// Elect runs the named algorithm (see Algorithms) on g.
+// Elect runs the named algorithm (see Algorithms) on g. A run that breaks
+// a promise of the algorithm's Table 1 row returns an error
+// (docs/ARCHITECTURE.md § "One verdict" says which runs are judged).
 func Elect(g *Graph, algorithm string, p Params) (*Result, error) {
 	m, err := sim.ParseModel(p.Model)
 	if err != nil {

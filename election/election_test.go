@@ -42,12 +42,10 @@ func TestElectEveryRegisteredAlgorithm(t *testing.T) {
 	g := election.Hypercube(4)
 	for _, algo := range election.Algorithms() {
 		ids := election.PermutationIDs(g.N(), election.NewRand(3))
-		res, err := election.Elect(g, algo, election.Params{Seed: 3, IDs: ids, MaxRounds: 1 << 16})
-		if err != nil {
+		// Elect holds the run to its Table 1 row: two leaders from any
+		// row but trivial's is an error.
+		if _, err := election.Elect(g, algo, election.Params{Seed: 3, IDs: ids, MaxRounds: 1 << 16}); err != nil {
 			t.Fatalf("%s: %v", algo, err)
-		}
-		if algo != "trivial" && res.LeaderCount() > 1 {
-			t.Errorf("%s: %d leaders", algo, res.LeaderCount())
 		}
 	}
 }

@@ -1,0 +1,42 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"ule/internal/sim"
+)
+
+// ErrGuarantee is returned, wrapped, by a run that broke a promise of its
+// Table 1 row (docs/ARCHITECTURE.md § "One verdict").
+var ErrGuarantee = errors.New("core: Table 1 guarantee broken")
+
+// msgSlack turns a deterministic row's O(·) message bound into a per-run
+// limit; TestCheckMatrix's largest finished synchronous ratio is 12.
+const msgSlack = 16
+
+// check is the verdict on a finished run: what its row promises, held to
+// the run when the row makes the promise for it. A row's guarantees assume
+// a fault-free network and a simultaneous start, and a round-driven row's
+// assume synchronous rounds, so any other run is not judged. Every row but
+// a 1/e one elects at most one leader; a probability-1 row elects exactly
+// one unless the run hit its round cap or FScale < 1 left leastel f < n
+// candidates; a deterministic row sends at most msgSlack times its
+// message bound, at the diameter it was granted.
+func (p *Prepared) check(ro RunOpts, res *sim.Result) error {
+	b := p.spec.Bound
+	if ro.Model.Faults != nil || ro.Wake != nil || (ro.Model.Mode == sim.ASYNC && !b.MessageDriven) {
+		return nil
+	}
+	switch {
+	case b.Success != OverE && res.LeaderCount() > 1:
+		return fmt.Errorf("%w: %s elected %d leaders", ErrGuarantee, p.spec.Name, res.LeaderCount())
+	case b.Success == Always && !res.HitRoundCap && ro.Opt.fScale() >= 1 && !res.UniqueLeader():
+		return fmt.Errorf("%w: %s ended without a unique leader (%d elected)", ErrGuarantee, p.spec.Name, res.LeaderCount())
+	case p.spec.Deterministic:
+		if limit := msgSlack * b.Msgs.Of(p.g.N(), p.g.M(), p.Diameter(ro)); float64(res.Messages) > limit {
+			return fmt.Errorf("%w: %s sent %d messages > %d·%s = %.0f", ErrGuarantee, p.spec.Name, res.Messages, msgSlack, b.Msgs.Label, limit)
+		}
+	}
+	return nil
+}

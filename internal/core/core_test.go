@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -48,55 +49,64 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// checkElection runs the algorithm across the zoo and many seeds, asserting
-// safety (never more than one leader) and counting successes; it requires
-// the success rate to be at least minRate.
-func checkElection(t *testing.T, algo string, seeds int, minRate float64) {
+// mustRun runs algo on g and fails t unless the run returns no error —
+// RunInto holds it to its Table 1 row — and ends before its round cap,
+// which the check lets a run off at.
+func mustRun(t *testing.T, g *graph.Graph, algo string, ro RunOpts) *sim.Result {
 	t.Helper()
-	graphs := testGraphs(t)
+	res, err := Run(g, algo, ro)
+	if err == nil && res.HitRoundCap {
+		err = fmt.Errorf("hit the round cap %d", ro.MaxRounds)
+	}
+	if err != nil {
+		t.Fatalf("%s on %s seed %d: %v", algo, g.Name(), ro.Seed, err)
+	}
+	return res
+}
+
+// checkRate runs algo across the zoo for seeds seeds and requires at
+// least minRate of the runs to elect a unique leader; each run must pass
+// mustRun. smallIDs draws each seed's permutation of 1..n
+// (so the Theorem 4.1 algorithm, whose time is exponential in the
+// smallest ID, terminates promptly), else the run draws random IDs.
+func checkRate(t *testing.T, algo string, seeds int, minRate float64, smallIDs bool) {
+	t.Helper()
 	total, successes := 0, 0
-	for name, g := range graphs {
+	for _, g := range testGraphs(t) {
 		for seed := int64(0); seed < int64(seeds); seed++ {
-			res, err := Run(g, algo, RunOpts{Seed: seed, MaxRounds: 1 << 16})
-			if err != nil {
-				t.Fatalf("%s on %s seed %d: %v", algo, name, seed, err)
-			}
-			if res.HitRoundCap {
-				t.Fatalf("%s on %s seed %d: hit round cap", algo, name, seed)
-			}
-			if n := res.LeaderCount(); n > 1 {
-				t.Fatalf("%s on %s seed %d: %d leaders (safety violation)", algo, name, seed, n)
+			ro := RunOpts{Seed: seed, MaxRounds: 1 << 17}
+			if smallIDs {
+				ro.IDs = sim.PermutationIDs(g.N(), rand.New(rand.NewSource(seed^0x51ed)))
 			}
 			total++
-			if res.UniqueLeader() {
+			if mustRun(t, g, algo, ro).UniqueLeader() {
 				successes++
 			}
 		}
 	}
-	rate := float64(successes) / float64(total)
-	if rate < minRate {
+	if rate := float64(successes) / float64(total); rate < minRate {
 		t.Errorf("%s success rate %.3f < %.3f (%d/%d)", algo, rate, minRate, successes, total)
 	}
 }
 
 func TestLeastElElectsUniqueLeader(t *testing.T) {
 	// f(n)=n with ID tiebreaks: success probability 1.
-	checkElection(t, "leastel", 8, 1.0)
+	checkRate(t, "leastel", 8, 1.0, false)
 }
 
 func TestLeastElLogLog(t *testing.T) {
 	// f(n)=Θ(log n): whp, but small graphs can have zero candidates;
 	// accept a small failure rate.
-	checkElection(t, "leastel-loglog", 8, 0.9)
+	checkRate(t, "leastel-loglog", 8, 0.9, false)
 }
 
 func TestLeastElConst(t *testing.T) {
 	// ε=0.1 ⇒ success ≥ 0.9 on every graph.
-	checkElection(t, "leastel-const", 8, 0.9)
+	checkRate(t, "leastel-const", 8, 0.9, false)
 }
 
 func TestFloodElectsUniqueLeader(t *testing.T) {
-	checkElection(t, "flood", 8, 1.0)
+	checkRate(t, "flood", 8, 1.0, false)
 }
 
 func TestTrivialSuccessNearOneOverE(t *testing.T) {

@@ -185,10 +185,18 @@ func TestLeastElListInvariants(t *testing.T) {
 	}
 }
 
-// TestElectionSafetyQuick is the core property test: across random graphs,
-// seeds, and candidate budgets, no run may ever produce two leaders, and
-// f=n runs must always produce exactly one.
+// TestElectionSafetyQuick is the core property test: on random graphs
+// and seeds, every row that is not a 1/e one finishes each run within its
+// round cap and its Table 1 row — the check RunInto makes is the property.
+// A deterministic row draws permutation IDs (dfs's time is exponential in
+// the smallest), a randomized one random IDs.
 func TestElectionSafetyQuick(t *testing.T) {
+	var algos []string
+	for _, name := range Names() {
+		if MustGet(name).Bound.Success != OverE {
+			algos = append(algos, name)
+		}
+	}
 	rng := rand.New(rand.NewSource(31))
 	prop := func(nRaw, mRaw uint8, seed int64, kind uint8) bool {
 		n := 2 + int(nRaw)%40
@@ -201,48 +209,11 @@ func TestElectionSafetyQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		algo := []string{"leastel", "leastel-loglog", "leastel-const", "leastel-estimate"}[kind%4]
-		res, err := Run(g, algo, RunOpts{Seed: seed, MaxRounds: 1 << 15})
-		if err != nil || res.HitRoundCap {
-			return false
-		}
-		if res.LeaderCount() > 1 {
-			return false
-		}
-		if MustGet(algo).Bound.Success == Always && !res.UniqueLeader() {
-			return false // probability-1 algorithms must always succeed
-		}
-		return true
+		algo := algos[int(kind)%len(algos)]
+		res, err := Run(g, algo, RunOpts{Seed: seed, SmallIDs: MustGet(algo).Deterministic, MaxRounds: 1 << 15})
+		return err == nil && !res.HitRoundCap
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDeterministicSafetyQuick: the deterministic algorithms must elect
-// exactly one leader on every instance.
-func TestDeterministicSafetyQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	prop := func(nRaw, mRaw uint8, seed int64, kind uint8) bool {
-		n := 2 + int(nRaw)%24
-		maxM := n * (n - 1) / 2
-		m := n - 1 + int(mRaw)%(maxM-n+2)
-		if m > maxM {
-			m = maxM
-		}
-		g, err := graph.RandomConnected(n, m, rng)
-		if err != nil {
-			return false
-		}
-		algo := []string{"dfs", "kingdom", "kingdom-d", "flood"}[kind%4]
-		ids := sim.PermutationIDs(n, rand.New(rand.NewSource(seed)))
-		res, err := Run(g, algo, RunOpts{Seed: seed, IDs: ids, MaxRounds: 1 << 15})
-		if err != nil || res.HitRoundCap {
-			return false
-		}
-		return res.UniqueLeader()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

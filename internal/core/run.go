@@ -51,21 +51,6 @@ type RunOpts struct {
 	Opt Options
 }
 
-// Correct reports whether res is a correct election outcome under the
-// given execution model: fault-free, the paper's success condition (one
-// leader, everyone decided — Result.UniqueLeader); under a fault
-// schedule, the fault-tolerant condition (exactly one live leader and
-// agreement among the live nodes — Result.UniqueLiveLeader). A model
-// with crash-recovery or churn is judged by the same live-node rule: a
-// node that rejoined and re-decided counts, one still undecided at the
-// end fails the run.
-func Correct(m sim.ModelSpec, res *sim.Result) bool {
-	if m.Faults == nil {
-		return res.UniqueLeader()
-	}
-	return res.UniqueLiveLeader()
-}
-
 // Outcome is the scalar record of one finished election — everything a
 // front end reports about a run; the O(n) sim.Result it was reduced from
 // is discarded or recycled.
@@ -90,8 +75,8 @@ type Outcome struct {
 	// Fault measurements, set only when the run had a fault schedule
 	// (fault-free records are unchanged from earlier schema versions):
 	// applied crash/recovery event counts, messages lost to the fault
-	// adversary, and the fault-tolerant success condition (Correct — a
-	// unique leader among the live nodes).
+	// adversary, and the fault-tolerant success condition (a unique
+	// leader among the live nodes, Result.UniqueLiveLeader).
 	Crashes    int   `json:"crashes,omitempty"`
 	Recoveries int   `json:"recoveries,omitempty"`
 	Dropped    int64 `json:"dropped,omitempty"`
@@ -115,14 +100,16 @@ func (p *Prepared) Reduce(ro RunOpts, res *sim.Result) Outcome {
 		o.Crashes = res.Crashes
 		o.Recoveries = res.Recoveries
 		o.Dropped = res.Dropped
-		o.LiveUnique = Correct(ro.Model, res)
+		o.LiveUnique = res.UniqueLiveLeader()
 	}
 	return o
 }
 
 // Config resolves ro against the registered algorithm into exactly what
 // the engine is handed for the run: the sim.Config (IDs drawn, the Table 1
-// knowledge granted) and the protocol instance.
+// knowledge granted) and the protocol instance. It is for tests that drive
+// the engine or the reference interpreter with that config themselves; a
+// run made that way is not checked against its row (Prepared.RunInto).
 func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, error) {
 	spec, err := lookup(algo)
 	if err != nil {
@@ -132,13 +119,18 @@ func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, 
 	return p.config(ro)
 }
 
-// Run executes the registered algorithm on g and returns the run summary.
+// Run executes the registered algorithm on g once, on a fresh Prepared,
+// and returns the run summary.
 func Run(g *graph.Graph, algo string, ro RunOpts) (*sim.Result, error) {
-	cfg, proto, err := Config(g, algo, ro)
+	p, err := Prepare(g, algo)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(cfg, proto)
+	res := new(sim.Result)
+	if err := p.RunInto(ro, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Prepared binds a registered algorithm to a graph with a reusable
@@ -236,9 +228,9 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 	g, spec := p.g, p.spec
 	switch {
 	case ro.Anonymous && spec.NeedsIDs:
-		return sim.Config{}, nil, fmt.Errorf("core: %s requires unique IDs", spec.Name)
+		return sim.Config{}, nil, fmt.Errorf("%w: %s requires unique IDs", sim.ErrConfig, spec.Name)
 	case ro.Anonymous && (ro.IDs != nil || ro.SmallIDs):
-		return sim.Config{}, nil, fmt.Errorf("core: anonymous excludes small_ids and IDs: an anonymous network has no identifiers")
+		return sim.Config{}, nil, fmt.Errorf("%w: anonymous excludes small_ids and IDs: an anonymous network has no identifiers", sim.ErrConfig)
 	}
 	if ro.IDs == nil && !ro.Anonymous {
 		if p.rng == nil {
@@ -277,11 +269,16 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 // RunInto executes one trial into *out, recycling out's slices across
 // calls (see sim.Runner.RunInto), so a driver that reduces each result
 // (Reduce) before the next trial keeps per-trial allocation flat; the
-// filled Result is overwritten by the next RunInto with the same out.
+// filled Result is overwritten by the next RunInto with the same out. A
+// finished run that broke its Table 1 row returns an error wrapping
+// ErrGuarantee, with *out filled.
 func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
 	cfg, proto, err := p.config(ro)
 	if err != nil {
 		return err
 	}
-	return p.runner.RunInto(cfg, proto, out)
+	if err := p.runner.RunInto(cfg, proto, out); err != nil {
+		return err
+	}
+	return p.check(ro, out)
 }

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,8 +27,9 @@ type TrialResult struct {
 	// Outcome holds the measurements (its fields are inlined in the JSON
 	// record).
 	core.Outcome
-	// Err records a per-trial model violation ("" = clean run). The sweep
-	// continues past trial errors; Report.Errors counts them.
+	// Err records a per-trial model violation or a broken Table 1
+	// guarantee ("" = clean run); only the latter keeps the Outcome. The
+	// sweep continues past trial errors; Report.Errors counts them.
 	Err string `json:"err,omitempty"`
 }
 
@@ -45,13 +48,14 @@ type GroupStats struct {
 	D      int    `json:"d,omitempty"`
 	Trials int    `json:"trials"`
 	Errors int    `json:"errors,omitempty"`
-	// Messages/Rounds summarize clean trials; Success is the fraction of
-	// clean trials electing a unique leader.
+	// Messages/Rounds summarize the clean trials and those that broke their
+	// Table 1 row (core.ErrGuarantee); Success is the fraction of them that
+	// are clean and elect a unique leader.
 	Messages stats.Summary `json:"messages"`
 	Rounds   stats.Summary `json:"rounds"` // LastActive per trial
 	Bits     stats.Summary `json:"bits"`
 	Success  float64       `json:"success"`
-	// Survival is the fraction of clean trials satisfying the
+	// Survival is the fraction of those trials satisfying the
 	// fault-tolerant success condition (unique live leader); only
 	// emitted for fault cells.
 	Survival float64 `json:"survival,omitempty"`
@@ -162,13 +166,15 @@ type groupAcc struct {
 func (acc *groupAcc) add(next *TrialResult) {
 	acc.trials++
 	if next.Err != "" {
-		acc.errors++
-		return
+		acc.errors++ // a broken guarantee is measured, never a success
+		if !strings.HasPrefix(next.Err, core.ErrGuarantee.Error()) {
+			return
+		}
 	}
 	acc.msgs.Add(next.Messages)
 	acc.rounds.Add(int64(next.LastActive))
 	acc.bs.Add(next.Bits)
-	if next.Unique {
+	if next.Unique && next.Err == "" {
 		acc.unique++
 	}
 	if next.LiveUnique {
@@ -210,10 +216,10 @@ func (a *sweepAgg) finish(rep *Report) {
 			Rounds:   acc.rounds.Summary(),
 			Bits:     acc.bs.Summary(),
 		}
-		if clean := acc.trials - acc.errors; clean > 0 {
-			gs.Success = float64(acc.unique) / float64(clean)
+		if ran := acc.msgs.Count(); ran > 0 {
+			gs.Success = float64(acc.unique) / float64(ran)
 			if gs.Fault != "" {
-				gs.Survival = float64(acc.liveUnique) / float64(clean)
+				gs.Survival = float64(acc.liveUnique) / float64(ran)
 			}
 		}
 		rep.Errors += acc.errors
@@ -384,9 +390,10 @@ func (p *Plan) runTrial(t Trial, shards int, ws *workerState) TrialResult {
 	}
 	if err != nil {
 		tr.Err = err.Error()
-		return tr
 	}
-	tr.Outcome = prep.Reduce(ro, &ws.res)
+	if err == nil || errors.Is(err, core.ErrGuarantee) {
+		tr.Outcome = prep.Reduce(ro, &ws.res)
+	}
 	return tr
 }
 

@@ -399,3 +399,41 @@ func TestAsyncUnitReproducesSync(t *testing.T) {
 		}
 	}
 }
+
+// TestGuaranteeBreakCountsAsFailure: a run that breaks its Table 1 row
+// (kingdom-d livelocks under FIFO delays on torus:5x5 until the round cap)
+// is recorded with its error and its measurements, and its cell counts it
+// as a failed run: success below 1, its messages in the summary.
+func TestGuaranteeBreakCountsAsFailure(t *testing.T) {
+	spec := Spec{
+		Algos:     []string{"kingdom-d"},
+		Graphs:    []string{"torus:5x5"},
+		Modes:     []string{"async"},
+		Delays:    []string{"fifo:4"},
+		Trials:    4,
+		Seed:      4,
+		MaxRounds: 4096,
+	}
+	out, _ := runToJSON(t, spec, 1)
+	doc, err := ParseDocument(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := 0
+	for _, tr := range doc.Trials {
+		if tr.Err == "" {
+			continue
+		}
+		if !strings.HasPrefix(tr.Err, core.ErrGuarantee.Error()) || tr.Messages == 0 {
+			t.Fatalf("trial %d: err %q with %d messages, want a guarantee break with its measurements", tr.Index, tr.Err, tr.Messages)
+		}
+		broken++
+	}
+	grp := doc.Groups[0]
+	if broken == 0 || grp.Errors != broken {
+		t.Fatalf("%d broken trials, group errors %d; want some, counted", broken, grp.Errors)
+	}
+	if want := float64(spec.Trials-broken) / float64(spec.Trials); grp.Success > want || grp.Messages.Count != spec.Trials {
+		t.Fatalf("group success %v over %d message samples, want at most %v over %d", grp.Success, grp.Messages.Count, want, spec.Trials)
+	}
+}

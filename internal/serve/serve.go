@@ -659,8 +659,12 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	}
 	if err := prep.RunInto(ro, &s.res); err != nil {
 		// Anonymous-vs-IDs and engine misconfigurations are request
-		// errors; model violations during the run are server-side.
-		return nil, badRequest("%v", err)
+		// errors; a model violation or a broken guarantee during the run
+		// is server-side.
+		if errors.Is(err, sim.ErrConfig) {
+			return nil, badRequest("%v", err)
+		}
+		return nil, err
 	}
 	o := prep.Reduce(ro, &s.res)
 	out := &ElectionResult{

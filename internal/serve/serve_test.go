@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ule/internal/core"
 	"ule/internal/harness"
 )
 
@@ -144,8 +145,9 @@ func TestElectionDeterminism(t *testing.T) {
 	}
 }
 
-// TestBadRequests: every malformed request maps to the right status and
-// the body names the offending token.
+// TestBadRequests: every malformed request, and every run that fails on
+// the server, maps to the right status and the body names the offending
+// token.
 func TestBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Slots: 1})
 	cases := []struct {
@@ -165,6 +167,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad wake", "/v1/elections", `{"graph":"ring:8","algo":"leastel","wake":"sometimes"}`, 400, "sometimes"},
 		// An anonymous network has no identifiers to assign.
 		{"anonymous small IDs", "/v1/elections", `{"graph":"ring:16","algo":"leastel","seed":3,"anonymous":true,"small_ids":true}`, 400, "anonymous excludes small_ids"},
+		{"anonymous flood", "/v1/elections", `{"graph":"ring:16","algo":"flood","anonymous":true}`, 400, "flood requires unique IDs"},
+		// A run that breaks its Table 1 row is the server's failure, not
+		// the request's: kingdom-d livelocks under FIFO delays.
+		{"broken guarantee", "/v1/elections", `{"graph":"torus:5x5","algo":"kingdom-d","model":"async+fifo:4","seed":0,"max_rounds":4096}`, 500, core.ErrGuarantee.Error()},
 		{"rounds above cap", "/v1/elections", `{"graph":"ring:8","algo":"leastel","max_rounds":4194304}`, 400, "max_rounds"},
 		{"sweep bad algo", "/v1/sweeps", `{"algos":["zeus"],"graphs":["ring:8"]}`, 400, "zeus"},
 		{"sweep bad graph", "/v1/sweeps", `{"algos":["leastel"],"graphs":["blob:9"]}`, 400, "blob"},

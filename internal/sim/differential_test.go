@@ -28,7 +28,7 @@ func mustMatchReference(t *testing.T, cfg Config, p Protocol) *Result {
 }
 
 // chaosProto is the randomized differential's protocol: every node acts on
-// its own coins — sends on random ports, changes its status, halts — when
+// its own coins — sends on random ports, decides a status once, halts — when
 // it is started, when it receives, and when a quiet period it chose for
 // itself runs out. Some quiet periods it declares with IdleUntil (finite
 // and Forever), truthfully: until quietUntil its Round on an empty inbox
@@ -68,7 +68,11 @@ func (p *chaosProc) act(c *Context) {
 		c.Send(port, pl)
 	}
 	if rng.Intn(4) == 0 {
-		c.Decide(Status(rng.Intn(3)))
+		// A status is final: the draw is made every time, the decision
+		// only from ⊥.
+		if s := Status(rng.Intn(3)); c.Status() == Undecided {
+			c.Decide(s)
+		}
 	}
 	if rng.Intn(4) == 0 {
 		c.Halt()

@@ -258,7 +258,9 @@ func (c *Context) BroadcastExcept(skip int, p Payload) {
 	c.eng.sendAll(c.node, skip, p)
 }
 
-// Decide sets the node's election status.
+// Decide sets the node's election status. A decision is final: changing
+// an elected or non-elected status fails the run with ErrRevoked (a
+// reset-state rejoin is a new process, back at ⊥).
 func (c *Context) Decide(s Status) {
 	c.eng.decide(c.node, s)
 }
@@ -470,6 +472,7 @@ var (
 	ErrBadPort    = errors.New("sim: send on invalid port")
 	ErrBitCap     = errors.New("sim: CONGEST message exceeds bit budget")
 	ErrConfig     = errors.New("sim: invalid config")
+	ErrRevoked    = errors.New("sim: decided status revoked")
 )
 
 // send and decide write only per-node slots (outbox row, send counters,
@@ -557,9 +560,13 @@ func (e *engine) sendAll(u, skip int, p Payload) {
 }
 
 func (e *engine) decide(u int, s Status) {
-	if e.status[u] != s {
+	switch old := e.status[u]; {
+	case old == s:
+	case old == Undecided:
 		e.status[u] = s
 		e.changed[u] = true
+	case e.nodeErr[u] == nil:
+		e.nodeErr[u] = fmt.Errorf("%w: node %d %v → %v in round %d", ErrRevoked, u, old, s, e.round)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ule/internal/graph"
@@ -93,6 +94,37 @@ func (doubleSender) Start(c *Context)               {}
 func (doubleSender) Round(c *Context, inbox []Message) {
 	c.Send(0, tokenMsg{1})
 	c.Send(0, tokenMsg{2})
+}
+
+// turncoat is elected on its start and non-elected a round later, when
+// its neighbor's message arrives.
+type turncoat struct{}
+
+func (turncoat) New(info NodeInfo) Process { return turncoat{} }
+func (turncoat) Start(c *Context) {
+	c.Decide(Leader)
+	c.Broadcast(tokenMsg{1})
+}
+func (turncoat) Round(c *Context, inbox []Message) {
+	c.Decide(Leader) // the same status again is no change
+	if c.Round() == 2 {
+		c.Decide(NonLeader)
+	}
+}
+
+// TestDecisionIsFinal: changing a decided status is a model violation,
+// ErrRevoked, synchronous and asynchronous alike.
+func TestDecisionIsFinal(t *testing.T) {
+	for _, model := range []string{"congest", "async"} {
+		m, err := ParseModel(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(Config{Graph: graph.Path(2), Seed: 1, Model: m}, turncoat{})
+		if !errors.Is(err, ErrRevoked) || !strings.Contains(err.Error(), "elected → non-elected in round 2") {
+			t.Errorf("%s: err = %v, want ErrRevoked in round 2", model, err)
+		}
+	}
 }
 
 func TestPortSendCapEnforced(t *testing.T) {
