@@ -38,9 +38,14 @@ race:
 # concurrent dispatch even when the hardware would not take it. The
 # flood family's batteries ride along (TestFlood*: the poisoned-box
 # goldens, the model test against the reference flooder and the ownership
-# tests; TestLemma43ListLength): its receivers read pooled wire boxes in
-# place, some of which crossed shards, and a box released too early is a
-# data race here before it is a moved hash. So does the recycling battery
+# tests; TestLemma43ListLength): its receivers read wire boxes in place,
+# some of which crossed shards, and keep them for their own next sends,
+# and a box released too early is a data race here before it is a moved
+# hash. TestWarmTrialAfterGCAllocatesNoBox runs warm four-shard trials
+# between collections: boxes cross shards in messages and land on another
+# shard's shelf, and the shelves draw from and go back to the one locked
+# reserve (TestContextShard holds each node to its shard's index). So
+# does the recycling battery
 # (TestRecycled*, TestRejoin*): a warm Runner renews its processes, some of
 # whose wire records crossed shards in the run before, and a record or a
 # slab shared by mistake between two of them is a data race at 2 and 4
@@ -69,7 +74,7 @@ race:
 # Every name in either -run list must match a test (go test -list), so a
 # renamed or deleted test fails the target instead of leaving the matrix
 # without a word.
-RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh
+RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh|TestWarmTrialAfterGCAllocatesNoBox|TestContextShard
 RACE_SWEEP_RUN := TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion
 race-matrix:
 	@set -e; for arg in '$(RACE_ENGINE_RUN);./internal/sim ./internal/core' '$(RACE_SWEEP_RUN);./internal/harness'; do \
@@ -216,6 +221,7 @@ fuzz-smoke:
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzParseBinary -fuzztime 20s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzLeaseLine -fuzztime 20s
+	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
 
 # The sweep-pipeline measurement set (docs/PERFORMANCE.md): per-trial
 # encoder benchmarks, steady-state consumer throughput for the

@@ -9,8 +9,6 @@ package ule
 import (
 	"math/rand"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 
 	"ule/internal/core"
@@ -63,7 +61,8 @@ func TestAllocBudgetWaveRing(t *testing.T) {
 
 // TestAllocBudgetLeastelRing pins the full-protocol budget: leastel keeps
 // every node a candidate, so the measurement covers the flood machinery
-// (pooled wire boxes read in place, the drip queue, the least-element
+// (wire boxes read in place and kept by their receivers, the drip queue,
+// the least-element
 // list) on top of the engine. Steady-state traffic allocates nothing, and
 // neither does a run's set-up: the warm Runner renews the processes of the
 // last run (sim.Recycler) with their queues, lists and sort scratch, so
@@ -87,7 +86,7 @@ func TestAllocBudgetLeastelRing(t *testing.T) {
 		}
 		return res.Rounds
 	}
-	if got := allocsPerRound(t, 2, run); got >= 0.5 && !poolDrops() {
+	if got := allocsPerRound(t, 2, run); got >= 0.5 {
 		t.Errorf("leastel on ring:512: %.3f allocs/round, budget 0.5 (0.002 measured; one allocation per node and run is 0.9)", got)
 	}
 }
@@ -124,7 +123,7 @@ func TestAllocBudgetLeastelFaultyRing(t *testing.T) {
 		}
 		return res.Rounds
 	}
-	if got := allocsPerRound(t, 2, run); got >= 0.03 && !poolDrops() {
+	if got := allocsPerRound(t, 2, run); got >= 0.03 {
 		t.Errorf("faulty leastel on ring:512: %.4f allocs/round, budget 0.03 (0.001 measured; one allocation per node and run is 0.06)", got)
 	}
 }
@@ -156,7 +155,7 @@ func TestAllocBudgetLeastelSharded(t *testing.T) {
 		}
 		return res.Rounds
 	}
-	if got := allocsPerRound(t, 2, run); got >= 0.5 && !poolDrops() {
+	if got := allocsPerRound(t, 2, run); got >= 0.5 {
 		t.Errorf("sharded leastel on ring:512: %.3f allocs/round, budget 0.5 (same as single-shard)", got)
 	}
 }
@@ -167,14 +166,11 @@ func TestAllocBudgetLeastelSharded(t *testing.T) {
 // forced onto one shard it may allocate the per-run pool start (a
 // goroutine, a channel, two closures) and nothing per round: the
 // difference must stay below one allocation per round. (Both sides run
-// warm, on renewed processes, so what the election itself allocates —
-// pool refills after a collection, a queue that outgrows its last run —
-// is small and the same on both. testing.AllocsPerRun pins GOMAXPROCS to
-// 1, where nothing is sharded, so this counts Mallocs itself and takes the
-// lesser of two runs to shed GC-timing noise.) Under the race detector
-// sync.Pool drops a quarter of the wire boxes at random, the two sides
-// differ by hundreds of allocations either way and the comparison means
-// nothing: only the rounds and the election are checked there.
+// warm, on renewed processes, so what the election itself allocates — a
+// queue that outgrows its last run — is small and the same on both.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where nothing is sharded, so
+// this counts Mallocs itself and takes the lesser of two runs to shed
+// GC-timing noise.)
 func TestAllocBudgetLeastelAutoSharded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := graph.Torus(128, 128)
@@ -209,10 +205,6 @@ func TestAllocBudgetLeastelAutoSharded(t *testing.T) {
 		t.Fatalf("auto-sharded run took %d rounds, single-shard %d", autoRounds, rounds)
 	}
 	t.Logf("leastel on torus:128x128: %.1f allocations per node single-shard, %+d auto-sharded", float64(single)/float64(g.N()), int64(auto)-int64(single))
-	if poolDrops() {
-		t.Log("sync.Pool is dropping items (race detector?): allocation difference not checked")
-		return
-	}
 	if extra := int64(auto) - int64(single); extra >= int64(rounds) {
 		t.Errorf("auto-sharded leastel on torus:128x128: %d allocations over the single-shard %d in %d rounds, budget < 1 per round",
 			extra, single, rounds)
@@ -326,10 +318,8 @@ func TestAllocBudgetColdRunner(t *testing.T) {
 // core.Prepare plus the first run of elect-sparse's leastel cell, scaled
 // to ring:4096 (async random delays, adversarial wake), is held per node
 // to its measured cost plus 15 %: 1281 B measured, 2579 B with chunked
-// generators and 24-byte list entries. Under the race detector sync.Pool
-// drops wire boxes: only bytes are checked there, less those of a warm run.
+// generators and 24-byte list entries.
 func TestAllocBudgetNodeFootprint(t *testing.T) {
-	checkObjects := !poolDrops()
 	const seeds = 64
 	bytes, objects := heapCost(func() {
 		for s := int64(0); s < seeds; s++ {
@@ -340,7 +330,7 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 		}
 	})
 	t.Logf("sim.NewRand + 273 draws: %.1f B in %.2f allocations", float64(bytes)/seeds, float64(objects)/seeds)
-	if bytes > 112*seeds || checkObjects && objects > 2*seeds {
+	if bytes > 112*seeds || objects > 2*seeds {
 		t.Errorf("sim.NewRand + 273 draws: %.1f B in %.2f allocations, budget 112 B in 2", float64(bytes)/seeds, float64(objects)/seeds)
 	}
 
@@ -366,12 +356,6 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 		}
 		run()
 	})
-	if !checkObjects {
-		// The dropped boxes come from the heap again, on every run alike; a
-		// warm run at the same seed allocates nothing else.
-		dropped, _ := heapCost(run)
-		bytes -= dropped
-	}
 	perNode := float64(bytes) / float64(g.N())
 	t.Logf("leastel on ring:4096 (async+random:8, adversarial wake), Prepare + first run: %.0f B per node in %.2f allocations", perNode, float64(objects)/float64(g.N()))
 	if perNode > 1475 {
@@ -449,13 +433,8 @@ func protocolCensus(t testing.TB, g *graph.Graph, algo string) (c census, ok boo
 	}
 	warm() // warm the Runners' buffers
 	cold()
-	// No collection while counting: one would empty the sync.Pool free
-	// lists of the flood family's wire boxes mid-run, and the refill would
-	// read as allocations of a protocol that made none.
-	gc := debug.SetGCPercent(-1)
 	c.warm = testing.AllocsPerRun(3, warm)
 	c.cold = testing.AllocsPerRun(3, cold)
-	debug.SetGCPercent(gc)
 	if res.Messages == 0 {
 		return c, false
 	}
@@ -507,30 +486,28 @@ func (p *meteredProc) Start(c *sim.Context) {
 // 3 objects (the drip queue, the least-element list, and flush's per-port
 // counters where a port is over its rate; the inbox sort scratch comes
 // with the first announcement) on any degree — no send hook, no identity
-// port slice, no per-port queue rows. The second run is the one measured,
-// so the wire boxes come from the pool.
+// port slice, no per-port queue rows. The protocol comes from core.Config,
+// so it has box shelves, as in production, and the second run is the one
+// measured, so the wire boxes come from those shelves.
 func TestFloodStartBudget(t *testing.T) {
-	if poolDrops() {
-		t.Skip("sync.Pool is dropping items (race detector?): wire boxes would count")
-	}
 	for _, spec := range []string{"torus:32x32", "star:257", "complete:64"} {
 		g, err := graph.FromSpec(spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var mallocs uint64
-		cfg := sim.Config{
-			IDs:  sim.PermutationIDs(g.N(), rand.New(rand.NewSource(3))),
-			Know: sim.Knowledge{N: g.N()},
-			Seed: 5, Shards: 1, StopWhenQuiet: true,
+		cfg, leastel, err := core.Config(g, "leastel", core.RunOpts{
+			Seed: 5, IDs: sim.PermutationIDs(g.N(), rand.New(rand.NewSource(3))), Shards: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		proto := startMeter{core.MustGet("leastel").New(core.Options{}), &mallocs}
+		proto := startMeter{leastel, &mallocs}
 		r, err := sim.NewRunner(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var res sim.Result
-		gc := debug.SetGCPercent(-1) // a collection would empty the box pool
 		for i := 0; i < 2; i++ {
 			mallocs = 0
 			if err := r.RunInto(cfg, proto, &res); err != nil {
@@ -540,32 +517,12 @@ func TestFloodStartBudget(t *testing.T) {
 				t.Fatal("election failed")
 			}
 		}
-		debug.SetGCPercent(gc)
 		perNode := float64(mallocs) / float64(g.N())
 		t.Logf("leastel on %s: %.2f allocations per node in Start", spec, perNode)
 		if perNode > 3 {
 			t.Errorf("leastel on %s: %.2f allocations per node in Start, budget 3", spec, perNode)
 		}
 	}
-}
-
-// poolDrops reports whether sync.Pool loses what it was just given, as it
-// does under the race detector (Put discards a quarter of the items at
-// random): the wire boxes of the flood family then come from the heap
-// again and allocation counts mean nothing.
-func poolDrops() bool {
-	const k = 64
-	var p sync.Pool
-	for i := 0; i < k; i++ {
-		p.Put(new(int))
-	}
-	kept := 0
-	for i := 0; i < k; i++ {
-		if p.Get() != nil {
-			kept++
-		}
-	}
-	return kept < k-1 // one item can strand on another P's private slot
 }
 
 // TestProtocolBudgets prices every registered algorithm in the paper's own
@@ -593,10 +550,6 @@ func TestProtocolBudgets(t *testing.T) {
 		"leastel-loglog":   {0.4, renewed, 0.9},
 		"spanner-le":       {0.4, renewed, 0.8},
 	}
-	checkAllocs := !poolDrops()
-	if !checkAllocs {
-		t.Log("sync.Pool is dropping items (race detector?): allocation budgets not checked")
-	}
 	g := graph.Torus(32, 32)
 	for _, algo := range core.Names() {
 		c, ok := protocolCensus(t, g, algo)
@@ -610,10 +563,10 @@ func TestProtocolBudgets(t *testing.T) {
 		}
 		t.Logf("%-17s %.3f allocs/msg cold (budget %.1f)  %.3f warm (budget %.2f)  %.2f steps/msg (budget %.1f)",
 			algo, c.cold, b.cold, c.warm, b.warm, c.steps, b.steps)
-		if checkAllocs && c.cold > b.cold {
+		if c.cold > b.cold {
 			t.Errorf("%s: %.3f allocations per delivered message on a first trial, budget %.1f", algo, c.cold, b.cold)
 		}
-		if checkAllocs && c.warm > b.warm {
+		if c.warm > b.warm {
 			t.Errorf("%s: %.3f allocations per delivered message on a later trial, budget %.2f", algo, c.warm, b.warm)
 		}
 		if c.steps > b.steps {

@@ -27,6 +27,7 @@ type Cluster struct {
 	// Factor scales the 8·ln(n)/n candidate probability
 	// (Options.ClusterCandidateFactor).
 	Factor float64
+	depot  *boxDepot // Options.depot
 }
 
 // New implements sim.Protocol.
@@ -41,7 +42,7 @@ func (cl Cluster) Renew(old sim.Process, info sim.NodeInfo) sim.Process {
 	p.fl.recycle()
 	clear(p.early)
 	*p = clusterProc{
-		factor: cl.Factor, parentPort: -1, port: row(p.port, info.Degree),
+		depot: cl.depot, factor: cl.Factor, parentPort: -1, port: row(p.port, info.Degree),
 		upRecs: p.upRecs[:0], queue: p.queue.recycled(),
 		overlay: p.overlay[:0], fl: p.fl, early: p.early[:0], slab: p.slab.rewound(),
 	}
@@ -115,6 +116,7 @@ type cPort struct {
 }
 
 type clusterProc struct {
+	depot  *boxDepot
 	factor float64
 	me     int64
 	// port is indexed by port.
@@ -286,7 +288,7 @@ func (p *clusterProc) maybeFinishPhase1(c *sim.Context) {
 	if !p.joined || p.awaiting > 0 {
 		return
 	}
-	p.upRecs = slices.Grow(p.upRecs, len(p.port)) // at most one more per port
+	p.upRecs = reserve(p.upRecs, len(p.port)) // at most one more per port
 	for port, pt := range p.port {
 		if pt.heard && pt.cluster != p.cluster {
 			p.addUp(record{other: pt.cluster, owner: p.me, ownPort: port})
@@ -313,7 +315,7 @@ func (p *clusterProc) maybeSendUp(c *sim.Context) {
 		p.enterPhase3(c)
 		return
 	}
-	p.queue.q = slices.Grow(p.queue.q, len(p.upRecs)+1) // the stream in one allocation
+	p.queue.q = reserve(p.queue.q, len(p.upRecs)+1) // the stream in one allocation
 	for _, r := range p.upRecs {
 		p.queue.push(p.parentPort, p.slab.box(cMsg{kind: cRec, rec: r}))
 	}
@@ -327,7 +329,7 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 	}
 	p.inPh3 = true
 	// Never nil on a node with ports: nil would mean every port.
-	p.overlay = slices.Grow(p.overlay[:0], c.Degree())
+	p.overlay = reserve(p.overlay[:0], c.Degree())
 	for port, pt := range p.port {
 		for range pt.owned { // the far side learns that the edge is kept
 			c.Send(port, msgMark)
@@ -336,7 +338,7 @@ func (p *clusterProc) enterPhase3(c *sim.Context) {
 			p.overlay = append(p.overlay, port)
 		}
 	}
-	initFlooder(&p.fl, c.Degree(), p.overlay, true, tagPhaseB, c)
+	initFlooder(&p.fl, c.Degree(), p.overlay, true, tagPhaseB, c, p.depot)
 	self := drawKey(c, rankSpace(c.Know().N))
 	// Anonymous networks reuse the phase-1 identity as the tiebreak token.
 	if !c.HasID() {
@@ -354,6 +356,6 @@ func init() {
 		NeedsN:  true,
 		Quiet:   true,
 		Bound:   Bound{Msgs: Term{"m+n·log n", func(n, m, d int) float64 { return float64(m) + float64(n)*log2(n) }}, Rounds: termDLogN, Success: WHP},
-		New:     func(o Options) sim.Recycler { return Cluster{Factor: o.clusterFactor()} },
+		New:     func(o Options) sim.Recycler { return Cluster{Factor: o.clusterFactor(), depot: o.depot} },
 	})
 }

@@ -38,6 +38,11 @@ type Options struct {
 	// ClusterCandidateFactor scales the 8·ln(n)/n candidate probability
 	// of Algorithm 1. Default 1.
 	ClusterCandidateFactor float64
+
+	// depot holds the flood family's free wire boxes (boxes.go): the
+	// Prepared that builds the protocol sets it, so that its runs reuse
+	// them. A protocol built without one allocates the boxes it sends.
+	depot *boxDepot
 }
 
 func (o Options) epsilon() float64 {

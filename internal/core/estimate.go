@@ -18,18 +18,20 @@ import "ule/internal/sim"
 // with probability 1. Nodes reached by a phase-B rank before the start
 // signal join phase B on the spot (the rank message carries X̄), which
 // preserves the flood-timing argument despite the skewed starts.
-type Estimate struct{}
+type Estimate struct {
+	depot *boxDepot // Options.depot
+}
 
 // New implements sim.Protocol.
 func (e Estimate) New(info sim.NodeInfo) sim.Process { return e.Renew(nil, info) }
 
 // Renew implements sim.Recycler: the initial state of a size-estimating
 // process, keeping the storage of both flooders when old is one.
-func (Estimate) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+func (e Estimate) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
 	p := reuse[estimateProc](old)
 	p.flA.recycle()
 	p.flB.recycle()
-	*p = estimateProc{flA: p.flA, flB: p.flB}
+	*p = estimateProc{depot: e.depot, flA: p.flA, flB: p.flB}
 	return p
 }
 
@@ -39,15 +41,16 @@ type startBMsg struct{ xbar int64 }
 func (m startBMsg) Bits() int { return 3 + sim.BitsFor(m.xbar) }
 
 type estimateProc struct {
-	flA, flB flooder // phase A (max) and phase B (min), sharing every inbox
+	depot    *boxDepot
+	flA, flB flooder // phase A (max) and phase B (min), sharing every inbox and a shelf
 	inB      bool
 	startFwd bool
 	sawAWin  bool
 }
 
 func (p *estimateProc) Start(c *sim.Context) {
-	initFlooder(&p.flA, c.Degree(), nil, false, tagPhaseA, c)
-	initFlooder(&p.flB, c.Degree(), nil, true, tagPhaseB, c)
+	initFlooder(&p.flA, c.Degree(), nil, false, tagPhaseA, c, p.depot)
+	initFlooder(&p.flB, c.Degree(), nil, true, tagPhaseB, c, p.depot)
 	// Geometric draw: flips until the first heads.
 	x := int64(1)
 	for c.Rand().Intn(2) == 0 {
@@ -109,7 +112,7 @@ func (p *estimateProc) Round(c *sim.Context, inbox []sim.Message) {
 	}
 	p.flB.handleInbox(inbox)
 	// Both flooders have read the inbox: only now may its boxes go back.
-	releaseInbox(inbox)
+	p.flB.shelf.release(inbox)
 	p.flA.flush()
 	p.flB.flush()
 	if p.inB {
@@ -130,6 +133,6 @@ func init() {
 		Summary: "size-estimate max-flood then f=n least-el; no knowledge, prob 1, O(D) time, O(m·min(log n,D)) msgs whp",
 		Quiet:   true,
 		Bound:   Bound{Msgs: termMLogN, Rounds: termD, MessageDriven: true},
-		New:     func(o Options) sim.Recycler { return Estimate{} },
+		New:     func(o Options) sim.Recycler { return Estimate{depot: o.depot} },
 	})
 }

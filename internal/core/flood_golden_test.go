@@ -84,9 +84,9 @@ func floodGoldenHash(t *testing.T, algo string, c floodCell) uint64 {
 
 // TestFloodGolden pins one transcript per flood-family algorithm and cell,
 // taken before the flood's data path was rebuilt around in-place reads of
-// pooled boxes: the rebuild changed what the host pays per message, so
+// reused boxes: the rebuild changed what the host pays per message, so
 // everything the simulation reports must be what it was. It runs with the
-// release hook poisoning every box on its way back to the pool, so a read
+// release hook poisoning every box as its reader releases it, so a read
 // after release adopts an impossible rank and moves a hash instead of
 // hiding behind a value that happens to be still there.
 func TestFloodGolden(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"ule/internal/sim"
 )
@@ -71,29 +70,9 @@ func (m *flMsg) Bits() int {
 	return b
 }
 
-// flMsgPool is the free list of wire records. Flood messages dominate the
-// traffic of every randomized algorithm here, so a record is written once
-// and never copied: flooder.out draws a box and fills it, the drip queue
-// and the engine carry the pointer, and the receiver reads it in place.
-//
-// Ownership: the sender draws one box per send (a box never travels two
-// links) and gives it up when flush hands it to the engine. The process
-// whose inbox a box arrives in owns it from then on and returns it exactly
-// once, with releaseInbox, after every one of its flooders has handled
-// that inbox (cluster keeps what arrives before its phase 3 until the
-// round that handles it) — never earlier: a box put back mid-round can be
-// drawn again by the handler that is still reading the inbox, or by
-// another shard, and a flooder that scans an inbox looks at the tag of
-// every box in it, its own or not. Payloads that are not *flMsg are not
-// the flood's and are left alone. Boxes that are never handled (arrivals
-// at halted or crashed nodes, dropped messages, aborted runs) are left to
-// the GC, which sync.Pool tolerates. docs/ARCHITECTURE.md § "The flood
-// wire record" has the argument in full.
-var flMsgPool = sync.Pool{New: func() any { return new(flMsg) }}
-
-// onRelease, when set, sees every box on its way back to the pool. Tests
-// only: they poison the box there, so that a read after release moves a
-// transcript, and count the releases.
+// onRelease, when set, sees every box a process releases (boxShelf.release).
+// Tests only: they poison the box there, so that a read after release moves
+// a transcript, and count the releases.
 var onRelease func(*flMsg)
 
 // onRenew, when set, sees every process a sim.Recycler of this package is
@@ -117,18 +96,6 @@ func reuse[T any, P interface {
 		onRenew(p)
 	}
 	return p
-}
-
-// releaseInbox returns the flood boxes of a handled inbox to the pool.
-func releaseInbox(inbox []sim.Message) {
-	for i := range inbox {
-		if b, ok := inbox[i].Payload.(*flMsg); ok {
-			if onRelease != nil {
-				onRelease(b)
-			}
-			flMsgPool.Put(b)
-		}
-	}
 }
 
 // flState is one entry of the least-element list: an adopted origin and its
@@ -183,7 +150,7 @@ func (d *drip[P]) flush(w sender, deg, rate int) {
 	q := d.q
 	if len(q) > rate { // a port may be over its rate
 		if len(d.sent) != deg {
-			d.sent = slices.Grow(d.sent[:0], deg)[:deg] // all zero: see recycled
+			d.sent = reserve(d.sent[:0], deg)[:deg] // all zero: see recycled
 		}
 		for i := range q {
 			if p := q[i].port; int(d.sent[p]) < rate {
@@ -219,8 +186,8 @@ func (d *drip[P]) flush(w sender, deg, rate int) {
 // Corollary 4.5 size-estimation phase.
 //
 // A process with one flooder hands every inbox to round. One that runs two
-// on the same inbox calls handleInbox on each, then releaseInbox once, then
-// flush on each.
+// on the same inbox calls handleInbox on each, then releases the inbox onto
+// their shelf once, then calls flush on each.
 type flooder struct {
 	min bool
 	tag uint8
@@ -229,6 +196,9 @@ type flooder struct {
 	deg   int
 	ports []int
 	wire  sender
+	// shelf is where the flooder draws its boxes and releases its inboxes
+	// (boxes.go): its shard's, for the run.
+	shelf *boxShelf
 
 	// q holds the records waiting for the wire.
 	q drip[*flMsg]
@@ -249,10 +219,11 @@ type flooder struct {
 	won       bool
 }
 
-// sender is where a flooder puts its *flMsg boxes on the wire: the node's
-// *sim.Context in production.
+// sender is where a flooder puts its *flMsg boxes on the wire, and which
+// shard's shelf it draws them from: the node's *sim.Context in production.
 type sender interface {
 	Send(realPort int, p sim.Payload)
+	Shard() int
 }
 
 // flushRate bounds flood sends per port per round, keeping bursts of
@@ -267,10 +238,11 @@ func (f *flooder) recycle() {
 
 // initFlooder initializes a flooder in place on a node of degree deg, on
 // top of whatever storage an earlier run of the process left in it. A nil
-// ports means every port; wire receives the *flMsg boxes.
-func initFlooder(f *flooder, deg int, ports []int, min bool, tag uint8, wire sender) {
+// ports means every port; wire receives the *flMsg boxes, drawn from the
+// shelf of wire's shard in d.
+func initFlooder(f *flooder, deg int, ports []int, min bool, tag uint8, wire sender, d *boxDepot) {
 	f.recycle()
-	f.min, f.tag, f.deg, f.ports, f.wire = min, tag, deg, ports, wire
+	f.min, f.tag, f.deg, f.ports, f.wire, f.shelf = min, tag, deg, ports, wire, d.shelf(wire.Shard())
 	f.best, f.heard = negKey, negKey
 	if min {
 		f.best, f.heard = infKey, infKey
@@ -292,7 +264,7 @@ func (f *flooder) listLen() int { return len(f.list) }
 // out draws a wire record, queues it for port and returns it for the
 // caller to fill in; flush drips it onto the wire.
 func (f *flooder) out(port int) *flMsg {
-	b := flMsgPool.Get().(*flMsg)
+	b := f.shelf.get()
 	*b = flMsg{Tag: f.tag}
 	f.q.push(port, b)
 	return b
@@ -302,7 +274,7 @@ func (f *flooder) out(port int) *flMsg {
 // for none).
 func (f *flooder) announce(k flKey, aux int64, skip int) {
 	n := f.numPorts()
-	f.q.q = slices.Grow(f.q.q, n)
+	f.q.q = reserve(f.q.q, n)
 	for i := 0; i < n; i++ {
 		p := i
 		if f.ports != nil {
@@ -329,7 +301,7 @@ func (f *flooder) flush() { f.q.flush(f.wire, f.deg, flushRate) }
 // its boxes back, drip the queue. It returns the number of records handled.
 func (f *flooder) round(inbox []sim.Message) int {
 	n := f.handleInbox(inbox)
-	releaseInbox(inbox)
+	f.shelf.release(inbox)
 	f.flush()
 	return n
 }
@@ -416,7 +388,7 @@ func (f *flooder) fold(k flKey) {
 // an insertion sort of 16-byte references on reusable scratch, so rounds
 // with traffic allocate nothing once the scratch is warm. It returns the
 // number of records handled; the boxes stay the caller's to release (see
-// flMsgPool).
+// boxes.go).
 func (f *flooder) handleInbox(inbox []sim.Message) int {
 	if f.ranks == nil {
 		f.ranks = make([]flRef, 0, 4)

@@ -50,7 +50,7 @@ func BenchmarkFloodRound(b *testing.B) {
 					b.Fatal("election failed")
 				}
 			}
-			run() // warm the Runner and the box pool
+			run() // warm the Runner and the boxes
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()

@@ -235,7 +235,7 @@ func TestFlooderMatchesReference(t *testing.T) {
 			w wire
 			f flooder
 		)
-		initFlooder(&f, deg, ports, minMode, tag, &w)
+		initFlooder(&f, deg, ports, minMode, tag, &w, nil)
 		ref := newRefFlooder(refPorts, minMode)
 		key := func() flKey { return flKey{rank: 1 + rng.Int63n(12), origin: 1 + rng.Int63n(5)} }
 		startAt := rng.Intn(4) - 1 // -1: never; past 0: a late start

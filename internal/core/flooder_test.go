@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,7 @@ func TestFlMsgBitsAreLogarithmic(t *testing.T) {
 }
 
 // poisonReleases installs the release hook for the length of a test: every
-// box is poisoned on its way back to the pool (the impossible key
+// box is poisoned as its reader releases it (the impossible key
 // MinInt64/MinInt64, which out overwrites on the next draw), so a read
 // after release moves a transcript, and a box that arrives already
 // poisoned has been released twice.
@@ -72,6 +73,9 @@ type wire []sim.Message
 
 func (w *wire) Send(port int, p sim.Payload) { *w = append(*w, sim.Message{Port: port, Payload: p}) }
 
+// Shard implements sender: a flooder under test runs on one shard.
+func (w *wire) Shard() int { return 0 }
+
 // take empties the wire.
 func (w *wire) take() []sim.Message {
 	out := *w
@@ -88,8 +92,8 @@ type loopback struct {
 
 func newLoopback() *loopback {
 	lb := new(loopback)
-	initFlooder(&lb.a, 1, nil, true, 0, &lb.toB)
-	initFlooder(&lb.b, 1, nil, true, 0, &lb.toA)
+	initFlooder(&lb.a, 1, nil, true, 0, &lb.toB, nil)
+	initFlooder(&lb.b, 1, nil, true, 0, &lb.toA, nil)
 	return lb
 }
 
@@ -259,7 +263,7 @@ func TestFlooderQueueDrip(t *testing.T) {
 		w wire
 		f flooder
 	)
-	initFlooder(&f, 3, nil, true, 0, &w)
+	initFlooder(&f, 3, nil, true, 0, &w, nil)
 	for i, port := range []int{2, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1} {
 		f.out(port).Rank = int64(i)
 	}
@@ -296,15 +300,18 @@ func TestFlooderQueueDrip(t *testing.T) {
 // TestFlooderSharedInbox is the ownership rule where it is easiest to
 // break: two flooders read one inbox (Corollary 4.5's phases), each takes
 // the records under its own tag, the boxes stay intact until both are done,
-// and one releaseInbox returns every flood box once and nothing else.
+// and one release onto their shelf returns every flood box once and
+// nothing else.
 func TestFlooderSharedInbox(t *testing.T) {
 	rc := poisonReleases(t)
 	var (
 		wa, wb wire
 		a, b   flooder
 	)
-	initFlooder(&a, 2, nil, false, tagPhaseA, &wa)
-	initFlooder(&b, 2, nil, true, tagPhaseB, &wb)
+	var d boxDepot
+	d.ready(1)
+	initFlooder(&a, 2, nil, false, tagPhaseA, &wa, &d)
+	initFlooder(&b, 2, nil, true, tagPhaseB, &wb, &d)
 	inbox := []sim.Message{
 		{Port: 0, Payload: &flMsg{Tag: tagPhaseA, Origin: 1, Rank: 7}},
 		{Port: 0, Payload: &flMsg{Tag: tagPhaseB, Origin: 2, Rank: 3}},
@@ -321,7 +328,7 @@ func TestFlooderSharedInbox(t *testing.T) {
 	if rc.puts.Load() != 0 {
 		t.Fatal("handleInbox released a box")
 	}
-	releaseInbox(inbox)
+	d.shelf(0).release(inbox)
 	if puts, doubles := rc.puts.Load(), rc.doubles.Load(); puts != 3 || doubles != 0 {
 		t.Errorf("%d boxes released, %d of them twice; want 3 and 0", puts, doubles)
 	}
@@ -380,7 +387,7 @@ func TestFlooderIgnoresForeignPayloads(t *testing.T) {
 
 func TestFlooderAddPortIdempotent(t *testing.T) {
 	var f flooder
-	initFlooder(&f, 3, []int{0, 1}, true, 0, new(wire))
+	initFlooder(&f, 3, []int{0, 1}, true, 0, new(wire), nil)
 	f.addPort(1)
 	f.addPort(2)
 	f.addPort(2)
@@ -388,9 +395,52 @@ func TestFlooderAddPortIdempotent(t *testing.T) {
 		t.Errorf("ports = %v", f.ports)
 	}
 	// A flood on every port has nothing to add.
-	initFlooder(&f, 3, nil, true, 0, new(wire))
+	initFlooder(&f, 3, nil, true, 0, new(wire), nil)
 	f.addPort(2)
 	if f.ports != nil || f.numPorts() != 3 {
 		t.Errorf("all-ports flood grew: ports = %v", f.ports)
+	}
+}
+
+// TestWarmTrialAfterGCAllocatesNoBox: the flood boxes of a run go back to
+// the reserve when it ends, and nothing takes them from there but the
+// next run, so two collections between warm trials take none of them
+// away, and the trials after them allocate no box (with the process-wide
+// pool that held them before, two collections emptied it and every box
+// was allocated again). The runs are
+// split over four shards, so that boxes cross shards and are drawn from
+// another shelf than the one they left.
+func TestWarmTrialAfterGCAllocatesNoBox(t *testing.T) {
+	g := graph.Torus(16, 16)
+	for _, algo := range []string{"leastel", "leastel-estimate", "cluster"} {
+		prep, err := Prepare(g, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res sim.Result
+		trial := func() int {
+			before := spares.made
+			if err := prep.RunInto(RunOpts{Seed: 3, Shards: 4}, &res); err != nil {
+				t.Fatal(err)
+			}
+			if !res.UniqueLeader() {
+				t.Fatalf("%s: no unique leader", algo)
+			}
+			return spares.made - before
+		}
+		// The first trial fills the reserve; the next ones draw on it
+		// alone.
+		for warm := 0; trial() > 0; warm++ {
+			if warm == 4 {
+				t.Fatalf("%s: warm trials keep allocating boxes", algo)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			runtime.GC()
+			if made := trial(); made > 0 {
+				t.Errorf("%s: a warm trial after two collections allocated %d boxes", algo, made)
+			}
+		}
 	}
 }

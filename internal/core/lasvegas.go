@@ -13,7 +13,9 @@ import "ule/internal/sim"
 // because with at least one candidate the flood reaches every node within D
 // rounds), everyone restarts with fresh coins. The expected number of
 // epochs is the constant 1/(1−e^−f).
-type LasVegas struct{}
+type LasVegas struct {
+	depot *boxDepot // Options.depot
+}
 
 // lvCandidates is f, the expected number of candidates per epoch.
 const lvCandidates = 4
@@ -23,14 +25,15 @@ func (l LasVegas) New(info sim.NodeInfo) sim.Process { return l.Renew(nil, info)
 
 // Renew implements sim.Recycler: the initial state of a Las Vegas process,
 // keeping the flooder storage of old when old is one.
-func (LasVegas) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
+func (l LasVegas) Renew(old sim.Process, _ sim.NodeInfo) sim.Process {
 	p := reuse[lvProc](old)
 	p.fl.recycle()
-	*p = lvProc{fl: p.fl}
+	*p = lvProc{depot: l.depot, fl: p.fl}
 	return p
 }
 
 type lvProc struct {
+	depot    *boxDepot
 	epochEnd int
 	fl       flooder
 	active   bool // any message seen or candidacy held this epoch
@@ -43,7 +46,7 @@ func (p *lvProc) Start(c *sim.Context) {
 func (p *lvProc) startEpoch(c *sim.Context) {
 	d := c.Know().D
 	p.epochEnd = c.Round() + 2*d + 3
-	initFlooder(&p.fl, c.Degree(), nil, true, tagPhaseB, c)
+	initFlooder(&p.fl, c.Degree(), nil, true, tagPhaseB, c, p.depot)
 	n := c.Know().N
 	prob := lvCandidates / float64(n)
 	if prob > 1 {
@@ -93,6 +96,6 @@ func init() {
 		NeedsN:  true,
 		NeedsD:  true,
 		Bound:   Bound{Msgs: termM, Rounds: termD},
-		New:     func(o Options) sim.Recycler { return LasVegas{} },
+		New:     func(o Options) sim.Recycler { return LasVegas{depot: o.depot} },
 	})
 }

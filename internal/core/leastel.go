@@ -106,7 +106,7 @@ type leastelProc struct {
 
 func (p *leastelProc) Start(c *sim.Context) {
 	n := c.Know().N // Theorem 4.4 assumes n is known
-	initFlooder(&p.fl, c.Degree(), nil, true, 0, c)
+	initFlooder(&p.fl, c.Degree(), nil, true, 0, c, p.opt.depot)
 	if c.Rand().Float64() >= fValue(p.kind, n, p.opt)/float64(n) {
 		// Non-candidates know immediately that they are not the leader
 		// (implicit election only requires the leader to know).

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"ule/internal/graph"
 	"ule/internal/sim"
@@ -107,9 +108,10 @@ func (p *Prepared) Reduce(ro RunOpts, res *sim.Result) Outcome {
 
 // Config resolves ro against the registered algorithm into exactly what
 // the engine is handed for the run: the sim.Config (IDs drawn, the Table 1
-// knowledge granted) and the protocol instance. It is for tests that drive
-// the engine or the reference interpreter with that config themselves; a
-// run made that way is not checked against its row (Prepared.RunInto).
+// knowledge granted, the shard count resolved) and the protocol instance.
+// It is for tests that drive the engine or the reference interpreter with
+// that config themselves; a run made that way is not checked against its
+// row (Prepared.RunInto).
 func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, error) {
 	spec, err := lookup(algo)
 	if err != nil {
@@ -151,6 +153,9 @@ type Prepared struct {
 	// the random draw's duplicate filter, so a trial allocates neither.
 	ids    []int64
 	idSeen map[int64]struct{}
+	// depot holds the flood family's free wire boxes during a run
+	// (Options.depot).
+	depot boxDepot
 }
 
 // Prepare validates the algorithm name and graph and builds the reusable
@@ -248,6 +253,10 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 		}
 		ro.IDs = p.ids
 	}
+	// The shard count is the engine's own choice, resolved here so that
+	// the depot has a shelf for every shard the run steps.
+	shards := sim.EffectiveShards(ro.Shards, g.N(), runtime.GOMAXPROCS(0))
+	p.depot.ready(shards)
 	cfg := sim.Config{
 		Graph:         g,
 		IDs:           ro.IDs,
@@ -258,12 +267,14 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 		Wake:          ro.Wake,
 		StopWhenQuiet: spec.Quiet,
 		WatchEdges:    ro.WatchEdges,
-		Shards:        ro.Shards,
+		Shards:        shards,
 	}
 	if spec.NeedsN {
 		cfg.Know.N = g.N()
 	}
-	return cfg, spec.New(ro.Opt), nil
+	opt := ro.Opt
+	opt.depot = &p.depot
+	return cfg, spec.New(opt), nil
 }
 
 // RunInto executes one trial into *out, recycling out's slices across
@@ -277,7 +288,9 @@ func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
 	if err != nil {
 		return err
 	}
-	if err := p.runner.RunInto(cfg, proto, out); err != nil {
+	err = p.runner.RunInto(cfg, proto, out)
+	p.depot.stow()
+	if err != nil {
 		return err
 	}
 	return p.check(ro, out)

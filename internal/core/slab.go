@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // slab chunk-allocates the wire records one process sends as pointers, so
 // that a Send boxes nothing: box copies a record into the current chunk,
 // and a full chunk is left in place — records in flight keep pointing into
@@ -52,9 +50,20 @@ func emptied[K comparable, V any](m map[K]V) map[K]V {
 // row returns s as n zero elements, on s's storage when it has room: a
 // per-port row of a node of degree n.
 func row[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
+	s = reserve(s[:0], n)[:n]
 	clear(s)
 	return s
+}
+
+// reserve returns s with room for n more elements. It is slices.Grow in
+// one allocation: under the race detector the append of a make that
+// slices.Grow is built on allocates the make as well, and the allocation
+// budgets hold there too.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, max(len(s)+n, 2*cap(s))), s...)
 }
 
 // extend lengthens s by one element: the one an earlier run of the process

@@ -15,7 +15,8 @@ import (
 type SpannerLE struct {
 	// K is the Baswana–Sen parameter (stretch 2k−1), at least 2
 	// (Options.SpannerK).
-	K int
+	K     int
+	depot *boxDepot // Options.depot
 }
 
 // New implements sim.Protocol.
@@ -27,11 +28,12 @@ func (s SpannerLE) New(info sim.NodeInfo) sim.Process { return s.Renew(nil, info
 func (s SpannerLE) Renew(old sim.Process, info sim.NodeInfo) sim.Process {
 	p := reuse[spannerLEProc](old)
 	p.fl.recycle()
-	*p = spannerLEProc{bs: p.bs.renewed(s.K, info), fl: p.fl}
+	*p = spannerLEProc{depot: s.depot, bs: p.bs.renewed(s.K, info), fl: p.fl}
 	return p
 }
 
 type spannerLEProc struct {
+	depot    *boxDepot
 	bs       baswanaSen
 	startRd  int
 	electing bool
@@ -78,7 +80,7 @@ func (p *spannerLEProc) beginElection(c *sim.Context) {
 		// every port instead.
 		ports = nil
 	}
-	initFlooder(&p.fl, c.Degree(), ports, true, tagPhaseB, c)
+	initFlooder(&p.fl, c.Degree(), ports, true, tagPhaseB, c, p.depot)
 	p.fl.start(drawKey(c, rankSpace(c.Know().N)), 0)
 	p.fl.flush()
 	p.fl.settle(c)
@@ -296,6 +298,6 @@ func init() {
 		NeedsN:  true,
 		Quiet:   true,
 		Bound:   Bound{Msgs: termM, Rounds: termD, Success: WHP},
-		New:     func(o Options) sim.Recycler { return SpannerLE{K: o.spannerK()} },
+		New:     func(o Options) sim.Recycler { return SpannerLE{K: o.spannerK(), depot: o.depot} },
 	})
 }

@@ -6,30 +6,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"testing"
 
 	"ule/internal/core"
 )
-
-// poolDrops reports whether sync.Pool loses what it was just given, as it
-// does under the race detector (Put discards a quarter of the items at
-// random): the flood family's wire boxes then come from the heap again and
-// allocation counts mean nothing.
-func poolDrops() bool {
-	const k = 64
-	var p sync.Pool
-	for i := 0; i < k; i++ {
-		p.Put(new(int))
-	}
-	kept := 0
-	for i := 0; i < k; i++ {
-		if p.Get() != nil {
-			kept++
-		}
-	}
-	return kept < k-1 // one item can strand on another P's private slot
-}
 
 // syntheticTrials fabricates a deterministic emit-bound trial stream —
 // mixed cells, a sprinkling of fault counts — shaped like a real sweep
@@ -232,9 +212,6 @@ func TestAllocBudgetSweepConsumer(t *testing.T) {
 // neither; before that a trial of this sweep cost 17 KB and 120
 // allocations.
 func TestAllocBudgetSweepTrial(t *testing.T) {
-	if poolDrops() {
-		t.Skip("sync.Pool is dropping items (race detector?): wire boxes would count")
-	}
 	plan, err := benchLikeSpec(100).Compile()
 	if err != nil {
 		t.Fatal(err)

@@ -159,8 +159,9 @@ func TestCompileCostIndependentOfTrials(t *testing.T) {
 	small := testing.AllocsPerRun(20, validate(1))
 	large := testing.AllocsPerRun(20, validate(18519)) // 10^6 trials
 	// A cost in the trials would show as 10^6 objects; a few either way is
-	// sync.Pool under the race detector, which drops a quarter of what it is
-	// given, so the three graph builds draw on the heap unevenly.
+	// internal/graph's scratch pool under the race detector, which drops a
+	// quarter of what it is given, so the three graph builds draw on the
+	// heap unevenly.
 	if math.Abs(small-large) > 8 {
 		t.Fatalf("Validate allocates %v times at 54 trials and %v times at 10^6", small, large)
 	}

@@ -3,31 +3,12 @@ package serve
 import (
 	"context"
 	"runtime"
-	"sync"
 	"testing"
 
 	"ule/internal/core"
 	"ule/internal/graph"
 	"ule/internal/sim"
 )
-
-// poolDrops reports whether sync.Pool is dropping items, as the race
-// detector makes it do by design: every pooled record then costs an
-// allocation again, and no allocation budget holds.
-func poolDrops() bool {
-	const k = 64
-	var p sync.Pool
-	for i := 0; i < k; i++ {
-		p.Put(new(int))
-	}
-	kept := 0
-	for i := 0; i < k; i++ {
-		if p.Get() != nil {
-			kept++
-		}
-	}
-	return kept < k-1 // one item can strand on another P's private slot
-}
 
 // heapCost returns the bytes and objects f allocates.
 func heapCost(f func()) (bytes, objects uint64) {
@@ -44,9 +25,6 @@ func heapCost(f func()) (bytes, objects uint64) {
 // one (215 KB in 790 allocations when every cold cell was a new Prepared;
 // 72 KB in 159 measured).
 func TestAllocBudgetColdElection(t *testing.T) {
-	if poolDrops() {
-		t.Skip("sync.Pool drops items here (race detector): pooled records allocate")
-	}
 	m := NewManager(Config{Slots: 1})
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	req := ElectionRequest{Graph: "random:64:256", Algo: "leastel", SmallIDs: true}
@@ -79,9 +57,6 @@ func TestAllocBudgetColdElection(t *testing.T) {
 // (224 B in 2 allocations per request when every flood, lasvegas and
 // kingdom-d request ran graph.SpecSize).
 func TestAllocBudgetHotElection(t *testing.T) {
-	if poolDrops() {
-		t.Skip("sync.Pool drops items here (race detector): pooled records allocate")
-	}
 	m := NewManager(Config{Slots: 1})
 	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	s := <-m.slots
@@ -130,7 +105,7 @@ func TestSlotMemoryFollowsTraffic(t *testing.T) {
 		}
 	}
 
-	if poolDrops() {
+	if raceEnabled {
 		t.Skip("the race detector multiplies the ring:1048576 Runner's half a gigabyte")
 	}
 	prep, err := core.Prepare(graph.Ring(1<<20), "trivial")

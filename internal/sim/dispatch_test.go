@@ -171,5 +171,11 @@ func TestEffectiveShards(t *testing.T) {
 			t.Errorf("EffectiveShards(%d, n=%d, procs=%d) = %d, want %d",
 				c.shards, c.n, c.procs, got, c.want)
 		}
+		// A resolved count resolves to itself: core.Prepared hands the
+		// engine the count it resolved, to give every shard a box shelf.
+		if got := sim.EffectiveShards(c.want, c.n, c.procs); got != c.want {
+			t.Errorf("EffectiveShards(%d, n=%d, procs=%d) = %d: a resolved count moved",
+				c.want, c.n, c.procs, got)
+		}
 	}
 }

@@ -590,6 +590,9 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 				// coordinate of the drop predicate and the delay schedule.
 				seq := int(e.linkSeq[p])
 				e.linkSeq[p]++
+				if seq == 0 && e.linkDelay != nil {
+					e.linkMix[p] = linkMix(e.cfg.Seed, u, int(m.port))
+				}
 				if dropActive && e.fsched.dropMsg(e.cfg.Seed, u, int(m.port), seq) {
 					// Lost on the link: charged to the sender at drop time
 					// (the arrival pass never sees it), but it neither
@@ -600,6 +603,10 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 					if e.watch != nil {
 						sh.sendDropTick++
 					}
+					continue
+				}
+				if e.linkDelay != nil {
+					e.route(sh, t+e.linkDelay.delayFrom(e.linkMix[p], seq), d)
 					continue
 				}
 				if e.async {

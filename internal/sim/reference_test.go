@@ -43,6 +43,7 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 	off, _ := g.CSR()
 	e := &engine{
 		cfg: cfg, bitCap: bitCap, sendCap: sendCap,
+		shardSize: n, // one shard: every node's Context.Shard is 0
 		buffers: buffers{
 			off: off, sendCnt: make([]int32, off[n]),
 			out: make([][]outMsg, n), status: make([]Status, n), halted: make([]bool, n),

@@ -62,12 +62,15 @@ type buffers struct {
 	// path resolves neighbors and return ports with single array loads —
 	// no method call, no per-node slice header. sendCnt counts this
 	// round's sends through each port for the per-port cap; linkSeq
-	// numbers each link's messages (ASYNC, link drops).
+	// numbers each link's messages (ASYNC, link drops), and linkMix holds
+	// each link's delay-hash prefix (linkDelay), mixed on the link's first
+	// send; it is made only for ASYNC runs under a built-in schedule.
 	off      []int32
 	nbr      []int32
 	portBack []int32
 	sendCnt  []int32
 	linkSeq  []int32
+	linkMix  []uint64
 
 	// out[u] is u's outbox row: this round's sends in send order, with
 	// Bits() cached (see arena.go). inbox[u] holds the messages delivered
@@ -306,6 +309,9 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	clear(e.wakeAt)
 	clear(e.idle)
 	clear(e.haltCounted)
+	if e.linkDelay, _ = m.Delay.(linkDelay); e.linkDelay != nil && len(e.linkMix) != len(e.nbr) {
+		e.linkMix = resized(e.linkMix, len(e.nbr))
+	}
 	e.ensureShards(shardCount)
 	e.shardSize = (n + shardCount - 1) / shardCount
 	for i := range e.shards {

@@ -49,7 +49,11 @@ type randomDelay struct{ bound int }
 func (d randomDelay) Name() string { return fmt.Sprintf("random:%d", d.bound) }
 
 func (d randomDelay) Delay(seed int64, u, p, seq int) int {
-	return 1 + int(delayHash(seed, u, p, seq)%uint64(d.bound))
+	return d.delayFrom(linkMix(seed, u, p), seq)
+}
+
+func (d randomDelay) delayFrom(mix uint64, seq int) int {
+	return 1 + below(SplitMix64(mix^uint64(seq)), d.bound)
 }
 
 // FIFODelay returns the FIFO-per-link worst-case schedule: each directed
@@ -71,17 +75,39 @@ type fifoDelay struct{ bound int }
 func (d fifoDelay) Name() string { return fmt.Sprintf("fifo:%d", d.bound) }
 
 func (d fifoDelay) Delay(seed int64, u, p, _ int) int {
-	return 1 + int(delayHash(seed, u, p, 0)%uint64(d.bound))
+	return d.delayFrom(linkMix(seed, u, p), 0)
 }
 
-// delayHash mixes the run seed with the message coordinates through a
-// splitmix64 chain; the chained finalizers keep adjacent (u, p, seq)
-// triples statistically independent.
-func delayHash(seed int64, u, p, seq int) uint64 {
+func (d fifoDelay) delayFrom(mix uint64, _ int) int {
+	return 1 + below(SplitMix64(mix), d.bound)
+}
+
+// linkDelay is how a built-in schedule lets the engine skip most of its
+// hashing: Delay(seed, u, p, seq) is delayFrom(linkMix(seed, u, p), seq),
+// and the engine mixes each link's prefix once per run, beside its
+// sequence number, so a message pays one mixing round. A custom schedule
+// does not implement it and is asked Delay per message.
+type linkDelay interface {
+	delayFrom(mix uint64, seq int) int
+}
+
+// linkMix is the part of a delay hash that depends only on the link: the
+// run seed and the message's sender and port, through a splitmix64 chain
+// whose chained finalizers keep adjacent (u, p) pairs, and with the last
+// round over seq adjacent messages, statistically independent.
+func linkMix(seed int64, u, p int) uint64 {
 	h := SplitMix64(uint64(seed) ^ 0x9e3779b97f4a7c15)
 	h = SplitMix64(h ^ uint64(u) + 0x632be59bd9b4e019)
-	h = SplitMix64(h ^ uint64(p) + 0x9e6c63d0876a9a47)
-	return SplitMix64(h ^ uint64(seq))
+	return SplitMix64(h ^ uint64(p) + 0x9e6c63d0876a9a47)
+}
+
+// below reduces h to [0, bound): h mod bound, a mask where bound is a power
+// of two.
+func below(h uint64, bound int) int {
+	if b := uint64(bound); b&(b-1) == 0 {
+		return int(h & (b - 1))
+	}
+	return int(h % uint64(bound))
 }
 
 // ParseDelay resolves a delay-schedule spec string: "" or "unit",

@@ -193,3 +193,61 @@ func TestShardedModelViolationDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// shardProbe records, per node (by ID), the shard its Start and every
+// Round report, while sending a few messages so that every node steps.
+type shardProbe struct{ seen [][]int }
+
+func (p shardProbe) New(NodeInfo) Process { return &shardProbeProc{seen: p.seen} }
+
+type shardProbeProc struct {
+	seen [][]int
+	sent int
+}
+
+func (p *shardProbeProc) Start(c *Context) {
+	p.seen[c.ID()-1] = append(p.seen[c.ID()-1], c.Shard())
+}
+
+func (p *shardProbeProc) Round(c *Context, inbox []Message) {
+	p.seen[c.ID()-1] = append(p.seen[c.ID()-1], c.Shard())
+	if p.sent < 3 {
+		c.Broadcast(tokenMsg{c.ID()})
+		p.sent++
+		return
+	}
+	c.Halt()
+}
+
+// TestContextShard: a node's Start and every Round of a run report the
+// shard whose range holds the node — node u of n in S resolved shards is
+// in shard u / ⌈n/S⌉ — in both timing models and at counts that do not
+// divide n.
+func TestContextShard(t *testing.T) {
+	for _, mode := range []Mode{CONGEST, ASYNC} {
+		for _, shards := range []int{1, 2, 3, 4, 7} {
+			n := 23
+			ids := make([]int64, n)
+			for u := range ids {
+				ids[u] = int64(u + 1)
+			}
+			probe := shardProbe{seen: make([][]int, n)}
+			cfg := Config{Graph: graph.Ring(n), IDs: ids, Model: ModelSpec{Mode: mode}, MaxRounds: 64, Shards: shards}
+			if _, err := Run(cfg, probe); err != nil {
+				t.Fatal(err)
+			}
+			k := EffectiveShards(shards, n, 1)
+			size := (n + k - 1) / k
+			for u, seen := range probe.seen {
+				if len(seen) < 2 {
+					t.Fatalf("%v shards=%d: node %d stepped %d times", mode, shards, u, len(seen))
+				}
+				for _, s := range seen {
+					if want := u / size; s != want {
+						t.Fatalf("%v shards=%d: node %d reported shard %d, want %d", mode, shards, u, s, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -183,6 +183,17 @@ func (c *Context) Know() Knowledge { return c.info.Know }
 // the current virtual time tick.
 func (c *Context) Round() int { return c.eng.round }
 
+// Shard returns the index of the engine shard that steps this node in the
+// current run, below the run's Config.Shards as EffectiveShards resolves
+// it. Every Start and Round call of a node in one run happens on its
+// shard, and a shard steps one node at a time, so state a protocol keeps
+// per shard index is touched by one goroutine at a time, with the tick
+// barrier between any two. It is the host's schedule, not the model's: a
+// run reports the same at every shard count, so nothing a node sends or
+// decides may depend on it (the flood family picks a free list of its
+// wire boxes with it).
+func (c *Context) Shard() int { return c.node / c.eng.shardSize }
+
 // RequestWake schedules a timer event for this node delta ticks in the
 // future (delta < 1 is clamped to 1): the node's Round is then called at
 // that tick even if no message arrives. Timers are how asynchronous
@@ -426,6 +437,9 @@ type engine struct {
 	// node's shard is one division).
 	shardSize int
 	delay     DelaySchedule
+	// linkDelay is delay's per-link split when it offers one (the built-in
+	// random and fifo schedules), nil otherwise.
+	linkDelay linkDelay
 	async     bool
 	// hints reports whether IdleUntil is honoured: the synchronous modes of
 	// the event engine.

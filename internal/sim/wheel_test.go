@@ -220,7 +220,7 @@ type bigDelay struct{}
 
 func (bigDelay) Name() string { return "big" }
 func (bigDelay) Delay(seed int64, u, p, seq int) int {
-	return 1 + int(delayHash(seed, u, p, seq)%(3*wheelSlots))
+	return 1 + int(SplitMix64(linkMix(seed, u, p)^uint64(seq))%(3*wheelSlots))
 }
 
 // TestAsyncBigDelaysDeterministic: far-overflow deliveries must be
