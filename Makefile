@@ -214,7 +214,8 @@ check-matrix:
 # being that one scanner. LazySource: the node generator against
 # math/rand, value for value. LeaseLine: the fleet's lease and worker
 # lines, which a worker reads from its stdin and a coordinator from a
-# process that may die mid-write. Wired into CI.
+# process that may die mid-write. ElectionRequest: uled's election
+# endpoint, whatever bytes a client posts. Wired into CI.
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzFromSpec -fuzztime 20s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzParseModel -fuzztime 20s
@@ -222,6 +223,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLazySource -fuzztime 20s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzLeaseLine -fuzztime 20s
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzLoadSpec -fuzztime 20s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzElectionRequest -fuzztime 20s
 
 # The sweep-pipeline measurement set (docs/PERFORMANCE.md): per-trial
 # encoder benchmarks, steady-state consumer throughput for the

@@ -24,13 +24,11 @@
 //
 //	ule-experiments -sweep spec.json -workers 8 -json out.json
 //	ule-experiments -sweep builtin:smoke -csv-out trials.csv
-//	ule-experiments -sweep spec.json -mode async -delays random:8,fifo:8
-//	ule-experiments -sweep spec.json -faults crash:0.2,drop:0.1
 //
-// -mode, -delays and -faults override the spec's modes/delays/faults
-// axes, so one spec file serves the synchronous, asynchronous and faulty
-// scenario space. The sweep spec JSON schema (ule-sweep/v3) is
-// documented in docs/SWEEP_SCHEMA.md.
+// The spec says everything about the sweep itself — its algorithms,
+// graphs, modes, delays, faults, diameter grant and round cap; the flags
+// only say where the output goes and how many workers run it. The sweep
+// spec JSON schema (ule-sweep/v3) is documented in docs/SWEEP_SCHEMA.md.
 //
 // Million-trial sweeps use the compact checkpointed binary format
 // (ule-sweepbin/v1, also in docs/SWEEP_SCHEMA.md) instead of JSON:
@@ -94,10 +92,6 @@ func run(args []string) error {
 		resume    = fs.String("resume", "", "sweep mode: resume an interrupted ule-sweepbin/v1 sweep file in place (spec must expand to the same sweep; excludes -json/-csv-out/-bin)")
 		ckptEvery = fs.Int("checkpoint-every", 0, "sweep mode: trials between durable checkpoints in the -bin document (0 = default)")
 		fromBin   = fs.String("from-bin", "", "export an ule-sweepbin/v1 file as its byte-identical ule-sweep/v3 JSON document to -json and/or its per-trial CSV to -csv-out (no sweep is run)")
-		mode      = fs.String("mode", "", "sweep mode: override the spec's modes axis (comma-separated: congest,local,async)")
-		delays    = fs.String("delays", "", "sweep mode: override the spec's async delay axis (comma-separated: unit,random:B,fifo:B)")
-		faults    = fs.String("faults", "", "sweep mode: override the spec's fault axis (comma-separated: none,crash:P,crashrec:P:D,drop:P,churn:P:K)")
-		diamEst   = fs.Bool("diam-estimate", false, "sweep mode: grant D-dependent algorithms graph.DiameterEstimate instead of the exact all-pairs diameter (for graphs too large for O(n·m))")
 		progress  = fs.Bool("progress", true, "sweep mode: report progress on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -115,8 +109,7 @@ func run(args []string) error {
 		return runSweep(*sweep, sweepOpts{
 			workers: *workers, jsonOut: *jsonOut, csvOut: *csvOut,
 			binOut: *binOut, resume: *resume, ckptEvery: *ckptEvery,
-			mode: *mode, delays: *delays, faults: *faults,
-			diamEstimate: *diamEst, progress: *progress,
+			progress: *progress,
 		})
 	}
 	d := &driver{quick: *quick, seed: *seed, trials: 10, csv: *csv, workers: *workers}
@@ -170,28 +163,7 @@ type sweepOpts struct {
 	jsonOut, csvOut string
 	binOut, resume  string
 	ckptEvery       int
-	mode            string
-	delays, faults  string
-	diamEstimate    bool
 	progress        bool
-}
-
-// apply rewrites spec with the axis overrides (-mode, -delays, -faults,
-// -diam-estimate), so one spec file serves the synchronous, asynchronous
-// and faulty scenario space. Unset flags leave the spec untouched.
-func (o sweepOpts) apply(spec *harness.Spec) {
-	if o.mode != "" {
-		spec.Modes = strings.Split(o.mode, ",")
-	}
-	if o.delays != "" {
-		spec.Delays = strings.Split(o.delays, ",")
-	}
-	if o.faults != "" {
-		spec.Faults = strings.Split(o.faults, ",")
-	}
-	if o.diamEstimate {
-		spec.DiameterEstimate = true
-	}
 }
 
 // exportBinary streams a ule-sweepbin/v1 file through export to outPath
@@ -240,7 +212,6 @@ func runSweep(specArg string, o sweepOpts) error {
 	if err != nil {
 		return err
 	}
-	o.apply(&spec)
 	rc := harness.RunConfig{Workers: o.workers}
 	if o.resume != "" {
 		// A resumed run appends to the binary file; the text emitters

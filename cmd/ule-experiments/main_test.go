@@ -62,16 +62,16 @@ func TestBuiltinSmokeSpec(t *testing.T) {
 	}
 }
 
-func TestSweepModeAsyncOverride(t *testing.T) {
+func TestSweepModeAsyncSpec(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "spec.json")
 	jsonPath := filepath.Join(dir, "out.json")
-	spec := `{"name":"cli-async","algos":["leastel"],"graphs":["ring:12"],"trials":2,"seed":5}`
+	spec := `{"name":"cli-async","algos":["leastel"],"graphs":["ring:12"],"trials":2,"seed":5,
+		"modes":["async"],"delays":["unit","random:4","fifo:4"]}`
 	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-sweep", specPath, "-mode", "async", "-delays", "unit,random:4,fifo:4",
-		"-json", jsonPath, "-progress=false"}); err != nil {
+	if err := run([]string{"-sweep", specPath, "-json", jsonPath, "-progress=false"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(jsonPath)
@@ -83,7 +83,7 @@ func TestSweepModeAsyncOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := 3 * 2; doc.TotalTrials != want {
-		t.Fatalf("override sweep ran %d trials, want %d", doc.TotalTrials, want)
+		t.Fatalf("async sweep ran %d trials, want %d", doc.TotalTrials, want)
 	}
 	seen := map[string]bool{}
 	for _, tr := range doc.Trials {
@@ -96,26 +96,6 @@ func TestSweepModeAsyncOverride(t *testing.T) {
 		if !seen[d] {
 			t.Errorf("delay model %q missing from trials", d)
 		}
-	}
-}
-
-func TestSpecOverrides(t *testing.T) {
-	spec := harness.Spec{Algos: []string{"leastel"}, Graphs: []string{"ring:8"}}
-	sweepOpts{mode: "async", delays: "unit,random:4", faults: "crash:0.2", diamEstimate: true}.apply(&spec)
-	if len(spec.Modes) != 1 || spec.Modes[0] != "async" {
-		t.Fatalf("modes = %v", spec.Modes)
-	}
-	if len(spec.Delays) != 2 || spec.Delays[1] != "random:4" {
-		t.Fatalf("delays = %v", spec.Delays)
-	}
-	if len(spec.Faults) != 1 || !spec.DiameterEstimate {
-		t.Fatalf("overrides not applied: %+v", spec)
-	}
-
-	// Zero overrides leave the spec untouched.
-	sweepOpts{}.apply(&spec)
-	if len(spec.Modes) != 1 || len(spec.Delays) != 2 || len(spec.Faults) != 1 || !spec.DiameterEstimate {
-		t.Fatalf("zero overrides mutated the spec: %+v", spec)
 	}
 }
 

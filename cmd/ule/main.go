@@ -53,7 +53,7 @@ func run(args []string, out io.Writer) error {
 		model     = fs.String("model", "", "execution model: mode[+delay][+faults], e.g. local, async+random:4, crash:0.2, async+fifo:8+crashrec:0.1:32 (empty = congest)")
 		anonymous = fs.Bool("anonymous", false, "run without node identifiers")
 		smallIDs  = fs.Bool("small-ids", false, "permutation IDs 1..n (needed for dfs)")
-		maxRounds = fs.Int("max-rounds", 1<<18, "round cap")
+		maxRounds = fs.Int("max-rounds", core.FrontEndMaxRounds, "round cap")
 		list      = fs.Bool("list", false, "list algorithms and exit")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the trials to this file")
 		memProf   = fs.String("memprofile", "", "write an allocation profile to this file after the trials")

@@ -20,9 +20,9 @@ const msgSlack = 16
 // a fault-free network and a simultaneous start, and a round-driven row's
 // assume synchronous rounds, so any other run is not judged. Every row but
 // a 1/e one elects at most one leader; a probability-1 row elects exactly
-// one unless the run hit its round cap or FScale < 1 left leastel f < n
-// candidates; a deterministic row sends at most msgSlack times its
-// message bound, at the diameter it was granted.
+// one unless the run hit its round cap or the options left its protocol
+// fewer candidates than nodes (fewerCandidates); a deterministic row sends
+// at most msgSlack times its message bound, at the diameter it was granted.
 func (p *Prepared) check(ro RunOpts, res *sim.Result) error {
 	b := p.spec.Bound
 	if ro.Model.Faults != nil || ro.Wake != nil || (ro.Model.Mode == sim.ASYNC && !b.MessageDriven) {
@@ -31,7 +31,7 @@ func (p *Prepared) check(ro RunOpts, res *sim.Result) error {
 	switch {
 	case b.Success != OverE && res.LeaderCount() > 1:
 		return fmt.Errorf("%w: %s elected %d leaders", ErrGuarantee, p.spec.Name, res.LeaderCount())
-	case b.Success == Always && !res.HitRoundCap && ro.Opt.fScale() >= 1 && !res.UniqueLeader():
+	case b.Success == Always && !res.HitRoundCap && !res.UniqueLeader() && !p.fewerCandidates(ro.Opt):
 		return fmt.Errorf("%w: %s ended without a unique leader (%d elected)", ErrGuarantee, p.spec.Name, res.LeaderCount())
 	case p.spec.Deterministic:
 		if limit := msgSlack * b.Msgs.Of(p.g.N(), p.g.M(), p.Diameter(ro)); float64(res.Messages) > limit {
@@ -39,4 +39,14 @@ func (p *Prepared) check(ro RunOpts, res *sim.Result) error {
 		}
 	}
 	return nil
+}
+
+// fewerCandidates reports whether the protocol the row's registration
+// builds from o lets fewer than all n nodes stand as candidates: a run
+// can then end with none, which an f = n row does not promise against.
+// Only leastel's family has a candidate budget f(n) (Theorem 4.4), and
+// FScale < 1 shrinks it; no option shrinks any other row's candidates.
+func (p *Prepared) fewerCandidates(o Options) bool {
+	le, ok := p.spec.New(o).(LeastEl)
+	return ok && fValue(le.F, p.g.N(), le.Opt) < float64(p.g.N())
 }

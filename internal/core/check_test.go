@@ -200,3 +200,24 @@ func TestCheckShrunkCandidates(t *testing.T) {
 		t.Fatal("no run ended without a candidate; the case is not exercised")
 	}
 }
+
+// TestCheckShrunkCandidatesOnlyLeastel: FScale shrinks only leastel's
+// candidate budget, so on any other probability-1 row it exempts nothing —
+// a leaderless run that did not hit its round cap is flagged.
+func TestCheckShrunkCandidatesOnlyLeastel(t *testing.T) {
+	g := graph.Ring(16)
+	for _, name := range Names() {
+		if MustGet(name).Bound.Success != Always {
+			continue
+		}
+		p, err := Prepare(g, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sim.Result{Statuses: make([]sim.Status, g.N())}
+		err = p.check(RunOpts{Opt: Options{FScale: 0.5}}, &res)
+		if shrunk := name == "leastel"; shrunk != (err == nil) || (!shrunk && !errors.Is(err, ErrGuarantee)) {
+			t.Errorf("%s with FScale 0.5, leaderless: err = %v", name, err)
+		}
+	}
+}

@@ -33,11 +33,7 @@ type floodProc struct {
 }
 
 func (p *floodProc) Start(c *sim.Context) {
-	p.me = c.ID()
-	if !c.HasID() {
-		// Anonymous fallback: a random 62-bit identity (Monte Carlo).
-		p.me = 1 + c.Rand().Int63()
-	}
+	p.me = c.ID() // NeedsIDs: Prepared refuses an anonymous run
 	p.max = p.me
 	// The maximum ID reaches every node within D hops; one extra round
 	// accounts for the initial send.

@@ -159,16 +159,16 @@ func scribbled[T any](s slab[T], bad T) slab[T] {
 // recycleTrial is one election of the recycling battery. Consecutive
 // trials differ in everything a renewed process could carry over.
 type recycleTrial struct {
-	name      string
-	seed      int64
-	ids       string // "random" (drawn by the Prepared), "small", "anon" (small where the algorithm needs IDs)
-	model     string
-	shards    int
-	opt       Options
-	maxRounds int
-	bitCap    int  // > 0: the engine aborts the run on the first larger message
-	oneAwake  bool // adversarial wake-up
-	watch     bool // lower-bound instrument on
+	name       string
+	seed       int64
+	ids        string // "random" (drawn by the Prepared), "small", "anon" (small where the algorithm needs IDs)
+	model      string
+	shards     int
+	opt        Options
+	maxRounds  int
+	overBudget bool // odd-ID nodes send one payload over the CONGEST budget
+	oneAwake   bool // adversarial wake-up
+	watch      bool // lower-bound instrument on
 }
 
 var recycleTrials = []recycleTrial{
@@ -178,16 +178,16 @@ var recycleTrials = []recycleTrial{
 		opt: Options{Epsilon: 0.3, FScale: 3, SpannerK: 3, DFSBudgetCap: 6, ClusterCandidateFactor: 2}},
 	{name: "round-cap", seed: 4, ids: "small", model: "congest", shards: 2, maxRounds: 3},
 	{name: "crashrec", seed: 5, ids: "random", model: "async+random:4+crashrec:0.3:2", shards: 2, watch: true},
-	{name: "bit-cap", seed: 6, ids: "small", model: "congest", shards: 1, bitCap: 1},
+	{name: "bit-cap", seed: 6, ids: "small", model: "congest", shards: 1, overBudget: true},
 	{name: "crashrec-keep", seed: 7, ids: "small", model: "crashrec:0.3:5:keep", shards: 1, oneAwake: true},
 	{name: "churn", seed: 8, ids: "anon", model: "async+fifo:3+churn:0.3:4", shards: 2,
 		opt: Options{Epsilon: 0.05, FScale: 0.5}},
 	{name: "local", seed: 9, ids: "small", model: "local+drop:0.05", shards: 1, oneAwake: true},
 }
 
-// run executes the trial on prep (on its Runner directly, for the bit cap
-// RunOpts does not carry) and returns every field of the result, or the
-// engine's error.
+// run executes the trial on prep (on its Runner directly, for the
+// over-budget wrapper RunOpts does not carry) and returns every field of
+// the result, or the engine's error.
 func (tr recycleTrial) run(t *testing.T, prep *Prepared, res *sim.Result) (string, error) {
 	t.Helper()
 	m, err := sim.ParseModel(tr.model)
@@ -215,11 +215,51 @@ func (tr recycleTrial) run(t *testing.T, prep *Prepared, res *sim.Result) (strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.BitCap = tr.bitCap
+	if tr.overBudget {
+		proto = overBudgetProto{proto.(sim.Recycler)}
+	}
 	if err := prep.runner.RunInto(cfg, proto, res); err != nil {
 		return "", err
 	}
 	return shardResultBytes(t, res), nil
+}
+
+// overBudgetProto runs the wrapped protocol, except that an odd-ID node,
+// the first time it is stepped after its start, sends one payload over the
+// CONGEST budget: a run that steps one mid-run — every sending
+// algorithm's does — aborts with ErrBitCap. Even-ID nodes run the wrapped
+// protocol's own processes, so the trial after this one renews what an
+// aborted run left.
+type overBudgetProto struct{ sim.Recycler }
+
+func (p overBudgetProto) New(info sim.NodeInfo) sim.Process { return p.Renew(nil, info) }
+
+func (p overBudgetProto) Renew(old sim.Process, info sim.NodeInfo) sim.Process {
+	if o, ok := old.(*overBudgetProc); ok {
+		old = o.Process
+	}
+	proc := p.Recycler.Renew(old, info)
+	if info.ID%2 == 0 {
+		return proc
+	}
+	return &overBudgetProc{Process: proc}
+}
+
+type overBudgetProc struct {
+	sim.Process
+	sent bool
+}
+
+type fatPayload struct{}
+
+func (fatPayload) Bits() int { return 1 << 20 }
+
+func (p *overBudgetProc) Round(c *sim.Context, inbox []sim.Message) {
+	p.Process.Round(c, inbox)
+	if !p.sent {
+		p.sent = true
+		c.Send(0, fatPayload{})
+	}
 }
 
 // captureProto runs the wrapped protocol and keeps the processes it made.
@@ -383,7 +423,7 @@ func TestRecycledProcessesMatchFresh(t *testing.T) {
 			var res sim.Result
 			fresh[i].res, fresh[i].err = tr.run(t, prepare(), &res)
 			switch {
-			case tr.bitCap > 0 && algo != "trivial": // trivial sends nothing
+			case tr.overBudget && algo != "trivial": // trivial sends nothing
 				if !errors.Is(fresh[i].err, sim.ErrBitCap) {
 					t.Fatalf("%s %s: err = %v, want ErrBitCap", algo, tr.name, fresh[i].err)
 				}

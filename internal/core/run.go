@@ -9,6 +9,13 @@ import (
 	"ule/internal/sim"
 )
 
+// FrontEndMaxRounds is the round cap every front end gives a run whose
+// caller names none: the `ule` flag's default, a sweep spec's max_rounds,
+// a uled request's, and the lower-bound experiments'. A quarter of the
+// engine's own sim.DefaultMaxRounds, it bounds a run that will not end —
+// a crash cell whose survivors wait forever — at a cost a sweep can pay.
+const FrontEndMaxRounds = 1 << 18
+
 // RunOpts is one election on a (graph, algorithm) cell: a sweep trial, a
 // uled request and a `ule` row are each one of these. A Prepared resolves
 // it — draws the identifiers, grants the Table 1 knowledge — in config
@@ -30,7 +37,8 @@ type RunOpts struct {
 	// family's closed form to skip it entirely). See Prepared.Diameter.
 	D                int
 	DiameterEstimate bool
-	// MaxRounds bounds the run (0 = engine default).
+	// MaxRounds bounds the run (0 = the engine's sim.DefaultMaxRounds;
+	// the front ends pass FrontEndMaxRounds where their caller names none).
 	MaxRounds int
 	// Model is the execution model — mode, delay schedule and fault
 	// schedule in one parsed value. See sim.ModelSpec for the axes and

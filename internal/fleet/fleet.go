@@ -52,10 +52,6 @@ type Config struct {
 	// the rest is reported in Result.Incomplete.
 	MaxAttempts int
 
-	// Backoff paces retries of a failed unit (zero value: 10ms base,
-	// 300ms cap).
-	Backoff Backoff
-
 	// Dir holds the spec file and shard files; it is created if missing
 	// (default: a fresh temp directory, left on disk for post-mortems).
 	Dir string
@@ -72,9 +68,6 @@ type Config struct {
 	// this executable with a -worker flag (the cmd/ule-fleet layout).
 	// Tests point it at the test binary re-exec hook.
 	WorkerArgv []string
-
-	// WorkerEnv is appended to the inherited environment of every worker.
-	WorkerEnv []string
 
 	// Chaos, when non-nil, injects seed-deterministic faults (first
 	// attempts only) — the chaos gate proving crash-safety.
@@ -369,12 +362,23 @@ func (c *coordinator) resolve(u *unit, act chaosAction, stalled bool) {
 	c.mu.Lock()
 	c.res.Retries++
 	c.mu.Unlock()
-	delay := c.cfg.Backoff.Delay(u.attempt - 1)
+	delay := retryDelay(u.attempt - 1)
 	c.event("retry", nil, u, "chaos", act.kind.String(), "ms", float64(delay)/1e6)
 	go func() {
 		time.Sleep(delay)
 		c.ready <- u
 	}()
+}
+
+// retryDelay is the pause before retry number attempt (0-based) of a
+// failed unit: 10ms, doubling per attempt, capped at 300ms.
+func retryDelay(attempt int) time.Duration {
+	const base, limit = 10 * time.Millisecond, 300 * time.Millisecond
+	d := base
+	for i := 0; i < attempt && d < limit; i++ {
+		d *= 2
+	}
+	return min(d, limit)
 }
 
 // finish marks a unit terminal (done or quarantined) and closes the
@@ -423,7 +427,6 @@ func (c *coordinator) spawn(slot int) *workerProc {
 		"-checkpoint-every", strconv.Itoa(c.cfg.CheckpointEvery),
 	)
 	w := &workerProc{slot: slot, cmd: exec.Command(argv[0], argv[1:]...), lines: make(chan workerLine)}
-	w.cmd.Env = append(os.Environ(), c.cfg.WorkerEnv...)
 	if c.cfg.Log != nil {
 		w.cmd.Stderr = stderrLog{c, w}
 	}

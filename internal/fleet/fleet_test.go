@@ -17,8 +17,10 @@ import (
 )
 
 // TestMain doubles as the worker executable: the coordinator re-execs
-// this test binary with ULE_FLEET_WORKER=1 and worker flags, exercising
-// the real exec/heartbeat/crash path rather than an in-process fake.
+// this test binary with worker flags, and the workers inherit
+// ULE_FLEET_WORKER=1 from the test that runs them (fleetConfig),
+// exercising the real exec/heartbeat/crash path rather than an in-process
+// fake.
 func TestMain(m *testing.M) {
 	if os.Getenv("ULE_FLEET_WORKER") == "1" {
 		os.Exit(RunWorker(os.Args[1:]))
@@ -43,8 +45,12 @@ func fleetSpec() harness.Spec {
 
 const testCadence = 4
 
+// fleetConfig is a Config whose workers are this test binary. The worker
+// switch is set per test, not for the whole binary: the fuzzing engine
+// re-execs the binary too, and must not find it.
 func fleetConfig(t *testing.T, spec harness.Spec) Config {
 	t.Helper()
+	t.Setenv("ULE_FLEET_WORKER", "1")
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +61,22 @@ func fleetConfig(t *testing.T, spec harness.Spec) Config {
 		Workers:         3,
 		UnitTrials:      5,
 		CheckpointEvery: testCadence,
-		Backoff:         Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond},
 		Dir:             dir,
 		Out:             filepath.Join(dir, "merged.ulsb"),
 		WorkerArgv:      []string{exe},
-		WorkerEnv:       []string{"ULE_FLEET_WORKER=1"},
+	}
+}
+
+// TestRetryDelay pins the retry schedule: 10ms, doubling, capped at 300ms.
+func TestRetryDelay(t *testing.T) {
+	ms := time.Millisecond
+	for attempt, want := range []time.Duration{10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 300 * ms, 300 * ms} {
+		if got := retryDelay(attempt); got != want {
+			t.Errorf("retryDelay(%d) = %v, want %v", attempt, got, want)
+		}
+	}
+	if got := retryDelay(-3); got != 10*ms {
+		t.Errorf("retryDelay(-3) = %v, want 10ms", got)
 	}
 }
 

@@ -77,8 +77,12 @@ func TestEmitKeepsUpWithCompletion(t *testing.T) {
 // TestRunStopsOnEmitterError: an emitter error ends the sweep where it
 // happened. Run returns that error; no emitter sees a record after the
 // failing one; the workers claim at most one more trial each; End reaches
-// nobody; and Run's goroutines — workers-1 of them, none at one worker —
-// are gone when it returns.
+// nobody; and Run's goroutines — at most workers-1 of them, none at one
+// worker — are gone when it returns. The goroutine counts are bounds, not
+// equalities: base may count a goroutine of another test's making that
+// exits during this one, which lowers every later count by one and must
+// not read as a fault, while a worker still running when Run returns keeps
+// left above base.
 func TestRunStopsOnEmitterError(t *testing.T) {
 	const failAt = 37
 	p, err := benchLikeSpec(4).Compile() // 216 trials
@@ -122,10 +126,10 @@ func TestRunStopsOnEmitterError(t *testing.T) {
 		if done-doneAt > workers {
 			t.Errorf("workers=%d: %d trials completed after the failure, want at most %d", workers, done-doneAt, workers)
 		}
-		if peak-base != workers-1 {
-			t.Errorf("workers=%d: Run had %d goroutines of its own while emitting, want %d", workers, peak-base, workers-1)
+		if peak-base > workers-1 {
+			t.Errorf("workers=%d: Run had %d goroutines of its own while emitting, want at most %d", workers, peak-base, workers-1)
 		}
-		if left != base {
+		if left > base {
 			t.Errorf("workers=%d: %d goroutines after Run returned, %d before", workers, left, base)
 		}
 	}

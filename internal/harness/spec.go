@@ -64,7 +64,7 @@ type Spec struct {
 	// Delays, the axis multiplies every mode — faults compose with the
 	// synchronous models too.
 	Faults []string `json:"faults,omitempty"`
-	// MaxRounds bounds each run (default 1 << 18).
+	// MaxRounds bounds each run (default core.FrontEndMaxRounds, 1 << 18).
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// SmallIDs assigns permutation IDs 1..n instead of random 64-bit IDs
 	// (required for "dfs", whose running time is exponential in the
@@ -311,7 +311,7 @@ func (s Spec) withDefaults() Spec {
 		s.Seed = 1
 	}
 	if s.MaxRounds <= 0 {
-		s.MaxRounds = 1 << 18
+		s.MaxRounds = core.FrontEndMaxRounds
 	}
 	if len(s.Modes) == 0 {
 		s.Modes = []string{"congest"}

@@ -1,25 +1,23 @@
-// Package broadcast implements the broadcast problem of Corollary 3.12: a
-// single source must convey a message to all (or, in the majority variant,
-// to more than half of) the nodes. The flooding protocol here is
-// message-optimal up to constants (Θ(m)); the corollary shows that Ω(m) is
-// unavoidable for any algorithm with suitably large success probability,
-// which the lowerbound package demonstrates on dumbbell graphs.
-package broadcast
+package lowerbound
 
 import "ule/internal/sim"
 
-// Flood is the classic flooding broadcast: the source sends a token to all
-// neighbors; every node forwards it once. Θ(m) messages, source
-// eccentricity + 1 rounds.
-type Flood struct {
-	// Source is the broadcasting node index.
-	Source int
-}
+// The broadcast problem of Corollary 3.12: a single source must convey a
+// message to all (or, in the majority variant, to more than half of) the
+// nodes. The flooding protocol here is message-optimal up to constants
+// (Θ(m)); the corollary shows that Ω(m) is unavoidable for any algorithm
+// with suitably large success probability, which BroadcastLB demonstrates
+// on dumbbell graphs.
 
-var _ sim.Protocol = Flood{}
+// flood is the classic flooding broadcast: the source sends a token to all
+// neighbors; every node forwards it once. Θ(m) messages, source
+// eccentricity + 1 rounds. The source is the one node floodWake wakes.
+type flood struct{}
+
+var _ sim.Protocol = flood{}
 
 // New implements sim.Protocol.
-func (f Flood) New(info sim.NodeInfo) sim.Process {
+func (flood) New(info sim.NodeInfo) sim.Process {
 	return &floodProc{}
 }
 
@@ -33,7 +31,7 @@ var msgToken sim.Payload = token{}
 type floodProc struct{ got bool }
 
 // Protocol convention: the source is the unique node with wake round 1;
-// all others use sim.WakeOnMessage (see Config below).
+// all others use sim.WakeOnMessage (see floodWake).
 func (p *floodProc) Start(c *sim.Context) {
 	if c.SpontaneousWake() {
 		p.got = true
@@ -52,9 +50,9 @@ func (p *floodProc) Round(c *sim.Context, inbox []sim.Message) {
 	c.Halt()
 }
 
-// Config returns the sim configuration that realizes the broadcast wakeup
+// floodWake returns the wake schedule that realizes the broadcast
 // convention on an n-node graph: only the source wakes spontaneously.
-func Config(n, source int) []int {
+func floodWake(n, source int) []int {
 	wake := make([]int, n)
 	for i := range wake {
 		wake[i] = sim.WakeOnMessage
@@ -63,9 +61,9 @@ func Config(n, source int) []int {
 	return wake
 }
 
-// Informed counts the nodes the broadcast reached (marked Leader by the
+// informed counts the nodes the broadcast reached (marked Leader by the
 // convention above).
-func Informed(res *sim.Result) int {
+func informed(res *sim.Result) int {
 	count := 0
 	for _, s := range res.Statuses {
 		if s == sim.Leader {
@@ -75,8 +73,8 @@ func Informed(res *sim.Result) int {
 	return count
 }
 
-// ReachedMajority reports whether the broadcast informed more than half of
+// reachedMajority reports whether the broadcast informed more than half of
 // the nodes (the majority-broadcast success condition of Corollary 3.12).
-func ReachedMajority(res *sim.Result) bool {
-	return Informed(res)*2 > len(res.Statuses)
+func reachedMajority(res *sim.Result) bool {
+	return informed(res)*2 > len(res.Statuses)
 }

@@ -1,4 +1,4 @@
-package broadcast
+package lowerbound
 
 import (
 	"math/rand"
@@ -13,9 +13,9 @@ func runFlood(t *testing.T, g *graph.Graph, source int, seed int64) *sim.Result 
 	res, err := sim.Run(sim.Config{
 		Graph:     g,
 		Seed:      seed,
-		Wake:      Config(g.N(), source),
+		Wake:      floodWake(g.N(), source),
 		MaxRounds: 4 * g.N(),
-	}, Flood{Source: source})
+	}, flood{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func TestFloodReachesEveryone(t *testing.T) {
 	for _, gr := range graphs {
 		src := rng.Intn(gr.N())
 		res := runFlood(t, gr, src, 7)
-		if got := Informed(res); got != gr.N() {
+		if got := informed(res); got != gr.N() {
 			t.Errorf("%s: informed %d of %d", gr.Name(), got, gr.N())
 		}
-		if !ReachedMajority(res) {
+		if !reachedMajority(res) {
 			t.Errorf("%s: majority not reached", gr.Name())
 		}
 		// Flooding sends exactly one broadcast per node: degree sum = 2m.
@@ -60,14 +60,14 @@ func TestFloodTimeIsEccentricity(t *testing.T) {
 
 func TestInformedCounting(t *testing.T) {
 	res := &sim.Result{Statuses: []sim.Status{sim.Leader, sim.NonLeader, sim.Leader}}
-	if Informed(res) != 2 {
+	if informed(res) != 2 {
 		t.Error("bad informed count")
 	}
-	if !ReachedMajority(res) {
+	if !reachedMajority(res) {
 		t.Error("2 of 3 is a majority")
 	}
 	res2 := &sim.Result{Statuses: []sim.Status{sim.Leader, sim.NonLeader}}
-	if ReachedMajority(res2) {
+	if reachedMajority(res2) {
 		t.Error("1 of 2 is not a strict majority")
 	}
 }

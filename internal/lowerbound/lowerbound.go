@@ -8,7 +8,8 @@
 //   - Theorem 3.13 (Ω(D) time): clique-cycle sweeps measuring rounds/D,
 //     and truncated-run success probabilities showing that o(D)-time runs
 //     cannot elect reliably.
-//   - Corollary 3.12 (Ω(m) broadcast): flooding broadcast on dumbbells.
+//   - Corollary 3.12 (Ω(m) broadcast): flooding broadcast on dumbbells
+//     (broadcast.go).
 //   - The §1 trivial algorithm: success probability ≈ 1/e at zero cost.
 //
 // The theorems are asymptotic and distributional (Yao-minimax over all ID
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ule/internal/broadcast"
 	"ule/internal/core"
 	"ule/internal/graph"
 	"ule/internal/sim"
@@ -35,15 +35,6 @@ type Sweep struct {
 	Trials int
 	// Seed derives all per-trial randomness.
 	Seed int64
-	// MaxRounds bounds each run (0 = 1<<18).
-	MaxRounds int
-}
-
-func (s Sweep) maxRounds() int {
-	if s.MaxRounds > 0 {
-		return s.MaxRounds
-	}
-	return 1 << 18
 }
 
 // MessageRow is one dumbbell measurement.
@@ -79,7 +70,7 @@ func MessageLB(n, m int, sw Sweep) (MessageRow, error) {
 		}
 		dval = 2*(n-kappa) + 1
 		ids := sim.RandomIDs(db.N(), rng)
-		ro := core.RunOpts{Seed: rng.Int63(), IDs: ids, D: dval, MaxRounds: sw.maxRounds(), WatchEdges: db.Bridges[:]}
+		ro := core.RunOpts{Seed: rng.Int63(), IDs: ids, D: dval, MaxRounds: core.FrontEndMaxRounds, WatchEdges: db.Bridges[:]}
 		if err := prep.RunInto(ro, &res); err != nil {
 			return MessageRow{}, fmt.Errorf("dumbbell n=%d m=%d: %w", n, m, err)
 		}
@@ -129,7 +120,7 @@ func TimeLB(n, d int, sw Sweep, fracs ...float64) (TimeRow, []TruncatedRow, erro
 		return TimeRow{}, nil, err
 	}
 	diam := cc.DiameterExact()
-	budgets := []int{sw.maxRounds()}
+	budgets := []int{core.FrontEndMaxRounds}
 	for _, frac := range fracs {
 		budgets = append(budgets, max(int(frac*float64(diam)), 1))
 	}
@@ -232,17 +223,17 @@ func BroadcastLB(n, m int, trials int, seed int64) (BroadcastRow, error) {
 			Graph:      db.Graph,
 			IDs:        sim.RandomIDs(db.N(), rng),
 			Seed:       rng.Int63(),
-			Wake:       broadcast.Config(db.N(), source),
+			Wake:       floodWake(db.N(), source),
 			WatchEdges: db.Bridges[:],
-			MaxRounds:  1 << 18,
-		}, broadcast.Flood{Source: source})
+			MaxRounds:  core.FrontEndMaxRounds,
+		}, flood{})
 		if err != nil {
 			return BroadcastRow{}, err
 		}
 		ratios = append(ratios, float64(res.Messages)/float64(db.M()))
 		before = append(before, float64(res.MessagesBeforeCrossing))
 		rounds = append(rounds, float64(res.LastActive))
-		if broadcast.ReachedMajority(res) {
+		if reachedMajority(res) {
 			majority++
 		}
 	}

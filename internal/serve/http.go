@@ -134,7 +134,7 @@ func (m *Manager) handleElection(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
+		writeJSON(w, http.StatusAccepted, j.Document())
 		return
 	}
 	res, err := m.RunElection(r.Context(), req)
@@ -174,7 +174,7 @@ func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
+		writeJSON(w, http.StatusAccepted, j.Document())
 		return
 	}
 	// Pre-flight before committing to a 200: validation failures must
@@ -209,20 +209,13 @@ func (m *Manager) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}{m.Jobs()})
 }
 
-// jobResponse is the GET /v1/jobs/{id} document: the status plus, once
-// done, the result document.
-type jobResponse struct {
-	JobStatus
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
 func (m *Manager) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, err := m.Job(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobResponse{JobStatus: j.Snapshot(), Result: j.Result()})
+	writeJSON(w, http.StatusOK, j.Document())
 }
 
 func (m *Manager) handleJobDelete(w http.ResponseWriter, r *http.Request) {

@@ -24,6 +24,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -85,8 +86,10 @@ type Config struct {
 	// JobTTL is the retention of finished jobs (default 10m): an older
 	// one is pruned the next time the job table is read or grown.
 	JobTTL time.Duration
-	// MaxRounds caps a request's max_rounds (default 1 << 20); requests
-	// above it are rejected rather than silently clamped.
+	// MaxRounds caps a request's max_rounds (default sim.DefaultMaxRounds,
+	// 1 << 20); requests above it are rejected rather than silently
+	// clamped, and an election that names none runs with
+	// core.FrontEndMaxRounds or this cap, whichever is lower.
 	MaxRounds int
 	// MaxTrials caps a sweep request's expanded trial count (default
 	// 1 << 20).
@@ -102,7 +105,7 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.Slots, runtime.GOMAXPROCS(0))
 	orDefault(&c.MaxJobs, 256)
 	orDefault(&c.JobTTL, 10*time.Minute)
-	orDefault(&c.MaxRounds, 1<<20)
+	orDefault(&c.MaxRounds, sim.DefaultMaxRounds)
 	orDefault(&c.MaxTrials, 1<<20)
 	orDefault(&c.MaxEdges, 1<<22)
 	return c
@@ -384,7 +387,8 @@ type Job struct {
 	Finished time.Time
 }
 
-// JobStatus is the wire form of a job (GET /v1/jobs/{id}).
+// JobStatus is the wire form of a job's state (GET /v1/jobs lists these;
+// JobDocument adds the result).
 type JobStatus struct {
 	ID       string   `json:"id"`
 	Kind     string   `json:"kind"`
@@ -397,10 +401,32 @@ type JobStatus struct {
 	Error     string `json:"error,omitempty"`
 }
 
+// JobDocument is the one wire document of a job: the 202 body of an async
+// submit and the GET /v1/jobs/{id} body. Result is the ElectionResult or
+// SweepSummary once the job is done, and absent before.
+type JobDocument struct {
+	JobStatus
+	Result json.RawMessage `json:"result,omitempty"`
+}
+
+// Document returns the job's status and result, read together under one
+// lock: a job that is done always comes with its result, however soon
+// after the submit it finished.
+func (j *Job) Document() JobDocument {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JobDocument{JobStatus: j.status(), Result: j.result}
+}
+
 // Snapshot returns the job's current wire status.
 func (j *Job) Snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.status()
+}
+
+// status is Snapshot's body; j.mu must be held.
+func (j *Job) status() JobStatus {
 	st := JobStatus{
 		ID: j.ID, Kind: j.Kind, State: j.state, Error: j.err,
 		Created: j.Created.UTC().Format(time.RFC3339Nano),
@@ -413,13 +439,6 @@ func (j *Job) Snapshot() JobStatus {
 		st.ElapsedMS = j.Finished.Sub(j.Started).Milliseconds()
 	}
 	return st
-}
-
-// Result returns the finished job's result document ("" until done).
-func (j *Job) Result() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
 }
 
 func (j *Job) setRunning() bool {
@@ -574,7 +593,8 @@ type ElectionRequest struct {
 	// Anonymous removes identifiers (randomized algorithms only); it
 	// excludes small_ids.
 	Anonymous bool `json:"anonymous,omitempty"`
-	// MaxRounds bounds the run (default 1 << 18, capped by Config.MaxRounds).
+	// MaxRounds bounds the run (default core.FrontEndMaxRounds, 1 << 18,
+	// capped by Config.MaxRounds).
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// DiameterEstimate grants D-dependent algorithms the double-sweep
 	// bound instead of the exact diameter.
@@ -652,7 +672,7 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 		Model:            model,
 	}
 	if ro.MaxRounds <= 0 {
-		ro.MaxRounds = 1 << 18
+		ro.MaxRounds = min(core.FrontEndMaxRounds, m.cfg.MaxRounds)
 	}
 	if ro.Wake, err = harness.WakeSchedule(req.Wake, g.N(), req.Seed); err != nil {
 		return nil, badRequest("wake: %v", err)

@@ -406,6 +406,37 @@ func TestCancelMidSweep(t *testing.T) {
 	}
 }
 
+// TestJobDocumentCarriesResult: a job that finished before its 202 body
+// is built — a small sweep can — still answers with its result, so a
+// client that sees "done" in the 202 never has to poll for it.
+func TestJobDocumentCarriesResult(t *testing.T) {
+	m := NewManager(Config{Slots: 1})
+	j, err := m.SubmitSweep(SweepRequest{Spec: smallSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Shutdown(ctx); err != nil { // waits for the job
+		t.Fatalf("Shutdown: %v", err)
+	}
+	data, err := json.Marshal(j.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		State  JobState        `json:"state"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var summary SweepSummary
+	if doc.State != JobDone || json.Unmarshal(doc.Result, &summary) != nil || summary.TotalTrials != 4 {
+		t.Fatalf("the document of a finished job lacks its result: %s", data)
+	}
+}
+
 // TestShutdownDrains: Shutdown waits for in-flight async jobs, then new
 // work and health checks are refused.
 func TestShutdownDrains(t *testing.T) {

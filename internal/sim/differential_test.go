@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -33,7 +34,8 @@ func mustMatchReference(t *testing.T, cfg Config, p Protocol) *Result {
 // itself runs out. Some quiet periods it declares with IdleUntil (finite
 // and Forever), truthfully: until quietUntil its Round on an empty inbox
 // draws no coin and does nothing. With violate set it occasionally breaks
-// the model (an invalid port, a payload over the CONGEST budget).
+// the model (an invalid port, a payload over the CONGEST budget, a ninth
+// message on one port in one round).
 type chaosProto struct{ violate bool }
 
 func (p chaosProto) New(NodeInfo) Process { return &chaosProc{violate: p.violate} }
@@ -67,6 +69,11 @@ func (p *chaosProc) act(c *Context) {
 		}
 		c.Send(port, pl)
 	}
+	if p.violate && rng.Intn(60) == 0 {
+		for range portSendCap + 1 {
+			c.Send(0, tokenMsg{1})
+		}
+	}
 	if rng.Intn(4) == 0 {
 		// A status is final: the draw is made every time, the decision
 		// only from ⊥.
@@ -98,12 +105,14 @@ func (p *chaosProc) act(c *Context) {
 // event engine and the reference interpreter: random small graphs, and on
 // each four runs through one reused Runner at random shard counts, pooled
 // and inline, over random synchronous configurations — wake schedules with
-// rounds ≤ 0 and beyond the cap, StopWhenQuiet, the crossing instrument, send
-// caps. Results must be deeply equal and failing runs must fail with the
-// same words. Seeded: a failure names its iteration.
+// rounds ≤ 0 and beyond the cap, StopWhenQuiet, the crossing instrument,
+// and protocols that break the model's send rules. Results must be deeply
+// equal and failing runs must fail with the same words, and every class of
+// model violation must come up. Seeded: a failure names its iteration.
 func TestReferenceRandomSchedules(t *testing.T) {
 	defer SetMinPooledWork(minPooledWork)() // restored; set per run below
 	rng := rand.New(rand.NewSource(17))
+	violations := map[error]int{ErrBadPort: 0, ErrBitCap: 0, ErrDoubleSend: 0}
 	for iter := 0; iter < 3000; iter++ {
 		n := 2 + rng.Intn(31)
 		var g *graph.Graph
@@ -129,7 +138,6 @@ func TestReferenceRandomSchedules(t *testing.T) {
 				Graph: g, Seed: rng.Int63(), MaxRounds: 1 + rng.Intn(60),
 				Model:         ModelSpec{Mode: []Mode{0, CONGEST, LOCAL}[rng.Intn(3)]},
 				StopWhenQuiet: rng.Intn(2) == 0,
-				PortSendCap:   []int{0, 0, 0, 2}[rng.Intn(4)],
 				Shards:        1 + rng.Intn(4),
 			}
 			if rng.Intn(2) == 0 {
@@ -159,11 +167,21 @@ func TestReferenceRandomSchedules(t *testing.T) {
 				if wantErr.Error() != gotErr.Error() {
 					t.Fatalf("iteration %d run %d (%s, %+v): errors differ:\nreference: %v\nevent:     %v", iter, run, g.Name(), cfg, wantErr, gotErr)
 				}
+				for class := range violations {
+					if errors.Is(gotErr, class) {
+						violations[class]++
+					}
+				}
 			case wantErr != nil || gotErr != nil:
 				t.Fatalf("iteration %d run %d (%s, %+v): one side failed:\nreference: %v\nevent:     %v", iter, run, g.Name(), cfg, wantErr, gotErr)
 			case !reflect.DeepEqual(want, got):
 				t.Fatalf("iteration %d run %d (%s, %+v): results differ:\nreference: %+v\nevent:     %+v", iter, run, g.Name(), cfg, want, got)
 			}
+		}
+	}
+	for class, seen := range violations {
+		if seen == 0 {
+			t.Errorf("no run failed with %v", class)
 		}
 	}
 }

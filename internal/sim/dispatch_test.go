@@ -78,8 +78,8 @@ func TestDispatchInvariance(t *testing.T) {
 	}
 }
 
-// twiceProto breaks the one-message-per-port rule at every node in round
-// 2, after a first round busy enough to go to the pool.
+// twiceProto breaks the per-port send budget (eight messages a round) at
+// every node in round 2, after a first round busy enough to go to the pool.
 type twiceProto struct{}
 
 func (twiceProto) New(sim.NodeInfo) sim.Process { return twiceProc{} }
@@ -94,7 +94,7 @@ func (twiceProc) Start(*sim.Context) {}
 
 func (twiceProc) Round(c *sim.Context, _ []sim.Message) {
 	c.Broadcast(unit{})
-	if c.Round() == 2 {
+	for i := 0; i < 8 && c.Round() == 2; i++ {
 		c.Send(0, unit{})
 	}
 }
@@ -106,7 +106,7 @@ func TestDispatchInvarianceModelViolation(t *testing.T) {
 	want := ""
 	for _, route := range dispatchRoutes {
 		restore := setRoute(route.work)
-		_, err := sim.Run(sim.Config{Graph: g, Seed: 3, Shards: 3, PortSendCap: 1}, twiceProto{})
+		_, err := sim.Run(sim.Config{Graph: g, Seed: 3, Shards: 3}, twiceProto{})
 		restore()
 		if !errors.Is(err, sim.ErrDoubleSend) {
 			t.Fatalf("%s: want ErrDoubleSend, got %v", route.name, err)

@@ -30,19 +30,16 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 	}
 	cfg.Model.Mode = mode
 	n := g.N()
-	maxRounds, bitCap, sendCap := cfg.MaxRounds, cfg.BitCap, cfg.PortSendCap
+	maxRounds, sendCap := cfg.MaxRounds, 0
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	if bitCap <= 0 {
-		bitCap = DefaultBitCap(n)
-	}
-	if sendCap <= 0 && mode == CONGEST {
-		sendCap = 8
+	if mode == CONGEST {
+		sendCap = portSendCap
 	}
 	off, _ := g.CSR()
 	e := &engine{
-		cfg: cfg, bitCap: bitCap, sendCap: sendCap,
+		cfg: cfg, bitCap: defaultBitCap(n), sendCap: sendCap,
 		shardSize: n, // one shard: every node's Context.Shard is 0
 		buffers: buffers{
 			off: off, sendCnt: make([]int32, off[n]),

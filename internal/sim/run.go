@@ -12,9 +12,18 @@ import (
 // DefaultMaxRounds bounds runs whose protocols fail to terminate.
 const DefaultMaxRounds = 1 << 20
 
-// DefaultBitCap returns the default CONGEST per-message budget for an
-// n-node network: 32·⌈log2(n+2)⌉ + 64 bits, a generous Θ(log n).
-func DefaultBitCap(n int) int {
+// The CONGEST message budget is a constant of the model, not a setting:
+// every message outside LOCAL carries at most defaultBitCap(n) bits, and
+// a node sends at most portSendCap messages through one port in one
+// round. A constant number of Θ(log n)-bit messages per edge per round is
+// the usual constant-factor relaxation of CONGEST; every message still
+// counts individually toward the message complexity. Breaking either
+// bound fails the run (ErrBitCap, ErrDoubleSend).
+const portSendCap = 8
+
+// defaultBitCap returns the CONGEST per-message budget for an n-node
+// network: 32·⌈log2(n+2)⌉ + 64 bits, a generous Θ(log n).
+func defaultBitCap(n int) int {
 	return 32*bits.Len(uint(n+2)) + 64
 }
 
@@ -279,13 +288,9 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	bitCap := cfg.BitCap
-	if bitCap <= 0 {
-		bitCap = DefaultBitCap(n)
-	}
-	sendCap := cfg.PortSendCap // unlimited unless positive
-	if sendCap <= 0 && m.Mode != LOCAL {
-		sendCap = 8
+	sendCap := portSendCap
+	if m.Mode == LOCAL {
+		sendCap = 0 // unlimited
 	}
 
 	// Reset the result shell, recycling its slices. Crashed is reset to
@@ -298,7 +303,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	// starts the run at zero.
 	*e = engine{
 		buffers: e.buffers,
-		cfg:     cfg, bitCap: bitCap, sendCap: sendCap, res: out,
+		cfg:     cfg, bitCap: defaultBitCap(n), sendCap: sendCap, res: out,
 		async:   m.Mode == ASYNC,
 		delay:   m.Delay,
 		hints:   m.Mode != ASYNC && honorIdleHints,

@@ -179,7 +179,7 @@ func TestShardedModelViolationDeterministic(t *testing.T) {
 	g := graph.Complete(12)
 	ref := ""
 	for _, shards := range []int{1, 2, 4, 8} {
-		_, err := Run(Config{Graph: g, Seed: 3, Shards: shards, PortSendCap: 1}, doubleSenderProto{})
+		_, err := Run(Config{Graph: g, Seed: 3, Shards: shards}, portSenderProto{portSendCap + 1})
 		if err == nil {
 			t.Fatalf("shards=%d: model violation not reported", shards)
 		}

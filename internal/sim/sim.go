@@ -251,9 +251,10 @@ func (c *Context) Rand() *rand.Rand {
 func (c *Context) SpontaneousWake() bool { return c.spontaneous }
 
 // Send transmits payload through the given port; it is delivered to the
-// neighbor at the start of the next round. Sending twice through the same
-// port in one round, or using an invalid port, aborts the run with an error
-// (it would violate the model).
+// neighbor at the start of the next round. Outside LOCAL, a ninth message
+// through one port in one round (ErrDoubleSend) or a payload over the
+// CONGEST bit budget (ErrBitCap) aborts the run, as does an invalid port:
+// each would violate the model (run.go, portSendCap).
 func (c *Context) Send(port int, p Payload) {
 	c.eng.send(c.node, port, p)
 }
@@ -305,17 +306,8 @@ type Config struct {
 	// function of Seed, so faulty runs replay byte-identically at any
 	// worker count.
 	Model ModelSpec
-	// BitCap overrides the per-message bit budget in CONGEST mode
-	// (default: 32·⌈log2(n+2)⌉ + 64, a generous Θ(log n)).
-	BitCap int
 	// MaxRounds bounds the execution (default 1 << 20).
 	MaxRounds int
-	// PortSendCap bounds the number of messages a node may send through
-	// one port in one round (default 8 in CONGEST mode, unlimited in
-	// LOCAL). A constant number of Θ(log n)-bit messages per edge per
-	// round is the usual constant-factor relaxation of CONGEST; every
-	// message still counts individually toward the message complexity.
-	PortSendCap int
 	// Wake gives each node's wake-up round (1-based), or WakeOnMessage.
 	// nil means simultaneous wake-up at round 1.
 	Wake []int

@@ -85,15 +85,19 @@ func TestWatchedEdgeFirstCrossing(t *testing.T) {
 	}
 }
 
-type doubleSender struct{}
+// portSenderProto has every node send k messages through port 0 in every
+// round it is stepped.
+type portSenderProto struct{ k int }
 
-type doubleSenderProto struct{}
+func (p portSenderProto) New(info NodeInfo) Process { return portSender(p) }
 
-func (doubleSenderProto) New(info NodeInfo) Process { return doubleSender{} }
-func (doubleSender) Start(c *Context)               {}
-func (doubleSender) Round(c *Context, inbox []Message) {
-	c.Send(0, tokenMsg{1})
-	c.Send(0, tokenMsg{2})
+type portSender struct{ k int }
+
+func (portSender) Start(c *Context) {}
+func (p portSender) Round(c *Context, inbox []Message) {
+	for i := 0; i < p.k; i++ {
+		c.Send(0, tokenMsg{int64(i)})
+	}
 }
 
 // turncoat is elected on its start and non-elected a round later, when
@@ -129,19 +133,30 @@ func TestDecisionIsFinal(t *testing.T) {
 
 func TestPortSendCapEnforced(t *testing.T) {
 	g := graph.Path(2)
-	// With cap 1, the second send on port 0 must be rejected.
-	_, err := Run(Config{Graph: g, Seed: 1, PortSendCap: 1}, doubleSenderProto{})
-	if !errors.Is(err, ErrDoubleSend) {
-		t.Fatalf("err = %v, want ErrDoubleSend", err)
+	// A ninth send on one port in one round must be rejected, in CONGEST
+	// and ASYNC alike.
+	for _, mode := range []Mode{CONGEST, ASYNC} {
+		_, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: mode}}, portSenderProto{portSendCap + 1})
+		if !errors.Is(err, ErrDoubleSend) || !strings.Contains(err.Error(), "cap 8") {
+			t.Fatalf("mode %d: err = %v, want ErrDoubleSend at cap 8", mode, err)
+		}
 	}
-	// The default CONGEST cap (8) tolerates two sends — the constant-factor
-	// bundling relaxation — and counts both messages.
-	res, err := Run(Config{Graph: g, Seed: 1, MaxRounds: 2}, doubleSenderProto{})
+	// Eight sends are the constant-factor bundling relaxation: tolerated,
+	// and every message counts.
+	res, err := Run(Config{Graph: g, Seed: 1, MaxRounds: 2}, portSenderProto{portSendCap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Messages != 2*2 { // both nodes, rounds 1 delivered in round 2
-		t.Errorf("messages = %d, want 4", res.Messages)
+	if res.Messages != 2*portSendCap { // both nodes, round 1's sends delivered in round 2
+		t.Errorf("messages = %d, want %d", res.Messages, 2*portSendCap)
+	}
+	// LOCAL has no per-port budget.
+	res, err = Run(Config{Graph: g, Seed: 1, MaxRounds: 2, Model: ModelSpec{Mode: LOCAL}}, portSenderProto{3 * portSendCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Messages != 2*3*portSendCap {
+		t.Errorf("LOCAL messages = %d, want %d", res.Messages, 2*3*portSendCap)
 	}
 }
 
