@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"ule/internal/graph"
@@ -21,47 +19,11 @@ var checkGraphs = []string{
 // checkModels are the matrix's execution models, as `ule -model` strings.
 var checkModels = []string{"congest", "local", "async", "async+random:4", "async+fifo:4", "async+random:8", "async+fifo:8"}
 
-// knownViolations is every run of TestCheckMatrix the check flags, in the
-// matrix's order, as "algo graph model seed ids". All are kingdom-d, which
-// livelocks under FIFO delays until the round cap (with known D every
-// phase floods radius D, and the first-arrival tree repeats, so an
-// uncovered kingdom never grows; ROADMAP), plus one random:8 run on
-// lollipop:24:80 that finishes above 16·m·log n. Each replays as
-// `ule -algo A -graph G -model M -seed S -max-rounds 16384`, with
-// -small-ids for "small".
-var knownViolations = []string{
-	"kingdom-d grid:5x6 async+fifo:8 1 small",
-	"kingdom-d torus:5x5 async+fifo:4 0 small",
-	"kingdom-d torus:5x5 async+fifo:4 0 random",
-	"kingdom-d torus:5x5 async+fifo:4 1 random",
-	"kingdom-d random:30:60 async+fifo:4 1 small",
-	"kingdom-d lollipop:24:80 async+fifo:4 0 random",
-	"kingdom-d lollipop:24:80 async+fifo:4 1 small",
-	"kingdom-d lollipop:24:80 async+random:8 1 small",
-	"kingdom-d lollipop:24:80 async+fifo:8 1 small",
-	"kingdom-d lollipop:24:80 async+fifo:8 1 random",
-	"kingdom-d lollipop:24:80 async+fifo:8 2 random",
-	"kingdom-d lollipop:24:80 async+fifo:4 3 small",
-	"kingdom-d lollipop:24:80 async+fifo:4 3 random",
-	"kingdom-d lollipop:24:80 async+fifo:8 3 small",
-	"kingdom-d lollipop:24:80 async+fifo:8 3 random",
-	"kingdom-d dumbbell:16:40 async+fifo:4 1 random",
-	"kingdom-d dumbbell:16:40 async+fifo:8 1 random",
-	"kingdom-d dumbbell:16:40 async+fifo:4 3 small",
-	"kingdom-d dumbbell:16:40 async+fifo:8 3 small",
-	"kingdom-d cliquecycle:32:8 async+fifo:8 0 small",
-	"kingdom-d cliquecycle:32:8 async+fifo:4 2 random",
-	"kingdom-d cliquecycle:32:8 async+fifo:8 2 random",
-	"kingdom-d cliquecycle:32:8 async+fifo:8 3 random",
-}
-
 // TestCheckMatrix runs every registered row on the fifteen graphs under
 // the seven fault-free models, with small and random IDs, at four seeds,
-// all starting simultaneously, and requires the check to flag exactly the
-// recorded runs: a new violation fails the test, and so does a fixed one.
+// all starting simultaneously, and requires the check to flag none.
 func TestCheckMatrix(t *testing.T) {
 	var (
-		got []string
 		p   Prepared
 		res sim.Result
 	)
@@ -81,28 +43,12 @@ func TestCheckMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, ids := range []string{"small", "random"} {
-						run := fmt.Sprintf("%s %s %s %d %s", algo, spec, model, seed, ids)
-						err := p.RunInto(RunOpts{Seed: seed, SmallIDs: ids == "small", MaxRounds: 1 << 14, Model: m}, &res)
-						switch {
-						case errors.Is(err, ErrGuarantee):
-							got = append(got, run)
-							t.Logf("%s: %v", run, err)
-						case err != nil:
-							t.Errorf("%s: %v", run, err)
+						if err := p.RunInto(RunOpts{Seed: seed, SmallIDs: ids == "small", MaxRounds: 1 << 14, Model: m}, &res); err != nil {
+							t.Errorf("%s %s %s %d %s: %v", algo, spec, model, seed, ids, err)
 						}
 					}
 				}
 			}
-		}
-	}
-	for _, v := range got {
-		if !slices.Contains(knownViolations, v) {
-			t.Errorf("new violation: %s", v)
-		}
-	}
-	for _, v := range knownViolations {
-		if !slices.Contains(got, v) {
-			t.Errorf("recorded violation no longer happens: %s", v)
 		}
 	}
 }

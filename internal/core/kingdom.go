@@ -21,10 +21,11 @@ import "ule/internal/sim"
 // member's neighbors are members) and elects itself, flooding a final done
 // signal so everyone halts.
 //
-// With KnownD set, waves use radius D from the start (the paper's
-// simplified variant under knowledge of D).
+// With KnownD set, phase p's waves use radius D·2^(p−1), so the first
+// already spans the graph (the paper's simplified variant under knowledge
+// of D).
 type Kingdom struct {
-	// KnownD grows radius-D kingdoms from phase 1.
+	// KnownD grows kingdoms of radius D·2^(p−1) from phase 1.
 	KnownD bool
 }
 
@@ -175,18 +176,19 @@ func (p *kingdomProc) wave(key kkey) *kState {
 	return nil
 }
 
+// radius is a phase-p wave's radius, base·2^(p−1) capped at 2^30: the
+// base is D under KnownD and 1 otherwise. Doubling matters with known D
+// too: under FIFO delays a fixed radius-D wave repeats its first-arrival
+// tree every phase, and an uncovered kingdom would never grow.
 func (p *kingdomProc) radius(phase int32, c *sim.Context) int32 {
+	base := int64(1)
 	if p.knownD {
-		d := int32(c.Know().D)
-		if d < 1 {
-			d = 1
-		}
-		return d
+		base = max(int64(c.Know().D), 1)
 	}
-	if phase > 30 {
+	if phase > 31 {
 		return 1 << 30
 	}
-	return 1 << uint(phase-1)
+	return int32(min(base<<(phase-1), 1<<30))
 }
 
 func (p *kingdomProc) Start(c *sim.Context) {

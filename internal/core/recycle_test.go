@@ -546,7 +546,7 @@ var rejoinGolden = []struct {
 	{"flood", "async+random:8+churn:0.5:2", [3]uint64{0xb73717907f42ca77, 0xc73e3d94d0678db6, 0x9782d362f595812b}},
 	{"cluster", "async+random:8+churn:0.5:2", [3]uint64{0xd5fdd6ba9b8858dd, 0x72299b25450bc65, 0xfcd22275ef920cf6}},
 	{"dfs", "async+random:8+crashrec:0.5:2", [3]uint64{0xfbdeb29d17f21c56, 0x1e077d1e063aea6f, 0x658f848234528d0f}},
-	{"kingdom-d", "async+random:8+crashrec:0.5:2", [3]uint64{0x3acd8fb276c9442f, 0x3a8893796002365, 0xc83e7bdd7d8823dc}},
+	{"kingdom-d", "async+random:8+crashrec:0.5:2", [3]uint64{0x3acd8fb276c9442f, 0xf52a553c2d2895c5, 0xa7756dee57e66b1d}},
 	{"lasvegas", "async+random:8+churn:0.5:2", [3]uint64{0xb13c87e6c8504ddf, 0x18469845756275bf, 0x7b4a82db91e6f3a0}},
 	{"leastel", "async+random:8+crashrec:0.5:2", [3]uint64{0xc37b818f2ee2a5d9, 0xeb9ac33a5f28437f, 0x918d5812279ebec6}},
 	{"leastel-const", "async+random:8+churn:0.5:2", [3]uint64{0x5e9e4002af9e01e7, 0x47c269847ac0c98a, 0xadd884fd83db4eac}},

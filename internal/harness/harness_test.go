@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -400,40 +401,30 @@ func TestAsyncUnitReproducesSync(t *testing.T) {
 	}
 }
 
-// TestGuaranteeBreakCountsAsFailure: a run that breaks its Table 1 row
-// (kingdom-d livelocks under FIFO delays on torus:5x5 until the round cap)
-// is recorded with its error and its measurements, and its cell counts it
-// as a failed run: success below 1, its messages in the summary.
+// TestGuaranteeBreakCountsAsFailure: a trial recorded with a broken Table
+// 1 row keeps its measurements, and its cell counts it as a failed run —
+// an error, in the message summary, and not a success even where it
+// elected a unique leader — while a model violation is an error without
+// measurements.
 func TestGuaranteeBreakCountsAsFailure(t *testing.T) {
-	spec := Spec{
-		Algos:     []string{"kingdom-d"},
-		Graphs:    []string{"torus:5x5"},
-		Modes:     []string{"async"},
-		Delays:    []string{"fifo:4"},
-		Trials:    4,
-		Seed:      4,
-		MaxRounds: 4096,
+	rec := func(msgs int64, err string) *TrialResult {
+		tr := &TrialResult{N: 8, M: 8, Err: err,
+			Outcome: core.Outcome{Messages: msgs, Leaders: 1, Unique: true, Halted: true}}
+		tr.Algo, tr.Graph = "kingdom", "ring:8"
+		return tr
 	}
-	out, _ := runToJSON(t, spec, 1)
-	doc, err := ParseDocument(out)
-	if err != nil {
-		t.Fatal(err)
+	agg := sweepAgg{byKey: make(map[[6]string]*groupAcc)}
+	agg.add(rec(40, ""))
+	agg.add(rec(50, fmt.Errorf("%w: kingdom elected 2 leaders", core.ErrGuarantee).Error()))
+	agg.add(rec(0, "sim: model violation"))
+	agg.add(rec(60, ""))
+	var rep Report
+	agg.finish(&rep)
+	grp := rep.Groups[0]
+	if rep.Errors != 2 || grp.Errors != 2 || grp.Trials != 4 {
+		t.Fatalf("errors %d (group %d) over %d trials, want 2 over 4", rep.Errors, grp.Errors, grp.Trials)
 	}
-	broken := 0
-	for _, tr := range doc.Trials {
-		if tr.Err == "" {
-			continue
-		}
-		if !strings.HasPrefix(tr.Err, core.ErrGuarantee.Error()) || tr.Messages == 0 {
-			t.Fatalf("trial %d: err %q with %d messages, want a guarantee break with its measurements", tr.Index, tr.Err, tr.Messages)
-		}
-		broken++
-	}
-	grp := doc.Groups[0]
-	if broken == 0 || grp.Errors != broken {
-		t.Fatalf("%d broken trials, group errors %d; want some, counted", broken, grp.Errors)
-	}
-	if want := float64(spec.Trials-broken) / float64(spec.Trials); grp.Success > want || grp.Messages.Count != spec.Trials {
-		t.Fatalf("group success %v over %d message samples, want at most %v over %d", grp.Success, grp.Messages.Count, want, spec.Trials)
+	if grp.Messages.Count != 3 || grp.Messages.Max != 60 || grp.Success != 2.0/3 {
+		t.Fatalf("group success %v over %d message samples (max %v), want 2/3 over 3 (max 60)", grp.Success, grp.Messages.Count, grp.Messages.Max)
 	}
 }

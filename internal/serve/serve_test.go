@@ -168,9 +168,6 @@ func TestBadRequests(t *testing.T) {
 		// An anonymous network has no identifiers to assign.
 		{"anonymous small IDs", "/v1/elections", `{"graph":"ring:16","algo":"leastel","seed":3,"anonymous":true,"small_ids":true}`, 400, "anonymous excludes small_ids"},
 		{"anonymous flood", "/v1/elections", `{"graph":"ring:16","algo":"flood","anonymous":true}`, 400, "flood requires unique IDs"},
-		// A run that breaks its Table 1 row is the server's failure, not
-		// the request's: kingdom-d livelocks under FIFO delays.
-		{"broken guarantee", "/v1/elections", `{"graph":"torus:5x5","algo":"kingdom-d","model":"async+fifo:4","seed":0,"max_rounds":4096}`, 500, core.ErrGuarantee.Error()},
 		{"rounds above cap", "/v1/elections", `{"graph":"ring:8","algo":"leastel","max_rounds":4194304}`, 400, "max_rounds"},
 		{"sweep bad algo", "/v1/sweeps", `{"algos":["zeus"],"graphs":["ring:8"]}`, 400, "zeus"},
 		{"sweep bad graph", "/v1/sweeps", `{"algos":["leastel"],"graphs":["blob:9"]}`, 400, "blob"},
@@ -596,6 +593,19 @@ func TestArenaReuse(t *testing.T) {
 	}
 	if misses, rebinds := statPrepMisses.Value()-m0, statPrepRebinds.Value()-r0; misses != 1 || rebinds != 1 {
 		t.Fatalf("a new cell on a full slot: %d misses / %d rebinds, want 1 / 1 (no Prepare)", misses, rebinds)
+	}
+}
+
+// TestBrokenGuaranteeIs500: a run that breaks its Table 1 row is the
+// server's failure, not the request's — a 500 whose envelope names the
+// broken guarantee. No request breaks a row (TestCheckMatrix), so the
+// mapping is pinned at writeError.
+func TestBrokenGuaranteeIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeError(rec, fmt.Errorf("%w: kingdom elected 2 leaders", core.ErrGuarantee))
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusInternalServerError || !strings.HasPrefix(eb.Error, core.ErrGuarantee.Error()) {
+		t.Fatalf("status %d, body %s (%v); want 500 naming the guarantee", rec.Code, rec.Body, err)
 	}
 }
 
