@@ -8,7 +8,6 @@
 //
 //	ule-fleet -spec sweep.json -out sweep.ulsb -workers 4
 //	ule-fleet -spec sweep.json -out sweep.ulsb -chaos kill:0.3,stall:0.2 -chaos-seed 7
-//	ule-fleet -gate                  # CI chaos smoke (make fleet-chaos)
 //	ule-fleet -worker …              # internal: a worker process (leases on stdin)
 //
 // On quarantined units the merged file is withheld and the exit status is
@@ -16,20 +15,13 @@
 // counters, lease times, the idle tail and the exact missing trial
 // ranges) either way, and -v prints the run's lifecycle to stderr as
 // NDJSON, one event per line.
-//
-// -gate runs a small sweep at 1, 2 and 4 workers, and once more in 24
-// leases on 2 workers, with two scheduled worker kills each, and fails
-// unless every merged document is byte-identical to the in-process
-// reference.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -66,19 +58,14 @@ func run(args []string) error {
 		chaos     = fs.String("chaos", "", "fault injection, e.g. kill:0.3,stall:0.2,corrupt:0.1")
 		chaosSeed = fs.Uint64("chaos-seed", 1, "chaos schedule seed")
 		chaosMax  = fs.Int("chaos-max", 0, "cap on injected faults (0 = none)")
-		gate      = fs.Bool("gate", false, "run the CI chaos gate and exit")
 		verbose   = fs.Bool("v", false, "print the lifecycle log (NDJSON) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *gate {
-		return runGate(*specPath, *verbose)
-	}
-
 	if *specPath == "" || *out == "" {
-		return fmt.Errorf("need -spec and -out (or -gate)")
+		return fmt.Errorf("need -spec and -out")
 	}
 	spec, err := harness.LoadSpec(*specPath)
 	if err != nil {
@@ -152,87 +139,6 @@ func parseChaos(s string, seed uint64, max int) (*fleet.ChaosPlan, error) {
 		return nil, fmt.Errorf("chaos probabilities sum to more than 1")
 	}
 	return plan, nil
-}
-
-// gateSpec is the chaos-gate sweep: 96 trials across algorithms, graph
-// families, execution models and fault schedules — big enough that every
-// worker holds several units, small enough for CI.
-func gateSpec() harness.Spec {
-	return harness.Spec{
-		Name:     "fleet-gate",
-		Algos:    []string{"leastel", "flood"},
-		Graphs:   []string{"ring:16", "random:24:60"},
-		Modes:    []string{"congest", "async"},
-		Faults:   []string{"", "crash:0.2"},
-		Trials:   6,
-		Seed:     5,
-		SmallIDs: true,
-	}
-}
-
-// runGate is the chaos gate: the gate sweep through worker processes at 1,
-// 2 and 4 workers in units of 8 trials, then in 24 leases of 4 trials on 2
-// workers (each process serves many leases, and the ones started after a
-// kill serve the rest), with two scheduled worker kills each, every merged
-// binary required byte-identical to one in-process run.
-func runGate(specPath string, verbose bool) error {
-	spec := gateSpec()
-	if specPath != "" {
-		s, err := harness.LoadSpec(specPath)
-		if err != nil {
-			return err
-		}
-		spec = s
-	}
-	const cadence = 4
-
-	var refBuf bytes.Buffer
-	opt := harness.BinaryOptions{CheckpointEvery: cadence}
-	if _, err := harness.Run(spec, harness.RunConfig{
-		Emitters: []harness.Emitter{harness.NewBinaryEmitter(&refBuf, opt)},
-	}); err != nil {
-		return err
-	}
-
-	tmp, err := os.MkdirTemp("", "ule-fleet-gate-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	for _, leg := range []struct{ workers, unit int }{{1, 8}, {2, 8}, {4, 8}, {2, 4}} {
-		workers := leg.workers
-		dir := filepath.Join(tmp, fmt.Sprintf("%d-%d", workers, leg.unit))
-		cfg := fleet.Config{
-			Spec:             spec,
-			Workers:          workers,
-			UnitTrials:       leg.unit,
-			CheckpointEvery:  cadence,
-			HeartbeatTimeout: 5 * time.Second,
-			Dir:              dir,
-			Out:              filepath.Join(dir, "merged.ulsb"),
-			Chaos:            &fleet.ChaosPlan{Seed: 42, Kill: 1, MaxActions: 2},
-		}
-		if verbose {
-			cfg.Log = os.Stderr
-		}
-		res, err := fleet.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("gate workers=%d: %w", workers, err)
-		}
-		got, err := os.ReadFile(cfg.Out)
-		if err != nil {
-			return err
-		}
-		identical := bytes.Equal(got, refBuf.Bytes())
-		fmt.Printf("fleet kill     workers=%d leases=%2d: %4d ms, retries=%d reassignments=%d kills=%d stalls=%d corruptions=%d byte_identical=%v\n",
-			workers, res.Units, res.ElapsedMS, res.Retries, res.Reassignments,
-			res.Kills, res.Stalls, res.Corruptions, identical)
-		if !identical {
-			return fmt.Errorf("gate at %d workers, %d leases: merged output NOT byte-identical to single-process run", workers, res.Units)
-		}
-	}
-	fmt.Println("fleet: chaos gate OK (byte-identical at every worker count and unit size)")
-	return nil
 }
 
 func writeJSONFile(path string, v any) error {

@@ -115,7 +115,7 @@ func TestPaperMapMatchesRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, line := range strings.Split(string(data), "\n") {
 		cells := strings.Split(line, " | ")
-		if len(cells) != 8 || !strings.HasPrefix(cells[0], "| `") {
+		if len(cells) != 10 || !strings.HasPrefix(cells[0], "| `") {
 			continue
 		}
 		name := strings.Trim(cells[0], "| `")
@@ -134,16 +134,19 @@ func TestPaperMapMatchesRegistry(t *testing.T) {
 				know = append(know, k.label)
 			}
 		}
-		coins, async := "randomized", "round-driven"
+		coins, async, anyStart := "randomized", "round-driven", "no"
 		if spec.Deterministic {
 			coins = "deterministic"
 		}
 		if spec.Bound.MessageDriven {
 			async = "message-driven"
 		}
-		want := []string{cmp.Or(strings.Join(know, ", "), "—"), coins, success[spec.Bound.Success], async}
-		if got := cells[2:6]; !slices.Equal(got, want) {
-			t.Errorf("PAPER_MAP row %s: knowledge, coins, success, async = %q, its Spec says %q", name, got, want)
+		if spec.Bound.AnyStart {
+			anyStart = "yes"
+		}
+		want := []string{cmp.Or(strings.Join(know, ", "), "—"), coins, success[spec.Bound.Success], async, spec.Bound.Winner.String(), anyStart}
+		if got := cells[2:8]; !slices.Equal(got, want) {
+			t.Errorf("PAPER_MAP row %s: knowledge, coins, success, async, winner, any start = %q, its Spec says %q", name, got, want)
 		}
 		if !strings.HasPrefix(cells[1], spec.Result+" ") {
 			t.Errorf("PAPER_MAP row %s: paper result %q does not start with %q", name, cells[1], spec.Result)
@@ -274,21 +277,4 @@ func TestEveryAlgorithmOnEveryGraphSmoke(t *testing.T) {
 			runOn(t, g, algo, 99)
 		}
 	}
-}
-
-// adversarialWake returns a schedule where a random subset of nodes wakes
-// spontaneously at random rounds in [1, spread] and everyone else wakes
-// only on message arrival. At least one node wakes in round 1 (the model
-// guarantee).
-func adversarialWake(n, spread int, rng *rand.Rand) []int {
-	w := make([]int, n)
-	for i := range w {
-		if rng.Intn(2) == 0 {
-			w[i] = 1 + rng.Intn(spread)
-		} else {
-			w[i] = sim.WakeOnMessage
-		}
-	}
-	w[rng.Intn(n)] = 1
-	return w
 }

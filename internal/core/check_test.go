@@ -19,15 +19,66 @@ var checkGraphs = []string{
 // checkModels are the matrix's execution models, as `ule -model` strings.
 var checkModels = []string{"congest", "local", "async", "async+random:4", "async+fifo:4", "async+random:8", "async+fifo:8"}
 
+type wakeSchedule struct {
+	name string
+	draw func(n int, rng *rand.Rand) []int
+}
+
+// checkWakes are the matrix's start schedules, drawn from the run's seed:
+// the simultaneous start, then the staggered ones of the wake axis —
+// random:8, stagger:3, adversarial (one node wakes, the rest on a message)
+// — and mixed:10, where a random half wakes in rounds 1-10 and the rest
+// on a message.
+var checkWakes = []wakeSchedule{
+	{"simultaneous", func(int, *rand.Rand) []int { return nil }},
+	{"random:8", func(n int, rng *rand.Rand) []int {
+		w := make([]int, n)
+		for i := range w {
+			w[i] = 1 + rng.Intn(8)
+		}
+		return w
+	}},
+	{"stagger:3", func(n int, _ *rand.Rand) []int {
+		w := make([]int, n)
+		for i := range w {
+			w[i] = 1 + i%3
+		}
+		return w
+	}},
+	{"adversarial", func(n int, rng *rand.Rand) []int {
+		w := make([]int, n)
+		for i := range w {
+			w[i] = sim.WakeOnMessage
+		}
+		w[rng.Intn(n)] = 1
+		return w
+	}},
+	{"mixed:10", func(n int, rng *rand.Rand) []int {
+		w := make([]int, n)
+		for i := range w {
+			w[i] = sim.WakeOnMessage
+			if rng.Intn(2) == 0 {
+				w[i] = 1 + rng.Intn(10)
+			}
+		}
+		w[rng.Intn(n)] = 1
+		return w
+	}},
+}
+
 // TestCheckMatrix runs every registered row on the fifteen graphs under
 // the seven fault-free models, with small and random IDs, at four seeds,
-// all starting simultaneously, and requires the check to flag none.
+// with a simultaneous start and, for a row that says AnyStart, under one
+// staggered schedule per graph and seed (each schedule meets every graph
+// and every seed), and requires the check to flag none. A judged run of
+// a probability-1 row with small IDs must also end before the round cap
+// (random IDs excepted: dfs takes m·2^minID rounds).
 func TestCheckMatrix(t *testing.T) {
 	var (
 		p   Prepared
 		res sim.Result
 	)
-	for _, spec := range checkGraphs {
+	for gi, spec := range checkGraphs {
 		for seed := int64(0); seed < 4; seed++ {
 			g, err := graph.FromSpec(spec, seed)
 			if err != nil {
@@ -37,78 +88,31 @@ func TestCheckMatrix(t *testing.T) {
 				if err := p.Rebind(g, algo); err != nil {
 					t.Fatal(err)
 				}
+				b := p.Spec().Bound
+				wakes := checkWakes[:1]
+				if k := 1 + (gi+int(seed))%4; b.AnyStart {
+					wakes = []wakeSchedule{checkWakes[0], checkWakes[k]}
+				}
 				for _, model := range checkModels {
 					m, err := sim.ParseModel(model)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, ids := range []string{"small", "random"} {
-						if err := p.RunInto(RunOpts{Seed: seed, SmallIDs: ids == "small", MaxRounds: 1 << 14, Model: m}, &res); err != nil {
-							t.Errorf("%s %s %s %d %s: %v", algo, spec, model, seed, ids, err)
+					for _, wake := range wakes {
+						for _, small := range []bool{true, false} {
+							ro := RunOpts{Seed: seed, SmallIDs: small, MaxRounds: 1 << 14, Model: m,
+								Wake: wake.draw(g.N(), sim.NewRand(seed))}
+							if ro.Wake != nil && !p.judges(ro) {
+								continue
+							}
+							err := p.RunInto(ro, &res)
+							if err == nil && small && res.HitRoundCap && b.Success == Always && p.judges(ro) {
+								err = errors.New("hit the round cap")
+							}
+							if err != nil {
+								t.Errorf("%s %s %s wake %s seed %d small IDs %v: %v", algo, spec, model, wake.name, seed, small, err)
+							}
 						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCheckStaggeredStart: the rows that never break under a staggered
-// start keep the check's rules on the zoo and a caterpillar under each of
-// the wake axis's staggered schedules — random:8, stagger:3, adversarial
-// (one node wakes, the rest on a message) — and adversarialWake's mix.
-// The check does not judge these runs itself (a row's guarantees assume a
-// simultaneous start, and flood, spanner-le and lasvegas do elect two
-// leaders or none here), so the test hands it each run as if it had
-// started simultaneously.
-func TestCheckStaggeredStart(t *testing.T) {
-	wakes := map[string]func(n int, rng *rand.Rand) []int{
-		"random:8": func(n int, rng *rand.Rand) []int {
-			w := make([]int, n)
-			for i := range w {
-				w[i] = 1 + rng.Intn(8)
-			}
-			return w
-		},
-		"stagger:3": func(n int, _ *rand.Rand) []int {
-			w := make([]int, n)
-			for i := range w {
-				w[i] = 1 + i%3
-			}
-			return w
-		},
-		"adversarial": func(n int, rng *rand.Rand) []int {
-			w := make([]int, n)
-			for i := range w {
-				w[i] = sim.WakeOnMessage
-			}
-			w[rng.Intn(n)] = 1
-			return w
-		},
-		"mixed:10": func(n int, rng *rand.Rand) []int { return adversarialWake(n, 10, rng) },
-	}
-	var (
-		p   Prepared
-		res sim.Result
-	)
-	graphs := testGraphs(t)
-	graphs["caterpillar"] = graph.Caterpillar(5, 2)
-	for name, g := range graphs {
-		for _, algo := range []string{"leastel", "leastel-estimate", "dfs", "kingdom", "kingdom-d"} {
-			if err := p.Rebind(g, algo); err != nil {
-				t.Fatal(err)
-			}
-			for wake, draw := range wakes {
-				for seed := int64(0); seed < 12; seed++ {
-					ro := RunOpts{Seed: seed, SmallIDs: true, MaxRounds: 1 << 17,
-						Wake: draw(g.N(), rand.New(rand.NewSource(seed)))}
-					err := p.RunInto(ro, &res)
-					if err == nil {
-						ro.Wake = nil // judged as if it had started simultaneously
-						err = p.check(ro, &res)
-					}
-					if err != nil || res.HitRoundCap {
-						t.Errorf("%s on %s, wake %s, seed %d: %v (round cap %v)", algo, name, wake, seed, err, res.HitRoundCap)
 					}
 				}
 			}
@@ -137,7 +141,7 @@ func TestCheckShrunkCandidates(t *testing.T) {
 		}
 		if res.LeaderCount() == 1 {
 			res.Leaders = append(res.Leaders, (res.Leaders[0]+1)%16)
-			if err := p.check(ro, &res); !errors.Is(err, ErrGuarantee) {
+			if err := p.check(ro, nil, &res); !errors.Is(err, ErrGuarantee) {
 				t.Fatalf("seed %d: two leaders not flagged: %v", seed, err)
 			}
 		}
@@ -161,9 +165,67 @@ func TestCheckShrunkCandidatesOnlyLeastel(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := sim.Result{Statuses: make([]sim.Status, g.N())}
-		err = p.check(RunOpts{Opt: Options{FScale: 0.5}}, &res)
+		err = p.check(RunOpts{Opt: Options{FScale: 0.5}}, nil, &res)
 		if shrunk := name == "leastel"; shrunk != (err == nil) || (!shrunk && !errors.Is(err, ErrGuarantee)) {
 			t.Errorf("%s with FScale 0.5, leaderless: err = %v", name, err)
+		}
+	}
+}
+
+// TestCheckWinner: on a row with a fixed winner, a one-leader run whose
+// leader does not hold that ID breaks the row, and one whose leader does
+// passes; a row that fixes none is not held to either.
+func TestCheckWinner(t *testing.T) {
+	g := graph.Ring(8)
+	ids := []int64{40, 10, 70, 20, 80, 30, 60, 50} // min at node 1, max at node 4
+	oneLeader := func(leader int) *sim.Result {
+		res := &sim.Result{Statuses: make([]sim.Status, g.N()), Leaders: []int{leader}}
+		for u := range res.Statuses {
+			res.Statuses[u] = sim.NonLeader
+		}
+		res.Statuses[leader] = sim.Leader
+		return res
+	}
+	fixed := 0
+	for _, name := range Names() {
+		p, err := Prepare(g, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := p.Spec().Bound.Winner
+		winner, loser := 4, 1 // the nodes holding the row's ID and the other extreme
+		if w == MinID {
+			winner, loser = 1, 4
+		}
+		if err := p.check(RunOpts{}, ids, oneLeader(winner)); err != nil {
+			t.Errorf("%s (winner %s) electing ID %d: %v", name, w, ids[winner], err)
+		}
+		if err := p.check(RunOpts{}, ids, oneLeader(loser)); (w != AnyID) != errors.Is(err, ErrGuarantee) {
+			t.Errorf("%s (winner %s) electing ID %d: err = %v", name, w, ids[loser], err)
+		}
+		if w != AnyID {
+			fixed++
+		}
+	}
+	if fixed == 0 {
+		t.Fatal("no row fixes its winner; the rule is not exercised")
+	}
+}
+
+// TestCheckJudgesAnyStart: a staggered run is judged on a row that says
+// AnyStart — two leaders under a wake schedule break it — and not on one
+// that does not.
+func TestCheckJudgesAnyStart(t *testing.T) {
+	g := graph.Ring(8)
+	res := sim.Result{Statuses: make([]sim.Status, g.N()), Leaders: []int{0, 4}}
+	ro := RunOpts{Wake: checkWakes[1].draw(g.N(), sim.NewRand(1))}
+	for _, name := range Names() {
+		p, err := Prepare(g, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.check(ro, nil, &res); p.Spec().Bound.AnyStart != errors.Is(err, ErrGuarantee) {
+			t.Errorf("%s (AnyStart %v), two leaders under a staggered start: err = %v", name, p.Spec().Bound.AnyStart, err)
 		}
 	}
 }

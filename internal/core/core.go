@@ -106,15 +106,18 @@ type Spec struct {
 }
 
 // Bound is what a Table 1 row promises: its message and time bounds as
-// terms in n, m and D, how often it elects, and whether it is
-// message-driven — a node acts only on a delivery, so an asynchronous run
-// under unit delays steps it exactly when a synchronous one does. Where
-// the row writes min(f, D) the term is f, the quantity the experiment
-// tables divide by.
+// terms in n, m and D, how often it elects, whether it is message-driven
+// — a node acts only on a delivery, so an asynchronous run under unit
+// delays steps it exactly when a synchronous one does — which ID its
+// leader holds, and whether its promises hold under any wake schedule
+// (AnyStart) or only when every node starts at once. Where the row writes
+// min(f, D) the term is f, the quantity the experiment tables divide by.
 type Bound struct {
 	Msgs, Rounds  Term
 	Success       Success
 	MessageDriven bool
+	Winner        Winner
+	AnyStart      bool
 }
 
 // Term is one bound, O(Label). Of evaluates it; it is nil where the row
@@ -133,6 +136,27 @@ const (
 	OneMinusE                // at least 1−ε
 	OverE                    // about 1/e
 )
+
+// Winner is the identifier a row's leader holds among the run's IDs.
+type Winner uint8
+
+const (
+	AnyID Winner = iota // ranks or coins decide
+	MinID               // the smallest ID
+	MaxID               // the largest ID
+)
+
+func (w Winner) String() string { return [...]string{"any", "min", "max"}[w] }
+
+// elects reports whether ids[leader] is the ID w names.
+func (w Winner) elects(ids []int64, leader int) bool {
+	for _, id := range ids {
+		if w == MinID && id < ids[leader] || w == MaxID && id > ids[leader] {
+			return false
+		}
+	}
+	return true
+}
 
 var (
 	termM     = Term{"m", func(n, m, d int) float64 { return float64(m) }}

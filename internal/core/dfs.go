@@ -252,7 +252,7 @@ func init() {
 		Summary:       "DFS annexing agents, step period 2^ID; O(m) msgs, unbounded (exponential-in-minID) time",
 		Deterministic: true,
 		NeedsIDs:      true,
-		Bound:         Bound{Msgs: termM, Rounds: Term{Label: "m·2^minID"}},
+		Bound:         Bound{Msgs: termM, Rounds: Term{Label: "m·2^minID"}, Winner: MinID, AnyStart: true},
 		New:           func(o Options) sim.Recycler { return DFS{BudgetCap: o.dfsBudgetCap()} },
 	})
 }

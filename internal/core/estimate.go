@@ -132,7 +132,7 @@ func init() {
 		Result:  "Cor 4.5",
 		Summary: "size-estimate max-flood then f=n least-el; no knowledge, prob 1, O(D) time, O(m·min(log n,D)) msgs whp",
 		Quiet:   true,
-		Bound:   Bound{Msgs: termMLogN, Rounds: termD, MessageDriven: true},
+		Bound:   Bound{Msgs: termMLogN, Rounds: termD, MessageDriven: true, AnyStart: true},
 		New:     func(o Options) sim.Recycler { return Estimate{depot: o.depot} },
 	})
 }

@@ -79,7 +79,7 @@ func init() {
 		Deterministic: true,
 		NeedsD:        true,
 		NeedsIDs:      true,
-		Bound:         Bound{Msgs: Term{"m·D", func(n, m, d int) float64 { return float64(m * d) }}, Rounds: termD},
+		Bound:         Bound{Msgs: Term{"m·D", func(n, m, d int) float64 { return float64(m * d) }}, Rounds: termD, Winner: MaxID},
 		New:           func(o Options) sim.Recycler { return FloodMax{} },
 	})
 }

@@ -437,8 +437,10 @@ func init() {
 		Summary:       "double-win growing kingdoms, radius 2^(p-1); deterministic, no knowledge, O(D log n) time, O(m log n) msgs",
 		Deterministic: true,
 		NeedsIDs:      true,
-		Bound:         Bound{Msgs: termMLogN, Rounds: termDLogN, MessageDriven: true},
-		New:           func(o Options) sim.Recycler { return Kingdom{} },
+		// Winner stays AnyID: claims order by (phase, ID), and under delays
+		// or a staggered start another node can reach a higher phase first.
+		Bound: Bound{Msgs: termMLogN, Rounds: termDLogN, MessageDriven: true, AnyStart: true},
+		New:   func(o Options) sim.Recycler { return Kingdom{} },
 	})
 	register(Spec{
 		Name:          "kingdom-d",
@@ -447,7 +449,7 @@ func init() {
 		Deterministic: true,
 		NeedsD:        true,
 		NeedsIDs:      true,
-		Bound:         Bound{Msgs: termMLogN, Rounds: termDLogN, MessageDriven: true},
+		Bound:         Bound{Msgs: termMLogN, Rounds: termDLogN, MessageDriven: true, Winner: MaxID, AnyStart: true},
 		New:           func(o Options) sim.Recycler { return Kingdom{KnownD: true} },
 	})
 }

@@ -136,7 +136,7 @@ func init() {
 		Summary: "least-element-list election, every node a candidate (f=n); O(D) time, O(m·min(log n,D)) msgs",
 		NeedsN:  true,
 		Quiet:   true,
-		Bound:   Bound{Msgs: termMLogN, Rounds: termD, MessageDriven: true},
+		Bound:   Bound{Msgs: termMLogN, Rounds: termD, MessageDriven: true, AnyStart: true},
 		New:     func(o Options) sim.Recycler { return LeastEl{F: FAll, Opt: o} },
 	})
 	register(Spec{

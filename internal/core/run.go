@@ -301,5 +301,5 @@ func (p *Prepared) RunInto(ro RunOpts, out *sim.Result) error {
 	if err != nil {
 		return err
 	}
-	return p.check(ro, out)
+	return p.check(ro, cfg.IDs, out)
 }

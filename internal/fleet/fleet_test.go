@@ -154,22 +154,41 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestFleetKillChaos is the fleet's chaos gate (make fleet-chaos): a
+// 96-trial sweep across algorithms, graph families, execution models and
+// fault schedules — big enough that every worker holds several units —
+// through worker processes at 1, 2 and 4 workers in units of 8 trials,
+// then in 24 units of 4 on 2 workers (each process serves many leases,
+// and the ones started after a kill serve the rest). Every leg has two
+// scheduled worker kills, retries each killed unit, and merges a binary
+// byte-identical to one in-process run.
 func TestFleetKillChaos(t *testing.T) {
-	spec := fleetSpec()
-	cfg := fleetConfig(t, spec)
-	cfg.Chaos = &ChaosPlan{Seed: 42, Kill: 1, MaxActions: 2}
-
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	spec := harness.Spec{
+		Name:     "fleet-gate",
+		Algos:    []string{"leastel", "flood"},
+		Graphs:   []string{"ring:16", "random:24:60"},
+		Modes:    []string{"congest", "async"},
+		Faults:   []string{"", "crash:0.2"},
+		Trials:   6,
+		Seed:     5,
+		SmallIDs: true,
 	}
-	if res.Kills != 2 {
-		t.Fatalf("kills = %d, want 2", res.Kills)
+	want := refRun(t, spec)
+	for _, leg := range []struct{ workers, unit int }{{1, 8}, {2, 8}, {4, 8}, {2, 4}} {
+		cfg := fleetConfig(t, spec)
+		cfg.Workers, cfg.UnitTrials = leg.workers, leg.unit
+		cfg.HeartbeatTimeout = 5 * time.Second
+		cfg.Chaos = &ChaosPlan{Seed: 42, Kill: 1, MaxActions: 2}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d unit=%d: %v", leg.workers, leg.unit, err)
+		}
+		if res.Units != 96/leg.unit || res.Kills != 2 || res.Retries < 2 {
+			t.Fatalf("workers=%d unit=%d: %d units, kills = %d, retries = %d; want %d units, 2 kills and at least one retry per kill",
+				leg.workers, leg.unit, res.Units, res.Kills, res.Retries, 96/leg.unit)
+		}
+		checkMerged(t, cfg, want)
 	}
-	if res.Retries < 2 {
-		t.Fatalf("retries = %d, want >= 2 (one per killed worker)", res.Retries)
-	}
-	checkMerged(t, cfg, refRun(t, spec))
 }
 
 func TestFleetStallChaos(t *testing.T) {

@@ -746,10 +746,15 @@ type SweepSummary struct {
 // trial count and the size of every graph on the graph axis are checked
 // against their caps by arithmetic before anything is built from the
 // spec, then the axes are parsed and the graphs instantiated. The
-// returned Plan is what the request runs on.
+// returned Plan is what the request runs on. A spec that names no
+// max_rounds runs at core.FrontEndMaxRounds or the server cap, whichever
+// is lower, like an election, and echoes the cap where it is the lower.
 func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
 	if req.MaxRounds > m.cfg.MaxRounds {
 		return nil, badRequest("max_rounds %d above the server cap %d", req.MaxRounds, m.cfg.MaxRounds)
+	}
+	if req.MaxRounds <= 0 && m.cfg.MaxRounds < core.FrontEndMaxRounds {
+		req.MaxRounds = m.cfg.MaxRounds
 	}
 	if total := req.Spec.NumTrials(); total > m.cfg.MaxTrials {
 		return nil, badRequest("spec expands to %d trials, above the server cap %d", total, m.cfg.MaxTrials)

@@ -596,6 +596,37 @@ func TestArenaReuse(t *testing.T) {
 	}
 }
 
+// TestSweepDefaultRoundsFollowCap: a sweep that names no max_rounds on a
+// server whose round cap is below core.FrontEndMaxRounds runs every
+// trial at that cap and echoes it in its spec, as an election does.
+func TestSweepDefaultRoundsFollowCap(t *testing.T) {
+	m := NewManager(Config{Slots: 1, MaxRounds: 64})
+	defer m.Shutdown(context.Background())
+	req := SweepRequest{Spec: harness.Spec{Algos: []string{"kingdom"}, Graphs: []string{"ring:8"}, Faults: []string{"crash:0.2"}, Trials: 8}}
+	p, err := m.validateSweep(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds roundsEmitter
+	rep, err := m.runSweep(context.Background(), p, &rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds.max > 64 || rep.Spec.MaxRounds != 64 {
+		t.Fatalf("a trial ran %d rounds, spec echoes max_rounds %d; want both at most the server's 64", rounds.max, rep.Spec.MaxRounds)
+	}
+}
+
+// roundsEmitter records the most rounds any trial ran.
+type roundsEmitter struct{ max int }
+
+func (e *roundsEmitter) Begin(harness.Spec, int) error { return nil }
+func (e *roundsEmitter) Trial(tr harness.TrialResult) error {
+	e.max = max(e.max, tr.Rounds)
+	return nil
+}
+func (e *roundsEmitter) End(*harness.Report) error { return nil }
+
 // TestBrokenGuaranteeIs500: a run that breaks its Table 1 row is the
 // server's failure, not the request's — a 500 whose envelope names the
 // broken guarantee. No request breaks a row (TestCheckMatrix), so the
