@@ -102,11 +102,12 @@ func TestCheckMatrix(t *testing.T) {
 						for _, small := range []bool{true, false} {
 							ro := RunOpts{Seed: seed, SmallIDs: small, MaxRounds: 1 << 14, Model: m,
 								Wake: wake.draw(g.N(), sim.NewRand(seed))}
-							if ro.Wake != nil && !p.judges(ro) {
+							judged := p.judges(ro)
+							if ro.Wake != nil && !judged {
 								continue
 							}
 							err := p.RunInto(ro, &res)
-							if err == nil && small && res.HitRoundCap && b.Success == Always && p.judges(ro) {
+							if err == nil && small && res.HitRoundCap && b.Success == Always && judged {
 								err = errors.New("hit the round cap")
 							}
 							if err != nil {

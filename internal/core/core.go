@@ -150,8 +150,9 @@ func (w Winner) String() string { return [...]string{"any", "min", "max"}[w] }
 
 // elects reports whether ids[leader] is the ID w names.
 func (w Winner) elects(ids []int64, leader int) bool {
+	won := ids[leader]
 	for _, id := range ids {
-		if w == MinID && id < ids[leader] || w == MaxID && id > ids[leader] {
+		if w == MinID && id < won || w == MaxID && id > won {
 			return false
 		}
 	}
