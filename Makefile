@@ -277,8 +277,9 @@ vet:
 
 # Docs hygiene: every file under docs/ must be linked from README.md, the
 # runnable godoc examples must pass (gofmt/vet cover them via fmt-check
-# and vet, which gate this target), and docs/PAPER_MAP.md's Table 1 must
-# restate the registry's core.Spec row for row.
+# and vet, which gate this target), docs/PAPER_MAP.md's Table 1 must
+# restate the registry's core.Spec row for row, and docs/ARCHITECTURE.md's
+# table of the node's interface must list sim.Context's methods.
 docs-check: fmt-check vet
 	@missing=0; for f in docs/*.md; do \
 		if ! grep -q "$$f" README.md; then \
@@ -287,6 +288,7 @@ docs-check: fmt-check vet
 	done; [ $$missing -eq 0 ]
 	$(GO) test -run Example ./...
 	$(GO) test -run '^TestPaperMapMatchesRegistry$$' ./internal/core
+	$(GO) test -run '^TestContextIsTheModel$$' ./internal/sim
 
 # Go line counts per package directory, non-test and test apart, then the
 # totals: git ls-files '*.go', split on _test.go.

@@ -52,25 +52,42 @@ func (d *boxDepot) shelf(i int) *boxShelf {
 	return &d.shelves[i]
 }
 
-// stow gives every shelf's boxes back to the reserve. It runs between
-// runs.
+// stow gives every shelf's boxes back to the reserve. After a run that
+// drew boxes the reserve keeps at most max(reserveFloor, 4 × that draw)
+// and leaves the rest to the GC, so a large run's boxes do not outlive
+// the small flood runs after it; a run that drew none (an algorithm
+// outside the flood family) leaves it alone. The trim is in place and
+// allocates nothing. It runs between runs.
 func (d *boxDepot) stow() {
+	drawn := 0
 	spares.mu.Lock()
 	for i := range d.shelves {
 		s := &d.shelves[i]
+		drawn += s.drawn
+		s.drawn = 0
 		spares.free = append(spares.free, s.free...)
 		clear(s.free)
 		s.free = s.free[:0]
 	}
+	if keep := max(reserveFloor, 4*drawn); drawn > 0 && len(spares.free) > keep {
+		clear(spares.free[keep:])
+		spares.free = spares.free[:keep]
+	}
 	spares.mu.Unlock()
 }
+
+// reserveFloor is the reserve a run of any size may leave behind: small
+// runs keep each other's boxes.
+const reserveFloor = 4096
 
 // boxShelf is one shard's free boxes, the last released drawn first.
 type boxShelf struct {
 	free []*flMsg
+	// drawn counts the boxes the shelf took from the reserve this run.
+	drawn int
 	// The shards of a run write their shelves concurrently: each shelf has
 	// a cache line of its own.
-	_ [40]byte
+	_ [32]byte
 }
 
 // shelfBatch is how many boxes an empty shelf draws from the reserve.
@@ -81,6 +98,7 @@ func (s *boxShelf) get() *flMsg {
 	n := len(s.free)
 	if n == 0 {
 		s.free = spares.take(s.free, shelfBatch)
+		s.drawn += shelfBatch
 		n = shelfBatch
 	}
 	b := s.free[n-1]

@@ -402,6 +402,43 @@ func TestFlooderAddPortIdempotent(t *testing.T) {
 	}
 }
 
+// TestReserveFollowsTheLastRun: a large flood-family run leaves tens of
+// thousands of boxes in the reserve; a run that draws no box (the max-ID
+// flood baseline) leaves them there; and a small flood-family run trims
+// the reserve to reserveFloor (its own draw is far below a quarter of
+// that), instead of keeping the large run's boxes for as long as the
+// process lives.
+func TestReserveFollowsTheLastRun(t *testing.T) {
+	large := func(held int) bool { return held > 4*reserveFloor }
+	for _, step := range []struct {
+		algo, spec string
+		want       func(held int) bool
+	}{
+		{"leastel", "torus:64x64", large},
+		{"flood", "ring:32", large},
+		{"leastel", "ring:32", func(held int) bool { return held <= reserveFloor }},
+	} {
+		g, err := graph.FromSpec(step.spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := Prepare(g, step.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res sim.Result
+		if err := prep.RunInto(RunOpts{Seed: 3}, &res); err != nil {
+			t.Fatal(err)
+		}
+		spares.mu.Lock()
+		held := len(spares.free)
+		spares.mu.Unlock()
+		if !step.want(held) {
+			t.Errorf("after %s on %s the reserve holds %d boxes (floor %d)", step.algo, step.spec, held, reserveFloor)
+		}
+	}
+}
+
 // TestWarmTrialAfterGCAllocatesNoBox: the flood boxes of a run go back to
 // the reserve when it ends, and nothing takes them from there but the
 // next run, so two collections between warm trials take none of them

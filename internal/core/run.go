@@ -119,7 +119,11 @@ func (p *Prepared) Reduce(ro RunOpts, res *sim.Result) Outcome {
 // knowledge granted, the shard count resolved) and the protocol instance.
 // It is for tests that drive the engine or the reference interpreter with
 // that config themselves; a run made that way is not checked against its
-// row (Prepared.RunInto).
+// row (Prepared.RunInto). Its readers need the pair itself, which a
+// Prepared never hands out: TestIdleHintSoundness gives it to the
+// reference interpreter, which is no Runner, and the root package's
+// protocolCensus and TestFloodStartBudget wrap the protocol, to hide its
+// Renew and to meter its Start.
 func Config(g *graph.Graph, algo string, ro RunOpts) (sim.Config, sim.Protocol, error) {
 	spec, err := lookup(algo)
 	if err != nil {

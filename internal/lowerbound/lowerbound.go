@@ -208,32 +208,39 @@ type BroadcastRow struct {
 
 // BroadcastLB measures flooding-broadcast messages/m on sampled dumbbells,
 // with the source on the left half so the majority condition forces a
-// bridge crossing.
+// bridge crossing, every trial on one Runner rebound to its dumbbell.
 func BroadcastLB(n, m int, trials int, seed int64) (BroadcastRow, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var ratios, before, rounds []float64
 	majority := 0
+	var (
+		runner sim.Runner
+		res    sim.Result
+	)
 	for trial := 0; trial < trials; trial++ {
 		db, _, err := graph.RandomDumbbell(n, m, rng)
 		if err != nil {
 			return BroadcastRow{}, err
 		}
+		if err := runner.Rebind(db.Graph); err != nil {
+			return BroadcastRow{}, err
+		}
 		source := rng.Intn(n) // left half
-		res, err := sim.Run(sim.Config{
+		err = runner.RunInto(sim.Config{
 			Graph:      db.Graph,
 			IDs:        sim.RandomIDs(db.N(), rng),
 			Seed:       rng.Int63(),
 			Wake:       floodWake(db.N(), source),
 			WatchEdges: db.Bridges[:],
 			MaxRounds:  core.FrontEndMaxRounds,
-		}, flood{})
+		}, flood{}, &res)
 		if err != nil {
 			return BroadcastRow{}, err
 		}
 		ratios = append(ratios, float64(res.Messages)/float64(db.M()))
 		before = append(before, float64(res.MessagesBeforeCrossing))
 		rounds = append(rounds, float64(res.LastActive))
-		if reachedMajority(res) {
+		if reachedMajority(&res) {
 			majority++
 		}
 	}

@@ -16,8 +16,9 @@
 // it there. ASYNC's deliveries take 1..B ticks, so they wait as delivery
 // records in per-tick buckets of a timing wheel (wheel.go) and are
 // scattered into the rows when their tick falls due. Either way one
-// arrival pass (arrive) then delivers what the rows hold. Wake-ups and
-// timers are wheel events in every mode.
+// arrival pass (arrive) then delivers what the rows hold. Scheduled
+// wake-ups are wheel events in every mode, and so are the synchronous
+// modes' timers.
 //
 // The nodes are partitioned into contiguous shards (shard.go), each
 // owning a private wheel, scratch lists and fault heap; within a tick the
@@ -29,16 +30,15 @@
 //
 // There is one stepping rule: at a tick, exactly the nodes an event of
 // that tick touches are stepped — a delivery, a scheduled wake-up, a
-// timer. The modes differ only in which timers exist. In ASYNC a timer is
-// what Context.RequestWake asked for, and each delivery's latency is drawn
-// from the run's deterministic DelaySchedule. In the synchronous modes
+// timer. The modes differ only in whether timers exist. ASYNC has none:
+// a node there has no clock, and each delivery's latency is drawn from
+// the run's deterministic DelaySchedule. In the synchronous modes
 // (CONGEST/LOCAL) protocols may count rounds while silent, so every awake
 // node holds an implicit timer at every round (the shard's active list)
 // unless it has promised, with Context.IdleUntil, that those rounds would
 // be no-ops; such a node is parked — off the active list — until a
-// delivery or the promised round, whose explicit timer shares the wheel's
-// timer bucket with RequestWake's. RequestWake itself queues nothing in
-// the synchronous modes. A hint only ever removes no-op steps, so the
+// delivery or the promised round, whose explicit timer waits in the
+// wheel's timer bucket. A hint only ever removes no-op steps, so the
 // observable behaviour is identical to the reference interpreter's, which
 // ignores hints; sleeping, halted and parked nodes cost nothing per tick,
 // and virtual time jumps over rounds in which no node has a timer.
@@ -58,13 +58,13 @@ type delivery struct {
 }
 
 // tickBucket holds every wheel event scheduled for one tick: ASYNC message
-// arrivals, spontaneous wake-ups from the wake schedule, and timers —
-// RequestWake's in ASYNC, the ends of IdleUntil promises in the
-// synchronous modes (kept apart because a scheduled wake-up for a node
-// that was meanwhile woken by a message is dead, while a timer steps its —
-// awake — node). wakeAll is the common "everyone wakes in round 1"
-// schedule, kept implicit to avoid materializing an n-element slice per
-// run (each shard's wheel interprets it over its own node range).
+// arrivals, spontaneous wake-ups from the wake schedule, and timers — the
+// ends of IdleUntil promises, which exist only in the synchronous modes
+// (kept apart because a scheduled wake-up for a node that was meanwhile
+// woken by a message is dead, while a timer steps its — awake, parked —
+// node). wakeAll is the common "everyone wakes in round 1" schedule,
+// kept implicit to avoid materializing an n-element slice per run (each
+// shard's wheel interprets it over its own node range).
 // deliveries holds ASYNC arrivals only — a synchronous message never
 // enters the wheel — and is on loan from the wheel (nil until the first
 // delivery is scheduled; see timingWheel.lend).
@@ -209,13 +209,12 @@ func (e *engine) loopEvent() {
 // pruneDeadEvents drops minimum-tick buckets that no longer hold any live
 // event. An ASYNC delivery is always live (even one bound for a crashed
 // node — it must still be drained and accounted as dropped); a scheduled
-// wake-up is live while its node still sleeps; a timer is live for a
-// non-halted node — in the synchronous modes only while the node is
-// parked until exactly that tick (a node roused earlier queues a fresh
-// timer if it parks again). Wakes and timers of a crashed node are dead,
-// unless a recovery is pending anywhere: the node might be back up by the
-// bucket's tick, so pruning stays conservative then. A discarded bucket
-// could never have done anything.
+// wake-up is live while its node still sleeps; a timer is live while its
+// non-halted node is parked until exactly that tick (a node roused
+// earlier queues a fresh timer if it parks again). Wakes and timers of a
+// crashed node are dead, unless a recovery is pending anywhere: the node
+// might be back up by the bucket's tick, so pruning stays conservative
+// then. A discarded bucket could never have done anything.
 //
 // The scan runs over the globally earliest pending bucket each
 // iteration — exactly the order a single queue would present — and stops
@@ -250,7 +249,7 @@ func (e *engine) pruneDeadEvents() (tick int, ok bool) {
 			}
 		}
 		for _, u := range b.timers {
-			if !e.halted[u] && (e.live(u) || pendingUp > 0) && (e.async || e.idle[u] == best) {
+			if !e.halted[u] && (e.live(u) || pendingUp > 0) && e.idle[u] == best {
 				return best, true
 			}
 		}
@@ -314,10 +313,10 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 				}
 			}
 		}
-		// Timers step their (awake, live) node; in the synchronous modes
-		// only one still parked until this very round.
+		// A timer steps its (awake, live) node only if the node is still
+		// parked until this very round.
 		for _, u := range b.timers {
-			if e.awake[u] && !e.halted[u] && e.live(u) && (e.async || e.idle[u] == t) {
+			if e.awake[u] && !e.halted[u] && e.live(u) && e.idle[u] == t {
 				sh.stepSet = append(sh.stepSet, u)
 			}
 		}
@@ -416,10 +415,10 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	sh.recv = sh.recv[:0]
 
 	// Merge phase: fold each touched node's private scratch (errors,
-	// status changes, halts, RequestWake timers) into the shard, and flush
-	// its outbox. started ⊆ step except for nodes that halted inside
-	// Start, so visiting both lists covers every touched node; all merges
-	// are idempotent across the overlap.
+	// status changes, halts) into the shard, and flush its outbox.
+	// started ⊆ step except for nodes that halted inside Start, so
+	// visiting both lists covers every touched node; all merges are
+	// idempotent across the overlap.
 	e.mergeAndFlush(sh, started, t)
 	e.mergeAndFlush(sh, step, t)
 
@@ -560,16 +559,6 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 			e.haltCounted[u] = true
 			sh.numHalted++
 			sh.numRunning--
-		}
-		if at := e.wakeAt[u]; at != 0 {
-			e.wakeAt[u] = 0
-			if at <= t {
-				at = t + 1
-			}
-			if at <= e.maxTick {
-				bw := sh.wheel.at(at)
-				bw.timers = append(bw.timers, u)
-			}
 		}
 		ob := e.out[u]
 		if len(ob) == 0 {

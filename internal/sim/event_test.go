@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"ule/internal/graph"
@@ -114,52 +113,28 @@ func TestAsyncUnitMatchesSync(t *testing.T) {
 	}
 }
 
-// sleeperProto exercises Context.RequestWake: the node decides only when
-// its timer fires, with no messages in the network at all.
+// sleeperProto parks each node for delta rounds after its first step,
+// with an IdleUntil promise it keeps, and has it decide and halt when the
+// promise ends: in the synchronous modes the explicit timer at the end of
+// the promise is the only event after the first round. ASYNC has no
+// timers, so there the nodes step once and stay undecided.
 type sleeperProto struct{ delta int }
 
 func (p sleeperProto) New(NodeInfo) Process { return &sleeperProc{delta: p.delta} }
 
-type sleeperProc struct {
-	delta int
-	set   bool
-}
+type sleeperProc struct{ delta, until int }
 
 func (p *sleeperProc) Start(c *Context) {}
 func (p *sleeperProc) Round(c *Context, inbox []Message) {
-	if !p.set {
-		p.set = true
-		c.RequestWake(p.delta)
+	if p.until == 0 {
+		p.until = c.Round() + p.delta
+	}
+	if c.Round() < p.until && len(inbox) == 0 {
+		c.IdleUntil(p.until)
 		return
 	}
 	c.Decide(NonLeader)
 	c.Halt()
-}
-
-func TestRequestWakeTimer(t *testing.T) {
-	g := graph.Path(2)
-	for _, tc := range []struct {
-		delta  int
-		halted bool
-		rounds int
-	}{
-		// Tick 1: wake + Round (sets the timer); tick 8: timer fires, halt.
-		{delta: 7, halted: true, rounds: 8},
-		// A timer past the last tick never fires: round+delta must not wrap
-		// into the past.
-		{delta: math.MaxInt, halted: false, rounds: 1},
-	} {
-		res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: ASYNC}, MaxRounds: 100}, sleeperProto{delta: tc.delta})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Halted != tc.halted || res.Rounds != tc.rounds {
-			t.Errorf("delta %d: halted=%v rounds=%d, want halted=%v at tick %d", tc.delta, res.Halted, res.Rounds, tc.halted, tc.rounds)
-		}
-		if res.Messages != 0 {
-			t.Errorf("delta %d: messages = %d, want 0", tc.delta, res.Messages)
-		}
-	}
 }
 
 // TestScheduledWakeRevivesQuietNetwork: a node whose wake round is far in
@@ -318,32 +293,43 @@ func TestStaleWakeDoesNotInflateRounds(t *testing.T) {
 	}
 }
 
-// requestAndHalt sets a timer and halts immediately; the timer is dead on
-// arrival in every mode.
-type requestAndHaltProto struct{}
+// parkThenHaltProto runs on graph.Path(3) with node 2 asleep until a
+// message: node 0 sends to node 1 and halts in round 1, node 1 parks until
+// round 40 and halts when the message arrives in round 2. Its timer at 40
+// is then dead, and node 2 never wakes.
+type parkThenHaltProto struct{}
 
-func (requestAndHaltProto) New(NodeInfo) Process { return requestAndHalt{} }
+func (parkThenHaltProto) New(info NodeInfo) Process { return parkThenHalt{id: info.ID} }
 
-type requestAndHalt struct{}
+type parkThenHalt struct{ id int64 }
 
-func (requestAndHalt) Start(*Context) {}
-func (requestAndHalt) Round(c *Context, _ []Message) {
-	c.RequestWake(40)
+func (parkThenHalt) Start(*Context) {}
+func (p parkThenHalt) Round(c *Context, inbox []Message) {
+	if p.id == 2 && len(inbox) == 0 {
+		c.IdleUntil(40)
+		return
+	}
+	if p.id == 1 {
+		c.Send(0, tokenMsg{1})
+	}
 	c.Decide(NonLeader)
 	c.Halt()
 }
 
-// TestDeadTimerDoesNotStretchRun: a timer whose node halted (or, in the
-// synchronous modes, any timer at all) must not keep the engine ticking.
+// TestDeadTimerDoesNotStretchRun: the timer of a parked node that a
+// message roused and that then halted must not keep the engine ticking
+// once nothing else is running (ASYNC ignores the promise and queues no
+// timer at all).
 func TestDeadTimerDoesNotStretchRun(t *testing.T) {
-	g := graph.Path(2)
+	g := graph.Path(3)
+	wake := []int{1, 1, WakeOnMessage}
 	for _, mode := range []Mode{CONGEST, ASYNC} {
-		res, err := Run(Config{Graph: g, Seed: 1, Model: ModelSpec{Mode: mode}, MaxRounds: 1000}, requestAndHaltProto{})
+		res, err := Run(Config{Graph: g, IDs: SequentialIDs(3, 1), Wake: wake, Seed: 1, Model: ModelSpec{Mode: mode}, MaxRounds: 1000}, parkThenHaltProto{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rounds != 1 {
-			t.Errorf("mode %v: rounds = %d, want 1 (dead timer processed)", mode, res.Rounds)
+		if res.Rounds != 2 || res.HitRoundCap {
+			t.Errorf("mode %v: rounds = %d, want 2 (dead timer processed)", mode, res.Rounds)
 		}
 	}
 }

@@ -427,7 +427,6 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 				e.haltCounted[u] = true
 				sh.numHalted++
 			}
-			e.wakeAt[u] = 0
 			e.idle[u] = 0 // a revived node holds its round timers again
 			if fst.fs.class == faultChurn {
 				fst.pushRecover(t+fst.fs.down, ev.node)

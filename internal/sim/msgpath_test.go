@@ -240,8 +240,9 @@ func TestRowOutgrowsSlab(t *testing.T) {
 
 // chatterProto has every node broadcast in every step up to round `until`
 // and count what it received into perTick (atomically: shards step
-// concurrently). With a timer each step asks for the next tick, so an
-// ASYNC run steps every node at every tick as a synchronous one does.
+// concurrently). A synchronous run steps every node at every tick; an
+// ASYNC one steps a node at each tick a delivery reaches it, so every
+// delivery is answered with a broadcast and the traffic never dies out.
 type chatterProto struct {
 	until   int
 	perTick []atomic.Int64
@@ -263,7 +264,6 @@ func (p *chatterProto) Round(c *Context, inbox []Message) {
 		return
 	}
 	c.Broadcast(tokenMsg{1})
-	c.RequestWake(1)
 }
 
 // deliveryStorage sums the capacity of every []delivery the Runner's

@@ -100,7 +100,6 @@ type buffers struct {
 	procs       []Process
 	ctxs        []Context
 	rngs        []*rand.Rand // lazily-built per-node generators
-	wakeAt      []int        // pending RequestWake target tick (0 = none; ASYNC)
 	idle        []int        // round a parked node idles until (0 = not parked)
 	haltCounted []bool       // halt already merged into the counters
 
@@ -169,7 +168,6 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	b.procs = resized(b.procs, n)
 	b.ctxs = resized(b.ctxs, n)
 	b.rngs = resized(b.rngs, n)
-	b.wakeAt = resized(b.wakeAt, n)
 	b.idle = resized(b.idle, n)
 	b.haltCounted = resized(b.haltCounted, n)
 	b.carveRows()
@@ -311,7 +309,6 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	}
 	clear(e.sendCnt)
 	clear(e.linkSeq)
-	clear(e.wakeAt)
 	clear(e.idle)
 	clear(e.haltCounted)
 	if e.linkDelay, _ = m.Delay.(linkDelay); e.linkDelay != nil && len(e.linkMix) != len(e.nbr) {

@@ -4,7 +4,7 @@
 // ranges. Each shard owns the full event machinery for its nodes — a
 // timing wheel, the tick loop's scratch lists, a fault-event heap — and
 // every per-node row of the flat engine state (outbox arenas, inboxes,
-// status vectors, linkSeq/wakeAt slots) is written only by its owner, so
+// status vectors, linkSeq and idle slots) is written only by its owner, so
 // shards step one tick concurrently without locks. The one cross-shard
 // interaction is message routing: a sender whose neighbor lives in
 // another shard parks the message in a per-(src,dst) mailbox row instead

@@ -19,8 +19,9 @@
 //     size (used by the lower-bound experiments, which hold even here).
 //   - ASYNC: the event-driven asynchronous model. Each message incurs a
 //     per-message latency drawn from a deterministic DelaySchedule (the
-//     schedule adversary), and a node computes only when a delivery or a
-//     timer (Context.RequestWake) arrives. CONGEST accounting applies.
+//     schedule adversary), and a node computes only when it wakes up or a
+//     delivery arrives: there is no clock to wait on. CONGEST accounting
+//     applies.
 //
 // One rule steps nodes in every mode — a node is stepped at a tick exactly
 // when an event of that tick touches it — and the synchronous modes add an
@@ -71,8 +72,8 @@ type Mode int
 // Execution models. CONGEST and LOCAL are the synchronous round-based
 // models of the package comment; ASYNC is the event-driven asynchronous
 // model, in which messages incur per-message delays drawn from a
-// deterministic DelaySchedule and a node computes only when an event (a
-// delivery or a timer) arrives. ASYNC uses CONGEST message accounting.
+// deterministic DelaySchedule and a node computes only when an event (its
+// wake-up or a delivery) arrives. ASYNC uses CONGEST message accounting.
 const (
 	CONGEST Mode = iota + 1
 	LOCAL
@@ -127,9 +128,9 @@ type NodeInfo struct {
 
 // Process is a per-node state machine. The engine calls Start exactly once,
 // in the node's wake-up round (before the Round call of that round), and
-// Round whenever an event touches the awake, non-halted node: a delivery,
-// a RequestWake timer, or — in the synchronous modes — the implicit timer
-// of every round the node has not declared idle (Context.IdleUntil).
+// Round whenever an event touches the awake, non-halted node: a delivery
+// or — in the synchronous modes — the timer of every round the node has
+// not declared idle (Context.IdleUntil).
 type Process interface {
 	Start(c *Context)
 	Round(c *Context, inbox []Message)
@@ -194,19 +195,6 @@ func (c *Context) Round() int { return c.eng.round }
 // wire boxes with it).
 func (c *Context) Shard() int { return c.node / c.eng.shardSize }
 
-// RequestWake schedules a timer event for this node delta ticks in the
-// future (delta < 1 is clamped to 1): the node's Round is then called at
-// that tick even if no message arrives. Timers are how asynchronous
-// protocols arrange to act after a silent period; in the synchronous
-// modes a node already holds a timer at every round it has not declared
-// idle, so the call is a no-op there. Repeated calls keep the earliest
-// requested tick. A target tick past math.MaxInt (a delta of Forever, say)
-// saturates there instead of wrapping into the past, so it never fires.
-func (c *Context) RequestWake(delta int) {
-	delta = min(max(delta, 1), math.MaxInt-c.eng.round)
-	c.eng.requestWake(c.node, c.eng.round+delta)
-}
-
 // Forever is the IdleUntil round of a node that only a message can rouse.
 const Forever = math.MaxInt
 
@@ -218,9 +206,9 @@ const Forever = math.MaxInt
 // delivery steps the node as always, and the hint lapses with every step
 // (the last call of a step counts) — a node that is still idle says so
 // again. A hint only removes steps that would have done nothing, so no
-// transcript depends on it: ASYNC, which has no implicit timers, ignores
-// it, and so does the tests' reference interpreter, which steps every
-// awake node every round and is what a hinted run is tested against.
+// transcript depends on it: ASYNC, which has no timers, ignores it, and
+// so does the tests' reference interpreter, which steps every awake node
+// every round and is what a hinted run is tested against.
 func (c *Context) IdleUntil(round int) {
 	if c.eng.hints {
 		c.eng.idle[c.node] = round
@@ -573,18 +561,6 @@ func (e *engine) decide(u int, s Status) {
 		e.changed[u] = true
 	case e.nodeErr[u] == nil:
 		e.nodeErr[u] = fmt.Errorf("%w: node %d %v → %v in round %d", ErrRevoked, u, old, s, e.round)
-	}
-}
-
-// requestWake records a node's timer request in its private slot; the
-// event loop's merge phase turns it into a queue event (race-free across
-// concurrently stepping shards, like send and decide).
-func (e *engine) requestWake(u, at int) {
-	if !e.async {
-		return // synchronous: round timers are implicit
-	}
-	if w := e.wakeAt[u]; w == 0 || at < w {
-		e.wakeAt[u] = at
 	}
 }
 

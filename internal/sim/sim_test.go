@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -338,5 +341,62 @@ func TestDeadlockedSleepersStop(t *testing.T) {
 func TestStatusString(t *testing.T) {
 	if Undecided.String() != "undecided" || Leader.String() != "elected" || NonLeader.String() != "non-elected" {
 		t.Error("bad status strings")
+	}
+}
+
+// TestContextIsTheModel: the exported methods of Context are exactly the
+// rows of the node's-interface table in docs/ARCHITECTURE.md § "The
+// event-driven engine", each one a thing the paper's model lets a node
+// know or do. A method added to Context fails here until the table
+// says what it gives a node; one removed fails until its row goes.
+func TestContextIsTheModel(t *testing.T) {
+	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	start := strings.Index(doc, "\n## The event-driven engine\n")
+	if start < 0 {
+		t.Fatal(`ARCHITECTURE.md has no section "The event-driven engine"`)
+	}
+	section := doc[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	var documented []string
+	inTable := false
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "| `Context` method |") {
+			inTable = true
+			continue
+		}
+		if !inTable || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		if !strings.HasPrefix(line, "| `") {
+			break
+		}
+		documented = append(documented, strings.Trim(strings.SplitN(line, " | ", 2)[0], "| `"))
+	}
+	if len(documented) == 0 {
+		t.Fatal("ARCHITECTURE.md § \"The event-driven engine\" has no `Context` method table")
+	}
+	typ := reflect.TypeOf(&Context{})
+	methods := make([]string, typ.NumMethod())
+	for i := range methods {
+		methods[i] = typ.Method(i).Name
+	}
+	for _, m := range methods {
+		if !slices.Contains(documented, m) {
+			t.Errorf("Context.%s is not in ARCHITECTURE.md's table of the node's interface", m)
+		}
+	}
+	for _, m := range documented {
+		if !slices.Contains(methods, m) {
+			t.Errorf("ARCHITECTURE.md lists Context.%s, which Context does not have", m)
+		}
+	}
+	if len(documented) != len(methods) {
+		t.Errorf("ARCHITECTURE.md lists %d Context methods, Context has %d", len(documented), len(methods))
 	}
 }

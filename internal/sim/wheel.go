@@ -5,9 +5,9 @@
 // it always arrives at t+1, so the flush writes it straight into its
 // receiver's inbox row (event.go). Nearly every schedule lands within a
 // few ticks of the current one — bounded asynchronous delays, short
-// RequestWake and IdleUntil timers — so events are kept in a power-of-two
-// ring of per-tick buckets addressed by tick&mask, with a word-level
-// occupancy bitmap for O(1) amortized "next scheduled tick" queries. The
+// IdleUntil timers — so events are kept in a power-of-two ring of
+// per-tick buckets addressed by tick&mask, with a word-level occupancy
+// bitmap for O(1) amortized "next scheduled tick" queries. The
 // rare far-future event (a distant spontaneous-wake round, a long timer)
 // overflows into a tick-keyed min-heap and migrates into the ring as
 // virtual time advances. Compared to the previous map[int]*tickBucket plus
