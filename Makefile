@@ -64,7 +64,12 @@ race:
 # synchronous message is written into its receiver's row by the flush or
 # the mailbox drain a tick before it is read, and at 2 and 4 shards a row
 # written by the wrong shard, or before its tick's step phase has read it,
-# is a data race here. So does the warm-Runner table (TestWarmRunner*):
+# is a data race here. So do the mailbox tests (TestMailHoldsReferences,
+# TestPortSendCapSpansStartAndRound): a cross-shard message is read by
+# the receiving shard's drain in its sender's outbox slot, and a node's
+# send counters are its stepping shard's, so a slot overwritten before
+# the drain, or counters two shards share, is a data race here first.
+# So does the warm-Runner table (TestWarmRunner*):
 # one Runner through mode, shard-count, instrument, fault, error and
 # round-cap transitions, each run held to a fresh Runner's, at 4 shards
 # pooled where the cores allow — and the rebinding table
@@ -74,7 +79,7 @@ race:
 # Every name in either -run list must match a test (go test -list), so a
 # renamed or deleted test fails the target instead of leaving the matrix
 # without a word.
-RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh|TestWarmTrialAfterGCAllocatesNoBox|TestContextShard
+RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh|TestWarmTrialAfterGCAllocatesNoBox|TestContextShard|TestMailHoldsReferences|TestPortSendCapSpansStartAndRound
 RACE_SWEEP_RUN := TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion
 race-matrix:
 	@set -e; for arg in '$(RACE_ENGINE_RUN);./internal/sim ./internal/core' '$(RACE_SWEEP_RUN);./internal/harness'; do \
@@ -119,7 +124,9 @@ bench-graph:
 # (TestAllocBudgetColdRunner) and, per registered algorithm, heap allocations and
 # Round calls per delivered message, on a Prepared's first trial and on a
 # later one (TestProtocolBudgets), plus the parked path's budget against
-# the hint-blind engine (internal/sim), the sweep compiler's
+# the hint-blind engine and what a cross-shard message costs while it
+# waits for the barrier (TestMailHoldsReferences; internal/sim), the
+# sweep compiler's
 # (internal/harness: compiling costs the cells, never the trials) and what
 # a whole trial of the ule-bench sweep costs the heap
 # (TestAllocBudgetSweepTrial), what a node's coins and least-element
@@ -131,7 +138,7 @@ bench-graph:
 # the pipeline gate. The node generator's fuzzing against math/rand is in
 # fuzz-smoke.
 test-budgets:
-	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets' -v . ./internal/sim
+	$(GO) test -run 'TestAllocBudget|TestProtocolBudgets|TestMailHoldsReferences' -v . ./internal/sim
 	$(GO) test -run 'TestCompileCostIndependentOfTrials|TestAllocBudgetSweepTrial' -v ./internal/harness
 	$(GO) test -run 'TestAllocBudgetColdElection|TestAllocBudgetHotElection|TestSlotMemoryFollowsTraffic|TestArenaReuse' -v ./internal/serve
 

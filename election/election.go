@@ -142,7 +142,9 @@ var (
 
 // ID assignment helpers.
 var (
-	// RandomIDs draws n distinct identifiers from [1, n^4].
+	// RandomIDs draws n distinct identifiers from [1, n^4]. Past n = 55 108
+	// the product overflows an int64 and the range is narrower (sim.RandomIDs
+	// says how): n = 65 536 draws from [1, n].
 	RandomIDs = sim.RandomIDs
 	// PermutationIDs assigns 1..n in random order.
 	PermutationIDs = sim.PermutationIDs

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"ule/internal/sim"
@@ -56,8 +57,11 @@ func (d *boxDepot) shelf(i int) *boxShelf {
 // drew boxes the reserve keeps at most max(reserveFloor, 4 × that draw)
 // and leaves the rest to the GC, so a large run's boxes do not outlive
 // the small flood runs after it; a run that drew none (an algorithm
-// outside the flood family) leaves it alone. The trim is in place and
-// allocates nothing. It runs between runs.
+// outside the flood family) leaves it alone. When the kept boxes fill
+// less than a quarter of the reserve's slice, they move to one that fits
+// them, so the slice does not outlive the large run either: the one
+// allocation a stow makes, and only a run that drew boxes makes it. It
+// runs between runs.
 func (d *boxDepot) stow() {
 	drawn := 0
 	spares.mu.Lock()
@@ -72,6 +76,9 @@ func (d *boxDepot) stow() {
 	if keep := max(reserveFloor, 4*drawn); drawn > 0 && len(spares.free) > keep {
 		clear(spares.free[keep:])
 		spares.free = spares.free[:keep]
+	}
+	if drawn > 0 && 4*len(spares.free) < cap(spares.free) {
+		spares.free = slices.Clone(spares.free)
 	}
 	spares.mu.Unlock()
 }

@@ -406,17 +406,18 @@ func TestFlooderAddPortIdempotent(t *testing.T) {
 // thousands of boxes in the reserve; a run that draws no box (the max-ID
 // flood baseline) leaves them there; and a small flood-family run trims
 // the reserve to reserveFloor (its own draw is far below a quarter of
-// that), instead of keeping the large run's boxes for as long as the
+// that), and its slice to at most four times what it keeps, instead of
+// keeping the large run's boxes, or room for them, for as long as the
 // process lives.
 func TestReserveFollowsTheLastRun(t *testing.T) {
-	large := func(held int) bool { return held > 4*reserveFloor }
+	large := func(held, _ int) bool { return held > 4*reserveFloor }
 	for _, step := range []struct {
 		algo, spec string
-		want       func(held int) bool
+		want       func(held, room int) bool
 	}{
 		{"leastel", "torus:64x64", large},
 		{"flood", "ring:32", large},
-		{"leastel", "ring:32", func(held int) bool { return held <= reserveFloor }},
+		{"leastel", "ring:32", func(held, room int) bool { return held <= reserveFloor && room <= 4*max(held, 1) }},
 	} {
 		g, err := graph.FromSpec(step.spec, 1)
 		if err != nil {
@@ -431,10 +432,10 @@ func TestReserveFollowsTheLastRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		spares.mu.Lock()
-		held := len(spares.free)
+		held, room := len(spares.free), cap(spares.free)
 		spares.mu.Unlock()
-		if !step.want(held) {
-			t.Errorf("after %s on %s the reserve holds %d boxes (floor %d)", step.algo, step.spec, held, reserveFloor)
+		if !step.want(held, room) {
+			t.Errorf("after %s on %s the reserve holds %d boxes in room for %d (floor %d)", step.algo, step.spec, held, room, reserveFloor)
 		}
 	}
 }

@@ -164,7 +164,7 @@ type Prepared struct {
 	// permutation or the random assignment; a trial uses one of them) and
 	// the random draw's duplicate filter, so a trial allocates neither.
 	ids    []int64
-	idSeen map[int64]struct{}
+	idSeen sim.IDSet
 	// depot holds the flood family's free wire boxes during a run
 	// (Options.depot).
 	depot boxDepot
@@ -208,7 +208,7 @@ func (p *Prepared) Rebind(g *graph.Graph, algo string) error {
 		return err
 	}
 	if 8*g.N() < cap(p.ids) {
-		p.ids, p.idSeen = nil, nil
+		p.ids, p.idSeen = nil, sim.IDSet{}
 	}
 	p.g, p.spec = g, spec
 	return nil
@@ -257,11 +257,8 @@ func (p *Prepared) config(ro RunOpts) (sim.Config, sim.Protocol, error) {
 			p.rng.Seed(sim.NodeSeed(ro.Seed, -2))
 			p.ids = sim.PermutationIDsInto(p.ids, g.N(), p.rng)
 		} else {
-			if p.idSeen == nil {
-				p.idSeen = make(map[int64]struct{}, g.N())
-			}
 			p.rng.Seed(sim.NodeSeed(ro.Seed, -1))
-			p.ids = sim.RandomIDsInto(p.ids, p.idSeen, g.N(), p.rng)
+			p.ids = sim.RandomIDsInto(p.ids, &p.idSeen, g.N(), p.rng)
 		}
 		ro.IDs = p.ids
 	}

@@ -23,8 +23,16 @@
 // the outMsg / delivery records; a row's arrivals are summed as they are
 // written (land), so neither the CONGEST cap check nor the delivery
 // accounting re-dispatches through the Payload interface.
-// Per-port bookkeeping (send caps, reverse ports, async link sequence
-// numbers) lives in flat arrays indexed by off[u]+port.
+// Per-port tables (reverse ports; link sequence numbers and delay-hash
+// prefixes, made only for the ASYNC and link-drop runs that read them)
+// are flat arrays indexed by off[u]+port. The per-port send cap needs no
+// table: each shard counts the sends of the one node it is stepping in a
+// max-degree row (engineShard.sendCnt).
+//
+// The flush leaves an outbox row's slots in place when it empties the
+// row: a message bound for another shard is read there by the mailbox
+// drain at the barrier (shard.go), and the slot is not written again
+// before the node's next step.
 //
 // The inbox ordering contract — ascending receiving port, per-link send
 // order preserved within a port — is enforced once per receiving node and

@@ -11,11 +11,12 @@
 //
 // Where a pending message waits depends on when it arrives. In the
 // synchronous modes every message sent at tick t arrives at t+1, so the
-// flush writes it straight into its receiver's inbox row (by way of a
-// mailbox row when the receiver is another shard's), and tick t+1 reads
-// it there. ASYNC's deliveries take 1..B ticks, so they wait as delivery
-// records in per-tick buckets of a timing wheel (wheel.go) and are
-// scattered into the rows when their tick falls due. Either way one
+// flush writes it straight into its receiver's inbox row (when the
+// receiver is another shard's, the mailbox drain does, from the sender's
+// outbox slot), and tick t+1 reads it there. ASYNC's deliveries take
+// 1..B ticks, so they wait as delivery records in per-tick buckets of a
+// timing wheel (wheel.go) and are scattered into the rows when their tick
+// falls due. Either way one
 // arrival pass (arrive) then delivers what the rows hold. Scheduled
 // wake-ups are wheel events in every mode, and so are the synchronous
 // modes' timers.
@@ -47,9 +48,9 @@ package sim
 import "sort"
 
 // delivery is one message on its way to another node's row: an ASYNC
-// arrival waiting in its tick's bucket, or a message of either kind in a
-// mailbox row toward another shard. bits caches the payload's send-time
-// Bits() so delivery accounting never touches the interface.
+// arrival waiting in its tick's bucket, or a message being landed by the
+// flush or the mailbox drain. bits caches the payload's send-time Bits()
+// so delivery accounting never touches the interface.
 type delivery struct {
 	to   int32 // receiving node
 	port int32 // receiving port
@@ -354,6 +355,9 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		}
 		e.ctxs[u].spontaneous = spont
 		e.procs[u].Start(&e.ctxs[u])
+		if e.sendCap > 0 {
+			sh.clearSends(e.out[u])
+		}
 		started = append(started, u)
 	}
 
@@ -402,9 +406,18 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		step = sh.active
 	}
 
-	// Step phase.
-	for _, u := range step {
-		e.procs[u].Round(&e.ctxs[u], e.inbox[u])
+	// Step phase. A node's Start and Round of one tick share its per-port
+	// send cap: what Start queued is counted again before Round.
+	if e.sendCap > 0 {
+		for _, u := range step {
+			sh.loadSends(e.out[u])
+			e.procs[u].Round(&e.ctxs[u], e.inbox[u])
+			sh.clearSends(e.out[u])
+		}
+	} else {
+		for _, u := range step {
+			e.procs[u].Round(&e.ctxs[u], e.inbox[u])
+		}
 	}
 
 	// The tick's rows are read: empty them, so that the flush can write
@@ -531,21 +544,25 @@ func (e *engine) arrive(sh *engineShard, t int) {
 // mergeAndFlush folds the private scratch of each node in list into its
 // shard and sends the node's outbox on, in two passes over list. The
 // first routes every message that leaves the shard or the tick — an ASYNC
-// one into the wheel bucket of its arrival tick (route), a synchronous
-// one bound for another shard's node into the mailbox row toward it — and
-// keeps the synchronous messages for the shard's own nodes at the front
-// of the outbox row. The second lands those in their receivers' rows for
-// tick t+1. So the scattered writes into the rows run on their own, in
-// one tight loop, not interleaved with the sequential mailbox appends and
-// the per-node bookkeeping of the first pass; landing them inside the
-// first pass cost elect-dense CPU time (docs/PERFORMANCE.md § "A
-// synchronous message never enters the wheel"). Safe to call on
-// overlapping lists: every merge is guarded or self-clearing, and an
-// outbox the second pass has landed is empty.
+// one for an own node into the wheel bucket of its arrival tick, any one
+// for another shard's node as a reference to its outbox slot into the
+// mailbox row toward that shard — and marks the ones lost on their
+// link (port −1), moving nothing: the referenced slots must stay put. The
+// second lands the synchronous messages for the shard's own nodes, found
+// again by their receiver's range, in their receivers' rows for tick t+1
+// and empties the row, whose slots keep their messages for the drain. So
+// the scattered writes into the rows run on their own, in one tight loop,
+// not interleaved with the sequential mailbox appends and the per-node
+// bookkeeping of the first pass; landing them inside the first pass cost
+// elect-dense CPU time (docs/PERFORMANCE.md § "A synchronous message
+// never enters the wheel"). A single shard's synchronous run without link
+// drops has nothing to route. Safe to call on overlapping lists: every
+// merge is guarded or self-clearing, and an emptied outbox is skipped.
 func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 	lo, hi := int32(sh.lo), int32(sh.hi)
 	dropActive := e.fsched != nil && e.fsched.dropP > 0
 	perLink := e.async || dropActive
+	route := perLink || len(e.shards) > 1
 	mailed := 0
 	for _, u := range list {
 		if err := e.nodeErr[u]; err != nil && (sh.err == nil || u < sh.errNode) {
@@ -561,19 +578,13 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 			sh.numRunning--
 		}
 		ob := e.out[u]
-		if len(ob) == 0 {
+		if len(ob) == 0 || !route {
 			continue
 		}
 		base := int(e.off[u])
-		if e.sendCap > 0 {
-			for _, m := range ob {
-				e.sendCnt[base+int(m.port)] = 0
-			}
-		}
-		kept := 0
-		for _, m := range ob {
+		for i, m := range ob {
 			p := base + int(m.port)
-			d := delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl}
+			to, at := e.nbr[p], t+1
 			if perLink {
 				// Each send consumes its link's sequence number, the shared
 				// coordinate of the drop predicate and the delay schedule.
@@ -592,32 +603,31 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 					if e.watch != nil {
 						sh.sendDropTick++
 					}
+					ob[i].port = -1
 					continue
 				}
-				if e.linkDelay != nil {
-					e.route(sh, t+e.linkDelay.delayFrom(e.linkMix[p], seq), d)
-					continue
-				}
-				if e.async {
+				switch {
+				case e.linkDelay != nil:
+					at = t + e.linkDelay.delayFrom(e.linkMix[p], seq)
+				case e.async:
 					// A custom schedule must not move time backwards.
-					e.route(sh, t+max(e.delay.Delay(e.cfg.Seed, u, int(m.port), seq), 1), d)
-					continue
+					at = t + max(e.delay.Delay(e.cfg.Seed, u, int(m.port), seq), 1)
 				}
 			}
-			// Synchronous: the message arrives next tick, in its receiver's
-			// row — landed by the second pass, or by the drain from the
-			// mailbox row toward the receiver's shard (a single shard's
-			// range is every node).
-			if d.to >= lo && d.to < hi {
-				ob[kept] = m
-				kept++
-				continue
+			switch {
+			case to < lo || to >= hi:
+				ds := int(to) / e.shardSize
+				sh.mail[ds] = append(sh.mail[ds], mailRef{at: at, u: int32(u), i: int32(i)})
+				mailed++
+			case e.async:
+				b := sh.wheel.lend(at)
+				b.deliveries = append(b.deliveries, delivery{to: to, port: e.portBack[p], bits: m.bits, pl: m.pl})
+				sh.pendingMsgs++
 			}
-			ds := int(d.to) / e.shardSize
-			sh.mail[ds] = append(sh.mail[ds], shardMsg{at: t + 1, d: d})
-			mailed++
 		}
-		e.out[u] = ob[:kept]
+		if e.async {
+			e.out[u] = ob[:0]
+		}
 	}
 	sh.mailed += mailed
 	for _, u := range list {
@@ -625,10 +635,17 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 		if len(ob) == 0 {
 			continue
 		}
+		// Synchronous: a message for an own node arrives next tick, in its
+		// receiver's row (a single shard's range is every node).
 		base := int(e.off[u])
 		for _, m := range ob {
+			if m.port < 0 {
+				continue
+			}
 			p := base + int(m.port)
-			e.land(sh, delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl})
+			if to := e.nbr[p]; to >= lo && to < hi {
+				e.land(sh, delivery{to: to, port: e.portBack[p], bits: m.bits, pl: m.pl})
+			}
 		}
 		e.out[u] = ob[:0]
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -32,7 +33,7 @@ func refRandomIDs(n int, rng *rand.Rand) []int64 {
 // (elect-dense's flood cell draws exactly these).
 func TestIDsIntoReuseBuffers(t *testing.T) {
 	var ids []int64
-	seen := make(map[int64]struct{})
+	var seen IDSet
 	for n := 0; n <= 64; n++ {
 		for seed := int64(1); seed <= 32; seed++ {
 			perm := rand.New(rand.NewSource(seed)).Perm(n)
@@ -43,13 +44,39 @@ func TestIDsIntoReuseBuffers(t *testing.T) {
 				}
 			}
 			want := refRandomIDs(n, rand.New(rand.NewSource(seed)))
-			if ids = RandomIDsInto(ids, seen, n, rand.New(rand.NewSource(seed))); !slices.Equal(ids, want) {
+			if ids = RandomIDsInto(ids, &seen, n, rand.New(rand.NewSource(seed))); !slices.Equal(ids, want) {
 				t.Fatalf("RandomIDsInto(n=%d, seed=%d) = %v, want %v", n, seed, ids, want)
 			}
 		}
 	}
 	want := refRandomIDs(65536, rand.New(rand.NewSource(1)))
-	if ids = RandomIDsInto(ids, seen, 65536, rand.New(rand.NewSource(1))); !slices.Equal(ids, want) {
+	if ids = RandomIDsInto(ids, &seen, 65536, rand.New(rand.NewSource(1))); !slices.Equal(ids, want) {
 		t.Error("RandomIDsInto(n=65536) differs from the plain draw")
+	}
+}
+
+// TestIDSetMatchesMap holds the flat duplicate filter to a map on one
+// reused set: batches of up to n identifiers drawn from a narrow range
+// (so that many repeat) with 0, negatives and the int64 extremes among
+// them, each batch after a Reset to its own n, growing and shrinking.
+func TestIDSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s IDSet
+	for _, n := range []int{0, 1, 3, 64, 5000, 17, 70000, 2, 1000} {
+		s.Reset(n)
+		seen := make(map[int64]bool)
+		for len(seen) < n {
+			var id int64
+			switch rng.Intn(8) {
+			case 0:
+				id = []int64{0, -1, math.MinInt64, math.MaxInt64}[rng.Intn(4)]
+			default:
+				id = rng.Int63n(int64(2*n)) - int64(n/2)
+			}
+			if got := s.Add(id); got == seen[id] {
+				t.Fatalf("n=%d: Add(%d) = %v with %d already seen: %v", n, id, got, id, seen[id])
+			}
+			seen[id] = true
+		}
 	}
 }

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"ule/internal/graph"
 )
@@ -18,13 +20,17 @@ import (
 // plain thing it replaces.
 
 // sendShell is the part of an engine the send rules read and write, on g,
-// as the reference interpreter builds it.
+// as the reference interpreter builds it: one shard, whose send counters
+// the Contexts of every node count into.
 func sendShell(g *graph.Graph, mode Mode, bitCap, sendCap int) *engine {
 	off, _ := g.CSR()
 	n := g.N()
 	return &engine{
 		cfg: Config{Model: ModelSpec{Mode: mode}}, bitCap: bitCap, sendCap: sendCap, round: 3,
-		buffers: buffers{off: off, sendCnt: make([]int32, off[n]), out: make([][]outMsg, n), nodeErr: make([]error, n)},
+		buffers: buffers{
+			off: off, out: make([][]outMsg, n), nodeErr: make([]error, n),
+			shards: []engineShard{{sendCnt: make([]int32, n)}},
+		},
 	}
 }
 
@@ -74,7 +80,7 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 			for _, skip := range []int{-1, 0, deg / 2, deg - 1, deg, deg + 3} {
 				run := func(act func(c *Context)) *engine {
 					e := sendShell(g, tc.mode, bitCap, tc.cap)
-					c := &Context{eng: e, node: u, info: NodeInfo{Degree: deg}}
+					c := &Context{eng: e, sh: &e.shards[0], node: u, info: NodeInfo{Degree: deg}}
 					if tc.pre != nil {
 						tc.pre(c)
 					}
@@ -100,13 +106,88 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 					if !slices.Equal(got.out[u], want.out[u]) {
 						t.Errorf("%s queued %v, the Send loop %v", where, got.out[u], want.out[u])
 					}
-					if !slices.Equal(got.sendCnt, want.sendCnt) {
-						t.Errorf("%s left send counts %v, the Send loop %v", where, got.sendCnt, want.sendCnt)
+					if gc, wc := got.shards[0].sendCnt, want.shards[0].sendCnt; !slices.Equal(gc, wc) {
+						t.Errorf("%s left send counts %v, the Send loop %v", where, gc, wc)
 					}
 					if ge, we := fmt.Sprint(got.nodeErr[u]), fmt.Sprint(want.nodeErr[u]); ge != we {
 						t.Errorf("%s: error %q, the Send loop's %q", where, ge, we)
 					}
 				}
+			}
+		}
+	}
+}
+
+// capBurstProto tests the per-port send cap across Start and Round. The
+// node woken at round 1 sends one token on port 0 and halts; a node that a
+// message wakes sends start tokens on port 0 in Start and round more in
+// its Round of the same tick, then halts.
+type capBurstProto struct{ start, round int }
+
+func (p capBurstProto) New(NodeInfo) Process { return &capBurstProc{p: p} }
+
+type capBurstProc struct{ p capBurstProto }
+
+func (b *capBurstProc) Start(c *Context) {
+	n := b.p.start
+	if c.SpontaneousWake() {
+		n = 1
+	}
+	for range n {
+		c.Send(0, tokenMsg{1})
+	}
+}
+
+func (b *capBurstProc) Round(c *Context, inbox []Message) {
+	if len(inbox) > 0 {
+		for range b.p.round {
+			c.Send(0, tokenMsg{2})
+		}
+	}
+	c.Halt()
+}
+
+// TestPortSendCapSpansStartAndRound: a node's Start and its Round of the
+// same tick share one per-port cap. On ring:8 node 4 wakes at round 1 and
+// wakes node 3, which sends 5 tokens through port 0 in Start and 4 more
+// in Round: the ninth send fails, with the text the engine gave when it
+// counted per directed edge. 5 and 3 stay within the cap of 8. The same
+// holds in the reference interpreter and at 1, 2 and 4 shards, where
+// node 3's wake-up crosses a shard boundary.
+func TestPortSendCapSpansStartAndRound(t *testing.T) {
+	g := graph.Ring(8)
+	if g.Neighbor(4, 0) != 3 || g.Neighbor(3, 0) != 2 {
+		t.Fatal("ring:8 numbers its ports otherwise: not the run this test is about")
+	}
+	wake := make([]int, g.N())
+	for i := range wake {
+		wake[i] = WakeOnMessage
+	}
+	wake[4] = 1
+	cfg := Config{Graph: g, Wake: wake, Seed: 1}
+	const capped = "sim: per-port per-round send cap exceeded: node 3 port 0 round 2 cap 8"
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, tc := range []struct {
+		p   capBurstProto
+		err string
+	}{{capBurstProto{5, 4}, capped}, {capBurstProto{5, 3}, ""}} {
+		want, err := runReference(cfg, tc.p)
+		if errText(err) != tc.err {
+			t.Fatalf("%+v: the reference reports %v, want %q", tc.p, err, tc.err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			cfg.Shards = shards
+			got, err := Run(cfg, tc.p)
+			switch {
+			case errText(err) != tc.err || (err != nil && !errors.Is(err, ErrDoubleSend)):
+				t.Errorf("%+v, %d shards: error %v, want %q", tc.p, shards, err, tc.err)
+			case err == nil && !reflect.DeepEqual(got, want):
+				t.Errorf("%+v, %d shards: engine diverges from the reference:\nreference: %+v\nevent:     %+v", tc.p, shards, want, got)
 			}
 		}
 	}
@@ -336,6 +417,71 @@ func TestWheelStorageFollowsTraffic(t *testing.T) {
 					tc.model, shards, held, float64(held)/float64(peak), peak, tc.bound)
 			}
 		}
+	}
+}
+
+// mailStorage sums the bytes of every mailbox row the Runner's shards
+// hold, by capacity.
+func mailStorage(r *Runner) (total int64) {
+	for i := range r.eng.shards {
+		for _, row := range r.eng.shards[i].mail {
+			total += int64(cap(row)) * int64(unsafe.Sizeof(row[0]))
+		}
+	}
+	return total
+}
+
+// TestMailHoldsReferences pins what a cross-shard message costs while it
+// waits for the barrier: a 16-byte reference to its sender's outbox slot,
+// not a copy of the message. Every node of random:8192:65536 broadcasts
+// in every round (a CONGEST all-ports flood) over two shards, so every
+// tick carries the same cross-shard messages, one per directed edge across
+// the cut; the mailbox rows hold at most 16 B for each, plus the headroom
+// append leaves in a row (a 40-byte copy of each message took 40 B and
+// more). Per-link sequence numbers are the state of the runs that read
+// them: a synchronous run leaves them unallocated, an ASYNC run on the
+// same Runner sizes them.
+func TestMailHoldsReferences(t *testing.T) {
+	g, err := graph.FromSpec("random:8192:65536", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, half := g.N(), (g.N()+1)/2
+	cross := int64(0)
+	for u := range n {
+		for p := range g.Degree(u) {
+			if (u < half) != (g.Neighbor(u, p) < half) {
+				cross++
+			}
+		}
+	}
+	r, err := NewRunner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{IDs: SequentialIDs(n, 1), Seed: 2, Shards: 2}
+	res, err := r.Run(cfg, rollcallProto{until: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.eng.shards) != 2 || res.Messages != 5*int64(g.DegreeSum()) {
+		t.Fatalf("%d shards, %d messages: not the run this test is about", len(r.eng.shards), res.Messages)
+	}
+	held := mailStorage(r)
+	t.Logf("mailbox rows hold %d B for %d cross-shard messages a tick: %.1f B each", held, cross, float64(held)/float64(cross))
+	if held > 16*cross*5/4 {
+		t.Errorf("mailbox rows hold %d B for the %d cross-shard messages of a tick, %.1f B each (bound 16 B and a quarter's headroom)",
+			held, cross, float64(held)/float64(cross))
+	}
+	if r.eng.linkSeq != nil {
+		t.Errorf("a synchronous run allocated %d link sequence numbers", len(r.eng.linkSeq))
+	}
+	cfg.Model.Mode = ASYNC
+	if _, err := r.Run(cfg, rollcallProto{until: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.eng.linkSeq) != g.DegreeSum() {
+		t.Errorf("an ASYNC run left %d link sequence numbers for %d links", len(r.eng.linkSeq), g.DegreeSum())
 	}
 }
 

@@ -40,13 +40,16 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 	off, _ := g.CSR()
 	e := &engine{
 		cfg: cfg, bitCap: defaultBitCap(n), sendCap: sendCap,
-		shardSize: n, // one shard: every node's Context.Shard is 0
 		buffers: buffers{
-			off: off, sendCnt: make([]int32, off[n]),
-			out: make([][]outMsg, n), status: make([]Status, n), halted: make([]bool, n),
+			off: off, out: make([][]outMsg, n), status: make([]Status, n), halted: make([]bool, n),
 			changed: make([]bool, n), nodeErr: make([]error, n), rngs: make([]*rand.Rand, n),
+			// One shard, whose counters hold a node's sends of the round
+			// while the node is called (loadSends, clearSends): every
+			// node's Context.Shard is 0.
+			shards: []engineShard{{sendCnt: make([]int32, n)}},
 		},
 	}
+	sh := &e.shards[0]
 	procs, ctxs, awake := make([]Process, n), make([]Context, n), make([]bool, n)
 	for u := range procs {
 		info := NodeInfo{Degree: g.Degree(u), Know: cfg.Know}
@@ -54,7 +57,7 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 			info.ID, info.HasID = cfg.IDs[u], true
 		}
 		procs[u] = p.New(info)
-		ctxs[u] = Context{eng: e, node: u, info: info}
+		ctxs[u] = Context{eng: e, sh: sh, node: u, info: info}
 	}
 
 	res := new(Result)
@@ -80,7 +83,6 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 					res.FirstCrossing = r
 					crossed = true
 				}
-				e.sendCnt[int(off[u])+port] = 0
 			}
 			e.out[u] = nil
 		}
@@ -107,14 +109,18 @@ func runReference(cfg Config, p Protocol) (*Result, error) {
 				awake[u] = true
 				ctxs[u].spontaneous = len(inbox[u]) == 0
 				procs[u].Start(&ctxs[u])
+				sh.clearSends(e.out[u])
 			} else if wr > r && wr <= maxRounds {
 				wakeAhead = true
 			}
 		}
-		// Step every awake node that has not halted.
+		// Step every awake node that has not halted. Its sends of the
+		// round, Start's included, count against one per-port cap.
 		for u := 0; u < n; u++ {
 			if awake[u] && !e.halted[u] {
+				sh.loadSends(e.out[u])
 				procs[u].Round(&ctxs[u], inbox[u])
+				sh.clearSends(e.out[u])
 			}
 		}
 		// A model violation ends the run; of several in one round the

@@ -69,17 +69,19 @@ type buffers struct {
 	// off and nbr are the graph's CSR arrays and portBack its reverse-port
 	// table, borrowed via graph.CSR()/PortBacks() so the delivery fast
 	// path resolves neighbors and return ports with single array loads —
-	// no method call, no per-node slice header. sendCnt counts this
-	// round's sends through each port for the per-port cap; linkSeq
-	// numbers each link's messages (ASYNC, link drops), and linkMix holds
-	// each link's delay-hash prefix (linkDelay), mixed on the link's first
-	// send; it is made only for ASYNC runs under a built-in schedule.
+	// no method call, no per-node slice header. linkSeq numbers each
+	// link's messages, and is made only for the runs that read it: ASYNC
+	// and link drops. linkMix holds each link's delay-hash prefix
+	// (linkDelay), mixed on the link's first send; it is made only for
+	// ASYNC runs under a built-in schedule. The per-port send cap is
+	// counted per shard (engineShard.sendCnt), over the node being
+	// stepped, and maxDeg is the length those counters need.
 	off      []int32
 	nbr      []int32
 	portBack []int32
-	sendCnt  []int32
 	linkSeq  []int32
 	linkMix  []uint64
+	maxDeg   int
 
 	// out[u] is u's outbox row: this round's sends in send order, with
 	// Bits() cached (see arena.go). inbox[u] holds the messages delivered
@@ -115,7 +117,7 @@ type buffers struct {
 	aliveBuf    []bool
 	rejoinedBuf []bool
 	watchBuf    map[[2]int]bool
-	idSeen      map[int64]struct{}
+	idSeen      IDSet
 }
 
 // NewRunner validates the graph and precomputes the reusable engine state.
@@ -148,7 +150,7 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	n := g.N()
 	if n != len(b.status) {
 		if 8*n < len(b.status) {
-			b.idSeen = nil
+			b.idSeen = IDSet{}
 		}
 		b.shards, b.aliveBuf, b.rejoinedBuf = nil, nil, nil
 	}
@@ -156,8 +158,16 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	// ShufflePorts, so a Rebind is O(n + m) for any density.
 	off, nbr := g.CSR()
 	b.g, b.off, b.nbr, b.portBack = g, off, nbr, g.PortBacks()
-	b.sendCnt = resized(b.sendCnt, len(nbr))
-	b.linkSeq = resized(b.linkSeq, len(nbr))
+	b.maxDeg = 0
+	for u := range n {
+		b.maxDeg = max(b.maxDeg, int(off[u+1]-off[u]))
+	}
+	if 8*len(nbr) < cap(b.linkSeq) {
+		b.linkSeq = nil
+	}
+	if 8*len(nbr) < cap(b.linkMix) {
+		b.linkMix = nil
+	}
 	b.out = resized(b.out, n)
 	b.inbox = resized(b.inbox, n)
 	b.status = resized(b.status, n)
@@ -222,7 +232,7 @@ func (b *buffers) ensureShards(S int) {
 		sh.lo = i * size
 		sh.hi = min(sh.lo+size, n)
 		sh.wheel = newTimingWheel()
-		sh.mail = make([][]shardMsg, S)
+		sh.mail = make([][]mailRef, S)
 	}
 }
 
@@ -254,12 +264,11 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		if len(cfg.IDs) != n {
 			return fmt.Errorf("%w: len(IDs)=%d want %d", ErrConfig, len(cfg.IDs), n)
 		}
-		e.idSeen = recycled(e.idSeen, n)
+		e.idSeen.Reset(n)
 		for _, id := range cfg.IDs {
-			if _, dup := e.idSeen[id]; dup {
+			if !e.idSeen.Add(id) {
 				return fmt.Errorf("%w: duplicate ID %d", ErrConfig, id)
 			}
-			e.idSeen[id] = struct{}{}
 		}
 	}
 	if cfg.Wake != nil && len(cfg.Wake) != n {
@@ -307,8 +316,6 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		hints:   m.Mode != ASYNC && honorIdleHints,
 		maxTick: maxRounds,
 	}
-	clear(e.sendCnt)
-	clear(e.linkSeq)
 	clear(e.idle)
 	clear(e.haltCounted)
 	if e.linkDelay, _ = m.Delay.(linkDelay); e.linkDelay != nil && len(e.linkMix) != len(e.nbr) {
@@ -317,7 +324,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	e.ensureShards(shardCount)
 	e.shardSize = (n + shardCount - 1) / shardCount
 	for i := range e.shards {
-		e.shards[i].resetRun()
+		e.shards[i].resetRun(e.maxDeg, sendCap > 0)
 	}
 	if m.Faults != nil {
 		e.fsched = m.Faults
@@ -336,6 +343,10 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 			sh.faults = &sh.faultBuf
 			sh.faults.reset(m.Faults, cfg.Seed, sh.lo, sh.hi, maxRounds)
 		}
+	}
+	if e.async || (e.fsched != nil && e.fsched.dropP > 0) {
+		e.linkSeq = resized(e.linkSeq, len(e.nbr))
+		clear(e.linkSeq)
 	}
 	// A warm Runner recycles: procs[u] is still what node u ran last.
 	recycler, _ := p.(Recycler)
@@ -358,7 +369,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		}
 		// The RNG is built and seeded lazily on the node's first Rand()
 		// call (see Context.Rand); rngs[u] is nil until then.
-		e.ctxs[u] = Context{eng: e, node: u, info: info, rng: e.rngs[u]}
+		e.ctxs[u] = Context{eng: e, sh: &e.shards[u/e.shardSize], node: u, info: info, rng: e.rngs[u]}
 	}
 	// The crossing instrument: every shard reads the one watched set.
 	if len(cfg.WatchEdges) > 0 {

@@ -2,16 +2,20 @@
 //
 // The node index space is partitioned into EffectiveShards contiguous
 // ranges. Each shard owns the full event machinery for its nodes — a
-// timing wheel, the tick loop's scratch lists, a fault-event heap — and
-// every per-node row of the flat engine state (outbox arenas, inboxes,
-// status vectors, linkSeq and idle slots) is written only by its owner, so
-// shards step one tick concurrently without locks. The one cross-shard
-// interaction is message routing: a sender whose neighbor lives in
-// another shard parks the message in a per-(src,dst) mailbox row instead
-// of the receiver's inbox row (synchronous modes) or its own wheel
-// (ASYNC), and at the tick barrier every shard drains the rows addressed
-// to it, in ascending source-shard order: a synchronous message into its
-// receiver's inbox row for the next tick, an ASYNC one into the wheel.
+// timing wheel, the tick loop's scratch lists, a fault-event heap, the
+// send counters of the node it is stepping — and every per-node row of
+// the flat engine state (outbox arenas, inboxes, status vectors, linkSeq
+// and idle slots) is written only by its owner, so shards step one tick
+// concurrently without locks. The one cross-shard interaction is message
+// routing: a sender whose neighbor lives in another shard parks a
+// 16-byte reference to the message — its arrival tick and the sender's
+// outbox slot — in a per-(src,dst) mailbox row instead of writing the
+// receiver's inbox row (synchronous modes) or its own wheel (ASYNC). The
+// message itself has one copy, in that slot, which nothing writes until
+// the sender's next step. At the tick barrier every shard drains the rows
+// addressed to it, in ascending source-shard order, reading each message
+// in place: a synchronous one into its receiver's inbox row for the next
+// tick, an ASYNC one into the wheel.
 //
 // Determinism does not depend on the shard count. The only event order
 // the simulation can observe is the per-link order of same-tick arrivals:
@@ -81,11 +85,14 @@ func EffectiveShards(shards, n, procs int) int {
 	return (n + size - 1) / size
 }
 
-// shardMsg is one cross-shard message in flight: the delivery record
-// plus its arrival tick, parked in a mailbox row until the barrier.
-type shardMsg struct {
-	at int
-	d  delivery
+// mailRef is one cross-shard message in flight, parked in a mailbox row
+// until the barrier: its arrival tick and where it is — slot i of sender
+// u's outbox row, which the flush leaves intact and nothing writes before
+// u's next step, after the drain. The receiver and its port are resolved
+// from the slot's sending port when the drain reads it.
+type mailRef struct {
+	at   int
+	u, i int32
 }
 
 // engineShard owns the event-engine state of the contiguous node range
@@ -117,13 +124,20 @@ type engineShard struct {
 	faults   *faultState
 	faultBuf faultState
 
-	// mail[d] is the outbound mailbox toward shard d: messages for shard
-	// d's nodes sent by this shard's senders during the current tick, in
-	// send order. Shard d drains it at the barrier.
+	// mail[d] is the outbound mailbox toward shard d: references to the
+	// messages for shard d's nodes sent by this shard's senders during the
+	// current tick, in send order. Shard d drains it at the barrier.
 	// mailed counts what the tick parked across all rows, so that a tick
 	// without cross-shard traffic skips the drain phase.
-	mail   [][]shardMsg
+	mail   [][]mailRef
 	mailed int
+
+	// sendCnt counts, port by port, the sends of the node the shard is
+	// stepping, for the per-port cap (Context.Send): loaded from the
+	// node's outbox row before a step (what its Start sent earlier in the
+	// tick) and cleared over the row's ports after it, so it is all zero
+	// between steps. Max-degree long; empty when the run has no cap (LOCAL).
+	sendCnt []int32
 
 	// due is the work the coming tick is known to hold for this shard
 	// (runTick); zero means nothing to do.
@@ -169,8 +183,15 @@ type shardCounts struct {
 	crossedTick   bool
 }
 
-// resetRun re-arms the shard for one run, keeping every allocation.
-func (sh *engineShard) resetRun() {
+// resetRun re-arms the shard for one run, keeping every allocation but
+// a send-counter row of the wrong size: counters for a node of degree
+// maxDeg when the run caps sends, none otherwise.
+func (sh *engineShard) resetRun(maxDeg int, capped bool) {
+	if !capped {
+		maxDeg = 0
+	}
+	sh.sendCnt = resized(sh.sendCnt, maxDeg)
+	clear(sh.sendCnt)
 	sh.wheel.reset()
 	sh.active = sh.active[:0]
 	sh.stepSet = sh.stepSet[:0]
@@ -194,22 +215,6 @@ func (sh *engineShard) fold(out *Result) {
 	out.Crashes += sh.crashes
 	out.Recoveries += sh.recoveries
 	out.LastActive = max(out.LastActive, sh.lastActive)
-}
-
-// route schedules ASYNC delivery d for tick at: into the sending shard's
-// own wheel when the receiver is local, into the mailbox row toward the
-// receiver's shard otherwise. The receiving shard's pendingMsgs is
-// charged at drain time.
-func (e *engine) route(sh *engineShard, at int, d delivery) {
-	if to := int(d.to); to < sh.lo || to >= sh.hi {
-		ds := to / e.shardSize
-		sh.mail[ds] = append(sh.mail[ds], shardMsg{at: at, d: d})
-		sh.mailed++
-		return
-	}
-	b := sh.wheel.lend(at)
-	b.deliveries = append(b.deliveries, d)
-	sh.pendingMsgs++
 }
 
 // runTick executes one virtual-time tick: every shard steps its own
@@ -273,7 +278,9 @@ func (e *engine) runTick(t int) {
 // an ASYNC one into dst's wheel. Rows are visited in ascending
 // source-shard order and each row in send order, so the per-link arrival
 // order in dst's rows and buckets is exactly the senders' flush order —
-// the order the single-shard engine would have appended in. Runs
+// the order the single-shard engine would have appended in. Each message
+// is read in its sender's outbox slot, which its shard flushed before the
+// barrier and does not write again until its next step phase. Runs
 // concurrently per destination: dst writes only its own rows, wheel and
 // counters, and resets only mailbox rows addressed to it.
 func (e *engine) drainMail(dst *engineShard) {
@@ -284,18 +291,27 @@ func (e *engine) drainMail(dst *engineShard) {
 			continue
 		}
 		if e.async {
-			for i := range row {
-				b := dst.wheel.lend(row[i].at)
-				b.deliveries = append(b.deliveries, row[i].d)
+			for _, r := range row {
+				b := dst.wheel.lend(r.at)
+				b.deliveries = append(b.deliveries, e.unpark(r))
 			}
 			dst.pendingMsgs += len(row)
 		} else {
-			for i := range row {
-				e.land(dst, row[i].d)
+			for _, r := range row {
+				e.land(dst, e.unpark(r))
 			}
 		}
 		src.mail[dst.id] = row[:0]
 	}
+}
+
+// unpark reads the message r refers to in its sender's outbox slot and
+// resolves its receiver and receiving port.
+func (e *engine) unpark(r mailRef) delivery {
+	ob := e.out[r.u]
+	m := ob[:cap(ob)][r.i]
+	p := int(e.off[r.u]) + int(m.port)
+	return delivery{to: e.nbr[p], port: e.portBack[p], bits: m.bits, pl: m.pl}
 }
 
 // foldTick resolves the per-shard tick scratch on the coordinator: the

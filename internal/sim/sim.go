@@ -160,6 +160,7 @@ type Recycler interface {
 // it.
 type Context struct {
 	eng  *engine
+	sh   *engineShard // the shard that steps the node
 	node int
 	info NodeInfo
 	rng  *rand.Rand
@@ -193,7 +194,7 @@ func (c *Context) Round() int { return c.eng.round }
 // run reports the same at every shard count, so nothing a node sends or
 // decides may depend on it (the flood family picks a free list of its
 // wire boxes with it).
-func (c *Context) Shard() int { return c.node / c.eng.shardSize }
+func (c *Context) Shard() int { return c.sh.id }
 
 // Forever is the IdleUntil round of a node that only a message can rouse.
 const Forever = math.MaxInt
@@ -244,18 +245,18 @@ func (c *Context) SpontaneousWake() bool { return c.spontaneous }
 // CONGEST bit budget (ErrBitCap) aborts the run, as does an invalid port:
 // each would violate the model (run.go, portSendCap).
 func (c *Context) Send(port int, p Payload) {
-	c.eng.send(c.node, port, p)
+	c.eng.send(c, port, p)
 }
 
 // Broadcast sends payload through every port.
 func (c *Context) Broadcast(p Payload) {
-	c.eng.sendAll(c.node, -1, p)
+	c.eng.sendAll(c, -1, p)
 }
 
 // BroadcastExcept sends payload through every port except skip (pass a
 // negative skip to send on all ports).
 func (c *Context) BroadcastExcept(skip int, p Payload) {
-	c.eng.sendAll(c.node, skip, p)
+	c.eng.sendAll(c, skip, p)
 }
 
 // Decide sets the node's election status. A decision is final: changing
@@ -469,13 +470,16 @@ var (
 	ErrRevoked    = errors.New("sim: decided status revoked")
 )
 
-// send and decide write only per-node slots (outbox row, send counters,
-// status, scratch error/changed flags); the engine merges scratch state
-// after each round. This keeps node steps race-free when shards step
-// concurrently. Bits() is evaluated here, once, and cached alongside the
-// payload so the cap check and the delivery accounting never re-dispatch
-// through the interface.
-func (e *engine) send(u, port int, p Payload) {
+// send and decide write only per-node slots (outbox row, status,
+// scratch error/changed flags) and the stepping shard's send counters;
+// the engine merges scratch state after each round. This keeps node steps
+// race-free when shards step concurrently. Bits() is evaluated here,
+// once, and cached alongside the payload so the cap check and the
+// delivery accounting never re-dispatch through the interface. A send is
+// counted against its port's cap only once it is queued, so the counters
+// are exactly the ports of the node's outbox row (clearSends).
+func (e *engine) send(c *Context, port int, p Payload) {
+	u := c.node
 	if e.nodeErr[u] != nil {
 		return
 	}
@@ -484,13 +488,9 @@ func (e *engine) send(u, port int, p Payload) {
 		e.nodeErr[u] = fmt.Errorf("%w: node %d port %d (degree %d)", ErrBadPort, u, port, deg)
 		return
 	}
-	if e.sendCap > 0 {
-		slot := int(e.off[u]) + port
-		if int(e.sendCnt[slot]) >= e.sendCap {
-			e.nodeErr[u] = fmt.Errorf("%w: node %d port %d round %d cap %d", ErrDoubleSend, u, port, e.round, e.sendCap)
-			return
-		}
-		e.sendCnt[slot]++
+	if e.sendCap > 0 && int(c.sh.sendCnt[port]) >= e.sendCap {
+		e.nodeErr[u] = fmt.Errorf("%w: node %d port %d round %d cap %d", ErrDoubleSend, u, port, e.round, e.sendCap)
+		return
 	}
 	if p == nil {
 		e.nodeErr[u] = fmt.Errorf("%w: nil payload from node %d", ErrConfig, u)
@@ -502,21 +502,24 @@ func (e *engine) send(u, port int, p Payload) {
 			ErrBitCap, bits, e.bitCap, u, e.round, p)
 		return
 	}
+	if e.sendCap > 0 {
+		c.sh.sendCnt[port]++
+	}
 	e.out[u] = append(e.out[u], outMsg{port: int32(port), bits: int32(bits), pl: p})
 }
 
-// sendAll is send(u, port, p) for every port but skip, in ascending port
+// sendAll is send(c, port, p) for every port but skip, in ascending port
 // order, with everything that depends only on the payload — the node's
 // error, nil, Bits() and the bit cap — tested once instead of once per
 // port. The per-port send cap is still counted port by port. Whatever
 // fails is handed, with the port it fails at, to send, so the error and
 // the row prefix queued before it are exactly the per-port loop's.
-func (e *engine) sendAll(u, skip int, p Payload) {
+func (e *engine) sendAll(c *Context, skip int, p Payload) {
+	u := c.node
 	if e.nodeErr[u] != nil {
 		return
 	}
-	base := int(e.off[u])
-	deg := int(e.off[u+1]) - base
+	deg := int(e.off[u+1] - e.off[u])
 	first := 0
 	if skip == 0 {
 		first = 1
@@ -525,32 +528,50 @@ func (e *engine) sendAll(u, skip int, p Payload) {
 		return
 	}
 	if p == nil {
-		e.send(u, first, p)
+		e.send(c, first, p)
 		return
 	}
 	bits := p.Bits()
 	if e.cfg.Model.Mode != LOCAL && bits > e.bitCap {
-		e.send(u, first, p)
+		e.send(c, first, p)
 		return
 	}
 	row := e.out[u]
+	cnt := c.sh.sendCnt
 	m := outMsg{bits: int32(bits), pl: p}
 	for port := first; port < deg; port++ {
 		if port == skip {
 			continue
 		}
 		if e.sendCap > 0 {
-			if int(e.sendCnt[base+port]) >= e.sendCap {
+			if int(cnt[port]) >= e.sendCap {
 				e.out[u] = row
-				e.send(u, port, p)
+				e.send(c, port, p)
 				return
 			}
-			e.sendCnt[base+port]++
+			cnt[port]++
 		}
 		m.port = int32(port)
 		row = append(row, m)
 	}
 	e.out[u] = row
+}
+
+// loadSends counts the sends queued in a node's outbox row into the
+// shard's send counters, before the node's step.
+func (sh *engineShard) loadSends(row []outMsg) {
+	for _, m := range row {
+		sh.sendCnt[m.port]++
+	}
+}
+
+// clearSends zeroes the shard's send counters over the ports of a node's
+// outbox row, after the node's step; the row holds every send the
+// counters count, so they are all zero again.
+func (sh *engineShard) clearSends(row []outMsg) {
+	for _, m := range row {
+		sh.sendCnt[m.port] = 0
+	}
 }
 
 func (e *engine) decide(u int, s Status) {
