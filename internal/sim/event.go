@@ -355,9 +355,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 		}
 		e.ctxs[u].spontaneous = spont
 		e.procs[u].Start(&e.ctxs[u])
-		if e.sendCap > 0 {
-			sh.clearSends(e.out[u])
-		}
+		sh.clearSends(e.out[u])
 		started = append(started, u)
 	}
 
@@ -408,16 +406,10 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 
 	// Step phase. A node's Start and Round of one tick share its per-port
 	// send cap: what Start queued is counted again before Round.
-	if e.sendCap > 0 {
-		for _, u := range step {
-			sh.loadSends(e.out[u])
-			e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-			sh.clearSends(e.out[u])
-		}
-	} else {
-		for _, u := range step {
-			e.procs[u].Round(&e.ctxs[u], e.inbox[u])
-		}
+	for _, u := range step {
+		sh.loadSends(e.out[u])
+		e.procs[u].Round(&e.ctxs[u], e.inbox[u])
+		sh.clearSends(e.out[u])
 	}
 
 	// The tick's rows are read: empty them, so that the flush can write

@@ -163,10 +163,7 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 		b.maxDeg = max(b.maxDeg, int(off[u+1]-off[u]))
 	}
 	if 8*len(nbr) < cap(b.linkSeq) {
-		b.linkSeq = nil
-	}
-	if 8*len(nbr) < cap(b.linkMix) {
-		b.linkMix = nil
+		b.linkSeq, b.linkMix = nil, nil // linkMix is made only beside linkSeq
 	}
 	b.out = resized(b.out, n)
 	b.inbox = resized(b.inbox, n)
@@ -324,7 +321,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	e.ensureShards(shardCount)
 	e.shardSize = (n + shardCount - 1) / shardCount
 	for i := range e.shards {
-		e.shards[i].resetRun(e.maxDeg, sendCap > 0)
+		e.shards[i].resetRun(e.maxDeg)
 	}
 	if m.Faults != nil {
 		e.fsched = m.Faults

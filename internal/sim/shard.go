@@ -136,7 +136,7 @@ type engineShard struct {
 	// stepping, for the per-port cap (Context.Send): loaded from the
 	// node's outbox row before a step (what its Start sent earlier in the
 	// tick) and cleared over the row's ports after it, so it is all zero
-	// between steps. Max-degree long; empty when the run has no cap (LOCAL).
+	// between steps. Max-degree long.
 	sendCnt []int32
 
 	// due is the work the coming tick is known to hold for this shard
@@ -184,12 +184,8 @@ type shardCounts struct {
 }
 
 // resetRun re-arms the shard for one run, keeping every allocation but
-// a send-counter row of the wrong size: counters for a node of degree
-// maxDeg when the run caps sends, none otherwise.
-func (sh *engineShard) resetRun(maxDeg int, capped bool) {
-	if !capped {
-		maxDeg = 0
-	}
+// a send-counter row of another length than the graph's maximum degree.
+func (sh *engineShard) resetRun(maxDeg int) {
 	sh.sendCnt = resized(sh.sendCnt, maxDeg)
 	clear(sh.sendCnt)
 	sh.wheel.reset()

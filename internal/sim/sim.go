@@ -502,9 +502,7 @@ func (e *engine) send(c *Context, port int, p Payload) {
 			ErrBitCap, bits, e.bitCap, u, e.round, p)
 		return
 	}
-	if e.sendCap > 0 {
-		c.sh.sendCnt[port]++
-	}
+	c.sh.sendCnt[port]++
 	e.out[u] = append(e.out[u], outMsg{port: int32(port), bits: int32(bits), pl: p})
 }
 
@@ -543,14 +541,12 @@ func (e *engine) sendAll(c *Context, skip int, p Payload) {
 		if port == skip {
 			continue
 		}
-		if e.sendCap > 0 {
-			if int(cnt[port]) >= e.sendCap {
-				e.out[u] = row
-				e.send(c, port, p)
-				return
-			}
-			cnt[port]++
+		if e.sendCap > 0 && int(cnt[port]) >= e.sendCap {
+			e.out[u] = row
+			e.send(c, port, p)
+			return
 		}
+		cnt[port]++
 		m.port = int32(port)
 		row = append(row, m)
 	}
