@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle test-sweep check-matrix test-budgets fuzz-smoke race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
+.PHONY: build test test-shuffle test-sweep check-matrix test-budgets mutants fuzz-smoke race race-matrix bench bench-all bench-smoke bench-graph bench-alloc bench-flood bench-dense bench-faults bench-shard bench-sweep sweep-smoke serve-smoke fleet-chaos pins fmt fmt-check vet docs-check loc ci
 
 build:
 	$(GO) build ./...
@@ -214,6 +214,15 @@ test-sweep:
 check-matrix:
 	$(GO) test -run '^TestCheckMatrix$$' -v ./internal/core
 
+# The mutation smoke (mutants_test.go, build tag mutants): each row breaks
+# one rule of the program on purpose — an exact text swapped through
+# go test -overlay, so the tree is never written — and names the tests
+# that must fail on the broken copy. A row whose old text no longer
+# matches exactly once, or that names a byte pin, fails the target. Not
+# part of the full suite; wired into CI.
+mutants:
+	$(GO) test -tags mutants -count=1 -run '^TestMutants$$' -v .
+
 # Every fuzz target for 20 s each: the one thing the full suite does not do
 # (it only replays each target's seed corpus). FromSpec: the graph specs
 # uled reads from clients. ParseModel: the execution-model grammar.
@@ -308,4 +317,4 @@ loc:
 		  printf "%-28s %8d %8d\n", "total", S, T }'
 
 # Everything the CI pipeline runs, in the same order.
-ci: fmt-check vet build test-shuffle race test-sweep check-matrix test-budgets fuzz-smoke bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check
+ci: fmt-check vet build test-shuffle race test-sweep check-matrix test-budgets mutants fuzz-smoke bench-smoke sweep-smoke serve-smoke fleet-chaos race-matrix docs-check

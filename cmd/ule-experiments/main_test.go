@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"ule/internal/core"
 	"ule/internal/harness"
 )
 
@@ -47,6 +49,22 @@ func TestSweepModeEmitsConsumableJSON(t *testing.T) {
 	}
 	if len(csv) == 0 {
 		t.Fatal("empty CSV output")
+	}
+}
+
+// TestSweepRefusesExactDiameter: -sweep on a spec that would grant flood
+// the exact diameter of random:16384:131072 (n·m = 2^31, above
+// core.ExactDiameterCap) fails — the command exits non-zero — with
+// core.ErrExactDiameter naming the way out, before any trial runs.
+func TestSweepRefusesExactDiameter(t *testing.T) {
+	specPath := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{"algos":["flood"],"graphs":["random:16384:131072"],"trials":4}`
+	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-sweep", specPath, "-progress=false"})
+	if !errors.Is(err, core.ErrExactDiameter) || !strings.Contains(err.Error(), "diameter_estimate") {
+		t.Fatalf("err = %v, want core.ErrExactDiameter naming diameter_estimate", err)
 	}
 }
 

@@ -230,3 +230,46 @@ func TestCheckJudgesAnyStart(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckMessageCeiling: a deterministic row may send 16 times its
+// message bound, at the diameter it was granted, and not one message
+// more. 16 is TestCheckMatrix's largest finished synchronous ratio, 12,
+// with room to spare; a looser ceiling would pass a protocol that sends
+// several times what its row promises, which no run of the matrix shows.
+// Each result is built by hand: one leader, every node decided, and no
+// IDs, so that only the message rule can flag it.
+func TestCheckMessageCeiling(t *testing.T) {
+	const slack = 16
+	g, err := graph.FromSpec("grid:5x6", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sim.Result{Statuses: make([]sim.Status, g.N()), Leaders: []int{0}}
+	for u := range res.Statuses {
+		res.Statuses[u] = sim.NonLeader
+	}
+	res.Statuses[0] = sim.Leader
+	rows := 0
+	for _, name := range Names() {
+		if !MustGet(name).Deterministic {
+			continue
+		}
+		p, err := Prepare(g, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ro RunOpts
+		res.Messages = int64(slack * p.Spec().Bound.Msgs.Of(g.N(), g.M(), p.Diameter(ro)))
+		if err := p.check(ro, nil, &res); err != nil {
+			t.Errorf("%s sending %d messages, its ceiling: %v", name, res.Messages, err)
+		}
+		res.Messages++
+		if err := p.check(ro, nil, &res); !errors.Is(err, ErrGuarantee) {
+			t.Errorf("%s sending %d messages, one over its ceiling: err = %v", name, res.Messages, err)
+		}
+		rows++
+	}
+	if rows == 0 {
+		t.Fatal("no deterministic row; the ceiling is not exercised")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -234,6 +235,29 @@ func (p *Prepared) Diameter(ro RunOpts) int {
 		return p.g.DiameterEstimate()
 	}
 	return p.g.DiameterExact()
+}
+
+// ExactDiameterCap bounds n·m of a graph whose exact diameter a run may be
+// granted: the all-pairs BFS behind graph.DiameterExact cannot be stopped
+// (n·m = 2^25 takes 0.15 s).
+const ExactDiameterCap = 1 << 28
+
+// ErrExactDiameter is returned, wrapped, by ExactDiameterWithin.
+var ErrExactDiameter = errors.New("core: exact diameter above the cap")
+
+// ExactDiameterWithin is the one admission rule for the exact diameter: it
+// refuses a run of algo on graphSpec, a graph of nodes and edges, that
+// Diameter would grant the exact diameter of a graph whose n·m is above
+// ExactDiameterCap — the row needs D and estimate
+// (RunOpts.DiameterEstimate) is off. It is arithmetic on the sizes, which
+// graph.SpecSize counts from the spec: it builds no graph and runs no BFS.
+// An unknown algorithm passes; what binds it reports it.
+func ExactDiameterWithin(graphSpec string, nodes, edges int64, algo string, estimate bool) error {
+	if spec, ok := Get(algo); !ok || !spec.NeedsD || estimate || edges == 0 || nodes <= ExactDiameterCap/edges {
+		return nil
+	}
+	return fmt.Errorf("%w: graph %s has %d nodes and %d edges, n·m above %d; set diameter_estimate",
+		ErrExactDiameter, graphSpec, nodes, edges, ExactDiameterCap)
 }
 
 // config resolves ro against p's graph and algorithm into the engine

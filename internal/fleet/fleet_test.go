@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ule/internal/core"
 	"ule/internal/harness"
 )
 
@@ -626,5 +627,28 @@ func TestWorkerClosesForeignResumedShard(t *testing.T) {
 	}
 	if ck, err := harness.InspectShard(shard); err != nil || !ck.Done || ck.Start != 10 || ck.Count != 5 {
 		t.Fatalf("shard after the last lease: %+v, %v", ck, err)
+	}
+}
+
+// TestExactDiameterRefusedBeforeSpawn: a sweep that would grant flood the
+// exact diameter of random:16384:131072 (n·m = 2^31, above
+// core.ExactDiameterCap) is refused by Run with core.ErrExactDiameter,
+// decided by arithmetic on the spec before a graph is built or a worker
+// spawned: the worker binary does not exist, the directory stays empty,
+// and the answer comes at once, where the BFS would take minutes.
+func TestExactDiameterRefusedBeforeSpawn(t *testing.T) {
+	dir := t.TempDir()
+	spec := harness.Spec{Algos: []string{"flood"}, Graphs: []string{"random:16384:131072"}, Trials: 4}
+	start := time.Now()
+	_, err := Run(Config{Spec: spec, Dir: dir, Out: filepath.Join(dir, "merged.ulsb"),
+		WorkerArgv: []string{filepath.Join(dir, "no-such-worker")}})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("refused in %v, want within 1 s", d)
+	}
+	if !errors.Is(err, core.ErrExactDiameter) || !strings.Contains(err.Error(), "diameter_estimate") {
+		t.Fatalf("err = %v, want core.ErrExactDiameter naming diameter_estimate", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a refused sweep left %d entries in its directory", len(entries))
 	}
 }

@@ -347,8 +347,9 @@ func (s Spec) faultAxis() []string {
 }
 
 // Compile validates the spec — axis grammars parsed, algorithms
-// resolved — and folds the cross product into a Plan. It instantiates no
-// graph and its cost does not depend on Spec.Trials.
+// resolved, no exact diameter above core.ExactDiameterCap asked for — and
+// folds the cross product into a Plan. It instantiates no graph and its
+// cost does not depend on Spec.Trials.
 func (s Spec) Compile() (*Plan, error) {
 	if len(s.Algos) == 0 {
 		return nil, fmt.Errorf("harness: spec needs at least one algorithm")
@@ -360,6 +361,17 @@ func (s Spec) Compile() (*Plan, error) {
 	for _, a := range s.Algos {
 		if _, ok := core.Get(a); !ok {
 			return nil, fmt.Errorf("harness: unknown algorithm %q", a)
+		}
+	}
+	for _, g := range s.Graphs {
+		nodes, edges, err := graph.SpecSize(g)
+		if err != nil {
+			continue // Plan.Graphs reports a malformed spec
+		}
+		for _, a := range s.Algos {
+			if err := core.ExactDiameterWithin(g, nodes, edges, a, s.DiameterEstimate); err != nil {
+				return nil, fmt.Errorf("harness: %w", err)
+			}
 		}
 	}
 	modes := make([]sim.Mode, len(s.Modes))

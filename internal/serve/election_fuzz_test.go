@@ -17,8 +17,8 @@ import (
 // answer must be a 200, a 400 or a 500, and nothing may panic. A 200 body's
 // n and m must be what graph.SpecSize counts for its graph: the size check
 // that admits a request and the graph the run was built on read one spec,
-// and must agree. A body that asks for a job ("async") is not posted: its
-// answer is a 202 and its run happens off the request.
+// and must agree. A job is asked for only by ?async=1, which is never
+// posted here: a body key "async" is unknown, and its answer is a 400.
 func FuzzElectionRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"graph":"ring:16","algo":"leastel","seed":3}`,
@@ -43,12 +43,12 @@ func FuzzElectionRequest(f *testing.F) {
 	})
 	h := NewHandler(m, HandlerConfig{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req ElectionRequest
-		if json.Unmarshal(body, &req) == nil && req.Async {
-			return
-		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/elections", bytes.NewReader(body)))
+		var keys map[string]json.RawMessage
+		if json.Unmarshal(body, &keys) == nil && keys["async"] != nil && w.Code != http.StatusBadRequest {
+			t.Fatalf("status %d for %q, want 400: async is a query switch, not a body key", w.Code, body)
+		}
 		switch w.Code {
 		case http.StatusOK:
 		case http.StatusBadRequest, http.StatusInternalServerError:

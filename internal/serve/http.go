@@ -128,7 +128,7 @@ func (m *Manager) handleElection(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.Async || wantAsync(r) {
+	if wantAsync(r) {
 		j, err := m.SubmitElection(req)
 		if err != nil {
 			writeError(w, err)
@@ -163,13 +163,13 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 }
 
 func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var spec harness.Spec
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, err)
 		return
 	}
-	if req.Async || wantAsync(r) {
-		j, err := m.SubmitSweep(req)
+	if wantAsync(r) {
+		j, err := m.SubmitSweep(spec)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -183,7 +183,7 @@ func (m *Manager) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	p, err := m.validateSweep(&req)
+	p, err := m.validateSweep(&spec)
 	if err != nil {
 		writeError(w, err)
 		return

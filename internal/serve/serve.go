@@ -29,7 +29,6 @@ import (
 	"expvar"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -142,10 +141,6 @@ var ErrNotFound = errors.New("serve: no such job")
 // measurement the cap was read from).
 const slotPrepCap = 16
 
-// exactDiameterCap bounds n·m of a graph a request may have the exact
-// diameter of: the all-pairs BFS cannot be stopped (2^25 takes 0.15 s).
-const exactDiameterCap = 1 << 28
-
 // slot is one worker's private, reusable election machinery. Slots are
 // owned exclusively while a request runs, so no locking.
 type slot struct {
@@ -168,38 +163,29 @@ type cellKey struct {
 }
 
 // graphWithin refuses a graph spec that is malformed or expands past
-// maxEdges edges (or a quarter as many nodes) and, when exactD, one whose
-// exact diameter is above the cap (diameterWithin), without building it.
-func graphWithin(spec string, maxEdges int, exactD bool) error {
-	nodes, edges, err := graph.SpecSize(spec)
+// maxEdges edges (or a quarter as many nodes), without building it, and
+// returns its size.
+func graphWithin(spec string, maxEdges int) (nodes, edges int64, err error) {
+	nodes, edges, err = graph.SpecSize(spec)
 	if err != nil {
-		return badRequest("graph: %v", err)
+		return 0, 0, badRequest("graph: %v", err)
 	}
 	if edges > int64(maxEdges) || nodes > int64(maxEdges)/4 {
-		return badRequest("graph %s has %d nodes and %d edges, above the server cap of %d nodes and %d edges",
+		return 0, 0, badRequest("graph %s has %d nodes and %d edges, above the server cap of %d nodes and %d edges",
 			spec, nodes, edges, maxEdges/4, maxEdges)
 	}
-	return diameterWithin(spec, nodes, edges, exactD)
-}
-
-// diameterWithin refuses, when exactD, the exact diameter of a graph of
-// nodes and edges whose n·m is above exactDiameterCap.
-func diameterWithin(spec string, nodes, edges int64, exactD bool) error {
-	if exactD && edges > 0 && nodes > exactDiameterCap/edges {
-		return badRequest("graph %s has %d nodes and %d edges: its exact diameter costs n·m above %d, set diameter_estimate",
-			spec, nodes, edges, exactDiameterCap)
-	}
-	return nil
+	return nodes, edges, nil
 }
 
 // prepared returns the slot's core.Prepared for key, refusing the graph
-// when exactD and its exact diameter is above the cap; a hit reuses the
-// engine arenas and Runner buffers of every earlier request on the cell.
-// A miss takes the graph, with its memoized diameter, from a cell on the
-// same (spec, seed) or builds it once its size is known to be within
-// maxEdges, then binds a new cell while the slot has room and rebinds the
-// least recently used one once it is full.
-func (s *slot) prepared(key cellKey, maxEdges int, exactD bool) (*core.Prepared, error) {
+// when its exact diameter would be above the cap
+// (core.ExactDiameterWithin, estimate off); a hit reuses the engine
+// arenas and Runner buffers of every earlier request on the cell. A miss
+// takes the graph, with its memoized diameter, from a cell on the same
+// (spec, seed) or builds it once its size is known to be within maxEdges,
+// then binds a new cell while the slot has room and rebinds the least
+// recently used one once it is full.
+func (s *slot) prepared(key cellKey, maxEdges int, estimate bool) (*core.Prepared, error) {
 	s.uses++
 	var g *graph.Graph
 	hit, lru := -1, 0
@@ -214,18 +200,25 @@ func (s *slot) prepared(key cellKey, maxEdges int, exactD bool) (*core.Prepared,
 			lru = i
 		}
 	}
+	var (
+		nodes, edges int64
+		err          error
+	)
 	if g != nil {
-		if err := diameterWithin(key.spec, int64(g.N()), int64(g.M()), exactD); err != nil {
-			return nil, err
-		}
+		nodes, edges = int64(g.N()), int64(g.M())
+	} else if nodes, edges, err = graphWithin(key.spec, maxEdges); err != nil {
+		return nil, err
+	}
+	if err := core.ExactDiameterWithin(key.spec, nodes, edges, key.algo, estimate); err != nil {
+		return nil, badRequest("%v", err)
+	}
+	if g != nil {
 		statGraphHits.Add(1)
 		if hit >= 0 {
 			s.cells[hit].used = s.uses
 			statPrepHits.Add(1)
 			return s.cells[hit].prep, nil
 		}
-	} else if err := graphWithin(key.spec, maxEdges, exactD); err != nil {
-		return nil, err
 	} else if g, err = graph.FromSpec(key.spec, key.seed); err != nil {
 		return nil, badRequest("graph: %v", err)
 	} else {
@@ -599,8 +592,6 @@ type ElectionRequest struct {
 	// DiameterEstimate grants D-dependent algorithms the double-sweep
 	// bound instead of the exact diameter.
 	DiameterEstimate bool `json:"diameter_estimate,omitempty"`
-	// Async turns the request into a job (also ?async=1).
-	Async bool `json:"async,omitempty"`
 }
 
 // ElectionResult is the wire form of an election outcome. The measurements
@@ -633,12 +624,6 @@ type ElectionResult struct {
 	LiveUnique bool  `json:"live_unique,omitempty"`
 }
 
-// needsExactD reports whether a run of algo is granted the exact diameter.
-func needsExactD(algo string, estimate bool) bool {
-	spec, ok := core.Get(algo)
-	return ok && spec.NeedsD && !estimate
-}
-
 // runElection validates and executes one election on a slot.
 func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, error) {
 	if req.Graph == "" {
@@ -658,7 +643,7 @@ func (m *Manager) runElection(req ElectionRequest, s *slot) (*ElectionResult, er
 	if gseed == 0 {
 		gseed = 1
 	}
-	prep, err := s.prepared(cellKey{req.Graph, gseed, req.Algo}, m.cfg.MaxEdges, needsExactD(req.Algo, req.DiameterEstimate))
+	prep, err := s.prepared(cellKey{req.Graph, gseed, req.Algo}, m.cfg.MaxEdges, req.DiameterEstimate)
 	if err != nil {
 		return nil, err
 	}
@@ -723,16 +708,6 @@ func (m *Manager) RunElection(ctx context.Context, req ElectionRequest) (*Electi
 
 // ---- Sweeps ----
 
-// SweepRequest is the wire form of POST /v1/sweeps: a ule-sweep/v3 spec
-// (docs/SWEEP_SCHEMA.md) plus service fields. The same JSON file used
-// with `ule-experiments -sweep` is a valid request body.
-type SweepRequest struct {
-	harness.Spec
-	// Async turns the request into a job (also ?async=1); the stored
-	// result is the SweepSummary (trial records are not retained).
-	Async bool `json:"async,omitempty"`
-}
-
 // SweepSummary is the stored result of an async sweep job: the report
 // without the trial stream.
 type SweepSummary struct {
@@ -742,30 +717,32 @@ type SweepSummary struct {
 	Groups      []harness.GroupStats `json:"groups"`
 }
 
-// validateSweep pre-flights a sweep request and compiles it, once: the
-// trial count and the size of every graph on the graph axis are checked
-// against their caps by arithmetic before anything is built from the
-// spec, then the axes are parsed and the graphs instantiated. The
-// returned Plan is what the request runs on. A spec that names no
-// max_rounds runs at core.FrontEndMaxRounds or the server cap, whichever
-// is lower, like an election, and echoes the cap where it is the lower.
-func (m *Manager) validateSweep(req *SweepRequest) (*harness.Plan, error) {
-	if req.MaxRounds > m.cfg.MaxRounds {
-		return nil, badRequest("max_rounds %d above the server cap %d", req.MaxRounds, m.cfg.MaxRounds)
+// validateSweep pre-flights a sweep request — a ule-sweep/v3 spec
+// (docs/SWEEP_SCHEMA.md), the same JSON `ule-experiments -sweep` reads —
+// and compiles it, once: the trial count and the size of every graph on
+// the graph axis are checked against their caps by arithmetic before
+// anything is built from the spec, then the axes are parsed (an exact
+// diameter above core.ExactDiameterCap is refused there) and the graphs
+// instantiated. The returned Plan is what the request runs on. A spec
+// that names no max_rounds runs at core.FrontEndMaxRounds or the server
+// cap, whichever is lower, like an election, and echoes the cap where it
+// is the lower.
+func (m *Manager) validateSweep(spec *harness.Spec) (*harness.Plan, error) {
+	if spec.MaxRounds > m.cfg.MaxRounds {
+		return nil, badRequest("max_rounds %d above the server cap %d", spec.MaxRounds, m.cfg.MaxRounds)
 	}
-	if req.MaxRounds <= 0 && m.cfg.MaxRounds < core.FrontEndMaxRounds {
-		req.MaxRounds = m.cfg.MaxRounds
+	if spec.MaxRounds <= 0 && m.cfg.MaxRounds < core.FrontEndMaxRounds {
+		spec.MaxRounds = m.cfg.MaxRounds
 	}
-	if total := req.Spec.NumTrials(); total > m.cfg.MaxTrials {
+	if total := spec.NumTrials(); total > m.cfg.MaxTrials {
 		return nil, badRequest("spec expands to %d trials, above the server cap %d", total, m.cfg.MaxTrials)
 	}
-	exactD := slices.ContainsFunc(req.Spec.Algos, func(a string) bool { return needsExactD(a, req.Spec.DiameterEstimate) })
-	for _, g := range req.Spec.Graphs {
-		if err := graphWithin(g, m.cfg.MaxEdges, exactD); err != nil {
+	for _, g := range spec.Graphs {
+		if _, _, err := graphWithin(g, m.cfg.MaxEdges); err != nil {
 			return nil, err
 		}
 	}
-	p, err := req.Spec.Compile()
+	p, err := spec.Compile()
 	if err == nil {
 		_, err = p.Graphs()
 	}
@@ -875,8 +852,8 @@ func (m *Manager) SubmitElection(req ElectionRequest) (*Job, error) {
 
 // SubmitSweep validates, registers and starts an async sweep job. The
 // job result is the SweepSummary; trial records are not retained.
-func (m *Manager) SubmitSweep(req SweepRequest) (*Job, error) {
-	p, err := m.validateSweep(&req)
+func (m *Manager) SubmitSweep(spec harness.Spec) (*Job, error) {
+	p, err := m.validateSweep(&spec)
 	if err != nil {
 		return nil, err
 	}

@@ -408,7 +408,7 @@ func TestCancelMidSweep(t *testing.T) {
 // client that sees "done" in the 202 never has to poll for it.
 func TestJobDocumentCarriesResult(t *testing.T) {
 	m := NewManager(Config{Slots: 1})
-	j, err := m.SubmitSweep(SweepRequest{Spec: smallSpec()})
+	j, err := m.SubmitSweep(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestShutdownDrains(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(m, HandlerConfig{}))
 	defer ts.Close()
 
-	j, err := m.SubmitSweep(SweepRequest{Spec: smallSpec()})
+	j, err := m.SubmitSweep(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,8 +602,8 @@ func TestArenaReuse(t *testing.T) {
 func TestSweepDefaultRoundsFollowCap(t *testing.T) {
 	m := NewManager(Config{Slots: 1, MaxRounds: 64})
 	defer m.Shutdown(context.Background())
-	req := SweepRequest{Spec: harness.Spec{Algos: []string{"kingdom"}, Graphs: []string{"ring:8"}, Faults: []string{"crash:0.2"}, Trials: 8}}
-	p, err := m.validateSweep(&req)
+	spec := harness.Spec{Algos: []string{"kingdom"}, Graphs: []string{"ring:8"}, Faults: []string{"crash:0.2"}, Trials: 8}
+	p, err := m.validateSweep(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,12 +715,14 @@ func TestSweepOverCapRejectedBeforeExpansion(t *testing.T) {
 		t.Fatalf("rejecting a 10^6-trial sweep allocated %d bytes, want < 1 MiB", b)
 	}
 	// Counts no int can hold are over the cap too, sync and async alike.
-	for _, body := range []string{
-		`{"algos":["flood"],"graphs":["ring:4"],"faults":["","crash:0.1","drop:0.1"],"trials":9000000000000000000}`,
-		`{"algos":["flood"],"graphs":["ring:4"],"trials":2000000000,"async":true}`,
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweeps", `{"algos":["flood"],"graphs":["ring:4"],"faults":["","crash:0.1","drop:0.1"],"trials":9000000000000000000}`},
+		{"/v1/sweeps?async=1", `{"algos":["flood"],"graphs":["ring:4"],"trials":2000000000}`},
 	} {
-		if rec := post(body); rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, body %s", body, rec.Code, rec.Body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "above the server cap") {
+			t.Fatalf("%s %s: status %d, body %s", tc.path, tc.body, rec.Code, rec.Body)
 		}
 	}
 

@@ -91,11 +91,12 @@ func (e *engine) live(u int) bool {
 	return e.fAlive == nil || e.fAlive[u]
 }
 
-// loopEvent is the event-driven main loop (the coordinator). It selects
-// the next virtual-time tick from the shards' queues, runs the tick
-// across the shards (runTick), and tests quiescence on summed counters.
+// loopEvent is the event-driven main loop (the coordinator). One rule
+// picks the next virtual-time tick from the shards' queues and also
+// decides that the run is over; between selections it runs the tick
+// across the shards (runTick).
 func (e *engine) loopEvent() {
-	n, maxRounds := e.g.N(), e.maxTick
+	maxRounds := e.maxTick
 	e.crossed = len(e.watch) == 0
 
 	// Spontaneous wake-ups become timer events in their owner's wheel.
@@ -116,57 +117,44 @@ func (e *engine) loopEvent() {
 
 	t := 0
 	for {
-		// Whenever the queues decide the next tick, buckets whose events
-		// have all gone stale are discarded first — a leftover scheduled
-		// wake-up for a node that a message woke earlier must not keep
-		// the run alive or inflate Rounds.
-		var next int
-		if e.arrivals > 0 {
-			// Messages written into inbox rows arrive next tick, and
-			// nothing else can be due before it.
-			next = t + 1
-		} else if !e.async && e.running > 0 {
-			// Synchronous semantics: a node on an active list is stepped
-			// every round, so virtual time cannot skip ahead (pending fault
-			// events due by t+1 are applied at the start of tick t+1). With
-			// every running node parked, time jumps to the next queued
-			// event or membership change; with neither left nothing can
-			// rouse them, and stepping them would only reach the round cap.
-			next = t + 1
-			if e.active == 0 {
-				next = maxRounds + 1
-				if wm, ok := e.pruneDeadEvents(); ok {
-					next = wm
+		// The next tick is t+1 while messages are due there or, in the
+		// synchronous modes, a node on an active list holds a round timer
+		// (pending fault events due by t+1 apply at its start). Otherwise
+		// time jumps to the next event, after the buckets whose events
+		// have all gone stale are discarded: a leftover wake-up for a
+		// node a message woke earlier must not keep the run alive or
+		// inflate Rounds.
+		next := t + 1
+		if e.arrivals == 0 && (e.async || e.active == 0) {
+			wm, live := e.pruneDeadEvents()
+			switch {
+			case live || (!e.async && e.running > 0):
+				// A live event, or a parked node one may yet rouse: jump to
+				// the next event or membership change, whichever is first.
+				// With no event queued, parked nodes only reach the cap.
+				if !live {
+					wm = maxRounds + 1
 				}
+				next = wm
 				if fm, have := e.minFaultTick(); have && fm < next {
 					next = fm
 				}
+			case e.pendingUp() > 0:
+				// Quiet network, but a crashed node is scheduled to come
+				// back: a rejoining node can revive the run, so jump to the
+				// earliest recovery. Every fault event due before it
+				// applies at that tick.
+				next = e.nextRevive()
+			default:
+				// Nothing in flight, nothing scheduled, nobody running or
+				// every running node halted: the network is dead. Fault
+				// events without a pending recovery cannot revive it —
+				// crashes scheduled past this point never fire. A network
+				// dead on arrival still "runs" its first round: round 1 is
+				// where a round-by-round execution finds that out.
+				e.res.Rounds = max(t, 1)
+				return
 			}
-		} else if wm, ok := e.pruneDeadEvents(); ok {
-			next = wm
-			// Fault events are applied at the tick they are due, so a
-			// membership change cannot be skipped over.
-			if fm, have := e.minFaultTick(); have && fm < next {
-				next = fm
-			}
-		} else if e.pendingUp() > 0 {
-			// Quiet network, but a crashed node is scheduled to come
-			// back: a rejoining node can revive the run, so jump to the
-			// earliest recovery (crash events due before it apply the
-			// same tick).
-			next = e.nextRevive()
-		} else {
-			// Nothing in flight, nothing scheduled, nobody running: the
-			// network is dead. Fault events without a pending recovery
-			// cannot revive it — crashes scheduled past this point never
-			// fire. A network dead on arrival still "runs" its first
-			// round: round 1 is where a round-by-round execution finds
-			// that out.
-			if t == 0 {
-				t = 1
-			}
-			e.res.Rounds = t
-			return
 		}
 		if next > maxRounds {
 			e.res.Rounds = maxRounds
@@ -178,31 +166,12 @@ func (e *engine) loopEvent() {
 		if e.err != nil {
 			return
 		}
-		if e.pendingMsgs == 0 && e.arrivals == 0 && e.pendingUp() == 0 {
-			// With a recovery pending the run is never over: the rejoining
-			// node re-enters (with reset state it even re-Starts), so every
-			// quiescence test below would be premature.
-			halted, wheelsEmpty := 0, true
-			for i := range e.shards {
-				sh := &e.shards[i]
-				halted += sh.numHalted
-				if !sh.wheel.empty() {
-					wheelsEmpty = false
-				}
-			}
-			if halted == n {
-				e.res.Rounds = t
-				return
-			}
-			if e.running == 0 && wheelsEmpty {
-				// Only never-woken sleepers remain and no event is queued.
-				e.res.Rounds = t
-				return
-			}
-			if e.cfg.StopWhenQuiet && e.allDecided() {
-				e.res.Rounds = t
-				return
-			}
+		// With a recovery pending the run is never over: the rejoining
+		// node re-enters (with reset state it even re-Starts).
+		if e.cfg.StopWhenQuiet && e.pendingMsgs == 0 && e.arrivals == 0 &&
+			e.pendingUp() == 0 && e.allDecided() {
+			e.res.Rounds = t
+			return
 		}
 	}
 }
@@ -276,7 +245,7 @@ func (e *engine) allDecided() bool {
 // belongs to one of the shard's own nodes, so shards run this concurrently.
 func (e *engine) tickShard(sh *engineShard, t int) {
 	if e.watch != nil {
-		sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
+		sh.sendDropTick, sh.crossedTick = 0, false
 	}
 	sh.err = nil
 	sh.wake = sh.wake[:0]
@@ -484,9 +453,6 @@ func (e *engine) arrive(sh *engineShard, t int) {
 	sh.bits += sh.arrivalBits
 	sh.arrivals, sh.arrivalBits = 0, 0
 	sh.lastActive = t
-	if e.watch != nil {
-		sh.deliveredTick += int64(k)
-	}
 	// crossed is the coordinator's, written only at the barrier: until the
 	// first crossing every shard looks for one in its rows.
 	if !e.crossed || e.fAlive != nil {
@@ -563,11 +529,6 @@ func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 		if e.changed[u] {
 			e.changed[u] = false
 			sh.lastActive = t
-		}
-		if e.halted[u] && !e.haltCounted[u] {
-			e.haltCounted[u] = true
-			sh.numHalted++
-			sh.numRunning--
 		}
 		ob := e.out[u]
 		if len(ob) == 0 || !route {

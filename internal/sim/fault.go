@@ -35,11 +35,16 @@
 //	                    for the whole run.
 //
 // One node-fault term (crash/crashrec/churn) and one drop term may be
-// composed with "+": "crashrec:0.2:32+drop:0.05". The engine applies
-// fault events at the start of the tick they are due, before that
-// tick's deliveries; events scheduled after the run has quiesced (and
-// past MaxRounds) never fire. Pending recoveries keep a quiet run
-// alive — a network that looks dead can be revived by a rejoining node.
+// composed with "+": "crashrec:0.2:32+drop:0.05". The engine applies a
+// fault event at the start of the first tick it runs at or after the
+// event's due tick, before that tick's deliveries; events scheduled after
+// the run has quiesced (and past MaxRounds) never fire. Pending
+// recoveries keep a quiet run alive — a network that looks dead can be
+// revived by a rejoining node — and time jumps straight to the earliest
+// one, so every event due before it applies at its tick. A churn leave
+// applied late schedules its rejoin K ticks after the tick it applied
+// at, so in a quiet network the seed-derived phases collapse onto the
+// recovery ticks.
 package sim
 
 import (
@@ -311,10 +316,7 @@ func faultEventLess(a, b faultEvent) bool {
 // the run's Config carries a schedule, so the fault-free path never
 // touches it.
 type faultState struct {
-	fs   *FaultSchedule
-	seed int64
-
-	lo, hi  int   // owned node range
+	fs      *FaultSchedule
 	revived []int // keep-state revivals to splice back into the step sets
 
 	heap      minHeap[faultEvent] // by faultEventLess: (tick, node, kind)
@@ -329,8 +331,6 @@ type faultState struct {
 // is exactly the [lo, hi) slice of the single-shard heap.
 func (fst *faultState) reset(fs *FaultSchedule, seed int64, lo, hi, maxTick int) {
 	fst.fs = fs
-	fst.seed = seed
-	fst.lo, fst.hi = lo, hi
 	fst.maxTick = maxTick
 	fst.heap = fst.heap[:0]
 	fst.revived = fst.revived[:0]
@@ -423,10 +423,6 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 			if e.awake[u] && !e.halted[u] {
 				sh.numRunning--
 			}
-			if !e.haltCounted[u] {
-				e.haltCounted[u] = true
-				sh.numHalted++
-			}
 			e.idle[u] = 0 // a revived node holds its round timers again
 			if fst.fs.class == faultChurn {
 				fst.pushRecover(t+fst.fs.down, ev.node)
@@ -448,8 +444,6 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 				if e.halted[u] {
 					continue // it had stopped for good before the crash
 				}
-				e.haltCounted[u] = false
-				sh.numHalted--
 				if e.awake[u] {
 					sh.numRunning++
 					fst.revived = append(fst.revived, u)
@@ -470,8 +464,6 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 			e.awake[u] = false
 			e.changed[u] = false
 			e.ctxs[u].rngReady = false
-			e.haltCounted[u] = false
-			sh.numHalted--
 			e.fRejoined[u] = true
 			sh.wake = append(sh.wake, u)
 		}

@@ -94,16 +94,15 @@ type buffers struct {
 
 	// Per-node rows shared by the shards — each shard writes only its own
 	// nodes' slots, so no synchronization is needed.
-	status      []Status
-	halted      []bool
-	awake       []bool
-	changed     []bool
-	nodeErr     []error
-	procs       []Process
-	ctxs        []Context
-	rngs        []*rand.Rand // lazily-built per-node generators
-	idle        []int        // round a parked node idles until (0 = not parked)
-	haltCounted []bool       // halt already merged into the counters
+	status  []Status
+	halted  []bool
+	awake   []bool
+	changed []bool
+	nodeErr []error
+	procs   []Process
+	ctxs    []Context
+	rngs    []*rand.Rand // lazily-built per-node generators
+	idle    []int        // round a parked node idles until (0 = not parked)
 
 	// shards holds the per-range wheels, scratch lists, fault heaps and
 	// mailboxes (shard.go), rebuilt when the effective shard count or the
@@ -176,7 +175,6 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	b.ctxs = resized(b.ctxs, n)
 	b.rngs = resized(b.rngs, n)
 	b.idle = resized(b.idle, n)
-	b.haltCounted = resized(b.haltCounted, n)
 	b.carveRows()
 	return nil
 }
@@ -314,7 +312,6 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		maxTick: maxRounds,
 	}
 	clear(e.idle)
-	clear(e.haltCounted)
 	if e.linkDelay, _ = m.Delay.(linkDelay); e.linkDelay != nil && len(e.linkMix) != len(e.nbr) {
 		e.linkMix = resized(e.linkMix, len(e.nbr))
 	}

@@ -25,7 +25,7 @@
 // lives in exactly one shard, and both the sender's flush and the mailbox
 // drain preserve its send order — so every interleaving the sharding
 // changes is invisible. Everything else the engine accumulates (message,
-// bit and drop totals, the crossing instrument, halt/run counters) is
+// bit and drop totals, the crossing instrument, the running counters) is
 // order-independent: sums, maxes, a per-tick or. The one ordered choice
 // is which model violation a failing run reports when several nodes err
 // in one round: the lowest-numbered one. Each shard keeps its own lowest,
@@ -159,7 +159,6 @@ type shardCounts struct {
 	// Quiescence counters; the coordinator sums them.
 	pendingMsgs int // ASYNC deliveries queued in this shard's wheel
 	numRunning  int // awake && !halted && alive
-	numHalted   int
 
 	// The arrivals landed in own rows and not yet delivered (arrive): how
 	// many and their summed cached bits, so that the arrival pass never
@@ -178,9 +177,8 @@ type shardCounts struct {
 
 	// Per-tick scratch for the watched-edge crossing cut, folded at the
 	// barrier (only maintained when edges are watched).
-	deliveredTick int64
-	sendDropTick  int64
-	crossedTick   bool
+	sendDropTick int64
+	crossedTick  bool
 }
 
 // resetRun re-arms the shard for one run, keeping every allocation but
@@ -249,7 +247,7 @@ func (e *engine) runTick(t int) {
 		switch {
 		case pooled:
 		case sh.due == 0 && sh.faults == nil:
-			sh.deliveredTick, sh.sendDropTick, sh.crossedTick = 0, 0, false
+			sh.sendDropTick, sh.crossedTick = 0, false
 			sh.wheel.advance(t)
 		default:
 			e.tickShard(sh, t)
@@ -331,25 +329,22 @@ func (e *engine) foldTick(t int) {
 	if e.watch == nil {
 		return
 	}
-	var delivered, dropSend int64
+	var msgs int64
 	crossedNow := e.crossed
 	for i := range e.shards {
 		sh := &e.shards[i]
-		delivered += sh.deliveredTick
-		dropSend += sh.sendDropTick
+		msgs += sh.msgs - sh.sendDropTick
 		crossedNow = crossedNow || sh.crossedTick
 	}
 	// Mirror the single-shard accounting order: deliveries land before
-	// the crossing check, send-time drops after it.
-	post := e.msgsTotal + delivered
+	// the crossing check, this tick's send-time drops after it.
 	switch {
 	case !crossedNow:
-		e.res.MessagesBeforeCrossing = post
+		e.res.MessagesBeforeCrossing = msgs
 	case !e.crossed:
 		e.res.FirstCrossing = t
 	}
 	e.crossed = crossedNow
-	e.msgsTotal = post + dropSend
 }
 
 // pendingUp sums the shards' pending-recovery counters.

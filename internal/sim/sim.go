@@ -272,7 +272,10 @@ func (c *Context) Status() Status { return c.eng.status[c.node] }
 // Halt marks the node as finished: it receives no further Round calls and
 // discards any messages that arrive later (they are still counted).
 func (c *Context) Halt() {
-	c.eng.halted[c.node] = true
+	if !c.eng.halted[c.node] {
+		c.eng.halted[c.node] = true
+		c.sh.numRunning-- // the stepping shard's own counter
+	}
 }
 
 // WakeOnMessage is the Config.Wake value for nodes that sleep until the
@@ -435,11 +438,10 @@ type engine struct {
 	fRejoined []bool // fRejoined[u]: u Start()s this tick because it rejoined
 	// proto rebuilds a node's process on reset-state recovery.
 	proto Protocol
-	// Watched-edge crossing cut, folded at tick barriers (coordinator
-	// only; see foldTick).
-	crossed   bool
-	msgsTotal int64
-	maxTick   int // round cap; timers past it are never scheduled
+	// crossed is the watched-edge crossing cut, folded at tick barriers
+	// (coordinator only; see foldTick).
+	crossed bool
+	maxTick int // round cap; timers past it are never scheduled
 	// Quiescence counters summed over the shards at the end of every tick
 	// (foldTick): awake live non-halted nodes, those of them that hold a
 	// round timer (synchronous modes), ASYNC deliveries in the wheels, and
