@@ -235,25 +235,49 @@ func TestSeededGraphsByteIdentical(t *testing.T) {
 	})
 }
 
-// TestEdgeSetRepresentationsAgree drives the bitset and map dedup paths
-// with identical insert sequences; RandomConnected's RNG stream depends on
-// the answers, so the representations must be indistinguishable.
+// TestEdgeSetRepresentationsAgree drives the bitset and the table dedup
+// paths, and a plain map, with identical insert streams full of
+// duplicates; RandomConnected's RNG stream depends on the answers, so
+// the representations must be indistinguishable. The table starts at its
+// smallest size, so the stream also crosses several rehashes, and a
+// large-n set must choose the table.
 func TestEdgeSetRepresentationsAgree(t *testing.T) {
-	n := 64
+	if s := newEdgeSet(bitsetMaxN+1, 10); s.bits != nil || s.keys == nil {
+		t.Fatal("expected the table representation above bitsetMaxN")
+	}
+	n := 300
 	bitset := newEdgeSet(n, 0)
 	if bitset.bits == nil {
 		t.Fatal("expected bitset representation for small n")
 	}
-	hashed := &edgeSet{n: n, m: make(map[[2]int]bool)}
+	table := &edgeSet{n: n}
+	table.grow(16)
+	seen := map[[2]int]bool{}
 	rng := rand.New(rand.NewSource(131))
-	for i := 0; i < 4000; i++ {
+	fresh, inserts := 0, 0
+	for i := 0; i < 60000; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			continue
 		}
-		if bitset.insert(u, v) != hashed.insert(u, v) {
-			t.Fatalf("representations disagree on (%d,%d) at step %d", u, v, i)
+		inserts++
+		want := !seen[normEdge(u, v)]
+		seen[normEdge(u, v)] = true
+		if want {
+			fresh++
 		}
+		if got := bitset.insert(u, v); got != want {
+			t.Fatalf("bitset says %v on (%d,%d) at step %d, the map %v", got, u, v, i, want)
+		}
+		if got := table.insert(u, v); got != want {
+			t.Fatalf("table says %v on (%d,%d) at step %d, the map %v", got, u, v, i, want)
+		}
+	}
+	if inserts-fresh < inserts/4 {
+		t.Fatalf("%d distinct edges of %d inserts: the stream holds too few duplicates to test", fresh, inserts)
+	}
+	if table.used != len(seen) || len(table.keys) < 2*table.used {
+		t.Errorf("table holds %d keys in %d slots for %d edges", table.used, len(table.keys), len(seen))
 	}
 }
 

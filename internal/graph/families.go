@@ -105,12 +105,15 @@ func normEdge(u, v int) [2]int {
 // rejection sampling needs membership answers mid-stream (a sort-based
 // dedup cannot answer those). Small node counts use a flat n×n bit
 // matrix — O(1) per probe, no hashing, no per-insert allocation — and
-// large ones fall back to a hash set; both give identical answers, so the
-// RNG consumption of a seeded build is representation-independent.
+// large ones an open-addressing table of packEdge keys; both give
+// identical answers, so the RNG consumption of a seeded build is
+// representation-independent.
 type edgeSet struct {
-	n    int
-	bits []uint64        // n*n bit matrix, nil when falling back
-	m    map[[2]int]bool // fallback for large n
+	n     int
+	bits  []uint64 // n*n bit matrix, nil for the table
+	keys  []uint64 // linear-probing table, 2^(64-shift) long; 0 is empty
+	shift uint
+	used  int // keys held in the table
 }
 
 // bitsetMaxN caps the dense representation at n²/8 = 8 MiB.
@@ -121,9 +124,25 @@ func newEdgeSet(n, sizeHint int) *edgeSet {
 	if n <= bitsetMaxN {
 		s.bits = make([]uint64, (n*n+63)/64)
 	} else {
-		s.m = make(map[[2]int]bool, sizeHint)
+		s.grow(max(16, 2*sizeHint))
 	}
 	return s
+}
+
+// grow rehashes the table into the smallest power of two of at least
+// size slots.
+func (s *edgeSet) grow(size int) {
+	s.shift = 64
+	for 1<<(64-s.shift) < size {
+		s.shift--
+	}
+	old := s.keys
+	s.keys = make([]uint64, 1<<(64-s.shift))
+	for _, k := range old {
+		if k != 0 {
+			s.add(k)
+		}
+	}
 }
 
 // insert adds the normalized edge (u,v) and reports whether it was new.
@@ -140,12 +159,32 @@ func (s *edgeSet) insert(u, v int) bool {
 		s.bits[w] |= b
 		return true
 	}
-	k := [2]int{u, v}
-	if s.m[k] {
+	// u < v, so a key is never the empty 0.
+	if !s.add(packEdge(u, v)) {
 		return false
 	}
-	s.m[k] = true
+	if s.used++; 2*s.used > len(s.keys) {
+		s.grow(2 * len(s.keys))
+	}
 	return true
+}
+
+// add puts key k in the table unless it is there, reporting which.
+func (s *edgeSet) add(k uint64) bool {
+	mask := uint64(len(s.keys) - 1)
+	// Fibonacci hashing: the multiply spreads both endpoints over the
+	// high bits, which the shift keeps.
+	i := k * 0x9e3779b97f4a7c15 >> s.shift
+	for {
+		switch s.keys[i] {
+		case 0:
+			s.keys[i] = k
+			return true
+		case k:
+			return false
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // checkRandomConnected is RandomConnected's precondition (spec.go answers

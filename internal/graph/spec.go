@@ -57,7 +57,8 @@ type family struct {
 // range describes no graph this package can hold and is refused as such,
 // which also keeps every product in size inside an int64.
 func parseSpec(spec string) (family, error) {
-	parts := strings.Split(spec, ":")
+	var parts, dims [3]string
+	arity := split(spec, ':', &parts)
 	f := family{kind: parts[0]}
 	num := func(text string) (int, error) {
 		v, err := strconv.Atoi(text)
@@ -93,7 +94,7 @@ func parseSpec(spec string) (family, error) {
 	var err error
 	switch f.kind {
 	case "path", "ring", "star", "complete", "hypercube":
-		if len(parts) != 2 {
+		if arity != 2 {
 			return f, fmt.Errorf("graph spec %q: want %s:N", spec, f.kind)
 		}
 		if f.a, err = num(parts[1]); err != nil {
@@ -112,20 +113,19 @@ func parseSpec(spec string) (family, error) {
 			err = atLeast(f.a, 1, "N")
 		}
 	case "grid", "torus", "bipartite":
-		if len(parts) != 2 {
+		if arity != 2 {
 			return f, fmt.Errorf("graph spec %q: want %s:AxB", spec, f.kind)
 		}
-		dims := strings.Split(parts[1], "x")
-		if len(dims) != 2 {
+		if split(parts[1], 'x', &dims) != 2 {
 			return f, fmt.Errorf("graph spec %q: want AxB, got %q", spec, parts[1])
 		}
 		min := 1
 		if f.kind == "torus" {
 			min = 3
 		}
-		err = params(dims, min)
+		err = params(dims[:2], min)
 	case "random", "regular", "caterpillar", "lollipop", "dumbbell", "cliquecycle":
-		if len(parts) != 3 {
+		if arity != 3 {
 			return f, fmt.Errorf("graph spec %q: want %s:A:B", spec, f.kind)
 		}
 		if err = params(parts[1:], 0); err != nil {
@@ -147,6 +147,28 @@ func parseSpec(spec string) (family, error) {
 		err = fmt.Errorf("unknown graph family %q in spec %q", f.kind, spec)
 	}
 	return f, err
+}
+
+// split cuts s at every sep into fields, stores the first three in out
+// and returns how many there are — strings.Split into a fixed array, so
+// that parsing a spec allocates nothing.
+func split(s string, sep byte, out *[3]string) int {
+	k := 0
+	for {
+		i := strings.IndexByte(s, sep)
+		field := s
+		if i >= 0 {
+			field = s[:i]
+		}
+		if k < len(out) {
+			out[k] = field
+		}
+		k++
+		if i < 0 {
+			return k
+		}
+		s = s[i+1:]
+	}
 }
 
 // pairs is n(n-1)/2, the edges of K_n.

@@ -69,7 +69,8 @@ func TestFromSpecDeterministic(t *testing.T) {
 }
 
 func TestFromSpecErrors(t *testing.T) {
-	for _, spec := range []string{"nosuch:8", "ring", "grid:3", "random:16", "ring:x", "grid:axb"} {
+	for _, spec := range []string{"nosuch:8", "ring", "grid:3", "random:16", "ring:x", "grid:axb",
+		"ring:9:9", "grid:3x4x5", "grid:3x4:5", "random:64:200:1", "lollipop:40:200:"} {
 		if _, err := FromSpec(spec, 1); err == nil {
 			t.Errorf("FromSpec(%q): want error, got nil", spec)
 		}
@@ -164,5 +165,22 @@ func TestSpecSizeMatchesBuild(t *testing.T) {
 	}
 	if _, _, err := SpecSize("complete:2147483648"); err == nil {
 		t.Error("SpecSize accepts a parameter beyond the int32 index range")
+	}
+}
+
+// TestSpecSizeAllocatesNothing holds the size check a front end runs on
+// every spec it is handed before building anything to zero allocations,
+// for one spec of every family.
+func TestSpecSizeAllocatesNothing(t *testing.T) {
+	for _, spec := range []string{"path:9", "ring:9", "star:9", "complete:9", "hypercube:4",
+		"grid:3x4", "torus:3x4", "bipartite:3x4", "random:64:200", "regular:64:4",
+		"caterpillar:5:3", "lollipop:40:200", "dumbbell:40:200", "cliquecycle:60:6"} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := SpecSize(spec); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("SpecSize(%q) allocates %.0f times a call", spec, allocs)
+		}
 	}
 }

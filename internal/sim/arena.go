@@ -34,6 +34,12 @@
 // drain at the barrier (shard.go), and the slot is not written again
 // before the node's next step.
 //
+// A synchronous broadcast that is its node's first send of the tick
+// (and no link drops a message) is not written into the outbox row at
+// all: it stays one per-node bcastSlot, which the receivers' shards read
+// at the barrier, and a later send of the tick expands it into the row
+// first.
+//
 // The inbox ordering contract — ascending receiving port, per-link send
 // order preserved within a port — is enforced once per receiving node and
 // tick by orderInbox, which allocates nothing once its shard's scratch
@@ -53,6 +59,19 @@ type outMsg struct {
 	port int32 // sending port
 	bits int32 // cached Payload.Bits() from send time
 	pl   Payload
+}
+
+// bcastSlot is a node's broadcast of one synchronous tick kept whole
+// (sendAll): the payload with its cached size, the sending port it skips
+// (negative or past the degree: none) and the tick it was sent in. It
+// stands for the records sendAll's loop would queue, and holds them only
+// while tick is the current tick: expand writes them out and clears
+// tick, and a later tick never reads a slot of an earlier one.
+type bcastSlot struct {
+	pl   Payload
+	bits int32
+	skip int32
+	tick int
 }
 
 // inboxOrder is a shard's scratch for ordering inbox rows (orderInbox).

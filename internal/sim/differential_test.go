@@ -29,9 +29,13 @@ func mustMatchReference(t *testing.T, cfg Config, p Protocol) *Result {
 }
 
 // chaosProto is the randomized differential's protocol: every node acts on
-// its own coins — sends on random ports, decides a status once, halts — when
-// it is started, when it receives, and when a quiet period it chose for
-// itself runs out. Some quiet periods it declares with IdleUntil (finite
+// its own coins — broadcasts, sends on random ports, decides a status
+// once, halts — when it is started, when it receives (in an order the
+// coins it spends then depend on), and when a quiet period it chose for
+// itself runs out. A broadcast, with or without a
+// skipped port (which may be out of range), comes before the sends or
+// after them, so that the engine keeps it as a slot, expands a kept one,
+// or queues it behind records. Some quiet periods it declares with IdleUntil (finite
 // and Forever), truthfully: until quietUntil its Round on an empty inbox
 // draws no coin and does nothing. With violate set it occasionally breaks
 // the model (an invalid port, a payload over the CONGEST budget, a ninth
@@ -50,6 +54,17 @@ func (p *chaosProc) Start(c *Context) { p.act(c) }
 
 func (p *chaosProc) Round(c *Context, inbox []Message) {
 	if len(inbox) > 0 || c.Round() >= p.quietUntil {
+		// The inbox order is observable: the messages, in the order
+		// they are read, decide whether a coin is spent before acting.
+		h := uint64(0)
+		for _, m := range inbox {
+			if tm, ok := m.Payload.(tokenMsg); ok {
+				h = SplitMix64(h ^ uint64(tm.v)<<8 ^ uint64(m.Port))
+			}
+		}
+		if h&1 == 1 {
+			c.Rand().Int63()
+		}
 		p.act(c)
 	} else if p.hinted {
 		c.IdleUntil(p.quietUntil) // still idle: a hint lapses with every step
@@ -58,6 +73,18 @@ func (p *chaosProc) Round(c *Context, inbox []Message) {
 
 func (p *chaosProc) act(c *Context) {
 	rng := c.Rand()
+	broadcast := func() {
+		pl := tokenMsg{rng.Int63n(1 << 20)}
+		if skip := rng.Intn(c.Degree()+3) - 1; skip > c.Degree() {
+			c.Broadcast(pl)
+		} else {
+			c.BroadcastExcept(skip, pl)
+		}
+	}
+	bcast := rng.Intn(6)
+	if bcast == 0 {
+		broadcast()
+	}
 	for k := rng.Intn(3); k > 0; k-- {
 		port := rng.Intn(c.Degree())
 		var pl Payload = tokenMsg{rng.Int63n(1 << 20)}
@@ -68,6 +95,9 @@ func (p *chaosProc) act(c *Context) {
 			pl = fatMsg{}
 		}
 		c.Send(port, pl)
+	}
+	if bcast == 1 {
+		broadcast()
 	}
 	if p.violate && rng.Intn(60) == 0 {
 		for range portSendCap + 1 {
@@ -104,13 +134,15 @@ func (p *chaosProc) act(c *Context) {
 // TestReferenceRandomSchedules is the randomized differential between the
 // event engine and the reference interpreter: random small graphs, and on
 // each four runs through one reused Runner at random shard counts, pooled
-// and inline, over random synchronous configurations — wake schedules with
+// and inline, landing broadcast slots by gathering and by walking, over
+// random synchronous configurations — wake schedules with
 // rounds ≤ 0 and beyond the cap, StopWhenQuiet, the crossing instrument,
 // and protocols that break the model's send rules. Results must be deeply
 // equal and failing runs must fail with the same words, and every class of
 // model violation must come up. Seeded: a failure names its iteration.
 func TestReferenceRandomSchedules(t *testing.T) {
 	defer SetMinPooledWork(minPooledWork)() // restored; set per run below
+	defer SetMinGatherShare(minGatherShare)()
 	rng := rand.New(rand.NewSource(17))
 	violations := map[error]int{ErrBadPort: 0, ErrBitCap: 0, ErrDoubleSend: 0}
 	for iter := 0; iter < 3000; iter++ {
@@ -159,6 +191,7 @@ func TestReferenceRandomSchedules(t *testing.T) {
 			}
 			proto := chaosProto{violate: rng.Intn(3) == 0}
 			minPooledWork = []int{0, math.MaxInt}[rng.Intn(2)]
+			minGatherShare = []float64{0, math.Inf(1)}[rng.Intn(2)]
 
 			want, wantErr := runReference(cfg, proto)
 			got, gotErr := r.Run(cfg, proto)

@@ -179,3 +179,59 @@ func TestEffectiveShards(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotRoutes is the shard matrix with the landing of broadcast slots
+// forced each way: every registered algorithm × execution model × fault
+// schedule on core's matrix graph must return the same Result when every
+// tick gathers and when every tick walks the broadcaster lists, at
+// shards ∈ {1, 2, 4, 8}, with ticks dispatched to the pool and inline.
+// The single-shard gathering run is the reference. Under -race the
+// pooled runs have shards reading one another's slots after the barrier.
+func TestSlotRoutes(t *testing.T) {
+	g, err := graph.RandomConnected(24, 72, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := []struct {
+		name  string
+		share float64
+	}{{"gather", 0}, {"walk", math.Inf(1)}}
+	for _, algo := range core.Names() {
+		for _, model := range []string{"local", "congest", "async+random:4"} {
+			for _, fault := range []string{"", "+crash:0.2", "+crashrec:0.1:5"} {
+				t.Run(algo+"/"+model+fault, func(t *testing.T) {
+					m, err := sim.ParseModel(model + fault)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want *sim.Result
+					for _, route := range routes {
+						for _, work := range []int{0, math.MaxInt} {
+							for _, shards := range []int{1, 2, 4, 8} {
+								restoreShare := sim.SetMinGatherShare(route.share)
+								restoreWork := sim.SetMinPooledWork(work)
+								got, err := core.Run(g, algo, core.RunOpts{
+									Seed: 5, IDs: sim.PermutationIDs(g.N(), rand.New(rand.NewSource(5))),
+									Model: m, MaxRounds: 1 << 12,
+									WatchEdges: [][2]int{{0, 1}},
+									Shards:     shards,
+								})
+								restoreWork()
+								restoreShare()
+								if err != nil {
+									t.Fatalf("%s, work %d, %d shards: %v", route.name, work, shards, err)
+								}
+								if want == nil {
+									want = got
+								} else if !reflect.DeepEqual(got, want) {
+									t.Errorf("%s, work %d, %d shards diverges from gather at 1 shard:\ngot:  %+v\nwant: %+v",
+										route.name, work, shards, got, want)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -13,10 +13,11 @@
 // synchronous modes every message sent at tick t arrives at t+1, so the
 // flush writes it straight into its receiver's inbox row (when the
 // receiver is another shard's, the mailbox drain does, from the sender's
-// outbox slot), and tick t+1 reads it there. ASYNC's deliveries take
-// 1..B ticks, so they wait as delivery records in per-tick buckets of a
-// timing wheel (wheel.go) and are scattered into the rows when their tick
-// falls due. Either way one
+// outbox slot; a broadcast kept as its sender's slot is landed by the
+// receiver's shard after the barrier, shard.go), and tick t+1 reads it
+// there. ASYNC's deliveries take 1..B ticks, so they wait as delivery
+// records in per-tick buckets of a timing wheel (wheel.go) and are
+// scattered into the rows when their tick falls due. Either way one
 // arrival pass (arrive) then delivers what the rows hold. Scheduled
 // wake-ups are wheel events in every mode, and so are the synchronous
 // modes' timers.
@@ -426,9 +427,9 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 // land writes delivery d into its receiver's inbox row — a node of the
 // shard's own — listing the receiver in recv at its first arrival and
 // counting the message, with its cached size, for the arrival pass. It is
-// the one way a message reaches a row: the synchronous flush and mailbox
-// drain call it at tick t for tick t+1, an ASYNC tick for the bucket that
-// falls due.
+// the one way a message reaches a row: the synchronous flush, mailbox
+// drain and slot landing call it at tick t for tick t+1, an ASYNC tick
+// for the bucket that falls due.
 func (e *engine) land(sh *engineShard, d delivery) {
 	v := int(d.to)
 	if len(e.inbox[v]) == 0 {
@@ -514,7 +515,8 @@ func (e *engine) arrive(sh *engineShard, t int) {
 // bookkeeping of the first pass; landing them inside the first pass cost
 // elect-dense CPU time (docs/PERFORMANCE.md § "A synchronous message
 // never enters the wheel"). A single shard's synchronous run without link
-// drops has nothing to route. Safe to call on overlapping lists: every
+// drops has nothing to route, and a broadcast kept as its sender's slot
+// (sendAll) is not in the outbox row at all. Safe to call on overlapping lists: every
 // merge is guarded or self-clearing, and an emptied outbox is skipped.
 func (e *engine) mergeAndFlush(sh *engineShard, list []int, t int) {
 	lo, hi := int32(sh.lo), int32(sh.hi)

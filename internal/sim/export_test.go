@@ -10,6 +10,17 @@ func SetMinPooledWork(work int) (restore func()) {
 	return func() { minPooledWork = old }
 }
 
+// SetMinGatherShare replaces, for the external tests of this package,
+// the share of the directed edges from which a tick's broadcast slots are
+// landed by gathering: 0 gathers on every tick that has a slot,
+// math.Inf(1) walks the broadcaster lists on every one. The returned
+// function restores the shipped share.
+func SetMinGatherShare(share float64) (restore func()) {
+	old := minGatherShare
+	minGatherShare = share
+	return func() { minGatherShare = old }
+}
+
 // IgnoreIdleHints makes the event engine ignore every Context.IdleUntil —
 // each awake node keeps all its round timers — until the returned function
 // is called.

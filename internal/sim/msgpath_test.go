@@ -21,14 +21,16 @@ import (
 
 // sendShell is the part of an engine the send rules read and write, on g,
 // as the reference interpreter builds it: one shard, whose send counters
-// the Contexts of every node count into.
-func sendShell(g *graph.Graph, mode Mode, bitCap, sendCap int) *engine {
+// the Contexts of every node count into. With slots set it may keep a
+// broadcast as its sender's slot, as a synchronous run without link drops
+// does.
+func sendShell(g *graph.Graph, mode Mode, bitCap, sendCap int, slots bool) *engine {
 	off, _ := g.CSR()
 	n := g.N()
 	return &engine{
-		cfg: Config{Model: ModelSpec{Mode: mode}}, bitCap: bitCap, sendCap: sendCap, round: 3,
+		cfg: Config{Model: ModelSpec{Mode: mode}}, bitCap: bitCap, sendCap: sendCap, round: 3, slots: slots,
 		buffers: buffers{
-			off: off, out: make([][]outMsg, n), nodeErr: make([]error, n),
+			off: off, out: make([][]outMsg, n), nodeErr: make([]error, n), bcast: make([]bcastSlot, n),
 			shards: []engineShard{{sendCnt: make([]int32, n)}},
 		},
 	}
@@ -38,7 +40,10 @@ func sendShell(g *graph.Graph, mode Mode, bitCap, sendCap int) *engine {
 // loop they abbreviate — Send on every port but skip, ascending — on nodes
 // of degree 0, 1 and 5, for every kind of skip, over every way a send can
 // fail and the ways it cannot: the queued row, the per-port send counts
-// and the node's error must come out the same.
+// and the node's error must come out the same. With broadcast slots on, a
+// slot the node still holds at the end is expanded first, as the node's
+// next send would expand it; a broadcast that is the node's first send
+// must have been kept as the slot, and any other may not have been.
 func TestBroadcastMatchesSendLoop(t *testing.T) {
 	// Node 0 is a hub of degree 5, nodes 1-5 its leaves, node 6 isolated.
 	g, err := graph.NewFromEdges(7, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
@@ -78,22 +83,27 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 		for _, u := range []int{6, 1, 0} {
 			deg := g.Degree(u)
 			for _, skip := range []int{-1, 0, deg / 2, deg - 1, deg, deg + 3} {
-				run := func(act func(c *Context)) *engine {
-					e := sendShell(g, tc.mode, bitCap, tc.cap)
+				// run reports whether the node's send was its first of the
+				// round and whether the node still held a slot after it.
+				run := func(act func(c *Context), slots bool) (e *engine, first, kept bool) {
+					e = sendShell(g, tc.mode, bitCap, tc.cap, slots)
 					c := &Context{eng: e, sh: &e.shards[0], node: u, info: NodeInfo{Degree: deg}}
 					if tc.pre != nil {
 						tc.pre(c)
 					}
+					first = len(e.out[u]) == 0 && e.bcast[u].tick == 0
 					act(c)
-					return e
+					kept = e.bcast[u].tick == e.round
+					e.expand(c)
+					return e, first, kept
 				}
-				want := run(func(c *Context) {
+				want, _, _ := run(func(c *Context) {
 					for port := 0; port < c.Degree(); port++ {
 						if port != skip {
 							c.Send(port, tc.pl)
 						}
 					}
-				})
+				}, false)
 				acts := map[string]func(c *Context){
 					"BroadcastExcept": func(c *Context) { c.BroadcastExcept(skip, tc.pl) },
 				}
@@ -101,16 +111,24 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 					acts["Broadcast"] = func(c *Context) { c.Broadcast(tc.pl) }
 				}
 				for name, act := range acts {
-					got := run(act)
-					where := fmt.Sprintf("%s, degree %d, skip %d: %s", tc.name, deg, skip, name)
-					if !slices.Equal(got.out[u], want.out[u]) {
-						t.Errorf("%s queued %v, the Send loop %v", where, got.out[u], want.out[u])
-					}
-					if gc, wc := got.shards[0].sendCnt, want.shards[0].sendCnt; !slices.Equal(gc, wc) {
-						t.Errorf("%s left send counts %v, the Send loop %v", where, gc, wc)
-					}
-					if ge, we := fmt.Sprint(got.nodeErr[u]), fmt.Sprint(want.nodeErr[u]); ge != we {
-						t.Errorf("%s: error %q, the Send loop's %q", where, ge, we)
+					for _, slots := range []bool{false, true} {
+						got, first, kept := run(act, slots)
+						where := fmt.Sprintf("%s, degree %d, skip %d, slots %v: %s", tc.name, deg, skip, slots, name)
+						if wantKept := slots && first && want.nodeErr[u] == nil && len(want.out[u]) > 0; kept != wantKept {
+							t.Errorf("%s: slot kept %v, want %v", where, kept, wantKept)
+						}
+						if !slices.Equal(got.out[u], want.out[u]) {
+							t.Errorf("%s queued %v, the Send loop %v", where, got.out[u], want.out[u])
+						}
+						if gc, wc := got.shards[0].sendCnt, want.shards[0].sendCnt; !slices.Equal(gc, wc) {
+							t.Errorf("%s left send counts %v, the Send loop %v", where, gc, wc)
+						}
+						if ge, we := fmt.Sprint(got.nodeErr[u]), fmt.Sprint(want.nodeErr[u]); ge != we {
+							t.Errorf("%s: error %q, the Send loop's %q", where, ge, we)
+						}
+						if sh := got.shards[0]; sh.slotSends != 0 {
+							t.Errorf("%s: %d slot sends left after the slot was expanded", where, sh.slotSends)
+						}
 					}
 				}
 			}
@@ -121,8 +139,12 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 // capBurstProto tests the per-port send cap across Start and Round. The
 // node woken at round 1 sends one token on port 0 and halts; a node that a
 // message wakes sends start tokens on port 0 in Start and round more in
-// its Round of the same tick, then halts.
-type capBurstProto struct{ start, round int }
+// its Round of the same tick, then halts. With bcast set the first of the
+// start tokens is a Broadcast, which goes out on port 0 too.
+type capBurstProto struct {
+	start, round int
+	bcast        bool
+}
 
 func (p capBurstProto) New(NodeInfo) Process { return &capBurstProc{p: p} }
 
@@ -132,6 +154,9 @@ func (b *capBurstProc) Start(c *Context) {
 	n := b.p.start
 	if c.SpontaneousWake() {
 		n = 1
+	} else if b.p.bcast {
+		c.Broadcast(tokenMsg{1})
+		n--
 	}
 	for range n {
 		c.Send(0, tokenMsg{1})
@@ -151,9 +176,10 @@ func (b *capBurstProc) Round(c *Context, inbox []Message) {
 // same tick share one per-port cap. On ring:8 node 4 wakes at round 1 and
 // wakes node 3, which sends 5 tokens through port 0 in Start and 4 more
 // in Round: the ninth send fails, with the text the engine gave when it
-// counted per directed edge. 5 and 3 stay within the cap of 8. The same
-// holds in the reference interpreter and at 1, 2 and 4 shards, where
-// node 3's wake-up crosses a shard boundary.
+// counted per directed edge. 5 and 3 stay within the cap of 8. So it goes
+// when the first of Start's tokens is a Broadcast, kept as node 3's slot
+// until its next send. The same holds in the reference interpreter and
+// at 1, 2 and 4 shards, where node 3's wake-up crosses a shard boundary.
 func TestPortSendCapSpansStartAndRound(t *testing.T) {
 	g := graph.Ring(8)
 	if g.Neighbor(4, 0) != 3 || g.Neighbor(3, 0) != 2 {
@@ -175,7 +201,10 @@ func TestPortSendCapSpansStartAndRound(t *testing.T) {
 	for _, tc := range []struct {
 		p   capBurstProto
 		err string
-	}{{capBurstProto{5, 4}, capped}, {capBurstProto{5, 3}, ""}} {
+	}{
+		{capBurstProto{5, 4, false}, capped}, {capBurstProto{5, 3, false}, ""},
+		{capBurstProto{5, 4, true}, capped}, {capBurstProto{5, 3, true}, ""},
+	} {
 		want, err := runReference(cfg, tc.p)
 		if errText(err) != tc.err {
 			t.Fatalf("%+v: the reference reports %v, want %q", tc.p, err, tc.err)
@@ -433,14 +462,16 @@ func mailStorage(r *Runner) (total int64) {
 
 // TestMailHoldsReferences pins what a cross-shard message costs while it
 // waits for the barrier: a 16-byte reference to its sender's outbox slot,
-// not a copy of the message. Every node of random:8192:65536 broadcasts
-// in every round (a CONGEST all-ports flood) over two shards, so every
-// tick carries the same cross-shard messages, one per directed edge across
-// the cut; the mailbox rows hold at most 16 B for each, plus the headroom
-// append leaves in a row (a 40-byte copy of each message took 40 B and
-// more). Per-link sequence numbers are the state of the runs that read
-// them: a synchronous run leaves them unallocated, an ASYNC run on the
-// same Runner sizes them.
+// not a copy of the message. Every node of random:8192:65536 sends on
+// each of its ports, one Send a port, in every round (a CONGEST all-ports
+// flood) over two shards, so every tick carries the same cross-shard
+// messages, one per directed edge across the cut; the mailbox rows hold
+// more than nothing and at most 16 B for each, plus the headroom append
+// leaves in a row (a 40-byte copy of each message took 40 B and more).
+// The same flood by Broadcast parks nothing: its receivers read it in the
+// sender's broadcast slot. Per-link sequence numbers are the state of the
+// runs that read them: a synchronous run leaves them unallocated, an
+// ASYNC run on the same Runner sizes them.
 func TestMailHoldsReferences(t *testing.T) {
 	g, err := graph.FromSpec("random:8192:65536", 1)
 	if err != nil {
@@ -460,18 +491,33 @@ func TestMailHoldsReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{IDs: SequentialIDs(n, 1), Seed: 2, Shards: 2}
-	res, err := r.Run(cfg, rollcallProto{until: 6})
+	bcast, err := NewRunner(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.eng.shards) != 2 || res.Messages != 5*int64(g.DegreeSum()) {
-		t.Fatalf("%d shards, %d messages: not the run this test is about", len(r.eng.shards), res.Messages)
-	}
-	held := mailStorage(r)
-	t.Logf("mailbox rows hold %d B for %d cross-shard messages a tick: %.1f B each", held, cross, float64(held)/float64(cross))
-	if held > 16*cross*5/4 {
-		t.Errorf("mailbox rows hold %d B for the %d cross-shard messages of a tick, %.1f B each (bound 16 B and a quarter's headroom)",
-			held, cross, float64(held)/float64(cross))
+	for _, run := range []struct {
+		r     *Runner
+		p     rollcallProto
+		empty bool
+	}{{r, rollcallProto{until: 6, ports: true}, false}, {bcast, rollcallProto{until: 6}, true}} {
+		res, err := run.r.Run(cfg, run.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run.r.eng.shards) != 2 || res.Messages != 5*int64(g.DegreeSum()) {
+			t.Fatalf("%d shards, %d messages: not the run this test is about", len(run.r.eng.shards), res.Messages)
+		}
+		held := mailStorage(run.r)
+		t.Logf("%+v: mailbox rows hold %d B for %d cross-shard messages a tick: %.1f B each", run.p, held, cross, float64(held)/float64(cross))
+		switch {
+		case run.empty && held != 0:
+			t.Errorf("a broadcast flood left %d B in the mailbox rows", held)
+		case !run.empty && held == 0:
+			t.Errorf("a flood of Sends parked nothing in the mailbox rows: not the run this test is about")
+		case held > 16*cross*5/4:
+			t.Errorf("mailbox rows hold %d B for the %d cross-shard messages of a tick, %.1f B each (bound 16 B and a quarter's headroom)",
+				held, cross, float64(held)/float64(cross))
+		}
 	}
 	if r.eng.linkSeq != nil {
 		t.Errorf("a synchronous run allocated %d link sequence numbers", len(r.eng.linkSeq))
@@ -495,15 +541,19 @@ func TestMailHoldsReferences(t *testing.T) {
 // rollcallProto has every node broadcast ID·round in every round before
 // round `until` and halt there: from tick 2 on every node hears from
 // every neighbour at every tick, and payload sizes differ by sender and
-// round.
-type rollcallProto struct{ until int }
+// round. With ports set it sends the same with one Send a port.
+type rollcallProto struct {
+	until int
+	ports bool
+}
 
 func (p rollcallProto) New(info NodeInfo) Process {
-	return &rollcallProc{until: p.until, id: info.ID}
+	return &rollcallProc{until: p.until, ports: p.ports, id: info.ID}
 }
 
 type rollcallProc struct {
 	until int
+	ports bool
 	id    int64
 }
 
@@ -513,7 +563,14 @@ func (p *rollcallProc) Round(c *Context, inbox []Message) {
 		c.Halt()
 		return
 	}
-	c.Broadcast(tokenMsg{p.id * int64(c.Round())})
+	pl := tokenMsg{p.id * int64(c.Round())}
+	if !p.ports {
+		c.Broadcast(pl)
+		return
+	}
+	for port := range c.Degree() {
+		c.Send(port, pl)
+	}
 }
 
 // TestRoundCapLeavesNothingInFlight stops a rollcall at MaxRounds 8, when

@@ -91,6 +91,8 @@ type buffers struct {
 	inbox   [][]Message
 	outSlab []outMsg
 	inSlab  []Message
+	// bcast[u] is u's broadcast slot (arena.go), cleared for every run.
+	bcast []bcastSlot
 
 	// Per-node rows shared by the shards — each shard writes only its own
 	// nodes' slots, so no synchronization is needed.
@@ -166,6 +168,7 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	}
 	b.out = resized(b.out, n)
 	b.inbox = resized(b.inbox, n)
+	b.bcast = resized(b.bcast, n)
 	b.status = resized(b.status, n)
 	b.halted = resized(b.halted, n)
 	b.awake = resized(b.awake, n)
@@ -312,6 +315,7 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		maxTick: maxRounds,
 	}
 	clear(e.idle)
+	clear(e.bcast)
 	if e.linkDelay, _ = m.Delay.(linkDelay); e.linkDelay != nil && len(e.linkMix) != len(e.nbr) {
 		e.linkMix = resized(e.linkMix, len(e.nbr))
 	}
@@ -341,6 +345,8 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 	if e.async || (e.fsched != nil && e.fsched.dropP > 0) {
 		e.linkSeq = resized(e.linkSeq, len(e.nbr))
 		clear(e.linkSeq)
+	} else {
+		e.slots = true
 	}
 	// A warm Runner recycles: procs[u] is still what node u ran last.
 	recycler, _ := p.(Recycler)

@@ -17,6 +17,14 @@
 // in place: a synchronous one into its receiver's inbox row for the next
 // tick, an ASYNC one into the wheel.
 //
+// A synchronous broadcast without link drops is not routed at all: as
+// its sender's first send of the tick it stays one per-node slot
+// (bcastSlot), and after the barrier every shard lands the slots'
+// messages for its own nodes (landSlots) — on a dense tick by gathering
+// over its nodes' ports in port order, on a sparse one by walking the
+// tick's broadcaster lists. A link carries a slot message or outbox
+// records in one tick, never both, so neither route can reorder a link.
+//
 // Determinism does not depend on the shard count. The only event order
 // the simulation can observe is the per-link order of same-tick arrivals:
 // the inbox is stably sorted by receiving port before any node sees it,
@@ -63,6 +71,15 @@ var honorIdleHints = true
 // tick onto the pool (0) or inline (math.MaxInt) to pin the two routes
 // against each other.
 var minPooledWork = 512
+
+// minGatherShare is the share of the graph's directed edges that a
+// tick's broadcast slots must carry messages over for the shards to land
+// them by gathering (landSlots): each shard then reads every port of its
+// own nodes once, in node and port order, instead of walking every
+// broadcaster's ports. A constant to everything but this package's
+// tests, which force every tick to gather (0) or to walk (+Inf) to pin
+// the two routes against each other.
+var minGatherShare = 0.25
 
 // EffectiveShards resolves Config.Shards to the number of shards a run on
 // an n-node graph uses, given procs = GOMAXPROCS. 0 lets the engine
@@ -132,6 +149,14 @@ type engineShard struct {
 	mail   [][]mailRef
 	mailed int
 
+	// bcasters lists the own nodes that kept a broadcast slot this tick,
+	// in the order they stepped (a slot expanded since is passed over),
+	// and slotSends counts the messages the live slots carry. Every
+	// shard's landing reads the lists; the coordinator empties them at
+	// the barrier.
+	bcasters  []int32
+	slotSends int
+
 	// sendCnt counts, port by port, the sends of the node the shard is
 	// stepping, for the per-port cap (Context.Send): loaded from the
 	// node's outbox row before a step (what its Start sent earlier in the
@@ -195,6 +220,7 @@ func (sh *engineShard) resetRun(maxDeg int) {
 		sh.mail[d] = sh.mail[d][:0]
 	}
 	sh.mailed = 0
+	sh.bcasters, sh.slotSends = sh.bcasters[:0], 0
 	sh.faults = nil
 	sh.err = nil
 	sh.shardCounts = shardCounts{}
@@ -241,7 +267,7 @@ func (e *engine) runTick(t int) {
 	if pooled {
 		e.shardPool.runEach(len(e.shards), e.tickFn)
 	}
-	mailed := 0
+	mailed, slotSends := 0, 0
 	for i := range e.shards {
 		sh := &e.shards[i]
 		switch {
@@ -254,15 +280,22 @@ func (e *engine) runTick(t int) {
 		}
 		mailed += sh.mailed
 		sh.mailed = 0
+		slotSends += sh.slotSends
 	}
+	e.slotSends = slotSends
+	e.gather = float64(slotSends) >= minGatherShare*float64(len(e.nbr))
 	switch {
-	case mailed == 0:
+	case mailed == 0 && slotSends == 0:
 	case pooled:
 		e.shardPool.runEach(len(e.shards), e.drainFn)
 	default:
 		for i := range e.shards {
 			e.drainMail(&e.shards[i])
 		}
+	}
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.bcasters, sh.slotSends = sh.bcasters[:0], 0
 	}
 	e.foldTick(t)
 }
@@ -274,7 +307,8 @@ func (e *engine) runTick(t int) {
 // order in dst's rows and buckets is exactly the senders' flush order —
 // the order the single-shard engine would have appended in. Each message
 // is read in its sender's outbox slot, which its shard flushed before the
-// barrier and does not write again until its next step phase. Runs
+// barrier and does not write again until its next step phase. Then it
+// lands the tick's broadcast slots for dst's nodes (landSlots). Runs
 // concurrently per destination: dst writes only its own rows, wheel and
 // counters, and resets only mailbox rows addressed to it.
 func (e *engine) drainMail(dst *engineShard) {
@@ -296,6 +330,54 @@ func (e *engine) drainMail(dst *engineShard) {
 			}
 		}
 		src.mail[dst.id] = row[:0]
+	}
+	e.landSlots(dst)
+}
+
+// landSlots lands, in dst's rows for the next tick, the messages of
+// this tick's broadcast slots whose receivers are dst's nodes. A slot
+// stands for one message per port but its skipped one, and no link
+// carries both a slot message and an outbox record in one tick (expand),
+// so the order a row receives them in is the order the arrival pass
+// restores anyway. On a tick whose slots carry at least minGatherShare of
+// the directed edges, dst gathers: it reads each of its nodes' ports in
+// port order and lands the message of the neighbour's live slot, if the
+// slot does not skip the port back — the row writes run forwards and a
+// row of slot messages alone is already in port order. On a sparser tick
+// it walks the broadcaster lists, shard by shard, so that its work
+// follows the traffic, and lands the messages whose receivers are its
+// own.
+func (e *engine) landSlots(dst *engineShard) {
+	if e.slotSends == 0 {
+		return
+	}
+	t := e.round
+	if e.gather {
+		for v := dst.lo; v < dst.hi; v++ {
+			base, end := int(e.off[v]), int(e.off[v+1])
+			for p := base; p < end; p++ {
+				s := &e.bcast[e.nbr[p]]
+				if s.tick == t && s.skip != e.portBack[p] {
+					e.land(dst, delivery{to: int32(v), port: int32(p - base), bits: s.bits, pl: s.pl})
+				}
+			}
+		}
+		return
+	}
+	lo, hi := int32(dst.lo), int32(dst.hi)
+	for i := range e.shards {
+		for _, u := range e.shards[i].bcasters {
+			s := &e.bcast[u]
+			if s.tick != t {
+				continue
+			}
+			base, end := int(e.off[u]), int(e.off[u+1])
+			for p := base; p < end; p++ {
+				if to := e.nbr[p]; to >= lo && to < hi && int32(p-base) != s.skip {
+					e.land(dst, delivery{to: to, port: e.portBack[p], bits: s.bits, pl: s.pl})
+				}
+			}
+		}
 	}
 }
 

@@ -428,6 +428,15 @@ type engine struct {
 	// hints reports whether IdleUntil is honoured: the synchronous modes of
 	// the event engine.
 	hints bool
+	// slots reports whether a broadcast may be kept as its sender's slot
+	// (sendAll): the synchronous modes without link drops. A slot is
+	// landed at its tick's barrier (landSlots) — by gathering over the
+	// receivers' ports when gather is set for the tick, by walking the
+	// broadcaster lists otherwise — and slotSends is the tick's total of
+	// slot messages, summed by the coordinator before the drain phase.
+	slots     bool
+	gather    bool
+	slotSends int
 	// Fault adversary state (fault.go): the parsed schedule plus the
 	// global membership vectors; the per-shard event heaps live in the
 	// shards. All nil for a fault-free run, and every fault branch in the
@@ -472,18 +481,23 @@ var (
 	ErrRevoked    = errors.New("sim: decided status revoked")
 )
 
-// send and decide write only per-node slots (outbox row, status,
-// scratch error/changed flags) and the stepping shard's send counters;
-// the engine merges scratch state after each round. This keeps node steps
-// race-free when shards step concurrently. Bits() is evaluated here,
-// once, and cached alongside the payload so the cap check and the
-// delivery accounting never re-dispatch through the interface. A send is
-// counted against its port's cap only once it is queued, so the counters
-// are exactly the ports of the node's outbox row (clearSends).
+// send and decide write only per-node slots (outbox row, broadcast slot,
+// status, scratch error/changed flags) and the stepping shard's send
+// counters and broadcaster list; the engine merges scratch state after
+// each round. This keeps node steps race-free when shards step
+// concurrently. Bits() is evaluated here, once, and cached alongside the
+// payload so the cap check and the delivery accounting never re-dispatch
+// through the interface. A send is counted against its port's cap only
+// once it is queued, so the counters are exactly the ports of the node's
+// outbox row (clearSends) — a broadcast slot is never counted, and is
+// expanded into the row before any later send of its tick (expand).
 func (e *engine) send(c *Context, port int, p Payload) {
 	u := c.node
 	if e.nodeErr[u] != nil {
 		return
+	}
+	if e.slots {
+		e.expand(c)
 	}
 	deg := int(e.off[u+1] - e.off[u])
 	if port < 0 || port >= deg {
@@ -514,10 +528,18 @@ func (e *engine) send(c *Context, port int, p Payload) {
 // port. The per-port send cap is still counted port by port. Whatever
 // fails is handed, with the port it fails at, to send, so the error and
 // the row prefix queued before it are exactly the per-port loop's.
+//
+// As a node's first send of a synchronous tick without link drops, the
+// broadcast is kept whole instead, as the node's broadcast slot (keep):
+// no port can be at its cap yet, and the landing at the barrier reads
+// the slot where the records would have been read (shard.go).
 func (e *engine) sendAll(c *Context, skip int, p Payload) {
 	u := c.node
 	if e.nodeErr[u] != nil {
 		return
+	}
+	if e.slots {
+		e.expand(c)
 	}
 	deg := int(e.off[u+1] - e.off[u])
 	first := 0
@@ -537,6 +559,10 @@ func (e *engine) sendAll(c *Context, skip int, p Payload) {
 		return
 	}
 	row := e.out[u]
+	if e.slots && len(row) == 0 {
+		e.keep(c, skip, deg, bits, p)
+		return
+	}
 	cnt := c.sh.sendCnt
 	m := outMsg{bits: int32(bits), pl: p}
 	for port := first; port < deg; port++ {
@@ -552,6 +578,50 @@ func (e *engine) sendAll(c *Context, skip int, p Payload) {
 		m.port = int32(port)
 		row = append(row, m)
 	}
+	e.out[u] = row
+}
+
+// keep makes a validated broadcast of node u, its first send of the
+// tick, u's broadcast slot, lists u among its shard's broadcasters and
+// adds the messages the slot carries — one a port but skip — to the
+// shard's slot sends.
+func (e *engine) keep(c *Context, skip, deg, bits int, p Payload) {
+	u := c.node
+	e.bcast[u] = bcastSlot{pl: p, bits: int32(bits), skip: int32(skip), tick: e.round}
+	sh := c.sh
+	sh.bcasters = append(sh.bcasters, int32(u))
+	if skip >= 0 && skip < deg {
+		deg--
+	}
+	sh.slotSends += deg
+}
+
+// expand turns the stepping node's broadcast slot of this tick, if it
+// holds one, back into the records sendAll's loop would have queued —
+// one a port but the skipped one, ascending, each counted against its
+// port's cap — so that a later send of the tick finds the outbox row
+// and the counters a node without slots would have left. The node stays
+// on its shard's broadcaster list; the landing passes it over.
+func (e *engine) expand(c *Context) {
+	u := c.node
+	s := &e.bcast[u]
+	if s.tick != e.round {
+		return
+	}
+	s.tick = 0
+	deg := int(e.off[u+1] - e.off[u])
+	row, cnt := e.out[u], c.sh.sendCnt
+	queued := len(row)
+	m := outMsg{bits: s.bits, pl: s.pl}
+	for port := range deg {
+		if port == int(s.skip) {
+			continue
+		}
+		cnt[port]++
+		m.port = int32(port)
+		row = append(row, m)
+	}
+	c.sh.slotSends -= len(row) - queued
 	e.out[u] = row
 }
 

@@ -67,6 +67,20 @@ var mutants = []mutant{
 		pkg:   "./internal/sim",
 		kills: []string{"TestReferenceRandomSchedules", "TestIdleHintSoundness"},
 	},
+	{
+		name:  "gather lands on the skipped port",
+		file:  "internal/sim/shard.go",
+		edits: []edit{{"if s.tick == t && s.skip != e.portBack[p] {", "if s.tick == t {"}},
+		pkg:   "./internal/sim",
+		kills: []string{"TestReferenceRandomSchedules", "TestSlotRoutes"},
+	},
+	{
+		name:  "a later send leaves the slot whole",
+		file:  "internal/sim/sim.go",
+		edits: []edit{{"\tif e.slots {\n\t\te.expand(c)\n\t}\n\tdeg := int(e.off[u+1] - e.off[u])\n\tif port < 0", "\tdeg := int(e.off[u+1] - e.off[u])\n\tif port < 0"}},
+		pkg:   "./internal/sim",
+		kills: []string{"TestPortSendCapSpansStartAndRound", "TestReferenceRandomSchedules"},
+	},
 }
 
 // bytePin matches the tests that hold output bytes or golden hashes.
