@@ -469,9 +469,10 @@ func mailStorage(r *Runner) (total int64) {
 // more than nothing and at most 16 B for each, plus the headroom append
 // leaves in a row (a 40-byte copy of each message took 40 B and more).
 // The same flood by Broadcast parks nothing: its receivers read it in the
-// sender's broadcast slot. Per-link sequence numbers are the state of the
-// runs that read them: a synchronous run leaves them unallocated, an
-// ASYNC run on the same Runner sizes them.
+// sender's broadcast slot. Per-link sequence numbers and broadcast slots
+// are the state of the runs that read them: a synchronous run leaves the
+// sequence numbers unallocated, an ASYNC run on the same Runner sizes
+// them, and an ASYNC run on a fresh Runner makes no slots.
 func TestMailHoldsReferences(t *testing.T) {
 	g, err := graph.FromSpec("random:8192:65536", 1)
 	if err != nil {
@@ -528,6 +529,16 @@ func TestMailHoldsReferences(t *testing.T) {
 	}
 	if len(r.eng.linkSeq) != g.DegreeSum() {
 		t.Errorf("an ASYNC run left %d link sequence numbers for %d links", len(r.eng.linkSeq), g.DegreeSum())
+	}
+	async, err := NewRunner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := async.Run(cfg, rollcallProto{until: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if async.eng.bcast != nil {
+		t.Errorf("an ASYNC run made %d broadcast slots", len(async.eng.bcast))
 	}
 }
 

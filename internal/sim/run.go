@@ -91,7 +91,9 @@ type buffers struct {
 	inbox   [][]Message
 	outSlab []outMsg
 	inSlab  []Message
-	// bcast[u] is u's broadcast slot (arena.go), cleared for every run.
+	// bcast[u] is u's broadcast slot (arena.go), made and cleared only
+	// for the runs that keep slots: the synchronous ones without link
+	// drops.
 	bcast []bcastSlot
 
 	// Per-node rows shared by the shards — each shard writes only its own
@@ -166,9 +168,11 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	if 8*len(nbr) < cap(b.linkSeq) {
 		b.linkSeq, b.linkMix = nil, nil // linkMix is made only beside linkSeq
 	}
+	if 8*n < cap(b.bcast) {
+		b.bcast = nil
+	}
 	b.out = resized(b.out, n)
 	b.inbox = resized(b.inbox, n)
-	b.bcast = resized(b.bcast, n)
 	b.status = resized(b.status, n)
 	b.halted = resized(b.halted, n)
 	b.awake = resized(b.awake, n)
@@ -315,7 +319,6 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		maxTick: maxRounds,
 	}
 	clear(e.idle)
-	clear(e.bcast)
 	if e.linkDelay, _ = m.Delay.(linkDelay); e.linkDelay != nil && len(e.linkMix) != len(e.nbr) {
 		e.linkMix = resized(e.linkMix, len(e.nbr))
 	}
@@ -347,6 +350,8 @@ func (r *Runner) RunInto(cfg Config, p Protocol, out *Result) error {
 		clear(e.linkSeq)
 	} else {
 		e.slots = true
+		e.bcast = resized(e.bcast, n)
+		clear(e.bcast)
 	}
 	// A warm Runner recycles: procs[u] is still what node u ran last.
 	recycler, _ := p.(Recycler)

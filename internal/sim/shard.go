@@ -239,16 +239,18 @@ func (sh *engineShard) fold(out *Result) {
 
 // runTick executes one virtual-time tick: every shard steps its own
 // events, a barrier, every shard drains the mailboxes addressed to it
-// (ascending source-shard order), a barrier, then the coordinator folds
-// the per-shard tick scratch. What the tick holds is known before it
-// runs — per shard, the nodes its round timers will step, the arrivals
-// in its rows, and the deliveries, wake-ups and timers in the bucket that
-// falls due. With at least minPooledWork of it, and a pool, both phases
-// run concurrently; otherwise — a sparse tick, one shard, one core — they
-// run inline in shard order, and a shard with nothing due sits the tick
-// out, so that a sparse run costs what a single shard's would. A tick
-// that parked no cross-shard mail skips the drain phase. The results are
-// identical whichever way a tick goes.
+// (ascending source-shard order) and lands the broadcast slots for its
+// nodes, by the route the coordinator picked from the slots' total, a
+// barrier, then the coordinator folds the per-shard tick scratch. What
+// the tick holds is known before it runs — per shard, the nodes its round
+// timers will step, the arrivals in its rows, and the deliveries, wake-ups
+// and timers in the bucket that falls due. With at least minPooledWork of
+// it, and a pool, both phases run concurrently; otherwise — a sparse
+// tick, one shard, one core — they run inline in shard order, and a shard
+// with nothing due sits the tick out, so that a sparse run costs what a
+// single shard's would. A tick that parked no cross-shard mail and kept
+// no broadcast slot skips the drain phase. The results are identical
+// whichever way a tick goes.
 func (e *engine) runTick(t int) {
 	e.round = t
 	work := 0
