@@ -93,8 +93,9 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 					}
 					first = len(e.out[u]) == 0 && e.bcast[u].tick == 0
 					act(c)
-					kept = e.bcast[u].tick == e.round
-					e.expand(c)
+					if kept = e.bcast[u].tick == e.round; kept {
+						e.expand(c)
+					}
 					return e, first, kept
 				}
 				want, _, _ := run(func(c *Context) {

@@ -496,7 +496,7 @@ func (e *engine) send(c *Context, port int, p Payload) {
 	if e.nodeErr[u] != nil {
 		return
 	}
-	if e.slots {
+	if e.slots && e.bcast[u].tick == e.round {
 		e.expand(c)
 	}
 	deg := int(e.off[u+1] - e.off[u])
@@ -538,7 +538,7 @@ func (e *engine) sendAll(c *Context, skip int, p Payload) {
 	if e.nodeErr[u] != nil {
 		return
 	}
-	if e.slots {
+	if e.slots && e.bcast[u].tick == e.round {
 		e.expand(c)
 	}
 	deg := int(e.off[u+1] - e.off[u])
@@ -596,18 +596,16 @@ func (e *engine) keep(c *Context, skip, deg, bits int, p Payload) {
 	sh.slotSends += deg
 }
 
-// expand turns the stepping node's broadcast slot of this tick, if it
-// holds one, back into the records sendAll's loop would have queued —
-// one a port but the skipped one, ascending, each counted against its
-// port's cap — so that a later send of the tick finds the outbox row
-// and the counters a node without slots would have left. The node stays
-// on its shard's broadcaster list; the landing passes it over.
+// expand turns the stepping node's broadcast slot of this tick back
+// into the records sendAll's loop would have queued — one a port but
+// the skipped one, ascending, each counted against its port's cap — so
+// that a later send of the tick finds the outbox row and the counters a
+// node without slots would have left. The node stays on its shard's
+// broadcaster list; the landing passes it over. The callers test for the
+// slot themselves, so that a send without one pays no call.
 func (e *engine) expand(c *Context) {
 	u := c.node
 	s := &e.bcast[u]
-	if s.tick != e.round {
-		return
-	}
 	s.tick = 0
 	deg := int(e.off[u+1] - e.off[u])
 	row, cnt := e.out[u], c.sh.sendCnt

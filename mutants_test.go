@@ -77,7 +77,7 @@ var mutants = []mutant{
 	{
 		name:  "a later send leaves the slot whole",
 		file:  "internal/sim/sim.go",
-		edits: []edit{{"\tif e.slots {\n\t\te.expand(c)\n\t}\n\tdeg := int(e.off[u+1] - e.off[u])\n\tif port < 0", "\tdeg := int(e.off[u+1] - e.off[u])\n\tif port < 0"}},
+		edits: []edit{{"\tif e.slots && e.bcast[u].tick == e.round {\n\t\te.expand(c)\n\t}\n\tdeg := int(e.off[u+1] - e.off[u])\n\tif port < 0", "\tdeg := int(e.off[u+1] - e.off[u])\n\tif port < 0"}},
 		pkg:   "./internal/sim",
 		kills: []string{"TestPortSendCapSpansStartAndRound", "TestReferenceRandomSchedules"},
 	},
