@@ -285,7 +285,9 @@ func (e *engine) runTick(t int) {
 		slotSends += sh.slotSends
 	}
 	e.slotSends = slotSends
-	e.gather = float64(slotSends) >= minGatherShare*float64(len(e.nbr))
+	if slotSends > 0 {
+		e.gather = float64(slotSends) >= minGatherShare*float64(len(e.nbr))
+	}
 	switch {
 	case mailed == 0 && slotSends == 0:
 	case pooled:
@@ -294,10 +296,6 @@ func (e *engine) runTick(t int) {
 		for i := range e.shards {
 			e.drainMail(&e.shards[i])
 		}
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.bcasters, sh.slotSends = sh.bcasters[:0], 0
 	}
 	e.foldTick(t)
 }
@@ -397,11 +395,13 @@ func (e *engine) unpark(r mailRef) delivery {
 // violation of the round's lowest-numbered erring node (the first shard's
 // that has one), and the watched-edge crossing cut — the tick of the
 // first crossing and the messages before it — which must be computed
-// against the whole tick's deliveries, not any one shard's.
+// against the whole tick's deliveries, not any one shard's. The landed
+// broadcaster lists are emptied.
 func (e *engine) foldTick(t int) {
 	e.running, e.active, e.pendingMsgs, e.arrivals = 0, 0, 0, 0
 	for i := range e.shards {
 		sh := &e.shards[i]
+		sh.bcasters, sh.slotSends = sh.bcasters[:0], 0
 		e.running += sh.numRunning
 		e.active += len(sh.active)
 		e.pendingMsgs += sh.pendingMsgs
