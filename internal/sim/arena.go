@@ -63,7 +63,7 @@ type outMsg struct {
 
 // bcastSlot is a node's broadcast of one synchronous tick kept whole
 // (sendAll): the payload with its cached size, the sending port it skips
-// (negative or past the degree: none) and the tick it was sent in. It
+// (−1: none) and the tick it was sent in. It
 // stands for the records sendAll's loop would queue, and holds them only
 // while tick is the current tick: expand writes them out and clears
 // tick, and a later tick never reads a slot of an earlier one.

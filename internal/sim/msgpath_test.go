@@ -82,7 +82,7 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 	for _, tc := range cases {
 		for _, u := range []int{6, 1, 0} {
 			deg := g.Degree(u)
-			for _, skip := range []int{-1, 0, deg / 2, deg - 1, deg, deg + 3} {
+			for _, skip := range []int{-1, 0, deg / 2, deg - 1, deg, deg + 3, 1<<32 + 1} {
 				// run reports whether the node's send was its first of the
 				// round and whether the node still held a slot after it.
 				run := func(act func(c *Context), slots bool) (e *engine, first, kept bool) {

@@ -586,14 +586,16 @@ func (e *engine) sendAll(c *Context, skip int, p Payload) {
 // adds the messages the slot carries — one a port but skip — to the
 // shard's slot sends.
 func (e *engine) keep(c *Context, skip, deg, bits int, p Payload) {
+	sends := deg
+	if skip >= 0 && skip < deg {
+		sends--
+	} else {
+		skip = -1 // no port: and no wider value may wrap into one as an int32
+	}
 	u := c.node
 	e.bcast[u] = bcastSlot{pl: p, bits: int32(bits), skip: int32(skip), tick: e.round}
-	sh := c.sh
-	sh.bcasters = append(sh.bcasters, int32(u))
-	if skip >= 0 && skip < deg {
-		deg--
-	}
-	sh.slotSends += deg
+	c.sh.bcasters = append(c.sh.bcasters, int32(u))
+	c.sh.slotSends += sends
 }
 
 // expand turns the stepping node's broadcast slot of this tick back
