@@ -240,16 +240,16 @@ func (sh *engineShard) fold(out *Result) {
 // runTick executes one virtual-time tick: every shard steps its own
 // events, a barrier, every shard drains the mailboxes addressed to it
 // (ascending source-shard order) and lands the broadcast slots for its
-// nodes, by the route the coordinator picked from the slots' total, a
-// barrier, then the coordinator folds the per-shard tick scratch. What
-// the tick holds is known before it runs — per shard, the nodes its round
-// timers will step, the arrivals in its rows, and the deliveries, wake-ups
-// and timers in the bucket that falls due. With at least minPooledWork of
-// it, and a pool, both phases run concurrently; otherwise — a sparse
-// tick, one shard, one core — they run inline in shard order, and a shard
-// with nothing due sits the tick out, so that a sparse run costs what a
-// single shard's would. A tick that parked no cross-shard mail and kept
-// no broadcast slot skips the drain phase. The results are identical
+// nodes, by the route the slots' total picks, a barrier, then the
+// coordinator folds the per-shard tick scratch. What the tick holds is
+// known before it runs — per shard, the nodes its round timers will step,
+// the arrivals in its rows, and the deliveries, wake-ups and timers in
+// the bucket that falls due. With at least minPooledWork of it, and a
+// pool, both phases run concurrently; otherwise — a sparse tick, one
+// shard, one core — they run inline in shard order, and a shard with
+// nothing due sits the tick out, so that a sparse run costs what a single
+// shard's would. A tick that parked no cross-shard mail and kept no
+// broadcast slot skips the drain phase. The results are identical
 // whichever way a tick goes.
 func (e *engine) runTick(t int) {
 	e.round = t
@@ -285,9 +285,6 @@ func (e *engine) runTick(t int) {
 		slotSends += sh.slotSends
 	}
 	e.slotSends = slotSends
-	if slotSends > 0 {
-		e.gather = float64(slotSends) >= minGatherShare*float64(len(e.nbr))
-	}
 	switch {
 	case mailed == 0 && slotSends == 0:
 	case pooled:
@@ -352,7 +349,7 @@ func (e *engine) landSlots(dst *engineShard) {
 		return
 	}
 	t := e.round
-	if e.gather {
+	if float64(e.slotSends) >= minGatherShare*float64(len(e.nbr)) {
 		for v := dst.lo; v < dst.hi; v++ {
 			base, end := int(e.off[v]), int(e.off[v+1])
 			for p := base; p < end; p++ {

@@ -430,12 +430,10 @@ type engine struct {
 	hints bool
 	// slots reports whether a broadcast may be kept as its sender's slot
 	// (sendAll): the synchronous modes without link drops. A slot is
-	// landed at its tick's barrier (landSlots) — by gathering over the
-	// receivers' ports when gather is set for the tick, by walking the
-	// broadcaster lists otherwise — and slotSends is the tick's total of
-	// slot messages, summed by the coordinator before the drain phase.
+	// landed at its tick's barrier (landSlots), and slotSends is the
+	// tick's total of slot messages, summed by the coordinator before the
+	// drain phase: it picks the landing's route.
 	slots     bool
-	gather    bool
 	slotSends int
 	// Fault adversary state (fault.go): the parsed schedule plus the
 	// global membership vectors; the per-shard event heaps live in the
