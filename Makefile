@@ -163,13 +163,16 @@ bench-flood:
 # synchronous message path"): the flood cell that dominates elect-dense —
 # warm, ns/msg, B/op and the heap in use after its warm runs (heap-MiB), on
 # one core and on two, since the default shard count follows GOMAXPROCS —
-# and what ordering one inbox row costs per
-# message by row length, degree and arrival order. These are the by-step
+# what ordering one inbox row costs per
+# message by row length, degree and arrival order, and where landing
+# broadcast slots by gathering starts to beat walking the broadcaster
+# lists (minGatherShare). These are the by-step
 # numbers that section quotes; the recorded end-to-end ones are
 # cmd/ule-bench's (elect-dense: core.run_ms.flood-random64k).
 bench-dense:
 	$(GO) test -bench 'EngineDense_FloodRandom64k' -benchtime 5x -benchmem -cpu 1,2 -run='^$$' .
 	$(GO) test -bench 'InboxOrder' -benchmem -run='^$$' ./internal/sim
+	$(GO) test -bench 'SlotLanding' -benchtime 3x -cpu 2 -run='^$$' ./internal/sim
 
 # The fault-adversary measurement set (docs/FAULTS.md): the fault-injected
 # allocation budget plus the warm-path fault benchmarks.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"ule/internal/graph"
@@ -108,4 +109,76 @@ func BenchmarkShardPoolLifecycle(b *testing.B) {
 			}
 		}
 	})
+}
+
+// someSayProto has node u broadcast in round r exactly when a hash of
+// (u's ID, r) falls below share of its range, so that about share of the
+// nodes broadcast on every tick and the rest stay silent; nobody halts.
+type someSayProto struct{ share float64 }
+
+func (p someSayProto) New(info NodeInfo) Process {
+	return &someSayProc{id: uint64(info.ID), below: p.share * (1 << 53)}
+}
+
+type someSayProc struct {
+	id    uint64
+	below float64
+}
+
+func (p *someSayProc) Start(c *Context) { p.Round(c, nil) }
+
+func (p *someSayProc) Round(c *Context, _ []Message) {
+	h := (p.id<<32 | uint64(c.Round())) * 0x9e3779b97f4a7c15
+	if float64((h^h>>29)>>11) < p.below {
+		c.Broadcast(tokenMsg{1})
+	}
+}
+
+// BenchmarkSlotLanding is how minGatherShare was chosen (see
+// docs/PERFORMANCE.md, "A broadcast is one slot"): on the flood cell's
+// graph (random:65536:524288) a share of the nodes broadcasts on every
+// tick, and the same 32 ticks are timed, warm, with every tick's slots landed
+// by gathering and by walking the broadcaster lists, at one shard and at
+// two. The threshold belongs where the two ns/tick columns cross, and a
+// slot's message carries one directed edge, so the share of broadcasters
+// is about the share of the directed edges the tick's slots carry.
+func BenchmarkSlotLanding(b *testing.B) {
+	const n, m, ticks = 1 << 16, 1 << 19, 32
+	g, err := graph.RandomConnected(n, m, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]int64, n)
+	for u := range ids {
+		ids[u] = int64(u)
+	}
+	defer func(old float64) { minGatherShare = old }(minGatherShare)
+	for _, share := range []float64{1.0 / 16, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 1} {
+		for _, shards := range []int{1, 2} {
+			for _, route := range []struct {
+				name  string
+				share float64
+			}{{"gather", 0}, {"walk", math.Inf(1)}} {
+				b.Run(fmt.Sprintf("share=%g/shards=%d/%s", share, shards, route.name), func(b *testing.B) {
+					minGatherShare = route.share
+					r, err := NewRunner(g)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var res Result
+					cfg := Config{IDs: ids, MaxRounds: ticks, Shards: shards}
+					if err := r.RunInto(cfg, someSayProto{share}, &res); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := r.RunInto(cfg, someSayProto{share}, &res); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/ticks, "ns/tick")
+				})
+			}
+		}
+	}
 }

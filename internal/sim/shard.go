@@ -76,10 +76,15 @@ var minPooledWork = 512
 // tick's broadcast slots must carry messages over for the shards to land
 // them by gathering (landSlots): each shard then reads every port of its
 // own nodes once, in node and port order, instead of walking every
-// broadcaster's ports. A constant to everything but this package's
-// tests, which force every tick to gather (0) or to walk (+Inf) to pin
-// the two routes against each other.
-var minGatherShare = 0.25
+// broadcaster's ports. Gathering reads a slot for every port whatever
+// the traffic; walking writes into rows in random order. Where the two
+// cost the same is BenchmarkSlotLanding's crossing (docs/PERFORMANCE.md,
+// "A broadcast is one slot"), at about 0.35 of the edges on one shard
+// and 0.4 on two: walking every shard's lists costs a shard little next
+// to its row writes, so the shard count hardly moves it. A constant to
+// everything but this package's tests, which force every tick to gather
+// (0) or to walk (+Inf) to pin the two routes against each other.
+var minGatherShare = 0.4
 
 // EffectiveShards resolves Config.Shards to the number of shards a run on
 // an n-node graph uses, given procs = GOMAXPROCS. 0 lets the engine
