@@ -79,7 +79,7 @@ race:
 # Every name in either -run list must match a test (go test -list), so a
 # renamed or deleted test fails the target instead of leaving the matrix
 # without a word.
-RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh|TestWarmTrialAfterGCAllocatesNoBox|TestContextShard|TestMailHoldsReferences|TestPortSendCapSpansStartAndRound|TestSlotRoutes
+RACE_ENGINE_RUN := TestSharded|TestShardMatrix|TestThreeWay|TestDispatchInvariance|TestIdleHint|TestReference|TestEffectiveShards|TestFlood|TestLemma43|TestRecycled|TestRejoin|TestBroadcastMatches|TestInboxOrder|TestRowOutgrows|TestWheelStorage|TestRoundCapLeavesNothingInFlight|TestCrashDropsPrewrittenArrivals|TestLossyInstrumentsPinned|TestWarmRunner|TestRebindMatchesFresh|TestWarmTrialAfterGCAllocatesNoBox|TestContextShard|TestMailHoldsReferences|TestPortSendCapSpansStartAndRound|TestSlotRoutes|TestAsyncRoundIsLocal|TestQuietRunKeepsChurnPhases
 RACE_SWEEP_RUN := TestSweepByteIdentical|TestSweepCSVIdentical|TestSweepUnsetShards|TestEmitKeepsUpWithCompletion
 race-matrix:
 	@set -e; for arg in '$(RACE_ENGINE_RUN);./internal/sim ./internal/core' '$(RACE_SWEEP_RUN);./internal/harness'; do \

@@ -655,7 +655,10 @@ func (d *driver) e15Table1() (*stats.Table, error) {
 // The others act on an empty inbox — flood's D-round wait, dfs budgets,
 // lasvegas epochs, spanner-le's Baswana–Sen schedule, cluster's drip
 // queue — and stall, mostly quiescing undecided: the synchronous/
-// asynchronous split the paper's model section draws.
+// asynchronous split the paper's model section draws. A node has no
+// clock there (sim.Context.Round is its own step count), so the four
+// that count rounds never succeed, and spanner-le, whose schedule starts
+// a round past its Start, sends nothing.
 func (d *driver) e16Async() (*stats.Table, error) {
 	t := stats.NewTable("E16 — asynchronous model: sync vs delay adversaries",
 		"algo", "delay", "msgs mean", "ticks mean", "success")

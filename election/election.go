@@ -142,9 +142,8 @@ var (
 
 // ID assignment helpers.
 var (
-	// RandomIDs draws n distinct identifiers from [1, n^4]. Past n = 55 108
-	// the product overflows an int64 and the range is narrower (sim.RandomIDs
-	// says how): n = 65 536 draws from [1, n].
+	// RandomIDs draws n distinct identifiers from [1, n^4], capped at
+	// math.MaxInt64 from n = 55 109 on, where n^4 leaves int64.
 	RandomIDs = sim.RandomIDs
 	// PermutationIDs assigns 1..n in random order.
 	PermutationIDs = sim.PermutationIDs

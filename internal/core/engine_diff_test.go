@@ -46,7 +46,8 @@ func TestAsyncAllAlgorithmsDeterministic(t *testing.T) {
 // asynchronous adversary nothing steps a node but a message, so they stall
 // and quiesce undecided. Their sim.Context.IdleUntil hints must stay
 // hints there — one that turned into a timer event would let them finish
-// — so the transcript lengths are the ones from before the hints existed.
+// — so the transcript lengths are the ones from before the hints existed,
+// re-taken when Context.Round became the node's own step count in ASYNC.
 func TestAsyncRoundCountersStillStall(t *testing.T) {
 	g := fixedGraphs(t)["ring:16"]
 	m, err := sim.ParseModel("async+random:4")
@@ -59,8 +60,8 @@ func TestAsyncRoundCountersStillStall(t *testing.T) {
 		messages int64
 	}{
 		{"dfs", 6, 34},
-		{"flood", 13, 78},
-		{"lasvegas", 28, 46},
+		{"flood", 29, 104},
+		{"lasvegas", 44, 68},
 	} {
 		res, err := Run(g, c.algo, RunOpts{
 			Seed: 8, IDs: sim.PermutationIDs(g.N(), rand.New(rand.NewSource(8))),

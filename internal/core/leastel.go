@@ -46,20 +46,12 @@ func fValue(k FKind, n int, o Options) float64 {
 	return f
 }
 
-// rankSpace returns the rank range [1, n^4] of Section 4.2, at least 4 and
-// saturated at math.MaxInt64: n^4 leaves int64 at n = 55 109, and the
-// wrapped product (0 at n = 65 536) would have every rank drawn from {1..4}
-// exactly where the range should be largest, leaving the Lemma 4.3 list
-// bound to the ID tie-breaks.
+// rankSpace returns the rank range [1, n^4] of Section 4.2: the ID
+// space's size, saturated at math.MaxInt64 (sim.IDSpace; a wrapped
+// product would leave the Lemma 4.3 list bound to the ID tie-breaks), and
+// at least 4.
 func rankSpace(n int) int64 {
-	if n > math.MaxInt32 {
-		return math.MaxInt64
-	}
-	sq := int64(n) * int64(n)
-	if sq > 1 && sq > math.MaxInt64/sq {
-		return math.MaxInt64
-	}
-	return max(sq*sq, 4)
+	return max(sim.IDSpace(n), 4)
 }
 
 // drawKey draws a candidate's (rank, origin) pair. The origin is the unique

@@ -165,7 +165,7 @@ type Prepared struct {
 	// permutation or the random assignment; a trial uses one of them) and
 	// the random draw's duplicate filter, so a trial allocates neither.
 	ids    []int64
-	idSeen sim.IDSet
+	idSeen graph.IDSet
 	// depot holds the flood family's free wire boxes during a run
 	// (Options.depot).
 	depot boxDepot
@@ -209,7 +209,7 @@ func (p *Prepared) Rebind(g *graph.Graph, algo string) error {
 		return err
 	}
 	if 8*g.N() < cap(p.ids) {
-		p.ids, p.idSeen = nil, sim.IDSet{}
+		p.ids, p.idSeen = nil, graph.IDSet{}
 	}
 	p.g, p.spec = g, spec
 	return nil

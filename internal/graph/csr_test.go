@@ -17,6 +17,7 @@ package graph
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -235,14 +236,41 @@ func TestSeededGraphsByteIdentical(t *testing.T) {
 	})
 }
 
+// TestIDSetMatchesMap holds the flat duplicate filter to a map on one
+// reused set: batches of up to n identifiers drawn from a narrow range
+// (so that many repeat) with 0, negatives and the int64 extremes among
+// them, each batch after a Reset to its own n, growing and shrinking.
+func TestIDSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s IDSet
+	for _, n := range []int{0, 1, 3, 64, 5000, 17, 70000, 2, 1000} {
+		s.Reset(n)
+		seen := make(map[int64]bool)
+		for len(seen) < n {
+			var id int64
+			switch rng.Intn(8) {
+			case 0:
+				id = []int64{0, -1, math.MinInt64, math.MaxInt64}[rng.Intn(4)]
+			default:
+				id = rng.Int63n(int64(2*n)) - int64(n/2)
+			}
+			if got := s.Add(id); got == seen[id] {
+				t.Fatalf("n=%d: Add(%d) = %v with %d already seen: %v", n, id, got, id, seen[id])
+			}
+			seen[id] = true
+		}
+	}
+}
+
 // TestEdgeSetRepresentationsAgree drives the bitset and the table dedup
 // paths, and a plain map, with identical insert streams full of
 // duplicates; RandomConnected's RNG stream depends on the answers, so
-// the representations must be indistinguishable. The table starts at its
-// smallest size, so the stream also crosses several rehashes. A dense
-// set must choose the bitset and a sparse one the table.
+// the representations must be indistinguishable. The table never grows,
+// so it is sized for the whole stream. A dense set must choose the bitset
+// and a sparse one the table.
 func TestEdgeSetRepresentationsAgree(t *testing.T) {
-	if s := newEdgeSet(1<<14, 1<<16); s.bits != nil || s.keys == nil {
+	const inserts = 60000
+	if s := newEdgeSet(1<<14, 1<<16); s.bits != nil || s.keys.slots == nil {
 		t.Fatal("expected the table representation for a sparse set")
 	}
 	n := 300
@@ -251,16 +279,16 @@ func TestEdgeSetRepresentationsAgree(t *testing.T) {
 		t.Fatal("expected the bitset representation for a dense set")
 	}
 	table := &edgeSet{n: n}
-	table.grow(16)
+	table.keys.Reset(inserts)
 	seen := map[[2]int]bool{}
 	rng := rand.New(rand.NewSource(131))
-	fresh, inserts := 0, 0
-	for i := 0; i < 60000; i++ {
+	fresh, made := 0, 0
+	for i := 0; i < inserts; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			continue
 		}
-		inserts++
+		made++
 		want := !seen[normEdge(u, v)]
 		seen[normEdge(u, v)] = true
 		if want {
@@ -273,11 +301,8 @@ func TestEdgeSetRepresentationsAgree(t *testing.T) {
 			t.Fatalf("table says %v on (%d,%d) at step %d, the map %v", got, u, v, i, want)
 		}
 	}
-	if inserts-fresh < inserts/4 {
-		t.Fatalf("%d distinct edges of %d inserts: the stream holds too few duplicates to test", fresh, inserts)
-	}
-	if table.used != len(seen) || len(table.keys) < 2*table.used {
-		t.Errorf("table holds %d keys in %d slots for %d edges", table.used, len(table.keys), len(seen))
+	if made-fresh < made/4 {
+		t.Fatalf("%d distinct edges of %d inserts: the stream holds too few duplicates to test", fresh, made)
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -101,50 +102,83 @@ func normEdge(u, v int) [2]int {
 	return [2]int{u, v}
 }
 
+// IDSet is a duplicate filter for up to n int64 keys, the one behind
+// sim.RandomIDsInto, the engine's ID validation and the random builders'
+// edge dedup: open addressing with linear probing in a power-of-two table
+// of at least 2n slots, Fibonacci-hashed (the multiply spreads the key
+// over the high bits, which the shift keeps), where 0 marks a free slot
+// and the key 0, which a caller may assign as an identifier, has a flag
+// of its own. Reset sizes it before the first Add; the table never grows.
+type IDSet struct {
+	slots []int64
+	shift uint // 64 − log2(len(slots))
+	zero  bool
+}
+
+// Reset empties s for up to n identifiers, keeping its table unless the
+// table is too small or more than eight times the size n needs.
+func (s *IDSet) Reset(n int) {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	if c := cap(s.slots); size <= c && 8*size >= c {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	} else {
+		s.slots = make([]int64, size)
+	}
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.zero = false
+}
+
+// Add inserts id and reports whether it was new. At most n identifiers
+// may be added after Reset(n).
+func (s *IDSet) Add(id int64) bool {
+	if id == 0 {
+		added := !s.zero
+		s.zero = true
+		return added
+	}
+	mask := len(s.slots) - 1
+	for i := int(uint64(id) * 0x9e3779b97f4a7c15 >> s.shift); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = id
+			return true
+		case id:
+			return false
+		}
+	}
+}
+
 // edgeSet is the online dedup behind the randomized builders, whose
 // rejection sampling needs membership answers mid-stream (a sort-based
 // dedup cannot answer those). It is a flat n×n bit matrix — O(1) per
-// probe, no hashing — where that is no larger than the open-addressing
-// table of packEdge keys, which takes at least 16 B an expected edge, and
-// the table otherwise. Both give identical answers, so the RNG consumption
-// of a seeded build is representation-independent.
+// probe, no hashing — where that is no larger than an IDSet of packEdge
+// keys, which takes at least 16 B an expected edge, and the IDSet
+// otherwise. Both give identical answers, so the RNG consumption of a
+// seeded build is representation-independent.
 type edgeSet struct {
-	n     int
-	bits  []uint64 // n*n bit matrix, nil for the table
-	keys  []uint64 // linear-probing table, 2^(64-shift) long; 0 is empty
-	shift uint
-	used  int // keys held in the table
+	n    int
+	bits []uint64 // n*n bit matrix, nil for the table
+	keys IDSet    // packEdge keys, when bits is nil
 }
 
-// newEdgeSet sizes a set for sizeHint edges on n nodes. The matrix's n²/8
-// bytes win on dense graphs — on a 2-vCPU Xeon, random:1024:400000 builds in 40 ms with it
-// and 117 ms with the table — and the table on sparse ones, where the
-// matrix is mostly zeros: random:8192:65536 builds in 10 ms and 10.6 MB
-// with the matrix, 5 ms and 3.3 MB with the table.
+// newEdgeSet sizes a set for sizeHint edges on n nodes, the most its
+// builder inserts. The matrix's n²/8 bytes win on dense graphs — on a
+// 2-vCPU Xeon, random:1024:400000 builds in 40 ms with it and 117 ms with
+// the table — and the table on sparse ones, where the matrix is mostly
+// zeros: random:8192:65536 builds in 10 ms and 10.6 MB with the matrix,
+// 5 ms and 3.3 MB with the table.
 func newEdgeSet(n, sizeHint int) *edgeSet {
 	s := &edgeSet{n: n}
 	if n*n <= 128*sizeHint {
 		s.bits = make([]uint64, (n*n+63)/64)
 	} else {
-		s.grow(max(16, 2*sizeHint))
+		s.keys.Reset(sizeHint)
 	}
 	return s
-}
-
-// grow rehashes the table into the smallest power of two of at least
-// size slots.
-func (s *edgeSet) grow(size int) {
-	s.shift = 64
-	for 1<<(64-s.shift) < size {
-		s.shift--
-	}
-	old := s.keys
-	s.keys = make([]uint64, 1<<(64-s.shift))
-	for _, k := range old {
-		if k != 0 {
-			s.add(k)
-		}
-	}
 }
 
 // insert adds the normalized edge (u,v) and reports whether it was new.
@@ -161,32 +195,7 @@ func (s *edgeSet) insert(u, v int) bool {
 		s.bits[w] |= b
 		return true
 	}
-	// u < v, so a key is never the empty 0.
-	if !s.add(packEdge(u, v)) {
-		return false
-	}
-	if s.used++; 2*s.used > len(s.keys) {
-		s.grow(2 * len(s.keys))
-	}
-	return true
-}
-
-// add puts key k in the table unless it is there, reporting which.
-func (s *edgeSet) add(k uint64) bool {
-	mask := uint64(len(s.keys) - 1)
-	// Fibonacci hashing: the multiply spreads both endpoints over the
-	// high bits, which the shift keeps.
-	i := k * 0x9e3779b97f4a7c15 >> s.shift
-	for {
-		switch s.keys[i] {
-		case 0:
-			s.keys[i] = k
-			return true
-		case k:
-			return false
-		}
-		i = (i + 1) & mask
-	}
+	return s.keys.Add(int64(packEdge(u, v)))
 }
 
 // checkRandomConnected is RandomConnected's precondition (spec.go answers

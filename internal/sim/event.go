@@ -129,10 +129,12 @@ func (e *engine) loopEvent() {
 		if e.arrivals == 0 && (e.async || e.active == 0) {
 			wm, live := e.pruneDeadEvents()
 			switch {
-			case live || (!e.async && e.running > 0):
-				// A live event, or a parked node one may yet rouse: jump to
-				// the next event or membership change, whichever is first.
-				// With no event queued, parked nodes only reach the cap.
+			case live || (!e.async && e.running > 0) || e.pendingUp() > 0:
+				// A live event, a parked node one may yet rouse, or a crashed
+				// node scheduled to come back: jump to the next event or
+				// membership change, whichever is first, so that every fault
+				// event applies at its due tick. With no event queued, parked
+				// nodes only reach the cap.
 				if !live {
 					wm = maxRounds + 1
 				}
@@ -140,17 +142,12 @@ func (e *engine) loopEvent() {
 				if fm, have := e.minFaultTick(); have && fm < next {
 					next = fm
 				}
-			case e.pendingUp() > 0:
-				// Quiet network, but a crashed node is scheduled to come
-				// back: a rejoining node can revive the run, so jump to the
-				// earliest recovery. Every fault event due before it
-				// applies at that tick.
-				next = e.nextRevive()
 			default:
 				// Nothing in flight, nothing scheduled, nobody running or
 				// every running node halted: the network is dead. Fault
 				// events without a pending recovery cannot revive it —
-				// crashes scheduled past this point never fire. A network
+				// crashes scheduled past this point never fire, and neither
+				// does a churn leave queued while every node is up. A network
 				// dead on arrival still "runs" its first round: round 1 is
 				// where a round-by-round execution finds that out.
 				e.res.Rounds = max(t, 1)
@@ -324,6 +321,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 			spont = len(e.inbox[u]) == 0
 		}
 		e.ctxs[u].spontaneous = spont
+		e.ctxs[u].steps++
 		e.procs[u].Start(&e.ctxs[u])
 		sh.clearSends(e.out[u])
 		started = append(started, u)
@@ -378,6 +376,7 @@ func (e *engine) tickShard(sh *engineShard, t int) {
 	// send cap: what Start queued is counted again before Round.
 	for _, u := range step {
 		sh.loadSends(e.out[u])
+		e.ctxs[u].steps++
 		e.procs[u].Round(&e.ctxs[u], e.inbox[u])
 		sh.clearSends(e.out[u])
 	}

@@ -36,15 +36,14 @@
 //
 // One node-fault term (crash/crashrec/churn) and one drop term may be
 // composed with "+": "crashrec:0.2:32+drop:0.05". The engine applies a
-// fault event at the start of the first tick it runs at or after the
-// event's due tick, before that tick's deliveries; events scheduled after
-// the run has quiesced (and past MaxRounds) never fire. Pending
-// recoveries keep a quiet run alive — a network that looks dead can be
-// revived by a rejoining node — and time jumps straight to the earliest
-// one, so every event due before it applies at its tick. A churn leave
-// applied late schedules its rejoin K ticks after the tick it applied
-// at, so in a quiet network the seed-derived phases collapse onto the
-// recovery ticks.
+// fault event at the start of its due tick, before that tick's
+// deliveries: a quiet run's time jumps to the next event or membership
+// change, whichever is first, so no event applies late and a churn
+// node's phase holds. Events scheduled after the run has quiesced (and
+// past MaxRounds) never fire. Only a pending recovery keeps a quiet run
+// alive — a network that looks dead can be revived by a rejoining node;
+// a churn leave queued while every node is up does not, or every quiet
+// churn run would reach the round cap.
 package sim
 
 import (
@@ -369,24 +368,6 @@ func (fst *faultState) reset(fs *FaultSchedule, seed int64, lo, hi, maxTick int)
 	}
 }
 
-// nextRevive returns the earliest queued recovery tick, or 0 when no
-// recovery is pending. Only recoveries can create new activity in a
-// quiet network; pending crashes never pull virtual time forward.
-func (fst *faultState) nextRevive() int {
-	if fst.pendingUp == 0 {
-		return 0
-	}
-	// The heap minimum is not necessarily a recovery; scan is O(heap) but
-	// only runs when the network is otherwise idle.
-	best := 0
-	for _, ev := range fst.heap {
-		if ev.kind == fvRecover && (best == 0 || ev.tick < best) {
-			best = ev.tick
-		}
-	}
-	return best
-}
-
 func (fst *faultState) pushRecover(t int, u int32) {
 	if t > fst.maxTick {
 		return // the node stays down past the run's horizon
@@ -463,7 +444,7 @@ func (e *engine) applyFaults(sh *engineShard, t int) {
 			e.halted[u] = false
 			e.awake[u] = false
 			e.changed[u] = false
-			e.ctxs[u].rngReady = false
+			e.ctxs[u].rngReady, e.ctxs[u].steps = false, 0
 			e.fRejoined[u] = true
 			sh.wake = append(sh.wake, u)
 		}

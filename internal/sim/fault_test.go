@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ule/internal/graph"
@@ -242,6 +243,67 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("churn run not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// startLog records the Round reading of every Start of every node (IDs
+// are node indices); its nodes halt in Start, so the network is quiet
+// from tick 1 on.
+type startLog [][]int
+
+func (l startLog) New(info NodeInfo) Process { return startLogProc{l, int(info.ID)} }
+
+type startLogProc struct {
+	l startLog
+	u int
+}
+
+func (p startLogProc) Start(c *Context) {
+	p.l[p.u] = append(p.l[p.u], c.Round())
+	c.Halt()
+}
+func (startLogProc) Round(*Context, []Message) {}
+
+// TestQuietRunKeepsChurnPhases: in a quiet network every fault event
+// applies at its due tick, so each churning node leaves at its
+// seed-derived phase and rejoins K ticks later. The run ends once every
+// node is up again: a leave queued then does not keep a quiet run alive.
+// In CONGEST a Start's Round reading is the tick it runs at.
+func TestQuietRunKeepsChurnPhases(t *testing.T) {
+	const n, seed, k = 64, 7, 5
+	fs, err := ParseFaults("churn:0.5:5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := make(startLog, n)
+	res, err := Run(Config{
+		Graph: graph.Ring(n), IDs: SequentialIDs(n, 0), Seed: seed, Model: ModelSpec{Faults: fs}, MaxRounds: 300,
+	}, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churning, last := 0, 1
+	for u, starts := range log {
+		if !hitsProb(faultHash(seed, u, faultSaltPart), fs.p) {
+			if len(starts) != 1 || starts[0] != 1 {
+				t.Errorf("node %d churns not, yet started at %v", u, starts)
+			}
+			continue
+		}
+		churning++
+		phase := 1 + int(faultHash(seed, u, faultSaltPhase)%k)
+		want := []int{1, phase + k}
+		if phase == 1 {
+			want = want[1:] // it left before its wake-up
+		}
+		if !slices.Equal(starts, want) {
+			t.Errorf("node %d, leave phase %d: started at %v, want %v", u, phase, starts, want)
+		}
+		last = max(last, phase+k)
+	}
+	if churning == 0 || res.Recoveries != churning || res.Rounds != last || res.HitRoundCap {
+		t.Errorf("%d churning nodes: %d recoveries, %d rounds (cap %v), want one rejoin each and an end at tick %d",
+			churning, res.Recoveries, res.Rounds, res.HitRoundCap, last)
 	}
 }
 

@@ -120,7 +120,7 @@ type buffers struct {
 	aliveBuf    []bool
 	rejoinedBuf []bool
 	watchBuf    map[[2]int]bool
-	idSeen      IDSet
+	idSeen      graph.IDSet
 }
 
 // NewRunner validates the graph and precomputes the reusable engine state.
@@ -153,7 +153,7 @@ func (r *Runner) Rebind(g *graph.Graph) error {
 	n := g.N()
 	if n != len(b.status) {
 		if 8*n < len(b.status) {
-			b.idSeen = IDSet{}
+			b.idSeen = graph.IDSet{}
 		}
 		b.shards, b.aliveBuf, b.rejoinedBuf = nil, nil, nil
 	}

@@ -465,19 +465,3 @@ func (e *engine) minFaultTick() (int, bool) {
 	}
 	return best, ok
 }
-
-// nextRevive returns the earliest queued recovery tick across all
-// shards (0 when none is pending).
-func (e *engine) nextRevive() int {
-	best := 0
-	for i := range e.shards {
-		f := e.shards[i].faults
-		if f == nil {
-			continue
-		}
-		if nr := f.nextRevive(); nr > 0 && (best == 0 || nr < best) {
-			best = nr
-		}
-	}
-	return best
-}

@@ -167,6 +167,7 @@ type Context struct {
 
 	rngReady    bool // rng has been (re)seeded for this run
 	spontaneous bool
+	steps       int32 // Start and Round calls of the node this run
 }
 
 // ID returns the node's unique identifier (0 in anonymous networks).
@@ -181,9 +182,16 @@ func (c *Context) Degree() int { return c.info.Degree }
 // Know returns the a-priori knowledge configured for this run.
 func (c *Context) Know() Knowledge { return c.info.Know }
 
-// Round returns the current round number (1-based). In ASYNC mode it is
-// the current virtual time tick.
-func (c *Context) Round() int { return c.eng.round }
+// Round returns the current round number (1-based). In ASYNC mode, where
+// a node has no clock, it is the node's own step count instead: 1 in its
+// Start, then one more in each Start and Round call since (a reset-state
+// rejoin counts from 1 again, a keep-state one goes on).
+func (c *Context) Round() int {
+	if c.eng.async {
+		return int(c.steps)
+	}
+	return c.eng.round
+}
 
 // Shard returns the index of the engine shard that steps this node in the
 // current run, below the run's Config.Shards as EffectiveShards resolves

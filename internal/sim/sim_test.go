@@ -2,11 +2,13 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ule/internal/graph"
 )
@@ -103,8 +105,10 @@ func (p portSender) Round(c *Context, inbox []Message) {
 	}
 }
 
-// turncoat is elected on its start and non-elected a round later, when
-// its neighbor's message arrives.
+// turncoat is elected on its start and non-elected when Round reads 2:
+// a round later in CONGEST, when its neighbor's message arrives, and in
+// ASYNC, where Round counts the node's own steps, in the Round call of
+// its Start tick.
 type turncoat struct{}
 
 func (turncoat) New(info NodeInfo) Process { return turncoat{} }
@@ -120,16 +124,115 @@ func (turncoat) Round(c *Context, inbox []Message) {
 }
 
 // TestDecisionIsFinal: changing a decided status is a model violation,
-// ErrRevoked, synchronous and asynchronous alike.
+// ErrRevoked, synchronous and asynchronous alike. The error names the
+// engine's tick.
 func TestDecisionIsFinal(t *testing.T) {
-	for _, model := range []string{"congest", "async"} {
+	for model, tick := range map[string]int{"congest": 2, "async": 1} {
 		m, err := ParseModel(model)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = Run(Config{Graph: graph.Path(2), Seed: 1, Model: m}, turncoat{})
-		if !errors.Is(err, ErrRevoked) || !strings.Contains(err.Error(), "elected → non-elected in round 2") {
-			t.Errorf("%s: err = %v, want ErrRevoked in round 2", model, err)
+		want := fmt.Sprintf("elected → non-elected in round %d", tick)
+		if !errors.Is(err, ErrRevoked) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want ErrRevoked in round %d", model, err, tick)
+		}
+	}
+}
+
+// roundRead is one Context.Round reading of a node: in its Start or in a
+// Round call.
+type roundRead struct {
+	start bool
+	round int
+}
+
+// roundProbe logs every Round reading of every node (IDs are node
+// indices) and keeps traffic going: each node broadcasts in its Start and
+// each of its Round calls until it has stepped steps times, then halts.
+type roundProbe struct {
+	log   [][]roundRead
+	steps int
+}
+
+func (p *roundProbe) New(info NodeInfo) Process { return &roundProbeProc{p: p, u: int(info.ID)} }
+
+type roundProbeProc struct {
+	p     *roundProbe
+	u, no int
+}
+
+func (q *roundProbeProc) Start(c *Context)                  { q.step(c, true) }
+func (q *roundProbeProc) Round(c *Context, inbox []Message) { q.step(c, false) }
+
+func (q *roundProbeProc) step(c *Context, start bool) {
+	q.p.log[q.u] = append(q.p.log[q.u], roundRead{start, c.Round()})
+	if q.no++; q.no < q.p.steps {
+		c.Broadcast(tokenMsg{int64(q.no)})
+	} else {
+		c.Halt()
+	}
+}
+
+// TestAsyncRoundIsLocal: in ASYNC a node has no clock, so Context.Round is
+// its own step count — 1 in its Start, one more in each Start and Round
+// call since — whatever the delays and the shard count; a reset-state
+// rejoin (a fresh process) counts from 1 again, a keep-state one goes on.
+// CONGEST still reads the engine's round, which the Start and the Round
+// call of a node's wake-up tick share.
+func TestAsyncRoundIsLocal(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Context{}) != 80 {
+		t.Errorf("Context is %d B, want 80: the step count must fit its padding", unsafe.Sizeof(Context{}))
+	}
+	const n, steps = 64, 24
+	for _, model := range []string{
+		"async+random:8", "async+fifo:4", "async+random:8+crashrec:0.3:6", "async+fifo:4+crashrec:0.3:6:keep", "congest",
+	} {
+		m, err := ParseModel(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			probe := &roundProbe{log: make([][]roundRead, n), steps: steps}
+			res, err := Run(Config{
+				Graph: graph.Ring(n), IDs: SequentialIDs(n, 0), Seed: 5, Model: m, MaxRounds: 1 << 12, Shards: shards,
+			}, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Faults != nil && res.Recoveries == 0 {
+				t.Fatalf("%s shards %d: nobody recovered", model, shards)
+			}
+			restarts := 0
+			for u, reads := range probe.log {
+				for i, r := range reads {
+					want := 1
+					switch {
+					case i == 0:
+						if !r.start {
+							t.Fatalf("%s shards %d node %d: a Round call before Start", model, shards, u)
+						}
+					case r.start:
+						if m.Faults == nil || m.Faults.keep {
+							t.Fatalf("%s shards %d node %d: a second Start", model, shards, u)
+						}
+						if reads[i-1].round > 1 {
+							restarts++
+						}
+					case m.Mode == CONGEST && i == 1:
+						want = reads[0].round // Start and Round share the wake-up tick
+					default:
+						want = reads[i-1].round + 1
+					}
+					if r.round != want {
+						t.Fatalf("%s shards %d node %d: reading %d (start %v) is %d, want %d; readings %v",
+							model, shards, u, i, r.start, r.round, want, reads)
+					}
+				}
+			}
+			if m.Faults != nil && !m.Faults.keep && restarts == 0 {
+				t.Errorf("%s shards %d: no rejoin restarted a node that had stepped", model, shards)
+			}
 		}
 	}
 }

@@ -56,9 +56,16 @@ var mutants = []mutant{
 	{
 		name:  "no jump to a pending recovery",
 		file:  "internal/sim/event.go",
-		edits: []edit{{"case e.pendingUp() > 0:", "case false:"}},
+		edits: []edit{{"(!e.async && e.running > 0) || e.pendingUp() > 0:", "(!e.async && e.running > 0):"}},
 		pkg:   "./internal/sim",
-		kills: []string{"TestCrashRecoveryReset", "TestCrashRecoveryKeep", "TestChurnDeterministic"},
+		kills: []string{"TestCrashRecoveryReset", "TestCrashRecoveryKeep", "TestChurnDeterministic", "TestQuietRunKeepsChurnPhases"},
+	},
+	{
+		name:  "ASYNC Round reads the tick",
+		file:  "internal/sim/sim.go",
+		edits: []edit{{"return int(c.steps)", "return c.eng.round"}},
+		pkg:   "./internal/sim",
+		kills: []string{"TestAsyncRoundIsLocal"},
 	},
 	{
 		name:  "Halt keeps the node running",
